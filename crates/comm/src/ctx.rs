@@ -30,11 +30,13 @@
 //! [`crate::WorldError::Deadlock`].
 //!
 //! Every frame carries a reliable-transport header: a per-channel
-//! sequence number, the failover generation, and an FNV checksum over
-//! the payload computed at send time. The receiver verifies the checksum
-//! (discarding damaged frames and waiting for the retransmission),
-//! discards duplicates by sequence number, and treats an out-of-order
-//! future frame as a transport violation. The sender retries failed
+//! sequence number, the failover generation, and
+//! [`Payload::checksum`] computed at send time — stamped and verified
+//! here and nowhere else, on every backend. The receiver verifies the
+//! checksum (discarding damaged frames and waiting for the
+//! retransmission), discards duplicates by sequence number, and treats
+//! an out-of-order future frame as a transport violation. The sender
+//! retries failed
 //! attempts under capped exponential backoff on the modeled-time axis;
 //! all retry overhead — backoff waits, retransmitted wire bytes,
 //! receiver time wasted on discarded frames — is charged to

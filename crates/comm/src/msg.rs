@@ -6,6 +6,11 @@
 //! small enum beats byte-serialization: zero copies, and the byte sizes
 //! used for accounting are the true wire sizes of the equivalent MPI/NCCL
 //! messages.
+//!
+//! Integrity is owned by one layer: [`crate::RankCtx`] stamps
+//! [`Payload::checksum`] into the [`Msg`] header at send and verifies it
+//! at receive, on both backends. The process backend's link layer
+//! carries that header and adds no check of its own.
 
 /// One message payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,18 +31,36 @@ pub enum Payload {
     },
 }
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Independent hash lanes of [`Payload::checksum`]: word `i` of an
+/// element array feeds lane `i % LANES`, so the multiplies of
+/// consecutive words do not wait on each other.
+const LANES: usize = 4;
+/// The odd multiplier of every step (2^64 / golden ratio).
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-#[inline]
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// One hash step. For a fixed `w` it is a bijection of `h`, and for a
+/// fixed `h` a bijection of `w` (xor, multiplication by an odd constant
+/// and rotation are each invertible mod 2^64) — the property the
+/// detection argument on [`Payload::checksum`] rests on. The rotation
+/// moves the high bits, which a multiply never carries downward, back
+/// under the next multiply.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(MUL).rotate_left(29)
+}
+
+/// Absorbs one element array, word `i` into lane `i % LANES`.
+#[inline(always)]
+fn absorb<T: Copy>(lanes: &mut [u64; LANES], v: &[T], word: impl Fn(T) -> u64) {
+    let mut chunks = v.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (l, &x) in lanes.iter_mut().zip(c) {
+            *l = mix(*l, word(x));
+        }
     }
-    h
+    for (l, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *l = mix(*l, word(x));
+    }
 }
 
 impl Payload {
@@ -51,36 +74,40 @@ impl Payload {
         }
     }
 
-    /// End-to-end integrity checksum: FNV-1a over the variant tag and
-    /// the little-endian bytes of every element, exactly what a wire
-    /// serialization would hash. Dependency-free and deterministic.
+    /// End-to-end integrity checksum, one multiply per 64-bit word on
+    /// [`LANES`] independent lanes. Every element is one word
+    /// (`f64::to_bits`, or a zero-extended `u32`); each array is absorbed
+    /// from lane 0; the lanes are then folded into the variant tag with
+    /// the same [`mix`] step, followed by both array lengths.
+    ///
+    /// Detection holds by construction, not by luck: changing any one
+    /// word (so any single bit) changes its lane after that step, every
+    /// later step and the fold are bijections of the running state, so
+    /// the result differs. Two payloads with equal words but a different
+    /// variant or different lengths differ for the same reason. Beyond
+    /// one word it is an ordinary 64-bit hash. Dependency-free and
+    /// deterministic; the only integrity check between two ranks (see
+    /// DESIGN.md §7).
     pub fn checksum(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        match self {
-            Payload::Empty => h = fnv_bytes(h, &[0]),
+        let mut lanes: [u64; LANES] = std::array::from_fn(|j| MUL.wrapping_mul(j as u64 + 1));
+        let (tag, len_a, len_b) = match self {
+            Payload::Empty => (0, 0, 0),
             Payload::F64(v) => {
-                h = fnv_bytes(h, &[1]);
-                for x in v {
-                    h = fnv_bytes(h, &x.to_bits().to_le_bytes());
-                }
+                absorb(&mut lanes, v, f64::to_bits);
+                (1, v.len(), 0)
             }
             Payload::U32(v) => {
-                h = fnv_bytes(h, &[2]);
-                for x in v {
-                    h = fnv_bytes(h, &x.to_le_bytes());
-                }
+                absorb(&mut lanes, v, u64::from);
+                (2, v.len(), 0)
             }
             Payload::Rows { idx, data } => {
-                h = fnv_bytes(h, &[3]);
-                for x in idx {
-                    h = fnv_bytes(h, &x.to_le_bytes());
-                }
-                for x in data {
-                    h = fnv_bytes(h, &x.to_bits().to_le_bytes());
-                }
+                absorb(&mut lanes, idx, u64::from);
+                absorb(&mut lanes, data, f64::to_bits);
+                (3, idx.len(), data.len())
             }
-        }
-        h
+        };
+        let h = lanes.into_iter().fold(tag, mix);
+        mix(mix(h, len_a as u64), len_b as u64)
     }
 
     /// Flips one bit somewhere in the payload (or returns `false` for
@@ -169,7 +196,8 @@ fn kind(p: &Payload) -> &'static str {
 /// protocol mismatches fail fast instead of silently mis-pairing
 /// buffers, while `seq`/`gen`/`checksum` are the reliable-transport
 /// header: per-channel sequence number, epoch-attempt generation, and
-/// the sender-computed FNV checksum the receiver verifies end to end.
+/// the sender-computed [`Payload::checksum`] the receiver verifies end
+/// to end.
 #[derive(Clone, Debug)]
 pub struct Msg {
     /// Op discriminator (see [`crate::ctx`] constants).

@@ -243,6 +243,13 @@ impl Stream {
         }
     }
 
+    pub(crate) fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_write_timeout(dur),
+            Stream::Tcp(s) => s.set_write_timeout(dur),
+        }
+    }
+
     pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_nonblocking(nb),

@@ -20,8 +20,16 @@
 //!   so a reconnect retransmits exactly the unacknowledged suffix and
 //!   the receiver's [`DedupWatermark`] filters the duplicates. The
 //!   upper layer ([`crate::RankCtx`]) never observes a socket bounce:
-//!   its own seq/FNV state machine sees the same frame stream either
-//!   way.
+//!   its own seq/checksum state machine sees the same frame stream
+//!   either way. The link adds no integrity check of its own.
+//! * **Lock discipline** — per peer, link bookkeeping ([`Link`]: short
+//!   critical sections, never held across a socket call) is split from
+//!   the write half (`Peer::writer`: the only lock held across a
+//!   blocking write). Reader threads never write and never wait for the write
+//!   half; the ACKs they make due are written by the next holder (see
+//!   [`Shared::with_writer`]). Rank sockets carry a write timeout equal
+//!   to the world timeout, so a write the peer never drains ends as a
+//!   link error on the reconnect → replay path, not as a stall.
 //! * **Liveness** — a heartbeat thread beacons every peer and marks a
 //!   peer dead after a miss threshold; death drops the peer's delivery
 //!   channel so blocked receives fail fast with the same "hung up"
@@ -78,7 +86,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use gnn_trace::{EventKind, Histogram, MetricsRegistry, RankTracer};
@@ -96,7 +104,7 @@ use crate::world::PanicHookGuard;
 
 use super::chaos::{Chaos, NetChaosPlan, SendVerdict};
 use super::net::{lock_or_recover, splitmix64, Backoff, HostFile, Listener, Stream};
-use super::replay::{DedupWatermark, ReplayQueue};
+use super::replay::{DedupWatermark, FrameBytes, ReplayQueue};
 use super::wire::{self, kind, Frame};
 use super::{PeerGone, RecvOutcome, Transport, TryRecvOutcome};
 
@@ -195,23 +203,40 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ---- Per-peer connection state -------------------------------------------
 
-/// Writer-side state for one peer link.
-struct Conn {
-    /// Writer half of the current connection (a `try_clone` of the
-    /// reader's stream); `None` while disconnected.
-    stream: Option<Stream>,
-    /// Bumped on every (re)connect; readers use it to tell whether the
-    /// connection that just died is still the current one.
-    epoch: u64,
+/// Link bookkeeping for one peer: sequence assignment, the replay
+/// queue, the dedup watermark, and how far our ACKs have got. Every
+/// critical section on it is a few loads and stores — it is never held
+/// across a socket call.
+struct Link {
     /// Sender half of the reliable layer: seq assignment + retained
     /// unACKed frames (see [`super::replay`] for the pinned invariants).
     replay: ReplayQueue,
     /// Receiver half: cumulative delivered watermark for dedup.
     dedup: DedupWatermark,
+    /// Highest delivered watermark already written to the peer as an
+    /// ACK; an ACK is *due* while `dedup.delivered()` is ahead of it.
+    ack_sent: u64,
 }
 
+/// Lock discipline (DESIGN.md §8): `writer` may be held while taking
+/// `link`, never the other way round; `link` and `sock` are leaves.
 struct Peer {
-    conn: Mutex<Conn>,
+    link: Mutex<Link>,
+    /// The write half of the current connection (a `try_clone` of the
+    /// reader's stream); `None` while disconnected. The only mutex held
+    /// across a blocking socket write. A reader thread of a live
+    /// connection never takes it and never writes: its ACKs are written
+    /// by whichever other thread holds the write half next (see
+    /// [`Shared::with_writer`]).
+    writer: Mutex<Option<Stream>>,
+    /// A third handle on the current connection, used only to shut it
+    /// down: waking a writer blocked on a dead peer must not need the
+    /// write half it is holding.
+    sock: Mutex<Option<Stream>>,
+    /// Bumped (under `writer`) on every (re)connect; readers use it to
+    /// tell whether the connection that just died is still the current
+    /// one.
+    epoch: AtomicU64,
     /// Delivery channel into the owning transport; taking it to `None`
     /// is how death/clean-close turns blocked receives into
     /// `Disconnected` (mirroring a dropped mpsc sender in the thread
@@ -228,16 +253,26 @@ struct Peer {
 impl Peer {
     fn new() -> Self {
         Peer {
-            conn: Mutex::new(Conn {
-                stream: None,
-                epoch: 0,
+            link: Mutex::new(Link {
                 replay: ReplayQueue::new(),
                 dedup: DedupWatermark::new(),
+                ack_sent: 0,
             }),
+            writer: Mutex::new(None),
+            sock: Mutex::new(None),
+            epoch: AtomicU64::new(0),
             data_tx: Mutex::new(None),
             last_seen_ms: AtomicU64::new(0),
             dead: AtomicBool::new(false),
             bye: AtomicBool::new(false),
+        }
+    }
+
+    /// Shuts the current connection down without touching the write
+    /// half: a writer blocked on it fails at once, the reader sees EOF.
+    fn shutdown_sock(&self) {
+        if let Some(sock) = lock_or_recover(&self.sock).take() {
+            let _ = sock.shutdown(Shutdown::Both);
         }
     }
 }
@@ -434,7 +469,7 @@ impl Shared {
 
     /// Writes one encoded frame to `slot`, with the chaos interposer in
     /// the path: an injected latency/bandwidth verdict holds the frame
-    /// (sleeping with the conn lock held — a slow wire serializes the
+    /// (sleeping with the write half held — a slow wire serializes the
     /// link exactly like this), a sever verdict tears the connection
     /// down instead of writing (the frame stays queued for replay).
     /// Returns `true` when the bytes actually went out.
@@ -461,7 +496,11 @@ impl Shared {
         let stream = slot.as_mut().expect("stream checked above");
         let t0 = Instant::now();
         let outcome = stream.write_all(bytes).and_then(|_| stream.flush());
-        if outcome.is_err() {
+        if let Err(e) = outcome {
+            // Includes a write that outlived the socket's write timeout
+            // (the world timeout): the link is torn down and the frame
+            // waits in the replay queue for the reconnect.
+            self.log(&format!("write to rank {dst} failed: {e}"));
             let _ = stream.shutdown(Shutdown::Both);
             *slot = None;
             false
@@ -472,53 +511,95 @@ impl Shared {
         }
     }
 
-    /// Queues a reliable frame for `dst` (replayed across reconnects)
-    /// and attempts an immediate write.
-    fn send_reliable(&self, dst: usize, kind_byte: u8, body: Vec<u8>) -> Result<(), PeerGone> {
+    /// Writes the cumulative ACK to `q` if one is due. Caller holds
+    /// `q`'s write half.
+    fn write_due_ack(&self, q: usize, w: &mut Option<Stream>) {
+        let peer = &self.peers[q];
+        let due = {
+            let link = lock_or_recover(&peer.link);
+            let delivered = link.dedup.delivered();
+            (delivered > link.ack_sent).then_some(delivered)
+        };
+        if let Some(delivered) = due {
+            let ack = wire::encode_frame(&Frame::with_u64(kind::ACK, self.rank, delivered));
+            if self.gated_write(q, w, &ack) {
+                let mut link = lock_or_recover(&peer.link);
+                link.ack_sent = link.ack_sent.max(delivered);
+            }
+        }
+    }
+
+    /// Runs `f` holding `q`'s write half, blocking for it, then writes
+    /// the ACK the reader left due, if any, before letting go.
+    ///
+    /// This is the rule that keeps the link live: a reader thread only
+    /// records what it delivered ([`Link`]) and goes back to reading —
+    /// it never writes, not even a 25-byte ACK, because with both send
+    /// buffers full that write waits for the peer's reader, which may be
+    /// waiting the same way for ours. Writes (and so waits for a peer
+    /// to drain) belong to the rank's main thread, the monitor and the
+    /// (re)connect path, none of which a peer needs in order to make
+    /// progress.
+    fn with_writer<R>(&self, q: usize, f: impl FnOnce(&mut Option<Stream>) -> R) -> R {
+        let mut w = lock_or_recover(&self.peers[q].writer);
+        let out = f(&mut w);
+        self.write_due_ack(q, &mut w);
+        out
+    }
+
+    /// Like [`Shared::with_writer`] but gives up (`None`) when another
+    /// thread holds the write half — for the monitor, which must not
+    /// queue behind a frame in flight. Whoever does hold it writes the
+    /// due ACK on release.
+    fn try_with_writer<R>(&self, q: usize, f: impl FnOnce(&mut Option<Stream>) -> R) -> Option<R> {
+        let mut w = match self.peers[q].writer.try_lock() {
+            Ok(w) => w,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let out = f(&mut w);
+        self.write_due_ack(q, &mut w);
+        Some(out)
+    }
+
+    /// Queues an encoded reliable frame for `dst` (replayed across
+    /// reconnects) and attempts an immediate write. `frame` comes from
+    /// [`wire::encode_data_frame`] / [`wire::encode_frame`] with a zero
+    /// `link_seq`; the real one is stamped here, in the same short
+    /// critical section that retains the buffer for replay.
+    fn send_reliable(&self, dst: usize, mut frame: Vec<u8>) -> Result<(), PeerGone> {
         let peer = &self.peers[dst];
         if peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst) {
             return Err(PeerGone);
         }
-        let mut conn = lock_or_recover(&peer.conn);
-        let link_seq = conn.replay.assign_seq();
-        let body_len = body.len() as u64;
-        let frame = Frame {
-            kind: kind_byte,
-            src: self.rank as u32,
-            link_seq,
-            body,
+        let bytes = {
+            let mut link = lock_or_recover(&peer.link);
+            let link_seq = link.replay.assign_seq();
+            wire::set_link_seq(&mut frame, link_seq);
+            let bytes = Arc::new(frame);
+            link.replay.push(link_seq, bytes.clone());
+            bytes
         };
-        let bytes = wire::encode_frame(&frame);
-        conn.replay.push(link_seq, bytes.clone());
-        {
-            let Conn { stream, .. } = &mut *conn;
-            self.gated_write(dst, stream, &bytes);
-        }
-        if kind_byte == kind::DATA {
-            self.metrics
-                .data_bytes_sent
-                .fetch_add(body_len, Ordering::Relaxed);
-            let n = self.data_sent.fetch_add(1, Ordering::SeqCst) + 1;
-            if let Some(after) = self.drop_after {
-                if n >= after && !self.drop_fired.swap(true, Ordering::SeqCst) {
-                    self.log(&format!(
-                        "fault hook: dropping connection to rank {dst} after DATA #{n}"
-                    ));
-                    if let Some(stream) = conn.stream.take() {
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                }
-            }
-        }
+        self.with_writer(dst, |w| self.gated_write(dst, w, &bytes));
         Ok(())
     }
 
-    /// Best-effort unreliable control frame (HEARTBEAT, BYE, ACK).
-    fn send_control(&self, dst: usize, frame: &Frame) {
-        let bytes = wire::encode_frame(frame);
-        let mut conn = lock_or_recover(&self.peers[dst].conn);
-        let Conn { stream, .. } = &mut *conn;
-        self.gated_write(dst, stream, &bytes);
+    /// Accounts one DATA frame of `body_len` body bytes sent to `dst`,
+    /// and fires the `GNN_PROC_DROP_CONN_AFTER` fault hook when its
+    /// count comes up.
+    fn data_frame_sent(&self, dst: usize, body_len: u64) {
+        self.metrics
+            .data_bytes_sent
+            .fetch_add(body_len, Ordering::Relaxed);
+        let n = self.data_sent.fetch_add(1, Ordering::SeqCst) + 1;
+        if let Some(after) = self.drop_after {
+            if n >= after && !self.drop_fired.swap(true, Ordering::SeqCst) {
+                self.log(&format!(
+                    "fault hook: dropping connection to rank {dst} after DATA #{n}"
+                ));
+                self.peers[dst].shutdown_sock();
+            }
+        }
     }
 
     fn mark_peer_dead(&self, q: usize, why: &str) {
@@ -532,10 +613,7 @@ impl Shared {
         // `Disconnected` once the sender is gone, the reader wakes on
         // the shutdown.
         *lock_or_recover(&peer.data_tx) = None;
-        let mut conn = lock_or_recover(&peer.conn);
-        if let Some(stream) = conn.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        peer.shutdown_sock();
     }
 
     fn any_peer_dead(&self) -> bool {
@@ -552,7 +630,8 @@ impl Shared {
             if q == self.rank || self.peers[q].dead.load(Ordering::SeqCst) {
                 continue;
             }
-            self.send_control(q, &Frame::control(kind::BYE, self.rank));
+            let bye = wire::encode_frame(&Frame::control(kind::BYE, self.rank));
+            self.with_writer(q, |w| self.gated_write(q, w, &bye));
         }
         // Drain: give peers a moment to BYE back so both sides close at
         // a frame boundary instead of racing EOF against final ACKs.
@@ -587,10 +666,10 @@ impl Shared {
             if q == self.rank {
                 continue;
             }
-            let mut conn = lock_or_recover(&self.peers[q].conn);
-            if let Some(stream) = conn.stream.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+            // Shut down first so a write in flight fails instead of
+            // holding the write half against us.
+            self.peers[q].shutdown_sock();
+            *lock_or_recover(&self.peers[q].writer) = None;
         }
         *lock_or_recover(&self.entries_tx) = None;
         *lock_or_recover(&self.release_tx) = None;
@@ -617,14 +696,18 @@ fn install_conn(
     peer_watermark: u64,
 ) -> io::Result<()> {
     let writer = stream.try_clone()?;
+    let sock = stream.try_clone()?;
+    // A write that the peer never drains must end as a link error, not
+    // as a stall no watchdog can see.
+    writer.set_write_timeout(Some(shared.timeout))?;
     let peer = &shared.peers[q];
-    let epoch;
-    {
-        let mut conn = lock_or_recover(&peer.conn);
-        if let Some(old) = conn.stream.take() {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        if conn.epoch > 0 {
+    // Retire the old connection before asking for the write half: a
+    // writer still blocked on it fails and lets go.
+    if let Some(old) = lock_or_recover(&peer.sock).replace(sock) {
+        let _ = old.shutdown(Shutdown::Both);
+    }
+    let epoch = shared.with_writer(q, |w| {
+        if peer.epoch.load(Ordering::SeqCst) > 0 {
             // This link existed before and is coming back: whatever
             // took it down (reset, partition, peer restart of the
             // connection) healed within the liveness budget.
@@ -633,18 +716,23 @@ fn install_conn(
                 .partitions_healed
                 .fetch_add(1, Ordering::Relaxed);
         }
-        conn.epoch += 1;
-        epoch = conn.epoch;
-        conn.replay.ack(peer_watermark);
-        conn.stream = Some(writer);
-        // Retransmit the unacknowledged suffix through the same gated
-        // path as live traffic (chaos shapes replays too). A failed or
-        // severed write clears the stream; the remaining suffix stays
-        // queued for the next reconnect.
+        let epoch = peer.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        *w = Some(writer);
+        // The suffix is read only now, with the write half held: a
+        // frame queued after this point is written by its own sender,
+        // behind us and therefore in order.
+        let unacked: Vec<FrameBytes> = {
+            let mut link = lock_or_recover(&peer.link);
+            link.replay.ack(peer_watermark);
+            link.replay.unacked().cloned().collect()
+        };
+        // Retransmit through the same gated path as live traffic (chaos
+        // shapes replays too). A failed or severed write clears the
+        // stream; the remaining suffix stays queued for the next
+        // reconnect.
         let mut replayed = 0u64;
-        let Conn { stream, replay, .. } = &mut *conn;
-        for bytes in replay.unacked() {
-            if !shared.gated_write(q, stream, bytes) {
+        for bytes in &unacked {
+            if !shared.gated_write(q, w, bytes) {
                 break;
             }
             replayed += 1;
@@ -656,7 +744,8 @@ fn install_conn(
         shared.log(&format!(
             "link to rank {q} up (epoch {epoch}, peer watermark {peer_watermark}, replayed {replayed})"
         ));
-    }
+        epoch
+    });
     peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
     let shared = shared.clone();
     std::thread::Builder::new()
@@ -669,11 +758,7 @@ fn install_conn(
 /// hands off to reconnect/death handling.
 fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
     let _ = stream.set_read_timeout(None);
-    let raw = match stream.try_clone() {
-        Ok(c) => c,
-        Err(_) => stream,
-    };
-    let mut r = BufReader::new(raw);
+    let mut r = BufReader::new(&stream);
     let reason = loop {
         match wire::read_frame(&mut r) {
             Ok(Some(frame)) => {
@@ -701,6 +786,9 @@ fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
             Err(e) => break format!("read error: {e}"),
         }
     };
+    // This connection is over in both directions; a write still in
+    // flight on it must fail now rather than at the write timeout.
+    let _ = stream.shutdown(Shutdown::Both);
     on_conn_end(&shared, q, epoch, &reason);
 }
 
@@ -709,19 +797,11 @@ fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
     let peer = &shared.peers[q];
     match frame.kind {
         kind::DATA | kind::BARRIER_ENTER | kind::BARRIER_RELEASE => {
-            // Reliable frame: watermark-dedup, ack, then deliver.
-            {
-                let mut conn = lock_or_recover(&peer.conn);
-                if !conn.dedup.admit(frame.link_seq) {
-                    return; // duplicate from a replay
-                }
-                let ack = wire::encode_frame(&Frame::with_u64(
-                    kind::ACK,
-                    shared.rank,
-                    conn.dedup.delivered(),
-                ));
-                let Conn { stream, .. } = &mut *conn;
-                shared.gated_write(q, stream, &ack);
+            // Reliable frame: watermark-dedup, then deliver. Advancing
+            // the watermark is what makes an ACK due; the next holder
+            // of the write half writes it (`Shared::with_writer`).
+            if !lock_or_recover(&peer.link).dedup.admit(frame.link_seq) {
+                return; // duplicate from a replay
             }
             match frame.kind {
                 kind::DATA => {
@@ -758,7 +838,7 @@ fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
         }
         kind::ACK => {
             if let Ok(watermark) = frame.body_u64() {
-                lock_or_recover(&peer.conn).replay.ack(watermark);
+                lock_or_recover(&peer.link).replay.ack(watermark);
             }
         }
         kind::HEARTBEAT => {} // last_seen already updated
@@ -775,14 +855,21 @@ fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
 /// to the liveness monitor.
 fn on_conn_end(shared: &Arc<Shared>, q: usize, epoch: u64, reason: &str) {
     let peer = &shared.peers[q];
-    {
-        let mut conn = lock_or_recover(&peer.conn);
-        if conn.epoch != epoch {
-            return; // a newer connection has already replaced this one
+    if peer.epoch.load(Ordering::SeqCst) != epoch {
+        return; // a newer connection has already replaced this one
+    }
+    // This reader's connection is over, so it may wait for the write
+    // half like anyone else. The epoch is checked again under it: an
+    // install that won the race must keep its stream.
+    let current = shared.with_writer(q, |w| {
+        let current = peer.epoch.load(Ordering::SeqCst) == epoch;
+        if current {
+            *w = None;
         }
-        if let Some(stream) = conn.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        current
+    });
+    if !current {
+        return;
     }
     if shared.shutting_down.load(Ordering::SeqCst) || peer.dead.load(Ordering::SeqCst) {
         return;
@@ -857,7 +944,7 @@ fn dial_peer(shared: &Arc<Shared>, q: usize, addr: &str) -> io::Result<()> {
         }
     }
     let mut stream = Stream::connect(addr)?;
-    let delivered = lock_or_recover(&shared.peers[q].conn).dedup.delivered();
+    let delivered = lock_or_recover(&shared.peers[q].link).dedup.delivered();
     wire::write_frame(
         &mut stream,
         &Frame::with_u64(kind::HELLO, shared.rank, delivered),
@@ -936,7 +1023,7 @@ fn handle_accept(shared: &Arc<Shared>, mut stream: Stream) -> io::Result<()> {
             ));
         }
     }
-    let delivered = lock_or_recover(&shared.peers[q].conn).dedup.delivered();
+    let delivered = lock_or_recover(&shared.peers[q].link).dedup.delivered();
     wire::write_frame(
         &mut stream,
         &Frame::with_u64(kind::HELLO, shared.rank, delivered),
@@ -955,6 +1042,11 @@ fn monitor_loop(shared: Arc<Shared>) {
                 return;
             }
             std::thread::sleep(Duration::from_millis(20).min(shared.heartbeat));
+            // ACK backstop: what a reader delivered while the rank's
+            // main thread had nothing to send to that peer.
+            for q in (0..shared.p).filter(|&q| q != shared.rank) {
+                shared.try_with_writer(q, |_| ());
+            }
         }
         let now = shared.now_ms();
         for q in 0..shared.p {
@@ -965,7 +1057,10 @@ fn monitor_loop(shared: Arc<Shared>) {
             if peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst) {
                 continue;
             }
-            shared.send_control(q, &Frame::control(kind::HEARTBEAT, shared.rank));
+            // Try-lock: a tick must not queue behind a frame in flight
+            // (which tells the peer we are alive just as well).
+            let beat = wire::encode_frame(&Frame::control(kind::HEARTBEAT, shared.rank));
+            shared.try_with_writer(q, |w| shared.gated_write(q, w, &beat));
             let age = now.saturating_sub(peer.last_seen_ms.load(Ordering::SeqCst));
             if age > period_ms {
                 // Each tick past one beacon period of silence is one
@@ -1453,7 +1548,7 @@ impl ProcTransport {
             // acceptor).
             loop {
                 let all_up =
-                    (0..p).all(|q| q == rank || lock_or_recover(&shared.peers[q].conn).epoch > 0);
+                    (0..p).all(|q| q == rank || shared.peers[q].epoch.load(Ordering::SeqCst) > 0);
                 if all_up {
                     break;
                 }
@@ -1511,7 +1606,10 @@ impl ProcTransport {
         for q in 1..p {
             if self
                 .shared
-                .send_reliable(q, kind::BARRIER_RELEASE, round.to_le_bytes().to_vec())
+                .send_reliable(
+                    q,
+                    wire::encode_frame(&Frame::with_u64(kind::BARRIER_RELEASE, 0, round)),
+                )
                 .is_err()
             {
                 return false;
@@ -1523,7 +1621,14 @@ impl ProcTransport {
     fn barrier_member(&mut self, round: u64) -> bool {
         if self
             .shared
-            .send_reliable(0, kind::BARRIER_ENTER, round.to_le_bytes().to_vec())
+            .send_reliable(
+                0,
+                wire::encode_frame(&Frame::with_u64(
+                    kind::BARRIER_ENTER,
+                    self.shared.rank,
+                    round,
+                )),
+            )
             .is_err()
         {
             return false;
@@ -1558,8 +1663,11 @@ impl ProcTransport {
 
 impl Transport for ProcTransport {
     fn send(&mut self, dst: usize, msg: Msg) -> Result<(), PeerGone> {
-        self.shared
-            .send_reliable(dst, kind::DATA, wire::encode_msg(&msg))
+        let frame = wire::encode_data_frame(self.shared.rank, &msg);
+        let body_len = frame.len() as u64 - wire::FRAME_OVERHEAD;
+        self.shared.send_reliable(dst, frame)?;
+        self.shared.data_frame_sent(dst, body_len);
+        Ok(())
     }
 
     fn recv_deadline(&mut self, src: usize, timeout: Duration) -> RecvOutcome {
@@ -1827,13 +1935,22 @@ impl ProcWorld {
         let tracer = self
             .tracing
             .then(|| Box::new(RankTracer::with_wall_anchor(rank, shared.start)));
-        if let Some(interval) = self.metrics_interval {
+        let metrics_thread = self.metrics_interval.and_then(|interval| {
             let shared = shared.clone();
             let path = self.dir.join(format!("metrics-rank{rank}.jsonl"));
-            let _ = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("proc-metrics-{rank}"))
-                .spawn(move || metrics_snapshot_loop(shared, path, interval));
-        }
+                .spawn(move || metrics_snapshot_loop(shared, path, interval))
+                .ok()
+        });
+        // Joined after shutdown: the snapshotter's last line is written
+        // on seeing the shutdown, and a run shorter than one interval
+        // has no other line — the process must not exit under it.
+        let finish_metrics = || {
+            if let Some(handle) = metrics_thread {
+                let _ = handle.join();
+            }
+        };
         let mut ctx = RankCtx::new(
             rank,
             self.p,
@@ -1875,12 +1992,14 @@ impl ProcWorld {
                     }
                 }
                 shared.begin_shutdown();
+                finish_metrics();
                 Ok((out, stats, tracer))
             }
             Err(payload) => {
                 let message = describe_panic(payload.as_ref());
                 shared.log(&format!("rank {rank} panicked: {message}"));
                 shared.abort_shutdown();
+                finish_metrics();
                 Err(ProcError::RankPanicked { rank, message })
             }
         }
@@ -2039,7 +2158,7 @@ mod tests {
                 link_seq: seq,
                 body: vec![i as u8; 7],
             });
-            sender.push(seq, bytes);
+            sender.push(seq, Arc::new(bytes));
         }
 
         // Connection 1: only a prefix makes it onto the wire before the

@@ -14,6 +14,13 @@
 //! > end exactly at the number of frames sent.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// One encoded frame, exactly as it goes on the wire. The queue holds
+/// the only buffer there is: a writer borrows it through the `Arc` for
+/// the length of one socket write, outside the queue's lock, and no
+/// second encoding or copy exists.
+pub(crate) type FrameBytes = Arc<Vec<u8>>;
 
 /// Sender half: assigns `link_seq`s, retains encoded frames until the
 /// peer's cumulative ACK covers them, and replays the suffix beyond the
@@ -21,7 +28,7 @@ use std::collections::VecDeque;
 pub(crate) struct ReplayQueue {
     next_seq: u64,
     acked: u64,
-    queue: VecDeque<(u64, Vec<u8>)>,
+    queue: VecDeque<(u64, FrameBytes)>,
 }
 
 impl ReplayQueue {
@@ -41,7 +48,7 @@ impl ReplayQueue {
     }
 
     /// Retains the encoded bytes of frame `seq` for replay.
-    pub(crate) fn push(&mut self, seq: u64, bytes: Vec<u8>) {
+    pub(crate) fn push(&mut self, seq: u64, bytes: FrameBytes) {
         debug_assert!(
             self.queue.back().is_none_or(|(s, _)| *s < seq),
             "replay queue must stay seq-ordered"
@@ -66,8 +73,8 @@ impl ReplayQueue {
 
     /// Frames retained beyond the ACK watermark, in sequence order —
     /// exactly what a reconnect retransmits.
-    pub(crate) fn unacked(&self) -> impl Iterator<Item = &[u8]> {
-        self.queue.iter().map(|(_, b)| b.as_slice())
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &FrameBytes> {
+        self.queue.iter().map(|(_, b)| b)
     }
 
     /// Number of retained frames.
@@ -130,7 +137,7 @@ mod tests {
 
         for bytes in frames {
             let seq = sender.assign_seq();
-            sender.push(seq, bytes.clone());
+            sender.push(seq, Arc::new(bytes.clone()));
             // The wire delivers only the prefix before the cut.
             if seq <= delivered_prefix && receiver.admit(seq) {
                 delivered.push(bytes.clone());
@@ -194,7 +201,7 @@ mod tests {
         let mut delivered = Vec::new();
         for i in 0..6u64 {
             let seq = sender.assign_seq();
-            sender.push(seq, vec![i as u8]);
+            sender.push(seq, Arc::new(vec![i as u8]));
         }
         // Two bounces back to back: the second connection died before
         // any ACK progress was recorded, so the full suffix replays
@@ -220,7 +227,7 @@ mod tests {
         let mut sender = ReplayQueue::new();
         for i in 0..4u64 {
             let seq = sender.assign_seq();
-            sender.push(seq, vec![i as u8]);
+            sender.push(seq, Arc::new(vec![i as u8]));
         }
         sender.ack(3);
         assert_eq!(sender.len(), 1);

@@ -5,10 +5,20 @@
 //! the length field itself. `link_seq` numbers DATA frames per
 //! connection direction (the replay/ack watermark unit); it is zero for
 //! control frames. The DATA body is the byte serialization of
-//! [`Msg`] — tag, transport seq, generation, FNV checksum, payload —
+//! [`Msg`] — tag, transport seq, generation, payload checksum, payload —
 //! exactly the header the thread backend passes by value, so the
 //! receive state machine in [`crate::RankCtx`] is backend-agnostic.
 //! The full grammar is documented in DESIGN.md §8.
+//!
+//! A DATA frame is built once and copied once each way:
+//! [`encode_data_frame`] writes frame header, `Msg` header and payload
+//! into the one buffer the replay queue then owns and the socket write
+//! borrows; [`read_frame`] reads the 17 header bytes and the body
+//! separately, and [`decode_msg`] converts the body's element bytes in
+//! bulk into vectors sized from the body's own length — a hostile count
+//! field can neither panic the decoder nor make it reserve more than
+//! the bytes that arrived. The codec carries the `Msg` checksum and
+//! never looks at it: integrity belongs to [`crate::RankCtx`] alone.
 
 use std::io::{self, Read, Write};
 
@@ -95,32 +105,51 @@ fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// Bytes of `kind`, `src` and `link_seq` after the length prefix.
+const HEADER: usize = 1 + 4 + 8;
+
 /// Serializes one frame onto `w` (single buffered write + flush).
 pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut buf = encode_frame(frame);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&buf)?;
+    w.write_all(&encode_frame(frame))?;
     w.flush()
 }
 
-/// Encodes a frame with a placeholder length prefix (filled by the
-/// caller); exposed separately so senders can pre-encode DATA frames
-/// once and replay the identical bytes after a reconnect.
-pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 13 + frame.body.len());
-    buf.extend_from_slice(&0u32.to_le_bytes()); // length placeholder
-    buf.push(frame.kind);
-    buf.extend_from_slice(&frame.src.to_le_bytes());
-    buf.extend_from_slice(&frame.link_seq.to_le_bytes());
-    buf.extend_from_slice(&frame.body);
+/// Starts an encoded frame with room for `body_len` body bytes: a
+/// placeholder length prefix (filled by [`end_frame`]) and the header.
+fn begin_frame(kind: u8, src: u32, link_seq: u64, body_len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + HEADER + body_len);
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    buf.push(kind);
+    buf.extend_from_slice(&src.to_le_bytes());
+    buf.extend_from_slice(&link_seq.to_le_bytes());
+    buf
+}
+
+/// Fills in the length prefix once the body is in place.
+fn end_frame(mut buf: Vec<u8>) -> Vec<u8> {
     let len = (buf.len() - 4) as u32;
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf
 }
 
+/// Encodes a control frame (small body) into its wire bytes.
+pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut buf = begin_frame(frame.kind, frame.src, frame.link_seq, frame.body.len());
+    buf.extend_from_slice(&frame.body);
+    end_frame(buf)
+}
+
+/// Stamps the `link_seq` of an already encoded frame. Reliable frames
+/// are encoded before their sequence number is claimed, so the claim
+/// and the replay-queue push share one short critical section.
+pub(crate) fn set_link_seq(frame: &mut [u8], link_seq: u64) {
+    // After the length prefix, `kind` and `src`; the header ends with it.
+    frame[4 + 1 + 4..4 + HEADER].copy_from_slice(&link_seq.to_le_bytes());
+}
+
 /// Reads one frame off `r`. `Ok(None)` is a clean EOF at a frame
-/// boundary; errors inside a frame are real I/O failures.
+/// boundary; errors inside a frame are real I/O failures. The body is
+/// read straight into the vector the frame keeps.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
@@ -129,19 +158,18 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len_bytes);
-    if !(13..=MAX_FRAME).contains(&len) {
+    if !(HEADER as u32..=MAX_FRAME).contains(&len) {
         return Err(bad_data("frame length out of range"));
     }
-    let mut rest = vec![0u8; len as usize];
-    r.read_exact(&mut rest)?;
-    let kind = rest[0];
-    let src = u32::from_le_bytes(rest[1..5].try_into().unwrap());
-    let link_seq = u64::from_le_bytes(rest[5..13].try_into().unwrap());
+    let mut header = [0u8; HEADER];
+    r.read_exact(&mut header)?;
+    let mut body = vec![0u8; len as usize - HEADER];
+    r.read_exact(&mut body)?;
     Ok(Some(Frame {
-        kind,
-        src,
-        link_seq,
-        body: rest.split_off(13),
+        kind: header[0],
+        src: u32::from_le_bytes(header[1..5].try_into().expect("4 header bytes")),
+        link_seq: u64::from_le_bytes(header[5..13].try_into().expect("8 header bytes")),
+        body,
     }))
 }
 
@@ -153,9 +181,34 @@ const PV_F64: u8 = 1;
 const PV_U32: u8 = 2;
 const PV_ROWS: u8 = 3;
 
-/// Serializes a [`Msg`] into a DATA frame body.
-pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut b = Vec::with_capacity(22 + msg.payload.bytes() as usize + 16);
+/// Bytes of `tag`, `seq`, `gen`, `checksum` and the payload variant.
+const MSG_HEADER: usize = 1 + 8 + 4 + 8 + 1;
+
+/// Appends `v` as little-endian words: one resize, then a fixed-width
+/// copy per element, which compiles to a block move.
+fn put_words<T: Copy, const N: usize>(buf: &mut Vec<u8>, v: &[T], le: impl Fn(T) -> [u8; N]) {
+    let at = buf.len();
+    buf.resize(at + N * v.len(), 0);
+    for (dst, &x) in buf[at..].chunks_exact_mut(N).zip(v) {
+        dst.copy_from_slice(&le(x));
+    }
+}
+
+/// The inverse of [`put_words`]: one vector sized from `bytes` itself.
+fn get_words<T, const N: usize>(bytes: &[u8], le: impl Fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(N)
+        .map(|c| le(c.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
+}
+
+/// Encodes `msg` as a complete DATA frame from rank `src` — length
+/// prefix, frame header (`link_seq` zero until [`set_link_seq`]), `Msg`
+/// header and payload — in the single buffer that is written, retained
+/// for replay and dropped on ACK.
+pub(crate) fn encode_data_frame(src: usize, msg: &Msg) -> Vec<u8> {
+    let body_len = MSG_HEADER + 16 + msg.payload.bytes() as usize;
+    let mut b = begin_frame(kind::DATA, src as u32, 0, body_len);
     b.push(msg.tag);
     b.extend_from_slice(&msg.seq.to_le_bytes());
     b.extend_from_slice(&msg.gen.to_le_bytes());
@@ -165,30 +218,22 @@ pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
         Payload::F64(v) => {
             b.push(PV_F64);
             b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            for x in v {
-                b.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
+            put_words(&mut b, v, f64::to_le_bytes);
         }
         Payload::U32(v) => {
             b.push(PV_U32);
             b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            for x in v {
-                b.extend_from_slice(&x.to_le_bytes());
-            }
+            put_words(&mut b, v, u32::to_le_bytes);
         }
         Payload::Rows { idx, data } => {
             b.push(PV_ROWS);
             b.extend_from_slice(&(idx.len() as u64).to_le_bytes());
             b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            for x in idx {
-                b.extend_from_slice(&x.to_le_bytes());
-            }
-            for x in data {
-                b.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
+            put_words(&mut b, idx, u32::to_le_bytes);
+            put_words(&mut b, data, f64::to_le_bytes);
         }
     }
-    b
+    end_frame(b)
 }
 
 struct Cursor<'a> {
@@ -220,14 +265,11 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Element count with a sanity bound derived from the bytes left.
-    fn count(&mut self, elem_bytes: usize) -> io::Result<usize> {
-        let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n > remaining / elem_bytes as u64 + 1 {
-            return Err(bad_data("element count exceeds frame size"));
-        }
-        Ok(n as usize)
+    /// Everything not yet consumed.
+    fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
     }
 }
 
@@ -238,42 +280,47 @@ pub(crate) fn decode_msg(body: &[u8]) -> io::Result<Msg> {
     let seq = c.u64()?;
     let gen = c.u32()?;
     let checksum = c.u64()?;
+    // Each count must account for the rest of the body exactly, so a
+    // lying count is rejected before anything is allocated for it.
+    let mismatch = || bad_data("element counts do not match the DATA body length");
     let payload = match c.u8()? {
-        PV_EMPTY => Payload::Empty,
-        PV_F64 => {
-            let n = c.count(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f64::from_bits(c.u64()?));
+        PV_EMPTY => {
+            if !c.rest().is_empty() {
+                return Err(mismatch());
             }
-            Payload::F64(v)
+            Payload::Empty
+        }
+        PV_F64 => {
+            let n = c.u64()?;
+            let words = c.rest();
+            if n.checked_mul(8) != Some(words.len() as u64) {
+                return Err(mismatch());
+            }
+            Payload::F64(get_words(words, f64::from_le_bytes))
         }
         PV_U32 => {
-            let n = c.count(4)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(c.u32()?);
+            let n = c.u64()?;
+            let words = c.rest();
+            if n.checked_mul(4) != Some(words.len() as u64) {
+                return Err(mismatch());
             }
-            Payload::U32(v)
+            Payload::U32(get_words(words, u32::from_le_bytes))
         }
         PV_ROWS => {
-            let ni = c.count(4)?;
-            let nd = c.count(8)?;
-            let mut idx = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                idx.push(c.u32()?);
+            let idx_len = c.u64()?.checked_mul(4).ok_or_else(mismatch)?;
+            let data_len = c.u64()?.checked_mul(8).ok_or_else(mismatch)?;
+            let words = c.rest();
+            if idx_len.checked_add(data_len) != Some(words.len() as u64) {
+                return Err(mismatch());
             }
-            let mut data = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                data.push(f64::from_bits(c.u64()?));
+            let (idx, data) = words.split_at(idx_len as usize);
+            Payload::Rows {
+                idx: get_words(idx, u32::from_le_bytes),
+                data: get_words(data, f64::from_le_bytes),
             }
-            Payload::Rows { idx, data }
         }
         other => return Err(bad_data(&format!("unknown payload variant {other}"))),
     };
-    if c.pos != body.len() {
-        return Err(bad_data("trailing bytes after DATA body"));
-    }
     Ok(Msg {
         tag,
         seq,
@@ -322,6 +369,8 @@ pub(crate) fn decode_addrbook(body: &[u8]) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn roundtrip_frame(f: &Frame) -> Frame {
         let mut buf = Vec::new();
@@ -351,9 +400,172 @@ mod tests {
         assert_eq!(Frame::with_u64(kind::ACK, 1, 42).body_u64().unwrap(), 42);
     }
 
+    /// The DATA frame grammar of DESIGN.md §8 spelled out one field and
+    /// one element at a time — the oracle the bulk encoder must match
+    /// byte for byte.
+    fn reference_data_frame(src: u32, link_seq: u64, msg: &Msg) -> Vec<u8> {
+        let mut body = vec![msg.tag];
+        body.extend_from_slice(&msg.seq.to_le_bytes());
+        body.extend_from_slice(&msg.gen.to_le_bytes());
+        body.extend_from_slice(&msg.checksum.to_le_bytes());
+        let put_u32s = |body: &mut Vec<u8>, v: &[u32]| {
+            for x in v {
+                body.extend_from_slice(&x.to_le_bytes());
+            }
+        };
+        let put_f64s = |body: &mut Vec<u8>, v: &[f64]| {
+            for x in v {
+                body.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        };
+        match &msg.payload {
+            Payload::Empty => body.push(0),
+            Payload::F64(v) => {
+                body.push(1);
+                body.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                put_f64s(&mut body, v);
+            }
+            Payload::U32(v) => {
+                body.push(2);
+                body.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                put_u32s(&mut body, v);
+            }
+            Payload::Rows { idx, data } => {
+                body.push(3);
+                body.extend_from_slice(&(idx.len() as u64).to_le_bytes());
+                body.extend_from_slice(&(data.len() as u64).to_le_bytes());
+                put_u32s(&mut body, idx);
+                put_f64s(&mut body, data);
+            }
+        }
+        let mut frame = ((13 + body.len()) as u32).to_le_bytes().to_vec();
+        frame.push(kind::DATA);
+        frame.extend_from_slice(&src.to_le_bytes());
+        frame.extend_from_slice(&link_seq.to_le_bytes());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// `f64`s drawn as raw bit patterns (so NaNs with payloads, both
+    /// infinities, subnormals) with the awkward constants mixed in.
+    fn random_f64s(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => -0.0,
+                1 => f64::NAN,
+                2 => f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+                _ => f64::from_bits(rng.gen::<u64>()),
+            })
+            .collect()
+    }
+
+    fn random_msg(rng: &mut StdRng) -> Msg {
+        // Lengths cluster at 0 so empty vectors are common.
+        let len = |rng: &mut StdRng| rng.gen_range(0..4usize) * rng.gen_range(0..40usize);
+        let payload = match rng.gen_range(0..4u32) {
+            0 => Payload::Empty,
+            1 => {
+                let n = len(rng);
+                Payload::F64(random_f64s(rng, n))
+            }
+            2 => Payload::U32((0..len(rng)).map(|_| rng.gen()).collect()),
+            _ => {
+                let (ni, nd) = (len(rng), len(rng));
+                Payload::Rows {
+                    idx: (0..ni).map(|_| rng.gen()).collect(),
+                    data: random_f64s(rng, nd),
+                }
+            }
+        };
+        Msg {
+            tag: rng.gen(),
+            seq: rng.gen(),
+            gen: rng.gen(),
+            checksum: payload.checksum(),
+            payload,
+        }
+    }
+
+    /// Bitwise payload equality (`PartialEq` would call NaN ≠ NaN).
+    fn payload_bits(p: &Payload) -> (u8, Vec<u32>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        match p {
+            Payload::Empty => (0, vec![], vec![]),
+            Payload::F64(v) => (1, vec![], bits(v)),
+            Payload::U32(v) => (2, v.clone(), vec![]),
+            Payload::Rows { idx, data } => (3, idx.clone(), bits(data)),
+        }
+    }
+
+    /// A decoded message is well formed when it holds no more elements
+    /// — and has reserved no more room — than the body that produced it
+    /// could carry.
+    fn assert_well_formed(msg: &Msg, body_len: usize) {
+        let reserved = match &msg.payload {
+            Payload::Empty => 0,
+            Payload::F64(v) => 8 * v.capacity(),
+            Payload::U32(v) => 4 * v.capacity(),
+            Payload::Rows { idx, data } => 4 * idx.capacity() + 8 * data.capacity(),
+        };
+        assert!(
+            reserved <= body_len,
+            "decoder reserved {reserved} bytes for a {body_len}-byte body"
+        );
+    }
+
+    /// Feeds arbitrary bytes through both decode stages. Must return,
+    /// never panic; anything it accepts must be well formed.
+    fn decode_hostile(bytes: &[u8]) -> Option<Msg> {
+        let frame = read_frame(&mut &bytes[..]).ok()??;
+        let msg = decode_msg(&frame.body).ok()?;
+        assert_well_formed(&msg, frame.body.len());
+        Some(msg)
+    }
+
     #[test]
-    fn msg_roundtrips_every_payload_variant() {
-        for payload in [
+    fn data_frames_match_the_grammar_and_roundtrip_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0012);
+        for _case in 0..500 {
+            let msg = random_msg(&mut rng);
+            let (src, link_seq) = (rng.gen_range(0..64usize), rng.gen::<u64>());
+            let mut bytes = encode_data_frame(src, &msg);
+            set_link_seq(&mut bytes, link_seq);
+            assert_eq!(bytes, reference_data_frame(src as u32, link_seq, &msg));
+            assert_eq!(
+                bytes.len() as u64,
+                FRAME_OVERHEAD + MSG_HEADER as u64 + counts_len(&msg.payload) + msg.payload.bytes()
+            );
+
+            let mut r = bytes.as_slice();
+            let frame = read_frame(&mut r).unwrap().expect("one frame");
+            assert!(r.is_empty(), "the frame consumes exactly its bytes");
+            assert_eq!(
+                (frame.kind, frame.src, frame.link_seq),
+                (kind::DATA, src as u32, link_seq)
+            );
+            let back = decode_msg(&frame.body).unwrap();
+            assert_eq!(
+                (back.tag, back.seq, back.gen, back.checksum),
+                (msg.tag, msg.seq, msg.gen, msg.checksum)
+            );
+            assert_eq!(payload_bits(&back.payload), payload_bits(&msg.payload));
+            assert_well_formed(&back, frame.body.len());
+            // Bit-exactness end to end: the checksum still verifies.
+            assert_eq!(back.payload.checksum(), back.checksum);
+        }
+    }
+
+    /// Bytes the count fields of `p` occupy in a DATA body.
+    fn counts_len(p: &Payload) -> u64 {
+        match p {
+            Payload::Empty => 0,
+            Payload::F64(_) | Payload::U32(_) => 8,
+            Payload::Rows { .. } => 16,
+        }
+    }
+
+    fn sample_msgs() -> Vec<Msg> {
+        [
             Payload::Empty,
             Payload::F64(vec![1.5, -2.25, f64::MIN_POSITIVE, -0.0]),
             Payload::U32(vec![0, 7, u32::MAX]),
@@ -361,43 +573,100 @@ mod tests {
                 idx: vec![3, 9],
                 data: vec![0.125, 4.0e300, -1.0],
             },
-        ] {
-            let msg = Msg {
-                tag: 3,
-                seq: 17,
-                gen: 2,
-                checksum: payload.checksum(),
-                payload,
-            };
-            let back = decode_msg(&encode_msg(&msg)).unwrap();
-            assert_eq!(back.tag, msg.tag);
-            assert_eq!(back.seq, msg.seq);
-            assert_eq!(back.gen, msg.gen);
-            assert_eq!(back.checksum, msg.checksum);
-            assert_eq!(back.payload, msg.payload);
-            // Bit-exactness end to end: the checksum still verifies.
-            assert_eq!(back.payload.checksum(), back.checksum);
+        ]
+        .into_iter()
+        .map(|payload| Msg {
+            tag: 3,
+            seq: 17,
+            gen: 2,
+            checksum: payload.checksum(),
+            payload,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn every_truncation_is_an_error_not_a_panic() {
+        for msg in sample_msgs() {
+            let full = encode_data_frame(1, &msg);
+            for cut in 0..full.len() {
+                assert!(decode_hostile(&full[..cut]).is_none(), "frame cut at {cut}");
+            }
+            // The body alone, cut anywhere (a frame whose length prefix
+            // was itself shortened consistently).
+            let body = &full[FRAME_OVERHEAD as usize..];
+            for cut in 0..body.len() {
+                assert!(decode_msg(&body[..cut]).is_err(), "body cut at {cut}");
+            }
+            assert!(decode_msg(body).is_ok());
         }
     }
 
     #[test]
-    fn truncated_data_body_is_an_error_not_a_panic() {
-        let msg = Msg {
-            tag: 1,
-            seq: 0,
-            gen: 0,
-            checksum: 0,
-            payload: Payload::F64(vec![1.0, 2.0]),
-        };
-        let full = encode_msg(&msg);
-        for cut in 0..full.len() {
-            assert!(decode_msg(&full[..cut]).is_err(), "cut at {cut}");
+    fn every_single_byte_mutation_is_an_error_or_a_well_formed_msg() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0013);
+        for msg in sample_msgs() {
+            let full = encode_data_frame(1, &msg);
+            for at in 0..full.len() {
+                for value in [0x00, 0xff, full[at] ^ 0x01, full[at] ^ 0x80, rng.gen()] {
+                    let mut bad = full.clone();
+                    bad[at] = value;
+                    // The assertions live in `decode_hostile`: no panic,
+                    // and no over-reservation in whatever it accepts.
+                    let _ = decode_hostile(&bad);
+                }
+            }
         }
-        // A length-prefix lying about a huge count must be rejected.
-        let mut lying = encode_msg(&msg);
-        let base = 22; // tag + seq + gen + checksum + variant
-        lying[base..base + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_msg(&lying).is_err());
+    }
+
+    #[test]
+    fn hostile_length_fields_never_panic_or_over_reserve() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0014);
+        // Where the length-like fields of a DATA frame sit: the frame
+        // length prefix, then the one or two element counts.
+        let counts_at = FRAME_OVERHEAD as usize + MSG_HEADER;
+        for msg in sample_msgs() {
+            let full = encode_data_frame(1, &msg);
+            let n_counts = counts_len(&msg.payload) as usize / 8;
+            for _case in 0..200 {
+                let mut bad = full.clone();
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let len: u32 = rng.gen_range(0..MAX_FRAME + 1);
+                        bad[..4].copy_from_slice(&len.to_le_bytes());
+                    }
+                    _ if n_counts == 0 => continue,
+                    which => {
+                        let at = counts_at + 8 * (which as usize - 1).min(n_counts - 1);
+                        let count: u64 = match rng.gen_range(0..4u32) {
+                            0 => rng.gen_range(0..u64::from(MAX_FRAME) + 1),
+                            1 => u64::MAX - rng.gen_range(0..16u64),
+                            2 => (1u64 << 61) + rng.gen_range(0..4u64), // ×8 overflows
+                            _ => rng.gen(),
+                        };
+                        bad[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                    }
+                }
+                if let Some(got) = decode_hostile(&bad) {
+                    // Only a mutation that happened to keep every field
+                    // consistent may decode.
+                    assert_eq!(payload_bits(&got.payload), payload_bits(&msg.payload));
+                }
+            }
+            // The one-off lies around the true count are all rejected.
+            for delta in [-1i64, 1] {
+                for c in 0..n_counts {
+                    let mut bad = full.clone();
+                    let at = counts_at + 8 * c;
+                    let n = u64::from_le_bytes(bad[at..at + 8].try_into().unwrap());
+                    let Some(lie) = n.checked_add_signed(delta) else {
+                        continue;
+                    };
+                    bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                    assert!(decode_hostile(&bad).is_none(), "count {n} -> {lie}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -170,6 +170,107 @@ fn ring_exchange_over_tcp_loopback() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Waits for every child, killing whatever is still running at the
+/// deadline. `None` marks a rank that had to be killed — a hang the
+/// in-process watchdog cannot see (a rank blocked in a socket write is
+/// not in a watched wait).
+fn wait_within(
+    children: Vec<std::process::Child>,
+    limit: Duration,
+) -> Vec<Option<std::process::ExitStatus>> {
+    let deadline = std::time::Instant::now() + limit;
+    children
+        .into_iter()
+        .map(|mut child| loop {
+            if let Some(status) = child.try_wait().expect("poll child") {
+                break Some(status);
+            }
+            if std::time::Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        })
+        .collect()
+}
+
+/// Regression test for the launch hang PR 11 found (about one
+/// `amazon13` launch in 60): both ranks write frames far larger than a
+/// socket buffer at each other *before either receives*. Each main
+/// thread is then parked in a socket write that completes only if the
+/// peer's reader thread keeps draining — so a reader that waits on
+/// anything the local writer holds (it used to take the connection
+/// mutex to dedup and ACK every frame) closes a four-thread cycle with
+/// both mains in `sendmsg` and both readers on the futex. The barrier
+/// releases the two floods together; the parent-side deadline is what
+/// fails the test, because nothing inside the ranks can notice.
+#[test]
+fn flooding_both_directions_before_receiving_cannot_wedge_the_link() {
+    const NAME: &str = "flooding_both_directions_before_receiving_cannot_wedge_the_link";
+    const P: usize = 2;
+    const FRAMES: usize = 32;
+    const WORDS: usize = 512 * 1024; // 4 MiB of f64 per frame
+    const DEADLINE: Duration = Duration::from_secs(30);
+    // 50 rounds move 12.8 GB through checksum, codec and socket; an
+    // unoptimized build cannot do that inside the deadline, and the old
+    // lock discipline wedged in the first round anyway.
+    let rounds = if cfg!(debug_assertions) { 2 } else { 50 };
+    if let Some(rank) = child_rank(NAME) {
+        world(P)
+            .run_rank(rank, |ctx| {
+                let peer = 1 - ctx.rank();
+                let block: Vec<f64> = (0..WORDS).map(|i| (i + ctx.rank()) as f64).collect();
+                for round in 0..rounds {
+                    ctx.barrier();
+                    for frame in 0..FRAMES {
+                        let mut v = block.clone();
+                        v[0] = (round * FRAMES + frame) as f64;
+                        ctx.send(peer, Payload::F64(v));
+                    }
+                    for frame in 0..FRAMES {
+                        match ctx.recv(peer) {
+                            Payload::F64(v) => {
+                                assert_eq!(v.len(), WORDS);
+                                assert_eq!(v[0], (round * FRAMES + frame) as f64, "FIFO order");
+                                assert_eq!(v[WORDS - 1], (WORDS - 1 + peer) as f64);
+                            }
+                            other => panic!("expected F64, got {other:?}"),
+                        }
+                    }
+                }
+                ctx.barrier();
+            })
+            .expect("rank body");
+        return;
+    }
+    for tcp in [false, true] {
+        let leg = if tcp { "tcp" } else { "unix" };
+        let dir = scratch_dir(if tcp { "tcpflood" } else { "flood" });
+        let hosts = tcp.then(|| {
+            let path = write_loopback_hostfile(&dir, P);
+            path.to_str().expect("utf8 hostfile path").to_owned()
+        });
+        let env: Vec<(&str, &str)> = hosts
+            .iter()
+            .map(|h| ("GNN_PROC_HOSTFILE", h.as_str()))
+            .collect();
+        let children: Vec<_> = (0..P).map(|r| spawn_rank(NAME, r, &dir, &env)).collect();
+        let t0 = std::time::Instant::now();
+        for (rank, status) in wait_within(children, DEADLINE).into_iter().enumerate() {
+            let status = status.unwrap_or_else(|| {
+                panic!("{leg}: rank {rank} still running after {DEADLINE:?} (link wedged)")
+            });
+            assert!(status.success(), "{leg}: rank {rank} exited with {status}");
+        }
+        eprintln!(
+            "flood over {leg}: {rounds} rounds x {FRAMES} x 4 MiB each way in {:.1?}",
+            t0.elapsed()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn reconnect_replays_unacked_frames_over_tcp() {
     const NAME: &str = "reconnect_replays_unacked_frames_over_tcp";

@@ -429,7 +429,6 @@ pub(crate) fn run_rank(
         PlanKind::TwoD(_) | PlanKind::ThreeD(_) => unreachable!("dispatched above"),
     };
     let rows = hi - lo;
-    let h0 = ds.features.row_slice(lo, hi);
     let labels = &ds.labels[lo..hi];
     let mask = &ds.train_mask[lo..hi];
 
@@ -487,7 +486,11 @@ pub(crate) fn run_rank(
 
     // Layer stacks, reused across epochs (drained into `bufs` at the end
     // of each epoch, repopulated from it at the start of the next).
+    // `hs[0]` is H⁰, this rank's one owned block of input features: it
+    // stays in place for the whole run, read-only, neither copied per
+    // epoch nor retired to the pool.
     let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
+    hs.push(ds.features.row_slice(lo, hi));
     let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
@@ -497,9 +500,6 @@ pub(crate) fn run_rank(
         ctx.span_begin(SpanKind::Epoch, Phase::Other);
         // ---- forward ----
         ctx.span_begin(SpanKind::Forward, Phase::Other);
-        let mut h0_epoch = bufs.take_dense(rows, dims[0]);
-        h0_epoch.data_mut().copy_from_slice(h0.data());
-        hs.push(h0_epoch);
         for l in 0..l_total {
             let ah = dist_spmm(ctx, &hs[l], &mut bufs);
             let w = &weights.mats[l];
@@ -628,7 +628,7 @@ pub(crate) fn run_rank(
 
         // ---- retire epoch temporaries ----
         bufs.put_dense(g);
-        for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
+        for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
             bufs.put_dense(d);
         }
         for d in grads.drain(..) {
@@ -721,7 +721,6 @@ fn run_rank_grid(
     let rep = (pc * cl) as f64;
 
     let rows = hi - lo;
-    let h0 = ds.features.row_slice(lo, hi);
     let labels = &ds.labels[lo..hi];
     let mask = &ds.train_mask[lo..hi];
 
@@ -759,7 +758,9 @@ fn run_rank_grid(
         }
     };
 
+    // `hs[0]` is H⁰ for the whole run, as in `run_rank`.
     let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
+    hs.push(ds.features.row_slice(lo, hi));
     let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
@@ -769,9 +770,6 @@ fn run_rank_grid(
         ctx.span_begin(SpanKind::Epoch, Phase::Other);
         // ---- forward ----
         ctx.span_begin(SpanKind::Forward, Phase::Other);
-        let mut h0_epoch = bufs.take_dense(rows, dims[0]);
-        h0_epoch.data_mut().copy_from_slice(h0.data());
-        hs.push(h0_epoch);
         for l in 0..l_total {
             let (d, d_out) = (dims[l], dims[l + 1]);
             let ib = panel_bounds(d);
@@ -951,7 +949,7 @@ fn run_rank_grid(
 
         // ---- retire epoch temporaries ----
         bufs.put_dense(g);
-        for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
+        for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
             bufs.put_dense(d);
         }
         for d in grads.drain(..) {
@@ -995,7 +993,6 @@ fn run_rank_failover(
     let rp = &plan.ranks[ctx.rank()];
     let (lo, hi) = (rp.row_lo, rp.row_hi);
     let rows = hi - lo;
-    let h0 = ds.features.row_slice(lo, hi);
     let labels = &ds.labels[lo..hi];
     let mask = &ds.train_mask[lo..hi];
 
@@ -1011,6 +1008,10 @@ fn run_rank_failover(
     let l_total = cfg.gcn.layers();
     let dims = &cfg.gcn.dims;
     let mut bufs = EpochBuffers::new();
+    // `hs[0]` is H⁰ for the whole run, as in `run_rank`. The stack lives
+    // outside the attempt so the block survives an attempt that unwinds.
+    let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
+    hs.push(ds.features.row_slice(lo, hi));
 
     let mut epoch = start_epoch;
     while epoch < cfg.epochs {
@@ -1024,12 +1025,8 @@ fn run_rank_failover(
 
             // ---- forward ----
             ctx.span_begin(SpanKind::Forward, Phase::Other);
-            let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
             let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
             let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
-            let mut h0_epoch = bufs.take_dense(rows, dims[0]);
-            h0_epoch.data_mut().copy_from_slice(h0.data());
-            hs.push(h0_epoch);
             for l in 0..l_total {
                 let ah = if degraded {
                     spmm_15d_failover_buf(ctx, plan, &view, &hs[l], aware, &mut bufs)
@@ -1173,7 +1170,7 @@ fn run_rank_failover(
 
             // ---- retire attempt temporaries ----
             bufs.put_dense(g);
-            for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
+            for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
                 bufs.put_dense(d);
             }
             ctx.span_end(); // epoch
@@ -1221,6 +1218,8 @@ fn run_rank_failover(
                 if !payload.is::<EpochAbortPanic>() {
                     resume_unwind(payload);
                 }
+                // Drop the aborted attempt's activations; H⁰ stays.
+                hs.truncate(1);
                 let committed = ctx.commit_epoch();
                 debug_assert!(!committed, "an aborted attempt cannot commit");
             }
