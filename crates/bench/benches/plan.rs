@@ -2,7 +2,7 @@
 //! that happens once before training (§6.2's preprocessing step).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnn_core::dist::{even_bounds, Plan15d, Plan1d};
+use gnn_core::dist::{even_bounds, GridPlan, Plan1d};
 use spmat::dataset::amazon_scaled;
 
 fn bench_plan(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_plan(c: &mut Criterion) {
             BenchmarkId::new("plan15d", format!("p{p}c{cc}")),
             &bounds,
             |b, bounds| {
-                b.iter(|| Plan15d::build(&ds.norm_adj, p, cc, bounds, true));
+                b.iter(|| GridPlan::onefived(&ds.norm_adj, p, cc, bounds, true));
             },
         );
     }

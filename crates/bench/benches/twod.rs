@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnn_comm::{CostModel, ThreadWorld};
-use gnn_core::dist::even_bounds;
-use gnn_core::dist::twod::{spmm_2d, Plan2d};
+use gnn_core::dist::{even_bounds, spmm_grid, GridPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spmat::dataset::amazon_scaled;
@@ -21,10 +20,10 @@ fn bench_twod(c: &mut Criterion) {
             BenchmarkId::new("plan", format!("{pr}x{pc}")),
             &bounds,
             |b, bounds| {
-                b.iter(|| Plan2d::build(&ds.norm_adj, pr, pc, bounds, true));
+                b.iter(|| GridPlan::twod(&ds.norm_adj, pr, pc, bounds, true));
             },
         );
-        let plan = Plan2d::build(&ds.norm_adj, pr, pc, &bounds, true);
+        let plan = GridPlan::twod(&ds.norm_adj, pr, pc, &bounds, true);
         let f = 32usize;
         let mut rng = StdRng::seed_from_u64(3);
         let h = Dense::glorot(ds.n(), f, &mut rng);
@@ -42,7 +41,7 @@ fn bench_twod(c: &mut Criterion) {
                             Dense::from_fn(rows.rows(), pb[rp.j + 1] - pb[rp.j], |r, cc| {
                                 rows.get(r, pb[rp.j] + cc)
                             });
-                        spmm_2d(ctx, plan, &local)
+                        spmm_grid(ctx, plan, &local)
                     })
                 });
             },

@@ -480,8 +480,7 @@ pub fn overlap(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
 /// layouts on the same GVB-partitioned graph — the generalization the
 /// paper's conclusion sketches.
 pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'static str, u64)>) {
-    use gnn_core::dist::twod::Plan2d;
-    use gnn_core::dist::{Plan15d, Plan1d};
+    use gnn_core::dist::{GridPlan, Plan1d};
     let mut table = Table::new(&["dataset", "algorithm", "max-rank exchange (MB)"]);
     let mut rows = Vec::new();
     for ds in [&suite.amazon, &suite.protein] {
@@ -496,14 +495,14 @@ pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'stati
         // 1.5D with c = 2: p/2 block rows.
         let c = 2usize;
         let prep15 = prepare(ds, p / c, Scheme::SaGvb, seed);
-        let plan15 = Plan15d::build(&prep15.norm_adj, p, c, &prep15.bounds, true);
+        let plan15 = GridPlan::onefived(&prep15.norm_adj, p, c, &prep15.bounds, true);
         let v15 = plan15
             .ranks
             .iter()
             .map(|rp| {
                 rp.stages
                     .iter()
-                    .filter(|st| st.q != rp.i)
+                    .filter(|st| st.k != rp.i)
                     .map(|st| st.needed.len() as u64 * f * 8)
                     .sum::<u64>()
             })
@@ -512,7 +511,7 @@ pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'stati
         // 2D with pc = 2: p/2 grid rows, panels of f/2.
         let pc = 2usize;
         let prep2 = prepare(ds, p / pc, Scheme::SaGvb, seed);
-        let plan2 = Plan2d::build(&prep2.norm_adj, p / pc, pc, &prep2.bounds, true);
+        let plan2 = GridPlan::twod(&prep2.norm_adj, p / pc, pc, &prep2.bounds, true);
         let panel = f.div_ceil(pc as u64);
         let v2 = plan2
             .ranks

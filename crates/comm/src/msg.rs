@@ -75,10 +75,10 @@ impl Payload {
     }
 
     /// End-to-end integrity checksum, one multiply per 64-bit word on
-    /// [`LANES`] independent lanes. Every element is one word
+    /// `LANES` independent lanes. Every element is one word
     /// (`f64::to_bits`, or a zero-extended `u32`); each array is absorbed
     /// from lane 0; the lanes are then folded into the variant tag with
-    /// the same [`mix`] step, followed by both array lengths.
+    /// the same `mix` step, followed by both array lengths.
     ///
     /// Detection holds by construction, not by luck: changing any one
     /// word (so any single bit) changes its lane after that step, every

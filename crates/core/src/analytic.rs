@@ -13,10 +13,10 @@ use gnn_comm::stats::{Phase, RankStats, WorldStats};
 use gnn_comm::{CostModel, OverlapConfig};
 use spmat::Csr;
 
+use crate::dist::grid::GridPlan;
 use crate::dist::overlap::{chunk_groups, OverlapPlan1d};
-use crate::dist::plan::{Plan15d, Plan1d};
-use crate::dist::threed::Plan3d;
-use crate::dist::twod::Plan2d;
+use crate::dist::plan::Plan1d;
+use crate::dist::trainer::{plan_for, PlanKind};
 use crate::dist::Algo;
 use crate::model::ArchKind;
 
@@ -228,15 +228,82 @@ fn spmm_1d_oblivious_pipelined_charges(
     }
 }
 
-/// One *pipelined* 1.5D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_15d_pipelined_buf`] — every outbound
+/// Bytes of one exchanged block of `rows` rows at width `f`: an indexed
+/// `Rows` payload when sparsity-aware, a plain `F64` block otherwise.
+fn block_bytes(aware: bool, rows: u64, f: u64) -> u64 {
+    if aware {
+        rows_payload_bytes(rows, f)
+    } else {
+        8 * rows * f
+    }
+}
+
+/// Wire bytes and packed elements of one shipment to a consumer that
+/// needs the rows `idx` of the sender's `rows_i`-row block: an aware
+/// sender packs and ships just those rows, an oblivious one ships its
+/// whole block unpacked.
+fn shipment(plan: &GridPlan, rows_i: u64, idx: &[u32], f: u64) -> (u64, u64) {
+    if plan.aware {
+        let rows = idx.len() as u64;
+        (block_bytes(true, rows, f), rows * f)
+    } else {
+        (block_bytes(false, rows_i, f), 0)
+    }
+}
+
+/// Records one point-to-point op of `bytes` on `st`, sent or received;
+/// `seconds` is what the op adds to the phase's modeled clock.
+fn add_p2p(st: &mut RankStats, sent: bool, bytes: u64, seconds: f64) {
+    let c = st.phase_mut(Phase::P2p);
+    c.ops += 1;
+    if sent {
+        c.bytes_sent += bytes;
+    } else {
+        c.bytes_recv += bytes;
+    }
+    c.modeled_seconds += seconds;
+}
+
+/// One blocking grid SpMM's charges on linear rank `me` at panel width
+/// `f`: replays [`crate::dist::grid::spmm_grid_buf`] — the designated
+/// sender's shipments, the receive-or-gather/multiply stage loop, and
+/// the trailing replica all-reduce (absent for the 2D shape).
+fn spmm_grid_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
+    let rp = &plan.ranks[me];
+    let rows_i = (rp.row_hi - rp.row_lo) as u64;
+    let mut pack_elems = 0u64;
+    for (_, idx) in &rp.sends {
+        let (bytes, packed) = shipment(plan, rows_i, idx, f);
+        pack_elems += packed;
+        add_p2p(st, true, bytes, model.p2p(bytes));
+    }
+    if pack_elems > 0 {
+        add_compute(st, model, pack_elems);
+    }
+    for stage in &rp.stages {
+        let needed = stage.needed.len() as u64;
+        if stage.src_rank == me {
+            add_compute(st, model, needed * f);
+        } else if needed > 0 {
+            let bytes = block_bytes(plan.aware, needed, f);
+            add_p2p(st, false, bytes, model.p2p(bytes));
+        }
+        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
+    }
+    if !rp.reduce_group.is_empty() {
+        add_allreduce(st, model, 8 * rows_i * f, rp.reduce_group.len());
+    }
+}
+
+/// One *pipelined* grid SpMM's charges: replays
+/// [`crate::dist::overlap::spmm_grid_pipelined_buf`] — every outbound
 /// block lands on the first stage boundary, each stage section's
-/// receives settle against the previous section's multiplies.
-fn spmm_15d_pipelined_charges(
-    plan: &Plan15d,
+/// receives settle against the previous section's multiplies, and the
+/// trailing all-reduce stays blocking.
+fn spmm_grid_pipelined_charges(
+    plan: &GridPlan,
     me: usize,
     f: u64,
-    aware: bool,
     chunks: usize,
     model: &CostModel,
     st: &mut RankStats,
@@ -245,60 +312,38 @@ fn spmm_15d_pipelined_charges(
     let rows_i = (rp.row_hi - rp.row_lo) as u64;
 
     // Sender side: packed before the window, posted on stage 0.
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for (l, idx) in rp.send_lists.iter().enumerate() {
-            if l == rp.i || idx.is_empty() {
-                continue;
-            }
-            let bytes = if aware {
-                pack_elems += idx.len() as u64 * f;
-                rows_payload_bytes(idx.len() as u64, f)
-            } else {
-                8 * rows_i * f
-            };
-            send_ops0 += 1;
-            send_bytes0 += bytes;
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_sent += bytes;
-        }
-        if pack_elems > 0 {
-            add_compute(st, model, pack_elems);
-        }
+    let (mut send_ops, mut send_bytes) = (0u64, 0u64);
+    let mut pack_elems = 0u64;
+    for (_, idx) in &rp.sends {
+        let (bytes, packed) = shipment(plan, rows_i, idx, f);
+        pack_elems += packed;
+        send_ops += 1;
+        send_bytes += bytes;
+        add_p2p(st, true, bytes, 0.0);
+    }
+    if pack_elems > 0 {
+        add_compute(st, model, pack_elems);
     }
 
-    let groups = chunk_groups(rp.stages.len(), chunks);
     let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
+    for (slo, shi) in chunk_groups(rp.stages.len(), chunks) {
         let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
         for stage in &rp.stages[slo..shi] {
-            if stage.q != rp.i && !stage.needed.is_empty() {
-                let bytes = if aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * (plan.bounds[stage.q + 1] - plan.bounds[stage.q]) as u64 * f
-                };
+            if stage.src_rank != me && !stage.needed.is_empty() {
+                let bytes = block_bytes(plan.aware, stage.needed.len() as u64, f);
                 recv_ops += 1;
                 recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
+                add_p2p(st, false, bytes, 0.0);
             }
         }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
-        } else {
-            (0, 0)
-        };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
+        let send_cost = send_ops as f64 * model.alpha + send_bytes as f64 * model.beta;
         let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
         add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
+        (send_ops, send_bytes) = (0, 0);
 
         prev_compute = 0.0;
         for stage in &rp.stages[slo..shi] {
-            if stage.q == rp.i {
+            if stage.src_rank == me {
                 let gather = stage.needed.len() as u64 * f;
                 add_compute(st, model, gather);
                 prev_compute += model.compute(gather);
@@ -308,353 +353,31 @@ fn spmm_15d_pipelined_charges(
             prev_compute += model.compute(spmm);
         }
     }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// One 1.5D SpMM's charges on linear rank `me`.
-fn spmm_15d_charges(
-    plan: &Plan15d,
-    me: usize,
-    f: u64,
-    aware: bool,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    // Sender side.
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for (l, idx) in rp.send_lists.iter().enumerate() {
-            if l == rp.i || idx.is_empty() {
-                continue;
-            }
-            let bytes = if aware {
-                pack_elems += idx.len() as u64 * f;
-                rows_payload_bytes(idx.len() as u64, f)
-            } else {
-                8 * rows_i * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_sent += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        if pack_elems > 0 {
-            add_compute(st, model, pack_elems);
-        }
+    if !rp.reduce_group.is_empty() {
+        add_allreduce(st, model, 8 * rows_i * f, rp.reduce_group.len());
     }
-    // Stage loop.
-    for stage in &rp.stages {
-        if stage.q == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * (plan.bounds[stage.q + 1] - plan.bounds[stage.q]) as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// One 2D (SUMMA) SpMM's charges on linear rank `me` at panel width
-/// `f`: replays [`crate::dist::twod::spmm_2d_buf`] — grid-column sends
-/// of the own block's rows, then the `pr`-stage receive/multiply loop.
-fn spmm_2d_charges(plan: &Plan2d, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let mut pack_elems = 0u64;
-    for (l, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(l, rp.j) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-        c.modeled_seconds += model.p2p(bytes);
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-    for stage in &rp.stages {
-        if stage.k == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if plan.aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * stage.needed.len() as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
-}
-
-/// One 3D SpMM's charges: the 2D stage replay restricted to this
-/// layer's slice (only the designated-sender layer has send lists),
-/// plus the trailing fiber all-reduce over the `c` replicas.
-fn spmm_3d_charges(plan: &Plan3d, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(t, rp.j, rp.l) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-        c.modeled_seconds += model.p2p(bytes);
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-    for stage in &rp.stages {
-        if stage.k == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if plan.aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * stage.needed.len() as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// One *pipelined* 2D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_2d_pipelined_buf`] — every outbound
-/// block lands on the first stage boundary, each section's receives
-/// settle against the previous section's multiplies.
-fn spmm_2d_pipelined_charges(
-    plan: &Plan2d,
-    me: usize,
-    f: u64,
-    chunks: usize,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    let mut pack_elems = 0u64;
-    for (l, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(l, rp.j) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        send_ops0 += 1;
-        send_bytes0 += bytes;
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.k != rp.i && !stage.needed.is_empty() {
-                let bytes = if plan.aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * stage.needed.len() as u64 * f
-                };
-                recv_ops += 1;
-                recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
-            }
-        }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
-        } else {
-            (0, 0)
-        };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.k == rp.i {
-                let gather = stage.needed.len() as u64 * f;
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
-            }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
-        }
-    }
-}
-
-/// One *pipelined* 3D SpMM's charges: the 2D pipeline over this layer's
-/// stage slice, then the blocking fiber all-reduce.
-fn spmm_3d_pipelined_charges(
-    plan: &Plan3d,
-    me: usize,
-    f: u64,
-    chunks: usize,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(t, rp.j, rp.l) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        send_ops0 += 1;
-        send_bytes0 += bytes;
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.k != rp.i && !stage.needed.is_empty() {
-                let bytes = if plan.aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * stage.needed.len() as u64 * f
-                };
-                recv_ops += 1;
-                recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
-            }
-        }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
-        } else {
-            (0, 0)
-        };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.k == rp.i {
-                let gather = stage.needed.len() as u64 * f;
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
-            }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
-        }
-    }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// A borrowed grid plan: the 2D and 3D trainers share one epoch shape.
-enum GridPlan<'a> {
-    Two(&'a Plan2d),
-    Three(&'a Plan3d),
 }
 
 /// One grid rank's full training charges: replays
-/// [`crate::dist::trainer`]'s grid program op-for-op — panel slices, the
-/// 2D/3D SpMM, the partial `× W` GEMM, the grid-row `Z`/`AᵀG`
+/// [`crate::dist::trainer`]'s paneled (2D/3D) program op-for-op — panel
+/// slices, the grid SpMM, the partial `× W` GEMM, the grid-row `Z`/`AᵀG`
 /// all-reduces (`pc` ranks), the global loss and weight-gradient
 /// all-reduces (`p` ranks), and the full-width local backward steps.
 fn grid_rank_charges(
     input: &AnalyticInput<'_>,
-    gp: &GridPlan<'_>,
+    plan: &GridPlan,
     me: usize,
-    p: usize,
+    charge_spmm: impl Fn(&mut RankStats, u64),
 ) -> RankStats {
     let model = &input.model;
     let dims = input.dims;
     let l_total = dims.len() - 1;
     let mut st = RankStats::default();
-    let (grid_j, rows, pc) = match gp {
-        GridPlan::Two(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.j, (rp.row_hi - rp.row_lo) as u64, pl.pc)
-        }
-        GridPlan::Three(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.j, (rp.row_hi - rp.row_lo) as u64, pl.pc)
-        }
-    };
+    let rp = &plan.ranks[me];
+    let (rows, pc, p) = ((rp.row_hi - rp.row_lo) as u64, plan.pc, plan.p());
     let panel_width = |f: usize| -> u64 {
-        let b = spmat::gen::sbm::block_bounds(f, pc);
-        (b[grid_j + 1] - b[grid_j]) as u64
-    };
-    let overlap = input.overlap;
-    let charge_spmm = |st: &mut RankStats, f: u64| match gp {
-        GridPlan::Two(pl) => {
-            if overlap.enabled {
-                spmm_2d_pipelined_charges(pl, me, f, overlap.chunks, model, st)
-            } else {
-                spmm_2d_charges(pl, me, f, model, st)
-            }
-        }
-        GridPlan::Three(pl) => {
-            if overlap.enabled {
-                spmm_3d_pipelined_charges(pl, me, f, overlap.chunks, model, st)
-            } else {
-                spmm_3d_charges(pl, me, f, model, st)
-            }
-        }
+        let b = plan.panel_bounds(f);
+        (b[rp.j + 1] - b[rp.j]) as u64
     };
 
     for _epoch in 0..input.epochs {
@@ -704,145 +427,98 @@ fn grid_rank_charges(
     st
 }
 
-/// Estimates the full training stats (all epochs) without executing.
-pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
+/// One rank's full training charges under the row-blocked (1D / 1.5D)
+/// program of [`crate::dist::trainer`]: full-width SpMMs and GEMMs on
+/// `rows` owned rows, global loss and weight-gradient all-reduces.
+fn row_rank_charges(
+    input: &AnalyticInput<'_>,
+    rows: u64,
+    p: usize,
+    charge_spmm: impl Fn(&mut RankStats, u64),
+) -> RankStats {
+    let model = &input.model;
     let dims = input.dims;
     let l_total = dims.len() - 1;
+    let mut st = RankStats::default();
+    for _epoch in 0..input.epochs {
+        // Forward.
+        for l in 0..l_total {
+            let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
+            charge_spmm(&mut st, d);
+            let gemm = match input.arch {
+                ArchKind::Gcn => 2 * rows * d * d_out,
+                ArchKind::Sage => 4 * rows * d * d_out + rows * d_out,
+            };
+            add_compute(&mut st, model, gemm);
+            if l + 1 < l_total {
+                add_compute(&mut st, model, rows * d_out);
+            }
+        }
+        // Loss reduction: [loss_sum, count, correct].
+        add_allreduce(&mut st, model, 24, p);
+        // Backward.
+        for l in (0..l_total).rev() {
+            let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
+            charge_spmm(&mut st, d_out);
+            let (y_flops, w_in) = match input.arch {
+                ArchKind::Gcn => (2 * rows * d * d_out, d),
+                ArchKind::Sage => (4 * rows * d * d_out, 2 * d),
+            };
+            add_compute(&mut st, model, y_flops);
+            add_allreduce(&mut st, model, 8 * w_in * d_out, p);
+            if l > 0 {
+                let prop = match input.arch {
+                    ArchKind::Gcn => 2 * rows * d_out * d + 2 * rows * d,
+                    ArchKind::Sage => 4 * rows * d_out * d + 3 * rows * d,
+                };
+                add_compute(&mut st, model, prop);
+            }
+        }
+    }
+    st
+}
+
+/// Estimates the full training stats (all epochs) without executing.
+pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
     let model = &input.model;
-
-    enum P {
-        OneD(Plan1d, bool),
-        OneFiveD(Plan15d, bool),
-        TwoD(Plan2d),
-        ThreeD(Plan3d),
-    }
-    let (p, plan) = match input.algo {
-        Algo::OneD { aware } => {
-            let p = input.bounds.len() - 1;
-            (p, P::OneD(Plan1d::build(input.adj, input.bounds), aware))
-        }
-        Algo::OneFiveD { aware, c } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * c;
-            (
-                p,
-                P::OneFiveD(Plan15d::build(input.adj, p, c, input.bounds, aware), aware),
-            )
-        }
-        Algo::TwoD { aware, pc } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * pc;
-            (
-                p,
-                P::TwoD(Plan2d::build(input.adj, pr, pc, input.bounds, aware)),
-            )
-        }
-        Algo::ThreeD { aware, pc, c } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * pc * c;
-            (
-                p,
-                P::ThreeD(Plan3d::build(input.adj, pr, pc, c, input.bounds, aware)),
-            )
-        }
-    };
-
-    // The grid trainers have their own epoch shape (panel slices and
-    // grid-row reductions); replay them separately.
-    match &plan {
-        P::TwoD(pl) => {
-            let gp = GridPlan::Two(pl);
-            let per_rank = (0..p)
-                .map(|me| grid_rank_charges(input, &gp, me, p))
-                .collect();
-            return WorldStats::new(per_rank);
-        }
-        P::ThreeD(pl) => {
-            let gp = GridPlan::Three(pl);
-            let per_rank = (0..p)
-                .map(|me| grid_rank_charges(input, &gp, me, p))
-                .collect();
-            return WorldStats::new(per_rank);
-        }
-        _ => {}
-    }
-
-    let mut per_rank = Vec::with_capacity(p);
-    for me in 0..p {
-        let mut st = RankStats::default();
-        let rows = match &plan {
-            P::OneD(pl, _) => pl.rows_of(me) as u64,
-            P::OneFiveD(pl, _) => {
-                let rp = &pl.ranks[me];
-                (rp.row_hi - rp.row_lo) as u64
+    let overlap = input.overlap;
+    let (p, plan) = plan_for(input.adj, input.bounds, input.algo);
+    let per_rank = (0..p)
+        .map(|me| match &plan {
+            PlanKind::OneD(pl) => {
+                // Sparsity-derived chunking for the pipelined replay,
+                // built once per rank exactly like the executor does.
+                let aware = input.algo.aware();
+                let ov = overlap
+                    .enabled
+                    .then(|| OverlapPlan1d::build(pl, me, overlap.chunks, aware));
+                let charge = |st: &mut RankStats, f: u64| match (&ov, aware) {
+                    (Some(ov), true) => spmm_1d_aware_pipelined_charges(pl, ov, me, f, model, st),
+                    (Some(ov), false) => {
+                        spmm_1d_oblivious_pipelined_charges(pl, ov, me, f, model, st)
+                    }
+                    (None, true) => spmm_1d_aware_charges(pl, me, f, model, st),
+                    (None, false) => spmm_1d_oblivious_charges(pl, me, f, model, st),
+                };
+                row_rank_charges(input, pl.rows_of(me) as u64, p, charge)
             }
-            P::TwoD(_) | P::ThreeD(_) => unreachable!("grid plans replayed above"),
-        };
-        // Sparsity-derived chunking for the pipelined replay, built
-        // once per rank exactly like the executor does.
-        let ov_plan: Option<OverlapPlan1d> = match (&plan, input.overlap.enabled) {
-            (P::OneD(pl, aware), true) => {
-                Some(OverlapPlan1d::build(pl, me, input.overlap.chunks, *aware))
-            }
-            _ => None,
-        };
-        let overlap = input.overlap;
-        let charge_spmm = |st: &mut RankStats, f: u64| match &plan {
-            P::OneD(pl, true) => match &ov_plan {
-                Some(ov) => spmm_1d_aware_pipelined_charges(pl, ov, me, f, model, st),
-                None => spmm_1d_aware_charges(pl, me, f, model, st),
-            },
-            P::OneD(pl, false) => match &ov_plan {
-                Some(ov) => spmm_1d_oblivious_pipelined_charges(pl, ov, me, f, model, st),
-                None => spmm_1d_oblivious_charges(pl, me, f, model, st),
-            },
-            P::OneFiveD(pl, aware) => {
-                if overlap.enabled {
-                    spmm_15d_pipelined_charges(pl, me, f, *aware, overlap.chunks, model, st)
+            PlanKind::Grid(pl) => {
+                let charge = |st: &mut RankStats, f: u64| {
+                    if overlap.enabled {
+                        spmm_grid_pipelined_charges(pl, me, f, overlap.chunks, model, st)
+                    } else {
+                        spmm_grid_charges(pl, me, f, model, st)
+                    }
+                };
+                if input.algo.paneled() {
+                    grid_rank_charges(input, pl, me, charge)
                 } else {
-                    spmm_15d_charges(pl, me, f, *aware, model, st)
+                    let rp = &pl.ranks[me];
+                    row_rank_charges(input, (rp.row_hi - rp.row_lo) as u64, p, charge)
                 }
             }
-            P::TwoD(_) | P::ThreeD(_) => unreachable!("grid plans replayed above"),
-        };
-
-        for _epoch in 0..input.epochs {
-            // Forward.
-            for l in 0..l_total {
-                let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-                charge_spmm(&mut st, d);
-                let gemm = match input.arch {
-                    ArchKind::Gcn => 2 * rows * d * d_out,
-                    ArchKind::Sage => 4 * rows * d * d_out + rows * d_out,
-                };
-                add_compute(&mut st, model, gemm);
-                if l + 1 < l_total {
-                    add_compute(&mut st, model, rows * d_out);
-                }
-            }
-            // Loss reduction: [loss_sum, count, correct].
-            add_allreduce(&mut st, model, 24, p);
-            // Backward.
-            for l in (0..l_total).rev() {
-                let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-                charge_spmm(&mut st, d_out);
-                let (y_flops, w_in) = match input.arch {
-                    ArchKind::Gcn => (2 * rows * d * d_out, d),
-                    ArchKind::Sage => (4 * rows * d * d_out, 2 * d),
-                };
-                add_compute(&mut st, model, y_flops);
-                add_allreduce(&mut st, model, 8 * w_in * d_out, p);
-                if l > 0 {
-                    let prop = match input.arch {
-                        ArchKind::Gcn => 2 * rows * d_out * d + 2 * rows * d,
-                        ArchKind::Sage => 4 * rows * d_out * d + 3 * rows * d,
-                    };
-                    add_compute(&mut st, model, prop);
-                }
-            }
-        }
-        per_rank.push(st);
-    }
+        })
+        .collect();
     WorldStats::new(per_rank)
 }
 

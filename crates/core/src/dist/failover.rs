@@ -29,12 +29,11 @@
 //! next attempt.
 
 use gnn_comm::msg::Payload;
-use gnn_comm::{Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
+use gnn_comm::{Phase, RankCtx};
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
-use super::plan::Plan15d;
+use super::grid::{fold_stages, ship_blocks, GridPlan};
 
 /// Deterministic role assignment for one epoch attempt: which ranks are
 /// dead, and which survivor hosts each dead rank's persona.
@@ -54,25 +53,25 @@ impl FailoverView {
     /// down for a checkpoint restart) when an entire replica group is
     /// dead — no survivor holds that block row, so in-place recovery is
     /// impossible.
-    pub fn compute(ctx: &mut RankCtx, plan: &Plan15d) -> FailoverView {
-        match Self::from_dead(ctx.sealed_dead_ranks(), plan.p, plan.c) {
+    pub fn compute(ctx: &mut RankCtx, plan: &GridPlan) -> FailoverView {
+        match Self::from_dead(ctx.sealed_dead_ranks(), plan) {
             Ok(view) => view,
             Err(block_row) => ctx.replica_column_lost(block_row),
         }
     }
 
-    /// Pure role assignment from an explicit dead set (for a `p/c × c`
-    /// grid with ranks laid out `rank = i·c + j`). `Err(block_row)`
-    /// means every replica of `block_row` is dead.
-    pub fn from_dead(mut dead: Vec<usize>, p: usize, c: usize) -> Result<FailoverView, usize> {
+    /// Pure role assignment from an explicit dead set: each dead rank's
+    /// proxy is the first survivor of its replica group in `plan`.
+    /// `Err(block_row)` means every replica of `block_row` is dead.
+    pub fn from_dead(mut dead: Vec<usize>, plan: &GridPlan) -> Result<FailoverView, usize> {
         dead.sort_unstable();
         dead.dedup();
-        let mut hosts: Vec<usize> = (0..p).collect();
+        let mut hosts: Vec<usize> = (0..plan.p()).collect();
         for &d in &dead {
-            let row = d / c;
-            match (row * c..(row + 1) * c).find(|r| !dead.contains(r)) {
-                Some(proxy) => hosts[d] = proxy,
-                None => return Err(row),
+            let rp = &plan.ranks[d];
+            match rp.reduce_group.iter().find(|r| !dead.contains(r)) {
+                Some(&proxy) => hosts[d] = proxy,
+                None => return Err(rp.i),
             }
         }
         Ok(FailoverView { dead, hosts })
@@ -114,135 +113,69 @@ impl FailoverView {
     }
 }
 
-/// Degraded-mode 1.5D SpMM: like
-/// [`super::onefived::spmm_15d_buf`], but the calling rank executes
-/// every persona assigned to it by `view` — shipping dead
-/// designated-senders' row data from its own (identical) `H` block,
-/// computing their stage partials, and folding their slots into the
-/// process-row all-reduce. Produces the same `Zᵢ` bits a fault-free run
-/// would.
+/// Degraded-mode 1.5D SpMM: like [`super::grid::spmm_grid_buf`], but
+/// the calling rank executes every persona assigned to it by `view` —
+/// shipping dead designated-senders' row data from its own (identical)
+/// `H` block, computing their stage partials, and folding their slots
+/// into the process-row all-reduce. Produces the same `Zᵢ` bits a
+/// fault-free run would.
 pub fn spmm_15d_failover_buf(
     ctx: &mut RankCtx,
-    plan: &Plan15d,
+    plan: &GridPlan,
     view: &FailoverView,
     h_local: &Dense,
-    aware: bool,
     bufs: &mut EpochBuffers,
 ) -> Dense {
     let me = ctx.rank();
     let rp_me = &plan.ranks[me];
-    let f = h_local.cols();
-    let rows_i = rp_me.row_hi - rp_me.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
+    assert_eq!(
+        h_local.rows(),
+        rp_me.row_hi - rp_me.row_lo,
+        "local H block shape mismatch"
+    );
     let personas = view.personas_of(me);
-    ctx.span_begin(SpanKind::Spmm15d, Phase::P2p);
+    let route = |r: usize| view.host_of(r);
+    ctx.span_begin(plan.span, Phase::P2p);
 
     // Phase 1: designated-sender shipments, for every persona. All of
     // this host's personas share grid row `i`, so at most one of them is
     // row `i`'s designated sender, and the data it ships is packed from
-    // the host's own replicated block.
+    // the host's own replicated block. A destination hosted *here* would
+    // be a same-grid-row persona, which the plan never ships to.
     for &persona in &personas {
-        let rp = &plan.ranks[persona];
-        if rp.send_lists.is_empty() {
-            continue;
-        }
-        let mut pack_elems = 0u64;
-        for l in 0..plan.pr {
-            let dst = plan.rank_of(l, rp.j);
-            if dst == persona {
-                continue; // that persona's own stage gathers locally
-            }
-            let idx = &rp.send_lists[l];
-            if idx.is_empty() {
-                continue;
-            }
-            // A destination hosted *here* would be a same-grid-row
-            // persona, i.e. the local-gather case excluded above.
-            debug_assert_ne!(view.host_of(dst), me, "self-send in failover plan");
-            let payload = if aware {
-                let mut data = bufs.take_zeroed(idx.len() * f);
-                h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-                pack_elems += (idx.len() * f) as u64;
-                let mut ids = bufs.take_u32(idx.len());
-                ids.extend_from_slice(idx);
-                Payload::Rows { idx: ids, data }
-            } else {
-                let mut data = bufs.take_vec(h_local.data().len());
-                data.extend_from_slice(h_local.data());
-                Payload::F64(data)
-            };
-            ctx.send(view.host_of(dst), payload);
-        }
-        if pack_elems > 0 {
-            ctx.record_compute(pack_elems);
-        }
+        ship_blocks(ctx, plan, &plan.ranks[persona], h_local, bufs, route);
     }
 
     // Phase 2: each persona's stage loop, producing one partial per
     // persona. Receives are redirected to the effective host of each
     // logical source; per (host, host) channel at most one frame is in
     // flight per SpMM, so ordering is unambiguous.
-    let mut partials: Vec<Dense> = Vec::with_capacity(personas.len());
-    for &persona in &personas {
-        let rp = &plan.ranks[persona];
-        let mut partial = bufs.take_dense(rows_i, f);
-        for st in &rp.stages {
-            let h_stage: Dense = if st.q == rp.i {
-                let mut data = bufs.take_zeroed(st.needed.len() * f);
-                h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-                ctx.record_compute((st.needed.len() * f) as u64);
-                Dense::from_vec(st.needed.len(), f, data)
-            } else if st.needed.is_empty() {
-                Dense::zeros(0, f)
-            } else {
-                let src = view.host_of(plan.rank_of(st.q, rp.j));
-                if aware {
-                    let (idx, data) = ctx.recv(src).into_rows();
-                    debug_assert_eq!(idx, st.needed, "row ids mismatch from host {src}");
-                    let d = Dense::from_vec(idx.len(), f, data);
-                    bufs.put_u32(idx);
-                    d
-                } else {
-                    let data = ctx.recv(src).into_f64();
-                    assert_eq!(
-                        data.len(),
-                        st.needed.len() * f,
-                        "block size mismatch from {src}"
-                    );
-                    Dense::from_vec(st.needed.len(), f, data)
-                }
-            };
-            let flops = spmm_flops(&st.block_compact, f);
-            let block = &st.block_compact;
-            ctx.compute(flops, || spmm_acc(block, &h_stage, &mut partial));
-            bufs.put_dense(h_stage);
-        }
-        partials.push(partial);
-    }
+    let partials: Vec<Dense> = personas
+        .iter()
+        .map(|&persona| fold_stages(ctx, plan, &plan.ranks[persona], h_local, bufs, route))
+        .collect();
 
     // Phase 3: process-row all-reduce with dead slots folded from their
     // proxies' persona partials, in fault-free slot order.
-    let z = failover_row_allreduce(ctx, plan, view, rp_me.i, &personas, partials, bufs);
+    let z = failover_row_allreduce(ctx, view, &rp_me.reduce_group, &personas, partials, bufs);
     ctx.span_end();
     z
 }
 
-/// Sums per-persona partials across grid row `row`, reproducing the
-/// fault-free all-reduce fold bit-for-bit: the slot-`j = 0` value first,
-/// then `+=` each later slot in grid-column order. The root is the
-/// lowest survivor in the row — which is exactly the host of every dead
-/// persona in that row, so it holds the dead slots' partials locally.
+/// Sums per-persona partials across the replica group `row_ranks`,
+/// reproducing the fault-free all-reduce fold bit-for-bit: slot 0's value
+/// first, then `+=` each later slot in group order. The root is the
+/// first survivor in the group — which is exactly the host of every dead
+/// persona in it, so it holds the dead slots' partials locally.
 fn failover_row_allreduce(
     ctx: &mut RankCtx,
-    plan: &Plan15d,
     view: &FailoverView,
-    row: usize,
+    row_ranks: &[usize],
     personas: &[usize],
     partials: Vec<Dense>,
     bufs: &mut EpochBuffers,
 ) -> Dense {
     let me = ctx.rank();
-    let row_ranks: Vec<usize> = (0..plan.c).map(|j| plan.rank_of(row, j)).collect();
     let root = *row_ranks
         .iter()
         .find(|&&r| view.alive(r))
@@ -251,7 +184,7 @@ fn failover_row_allreduce(
     if me == root {
         let mut mine = personas.iter().zip(partials);
         let mut acc: Option<Dense> = None;
-        for &r in &row_ranks {
+        for &r in row_ranks {
             let part: Dense = if view.host_of(r) == me {
                 let (persona, part) = mine.next().expect("persona partial exhausted");
                 debug_assert_eq!(*persona, r, "persona order mismatch");
@@ -275,7 +208,7 @@ fn failover_row_allreduce(
             }
         }
         let acc = acc.expect("row group is never empty");
-        for &r in &row_ranks {
+        for &r in row_ranks {
             if r != me && view.alive(r) {
                 let mut data = bufs.take_vec(acc.data().len());
                 data.extend_from_slice(acc.data());
@@ -356,7 +289,7 @@ pub fn failover_allreduce_replicated(ctx: &mut RankCtx, view: &FailoverView, buf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::onefived::{spmm_15d, spmm_15d_buf};
+    use crate::dist::grid::{spmm_grid, spmm_grid_buf};
     use crate::dist::plan::even_bounds;
     use gnn_comm::{CostModel, EpochAbortPanic, FaultInjector, FaultPlan, ThreadWorld};
     use rand::rngs::StdRng;
@@ -380,7 +313,7 @@ mod tests {
     /// mid-attempt deaths).
     fn commit_loop<R>(
         ctx: &mut RankCtx,
-        plan: &Plan15d,
+        plan: &GridPlan,
         mut body: impl FnMut(&mut RankCtx, &FailoverView) -> R,
     ) -> R {
         loop {
@@ -408,7 +341,9 @@ mod tests {
     #[test]
     fn view_assigns_lowest_alive_proxy() {
         // p=8, c=2: grid rows {0:[0,1], 1:[2,3], 2:[4,5], 3:[6,7]}.
-        let v = FailoverView::from_dead(vec![3], 8, 2).unwrap();
+        let (adj, _) = setup(5, 1, 1);
+        let plan = GridPlan::onefived(&adj, 8, 2, &even_bounds(adj.rows(), 4), true);
+        let v = FailoverView::from_dead(vec![3], &plan).unwrap();
         assert!(v.is_degraded());
         assert!(v.alive(2) && !v.alive(3));
         assert_eq!(v.host_of(3), 2);
@@ -418,15 +353,17 @@ mod tests {
         assert_eq!(v.dead(), &[3]);
 
         // Rank 0 dead: the global root shifts to its row-mate.
-        let v = FailoverView::from_dead(vec![0], 8, 2).unwrap();
+        let v = FailoverView::from_dead(vec![0], &plan).unwrap();
         assert_eq!(v.host_of(0), 1);
         assert_eq!(v.lowest_alive(), 1);
 
         // A fault-free view is not degraded.
-        assert!(!FailoverView::from_dead(vec![], 8, 2).unwrap().is_degraded());
+        assert!(!FailoverView::from_dead(vec![], &plan)
+            .unwrap()
+            .is_degraded());
 
         // Whole replica group dead → unrecoverable in place.
-        assert_eq!(FailoverView::from_dead(vec![2, 3], 8, 2).unwrap_err(), 1);
+        assert_eq!(FailoverView::from_dead(vec![2, 3], &plan).unwrap_err(), 1);
     }
 
     #[test]
@@ -438,7 +375,7 @@ mod tests {
         let (p, c, pr) = (8usize, 2usize, 4usize);
         let bounds = even_bounds(adj.rows(), pr);
         for aware in [true, false] {
-            let plan = Plan15d::build(&adj, p, c, &bounds, aware);
+            let plan = GridPlan::onefived(&adj, p, c, &bounds, aware);
             let expected = spmm(&adj, &h);
 
             // Fault-free baseline for bit-level comparison.
@@ -446,7 +383,7 @@ mod tests {
             let (clean, _) = clean_world.run(|ctx| {
                 let rp = &plan.ranks[ctx.rank()];
                 let local = h.row_slice(rp.row_lo, rp.row_hi);
-                spmm_15d(ctx, &plan, &local, aware)
+                spmm_grid(ctx, &plan, &local)
             });
 
             let injector = Arc::new(FaultInjector::new(FaultPlan::new(5).crash_at(2, 0, 0)));
@@ -461,9 +398,9 @@ mod tests {
                     let mut bufs = EpochBuffers::new();
                     commit_loop(ctx, &plan, |ctx, view| {
                         if view.is_degraded() {
-                            spmm_15d_failover_buf(ctx, &plan, view, &local, aware, &mut bufs)
+                            spmm_15d_failover_buf(ctx, &plan, view, &local, &mut bufs)
                         } else {
-                            spmm_15d_buf(ctx, &plan, &local, aware, &mut bufs)
+                            spmm_grid_buf(ctx, &plan, &local, &mut bufs)
                         }
                     })
                 })
@@ -500,7 +437,7 @@ mod tests {
         let (p, c, pr) = (8usize, 2usize, 4usize);
         let (adj, _) = setup(5, 3, 2);
         let bounds = even_bounds(adj.rows(), pr);
-        let plan = Plan15d::build(&adj, p, c, &bounds, true);
+        let plan = GridPlan::onefived(&adj, p, c, &bounds, true);
         let value = |rank: usize| {
             let row = (rank / c) as f64;
             [row * 1.5 + 0.25, -row * 0.125, 3.0]

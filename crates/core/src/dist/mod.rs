@@ -1,38 +1,37 @@
-//! Distributed training: communication plans, the four SpMM algorithm
-//! variants, and the SPMD trainer that runs full GCN training over a
-//! [`gnn_comm::ThreadWorld`].
+//! Distributed training: communication plans, the distributed SpMM
+//! algorithms — 1D ([`oned`]) and the 1.5D/2D/3D grid template
+//! ([`grid`]), each sparsity-oblivious or sparsity-aware, blocking or
+//! pipelined ([`overlap`]) — and the SPMD trainer that runs full GCN
+//! training over a [`gnn_comm::ThreadWorld`].
 
 pub mod buffers;
 pub mod checkpoint;
 pub mod failover;
+pub mod grid;
 pub mod oned;
-pub mod onefived;
 pub mod overlap;
 pub mod plan;
 #[cfg(unix)]
 pub mod proc;
-pub mod threed;
 pub mod trainer;
-pub mod twod;
 
 pub use buffers::EpochBuffers;
 pub use checkpoint::{
     clear_disk_checkpoints, Checkpoint, CheckpointBackend, CheckpointStore, DiskCheckpointStore,
 };
 pub use failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
+pub use grid::{spmm_grid, spmm_grid_buf, GridPlan};
 pub use overlap::{
-    spmm_15d_pipelined_buf, spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf,
-    spmm_2d_pipelined_buf, spmm_3d_pipelined_buf, OverlapPlan1d,
+    spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, spmm_grid_pipelined_buf,
+    OverlapPlan1d,
 };
-pub use plan::{even_bounds, Plan15d, Plan1d};
+pub use plan::{even_bounds, Plan1d};
 #[cfg(unix)]
 pub use proc::{
     metrics_aggregate_path, metrics_rank_path, run_rank_proc, supervise_proc_training,
     supervise_proc_training_with, trace_rank_path, ProcTrainError,
 };
-pub use threed::Plan3d;
 pub use trainer::{
     train_distributed, try_train_distributed, try_train_distributed_with_store, Algo, DistConfig,
     DistOutcome, RobustnessConfig,
 };
-pub use twod::Plan2d;

@@ -25,9 +25,8 @@ use spmat::spmm::{spmm_acc, spmm_flops};
 use spmat::{Csr, Dense};
 
 use super::buffers::EpochBuffers;
-use super::plan::{Plan15d, Plan1d};
-use super::threed::Plan3d;
-use super::twod::Plan2d;
+use super::grid::{fold_stage, pack_block, GridPlan};
+use super::plan::Plan1d;
 
 /// Partitions `items` positions into at most `chunks` contiguous,
 /// near-even groups; group `g` covers `[g·items/k, (g+1)·items/k)`.
@@ -277,59 +276,41 @@ pub fn spmm_1d_oblivious_pipelined_buf(
     z
 }
 
-/// Pipelined counterpart of [`super::onefived::spmm_15d_buf`]: stages
-/// are grouped into `chunks` contiguous pipeline sections. Every
+/// Pipelined counterpart of [`super::grid::spmm_grid_buf`]: the stage
+/// loop is grouped into `chunks` contiguous pipeline sections. Every
 /// outbound block is posted up front (charged to the first boundary),
-/// each section waits only for its own inbound blocks, and the stage
-/// multiplies hide the later sections' transfers. The trailing
+/// each section waits only for its own inbound stage blocks, and the
+/// stage multiplies hide the later sections' transfers. The trailing
 /// all-reduce is unchanged (it is a true barrier).
-pub fn spmm_15d_pipelined_buf(
+///
+/// Folding stages in ascending `k` accumulates every output element in
+/// exactly the blocking order, so the result is bitwise identical.
+pub fn spmm_grid_pipelined_buf(
     ctx: &mut RankCtx,
-    plan: &Plan15d,
+    plan: &GridPlan,
     h_local: &Dense,
-    aware: bool,
     chunks: usize,
     bufs: &mut EpochBuffers,
 ) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
+    let rp = &plan.ranks[ctx.rank()];
     let rows_i = rp.row_hi - rp.row_lo;
     assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
     let groups = chunk_groups(rp.stages.len(), chunks);
-    ctx.span_begin(SpanKind::Spmm15d, Phase::P2p);
+    ctx.span_begin(plan.span, Phase::P2p);
 
     // Pack outside the window (it precedes the sends), then post every
     // outbound block as an eager nonblocking send on the first stage.
-    let mut outbound: Vec<(usize, Payload)> = Vec::new();
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for l in 0..plan.pr {
-            let dst = plan.rank_of(l, rp.j);
-            if dst == me {
-                continue; // own stage gathers locally below
-            }
-            let idx = &rp.send_lists[l];
-            if idx.is_empty() {
-                continue;
-            }
-            let payload = if aware {
-                let mut data = bufs.take_zeroed(idx.len() * f);
-                h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-                pack_elems += (idx.len() * f) as u64;
-                let mut ids = bufs.take_u32(idx.len());
-                ids.extend_from_slice(idx);
-                Payload::Rows { idx: ids, data }
-            } else {
-                let mut data = bufs.take_vec(h_local.data().len());
-                data.extend_from_slice(h_local.data());
-                Payload::F64(data)
-            };
-            outbound.push((dst, payload));
-        }
-        if pack_elems > 0 {
-            ctx.record_compute(pack_elems);
-        }
+    let mut pack_elems = 0u64;
+    let outbound: Vec<(usize, Payload)> = rp
+        .sends
+        .iter()
+        .map(|(dst, idx)| {
+            let payload = pack_block(plan.aware, h_local, rp.row_lo, idx, &mut pack_elems, bufs);
+            (*dst, payload)
+        })
+        .collect();
+    if pack_elems > 0 {
+        ctx.record_compute(pack_elems);
     }
 
     ctx.overlap_begin(groups.len());
@@ -340,12 +321,12 @@ pub fn spmm_15d_pipelined_buf(
         .stages
         .iter()
         .map(|st| {
-            (st.q != rp.i && !st.needed.is_empty())
-                .then(|| ctx.irecv(plan.rank_of(st.q, rp.j), Phase::P2p))
+            (st.src_rank != rp.rank && !st.needed.is_empty())
+                .then(|| ctx.irecv(st.src_rank, Phase::P2p))
         })
         .collect();
 
-    let mut partial = bufs.take_dense(rows_i, f);
+    let mut z = bufs.take_dense(rows_i, h_local.cols());
     for &(slo, shi) in &groups {
         // Wait for this section's inbound blocks, then cross the
         // boundary: earlier sections' multiplies have been hiding them.
@@ -354,261 +335,27 @@ pub fn spmm_15d_pipelined_buf(
             .collect();
         ctx.overlap_stage();
 
-        for (off, st) in rp.stages[slo..shi].iter().enumerate() {
-            let h_stage: Dense = if st.q == rp.i {
-                // Local gather of our own replicated block's needed rows.
-                let mut data = bufs.take_zeroed(st.needed.len() * f);
-                h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-                ctx.record_compute((st.needed.len() * f) as u64);
-                Dense::from_vec(st.needed.len(), f, data)
-            } else if st.needed.is_empty() {
-                Dense::zeros(0, f)
-            } else {
-                let payload = staged[off].take().expect("stage payload already consumed");
-                if aware {
-                    let (idx, data) = payload.into_rows();
-                    debug_assert_eq!(idx, st.needed, "row ids mismatch at stage q={}", st.q);
-                    let d = Dense::from_vec(idx.len(), f, data);
-                    bufs.put_u32(idx);
-                    d
-                } else {
-                    let src = plan.rank_of(st.q, rp.j);
-                    let data = payload.into_f64();
-                    assert_eq!(
-                        data.len(),
-                        st.needed.len() * f,
-                        "block size mismatch from {src}"
-                    );
-                    Dense::from_vec(st.needed.len(), f, data)
-                }
-            };
-            let flops = spmm_flops(&st.block_compact, f);
-            let block = &st.block_compact;
-            ctx.compute(flops, || spmm_acc(block, &h_stage, &mut partial));
-            bufs.put_dense(h_stage);
+        for (st, slot) in rp.stages[slo..shi].iter().zip(&mut staged) {
+            fold_stage(ctx, plan.aware, rp, st, h_local, &mut z, bufs, |_, _| {
+                slot.take().expect("a remote stage has a staged payload")
+            });
         }
     }
     ctx.overlap_end();
 
-    // Sum partials across the process row (blocking; a true barrier).
-    let group: Vec<usize> = (0..plan.c).map(|j| plan.rank_of(rp.i, j)).collect();
-    ctx.allreduce_sum(partial.data_mut(), &group);
-    ctx.span_end();
-    partial
-}
-
-/// Pipelined counterpart of [`super::twod::spmm_2d_buf`]: the SUMMA
-/// stage loop is grouped into `chunks` contiguous pipeline sections.
-/// Every outbound block (this rank is the designated sender for stage
-/// `k = i` of its grid column) is posted up front and charged to the
-/// first boundary; each section waits only for its own inbound stage
-/// blocks and the stage multiplies hide the later sections' transfers.
-///
-/// Folding stages in ascending `k` accumulates every output element in
-/// exactly the blocking order, so the result is bitwise identical.
-pub fn spmm_2d_pipelined_buf(
-    ctx: &mut RankCtx,
-    plan: &Plan2d,
-    h_local: &Dense,
-    chunks: usize,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    let rows_i = rp.row_hi - rp.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    ctx.span_begin(SpanKind::Spmm2d, Phase::P2p);
-
-    // Pack outside the window (it precedes the sends), then post every
-    // outbound block as an eager nonblocking send on the first stage.
-    let mut outbound: Vec<(usize, Payload)> = Vec::new();
-    let mut pack_elems = 0u64;
-    for (l, idx) in rp.send_lists.iter().enumerate() {
-        let dst = plan.rank_of(l, rp.j);
-        if dst == me || idx.is_empty() {
-            continue;
-        }
-        let payload = if plan.aware {
-            let mut data = bufs.take_zeroed(idx.len() * f);
-            h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-            pack_elems += (idx.len() * f) as u64;
-            let mut ids = bufs.take_u32(idx.len());
-            ids.extend_from_slice(idx);
-            Payload::Rows { idx: ids, data }
-        } else {
-            let mut data = bufs.take_vec(h_local.data().len());
-            data.extend_from_slice(h_local.data());
-            Payload::F64(data)
-        };
-        outbound.push((dst, payload));
+    if !rp.reduce_group.is_empty() {
+        ctx.allreduce_sum(z.data_mut(), &rp.reduce_group);
     }
-    if pack_elems > 0 {
-        ctx.record_compute(pack_elems);
-    }
-
-    ctx.overlap_begin(groups.len());
-    for (dst, payload) in outbound {
-        ctx.isend(dst, payload, Phase::P2p, 0);
-    }
-    let mut recvs: Vec<Option<PendingOp>> = rp
-        .stages
-        .iter()
-        .map(|st| {
-            (st.k != rp.i && !st.needed.is_empty())
-                .then(|| ctx.irecv(plan.rank_of(st.k, rp.j), Phase::P2p))
-        })
-        .collect();
-
-    let mut z = bufs.take_dense(rows_i, f);
-    for &(slo, shi) in &groups {
-        let mut staged: Vec<Option<Payload>> = (slo..shi)
-            .map(|si| recvs[si].take().map(|op| ctx.wait(op)))
-            .collect();
-        ctx.overlap_stage();
-
-        for (off, st) in rp.stages[slo..shi].iter().enumerate() {
-            let h_stage: Dense = if st.k == rp.i {
-                let mut data = bufs.take_zeroed(st.needed.len() * f);
-                h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-                ctx.record_compute((st.needed.len() * f) as u64);
-                Dense::from_vec(st.needed.len(), f, data)
-            } else if st.needed.is_empty() {
-                Dense::zeros(0, f)
-            } else {
-                let payload = staged[off].take().expect("stage payload already consumed");
-                stage_block_from_payload(payload, st.needed.len(), f, plan.aware, st.k, bufs)
-            };
-            let flops = spmm_flops(&st.block_compact, f);
-            let block = &st.block_compact;
-            ctx.compute(flops, || spmm_acc(block, &h_stage, &mut z));
-            bufs.put_dense(h_stage);
-        }
-    }
-    ctx.overlap_end();
     ctx.span_end();
     z
-}
-
-/// Pipelined counterpart of [`super::threed::spmm_3d_buf`]: identical
-/// pipeline to [`spmm_2d_pipelined_buf`] over this layer's stage slice,
-/// followed by the blocking fiber all-reduce (a true barrier, exactly
-/// as the 1.5D pipeline keeps its trailing row all-reduce blocking).
-pub fn spmm_3d_pipelined_buf(
-    ctx: &mut RankCtx,
-    plan: &Plan3d,
-    h_local: &Dense,
-    chunks: usize,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    let rows_i = rp.row_hi - rp.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    ctx.span_begin(SpanKind::Spmm3d, Phase::P2p);
-
-    let mut outbound: Vec<(usize, Payload)> = Vec::new();
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        let dst = plan.rank_of(t, rp.j, rp.l);
-        if dst == me || idx.is_empty() {
-            continue;
-        }
-        let payload = if plan.aware {
-            let mut data = bufs.take_zeroed(idx.len() * f);
-            h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-            pack_elems += (idx.len() * f) as u64;
-            let mut ids = bufs.take_u32(idx.len());
-            ids.extend_from_slice(idx);
-            Payload::Rows { idx: ids, data }
-        } else {
-            let mut data = bufs.take_vec(h_local.data().len());
-            data.extend_from_slice(h_local.data());
-            Payload::F64(data)
-        };
-        outbound.push((dst, payload));
-    }
-    if pack_elems > 0 {
-        ctx.record_compute(pack_elems);
-    }
-
-    ctx.overlap_begin(groups.len());
-    for (dst, payload) in outbound {
-        ctx.isend(dst, payload, Phase::P2p, 0);
-    }
-    let mut recvs: Vec<Option<PendingOp>> = rp
-        .stages
-        .iter()
-        .map(|st| {
-            (st.k != rp.i && !st.needed.is_empty())
-                .then(|| ctx.irecv(plan.rank_of(st.k, rp.j, rp.l), Phase::P2p))
-        })
-        .collect();
-
-    let mut partial = bufs.take_dense(rows_i, f);
-    for &(slo, shi) in &groups {
-        let mut staged: Vec<Option<Payload>> = (slo..shi)
-            .map(|si| recvs[si].take().map(|op| ctx.wait(op)))
-            .collect();
-        ctx.overlap_stage();
-
-        for (off, st) in rp.stages[slo..shi].iter().enumerate() {
-            let h_stage: Dense = if st.k == rp.i {
-                let mut data = bufs.take_zeroed(st.needed.len() * f);
-                h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-                ctx.record_compute((st.needed.len() * f) as u64);
-                Dense::from_vec(st.needed.len(), f, data)
-            } else if st.needed.is_empty() {
-                Dense::zeros(0, f)
-            } else {
-                let payload = staged[off].take().expect("stage payload already consumed");
-                stage_block_from_payload(payload, st.needed.len(), f, plan.aware, st.k, bufs)
-            };
-            let flops = spmm_flops(&st.block_compact, f);
-            let block = &st.block_compact;
-            ctx.compute(flops, || spmm_acc(block, &h_stage, &mut partial));
-            bufs.put_dense(h_stage);
-        }
-    }
-    ctx.overlap_end();
-
-    // Fiber reduction over the c layer replicas (blocking barrier).
-    let fiber = plan.fiber_group(rp.i, rp.j);
-    ctx.allreduce_sum(partial.data_mut(), &fiber);
-    ctx.span_end();
-    partial
-}
-
-/// Decodes one staged SUMMA block payload into a dense stage operand.
-fn stage_block_from_payload(
-    payload: Payload,
-    needed: usize,
-    f: usize,
-    aware: bool,
-    k: usize,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    if aware {
-        let (idx, data) = payload.into_rows();
-        debug_assert_eq!(idx.len(), needed, "row count mismatch at stage k={k}");
-        let d = Dense::from_vec(idx.len(), f, data);
-        bufs.put_u32(idx);
-        d
-    } else {
-        let data = payload.into_f64();
-        assert_eq!(data.len(), needed * f, "block size mismatch at stage k={k}");
-        Dense::from_vec(needed, f, data)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::grid::spmm_grid_buf;
+    use crate::dist::grid::tests::{local_block, Shape};
     use crate::dist::oned::{spmm_1d_aware_buf, spmm_1d_oblivious_buf};
-    use crate::dist::onefived::spmm_15d_buf;
     use crate::dist::plan::even_bounds;
     use gnn_comm::{CostModel, ThreadWorld, WorldStats};
     use rand::rngs::StdRng;
@@ -654,29 +401,23 @@ mod tests {
         (Dense::vstack(&refs), stats)
     }
 
-    fn run_15d(
+    fn run_grid(
         adj: &spmat::Csr,
         h: &Dense,
-        p: usize,
-        c: usize,
+        shape: Shape,
         aware: bool,
         chunks: Option<usize>,
-    ) -> (Dense, WorldStats) {
-        let pr = p / c;
-        let bounds = even_bounds(adj.rows(), pr);
-        let plan = Plan15d::build(adj, p, c, &bounds, aware);
-        let world = ThreadWorld::new(p, CostModel::perlmutter_like());
-        let (blocks, stats) = world.run(|ctx| {
-            let rp = &plan.ranks[ctx.rank()];
-            let local = h.row_slice(rp.row_lo, rp.row_hi);
+    ) -> (Vec<Dense>, WorldStats) {
+        let plan = shape.plan(adj, aware);
+        let world = ThreadWorld::new(plan.p(), CostModel::perlmutter_like());
+        world.run(|ctx| {
+            let local = local_block(h, &plan, &plan.ranks[ctx.rank()]);
             let mut bufs = EpochBuffers::new();
             match chunks {
-                None => spmm_15d_buf(ctx, &plan, &local, aware, &mut bufs),
-                Some(k) => spmm_15d_pipelined_buf(ctx, &plan, &local, aware, k, &mut bufs),
+                None => spmm_grid_buf(ctx, &plan, &local, &mut bufs),
+                Some(k) => spmm_grid_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
             }
-        });
-        let col0: Vec<&Dense> = (0..pr).map(|i| &blocks[i * c]).collect();
-        (Dense::vstack(&col0), stats)
+        })
     }
 
     #[test]
@@ -750,136 +491,40 @@ mod tests {
     }
 
     #[test]
-    fn fifteend_pipelined_bitwise_matches_blocking() {
+    fn grid_pipelined_bitwise_matches_blocking() {
+        use Shape::*;
         let (adj, h) = setup(6, 14, 5);
-        for (p, c) in [(4, 1), (4, 2), (8, 2)] {
+        for shape in [
+            OneFiveD(4, 1),
+            OneFiveD(4, 2),
+            OneFiveD(8, 2),
+            TwoD(2, 2),
+            TwoD(4, 1),
+            TwoD(4, 2),
+            ThreeD(2, 1, 2),
+            ThreeD(2, 2, 2),
+            ThreeD(4, 1, 2),
+        ] {
             for aware in [true, false] {
-                let (base, st_base) = run_15d(&adj, &h, p, c, aware, None);
+                let (base, st_base) = run_grid(&adj, &h, shape, aware, None);
                 for k in [1, 2, 7] {
-                    let (got, st) = run_15d(&adj, &h, p, c, aware, Some(k));
-                    assert!(got.approx_eq(&base, 0.0), "p={p} c={c} chunks={k} diverged");
-                    assert_eq!(
-                        st.phase_bytes_total(Phase::P2p),
-                        st_base.phase_bytes_total(Phase::P2p),
-                        "logical volume changed p={p} c={c} chunks={k}"
-                    );
+                    let label = format!("{shape:?} aware={aware} chunks={k}");
+                    let (got, st) = run_grid(&adj, &h, shape, aware, Some(k));
+                    for (b, g) in base.iter().zip(&got) {
+                        assert!(g.approx_eq(b, 0.0), "{label} diverged");
+                    }
+                    for phase in [Phase::P2p, Phase::AllReduce] {
+                        assert_eq!(
+                            st.phase_bytes_total(phase),
+                            st_base.phase_bytes_total(phase),
+                            "{label}: logical {phase:?} volume changed"
+                        );
+                    }
                     // Sends all land on the first boundary; per-chunk
                     // max(send, recv) sums to ≤ blocking's send+recv.
                     assert!(
                         st.modeled_epoch_time() <= st_base.modeled_epoch_time() + 1e-12,
-                        "p={p} c={c} chunks={k}: overlapped slower than blocking"
-                    );
-                }
-            }
-        }
-    }
-
-    fn run_2d(
-        adj: &spmat::Csr,
-        h: &Dense,
-        pr: usize,
-        pc: usize,
-        aware: bool,
-        chunks: Option<usize>,
-    ) -> (Vec<Dense>, WorldStats) {
-        use crate::dist::twod::spmm_2d_buf;
-        let bounds = even_bounds(adj.rows(), pr);
-        let plan = Plan2d::build(adj, pr, pc, &bounds, aware);
-        let world = ThreadWorld::new(pr * pc, CostModel::perlmutter_like());
-        world.run(|ctx| {
-            let rp = &plan.ranks[ctx.rank()];
-            let rows = h.row_slice(rp.row_lo, rp.row_hi);
-            let pb = plan.panel_bounds(h.cols());
-            let local = Dense::from_fn(rows.rows(), pb[rp.j + 1] - pb[rp.j], |r, c| {
-                rows.get(r, pb[rp.j] + c)
-            });
-            let mut bufs = EpochBuffers::new();
-            match chunks {
-                None => spmm_2d_buf(ctx, &plan, &local, &mut bufs),
-                Some(k) => spmm_2d_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
-            }
-        })
-    }
-
-    fn run_3d(
-        adj: &spmat::Csr,
-        h: &Dense,
-        pr: usize,
-        pc: usize,
-        c: usize,
-        aware: bool,
-        chunks: Option<usize>,
-    ) -> (Vec<Dense>, WorldStats) {
-        use crate::dist::threed::spmm_3d_buf;
-        let bounds = even_bounds(adj.rows(), pr);
-        let plan = Plan3d::build(adj, pr, pc, c, &bounds, aware);
-        let world = ThreadWorld::new(pr * pc * c, CostModel::perlmutter_like());
-        world.run(|ctx| {
-            let rp = &plan.ranks[ctx.rank()];
-            let rows = h.row_slice(rp.row_lo, rp.row_hi);
-            let pb = plan.panel_bounds(h.cols());
-            let local = Dense::from_fn(rows.rows(), pb[rp.j + 1] - pb[rp.j], |r, c| {
-                rows.get(r, pb[rp.j] + c)
-            });
-            let mut bufs = EpochBuffers::new();
-            match chunks {
-                None => spmm_3d_buf(ctx, &plan, &local, &mut bufs),
-                Some(k) => spmm_3d_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
-            }
-        })
-    }
-
-    #[test]
-    fn twod_pipelined_bitwise_matches_blocking() {
-        let (adj, h) = setup(6, 17, 5);
-        for (pr, pc) in [(2, 2), (4, 1), (4, 2)] {
-            for aware in [true, false] {
-                let (base, st_base) = run_2d(&adj, &h, pr, pc, aware, None);
-                for k in [1, 2, 7] {
-                    let (got, st) = run_2d(&adj, &h, pr, pc, aware, Some(k));
-                    for (b, g) in base.iter().zip(&got) {
-                        assert!(
-                            g.approx_eq(b, 0.0),
-                            "pr={pr} pc={pc} aware={aware} chunks={k} diverged"
-                        );
-                    }
-                    assert_eq!(
-                        st.phase_bytes_total(Phase::P2p),
-                        st_base.phase_bytes_total(Phase::P2p),
-                        "logical volume changed pr={pr} pc={pc} chunks={k}"
-                    );
-                    assert!(
-                        st.modeled_epoch_time() <= st_base.modeled_epoch_time() + 1e-12,
-                        "pr={pr} pc={pc} chunks={k}: overlapped slower than blocking"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn threed_pipelined_bitwise_matches_blocking() {
-        let (adj, h) = setup(6, 18, 5);
-        for (pr, pc, c) in [(2, 1, 2), (2, 2, 2), (4, 1, 2)] {
-            for aware in [true, false] {
-                let (base, st_base) = run_3d(&adj, &h, pr, pc, c, aware, None);
-                for k in [1, 2, 7] {
-                    let (got, st) = run_3d(&adj, &h, pr, pc, c, aware, Some(k));
-                    for (b, g) in base.iter().zip(&got) {
-                        assert!(
-                            g.approx_eq(b, 0.0),
-                            "pr={pr} pc={pc} c={c} aware={aware} chunks={k} diverged"
-                        );
-                    }
-                    assert_eq!(
-                        st.phase_bytes_total(Phase::P2p),
-                        st_base.phase_bytes_total(Phase::P2p),
-                        "logical volume changed pr={pr} pc={pc} c={c} chunks={k}"
-                    );
-                    assert_eq!(
-                        st.phase_bytes_total(Phase::AllReduce),
-                        st_base.phase_bytes_total(Phase::AllReduce),
-                        "fiber allreduce volume changed pr={pr} pc={pc} c={c} chunks={k}"
+                        "{label}: overlapped slower than blocking"
                     );
                 }
             }

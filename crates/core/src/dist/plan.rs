@@ -7,15 +7,12 @@
 //! of every epoch — this is what amortizes the preprocessing.
 //!
 //! * [`Plan1d`] — block-row distribution over `p` ranks (Algorithm 1).
-//! * [`Plan15d`] — `p/c × c` grid with block rows replicated `c` times
-//!   (Algorithm 2).
+//! * [`super::grid::GridPlan`] — the `pr × pc × c` grid template whose
+//!   shapes are 1.5D (Algorithm 2), 2D and 3D.
 
 use spmat::Csr;
 
 /// Per-rank plan for the 1D algorithms.
-/// Per (block-row, block-col) cache of (needed rows, compact block).
-type BlockCache = Vec<Vec<Option<(Vec<u32>, Csr)>>>;
-
 #[derive(Clone, Debug)]
 pub struct RankPlan1d {
     /// First global row owned.
@@ -145,150 +142,6 @@ impl Plan1d {
     }
 }
 
-/// One stage of the 1.5D computation on one rank: the column block it
-/// multiplies and the `H` rows that block needs.
-#[derive(Clone, Debug)]
-pub struct StagePlan {
-    /// Block-row index `q` whose `H` block this stage consumes.
-    pub q: usize,
-    /// `Aᵀᵢq` with columns remapped to positions in `needed`.
-    pub block_compact: Csr,
-    /// Global row ids of `H_q` this stage reads (`NnzCols(i, q)` for the
-    /// sparsity-aware variant; the whole of `q`'s range for the oblivious
-    /// variant).
-    pub needed: Vec<u32>,
-}
-
-/// Per-rank plan for the 1.5D algorithms.
-#[derive(Clone, Debug)]
-pub struct RankPlan15d {
-    /// Grid row (block row owned, replicated).
-    pub i: usize,
-    /// Grid column.
-    pub j: usize,
-    /// First global row of the owned block.
-    pub row_lo: usize,
-    /// One past the last global row of the owned block.
-    pub row_hi: usize,
-    /// The `s = p/c²` stages this rank executes.
-    pub stages: Vec<StagePlan>,
-    /// If this rank is its block row's designated sender (its grid column
-    /// consumes block row `i`), `send_lists[l]` holds the global rows of
-    /// `H_i` to ship to grid-row `l` in the same column. Empty otherwise.
-    pub send_lists: Vec<Vec<u32>>,
-}
-
-/// The 1.5D distribution plan.
-#[derive(Clone, Debug)]
-pub struct Plan15d {
-    /// Global matrix dimension.
-    pub n: usize,
-    /// Total ranks (`pr · c`).
-    pub p: usize,
-    /// Replication factor.
-    pub c: usize,
-    /// Grid rows (`p / c`).
-    pub pr: usize,
-    /// Stages per rank (`pr / c = p / c²`).
-    pub s: usize,
-    /// Block-row boundaries (`pr + 1`).
-    pub bounds: Vec<usize>,
-    /// Rank-indexed plans (`rank = i·c + j`).
-    pub ranks: Vec<RankPlan15d>,
-}
-
-impl Plan15d {
-    /// Linear rank of grid position `(i, j)`.
-    pub fn rank_of(&self, i: usize, j: usize) -> usize {
-        i * self.c + j
-    }
-
-    /// Builds the plan. `bounds` has `p/c + 1` entries; `aware` selects
-    /// sparsity-aware (`NnzCols`) vs oblivious (whole block) exchanges.
-    ///
-    /// # Panics
-    /// Panics unless `p` is divisible by `c²` (the paper's grid
-    /// requirement) and `bounds` covers `0..n` with `p/c` parts.
-    pub fn build(adj: &Csr, p: usize, c: usize, bounds: &[usize], aware: bool) -> Plan15d {
-        assert!(
-            c >= 1 && p.is_multiple_of(c * c),
-            "need c² | p (got p={p}, c={c})"
-        );
-        let pr = p / c;
-        let s = pr / c;
-        let n = adj.rows();
-        assert_eq!(bounds.len(), pr + 1, "bounds must have p/c + 1 entries");
-        assert_eq!(bounds[pr], n);
-
-        // Per (block-row i, block-col q): the needed rows and compact
-        // block, computed once and cloned into the c replicas.
-        let mut ranks = Vec::with_capacity(p);
-        // needed_all[i][q] — computed lazily per (i, q) used.
-        let mut needed_cache: BlockCache =
-            (0..pr).map(|_| (0..pr).map(|_| None).collect()).collect();
-
-        let mut block_of = |i: usize, q: usize| -> (Vec<u32>, Csr) {
-            if let Some(v) = &needed_cache[i][q] {
-                return v.clone();
-            }
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            let (qlo, qhi) = (bounds[q], bounds[q + 1]);
-            // Aᵀ_{i,q}: rows [lo,hi), cols restricted to [qlo,qhi).
-            let block = adj.row_block(lo, hi).col_range_block(qlo, qhi);
-            let needed: Vec<u32> = if aware {
-                block.distinct_cols_in_range(qlo, qhi)
-            } else {
-                (qlo as u32..qhi as u32).collect()
-            };
-            let compact = block.remap_cols(&needed);
-            let out = (needed, compact);
-            needed_cache[i][q] = Some(out.clone());
-            out
-        };
-
-        for i in 0..pr {
-            for j in 0..c {
-                let stages: Vec<StagePlan> = (0..s)
-                    .map(|k| {
-                        let q = j * s + k;
-                        let (needed, block_compact) = block_of(i, q);
-                        StagePlan {
-                            q,
-                            block_compact,
-                            needed,
-                        }
-                    })
-                    .collect();
-                // Designated sender of block row i is the replica in the
-                // grid column that consumes block row i: j* = i / s.
-                let is_sender = j == i / s;
-                let send_lists: Vec<Vec<u32>> = if is_sender {
-                    (0..pr).map(|l| block_of(l, i).0).collect()
-                } else {
-                    Vec::new()
-                };
-                ranks.push(RankPlan15d {
-                    i,
-                    j,
-                    row_lo: bounds[i],
-                    row_hi: bounds[i + 1],
-                    stages,
-                    send_lists,
-                });
-            }
-        }
-        Plan15d {
-            n,
-            p,
-            c,
-            pr,
-            s,
-            bounds: bounds.to_vec(),
-            ranks,
-        }
-    }
-}
-
 /// Even `p + 1` boundaries over `0..n` (the no-partitioner distribution).
 pub fn even_bounds(n: usize, p: usize) -> Vec<usize> {
     spmat::gen::sbm::block_bounds(n, p)
@@ -353,109 +206,5 @@ mod tests {
             assert_eq!(rp.block_compact.cols(), rp.cols.len());
             assert_eq!(rp.block_compact.nnz(), rp.block.nnz());
         }
-    }
-
-    #[test]
-    fn plan15d_grid_structure() {
-        let adj = rmat(RmatConfig::graph500(7, 6, 4));
-        let p = 8;
-        let c = 2;
-        let bounds = even_bounds(adj.rows(), p / c);
-        let plan = Plan15d::build(&adj, p, c, &bounds, true);
-        assert_eq!(plan.pr, 4);
-        assert_eq!(plan.s, 2);
-        assert_eq!(plan.ranks.len(), 8);
-        for i in 0..4 {
-            for j in 0..2 {
-                let rp = &plan.ranks[plan.rank_of(i, j)];
-                assert_eq!((rp.i, rp.j), (i, j));
-                assert_eq!(rp.stages.len(), 2);
-                // Stages cover q = j*s..(j+1)*s.
-                let qs: Vec<usize> = rp.stages.iter().map(|st| st.q).collect();
-                assert_eq!(qs, vec![j * 2, j * 2 + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn plan15d_exactly_one_sender_column_per_block_row() {
-        let adj = rmat(RmatConfig::graph500(7, 6, 5));
-        let p = 8;
-        let c = 2;
-        let bounds = even_bounds(adj.rows(), p / c);
-        let plan = Plan15d::build(&adj, p, c, &bounds, true);
-        for i in 0..plan.pr {
-            let senders: Vec<usize> = (0..c)
-                .filter(|&j| !plan.ranks[plan.rank_of(i, j)].send_lists.is_empty())
-                .collect();
-            assert_eq!(senders.len(), 1, "block row {i}");
-            assert_eq!(senders[0], i / plan.s);
-        }
-    }
-
-    #[test]
-    fn plan15d_stage_blocks_partition_the_block_row() {
-        // Union of all stages' nnz across the c ranks of a grid row must
-        // equal the block row's nnz.
-        let adj = rmat(RmatConfig::graph500(7, 6, 6));
-        let p = 8;
-        let c = 2;
-        let bounds = even_bounds(adj.rows(), p / c);
-        let plan = Plan15d::build(&adj, p, c, &bounds, true);
-        for i in 0..plan.pr {
-            let total: usize = (0..c)
-                .map(|j| {
-                    plan.ranks[plan.rank_of(i, j)]
-                        .stages
-                        .iter()
-                        .map(|st| st.block_compact.nnz())
-                        .sum::<usize>()
-                })
-                .sum();
-            let block_nnz = adj.row_block(bounds[i], bounds[i + 1]).nnz();
-            assert_eq!(total, block_nnz, "block row {i}");
-        }
-    }
-
-    #[test]
-    fn oblivious_plan_needs_full_ranges() {
-        let adj = grid2d(8);
-        let bounds = even_bounds(64, 4);
-        let plan = Plan15d::build(&adj, 4, 1, &bounds, false);
-        for rp in &plan.ranks {
-            for st in &rp.stages {
-                assert_eq!(
-                    st.needed.len(),
-                    bounds[st.q + 1] - bounds[st.q],
-                    "oblivious stage must need the whole block"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn aware_needs_subset_of_oblivious() {
-        let adj = rmat(RmatConfig::graph500(8, 4, 7));
-        let bounds = even_bounds(adj.rows(), 4);
-        let aware = Plan15d::build(&adj, 8, 2, &bounds, true);
-        let obliv = Plan15d::build(&adj, 8, 2, &bounds, false);
-        let mut strictly_smaller = false;
-        for (ra, ro) in aware.ranks.iter().zip(&obliv.ranks) {
-            for (sa, so) in ra.stages.iter().zip(&ro.stages) {
-                assert!(sa.needed.len() <= so.needed.len());
-                if sa.needed.len() < so.needed.len() {
-                    strictly_smaller = true;
-                }
-            }
-        }
-        assert!(strictly_smaller, "sparsity-awareness saved nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "need c² | p")]
-    fn invalid_grid_panics() {
-        let adj = grid2d(4);
-        let bounds = even_bounds(16, 3);
-        Plan15d::build(&adj, 6, 2, &bounds, true);
     }
 }

@@ -7,7 +7,7 @@
 //! detect a dead/failed rank process, SIGKILL the stragglers of that
 //! generation, respawn all `p` ranks, and let them resume from the
 //! newest verified snapshot in the shared
-//! [`DiskCheckpointStore`](super::checkpoint::DiskCheckpointStore).
+//! [`DiskCheckpointStore`].
 //! Because epochs are deterministic and checkpoints are
 //! checksum-verified, a SIGKILL'd run recovers to bit-identical weights.
 //!

@@ -1,5 +1,6 @@
 //! The SPMD GCN trainer: full forward/backward/SGD training where every
-//! SpMM runs through one of the four distributed algorithm variants.
+//! SpMM runs through one of the distributed algorithms (1D or a grid
+//! shape, sparsity-oblivious or -aware, blocking or pipelined).
 //!
 //! Every rank holds its block of `H⁰`, labels and mask; weights are
 //! replicated (deterministic seeded init) and kept consistent by
@@ -39,7 +40,7 @@ use gnn_comm::{
     ThreadWorld, WorldError, WorldStats, WorldTrace,
 };
 use spmat::dataset::Dataset;
-use spmat::Dense;
+use spmat::{Csr, Dense};
 
 use crate::model::{softmax_cross_entropy_sums, ArchKind, GcnConfig, Weights};
 use crate::optim::Optimizer;
@@ -48,15 +49,13 @@ use crate::reference::EpochRecord;
 use super::buffers::EpochBuffers;
 use super::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use super::failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
+use super::grid::{spmm_grid_buf, GridPlan};
 use super::oned::{spmm_1d_aware_buf, spmm_1d_oblivious_buf};
-use super::onefived::spmm_15d_buf;
 use super::overlap::{
-    spmm_15d_pipelined_buf, spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf,
-    spmm_2d_pipelined_buf, spmm_3d_pipelined_buf, OverlapPlan1d,
+    spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, spmm_grid_pipelined_buf,
+    OverlapPlan1d,
 };
-use super::plan::{Plan15d, Plan1d};
-use super::threed::{spmm_3d_buf, Plan3d};
-use super::twod::{spmm_2d_buf, Plan2d};
+use super::plan::Plan1d;
 
 /// Which distributed SpMM drives training.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,6 +100,12 @@ impl Algo {
             Algo::OneD { .. } | Algo::TwoD { .. } => 1,
             Algo::OneFiveD { c, .. } | Algo::ThreeD { c, .. } => c,
         }
+    }
+
+    /// Whether the trainer splits feature panels across grid columns (the
+    /// 2D/3D epoch program) rather than keeping full-width rows.
+    pub(crate) fn paneled(&self) -> bool {
+        matches!(self, Algo::TwoD { .. } | Algo::ThreeD { .. })
     }
 
     /// Whether the variant ships only needed rows.
@@ -247,14 +252,25 @@ pub struct DistOutcome {
 
 pub(crate) enum PlanKind {
     OneD(Plan1d),
-    OneFiveD { plan: Plan15d, aware: bool },
-    TwoD(Plan2d),
-    ThreeD(Plan3d),
+    Grid(GridPlan),
 }
 
-/// Derives the world size and builds the communication plan for `cfg`'s
-/// algorithm over `bounds` (shared by the thread supervisor and the
-/// process-backend child).
+/// Derives the world size and builds the communication plan of `algo`
+/// over `bounds` (shared by the trainers and the analytic replay).
+pub(crate) fn plan_for(adj: &Csr, bounds: &[usize], algo: Algo) -> (usize, PlanKind) {
+    let pr = bounds.len() - 1;
+    let plan = match algo {
+        Algo::OneD { .. } => return (pr, PlanKind::OneD(Plan1d::build(adj, bounds))),
+        Algo::OneFiveD { aware, c } => GridPlan::onefived(adj, pr * c, c, bounds, aware),
+        Algo::TwoD { aware, pc } => GridPlan::twod(adj, pr, pc, bounds, aware),
+        Algo::ThreeD { aware, pc, c } => GridPlan::threed(adj, pr, pc, c, bounds, aware),
+    };
+    (plan.p(), PlanKind::Grid(plan))
+}
+
+/// [`plan_for`] `cfg`'s algorithm after checking the model shape against
+/// the dataset (shared by the thread supervisor and the process-backend
+/// child).
 pub(crate) fn build_plan(ds: &Dataset, bounds: &[usize], cfg: &DistConfig) -> (usize, PlanKind) {
     assert_eq!(cfg.gcn.dims[0], ds.f(), "input width mismatch");
     assert_eq!(
@@ -262,37 +278,7 @@ pub(crate) fn build_plan(ds: &Dataset, bounds: &[usize], cfg: &DistConfig) -> (u
         ds.num_classes,
         "class count mismatch"
     );
-    match cfg.algo {
-        Algo::OneD { aware: _ } => {
-            let p = bounds.len() - 1;
-            (p, PlanKind::OneD(Plan1d::build(&ds.norm_adj, bounds)))
-        }
-        Algo::OneFiveD { aware, c } => {
-            let pr = bounds.len() - 1;
-            let p = pr * c;
-            (
-                p,
-                PlanKind::OneFiveD {
-                    plan: Plan15d::build(&ds.norm_adj, p, c, bounds, aware),
-                    aware,
-                },
-            )
-        }
-        Algo::TwoD { aware, pc } => {
-            let pr = bounds.len() - 1;
-            (
-                pr * pc,
-                PlanKind::TwoD(Plan2d::build(&ds.norm_adj, pr, pc, bounds, aware)),
-            )
-        }
-        Algo::ThreeD { aware, pc, c } => {
-            let pr = bounds.len() - 1;
-            (
-                pr * pc * c,
-                PlanKind::ThreeD(Plan3d::build(&ds.norm_adj, pr, pc, c, bounds, aware)),
-            )
-        }
-    }
+    plan_for(&ds.norm_adj, bounds, cfg.algo)
 }
 
 /// Trains a GCN on `ds` (already permuted so parts are contiguous).
@@ -356,9 +342,9 @@ pub fn try_train_distributed_with_store(
         if let Some(inj) = &injector {
             world = world.with_injector(inj.clone());
         }
-        let run = if let (true, PlanKind::OneFiveD { plan: pl, aware }) = (use_failover, &plan) {
+        let run = if let (true, PlanKind::Grid(pl)) = (use_failover, &plan) {
             world
-                .try_run_failover(|ctx| run_rank_failover(ctx, ds, cfg, pl, *aware, store))
+                .try_run_failover(|ctx| run_rank_failover(ctx, ds, cfg, pl, store))
                 .map(|(results, stats, trace)| {
                     // Survivors hold identical replicated results; dead
                     // ranks' slots are `None`.
@@ -407,26 +393,23 @@ pub(crate) fn run_rank(
     plan: &PlanKind,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
-    // The grid algorithms additionally split feature panels across grid
+    // The 2D/3D algorithms additionally split feature panels across grid
     // columns, which changes the dense-layer data flow; they get their
     // own epoch loop.
-    if matches!(plan, PlanKind::TwoD(_) | PlanKind::ThreeD(_)) {
-        return run_rank_grid(ctx, ds, cfg, plan, store);
+    if let (true, PlanKind::Grid(pl)) = (cfg.algo.paneled(), plan) {
+        return run_rank_grid(ctx, ds, cfg, pl, store);
     }
-    let aware_1d = matches!(cfg.algo, Algo::OneD { aware: true });
+    let aware = cfg.algo.aware();
     let c_rep = cfg.algo.replication() as f64;
+    let all_group: Vec<usize> = (0..ctx.p()).collect();
 
     // Resolve this rank's block row.
     let (lo, hi) = match plan {
-        PlanKind::OneD(pl) => {
+        PlanKind::OneD(pl) => (pl.bounds[ctx.rank()], pl.bounds[ctx.rank() + 1]),
+        PlanKind::Grid(pl) => {
             let rp = &pl.ranks[ctx.rank()];
             (rp.row_lo, rp.row_hi)
         }
-        PlanKind::OneFiveD { plan: pl, .. } => {
-            let rp = &pl.ranks[ctx.rank()];
-            (rp.row_lo, rp.row_hi)
-        }
-        PlanKind::TwoD(_) | PlanKind::ThreeD(_) => unreachable!("dispatched above"),
     };
     let rows = hi - lo;
     let labels = &ds.labels[lo..hi];
@@ -454,33 +437,23 @@ pub(crate) fn run_rank(
 
     // Sparsity-derived chunking for the pipelined 1D variants, built
     // once per rank and reused by every SpMM of every epoch.
-    let ov_plan: Option<OverlapPlan1d> = match (&plan, cfg.overlap.enabled) {
-        (PlanKind::OneD(pl), true) => Some(OverlapPlan1d::build(
-            pl,
-            ctx.rank(),
-            cfg.overlap.chunks,
-            aware_1d,
-        )),
+    let overlap = cfg.overlap;
+    let ov_plan: Option<OverlapPlan1d> = match plan {
+        PlanKind::OneD(pl) if overlap.enabled => {
+            Some(OverlapPlan1d::build(pl, ctx.rank(), overlap.chunks, aware))
+        }
         _ => None,
     };
-    let overlap = cfg.overlap;
 
     let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
         match plan {
             PlanKind::OneD(pl) => match &ov_plan {
-                Some(ov) if aware_1d => spmm_1d_aware_pipelined_buf(ctx, pl, h, ov, bufs),
+                Some(ov) if aware => spmm_1d_aware_pipelined_buf(ctx, pl, h, ov, bufs),
                 Some(ov) => spmm_1d_oblivious_pipelined_buf(ctx, pl, h, ov, bufs),
-                None if aware_1d => spmm_1d_aware_buf(ctx, pl, h, bufs),
+                None if aware => spmm_1d_aware_buf(ctx, pl, h, bufs),
                 None => spmm_1d_oblivious_buf(ctx, pl, h, bufs),
             },
-            PlanKind::OneFiveD { plan: pl, aware } => {
-                if overlap.enabled {
-                    spmm_15d_pipelined_buf(ctx, pl, h, *aware, overlap.chunks, bufs)
-                } else {
-                    spmm_15d_buf(ctx, pl, h, *aware, bufs)
-                }
-            }
-            PlanKind::TwoD(_) | PlanKind::ThreeD(_) => unreachable!("dispatched above"),
+            PlanKind::Grid(pl) => grid_spmm(ctx, pl, h, overlap, bufs),
         }
     };
 
@@ -533,25 +506,11 @@ pub(crate) fn run_rank(
         ctx.span_end();
 
         // ---- loss / metrics ----
-        ctx.span_begin(SpanKind::Loss, Phase::Other);
-        let logits = &hs[l_total];
-        let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-        let correct = {
-            let acc = crate::model::accuracy(logits, labels, mask);
-            acc * count as f64
-        };
-        let mut reduce = [loss_sum, count as f64, correct];
-        ctx.allreduce_sum(&mut reduce, &(0..ctx.p()).collect::<Vec<_>>());
-        let [g_loss, g_count, g_correct] = reduce;
-        records.push(EpochRecord {
-            loss: g_loss / g_count.max(1.0),
-            train_accuracy: if g_count > 0.0 {
-                g_correct / g_count
-            } else {
-                0.0
-            },
-        });
-        ctx.span_end();
+        let (record, g_count, grad_sum) =
+            loss_and_metrics(ctx, &hs[l_total], labels, mask, |ctx, sums| {
+                ctx.allreduce_sum(sums, &all_group)
+            });
+        records.push(record);
 
         // ---- backward ----
         ctx.span_begin(SpanKind::Backward, Phase::Other);
@@ -589,36 +548,13 @@ pub(crate) fn run_rank(
                     y
                 }
             };
-            ctx.allreduce_sum(y.data_mut(), &(0..ctx.p()).collect::<Vec<_>>());
+            ctx.allreduce_sum(y.data_mut(), &all_group);
             // Replicated rows contributed c times each.
             y.scale(1.0 / c_rep);
             grads.push(y); // reverse layer order; fixed up below
             if l > 0 {
-                let w = &weights.mats[l];
-                let prev_z = &zs[l - 1];
-                let mut gg = bufs.take_dense(rows, d);
-                let mut tmp = bufs.take_dense(rows, d);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-                            s.matmul_transpose_into(w, &mut gg);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                    ArchKind::Sage => {
-                        let g_ref = &g;
-                        ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                            g_ref.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
-                            s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
-                            gg.add_assign(&tmp);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                }
-                bufs.put_dense(tmp);
-                bufs.put_dense(std::mem::replace(&mut g, gg));
+                let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
+                propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
             }
             bufs.put_dense(s);
         }
@@ -653,6 +589,84 @@ pub(crate) fn run_rank(
         ctx.span_end(); // epoch
     }
     (records, weights)
+}
+
+/// The loss / metrics step of one epoch: local masked cross-entropy
+/// sums, the `[loss, count, correct]` reduction over all ranks through
+/// `reduce`, and the epoch's record. Returns the record, the global
+/// (replication-inflated) masked count, and the local logit gradient sum.
+fn loss_and_metrics(
+    ctx: &mut RankCtx,
+    logits: &Dense,
+    labels: &[u32],
+    mask: &[bool],
+    reduce: impl FnOnce(&mut RankCtx, &mut [f64]),
+) -> (EpochRecord, f64, Dense) {
+    ctx.span_begin(SpanKind::Loss, Phase::Other);
+    let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
+    let correct = crate::model::accuracy(logits, labels, mask) * count as f64;
+    let mut sums = [loss_sum, count as f64, correct];
+    reduce(ctx, &mut sums);
+    let [g_loss, g_count, g_correct] = sums;
+    let record = EpochRecord {
+        loss: g_loss / g_count.max(1.0),
+        train_accuracy: if g_count > 0.0 {
+            g_correct / g_count
+        } else {
+            0.0
+        },
+    };
+    ctx.span_end();
+    (record, g_count, grad_sum)
+}
+
+/// Propagates the layer gradient one layer down, in place:
+/// `G ← (S·Wᵀ) ⊙ relu'(Z_prev)` for GCN, with the extra self term
+/// `G·W_selfᵀ` for SAGE. `s` is `AᵀG`; all operands are full-width.
+fn propagate_gradient(
+    ctx: &mut RankCtx,
+    arch: ArchKind,
+    w: &Dense,
+    prev_z: &Dense,
+    s: &Dense,
+    g: &mut Dense,
+    bufs: &mut EpochBuffers,
+) {
+    let (rows, d, d_out) = (prev_z.rows(), prev_z.cols(), s.cols());
+    let mut gg = bufs.take_dense(rows, d);
+    let mut tmp = bufs.take_dense(rows, d);
+    match arch {
+        ArchKind::Gcn => ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
+            s.matmul_transpose_into(w, &mut gg);
+            prev_z.relu_prime_into(&mut tmp);
+            gg.hadamard_assign(&tmp);
+        }),
+        ArchKind::Sage => ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
+            g.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
+            s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
+            gg.add_assign(&tmp);
+            prev_z.relu_prime_into(&mut tmp);
+            gg.hadamard_assign(&tmp);
+        }),
+    }
+    bufs.put_dense(tmp);
+    bufs.put_dense(std::mem::replace(g, gg));
+}
+
+/// One grid SpMM under `overlap`: the pipelined executor when enabled,
+/// the blocking one otherwise.
+fn grid_spmm(
+    ctx: &mut RankCtx,
+    plan: &GridPlan,
+    h: &Dense,
+    overlap: OverlapConfig,
+    bufs: &mut EpochBuffers,
+) -> Dense {
+    if overlap.enabled {
+        spmm_grid_pipelined_buf(ctx, plan, h, overlap.chunks, bufs)
+    } else {
+        spmm_grid_buf(ctx, plan, h, bufs)
+    }
 }
 
 /// Copies the column panel `[lo, hi)` of `src` into a pooled matrix.
@@ -691,34 +705,19 @@ fn run_rank_grid(
     ctx: &mut RankCtx,
     ds: &Dataset,
     cfg: &DistConfig,
-    plan: &PlanKind,
+    plan: &GridPlan,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
-    let me = ctx.rank();
     // Geometry: grid coordinates, block row, panel splitter, and the
     // two all-reduce groups (grid row within the layer; all ranks).
-    let (grid_i, grid_j, lo, hi, pc, cl) = match plan {
-        PlanKind::TwoD(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.i, rp.j, rp.row_lo, rp.row_hi, pl.pc, 1)
-        }
-        PlanKind::ThreeD(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.i, rp.j, rp.row_lo, rp.row_hi, pl.pc, pl.c)
-        }
-        _ => unreachable!("run_rank_grid is only called for grid plans"),
-    };
-    let row_group: Vec<usize> = match plan {
-        PlanKind::TwoD(pl) => (0..pc).map(|jj| pl.rank_of(grid_i, jj)).collect(),
-        PlanKind::ThreeD(pl) => {
-            let l = pl.ranks[me].l;
-            (0..pc).map(|jj| pl.rank_of(grid_i, jj, l)).collect()
-        }
-        _ => unreachable!(),
-    };
+    let rp = &plan.ranks[ctx.rank()];
+    let (grid_j, lo, hi, cl) = (rp.j, rp.row_lo, rp.row_hi, plan.c);
+    let row_group: Vec<usize> = (0..plan.pc)
+        .map(|jj| plan.rank_of(rp.i, jj, rp.l))
+        .collect();
     let all_group: Vec<usize> = (0..ctx.p()).collect();
-    let panel_bounds = |f: usize| -> Vec<usize> { spmat::gen::sbm::block_bounds(f, pc) };
-    let rep = (pc * cl) as f64;
+    let panel_bounds = |f: usize| plan.panel_bounds(f);
+    let rep = (plan.pc * cl) as f64;
 
     let rows = hi - lo;
     let labels = &ds.labels[lo..hi];
@@ -737,26 +736,6 @@ fn run_rank_grid(
     let dims = &cfg.gcn.dims;
     let mut bufs = EpochBuffers::new();
     let overlap = cfg.overlap;
-
-    let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-        match plan {
-            PlanKind::TwoD(pl) => {
-                if overlap.enabled {
-                    spmm_2d_pipelined_buf(ctx, pl, h, overlap.chunks, bufs)
-                } else {
-                    spmm_2d_buf(ctx, pl, h, bufs)
-                }
-            }
-            PlanKind::ThreeD(pl) => {
-                if overlap.enabled {
-                    spmm_3d_pipelined_buf(ctx, pl, h, overlap.chunks, bufs)
-                } else {
-                    spmm_3d_buf(ctx, pl, h, bufs)
-                }
-            }
-            _ => unreachable!(),
-        }
-    };
 
     // `hs[0]` is H⁰ for the whole run, as in `run_rank`.
     let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
@@ -779,7 +758,7 @@ fn run_rank_grid(
             let h_panel = ctx.compute((rows * ipw) as u64, || {
                 slice_panel(&hs[l], ilo, ihi, &mut bufs)
             });
-            let ah = dist_spmm(ctx, &h_panel, &mut bufs);
+            let ah = grid_spmm(ctx, plan, &h_panel, overlap, &mut bufs);
             // Partial product against the panel's rows of W, then
             // grid-row all-reduce: full-width Z on every rank.
             let w = &weights.mats[l];
@@ -813,25 +792,11 @@ fn run_rank_grid(
         ctx.span_end();
 
         // ---- loss / metrics ----
-        ctx.span_begin(SpanKind::Loss, Phase::Other);
-        let logits = &hs[l_total];
-        let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-        let correct = {
-            let acc = crate::model::accuracy(logits, labels, mask);
-            acc * count as f64
-        };
-        let mut reduce = [loss_sum, count as f64, correct];
-        ctx.allreduce_sum(&mut reduce, &all_group);
-        let [g_loss, g_count, g_correct] = reduce;
-        records.push(EpochRecord {
-            loss: g_loss / g_count.max(1.0),
-            train_accuracy: if g_count > 0.0 {
-                g_correct / g_count
-            } else {
-                0.0
-            },
-        });
-        ctx.span_end();
+        let (record, g_count, grad_sum) =
+            loss_and_metrics(ctx, &hs[l_total], labels, mask, |ctx, sums| {
+                ctx.allreduce_sum(sums, &all_group)
+            });
+        records.push(record);
 
         // ---- backward ----
         ctx.span_begin(SpanKind::Backward, Phase::Other);
@@ -854,7 +819,7 @@ fn run_rank_grid(
             // full-width AᵀG by summing the disjoint panels across the
             // grid row.
             let g_panel = ctx.compute((rows * opw) as u64, || slice_panel(&g, olo, ohi, &mut bufs));
-            let s_panel = dist_spmm(ctx, &g_panel, &mut bufs);
+            let s_panel = grid_spmm(ctx, plan, &g_panel, overlap, &mut bufs);
             bufs.put_dense(g_panel);
             let mut s = bufs.take_dense(rows, d_out);
             ctx.compute((rows * opw) as u64, || {
@@ -915,31 +880,8 @@ fn run_rank_grid(
             if l > 0 {
                 // Full-width local propagation, identical to the 1D
                 // data flow (s and z_prev are full-width and replicated).
-                let w = &weights.mats[l];
-                let prev_z = &zs[l - 1];
-                let mut gg = bufs.take_dense(rows, d);
-                let mut tmp = bufs.take_dense(rows, d);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-                            s.matmul_transpose_into(w, &mut gg);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                    ArchKind::Sage => {
-                        let g_ref = &g;
-                        ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                            g_ref.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
-                            s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
-                            gg.add_assign(&tmp);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                }
-                bufs.put_dense(tmp);
-                bufs.put_dense(std::mem::replace(&mut g, gg));
+                let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
+                propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
             }
             bufs.put_dense(s);
         }
@@ -985,11 +927,11 @@ fn run_rank_failover(
     ctx: &mut RankCtx,
     ds: &Dataset,
     cfg: &DistConfig,
-    plan: &Plan15d,
-    aware: bool,
+    plan: &GridPlan,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
     let c_rep = cfg.algo.replication() as f64;
+    let all_group: Vec<usize> = (0..ctx.p()).collect();
     let rp = &plan.ranks[ctx.rank()];
     let (lo, hi) = (rp.row_lo, rp.row_hi);
     let rows = hi - lo;
@@ -1021,6 +963,20 @@ fn run_rank_failover(
             // on every rank of this generation without communication.
             let view = FailoverView::compute(ctx, plan);
             let degraded = view.is_degraded();
+            let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
+                if degraded {
+                    spmm_15d_failover_buf(ctx, plan, &view, h, bufs)
+                } else {
+                    spmm_grid_buf(ctx, plan, h, bufs)
+                }
+            };
+            let global_reduce = |ctx: &mut RankCtx, buf: &mut [f64]| {
+                if degraded {
+                    failover_allreduce_replicated(ctx, &view, buf);
+                } else {
+                    ctx.allreduce_sum(buf, &all_group);
+                }
+            };
             ctx.span_begin(SpanKind::Epoch, Phase::Other);
 
             // ---- forward ----
@@ -1028,11 +984,7 @@ fn run_rank_failover(
             let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
             let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
             for l in 0..l_total {
-                let ah = if degraded {
-                    spmm_15d_failover_buf(ctx, plan, &view, &hs[l], aware, &mut bufs)
-                } else {
-                    spmm_15d_buf(ctx, plan, &hs[l], aware, &mut bufs)
-                };
+                let ah = dist_spmm(ctx, &hs[l], &mut bufs);
                 let w = &weights.mats[l];
                 let (d, d_out) = (dims[l], dims[l + 1]);
                 let mut z = bufs.take_dense(rows, d_out);
@@ -1064,29 +1016,8 @@ fn run_rank_failover(
             ctx.span_end();
 
             // ---- loss / metrics ----
-            ctx.span_begin(SpanKind::Loss, Phase::Other);
-            let logits = &hs[l_total];
-            let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-            let correct = {
-                let acc = crate::model::accuracy(logits, labels, mask);
-                acc * count as f64
-            };
-            let mut reduce = [loss_sum, count as f64, correct];
-            if degraded {
-                failover_allreduce_replicated(ctx, &view, &mut reduce);
-            } else {
-                ctx.allreduce_sum(&mut reduce, &(0..ctx.p()).collect::<Vec<_>>());
-            }
-            let [g_loss, g_count, g_correct] = reduce;
-            let record = EpochRecord {
-                loss: g_loss / g_count.max(1.0),
-                train_accuracy: if g_count > 0.0 {
-                    g_correct / g_count
-                } else {
-                    0.0
-                },
-            };
-            ctx.span_end();
+            let (record, g_count, grad_sum) =
+                loss_and_metrics(ctx, &hs[l_total], labels, mask, global_reduce);
 
             // ---- backward ----
             ctx.span_begin(SpanKind::Backward, Phase::Other);
@@ -1096,11 +1027,7 @@ fn run_rank_failover(
             let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
 
             for l in (0..l_total).rev() {
-                let s = if degraded {
-                    spmm_15d_failover_buf(ctx, plan, &view, &g, aware, &mut bufs)
-                } else {
-                    spmm_15d_buf(ctx, plan, &g, aware, &mut bufs)
-                };
+                let s = dist_spmm(ctx, &g, &mut bufs);
                 let h_prev = &hs[l];
                 let (d, d_out) = (dims[l], dims[l + 1]);
                 let mut y = match cfg.gcn.arch {
@@ -1128,40 +1055,13 @@ fn run_rank_failover(
                         y
                     }
                 };
-                if degraded {
-                    failover_allreduce_replicated(ctx, &view, y.data_mut());
-                } else {
-                    ctx.allreduce_sum(y.data_mut(), &(0..ctx.p()).collect::<Vec<_>>());
-                }
+                global_reduce(ctx, y.data_mut());
                 // Replicated rows contributed c times each.
                 y.scale(1.0 / c_rep);
                 grads.push(y); // reverse layer order; fixed up below
                 if l > 0 {
-                    let w = &weights.mats[l];
-                    let prev_z = &zs[l - 1];
-                    let mut gg = bufs.take_dense(rows, d);
-                    let mut tmp = bufs.take_dense(rows, d);
-                    match cfg.gcn.arch {
-                        ArchKind::Gcn => {
-                            ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-                                s.matmul_transpose_into(w, &mut gg);
-                                prev_z.relu_prime_into(&mut tmp);
-                                gg.hadamard_assign(&tmp);
-                            })
-                        }
-                        ArchKind::Sage => {
-                            let g_ref = &g;
-                            ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                                g_ref.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
-                                s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
-                                gg.add_assign(&tmp);
-                                prev_z.relu_prime_into(&mut tmp);
-                                gg.hadamard_assign(&tmp);
-                            })
-                        }
-                    }
-                    bufs.put_dense(tmp);
-                    bufs.put_dense(std::mem::replace(&mut g, gg));
+                    let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
+                    propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
                 }
                 bufs.put_dense(s);
             }

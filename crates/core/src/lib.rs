@@ -6,10 +6,11 @@
 //! Layering:
 //!
 //! * [`model`] — GCN weights, softmax cross-entropy, accuracy.
-//! * [`reference`] — sequential full-graph trainer (ground truth).
-//! * [`dist`] — communication plans and the four distributed SpMM
-//!   variants (1D/1.5D × oblivious/sparsity-aware), plus the SPMD
-//!   trainer that runs them over [`gnn_comm::ThreadWorld`].
+//! * [`mod@reference`] — sequential full-graph trainer (ground truth).
+//! * [`dist`] — communication plans and the distributed SpMMs — 1D and
+//!   the 1.5D/2D/3D grid template, each oblivious or sparsity-aware,
+//!   blocking or pipelined — plus the SPMD trainer that runs them over
+//!   [`gnn_comm::ThreadWorld`] or rank processes.
 //! * [`analytic`] — closed-form cost replay for large sweeps; proven
 //!   equal to the executor's accounting by integration tests.
 //!

@@ -8,7 +8,7 @@
 //! feature widths 32/64/128 — so the kernel layer's vector loads on
 //! row starts never straddle a cache line.
 //!
-//! Implementation: a `Vec` of 64-byte [`Lane`]s (`#[repr(align(64))]`
+//! Implementation: a `Vec` of 64-byte `Lane`s (`#[repr(align(64))]`
 //! wrappers around `[f64; 8]`) plus a logical element length. Allocation
 //! and deallocation both happen through `Vec<Lane>` with the same
 //! layout, so there is no hand-rolled allocator code to get wrong; the

@@ -4,9 +4,9 @@
 //! cannot ship. These generators produce scaled-down graphs with the same
 //! *character*:
 //!
-//! * [`rmat`] — recursive-matrix graphs with heavy-tailed, irregular degree
+//! * [`mod@rmat`] — recursive-matrix graphs with heavy-tailed, irregular degree
 //!   distributions (Amazon/Reddit/Papers analogues; hard for partitioners),
-//! * [`sbm`] — planted-partition graphs with strong community structure
+//! * [`mod@sbm`] — planted-partition graphs with strong community structure
 //!   (Protein analogue; partitioners drive the cut to near zero),
 //! * [`erdos`] — Erdős–Rényi baselines with no exploitable structure,
 //! * [`grid`] — 2-D torus meshes, the perfectly regular extreme.

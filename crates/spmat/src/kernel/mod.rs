@@ -8,7 +8,7 @@
 //!
 //! * **`Avx2`** — x86_64 AVX2(+FMA) intrinsics, 4 × f64 lanes,
 //!   register-blocked 32-column output tiles ([`x86`]).
-//! * **`Neon`** — aarch64 NEON intrinsics, 2 × f64 lanes ([`neon`]).
+//! * **`Neon`** — aarch64 NEON intrinsics, 2 × f64 lanes (`neon`).
 //! * **`Scalar`** — the portable loop every backend is tested against;
 //!   always available, and the whole story when the `simd` cargo
 //!   feature is off.

@@ -21,7 +21,7 @@
 //! # Safety
 //!
 //! Every function here is `#[target_feature(enable = "avx2,fma")]` and
-//! must only be called after [`super::Backend::Avx2.supported()`]
+//! must only be called after [`Backend::Avx2.supported()`](super::Backend::supported)
 //! returned true — the dispatcher guarantees this.
 
 #![allow(unsafe_op_in_unsafe_fn)]

@@ -7,7 +7,7 @@
 //! * [`spmat`] — sparse/dense matrices, graph generators, datasets.
 //! * [`partition`] — multilevel edgecut and volume-balancing partitioners.
 //! * [`comm`] — the simulated distributed runtime and α–β cost model.
-//! * [`core`] — GCN training with 1D/1.5D sparsity-aware SpMM.
+//! * [`core`] — GCN training with 1D/1.5D/2D/3D sparsity-aware SpMM.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 

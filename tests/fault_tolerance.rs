@@ -14,10 +14,7 @@ use std::time::{Duration, Instant};
 use gnn_comm::msg::Payload;
 use gnn_comm::{CostModel, FaultInjector, FaultPlan, ThreadWorld, WorldError};
 use gnn_core::dist::oned::spmm_1d_aware;
-use gnn_core::dist::onefived::spmm_15d;
-use gnn_core::dist::threed::spmm_3d;
-use gnn_core::dist::twod::spmm_2d;
-use gnn_core::dist::{even_bounds, Plan15d, Plan1d, Plan2d, Plan3d};
+use gnn_core::dist::{even_bounds, spmm_grid, GridPlan, Plan1d};
 use gnn_core::{
     train_distributed, try_train_distributed, Algo, DistConfig, GcnConfig, RobustnessConfig,
 };
@@ -341,19 +338,19 @@ fn smoke_spmm(
         }
         SmokeAlgo::OneFiveD => {
             let bounds = even_bounds(n, 2); // pr = 2, c = 2 → p = 4
-            let plan = Plan15d::build(&ds.norm_adj, 4, 2, &bounds, true);
+            let plan = GridPlan::onefived(&ds.norm_adj, 4, 2, &bounds, true);
             let (blocks, stats) = world_of(4).try_run(|ctx| {
                 ctx.set_epoch(0);
                 let rp = &plan.ranks[ctx.rank()];
                 let local = h.row_slice(rp.row_lo, rp.row_hi);
-                spmm_15d(ctx, &plan, &local, true)
+                spmm_grid(ctx, &plan, &local)
             })?;
             // One replica per block row reassembles the full product.
             Ok((vstack(&[blocks[0].clone(), blocks[2].clone()]), stats))
         }
         SmokeAlgo::TwoD => {
             let bounds = even_bounds(n, 2); // 2 × 2 grid
-            let plan = Plan2d::build(&ds.norm_adj, 2, 2, &bounds, true);
+            let plan = GridPlan::twod(&ds.norm_adj, 2, 2, &bounds, true);
             let pb = plan.panel_bounds(f);
             let (blocks, stats) = world_of(4).try_run(|ctx| {
                 ctx.set_epoch(0);
@@ -362,12 +359,12 @@ fn smoke_spmm(
                 let local = Dense::from_fn(rows.rows(), pb[rp.j + 1] - pb[rp.j], |r, c| {
                     rows.get(r, pb[rp.j] + c)
                 });
-                spmm_2d(ctx, &plan, &local)
+                spmm_grid(ctx, &plan, &local)
             })?;
             let mut out = Dense::zeros(n, f);
             for i in 0..plan.pr {
                 for j in 0..plan.pc {
-                    let b = &blocks[plan.rank_of(i, j)];
+                    let b = &blocks[plan.rank_of(i, j, 0)];
                     for r in 0..b.rows() {
                         for c in 0..b.cols() {
                             out.set(plan.bounds[i] + r, pb[j] + c, b.get(r, c));
@@ -379,12 +376,12 @@ fn smoke_spmm(
         }
         SmokeAlgo::ThreeD => {
             let bounds = even_bounds(n, 2); // pr = 2, pc = 1, c = 2 → p = 4
-            let plan = Plan3d::build(&ds.norm_adj, 2, 1, 2, &bounds, true);
+            let plan = GridPlan::threed(&ds.norm_adj, 2, 1, 2, &bounds, true);
             let (blocks, stats) = world_of(4).try_run(|ctx| {
                 ctx.set_epoch(0);
                 let rp = &plan.ranks[ctx.rank()];
                 let local = h.row_slice(rp.row_lo, rp.row_hi);
-                spmm_3d(ctx, &plan, &local)
+                spmm_grid(ctx, &plan, &local)
             })?;
             // pc = 1 → full-width panels; layer 0's fiber-reduced blocks
             // reassemble the whole product.

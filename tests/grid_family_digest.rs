@@ -1,0 +1,242 @@
+//! Pinned digests for the grid SpMM family (1.5D / 2D / 3D).
+//!
+//! The other suites hold executor == model and weights ≤ 1e-8 of the
+//! reference; none holds *today == yesterday*. This one does: for fixed
+//! seeded cells it hashes, per run, (a) every rank's per-phase
+//! accounting — `ops`, `bytes_sent`, `bytes_recv`, `flops` and the bits
+//! of `modeled_seconds` — (b) the loss trajectory and final weight bits,
+//! and (c) the exported trace JSONL, and compares them against constants
+//! produced by running this same file at the commit *before* the
+//! 1.5D/2D/3D executors were merged into one grid executor. Any change
+//! to op order, byte accounting, fold order or span emission in that
+//! family shows up here as a changed digest.
+//!
+//! Regenerating (only when a behaviour change is intended): run the test;
+//! on mismatch it prints the full table of actual digests in source form.
+
+use std::time::Duration;
+
+use gnn_comm::{CostModel, FaultPlan, OverlapConfig};
+use gnn_core::dist::even_bounds;
+use gnn_core::{
+    train_distributed, try_train_distributed, Algo, DistConfig, DistOutcome, GcnConfig,
+    RobustnessConfig,
+};
+use gnn_trace::{jsonl_string, PHASES};
+use spmat::dataset::{amazon_scaled, Dataset};
+
+const EPOCHS: usize = 2;
+
+/// 64-bit FNV-1a, fed whole words and byte strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+}
+
+/// (a) per rank, per phase: ops, bytes, flops, modeled-seconds bits.
+fn stats_digest(out: &DistOutcome) -> u64 {
+    let mut h = Fnv::new();
+    for r in &out.stats.per_rank {
+        for ph in PHASES {
+            let c = r.phase(ph);
+            for w in [
+                c.ops,
+                c.bytes_sent,
+                c.bytes_recv,
+                c.flops,
+                c.modeled_seconds.to_bits(),
+            ] {
+                h.word(w);
+            }
+        }
+    }
+    h.0
+}
+
+/// (b) loss/accuracy trajectory and final weights, bit for bit.
+fn result_digest(out: &DistOutcome) -> u64 {
+    let mut h = Fnv::new();
+    for r in &out.records {
+        h.word(r.loss.to_bits());
+        h.word(r.train_accuracy.to_bits());
+    }
+    for m in &out.weights.mats {
+        for &v in m.data() {
+            h.word(v.to_bits());
+        }
+    }
+    h.0
+}
+
+/// (c) the exported trace artifact, byte for byte.
+fn trace_digest(out: &DistOutcome) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(jsonl_string(out.trace.as_ref().expect("trace requested")).as_bytes());
+    h.0
+}
+
+fn dataset() -> Dataset {
+    amazon_scaled(8, 41)
+}
+
+fn config(ds: &Dataset, algo: Algo) -> DistConfig {
+    let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
+    DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like())
+}
+
+/// The seeded cells: label, grid rows (`bounds.len() - 1`), algorithm.
+fn cells(aware: bool) -> [(&'static str, usize, Algo); 6] {
+    [
+        ("1.5d p=4 c=2", 2, Algo::OneFiveD { aware, c: 2 }),
+        ("1.5d p=8 c=2", 4, Algo::OneFiveD { aware, c: 2 }),
+        ("2d 2x2", 2, Algo::TwoD { aware, pc: 2 }),
+        ("3d 2x2x1", 2, Algo::ThreeD { aware, pc: 2, c: 1 }),
+        ("3d 2x1x2", 2, Algo::ThreeD { aware, pc: 1, c: 2 }),
+        ("3d 2x2x2", 2, Algo::ThreeD { aware, pc: 2, c: 2 }),
+    ]
+}
+
+/// `[stats, result, trace]` digests per run, in `cells() × {aware,
+/// oblivious} × {blocking, chunks 1, 2, 7}` order.
+const EXPECTED: [[u64; 3]; 48] = [
+    [0xf25d4e7c8a413962, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b], // 1.5d p=4 c=2 aware=true blocking
+    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=1
+    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=2
+    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=7
+    [0x72d8ed351bd3ed05, 0xd8a61bbc3fb5670d, 0x92a1a4e8f06f817c], // 1.5d p=4 c=2 aware=false blocking
+    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=1
+    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=2
+    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=7
+    [0x9473980184450b57, 0x18c16fd026667f41, 0xef8e986c14f6dfa6], // 1.5d p=8 c=2 aware=true blocking
+    [0x9b2d93352fcb44df, 0x18c16fd026667f41, 0x89bb0da9ba601071], // 1.5d p=8 c=2 aware=true chunks=1
+    [0xd3ac686c02c9a8fd, 0x18c16fd026667f41, 0x911073bdf115e325], // 1.5d p=8 c=2 aware=true chunks=2
+    [0xd3ac686c02c9a8fd, 0x18c16fd026667f41, 0x911073bdf115e325], // 1.5d p=8 c=2 aware=true chunks=7
+    [0x50f5262d108a47d1, 0x18c16fd026667f41, 0x9a210beafaead4e7], // 1.5d p=8 c=2 aware=false blocking
+    [0x515fdcc9956731b1, 0x18c16fd026667f41, 0xcb04ab40028087cf], // 1.5d p=8 c=2 aware=false chunks=1
+    [0x720831c1d8b35e88, 0x18c16fd026667f41, 0x61679185223f39dd], // 1.5d p=8 c=2 aware=false chunks=2
+    [0x720831c1d8b35e88, 0x18c16fd026667f41, 0x61679185223f39dd], // 1.5d p=8 c=2 aware=false chunks=7
+    [0x385691d1aaa111b9, 0x3cac66db50c6898a, 0xb7614a9d4a986ccb], // 2d 2x2 aware=true blocking
+    [0x00e020aea93d66b5, 0x3cac66db50c6898a, 0x58d978c2ee0df4a0], // 2d 2x2 aware=true chunks=1
+    [0xee854c5f5ebcee2d, 0x3cac66db50c6898a, 0x09cdf9928db6a271], // 2d 2x2 aware=true chunks=2
+    [0xee854c5f5ebcee2d, 0x3cac66db50c6898a, 0x09cdf9928db6a271], // 2d 2x2 aware=true chunks=7
+    [0x2228110838f68359, 0x3cac66db50c6898a, 0x87c1edfdea360c9b], // 2d 2x2 aware=false blocking
+    [0xe584fa6b9cccd0bd, 0x3cac66db50c6898a, 0x773de87a00882d54], // 2d 2x2 aware=false chunks=1
+    [0xd916dbba76a83b91, 0x3cac66db50c6898a, 0x1e180c3930e3b0fa], // 2d 2x2 aware=false chunks=2
+    [0xd916dbba76a83b91, 0x3cac66db50c6898a, 0x1e180c3930e3b0fa], // 2d 2x2 aware=false chunks=7
+    [0x23596c006402cdb9, 0x3cac66db50c6898a, 0x8051bf1f8a761214], // 3d 2x2x1 aware=true blocking
+    [0x2242284ab602076d, 0x3cac66db50c6898a, 0x12ddf0cf2ef1ace6], // 3d 2x2x1 aware=true chunks=1
+    [0x1210f3996dd3c115, 0x3cac66db50c6898a, 0x35af65fe6bc9ed51], // 3d 2x2x1 aware=true chunks=2
+    [0x1210f3996dd3c115, 0x3cac66db50c6898a, 0x35af65fe6bc9ed51], // 3d 2x2x1 aware=true chunks=7
+    [0x308eb54455a99641, 0x3cac66db50c6898a, 0x66925c60cd357767], // 3d 2x2x1 aware=false blocking
+    [0x34abac97eb05845d, 0x3cac66db50c6898a, 0xc2239f0346bd7cea], // 3d 2x2x1 aware=false chunks=1
+    [0xa3d802149023a0b1, 0x3cac66db50c6898a, 0x0e2054e9f01af65b], // 3d 2x2x1 aware=false chunks=2
+    [0xa3d802149023a0b1, 0x3cac66db50c6898a, 0x0e2054e9f01af65b], // 3d 2x2x1 aware=false chunks=7
+    [0xda7889087c58a6d3, 0xca97c82a3e22e6ae, 0x4ba4247d2b95a88d], // 3d 2x1x2 aware=true blocking
+    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=1
+    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=2
+    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=7
+    [0x265033daa5e50c16, 0xca97c82a3e22e6ae, 0xed4ae22e4e29a3d4], // 3d 2x1x2 aware=false blocking
+    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=1
+    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=2
+    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=7
+    [0xaf40f0a5f3bde615, 0x3f2c175f07f35fb3, 0xfcfe76e9c1d21d4b], // 3d 2x2x2 aware=true blocking
+    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=1
+    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=2
+    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=7
+    [0x04c21bc7a3530529, 0x3f2c175f07f35fb3, 0x2750329f93cca8aa], // 3d 2x2x2 aware=false blocking
+    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=1
+    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=2
+    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=7
+];
+
+/// Result digest of the 1.5D failover run (`p = 4`, `c = 2`, rank 1
+/// crashed in epoch 2) — equal to the fault-free run's by construction,
+/// pinned so the degraded path cannot drift either.
+const EXPECTED_FAILOVER: u64 = 0xbfe3fb748acfba5b;
+
+#[test]
+fn grid_family_accounting_results_and_traces_are_pinned() {
+    let ds = dataset();
+    let mut actual = Vec::new();
+    let mut labels = Vec::new();
+    for cell in 0..cells(true).len() {
+        for aware in [true, false] {
+            let (label, pr, algo) = cells(aware)[cell];
+            let bounds = even_bounds(ds.n(), pr);
+            for ov in [
+                OverlapConfig::off(),
+                OverlapConfig::on(1),
+                OverlapConfig::on(2),
+                OverlapConfig::on(7),
+            ] {
+                let mut cfg = config(&ds, algo);
+                cfg.overlap = ov;
+                cfg.trace = true;
+                let out = train_distributed(&ds, &bounds, &cfg);
+                actual.push([stats_digest(&out), result_digest(&out), trace_digest(&out)]);
+                let sched = if ov.enabled {
+                    format!("chunks={}", ov.chunks)
+                } else {
+                    "blocking".to_string()
+                };
+                labels.push(format!("{label} aware={aware} {sched}"));
+            }
+        }
+    }
+    if actual[..] != EXPECTED[..] {
+        let mut table = String::from("[\n");
+        for (row, label) in actual.iter().zip(&labels) {
+            table.push_str(&format!(
+                "    [{:#018x}, {:#018x}, {:#018x}], // {label}\n",
+                row[0], row[1], row[2]
+            ));
+        }
+        table.push(']');
+        let diverged: Vec<&String> = actual
+            .iter()
+            .zip(&EXPECTED)
+            .zip(&labels)
+            .filter(|((a, e), _)| a != e)
+            .map(|(_, l)| l)
+            .collect();
+        panic!("digests diverged for {diverged:?}; actual table:\n{table}");
+    }
+}
+
+#[test]
+fn failover_run_results_are_pinned() {
+    let ds = dataset();
+    let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
+    let mut cfg = config(&ds, Algo::OneFiveD { aware: true, c: 2 });
+    cfg.epochs = 5;
+    let clean = train_distributed(&ds, &bounds, &cfg);
+    cfg.robust = RobustnessConfig {
+        faults: Some(FaultPlan::new(3).crash_at(1, 2, 3)),
+        checkpoint_every: 2,
+        max_restarts: 0,
+        timeout: Duration::from_secs(10),
+        failover: true,
+    };
+    let out = try_train_distributed(&ds, &bounds, &cfg).expect("failover absorbs the crash");
+    assert_eq!((out.failovers, out.restarts), (1, 0));
+    // Survivors' counters include however far each got into the aborted
+    // attempt before noticing the death, so only the results are pinned.
+    assert_eq!(result_digest(&out), result_digest(&clean));
+    assert_eq!(
+        result_digest(&out),
+        EXPECTED_FAILOVER,
+        "failover result digest {:#018x}",
+        result_digest(&out)
+    );
+}

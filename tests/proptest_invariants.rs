@@ -6,7 +6,7 @@
 //! offline, and deterministic seeds make every failure reproducible by
 //! construction — rerun the test, get the same cases.
 
-use gnn_core::dist::{even_bounds, Plan1d, Plan2d};
+use gnn_core::dist::{even_bounds, GridPlan, Plan1d};
 use partition::metrics::volumes;
 use partition::types::Partition;
 use partition::wgraph::WGraph;
@@ -181,9 +181,9 @@ fn grid_nnzcols_match_brute_force_tiles() {
         let pr = rng.gen_range(2..5usize).min(n);
         let pc = rng.gen_range(1..4usize);
         let bounds = even_bounds(n, pr);
-        let plan = Plan2d::build(&g, pr, pc, &bounds, true);
+        let plan = GridPlan::twod(&g, pr, pc, &bounds, true);
         for i in 0..pr {
-            let rp = &plan.ranks[plan.rank_of(i, 0)];
+            let rp = &plan.ranks[plan.rank_of(i, 0, 0)];
             assert_eq!(rp.stages.len(), pr, "2D rank folds every stage");
             for st in &rp.stages {
                 let (lo, hi) = (bounds[i], bounds[i + 1]);
@@ -222,10 +222,10 @@ fn grid_nnzcols_union_and_intersection_invariants() {
         let pr = rng.gen_range(2..5usize).min(n);
         let pc = rng.gen_range(1..4usize);
         let bounds = even_bounds(n, pr);
-        let plan = Plan2d::build(&g, pr, pc, &bounds, true);
-        let oblivious = Plan2d::build(&g, pr, pc, &bounds, false);
+        let plan = GridPlan::twod(&g, pr, pc, &bounds, true);
+        let oblivious = GridPlan::twod(&g, pr, pc, &bounds, false);
         for i in 0..pr {
-            let rp = &plan.ranks[plan.rank_of(i, 0)];
+            let rp = &plan.ranks[plan.rank_of(i, 0, 0)];
             // Pairwise disjoint...
             for a in 0..rp.stages.len() {
                 for b in (a + 1)..rp.stages.len() {
@@ -253,13 +253,13 @@ fn grid_nnzcols_union_and_intersection_invariants() {
             assert_eq!(union, all, "union over stages != row block columns");
             // Panels agree on column sets.
             for j in 1..pc {
-                let other = &plan.ranks[plan.rank_of(i, j)];
+                let other = &plan.ranks[plan.rank_of(i, j, 0)];
                 for (a, b) in rp.stages.iter().zip(&other.stages) {
                     assert_eq!(a.needed, b.needed, "panel {j} diverges at row {i}");
                 }
             }
             // Aware ⊆ oblivious (the full block range).
-            let orp = &oblivious.ranks[oblivious.rank_of(i, 0)];
+            let orp = &oblivious.ranks[oblivious.rank_of(i, 0, 0)];
             for (st, ost) in rp.stages.iter().zip(&orp.stages) {
                 assert!(st.needed.len() <= ost.needed.len());
                 assert!(st.needed.iter().all(|c| ost.needed.contains(c)));
