@@ -1,9 +1,11 @@
 //! Ablation: how the sparsity-aware algorithm assembles the gathered
 //! rows before the local SpMM.
 //!
-//! * **compact** (this workspace's default): remap the block's columns
-//!   once at plan time, gather received rows into a dense `H̃` of exactly
-//!   the needed height.
+//! * **compact**: remap the block's columns once at plan time, gather
+//!   received rows into a dense `H̃` of exactly the needed height. (The
+//!   1D executor goes one step further and assembles nothing: it
+//!   multiplies one segment per source rank against the received
+//!   buffers in place.)
 //! * **full-height scatter** (Algorithm 1 as written): scatter received
 //!   rows into an `n × f` buffer and multiply the unremapped block —
 //!   simpler, but allocates and touches `O(n·f)` memory per SpMM.

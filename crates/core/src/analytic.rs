@@ -108,7 +108,7 @@ fn spmm_1d_aware_charges(plan: &Plan1d, me: usize, f: u64, model: &CostModel, st
     c.bytes_recv += recv;
     c.modeled_seconds += model.alltoallv(sent, recv, plan.p);
     add_compute(st, model, rp.cols.len() as u64 * f);
-    add_compute(st, model, 2 * rp.block_compact.nnz() as u64 * f);
+    add_compute(st, model, 2 * rp.block.nnz() as u64 * f);
 }
 
 /// One sparsity-oblivious 1D SpMM's charges.
@@ -184,7 +184,8 @@ fn spmm_1d_aware_pipelined_charges(
 
         let (clo, chi) = ov.col_bounds[g];
         let assemble = (chi - clo) as u64 * f;
-        let spmm = 2 * ov.blocks[g].nnz() as u64 * f;
+        let nnz: usize = rp.segments[glo..ghi].iter().map(Csr::nnz).sum();
+        let spmm = 2 * nnz as u64 * f;
         add_compute(st, model, assemble);
         add_compute(st, model, spmm);
         prev_compute = model.compute(assemble) + model.compute(spmm);

@@ -82,13 +82,6 @@ impl EpochBuffers {
         Self::take_from(&mut self.f64_pool, &mut self.fresh, cap)
     }
 
-    /// A zero-filled `Vec<f64>` of exactly `len` elements.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f64> {
-        let mut v = self.take_vec(len);
-        v.resize(len, 0.0);
-        v
-    }
-
     /// A zero-filled `rows × cols` matrix backed by a pooled
     /// 64-byte-aligned buffer.
     pub fn take_dense(&mut self, rows: usize, cols: usize) -> Dense {
@@ -143,11 +136,11 @@ mod tests {
     #[test]
     fn recycles_instead_of_allocating() {
         let mut b = EpochBuffers::new();
-        let v = b.take_zeroed(100);
+        let v = b.take_vec(100);
         assert_eq!(b.fresh_allocs(), 1);
         b.put_vec(v);
         // Same-size request is served from the pool.
-        let v = b.take_zeroed(100);
+        let v = b.take_vec(100);
         assert_eq!(b.fresh_allocs(), 1);
         b.put_vec(v);
         // Smaller request too.

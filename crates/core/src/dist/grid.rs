@@ -48,12 +48,15 @@ pub struct Stage {
     /// Block-row index `k` of `H` consumed by this stage.
     pub k: usize,
     /// Linear rank of the designated sender of `H[k][j]`; the rank's own
-    /// stage (`k == i`, gathered locally) names the rank itself.
+    /// stage (`k == i`, read from the local block) names the rank itself.
     pub src_rank: usize,
     /// Global rows of `H` block `k` this stage reads (`NnzCols(i, k)`
     /// for the sparsity-aware variant; all of `k`'s range otherwise).
     pub needed: Vec<u32>,
-    /// `Aᵀ[i][k]` with columns remapped to positions in `needed`.
+    /// `Aᵀ[i][k]` with columns remapped to where the operand row lives
+    /// when the stage multiplies: its position in `needed` (the received
+    /// payload) for a remote stage, its local row `g − row_lo` for the
+    /// own stage, which multiplies against the local block in place.
     pub block_compact: Csr,
 }
 
@@ -201,12 +204,17 @@ impl GridPlan {
                     .map(|k| {
                         let (klo, khi) = (bounds[k], bounds[k + 1]);
                         let block = row.col_range_block(klo, khi);
-                        let needed: Vec<u32> = if aware {
+                        let all_rows = || (klo as u32..khi as u32).collect::<Vec<u32>>();
+                        let needed = if aware {
                             block.distinct_cols_in_range(klo, khi)
                         } else {
-                            (klo as u32..khi as u32).collect()
+                            all_rows()
                         };
-                        let compact = block.remap_cols(&needed);
+                        let compact = if aware && k == i {
+                            block.remap_cols(&all_rows())
+                        } else {
+                            block.remap_cols(&needed)
+                        };
                         (needed, compact)
                     })
                     .collect()
@@ -299,8 +307,8 @@ pub(super) fn pack_block(
 ) -> Payload {
     if aware {
         let f = h_local.cols();
-        let mut data = bufs.take_zeroed(idx.len() * f);
-        h_local.pack_rows_into(idx, row_lo, &mut data);
+        let mut data = bufs.take_vec(idx.len() * f);
+        h_local.pack_rows_extend(idx, row_lo, &mut data);
         *pack_elems += (idx.len() * f) as u64;
         let mut ids = bufs.take_u32(idx.len());
         ids.extend_from_slice(idx);
@@ -312,10 +320,11 @@ pub(super) fn pack_block(
     }
 }
 
-/// Folds one stage into `acc`: materializes the stage operand — a local
-/// gather for the rank's own stage, nothing for an empty one, otherwise
-/// the block `fetch` obtains from the stage's sender — multiplies it
-/// against the stage's compact block, and retires the operand.
+/// Folds one stage into `acc`: multiplies the stage's block against its
+/// operand where that already is — the local block for the rank's own
+/// stage (charged as the gather the model prices), nothing for an empty
+/// one, otherwise the buffer `fetch` obtains from the stage's sender,
+/// retired afterwards.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn fold_stage(
     ctx: &mut RankCtx,
@@ -329,12 +338,14 @@ pub(super) fn fold_stage(
 ) {
     let f = h_local.cols();
     let rows = st.needed.len();
-    let h_stage = if st.src_rank == rp.rank {
-        let mut data = bufs.take_zeroed(rows * f);
-        h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
+    let block = &st.block_compact;
+    let flops = spmm_flops(block, f);
+    if st.src_rank == rp.rank {
         ctx.record_compute((rows * f) as u64);
-        Dense::from_vec(rows, f, data)
-    } else if rows == 0 {
+        ctx.compute(flops, || spmm_acc(block, h_local, acc));
+        return;
+    }
+    let h_stage = if rows == 0 {
         Dense::zeros(0, f)
     } else if aware {
         let (idx, data) = fetch(ctx, st.src_rank).into_rows();
@@ -351,8 +362,7 @@ pub(super) fn fold_stage(
         );
         Dense::from_vec(rows, f, data)
     };
-    let block = &st.block_compact;
-    ctx.compute(spmm_flops(block, f), || spmm_acc(block, &h_stage, acc));
+    ctx.compute(flops, || spmm_acc(block, &h_stage, acc));
     bufs.put_dense(h_stage);
 }
 

@@ -11,7 +11,8 @@ use spmat::spmm::{spmm_acc, spmm_flops};
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
-use super::plan::Plan1d;
+use super::grid::pack_block;
+use super::plan::{Plan1d, RankPlan1d};
 
 /// Sparsity-oblivious 1D SpMM: every rank broadcasts its whole `Hⱼ`
 /// block; each rank assembles the full `H` and multiplies its block row.
@@ -74,12 +75,70 @@ pub fn spmm_1d_oblivious_buf(
 }
 
 /// Sparsity-aware 1D SpMM (Algorithm 1): exchange only the needed rows of
-/// `H` with a single all-to-allv, then multiply the compacted block
-/// against the gathered `H̃`.
+/// `H` with a single all-to-allv, then multiply each source rank's segment
+/// of the block row against that rank's rows where they already are — the
+/// own segment against `h_local`, a remote one against the received
+/// buffer.
 ///
 /// Returns `Zᵢ` (`rows_i × f`).
 pub fn spmm_1d_aware(ctx: &mut RankCtx, plan: &Plan1d, h_local: &Dense) -> Dense {
     spmm_1d_aware_buf(ctx, plan, h_local, &mut EpochBuffers::new())
+}
+
+/// Packs the rows each peer asked for into pooled `Rows` payloads (one
+/// slot per rank, `Empty` for the caller and for peers that need nothing)
+/// and charges the gather.
+pub(super) fn pack_sends(
+    ctx: &mut RankCtx,
+    rp: &RankPlan1d,
+    h_local: &Dense,
+    bufs: &mut EpochBuffers,
+) -> Vec<Payload> {
+    let mut pack_elems = 0u64;
+    let sends = rp
+        .send_to
+        .iter()
+        .map(|idx| match idx.is_empty() {
+            true => Payload::Empty,
+            false => pack_block(true, h_local, rp.row_lo, idx, &mut pack_elems, bufs),
+        })
+        .collect();
+    ctx.record_compute(pack_elems);
+    sends
+}
+
+/// Folds source rank `j`'s segment into `z`: `arrived` is what `j` sent
+/// (`None` for the caller's own segment, multiplied against `h_local`).
+/// The received buffer becomes the operand as it is and retires into
+/// `bufs` afterwards.
+pub(super) fn fold_segment(
+    rp: &RankPlan1d,
+    j: usize,
+    arrived: Option<Payload>,
+    h_local: &Dense,
+    z: &mut Dense,
+    bufs: &mut EpochBuffers,
+) {
+    let seg = &rp.segments[j];
+    match arrived {
+        None => spmm_acc(seg, h_local, z),
+        Some(Payload::Empty) => {
+            assert_eq!(
+                seg.cols(),
+                0,
+                "peer {j} sent nothing but rows were expected"
+            )
+        }
+        Some(other) => {
+            let (idx, data) = other.into_rows();
+            assert_eq!(idx.len(), seg.cols(), "row count mismatch from {j}");
+            debug_assert_eq!(idx, rp.recv_from(j), "row ids mismatch from {j}");
+            let h_j = Dense::from_vec(idx.len(), h_local.cols(), data);
+            spmm_acc(seg, &h_j, z);
+            bufs.put_dense(h_j);
+            bufs.put_u32(idx);
+        }
+    }
 }
 
 /// [`spmm_1d_aware`] with caller-provided scratch (see
@@ -93,65 +152,28 @@ pub fn spmm_1d_aware_buf(
     let me = ctx.rank();
     let rp = &plan.ranks[me];
     let f = h_local.cols();
-    let lo = rp.row_lo;
     assert_eq!(
         h_local.rows(),
-        rp.row_hi - lo,
+        rp.row_hi - rp.row_lo,
         "local H block shape mismatch"
     );
     ctx.span_begin(SpanKind::Spmm1d, Phase::AllToAll);
 
-    // Pack: gather the rows each peer asked for (parallel row gather).
-    let mut pack_elems = 0u64;
-    let sends: Vec<Payload> = (0..plan.p)
-        .map(|j| {
-            if j == me || rp.send_to[j].is_empty() {
-                return Payload::Empty;
-            }
-            let idx = &rp.send_to[j];
-            pack_elems += (idx.len() * f) as u64;
-            let mut data = bufs.take_zeroed(idx.len() * f);
-            h_local.pack_rows_into(idx, lo, &mut data);
-            let mut ids = bufs.take_u32(idx.len());
-            ids.extend_from_slice(idx);
-            Payload::Rows { idx: ids, data }
-        })
-        .collect();
-    ctx.record_compute(pack_elems);
-
+    let sends = pack_sends(ctx, rp, h_local, bufs);
     let received = ctx.alltoallv(sends);
 
-    // Assemble the compact H̃ aligned with `rp.cols`. Own rows come from
-    // h_local; received rows land at their contiguous col_ranges slice.
-    let mut h_tilde = bufs.take_dense(rp.cols.len(), f);
-    for (j, payload) in received.into_iter().enumerate() {
-        let (start, len) = rp.col_ranges[j];
-        if j == me {
-            for (off, &g) in rp.cols[start..start + len].iter().enumerate() {
-                h_tilde
-                    .row_mut(start + off)
-                    .copy_from_slice(h_local.row(g as usize - lo));
-            }
-            continue;
-        }
-        match payload {
-            Payload::Empty => assert_eq!(len, 0, "peer {j} sent nothing but rows were expected"),
-            other => {
-                let (idx, data) = other.into_rows();
-                assert_eq!(idx.len(), len, "row count mismatch from {j}");
-                debug_assert_eq!(idx, rp.recv_from(j), "row ids mismatch from {j}");
-                h_tilde.data_mut()[start * f..(start + len) * f].copy_from_slice(&data);
-                bufs.put_vec(data);
-                bufs.put_u32(idx);
-            }
-        }
-    }
+    // The model's charge for laying the needed rows out (one element
+    // move per entry of the gathered operand); the executor multiplies
+    // them where they are instead.
     ctx.record_compute((rp.cols.len() * f) as u64);
 
-    let mut z = bufs.take_dense(rp.row_hi - lo, f);
-    let flops = spmm_flops(&rp.block_compact, f);
-    ctx.compute(flops, || spmm_acc(&rp.block_compact, &h_tilde, &mut z));
-    bufs.put_dense(h_tilde);
+    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
+    ctx.compute(spmm_flops(&rp.block, f), || {
+        for (j, payload) in received.into_iter().enumerate() {
+            let arrived = (j != me).then_some(payload);
+            fold_segment(rp, j, arrived, h_local, &mut z, bufs);
+        }
+    });
     ctx.span_end();
     z
 }

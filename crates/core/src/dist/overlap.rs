@@ -12,12 +12,14 @@
 //! communication — `max(0, comm − compute since the last boundary)` —
 //! so `Phase::Overlap` reports executed (not assumed) overlap.
 //!
-//! **Bit-exactness.** Chunk boundaries follow column ranges of the
-//! already-sorted plan structures, and [`spmat::Csr::col_range_block`]
-//! preserves both the column space and the per-row entry order. Folding
-//! the chunks in ascending order therefore accumulates every output
-//! element in *exactly* the order the blocking implementation uses —
-//! the pipelined results are bitwise identical, not merely close.
+//! **Bit-exactness.** Chunk boundaries follow ownership ranges of the
+//! already-sorted plan structures: a sparsity-aware chunk is a run of
+//! the plan's per-source segments, an oblivious one a
+//! [`spmat::Csr::col_range_block`] of the block row, and both keep the
+//! per-row entry order. Folding the chunks in ascending order therefore
+//! accumulates every output element in *exactly* the order the blocking
+//! implementation uses — the pipelined results are bitwise identical,
+//! not merely close.
 
 use gnn_comm::msg::Payload;
 use gnn_comm::{PendingOp, Phase, RankCtx, SpanKind};
@@ -26,6 +28,7 @@ use spmat::{Csr, Dense};
 
 use super::buffers::EpochBuffers;
 use super::grid::{fold_stage, pack_block, GridPlan};
+use super::oned::{fold_segment, pack_sends};
 use super::plan::Plan1d;
 
 /// Partitions `items` positions into at most `chunks` contiguous,
@@ -40,8 +43,9 @@ pub fn chunk_groups(items: usize, chunks: usize) -> Vec<(usize, usize)> {
 }
 
 /// Precomputed per-rank chunking of a [`Plan1d`]: which peer ranks each
-/// chunk covers, the matching column range, and the sub-block of the
-/// local matrix that becomes multipliable once that chunk has arrived.
+/// chunk covers, the matching column range, and what becomes multipliable
+/// once that chunk has arrived — sparsity-aware, the plan's segments of
+/// those ranks; oblivious, a sub-block of the local matrix.
 ///
 /// Like the plan itself this is sparsity-derived and epoch-invariant,
 /// so it is built once and reused by every SpMM of every epoch.
@@ -53,9 +57,10 @@ pub struct OverlapPlan1d {
     /// Per-chunk column range. Sparsity-aware: positions in the compact
     /// `cols` space; oblivious: global row-id bounds.
     pub col_bounds: Vec<(usize, usize)>,
-    /// Per-chunk sub-block: columns restricted to `col_bounds[g]`, full
-    /// column-space width preserved (aware: of `block_compact`;
-    /// oblivious: of `block`).
+    /// Oblivious only: per-chunk sub-block of `block`, columns restricted
+    /// to `col_bounds[g]`, full column-space width preserved. Empty when
+    /// sparsity-aware — chunk `g` then multiplies the plan's
+    /// `segments[groups[g].0..groups[g].1]`.
     pub blocks: Vec<Csr>,
     /// Which 1D variant this plan chunks.
     pub aware: bool,
@@ -75,12 +80,10 @@ impl OverlapPlan1d {
             }
         };
         let mut col_bounds = Vec::with_capacity(groups.len());
-        let mut blocks = Vec::with_capacity(groups.len());
+        let mut blocks = Vec::new();
         for &(glo, ghi) in &groups {
             if aware {
-                let (clo, chi) = (compact_bound(glo), compact_bound(ghi));
-                col_bounds.push((clo, chi));
-                blocks.push(rp.block_compact.col_range_block(clo, chi));
+                col_bounds.push((compact_bound(glo), compact_bound(ghi)));
             } else {
                 let (blo, bhi) = (plan.bounds[glo], plan.bounds[ghi]);
                 col_bounds.push((blo, bhi));
@@ -119,32 +122,16 @@ pub fn spmm_1d_aware_pipelined_buf(
     let me = ctx.rank();
     let rp = &plan.ranks[me];
     let f = h_local.cols();
-    let lo = rp.row_lo;
     assert_eq!(
         h_local.rows(),
-        rp.row_hi - lo,
+        rp.row_hi - rp.row_lo,
         "local H block shape mismatch"
     );
     ctx.span_begin(SpanKind::Spmm1d, Phase::AllToAll);
 
     // Pack outside the window: it must complete before the sends post,
     // so it cannot hide any chunk's communication.
-    let mut pack_elems = 0u64;
-    let mut sends: Vec<Payload> = (0..plan.p)
-        .map(|j| {
-            if j == me || rp.send_to[j].is_empty() {
-                return Payload::Empty;
-            }
-            let idx = &rp.send_to[j];
-            pack_elems += (idx.len() * f) as u64;
-            let mut data = bufs.take_zeroed(idx.len() * f);
-            h_local.pack_rows_into(idx, lo, &mut data);
-            let mut ids = bufs.take_u32(idx.len());
-            ids.extend_from_slice(idx);
-            Payload::Rows { idx: ids, data }
-        })
-        .collect();
-    ctx.record_compute(pack_elems);
+    let mut sends = pack_sends(ctx, rp, h_local, bufs);
 
     ctx.overlap_begin(ov.chunks());
 
@@ -166,51 +153,29 @@ pub fn spmm_1d_aware_pipelined_buf(
         .map(|j| (j != me).then(|| ctx.irecv(j, Phase::AllToAll)))
         .collect();
 
-    let mut h_tilde = bufs.take_dense(rp.cols.len(), f);
-    let mut z = bufs.take_dense(rp.row_hi - lo, f);
+    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
     for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
         // Wait for this chunk's rows; the boundary then charges the
         // exposed remainder of the chunk's comm.
-        for (j, slot) in recvs.iter_mut().enumerate().take(ghi).skip(glo) {
-            if j == me {
-                continue;
-            }
-            let payload = ctx.wait(slot.take().expect("chunk groups must partition peers"));
-            let (start, len) = rp.col_ranges[j];
-            match payload {
-                Payload::Empty => {
-                    assert_eq!(len, 0, "peer {j} sent nothing but rows were expected")
-                }
-                other => {
-                    let (idx, data) = other.into_rows();
-                    assert_eq!(idx.len(), len, "row count mismatch from {j}");
-                    debug_assert_eq!(idx, rp.recv_from(j), "row ids mismatch from {j}");
-                    h_tilde.data_mut()[start * f..(start + len) * f].copy_from_slice(&data);
-                    bufs.put_vec(data);
-                    bufs.put_u32(idx);
-                }
-            }
-        }
+        let arrived: Vec<Option<Payload>> = recvs[glo..ghi]
+            .iter_mut()
+            .map(|slot| slot.take().map(|op| ctx.wait(op)))
+            .collect();
         ctx.overlap_stage();
 
-        // Fold: own rows (if our slice falls in this chunk), the
-        // chunk's share of the assembly charge, then the sub-block
-        // multiply against the partially assembled H̃.
-        if (glo..ghi).contains(&me) {
-            let (start, len) = rp.col_ranges[me];
-            for (off, &g_id) in rp.cols[start..start + len].iter().enumerate() {
-                h_tilde
-                    .row_mut(start + off)
-                    .copy_from_slice(h_local.row(g_id as usize - lo));
-            }
-        }
+        // Fold: the chunk's share of the layout charge, then its run of
+        // segments, each against the rows where they arrived (our own
+        // against `h_local`, if our slice falls in this chunk).
         let (clo, chi) = ov.col_bounds[g];
         ctx.record_compute(((chi - clo) * f) as u64);
-        let blk = &ov.blocks[g];
-        ctx.compute(spmm_flops(blk, f), || spmm_acc(blk, &h_tilde, &mut z));
+        let nnz: usize = rp.segments[glo..ghi].iter().map(Csr::nnz).sum();
+        ctx.compute(2 * (nnz * f) as u64, || {
+            for (j, payload) in (glo..ghi).zip(arrived) {
+                fold_segment(rp, j, payload, h_local, &mut z, bufs);
+            }
+        });
     }
     ctx.overlap_end();
-    bufs.put_dense(h_tilde);
     ctx.span_end();
     z
 }
@@ -447,8 +412,15 @@ mod tests {
             for aware in [true, false] {
                 for k in [1, 2, 3, 7] {
                     let ov = OverlapPlan1d::build(&plan, me, k, aware);
-                    let total: usize = ov.blocks.iter().map(|b| b.nnz()).sum();
-                    assert_eq!(total, plan.ranks[me].block.nnz(), "rank {me} k={k}");
+                    let rp = &plan.ranks[me];
+                    let total: usize = if aware {
+                        assert!(ov.blocks.is_empty());
+                        let run = |&(glo, ghi): &(usize, usize)| &rp.segments[glo..ghi];
+                        ov.groups.iter().flat_map(run).map(Csr::nnz).sum()
+                    } else {
+                        ov.blocks.iter().map(Csr::nnz).sum()
+                    };
+                    assert_eq!(total, rp.block.nnz(), "rank {me} k={k}");
                 }
             }
         }
@@ -527,6 +499,41 @@ mod tests {
                         "{label}: overlapped slower than blocking"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn aware_1d_executors_recycle_every_buffer() {
+        // Received payloads become SpMM operands as they are and retire
+        // into the receiver's pool; sends are staged out of it. Once the
+        // pool has seen every size, no call may allocate.
+        let (adj, h) = setup(7, 17, 12);
+        let (warm_up, steady) = (6, 6);
+        let bounds = even_bounds(adj.rows(), 3);
+        let plan = Plan1d::build(&adj, &bounds);
+        for chunks in [None, Some(2)] {
+            let world = ThreadWorld::new(3, CostModel::perlmutter_like());
+            let (fresh, _) = world.run(|ctx| {
+                let me = ctx.rank();
+                let local = h.row_slice(bounds[me], bounds[me + 1]);
+                let ov = chunks.map(|k| OverlapPlan1d::build(&plan, me, k, true));
+                let mut bufs = EpochBuffers::new();
+                let mut warm = 0;
+                for call in 0..warm_up + steady {
+                    let z = match &ov {
+                        None => spmm_1d_aware_buf(ctx, &plan, &local, &mut bufs),
+                        Some(ov) => spmm_1d_aware_pipelined_buf(ctx, &plan, &local, ov, &mut bufs),
+                    };
+                    bufs.put_dense(z);
+                    if call + 1 == warm_up {
+                        warm = bufs.fresh_allocs();
+                    }
+                }
+                (warm, bufs.fresh_allocs())
+            });
+            for (rank, (warm, end)) in fresh.into_iter().enumerate() {
+                assert_eq!(warm, end, "chunks={chunks:?}: rank {rank} allocated");
             }
         }
     }

@@ -2,9 +2,9 @@
 //! before training starts.
 //!
 //! Because the adjacency pattern never changes during training (§1 of the
-//! paper), the `NnzCols(i, j)` sets, the compacted local blocks, and the
-//! send/receive row lists are computed **once** and reused by every SpMM
-//! of every epoch — this is what amortizes the preprocessing.
+//! paper), the `NnzCols(i, j)` sets, the per-source segments of the local
+//! block, and the send/receive row lists are computed **once** and reused
+//! by every SpMM of every epoch — this is what amortizes the preprocessing.
 //!
 //! * [`Plan1d`] — block-row distribution over `p` ranks (Algorithm 1).
 //! * [`super::grid::GridPlan`] — the `pr × pc × c` grid template whose
@@ -24,14 +24,21 @@ pub struct RankPlan1d {
     /// Sorted distinct global columns of `block` — the union of all
     /// `NnzCols(i, ·)`, i.e. exactly the rows of `H` the local SpMM reads.
     pub cols: Vec<u32>,
-    /// `block` with columns remapped to positions in `cols` (the compact
-    /// matrix multiplied against the gathered `H̃`).
-    pub block_compact: Csr,
     /// `col_ranges[j] = (start, len)`: the slice of `cols` lying in rank
     /// `j`'s row range. Because ownership ranges are contiguous in global
     /// id space and `cols` is sorted, each rank's needed rows occupy a
     /// contiguous slice — `cols[start..start+len]` is `NnzCols(i, j)`.
     pub col_ranges: Vec<(usize, usize)>,
+    /// `segments[j]`: the entries of `block` whose column rank `j` owns,
+    /// re-indexed to where that operand row lives when it is multiplied —
+    /// the own segment by local row (`g − row_lo`, `row_hi − row_lo`
+    /// columns, multiplied against the local `H` block in place), a remote
+    /// segment by position in `j`'s payload (`recv_from(j).len()` columns,
+    /// multiplied against the received buffer in place). The segments
+    /// partition `block`'s nonzeros and keep each row's entry order, so
+    /// folding them in ascending `j` accumulates every output element in
+    /// `block`'s own CSR order.
+    pub segments: Vec<Csr>,
     /// `send_to[j]`: global row ids (within our range) whose `H` rows rank
     /// `j` needs from us. `send_to[i]` is empty.
     pub send_to: Vec<Vec<u32>>,
@@ -91,7 +98,6 @@ impl Plan1d {
                 let (lo, hi) = (bounds[i], bounds[i + 1]);
                 let block = adj.row_block(lo, hi);
                 let cols = block.distinct_cols();
-                let block_compact = block.remap_cols(&cols);
                 // Slice `cols` by ownership ranges.
                 let mut col_ranges = Vec::with_capacity(p);
                 let mut start = 0usize;
@@ -105,13 +111,27 @@ impl Plan1d {
                     start = end;
                 }
                 debug_assert_eq!(start, cols.len());
+                let own_rows: Vec<u32> = (lo as u32..hi as u32).collect();
+                let segments = (0..p)
+                    .map(|j| {
+                        let (start, len) = col_ranges[j];
+                        let operand_rows = if j == i {
+                            &own_rows[..]
+                        } else {
+                            &cols[start..start + len]
+                        };
+                        block
+                            .col_range_block(bounds[j], bounds[j + 1])
+                            .remap_cols(operand_rows)
+                    })
+                    .collect();
                 RankPlan1d {
                     row_lo: lo,
                     row_hi: hi,
                     block,
                     cols,
-                    block_compact,
                     col_ranges,
+                    segments,
                     send_to: vec![Vec::new(); p],
                 }
             })
@@ -150,7 +170,7 @@ pub fn even_bounds(n: usize, p: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmat::gen::{grid2d, rmat, RmatConfig};
+    use spmat::gen::{rmat, RmatConfig};
 
     #[test]
     fn plan1d_recv_matches_distinct_cols() {
@@ -193,18 +213,6 @@ mod tests {
                     assert!((r as usize) >= bounds[j] && (r as usize) < bounds[j + 1]);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn plan1d_compact_block_dims() {
-        let adj = grid2d(8);
-        let bounds = even_bounds(64, 4);
-        let plan = Plan1d::build(&adj, &bounds);
-        for rp in &plan.ranks {
-            assert_eq!(rp.block_compact.rows(), rp.row_hi - rp.row_lo);
-            assert_eq!(rp.block_compact.cols(), rp.cols.len());
-            assert_eq!(rp.block_compact.nnz(), rp.block.nnz());
         }
     }
 }

@@ -9,8 +9,9 @@
 //! * [`Csr::distinct_cols_in_range`] — the `NnzCols(i, j)` sets of the
 //!   paper: which columns of a block are non-empty within a peer's column
 //!   range, i.e. which rows of `H` must be communicated,
-//! * [`Csr::remap_cols`] — compact global column ids to local positions so
-//!   the local SpMM can run against a gathered, compacted `H̃`,
+//! * [`Csr::remap_cols`] — compact global column ids to positions in a
+//!   row list, so a block multiplies straight against the buffer holding
+//!   exactly those rows of `H` (a received payload, the local block),
 //! * [`Csr::permute_symmetric`] — apply a partitioner's vertex relabeling.
 
 /// An immutable sparse matrix in CSR format.
@@ -335,7 +336,7 @@ impl Csr {
     /// distinct global columns this matrix touches; column `c` becomes the
     /// position of `c` in `new_of_old`. The result has
     /// `cols == new_of_old.len()` and is the compacted local matrix to
-    /// multiply against a gathered, compacted `H̃`.
+    /// multiply against a buffer holding exactly those rows of `H`.
     ///
     /// # Panics
     /// Panics (debug) if some stored column is missing from `new_of_old`.

@@ -281,9 +281,11 @@ impl Dense {
 
     /// [`Dense::transpose_matmul_into`] with an explicit thread count.
     ///
-    /// Parallel over output rows `k`; each output element still
-    /// accumulates over `i = 0..rows` in ascending order, matching the
-    /// serial kernel bit for bit.
+    /// One kernel call per chunk of output rows `k` — every row when one
+    /// worker runs, so the input is streamed once; `GEMM_CHUNK_ROWS`
+    /// otherwise. Each output element accumulates over `i = 0..rows` in
+    /// ascending order whatever the chunking, so every thread count
+    /// matches the scalar kernel bit for bit.
     pub fn transpose_matmul_into_with(&self, other: &Dense, out: &mut Dense, threads: usize) {
         assert_eq!(self.rows, other.rows, "transpose_matmul row mismatch");
         assert_eq!(out.rows, self.cols, "transpose_matmul output rows mismatch");
@@ -291,49 +293,19 @@ impl Dense {
             out.cols, other.cols,
             "transpose_matmul output cols mismatch"
         );
-        let n = other.cols;
-        if self.cols == 0 || n == 0 {
-            out.data.as_mut_slice().fill(0.0);
+        let (k_dim, n) = (self.cols, other.cols);
+        if k_dim == 0 || n == 0 {
             return;
         }
-        let t = pool::effective_threads(threads, 2 * self.rows * self.cols * n);
+        let t = pool::effective_threads(threads, 2 * self.rows * k_dim * n);
+        let chunk_rows = if t <= 1 { k_dim } else { GEMM_CHUNK_ROWS };
         let ker = kernel::active();
-        if t <= 1 {
-            // Serial reference order: stream rows of self/other once.
-            let out_data = out.data.as_mut_slice();
-            out_data.fill(0.0);
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let b_row = other.row(i);
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    ker.axpy(&mut out_data[k * n..(k + 1) * n], a, b_row);
-                }
-            }
-            return;
-        }
-        let cols = self.cols;
-        let a_data = self.data.as_slice();
+        let (a, b) = (self.data.as_slice(), other.data.as_slice());
         pool::for_each_chunk_mut(
             t,
             out.data.as_mut_slice(),
-            GEMM_CHUNK_ROWS * n,
-            |ci, out_chunk| {
-                let k0 = ci * GEMM_CHUNK_ROWS;
-                for (dk, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
-                    out_row.fill(0.0);
-                    let k = k0 + dk;
-                    for i in 0..self.rows {
-                        let a = a_data[i * cols + k];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        ker.axpy(out_row, a, other.row(i));
-                    }
-                }
-            },
+            chunk_rows * n,
+            |ci, out_chunk| ker.gemm_t(a, k_dim, ci * chunk_rows, b, n, out_chunk),
         );
     }
 
@@ -559,6 +531,28 @@ impl Dense {
         });
     }
 
+    /// Appends rows `idx[i] - base` of `self` to `out`, which so needs no
+    /// zero-fill first: the staging path for pooled send buffers, whose
+    /// every element the pack overwrites anyway. One worker extends in
+    /// place; more than one fill a zeroed tail through
+    /// [`Dense::pack_rows_into`].
+    ///
+    /// # Panics
+    /// Panics on an id below `base`.
+    pub fn pack_rows_extend(&self, idx: &[u32], base: usize, out: &mut Vec<f64>) {
+        let len = idx.len() * self.cols;
+        if pool::effective_threads(pool::current_threads(), len) > 1 {
+            let at = out.len();
+            out.resize(at + len, 0.0);
+            self.pack_rows_into(idx, base, &mut out[at..]);
+        } else {
+            out.reserve(len);
+            for &g in idx {
+                out.extend_from_slice(self.row(g as usize - base));
+            }
+        }
+    }
+
     /// Scatters `src`'s rows into this matrix at the listed positions
     /// (communication unpacking). Serial: `rows` may contain duplicates,
     /// which a parallel scatter could not handle deterministically.
@@ -758,6 +752,21 @@ mod tests {
         let mut out = vec![0.0; 4];
         a.pack_rows_into(&[7, 5], 5, &mut out);
         assert_eq!(out, vec![20.0, 21.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn pack_rows_extend_appends_what_pack_rows_into_writes() {
+        // Small: extends in place. Large: past the parallel threshold.
+        for (rows, cols, picked) in [(3usize, 2usize, 2usize), (700, 40, 600)] {
+            let a = Dense::from_fn(rows, cols, |r, c| (r * cols + c) as f64);
+            let idx: Vec<u32> = (0..picked).map(|i| (5 + (i * 7) % rows) as u32).collect();
+            let mut want = vec![0.0; picked * cols];
+            a.pack_rows_into(&idx, 5, &mut want);
+            let mut got = vec![-1.0];
+            a.pack_rows_extend(&idx, 5, &mut got);
+            assert_eq!(got[0], -1.0, "existing contents stay");
+            assert_eq!(&got[1..], &want[..]);
+        }
     }
 
     #[test]

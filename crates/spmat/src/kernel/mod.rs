@@ -7,7 +7,7 @@
 //! baseline) and all kernels dispatch to it:
 //!
 //! * **`Avx2`** — x86_64 AVX2(+FMA) intrinsics, 4 × f64 lanes,
-//!   register-blocked 32-column output tiles ([`x86`]).
+//!   register-blocked output tiles of 32, 16, 8 and 4 columns ([`x86`]).
 //! * **`Neon`** — aarch64 NEON intrinsics, 2 × f64 lanes (`neon`).
 //! * **`Scalar`** — the portable loop every backend is tested against;
 //!   always available, and the whole story when the `simd` cargo
@@ -292,17 +292,35 @@ impl Kernels {
         }
     }
 
-    /// `out += a · x` element-wise (the axpy update inside
-    /// `transpose_matmul`). Lane-independent, so SIMD stays bit-exact.
+    /// `AᵀB` for the output rows `k0 .. k0 + out.len()/n` of the
+    /// product of `a` (`rows × lda`) and `b` (`rows × n`):
+    /// `out[k − k0][j] = Σ_i a[i·lda + k] · b[i·n + j]`, overwriting
+    /// `out`. Terms accumulate in ascending `i` with exact zeros of `a`
+    /// skipped; lanes are independent output elements, so SIMD stays
+    /// bit-exact.
+    ///
+    /// # Panics
+    /// Panics if `lda` or `n` is zero, if `a`, `b` and `out` are not
+    /// whole rows of `lda`, `n` and `n` elements with equal row counts of
+    /// `a` and `b`, or if the output rows reach past column `lda`.
     #[inline]
-    pub fn axpy(self, out: &mut [f64], a: f64, x: &[f64]) {
-        debug_assert_eq!(out.len(), x.len());
+    pub fn gemm_t(self, a: &[f64], lda: usize, k0: usize, b: &[f64], n: usize, out: &mut [f64]) {
+        assert!(lda > 0 && n > 0, "gemm_t operands must have columns");
+        let (rows, kn) = (a.len() / lda, out.len() / n);
+        assert!(
+            a.len() == rows * lda && b.len() == rows * n && out.len() == kn * n,
+            "gemm_t operands must be whole rows with equal row counts"
+        );
+        assert!(k0 + kn <= lda, "gemm_t output rows past the last column");
+        // SAFETY (both SIMD arms): a SIMD backend is only ever selected
+        // after `supported()` held, and the asserts above are exactly
+        // the bounds the kernels' raw-pointer tiles stay within.
         match self.backend {
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => unsafe { x86::axpy(out, a, x, self.fast()) },
+            Backend::Avx2 => unsafe { x86::gemm_t(a, lda, k0, b, n, out, self.fast()) },
             #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => unsafe { neon::axpy(out, a, x, self.fast()) },
-            _ => scalar::axpy(out, a, x),
+            Backend::Neon => unsafe { neon::gemm_t(a, lda, k0, b, n, out, self.fast()) },
+            _ => scalar::gemm_t(a, lda, k0, b, n, out),
         }
     }
 

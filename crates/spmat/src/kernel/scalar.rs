@@ -95,6 +95,25 @@ fn gemm_row_spec<const N: usize>(a_row: &[f64], b: &[f64], out_row: &mut [f64]) 
     }
 }
 
+/// `AᵀB` for the output rows `k0 .. k0 + out.len()/n`:
+/// `out[k − k0][j] = Σ_i a[i·lda + k] · b[i·n + j]`, overwriting `out`.
+/// Streams the rows of `a` and `b` once; every output element
+/// accumulates in ascending `i` with exact zeros of `a` skipped (the
+/// historical `transpose_matmul` order, and the contract the SIMD
+/// kernels are tested against).
+pub fn gemm_t(a: &[f64], lda: usize, k0: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    let kn = out.len() / n;
+    for (a_row, b_row) in a.chunks_exact(lda).zip(b.chunks_exact(n)) {
+        for (&av, out_row) in a_row[k0..k0 + kn].iter().zip(out.chunks_exact_mut(n)) {
+            if av == 0.0 {
+                continue;
+            }
+            axpy(out_row, av, b_row);
+        }
+    }
+}
+
 /// `out += a · x` element-wise.
 #[inline]
 pub fn axpy(out: &mut [f64], a: f64, x: &[f64]) {

@@ -31,10 +31,12 @@ use spmat::{Coo, Csr, Dense};
 static GLOBAL_DISPATCH: Mutex<()> = Mutex::new(());
 
 /// Feature widths crossing every code path: sub-lane tails, exact lane
-/// multiples, register-block multiples, the specialized widths and their
-/// off-by-one neighbors, and a multi-block generic width.
+/// multiples, every rung of the register-block ladder alone and stacked
+/// (12 = 8 + 4, 24 = 16 + 8, 40 = 32 + 8), the specialized widths and
+/// their off-by-one neighbors, multi-block generic widths, and the
+/// datasets' 300 = 9·32 + 8 + 4.
 const WIDTHS: &[usize] = &[
-    1, 3, 4, 7, 8, 16, 31, 32, 33, 48, 63, 64, 65, 96, 127, 128, 129, 160,
+    1, 3, 4, 7, 8, 12, 16, 24, 31, 32, 33, 40, 48, 63, 64, 65, 96, 127, 128, 129, 160, 300,
 ];
 
 /// Every backend this host can execute (scalar always; SIMD when real).
@@ -142,24 +144,18 @@ fn strict_gemm_rows_bitwise_equal_scalar_on_all_backends_and_widths() {
 }
 
 #[test]
-fn strict_axpy_and_dot_bitwise_equal_scalar_on_all_backends() {
+fn strict_dot_bitwise_equal_scalar_on_all_backends() {
     let mut rng = StdRng::seed_from_u64(0xABCD);
     let oracle = Kernels::scalar_strict();
     for &n in WIDTHS {
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let a = rng.gen_range(-1.5..1.5);
-        let mut want = y.clone();
-        oracle.axpy(&mut want, a, &x);
         let want_dot = oracle.dot(&x, &y);
         for backend in supported_backends() {
             let ker = Kernels {
                 backend,
                 mode: KernelMode::Strict,
             };
-            let mut got = y.clone();
-            ker.axpy(&mut got, a, &x);
-            assert_eq!(got, want, "axpy backend={} n={n}", backend.label());
             // Strict dot is a reduction → scalar on every backend.
             assert_eq!(
                 ker.dot(&x, &y).to_bits(),
@@ -169,6 +165,59 @@ fn strict_axpy_and_dot_bitwise_equal_scalar_on_all_backends() {
             );
         }
     }
+}
+
+/// `AᵀB` inputs the weight-gradient kernel meets: dense features, exact
+/// zeros and `-0.0` scattered through `a` (the skip branch is part of the
+/// contract), and ReLU-style columns of `a` that are zero in half their
+/// rows.
+fn transpose_matmul_operands(rows: usize, k: usize, n: usize, rng: &mut StdRng) -> (Dense, Dense) {
+    let a = Dense::from_fn(rows, k, |r, c| {
+        let v: f64 = rng.gen_range(-1.0..1.0);
+        match (r * 7 + c * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            _ if c % 2 == 1 => v.max(0.0),
+            _ => v,
+        }
+    });
+    let b = Dense::from_fn(rows, n, |_, _| rng.gen_range(-1.0..1.0));
+    (a, b)
+}
+
+#[test]
+fn strict_transpose_matmul_bitwise_equals_scalar() {
+    let _guard = GLOBAL_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x7A7A);
+    kernel::set_mode(KernelMode::Strict);
+    for rows in [0usize, 1, 127, 128, 129, 1000] {
+        for k in [1usize, 2, 3, 16, 300] {
+            for n in [1usize, 4, 12, 16, 24, 33] {
+                let (a, b) = transpose_matmul_operands(rows, k, n, &mut rng);
+                // The oracle: the scalar kernel over all output rows at once.
+                let mut want = vec![f64::NAN; k * n];
+                Kernels::scalar_strict().gemm_t(a.data(), k, 0, b.data(), n, &mut want);
+                for backend in supported_backends() {
+                    kernel::try_force_backend(backend).unwrap();
+                    for threads in [1usize, 2, 4, 7] {
+                        let mut got = Dense::from_fn(k, n, |_, _| f64::NAN); // overwritten
+                        a.transpose_matmul_into_with(&b, &mut got, threads);
+                        let same = got
+                            .data()
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(
+                            same,
+                            "backend={} rows={rows} k={k} n={n} threads={threads}",
+                            backend.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    kernel::clear_forced_backend();
 }
 
 #[test]
@@ -276,12 +325,15 @@ fn fast_mode_full_training_ops_close_to_strict() {
     kernel::set_mode(KernelMode::Strict);
     let strict = spmm_with(&a, &h, 2);
     let strict_mt = h.matmul_transpose_with(&h, 2);
+    let strict_tm = h.transpose_matmul_with(&h, 2);
     kernel::set_mode(KernelMode::Fast);
     let fast = spmm_with(&a, &h, 2);
     let fast_mt = h.matmul_transpose_with(&h, 2);
+    let fast_tm = h.transpose_matmul_with(&h, 2);
     kernel::set_mode(KernelMode::Strict);
     assert!(max_rel_diff(fast.data(), strict.data()) <= FAST_MODE_RTOL);
     assert!(max_rel_diff(fast_mt.data(), strict_mt.data()) <= FAST_MODE_RTOL);
+    assert!(max_rel_diff(fast_tm.data(), strict_tm.data()) <= FAST_MODE_RTOL);
 }
 
 #[test]
