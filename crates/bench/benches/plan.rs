@@ -2,7 +2,7 @@
 //! that happens once before training (§6.2's preprocessing step).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnn_core::dist::{even_bounds, GridPlan, Plan1d};
+use gnn_core::dist::{even_bounds, GridPlan};
 use spmat::dataset::amazon_scaled;
 
 fn bench_plan(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench_plan(c: &mut Criterion) {
     for p in [8usize, 32] {
         let bounds = even_bounds(ds.n(), p);
         group.bench_with_input(BenchmarkId::new("plan1d", p), &bounds, |b, bounds| {
-            b.iter(|| Plan1d::build(&ds.norm_adj, bounds));
+            b.iter(|| GridPlan::oned(&ds.norm_adj, bounds, true));
         });
     }
     for (p, cc) in [(8usize, 2usize), (16, 4)] {

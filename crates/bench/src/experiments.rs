@@ -475,56 +475,41 @@ pub fn overlap(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
     (table, points)
 }
 
+/// Rows of `H` the bottleneck rank of `plan` fetches from other ranks in
+/// one SpMM.
+fn max_remote_rows(plan: &gnn_core::dist::GridPlan) -> u64 {
+    let per_rank = plan.ranks.iter().map(|rp| {
+        let remote = rp.stages.iter().filter(|st| st.k != rp.i);
+        remote.map(|st| st.needed.len() as u64).sum::<u64>()
+    });
+    per_rank.max().unwrap_or(0)
+}
+
 /// Cross-algorithm comparison (extension): per-SpMM bottleneck-rank
 /// exchange volume for 1D, 1.5D (c = 2) and 2D (pc = 2) sparsity-aware
 /// layouts on the same GVB-partitioned graph — the generalization the
 /// paper's conclusion sketches.
 pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'static str, u64)>) {
-    use gnn_core::dist::{GridPlan, Plan1d};
+    use gnn_core::dist::GridPlan;
     let mut table = Table::new(&["dataset", "algorithm", "max-rank exchange (MB)"]);
     let mut rows = Vec::new();
     for ds in [&suite.amazon, &suite.protein] {
         let f = ds.f() as u64;
         // 1D: p parts.
         let prep1 = prepare(ds, p, Scheme::SaGvb, seed);
-        let plan1 = Plan1d::build(&prep1.norm_adj, &prep1.bounds);
-        let v1 = (0..p)
-            .map(|i| plan1.ranks[i].recv_row_count(i) * f * 8)
-            .max()
-            .unwrap_or(0);
+        let plan1 = GridPlan::oned(&prep1.norm_adj, &prep1.bounds, true);
+        let v1 = max_remote_rows(&plan1) * f * 8;
         // 1.5D with c = 2: p/2 block rows.
         let c = 2usize;
         let prep15 = prepare(ds, p / c, Scheme::SaGvb, seed);
         let plan15 = GridPlan::onefived(&prep15.norm_adj, p, c, &prep15.bounds, true);
-        let v15 = plan15
-            .ranks
-            .iter()
-            .map(|rp| {
-                rp.stages
-                    .iter()
-                    .filter(|st| st.k != rp.i)
-                    .map(|st| st.needed.len() as u64 * f * 8)
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0);
+        let v15 = max_remote_rows(&plan15) * f * 8;
         // 2D with pc = 2: p/2 grid rows, panels of f/2.
         let pc = 2usize;
         let prep2 = prepare(ds, p / pc, Scheme::SaGvb, seed);
         let plan2 = GridPlan::twod(&prep2.norm_adj, p / pc, pc, &prep2.bounds, true);
         let panel = f.div_ceil(pc as u64);
-        let v2 = plan2
-            .ranks
-            .iter()
-            .map(|rp| {
-                rp.stages
-                    .iter()
-                    .filter(|st| st.k != rp.i)
-                    .map(|st| st.needed.len() as u64 * panel * 8)
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0);
+        let v2 = max_remote_rows(&plan2) * panel * 8;
         for (algo, v) in [("1D", v1), ("1.5D c=2", v15), ("2D pc=2", v2)] {
             table.row(vec![ds.name.clone(), algo.to_string(), fmt_mb(v)]);
             rows.push((ds.name.clone(), algo, v));

@@ -13,10 +13,9 @@ use gnn_comm::stats::{Phase, RankStats, WorldStats};
 use gnn_comm::{CostModel, OverlapConfig};
 use spmat::Csr;
 
-use crate::dist::grid::GridPlan;
-use crate::dist::overlap::{chunk_groups, OverlapPlan1d};
-use crate::dist::plan::Plan1d;
-use crate::dist::trainer::{plan_for, PlanKind};
+use crate::dist::grid::{GridPlan, RankPlan, Stage};
+use crate::dist::overlap::chunk_groups;
+use crate::dist::trainer::plan_for;
 use crate::dist::Algo;
 use crate::model::ArchKind;
 
@@ -81,151 +80,120 @@ fn add_overlap_boundary(st: &mut RankStats, comm: f64, hidden_budget: f64) {
     st.overlap.hidden_seconds += comm - exposed;
 }
 
-/// One sparsity-aware 1D SpMM's charges on rank `me` at width `f`.
-fn spmm_1d_aware_charges(plan: &Plan1d, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
-    let rp = &plan.ranks[me];
-    let mut pack_elems = 0u64;
-    let mut sent = 0u64;
-    let mut recv = 0u64;
-    for j in 0..plan.p {
-        if j == me {
-            continue;
-        }
-        let s = rp.send_to[j].len() as u64;
-        if s > 0 {
-            pack_elems += s * f;
-            sent += rows_payload_bytes(s, f);
-        }
-        let r = rp.recv_from(j).len() as u64;
-        if r > 0 {
-            recv += rows_payload_bytes(r, f);
-        }
-    }
-    add_compute(st, model, pack_elems);
-    let c = st.phase_mut(Phase::AllToAll);
+/// Rows laid out and flops multiplied by folding the run `stages` at
+/// width `f` (mirrors `fold_run` of [`crate::dist::oned`]).
+fn fold_run_charges(stages: &[Stage], f: u64, model: &CostModel, st: &mut RankStats) -> f64 {
+    let rows: u64 = stages.iter().map(|s| s.needed.len() as u64).sum();
+    let nnz: u64 = stages.iter().map(|s| s.block_compact.nnz() as u64).sum();
+    add_compute(st, model, rows * f);
+    add_compute(st, model, 2 * nnz * f);
+    model.compute(rows * f) + model.compute(2 * nnz * f)
+}
+
+/// Elements the sparsity-aware 1D sender packs, and the gather's charge.
+fn pack_sends_charges(rp: &RankPlan, f: u64, model: &CostModel, st: &mut RankStats) {
+    let rows: u64 = rp.sends.iter().map(|(_, idx)| idx.len() as u64).sum();
+    add_compute(st, model, rows * f);
+}
+
+/// One broadcast of `stage`'s whole block as rank `me` counts it;
+/// returns its modeled tree time, which the caller places.
+fn bcast_charges(
+    plan: &GridPlan,
+    me: usize,
+    stage: &Stage,
+    f: u64,
+    model: &CostModel,
+    st: &mut RankStats,
+) -> f64 {
+    let bytes = 8 * stage.needed.len() as u64 * f;
+    let c = st.phase_mut(Phase::Bcast);
     c.ops += 1;
-    c.bytes_sent += sent;
-    c.bytes_recv += recv;
-    c.modeled_seconds += model.alltoallv(sent, recv, plan.p);
-    add_compute(st, model, rp.cols.len() as u64 * f);
-    add_compute(st, model, 2 * rp.block.nnz() as u64 * f);
-}
-
-/// One sparsity-oblivious 1D SpMM's charges.
-fn spmm_1d_oblivious_charges(
-    plan: &Plan1d,
-    me: usize,
-    f: u64,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    for j in 0..plan.p {
-        let bytes = 8 * plan.rows_of(j) as u64 * f;
-        let c = st.phase_mut(Phase::Bcast);
-        c.ops += 1;
-        if j == me {
-            c.bytes_sent += bytes;
-        } else {
-            c.bytes_recv += bytes;
-        }
-        c.modeled_seconds += model.bcast(bytes, plan.p);
+    if stage.src_rank == me {
+        c.bytes_sent += bytes;
+    } else {
+        c.bytes_recv += bytes;
     }
-    add_compute(st, model, plan.n as u64 * f);
-    add_compute(st, model, 2 * plan.ranks[me].block.nnz() as u64 * f);
+    model.bcast(bytes, plan.p())
 }
 
-/// One *pipelined* sparsity-aware 1D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_1d_aware_pipelined_buf`] — per-chunk
-/// duplex pricing at each stage boundary, with the previous chunk's
-/// folding compute available to hide the comm.
-fn spmm_1d_aware_pipelined_charges(
-    plan: &Plan1d,
-    ov: &OverlapPlan1d,
+/// `Rows` payload bytes the rank of `rp` ships to the ranks `dsts`.
+fn sent_bytes(rp: &RankPlan, dsts: std::ops::Range<usize>, f: u64) -> u64 {
+    let shipped = rp.sends.iter().filter(|(dst, _)| dsts.contains(dst));
+    shipped
+        .map(|(_, idx)| rows_payload_bytes(idx.len() as u64, f))
+        .sum()
+}
+
+/// `Rows` payload bytes rank `me` receives for the run `stages`.
+fn recv_bytes(stages: &[Stage], me: usize, f: u64) -> u64 {
+    let remote = stages.iter().filter(|s| s.src_rank != me);
+    remote
+        .map(|s| rows_payload_bytes(s.needed.len() as u64, f))
+        .sum()
+}
+
+/// One blocking 1D SpMM's charges on rank `me` at width `f`: replays
+/// [`crate::dist::oned::spmm_1d_buf`] — one all-to-allv of the needed
+/// rows when sparsity-aware, `p` whole-block broadcasts otherwise.
+fn spmm_1d_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
+    let rp = &plan.ranks[me];
+    if plan.aware {
+        pack_sends_charges(rp, f, model, st);
+        let sent = sent_bytes(rp, 0..plan.p(), f);
+        let recv = recv_bytes(&rp.stages, me, f);
+        let c = st.phase_mut(Phase::AllToAll);
+        c.ops += 1;
+        c.bytes_sent += sent;
+        c.bytes_recv += recv;
+        c.modeled_seconds += model.alltoallv(sent, recv, plan.p());
+    } else {
+        for stage in &rp.stages {
+            let tree = bcast_charges(plan, me, stage, f, model, st);
+            st.phase_mut(Phase::Bcast).modeled_seconds += tree;
+        }
+    }
+    fold_run_charges(&rp.stages, f, model, st);
+}
+
+/// One *pipelined* 1D SpMM's charges: replays
+/// [`crate::dist::overlap::spmm_1d_pipelined_buf`] — per chunk of source
+/// ranks, duplex pricing of the chunk's exchanges (aware) or its
+/// broadcasts' accrued tree time (oblivious) at the stage boundary, with
+/// the previous chunk's folding compute available to hide it.
+fn spmm_1d_pipelined_charges(
+    plan: &GridPlan,
     me: usize,
     f: u64,
+    chunks: usize,
     model: &CostModel,
     st: &mut RankStats,
 ) {
     let rp = &plan.ranks[me];
-    let mut pack_elems = 0u64;
-    for j in 0..plan.p {
-        if j != me && !rp.send_to[j].is_empty() {
-            pack_elems += rp.send_to[j].len() as u64 * f;
-        }
+    if plan.aware {
+        pack_sends_charges(rp, f, model, st);
     }
-    add_compute(st, model, pack_elems);
-
     let mut prev_compute = 0.0f64;
-    for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
-        let (mut send_ops, mut send_bytes) = (0u64, 0u64);
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for j in glo..ghi {
-            if j == me {
-                continue;
-            }
-            send_ops += 1; // empty payloads are sent too (α cost)
-            let s = rp.send_to[j].len() as u64;
-            if s > 0 {
-                send_bytes += rows_payload_bytes(s, f);
-            }
-            recv_ops += 1;
-            let r = rp.recv_from(j).len() as u64;
-            if r > 0 {
-                recv_bytes += rows_payload_bytes(r, f);
-            }
-        }
-        let c = st.phase_mut(Phase::AllToAll);
-        c.ops += send_ops + recv_ops;
-        c.bytes_sent += send_bytes;
-        c.bytes_recv += recv_bytes;
-        let send_cost = send_ops as f64 * model.alpha + send_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        let (clo, chi) = ov.col_bounds[g];
-        let assemble = (chi - clo) as u64 * f;
-        let nnz: usize = rp.segments[glo..ghi].iter().map(Csr::nnz).sum();
-        let spmm = 2 * nnz as u64 * f;
-        add_compute(st, model, assemble);
-        add_compute(st, model, spmm);
-        prev_compute = model.compute(assemble) + model.compute(spmm);
-    }
-}
-
-/// One *pipelined* sparsity-oblivious 1D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_1d_oblivious_pipelined_buf`] — each
-/// chunk's broadcast tree time accrues as collective cost settled at
-/// the chunk boundary.
-fn spmm_1d_oblivious_pipelined_charges(
-    plan: &Plan1d,
-    ov: &OverlapPlan1d,
-    me: usize,
-    f: u64,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let mut prev_compute = 0.0f64;
-    for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
-        let mut coll = 0.0f64;
-        for j in glo..ghi {
-            let bytes = 8 * plan.rows_of(j) as u64 * f;
-            let c = st.phase_mut(Phase::Bcast);
-            c.ops += 1;
-            if j == me {
-                c.bytes_sent += bytes;
-            } else {
-                c.bytes_recv += bytes;
-            }
-            coll += model.bcast(bytes, plan.p);
-        }
-        add_overlap_boundary(st, coll, prev_compute);
-
-        let (blo, bhi) = ov.col_bounds[g];
-        let assemble = (bhi - blo) as u64 * f;
-        let spmm = 2 * ov.blocks[g].nnz() as u64 * f;
-        add_compute(st, model, assemble);
-        add_compute(st, model, spmm);
-        prev_compute = model.compute(assemble) + model.compute(spmm);
+    for (glo, ghi) in chunk_groups(plan.p(), chunks) {
+        let run = &rp.stages[glo..ghi];
+        let comm = if plan.aware {
+            // One send and one receive per remote rank of the chunk;
+            // empty payloads are sent too (α cost, no bytes).
+            let ops = run.iter().filter(|s| s.src_rank != me).count() as u64;
+            let sent = sent_bytes(rp, glo..ghi, f);
+            let recv = recv_bytes(run, me, f);
+            let c = st.phase_mut(Phase::AllToAll);
+            c.ops += 2 * ops;
+            c.bytes_sent += sent;
+            c.bytes_recv += recv;
+            let cost = |bytes: u64| ops as f64 * model.alpha + bytes as f64 * model.beta;
+            cost(sent).max(cost(recv))
+        } else {
+            let tree = |s| bcast_charges(plan, me, s, f, model, st);
+            run.iter().map(tree).sum()
+        };
+        add_overlap_boundary(st, comm, prev_compute);
+        prev_compute = fold_run_charges(run, f, model, st);
     }
 }
 
@@ -271,7 +239,7 @@ fn add_p2p(st: &mut RankStats, sent: bool, bytes: u64, seconds: f64) {
 /// the trailing replica all-reduce (absent for the 2D shape).
 fn spmm_grid_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
     let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
+    let rows_i = rp.rows() as u64;
     let mut pack_elems = 0u64;
     for (_, idx) in &rp.sends {
         let (bytes, packed) = shipment(plan, rows_i, idx, f);
@@ -310,7 +278,7 @@ fn spmm_grid_pipelined_charges(
     st: &mut RankStats,
 ) {
     let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
+    let rows_i = rp.rows() as u64;
 
     // Sender side: packed before the window, posted on stage 0.
     let (mut send_ops, mut send_bytes) = (0u64, 0u64);
@@ -359,12 +327,15 @@ fn spmm_grid_pipelined_charges(
     }
 }
 
-/// One grid rank's full training charges: replays
-/// [`crate::dist::trainer`]'s paneled (2D/3D) program op-for-op — panel
-/// slices, the grid SpMM, the partial `× W` GEMM, the grid-row `Z`/`AᵀG`
-/// all-reduces (`pc` ranks), the global loss and weight-gradient
-/// all-reduces (`p` ranks), and the full-width local backward steps.
-fn grid_rank_charges(
+/// One rank's full training charges: replays the epoch program of
+/// [`crate::dist::trainer`] op-for-op — per layer the SpMM and the dense
+/// step on `rows` owned rows, the global loss and weight-gradient
+/// all-reduces (`p` ranks), the full-width local backward steps — with
+/// the same panel hook: under the paneled (2D/3D) program every layer
+/// additionally slices its own panel in and all-reduces `Z` / `AᵀG` over
+/// the grid row (`pc` ranks) out, and the SpMM and GEMMs run at panel
+/// width.
+fn rank_charges(
     input: &AnalyticInput<'_>,
     plan: &GridPlan,
     me: usize,
@@ -375,8 +346,12 @@ fn grid_rank_charges(
     let l_total = dims.len() - 1;
     let mut st = RankStats::default();
     let rp = &plan.ranks[me];
-    let (rows, pc, p) = ((rp.row_hi - rp.row_lo) as u64, plan.pc, plan.p());
-    let panel_width = |f: usize| -> u64 {
+    let (rows, pc, p) = (rp.rows() as u64, plan.pc, plan.p());
+    let paneled = input.algo.paneled();
+    let own_width = |f: usize| -> u64 {
+        if !paneled {
+            return f as u64;
+        }
         let b = plan.panel_bounds(f);
         (b[rp.j + 1] - b[rp.j]) as u64
     };
@@ -385,15 +360,19 @@ fn grid_rank_charges(
         // Forward.
         for l in 0..l_total {
             let d_out = dims[l + 1] as u64;
-            let ipw = panel_width(dims[l]);
-            add_compute(&mut st, model, rows * ipw); // own input panel
+            let ipw = own_width(dims[l]);
+            if paneled {
+                add_compute(&mut st, model, rows * ipw); // own input panel
+            }
             charge_spmm(&mut st, ipw);
             let gemm = match input.arch {
                 ArchKind::Gcn => 2 * rows * ipw * d_out,
                 ArchKind::Sage => 4 * rows * ipw * d_out + rows * d_out,
             };
             add_compute(&mut st, model, gemm);
-            add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row Z
+            if paneled {
+                add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row Z
+            }
             if l + 1 < l_total {
                 add_compute(&mut st, model, rows * d_out); // relu
             }
@@ -403,13 +382,17 @@ fn grid_rank_charges(
         // Backward.
         for l in (0..l_total).rev() {
             let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-            let ipw = panel_width(dims[l]);
-            let opw = panel_width(dims[l + 1]);
-            add_compute(&mut st, model, rows * opw); // own gradient panel
+            let ipw = own_width(dims[l]);
+            let opw = own_width(dims[l + 1]);
+            if paneled {
+                add_compute(&mut st, model, rows * opw); // own gradient panel
+            }
             charge_spmm(&mut st, opw);
-            add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
-            add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
-            add_compute(&mut st, model, rows * ipw); // H panel slice
+            if paneled {
+                add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
+                add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
+                add_compute(&mut st, model, rows * ipw); // H panel slice
+            }
             let (y_flops, w_in) = match input.arch {
                 ArchKind::Gcn => (2 * rows * ipw * d_out, d),
                 ArchKind::Sage => (4 * rows * ipw * d_out, 2 * d),
@@ -428,96 +411,21 @@ fn grid_rank_charges(
     st
 }
 
-/// One rank's full training charges under the row-blocked (1D / 1.5D)
-/// program of [`crate::dist::trainer`]: full-width SpMMs and GEMMs on
-/// `rows` owned rows, global loss and weight-gradient all-reduces.
-fn row_rank_charges(
-    input: &AnalyticInput<'_>,
-    rows: u64,
-    p: usize,
-    charge_spmm: impl Fn(&mut RankStats, u64),
-) -> RankStats {
-    let model = &input.model;
-    let dims = input.dims;
-    let l_total = dims.len() - 1;
-    let mut st = RankStats::default();
-    for _epoch in 0..input.epochs {
-        // Forward.
-        for l in 0..l_total {
-            let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-            charge_spmm(&mut st, d);
-            let gemm = match input.arch {
-                ArchKind::Gcn => 2 * rows * d * d_out,
-                ArchKind::Sage => 4 * rows * d * d_out + rows * d_out,
-            };
-            add_compute(&mut st, model, gemm);
-            if l + 1 < l_total {
-                add_compute(&mut st, model, rows * d_out);
-            }
-        }
-        // Loss reduction: [loss_sum, count, correct].
-        add_allreduce(&mut st, model, 24, p);
-        // Backward.
-        for l in (0..l_total).rev() {
-            let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-            charge_spmm(&mut st, d_out);
-            let (y_flops, w_in) = match input.arch {
-                ArchKind::Gcn => (2 * rows * d * d_out, d),
-                ArchKind::Sage => (4 * rows * d * d_out, 2 * d),
-            };
-            add_compute(&mut st, model, y_flops);
-            add_allreduce(&mut st, model, 8 * w_in * d_out, p);
-            if l > 0 {
-                let prop = match input.arch {
-                    ArchKind::Gcn => 2 * rows * d_out * d + 2 * rows * d,
-                    ArchKind::Sage => 4 * rows * d_out * d + 3 * rows * d,
-                };
-                add_compute(&mut st, model, prop);
-            }
-        }
-    }
-    st
-}
-
 /// Estimates the full training stats (all epochs) without executing.
 pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
     let model = &input.model;
-    let overlap = input.overlap;
-    let (p, plan) = plan_for(input.adj, input.bounds, input.algo);
-    let per_rank = (0..p)
-        .map(|me| match &plan {
-            PlanKind::OneD(pl) => {
-                // Sparsity-derived chunking for the pipelined replay,
-                // built once per rank exactly like the executor does.
-                let aware = input.algo.aware();
-                let ov = overlap
-                    .enabled
-                    .then(|| OverlapPlan1d::build(pl, me, overlap.chunks, aware));
-                let charge = |st: &mut RankStats, f: u64| match (&ov, aware) {
-                    (Some(ov), true) => spmm_1d_aware_pipelined_charges(pl, ov, me, f, model, st),
-                    (Some(ov), false) => {
-                        spmm_1d_oblivious_pipelined_charges(pl, ov, me, f, model, st)
-                    }
-                    (None, true) => spmm_1d_aware_charges(pl, me, f, model, st),
-                    (None, false) => spmm_1d_oblivious_charges(pl, me, f, model, st),
-                };
-                row_rank_charges(input, pl.rows_of(me) as u64, p, charge)
-            }
-            PlanKind::Grid(pl) => {
-                let charge = |st: &mut RankStats, f: u64| {
-                    if overlap.enabled {
-                        spmm_grid_pipelined_charges(pl, me, f, overlap.chunks, model, st)
-                    } else {
-                        spmm_grid_charges(pl, me, f, model, st)
-                    }
-                };
-                if input.algo.paneled() {
-                    grid_rank_charges(input, pl, me, charge)
-                } else {
-                    let rp = &pl.ranks[me];
-                    row_rank_charges(input, (rp.row_hi - rp.row_lo) as u64, p, charge)
-                }
-            }
+    let chunks = input.overlap.chunks;
+    let plan = plan_for(input.adj, input.bounds, input.algo);
+    let oned = matches!(input.algo, Algo::OneD { .. });
+    let per_rank = (0..plan.p())
+        .map(|me| {
+            let charge = |st: &mut RankStats, f: u64| match (oned, input.overlap.enabled) {
+                (true, true) => spmm_1d_pipelined_charges(&plan, me, f, chunks, model, st),
+                (true, false) => spmm_1d_charges(&plan, me, f, model, st),
+                (false, true) => spmm_grid_pipelined_charges(&plan, me, f, chunks, model, st),
+                (false, false) => spmm_grid_charges(&plan, me, f, model, st),
+            };
+            rank_charges(input, &plan, me, charge)
         })
         .collect();
     WorldStats::new(per_rank)
@@ -526,7 +434,7 @@ pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::plan::even_bounds;
+    use crate::dist::even_bounds;
     use gnn_comm::Phase;
     use spmat::gen::{rmat, RmatConfig};
     use spmat::graph::gcn_normalize;

@@ -62,16 +62,32 @@ impl EpochBuffers {
         self.f64_pool.len() + self.u32_pool.len() + self.avec_pool.len()
     }
 
-    fn take_from<T>(pool: &mut Vec<Vec<T>>, fresh: &mut u64, cap: usize) -> Vec<T> {
-        // First fit with enough capacity; otherwise grow the biggest
-        // retiree (one realloc now, none once it has seen peak size).
-        if let Some(i) = pool.iter().position(|v| v.capacity() >= cap) {
-            let mut v = pool.swap_remove(i);
-            v.clear();
-            return v;
+    /// Removes and returns the retiree to serve a request for `cap`
+    /// elements from: the best fit (smallest sufficient capacity), so
+    /// which buffer a request gets depends on the capacities pooled, not
+    /// on the order they retired in — an epoch that found every buffer it
+    /// needed finds them again. When nothing fits, a *fresh alloc*: the
+    /// biggest retiree (or a new buffer) for the caller to grow — one
+    /// realloc now, none once it has seen peak size.
+    fn take_slot<B: Default>(
+        pool: &mut Vec<B>,
+        capacity: impl Fn(&B) -> usize,
+        fresh: &mut u64,
+        cap: usize,
+    ) -> B {
+        let fits = pool.iter().enumerate().filter(|(_, b)| capacity(b) >= cap);
+        let slot = fits.min_by_key(|(_, b)| capacity(b)).or_else(|| {
+            *fresh += 1;
+            pool.iter().enumerate().max_by_key(|(_, b)| capacity(b))
+        });
+        match slot.map(|(i, _)| i) {
+            Some(i) => pool.swap_remove(i),
+            None => B::default(),
         }
-        *fresh += 1;
-        let mut v = pool.pop().unwrap_or_default();
+    }
+
+    fn take_from<T>(pool: &mut Vec<Vec<T>>, fresh: &mut u64, cap: usize) -> Vec<T> {
+        let mut v = Self::take_slot(pool, Vec::capacity, fresh, cap);
         v.clear();
         v.reserve(cap);
         v
@@ -86,12 +102,7 @@ impl EpochBuffers {
     /// 64-byte-aligned buffer.
     pub fn take_dense(&mut self, rows: usize, cols: usize) -> Dense {
         let len = rows * cols;
-        let mut a = if let Some(i) = self.avec_pool.iter().position(|v| v.capacity() >= len) {
-            self.avec_pool.swap_remove(i)
-        } else {
-            self.fresh += 1;
-            self.avec_pool.pop().unwrap_or_default()
-        };
+        let mut a = Self::take_slot(&mut self.avec_pool, AVec::capacity, &mut self.fresh, len);
         a.resize_zeroed(len);
         Dense::from_avec(rows, cols, a)
     }

@@ -289,8 +289,8 @@ pub fn failover_allreduce_replicated(ctx: &mut RankCtx, view: &FailoverView, buf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::even_bounds;
     use crate::dist::grid::{spmm_grid, spmm_grid_buf};
-    use crate::dist::plan::even_bounds;
     use gnn_comm::{CostModel, EpochAbortPanic, FaultInjector, FaultPlan, ThreadWorld};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

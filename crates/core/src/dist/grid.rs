@@ -1,5 +1,11 @@
-//! The grid template: 1.5D, 2D and 3D distributed SpMM as three shapes
-//! of one `pr × pc × c` plan, with one staged executor.
+//! The grid template: 1D, 1.5D, 2D and 3D distributed SpMM as four shapes
+//! of one `pr × pc × c` plan.
+//!
+//! Because the adjacency pattern never changes during training (§1 of the
+//! paper), the `NnzCols(i, k)` sets, the per-source tiles of the local
+//! block row and the send/receive row lists are computed **once** and
+//! reused by every SpMM of every epoch — this is what amortizes the
+//! preprocessing.
 //!
 //! Layout: `Aᵀ` is blocked both ways over `pr` block rows; the dense
 //! matrices (`H`, `Z`) are blocked by **rows across grid rows** and
@@ -17,10 +23,11 @@
 //! `H[k][j]` living on the layer that folds `k`, so all point-to-point
 //! traffic stays inside one grid column of one layer. The
 //! sparsity-oblivious variant ships the whole block; the sparsity-aware
-//! variant ships only `NnzCols(i, k)` — the same sets as the 1D plan.
+//! variant ships only `NnzCols(i, k)`.
 //!
 //! | shape | constructor | rank of `(i, j, l)` | trailing reduce |
 //! |---|---|---|---|
+//! | 1D (Algorithm 1) | [`GridPlan::oned`]: `pr = p`, `pc = 1`, `c = 1` | `i` | none |
 //! | 1.5D (Algorithm 2) | [`GridPlan::onefived`]: `pr = p/c`, `pc = 1`, `c² \| p` | `i·c + l` | process row, `c` ranks |
 //! | 2D (SUMMA) | [`GridPlan::twod`]: `c = 1` | `i·pc + j` | none |
 //! | 3D (2.5D-style) | [`GridPlan::threed`]: `1 ≤ c ≤ pr` | `l·pr·pc + i·pc + j` | fiber, `c` ranks |
@@ -32,6 +39,14 @@
 //! peer in a built plan is a resolved linear rank, so the executors, the
 //! analytic replay and the failover routine never ask which shape they
 //! serve.
+//!
+//! The plan is one; *delivery* stays per family. The staged executor of
+//! this module moves each stage point to point, which is what Algorithm 2
+//! and SUMMA are. Algorithm 1 is a single all-to-allv (oblivious: `p`
+//! broadcasts) — a different collective with a different α–β price, op
+//! count and [`Phase`] — so the 1D executors in [`super::oned`] and
+//! [`super::overlap`] keep their collectives and read the same
+//! `stages`/`sends` the staged executor reads.
 
 use gnn_comm::msg::Payload;
 use gnn_comm::{Phase, RankCtx, SpanKind};
@@ -87,6 +102,13 @@ pub struct RankPlan {
     pub reduce_group: Vec<usize>,
 }
 
+impl RankPlan {
+    /// Rows of the owned `H`/`Z` block.
+    pub fn rows(&self) -> usize {
+        self.row_hi - self.row_lo
+    }
+}
+
 /// The distribution plan of one grid shape.
 #[derive(Clone, Debug)]
 pub struct GridPlan {
@@ -111,6 +133,25 @@ pub struct GridPlan {
 }
 
 impl GridPlan {
+    /// The 1D plan (Algorithm 1): block row `i` on rank `i`; `bounds` has
+    /// `p + 1` entries (from `partition::Partition::block_bounds` or
+    /// [`even_bounds`]).
+    ///
+    /// # Panics
+    /// Panics if `bounds` is not a cover of `0..n`.
+    pub fn oned(adj: &Csr, bounds: &[usize], aware: bool) -> GridPlan {
+        let shape = (bounds.len() - 1, 1, 1);
+        Self::build(
+            adj,
+            shape,
+            bounds,
+            aware,
+            SpanKind::Spmm1d,
+            [1, 0, 0],
+            false,
+        )
+    }
+
     /// The 1.5D plan (Algorithm 2): `p/c` block rows, each replicated on
     /// `c` ranks; `bounds` has `p/c + 1` entries.
     ///
@@ -196,8 +237,11 @@ impl GridPlan {
         let layer_slices = block_bounds(pr, c);
 
         // Per (i, k): needed rows + compact block of Aᵀ[i][k], computed
-        // once and cloned into every panel replica that folds stage k.
-        let blocks: Vec<Vec<(Vec<u32>, Csr)>> = (0..pr)
+        // once; the pc panel ranks of the one layer that folds stage k
+        // share it — clones for the first pc − 1, the original for the
+        // last, so a one-panel shape (1D, 1.5D) copies nothing.
+        type Tile = (Vec<u32>, Csr);
+        let mut blocks: Vec<Vec<Option<Tile>>> = (0..pr)
             .map(|i| {
                 let row = adj.row_block(bounds[i], bounds[i + 1]);
                 (0..pr)
@@ -215,8 +259,18 @@ impl GridPlan {
                         } else {
                             block.remap_cols(&needed)
                         };
-                        (needed, compact)
+                        Some((needed, compact))
                     })
+                    .collect()
+            })
+            .collect();
+        // Block row i's shipments: (destination grid row, its needed rows).
+        let shipments: Vec<Vec<(usize, Vec<u32>)>> = (0..pr)
+            .map(|i| {
+                let needed_by = |t: usize| &blocks[t][i].as_ref().expect("tile not yet moved").0;
+                (0..pr)
+                    .filter(|&t| t != i && !needed_by(t).is_empty())
+                    .map(|t| (t, needed_by(t).clone()))
                     .collect()
             })
             .collect();
@@ -228,19 +282,28 @@ impl GridPlan {
                 for j in 0..pc {
                     let stages = slice
                         .clone()
-                        .map(|k| Stage {
-                            k,
-                            src_rank: rank_of(k, j, l),
-                            needed: blocks[i][k].0.clone(),
-                            block_compact: blocks[i][k].1.clone(),
+                        .map(|k| {
+                            let tile = &mut blocks[i][k];
+                            let tile = if j + 1 == pc {
+                                tile.take()
+                            } else {
+                                tile.clone()
+                            };
+                            let (needed, block_compact) = tile.expect("one layer folds a tile");
+                            Stage {
+                                k,
+                                src_rank: rank_of(k, j, l),
+                                needed,
+                                block_compact,
+                            }
                         })
                         .collect();
                     // Only the replica on the layer that folds stage
                     // k = i ships block row i, to its own grid column.
                     let sends = if slice.contains(&i) {
-                        (0..pr)
-                            .filter(|&t| t != i && !blocks[t][i].0.is_empty())
-                            .map(|t| (rank_of(t, j, l), blocks[t][i].0.clone()))
+                        shipments[i]
+                            .iter()
+                            .map(|(t, idx)| (rank_of(*t, j, l), idx.clone()))
                             .collect()
                     } else {
                         Vec::new()
@@ -292,6 +355,11 @@ impl GridPlan {
     pub fn panel_bounds(&self, f: usize) -> Vec<usize> {
         block_bounds(f, self.pc)
     }
+}
+
+/// Even `p + 1` boundaries over `0..n` (the no-partitioner distribution).
+pub fn even_bounds(n: usize, p: usize) -> Vec<usize> {
+    block_bounds(n, p)
 }
 
 /// Packs one outbound block of `h_local` for a peer that needs the rows
@@ -396,7 +464,7 @@ pub(super) fn fold_stages(
     bufs: &mut EpochBuffers,
     route: impl Fn(usize) -> usize,
 ) -> Dense {
-    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, h_local.cols());
+    let mut z = bufs.take_dense(rp.rows(), h_local.cols());
     for st in &rp.stages {
         fold_stage(
             ctx,
@@ -429,11 +497,7 @@ pub fn spmm_grid_buf(
     bufs: &mut EpochBuffers,
 ) -> Dense {
     let rp = &plan.ranks[ctx.rank()];
-    assert_eq!(
-        h_local.rows(),
-        rp.row_hi - rp.row_lo,
-        "local H block shape mismatch"
-    );
+    assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
     ctx.span_begin(plan.span, Phase::P2p);
     ship_blocks(ctx, plan, rp, h_local, bufs, |r| r);
     let mut z = fold_stages(ctx, plan, rp, h_local, bufs, |r| r);
@@ -447,7 +511,6 @@ pub fn spmm_grid_buf(
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use crate::dist::plan::even_bounds;
     use gnn_comm::{CostModel, ThreadWorld, WorldStats};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -749,6 +812,98 @@ pub(super) mod tests {
                     assert_same_duties(ra, rb, to_15d, &what);
                     let group: Vec<usize> = rb.reduce_group.iter().map(|&r| to_15d(r)).collect();
                     assert_eq!(ra.reduce_group, group, "{what}: reduce group");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oned_is_the_p_by_1_by_1_grid() {
+        // What the 1D executors rely on, against the sets Algorithm 1
+        // defines: stage k comes from rank k and needs NnzCols(i, k) (the
+        // whole block when oblivious); rank i ships rank t exactly
+        // NnzCols(t, i), nothing when that is empty; the own stage is
+        // indexed by local row; the stages partition the block row; and
+        // nothing is reduced.
+        let (adj, _) = setup(6, 10, 1);
+        for p in [1usize, 2, 3, 4, 7] {
+            let bounds = even_bounds(adj.rows(), p);
+            let nnz_cols = |i: usize, k: usize| {
+                let block = adj.row_block(bounds[i], bounds[i + 1]);
+                block.distinct_cols_in_range(bounds[k], bounds[k + 1])
+            };
+            for aware in [true, false] {
+                let plan = GridPlan::oned(&adj, &bounds, aware);
+                assert_eq!((plan.pr, plan.pc, plan.c, plan.p()), (p, 1, 1, p));
+                for (i, rp) in plan.ranks.iter().enumerate() {
+                    let what = format!("p={p} aware={aware} rank {i}");
+                    assert_eq!((rp.rank, rp.i, rp.j, rp.l), (i, i, 0, 0), "{what}");
+                    assert_eq!((rp.row_lo, rp.row_hi), (bounds[i], bounds[i + 1]));
+                    assert!(rp.reduce_group.is_empty(), "{what}");
+                    assert_eq!(rp.stages.len(), p, "{what}");
+                    for (k, st) in rp.stages.iter().enumerate() {
+                        assert_eq!((st.k, st.src_rank), (k, k), "{what}");
+                        let all: Vec<u32> = (bounds[k] as u32..bounds[k + 1] as u32).collect();
+                        let needed = if aware { nnz_cols(i, k) } else { all };
+                        assert_eq!(st.needed, needed, "{what} stage {k}");
+                        let width = if k == i { rp.rows() } else { needed.len() };
+                        let tile = &st.block_compact;
+                        assert_eq!((tile.rows(), tile.cols()), (rp.rows(), width), "{what}");
+                    }
+                    let nnz: usize = rp.stages.iter().map(|st| st.block_compact.nnz()).sum();
+                    assert_eq!(nnz, adj.row_block(rp.row_lo, rp.row_hi).nnz(), "{what}");
+                    let sends: Vec<(usize, Vec<u32>)> = (0..p)
+                        .filter(|&t| t != i)
+                        .map(|t| (t, plan.ranks[t].stages[i].needed.clone()))
+                        .filter(|(_, idx)| !idx.is_empty())
+                        .collect();
+                    assert_eq!(rp.sends, sends, "{what}: sends");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oned_recv_matches_distinct_cols() {
+        let adj = rmat(RmatConfig::graph500(7, 6, 1));
+        let bounds = even_bounds(adj.rows(), 4);
+        let plan = GridPlan::oned(&adj, &bounds, true);
+        for (i, rp) in plan.ranks.iter().enumerate() {
+            let block = adj.row_block(rp.row_lo, rp.row_hi);
+            for (j, st) in rp.stages.iter().enumerate() {
+                let expected = block.distinct_cols_in_range(bounds[j], bounds[j + 1]);
+                assert_eq!(st.needed, expected, "rank {i} from {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn oned_send_mirrors_recv() {
+        let adj = rmat(RmatConfig::graph500(7, 6, 2));
+        let bounds = even_bounds(adj.rows(), 4);
+        let plan = GridPlan::oned(&adj, &bounds, true);
+        for i in 0..4 {
+            for j in 0..4 {
+                let sent = plan.ranks[j].sends.iter().find(|(dst, _)| *dst == i);
+                let sent = sent.map_or(&[][..], |(_, idx)| idx);
+                if i == j {
+                    assert!(sent.is_empty());
+                    continue;
+                }
+                assert_eq!(sent, plan.ranks[i].stages[j].needed);
+            }
+        }
+    }
+
+    #[test]
+    fn oned_send_rows_lie_in_own_range() {
+        let adj = rmat(RmatConfig::graph500(7, 6, 3));
+        let bounds = even_bounds(adj.rows(), 4);
+        let plan = GridPlan::oned(&adj, &bounds, true);
+        for j in 0..4 {
+            for (_, row_list) in &plan.ranks[j].sends {
+                for &r in row_list {
+                    assert!((r as usize) >= bounds[j] && (r as usize) < bounds[j + 1]);
                 }
             }
         }

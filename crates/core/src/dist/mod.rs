@@ -1,8 +1,10 @@
-//! Distributed training: communication plans, the distributed SpMM
-//! algorithms — 1D ([`oned`]) and the 1.5D/2D/3D grid template
-//! ([`grid`]), each sparsity-oblivious or sparsity-aware, blocking or
-//! pipelined ([`overlap`]) — and the SPMD trainer that runs full GCN
-//! training over a [`gnn_comm::ThreadWorld`].
+//! Distributed training: the one communication plan ([`grid::GridPlan`],
+//! whose shapes are 1D, 1.5D, 2D and 3D), the distributed SpMMs that
+//! execute it — staged point-to-point ([`grid`]) or, for 1D, one
+//! collective ([`oned`]); each sparsity-oblivious or sparsity-aware,
+//! blocking or pipelined ([`overlap`]) — and the SPMD trainer whose one
+//! epoch program runs full GCN training over a [`gnn_comm::ThreadWorld`]
+//! or rank processes.
 
 pub mod buffers;
 pub mod checkpoint;
@@ -10,7 +12,6 @@ pub mod failover;
 pub mod grid;
 pub mod oned;
 pub mod overlap;
-pub mod plan;
 #[cfg(unix)]
 pub mod proc;
 pub mod trainer;
@@ -20,12 +21,9 @@ pub use checkpoint::{
     clear_disk_checkpoints, Checkpoint, CheckpointBackend, CheckpointStore, DiskCheckpointStore,
 };
 pub use failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
-pub use grid::{spmm_grid, spmm_grid_buf, GridPlan};
-pub use overlap::{
-    spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, spmm_grid_pipelined_buf,
-    OverlapPlan1d,
-};
-pub use plan::{even_bounds, Plan1d};
+pub use grid::{even_bounds, spmm_grid, spmm_grid_buf, GridPlan};
+pub use oned::{spmm_1d, spmm_1d_buf};
+pub use overlap::{spmm_1d_pipelined_buf, spmm_grid_pipelined_buf};
 #[cfg(unix)]
 pub use proc::{
     metrics_aggregate_path, metrics_rank_path, run_rank_proc, supervise_proc_training,

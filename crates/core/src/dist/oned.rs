@@ -1,88 +1,34 @@
-//! 1D distributed SpMM: sparsity-oblivious (CAGNET-style broadcast) and
-//! sparsity-aware (Algorithm 1's all-to-allv of needed rows).
+//! 1D distributed SpMM (Algorithm 1) over [`GridPlan::oned`]:
+//! sparsity-aware (one all-to-allv of the needed rows) or
+//! sparsity-oblivious (CAGNET-style: `p` broadcasts of whole blocks), as
+//! the plan says.
 //!
 //! Both compute `Zᵢ = (Aᵀ H)ᵢ` for the calling rank from its local block
-//! row of `H`. They are drop-in alternatives — the trainer picks one per
-//! the scheme under evaluation.
+//! row of `H`, folding the plan's stages in ascending source rank, each
+//! against the rows where they arrived — the own stage against `h_local`,
+//! a remote one against the received buffer. What differs from the staged
+//! grid executor is the delivery: one collective carries every stage.
 
 use gnn_comm::msg::Payload;
-use gnn_comm::{Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
+use gnn_comm::{Phase, RankCtx};
+use spmat::spmm::spmm_acc;
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
-use super::grid::pack_block;
-use super::plan::{Plan1d, RankPlan1d};
+use super::grid::{pack_block, GridPlan, RankPlan, Stage};
 
-/// Sparsity-oblivious 1D SpMM: every rank broadcasts its whole `Hⱼ`
-/// block; each rank assembles the full `H` and multiplies its block row.
-///
-/// Returns `Zᵢ` (`rows_i × f`).
-pub fn spmm_1d_oblivious(ctx: &mut RankCtx, plan: &Plan1d, h_local: &Dense) -> Dense {
-    spmm_1d_oblivious_buf(ctx, plan, h_local, &mut EpochBuffers::new())
+/// One 1D SpMM on the calling rank. Returns `Zᵢ` (`rows_i × f`).
+pub fn spmm_1d(ctx: &mut RankCtx, plan: &GridPlan, h_local: &Dense) -> Dense {
+    spmm_1d_buf(ctx, plan, h_local, &mut EpochBuffers::new())
 }
 
-/// [`spmm_1d_oblivious`] with caller-provided scratch: staging and
-/// accumulator buffers come from `bufs` and retired buffers (including
-/// ones received through the mesh) go back into it, so repeated calls
-/// are allocation-free once the pool is warm.
-pub fn spmm_1d_oblivious_buf(
-    ctx: &mut RankCtx,
-    plan: &Plan1d,
-    h_local: &Dense,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    assert_eq!(
-        h_local.rows(),
-        rp.row_hi - rp.row_lo,
-        "local H block shape mismatch"
-    );
-    ctx.span_begin(SpanKind::Spmm1d, Phase::Bcast);
-
-    // Assemble the full H via p broadcasts (the paper's CAGNET baseline).
-    let mut h_full = bufs.take_dense(plan.n, f);
-    for j in 0..plan.p {
-        let payload = if j == me {
-            let mut data = bufs.take_vec(h_local.data().len());
-            data.extend_from_slice(h_local.data());
-            Some(Payload::F64(data))
-        } else {
-            None
-        };
-        let data = ctx.bcast(j, payload).into_f64();
-        let rows_j = plan.rows_of(j);
-        assert_eq!(
-            data.len(),
-            rows_j * f,
-            "broadcast size mismatch from rank {j}"
-        );
-        h_full.data_mut()[plan.bounds[j] * f..plan.bounds[j + 1] * f].copy_from_slice(&data);
-        bufs.put_vec(data);
+/// The collective a 1D SpMM of `plan` runs under.
+pub(super) fn phase_of(plan: &GridPlan) -> Phase {
+    if plan.aware {
+        Phase::AllToAll
+    } else {
+        Phase::Bcast
     }
-    // Copy/assembly cost: one element move per entry of H.
-    ctx.record_compute((plan.n * f) as u64);
-
-    // Local SpMM against the full H.
-    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
-    let flops = spmm_flops(&rp.block, f);
-    ctx.compute(flops, || spmm_acc(&rp.block, &h_full, &mut z));
-    bufs.put_dense(h_full);
-    ctx.span_end();
-    z
-}
-
-/// Sparsity-aware 1D SpMM (Algorithm 1): exchange only the needed rows of
-/// `H` with a single all-to-allv, then multiply each source rank's segment
-/// of the block row against that rank's rows where they already are — the
-/// own segment against `h_local`, a remote one against the received
-/// buffer.
-///
-/// Returns `Zᵢ` (`rows_i × f`).
-pub fn spmm_1d_aware(ctx: &mut RankCtx, plan: &Plan1d, h_local: &Dense) -> Dense {
-    spmm_1d_aware_buf(ctx, plan, h_local, &mut EpochBuffers::new())
 }
 
 /// Packs the rows each peer asked for into pooled `Rows` payloads (one
@@ -90,90 +36,121 @@ pub fn spmm_1d_aware(ctx: &mut RankCtx, plan: &Plan1d, h_local: &Dense) -> Dense
 /// and charges the gather.
 pub(super) fn pack_sends(
     ctx: &mut RankCtx,
-    rp: &RankPlan1d,
+    rp: &RankPlan,
     h_local: &Dense,
     bufs: &mut EpochBuffers,
 ) -> Vec<Payload> {
     let mut pack_elems = 0u64;
-    let sends = rp
-        .send_to
-        .iter()
-        .map(|idx| match idx.is_empty() {
-            true => Payload::Empty,
-            false => pack_block(true, h_local, rp.row_lo, idx, &mut pack_elems, bufs),
-        })
-        .collect();
+    let mut sends: Vec<Payload> = (0..ctx.p()).map(|_| Payload::Empty).collect();
+    for (dst, idx) in &rp.sends {
+        sends[*dst] = pack_block(true, h_local, rp.row_lo, idx, &mut pack_elems, bufs);
+    }
     ctx.record_compute(pack_elems);
     sends
 }
 
-/// Folds source rank `j`'s segment into `z`: `arrived` is what `j` sent
-/// (`None` for the caller's own segment, multiplied against `h_local`).
-/// The received buffer becomes the operand as it is and retires into
-/// `bufs` afterwards.
-pub(super) fn fold_segment(
-    rp: &RankPlan1d,
-    j: usize,
-    arrived: Option<Payload>,
+/// Stage `st`'s turn of the oblivious exchange: its source rank
+/// broadcasts a pooled copy of its whole block through `bcast`.
+pub(super) fn bcast_stage(
+    ctx: &mut RankCtx,
+    rp: &RankPlan,
+    st: &Stage,
+    h_local: &Dense,
+    bufs: &mut EpochBuffers,
+    bcast: impl FnOnce(&mut RankCtx, usize, Option<Payload>) -> Payload,
+) -> Payload {
+    let own = (st.src_rank == rp.rank)
+        .then(|| pack_block(false, h_local, rp.row_lo, &st.needed, &mut 0, bufs));
+    bcast(ctx, st.src_rank, own)
+}
+
+/// Folds the run `stages` into `z` once its payloads (`arrived`, one per
+/// stage) are in: the model's charge for laying the needed rows out (one
+/// element move per entry of the gathered operand — the executor
+/// multiplies them where they are instead), then one multiply charge
+/// covering every stage of the run.
+pub(super) fn fold_run(
+    ctx: &mut RankCtx,
+    rp: &RankPlan,
+    stages: &[Stage],
+    arrived: Vec<Payload>,
     h_local: &Dense,
     z: &mut Dense,
     bufs: &mut EpochBuffers,
 ) {
-    let seg = &rp.segments[j];
-    match arrived {
-        None => spmm_acc(seg, h_local, z),
-        Some(Payload::Empty) => {
+    let f = h_local.cols();
+    let rows: usize = stages.iter().map(|st| st.needed.len()).sum();
+    let nnz: usize = stages.iter().map(|st| st.block_compact.nnz()).sum();
+    ctx.record_compute((rows * f) as u64);
+    ctx.compute(2 * (nnz * f) as u64, || {
+        for (st, payload) in stages.iter().zip(arrived) {
+            fold_segment(st, st.src_rank == rp.rank, payload, h_local, z, bufs);
+        }
+    });
+}
+
+/// Folds one stage into `z`. The all-to-allv leaves the caller's own slot
+/// `Empty`: that stage multiplies against `h_local`. Any other payload
+/// becomes the operand as it is and retires into `bufs` afterwards.
+fn fold_segment(
+    st: &Stage,
+    own: bool,
+    arrived: Payload,
+    h_local: &Dense,
+    z: &mut Dense,
+    bufs: &mut EpochBuffers,
+) {
+    let seg = &st.block_compact;
+    let (idx, data) = match arrived {
+        Payload::Empty if own => return spmm_acc(seg, h_local, z),
+        Payload::Empty => {
+            let src = st.src_rank;
             assert_eq!(
                 seg.cols(),
                 0,
-                "peer {j} sent nothing but rows were expected"
-            )
+                "peer {src} sent nothing but rows were expected"
+            );
+            return;
         }
-        Some(other) => {
-            let (idx, data) = other.into_rows();
-            assert_eq!(idx.len(), seg.cols(), "row count mismatch from {j}");
-            debug_assert_eq!(idx, rp.recv_from(j), "row ids mismatch from {j}");
-            let h_j = Dense::from_vec(idx.len(), h_local.cols(), data);
-            spmm_acc(seg, &h_j, z);
-            bufs.put_dense(h_j);
-            bufs.put_u32(idx);
-        }
-    }
+        Payload::F64(data) => (Vec::new(), data),
+        rows => rows.into_rows(),
+    };
+    let f = h_local.cols();
+    assert_eq!(
+        data.len(),
+        seg.cols() * f,
+        "size mismatch from {}",
+        st.src_rank
+    );
+    debug_assert!(idx.is_empty() || idx == st.needed, "row ids mismatch");
+    let h_k = Dense::from_vec(seg.cols(), f, data);
+    spmm_acc(seg, &h_k, z);
+    bufs.put_dense(h_k);
+    bufs.put_u32(idx);
 }
 
-/// [`spmm_1d_aware`] with caller-provided scratch (see
-/// [`spmm_1d_oblivious_buf`] for the recycling contract).
-pub fn spmm_1d_aware_buf(
+/// [`spmm_1d`] with caller-provided scratch: staging and accumulator
+/// buffers come from `bufs` and retired buffers (including ones received
+/// through the mesh) go back into it, so repeated calls are
+/// allocation-free once the pool is warm.
+pub fn spmm_1d_buf(
     ctx: &mut RankCtx,
-    plan: &Plan1d,
+    plan: &GridPlan,
     h_local: &Dense,
     bufs: &mut EpochBuffers,
 ) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    assert_eq!(
-        h_local.rows(),
-        rp.row_hi - rp.row_lo,
-        "local H block shape mismatch"
-    );
-    ctx.span_begin(SpanKind::Spmm1d, Phase::AllToAll);
-
-    let sends = pack_sends(ctx, rp, h_local, bufs);
-    let received = ctx.alltoallv(sends);
-
-    // The model's charge for laying the needed rows out (one element
-    // move per entry of the gathered operand); the executor multiplies
-    // them where they are instead.
-    ctx.record_compute((rp.cols.len() * f) as u64);
-
-    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
-    ctx.compute(spmm_flops(&rp.block, f), || {
-        for (j, payload) in received.into_iter().enumerate() {
-            let arrived = (j != me).then_some(payload);
-            fold_segment(rp, j, arrived, h_local, &mut z, bufs);
-        }
-    });
+    let rp = &plan.ranks[ctx.rank()];
+    assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
+    ctx.span_begin(plan.span, phase_of(plan));
+    let arrived = if plan.aware {
+        let sends = pack_sends(ctx, rp, h_local, bufs);
+        ctx.alltoallv(sends)
+    } else {
+        let bcast = |st| bcast_stage(ctx, rp, st, h_local, bufs, RankCtx::bcast);
+        rp.stages.iter().map(bcast).collect()
+    };
+    let mut z = bufs.take_dense(rp.rows(), h_local.cols());
+    fold_run(ctx, rp, &rp.stages, arrived, h_local, &mut z, bufs);
     ctx.span_end();
     z
 }
@@ -181,7 +158,7 @@ pub fn spmm_1d_aware_buf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::plan::even_bounds;
+    use crate::dist::even_bounds;
     use gnn_comm::{CostModel, Phase, ThreadWorld};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,16 +180,12 @@ mod tests {
         aware: bool,
     ) -> (Dense, gnn_comm::WorldStats) {
         let bounds = even_bounds(adj.rows(), p);
-        let plan = Plan1d::build(adj, &bounds);
+        let plan = GridPlan::oned(adj, &bounds, aware);
         let world = ThreadWorld::new(p, CostModel::perlmutter_like());
         let (blocks, stats) = world.run(|ctx| {
             let me = ctx.rank();
             let local = h.row_slice(bounds[me], bounds[me + 1]);
-            if aware {
-                spmm_1d_aware(ctx, &plan, &local)
-            } else {
-                spmm_1d_oblivious(ctx, &plan, &local)
-            }
+            spmm_1d(ctx, &plan, &local)
         });
         let refs: Vec<&Dense> = blocks.iter().collect();
         (Dense::vstack(&refs), stats)

@@ -12,24 +12,20 @@
 //! communication — `max(0, comm − compute since the last boundary)` —
 //! so `Phase::Overlap` reports executed (not assumed) overlap.
 //!
-//! **Bit-exactness.** Chunk boundaries follow ownership ranges of the
-//! already-sorted plan structures: a sparsity-aware chunk is a run of
-//! the plan's per-source segments, an oblivious one a
-//! [`spmat::Csr::col_range_block`] of the block row, and both keep the
-//! per-row entry order. Folding the chunks in ascending order therefore
+//! **Bit-exactness.** A chunk is a run of the plan's stages, and the
+//! stages partition the block row by source rank keeping each row's
+//! entry order. Folding the chunks in ascending order therefore
 //! accumulates every output element in *exactly* the order the blocking
 //! implementation uses — the pipelined results are bitwise identical,
 //! not merely close.
 
 use gnn_comm::msg::Payload;
-use gnn_comm::{PendingOp, Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
-use spmat::{Csr, Dense};
+use gnn_comm::{PendingOp, Phase, RankCtx};
+use spmat::Dense;
 
 use super::buffers::EpochBuffers;
 use super::grid::{fold_stage, pack_block, GridPlan};
-use super::oned::{fold_segment, pack_sends};
-use super::plan::Plan1d;
+use super::oned::{bcast_stage, fold_run, pack_sends, phase_of};
 
 /// Partitions `items` positions into at most `chunks` contiguous,
 /// near-even groups; group `g` covers `[g·items/k, (g+1)·items/k)`.
@@ -42,201 +38,79 @@ pub fn chunk_groups(items: usize, chunks: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Precomputed per-rank chunking of a [`Plan1d`]: which peer ranks each
-/// chunk covers, the matching column range, and what becomes multipliable
-/// once that chunk has arrived — sparsity-aware, the plan's segments of
-/// those ranks; oblivious, a sub-block of the local matrix.
+/// Pipelined counterpart of [`super::oned::spmm_1d_buf`], chunked by
+/// source-rank group (`chunk_groups(p, chunks)`): a chunk is the run
+/// `stages[glo..ghi]` of the plan.
 ///
-/// Like the plan itself this is sparsity-derived and epoch-invariant,
-/// so it is built once and reused by every SpMM of every epoch.
-#[derive(Clone, Debug)]
-pub struct OverlapPlan1d {
-    /// Contiguous peer-rank groups: chunk `g` covers ranks
-    /// `groups[g].0 .. groups[g].1`.
-    pub groups: Vec<(usize, usize)>,
-    /// Per-chunk column range. Sparsity-aware: positions in the compact
-    /// `cols` space; oblivious: global row-id bounds.
-    pub col_bounds: Vec<(usize, usize)>,
-    /// Oblivious only: per-chunk sub-block of `block`, columns restricted
-    /// to `col_bounds[g]`, full column-space width preserved. Empty when
-    /// sparsity-aware — chunk `g` then multiplies the plan's
-    /// `segments[groups[g].0..groups[g].1]`.
-    pub blocks: Vec<Csr>,
-    /// Which 1D variant this plan chunks.
-    pub aware: bool,
-}
-
-impl OverlapPlan1d {
-    /// Builds rank `me`'s chunking for `chunks` pipeline stages.
-    pub fn build(plan: &Plan1d, me: usize, chunks: usize, aware: bool) -> OverlapPlan1d {
-        let rp = &plan.ranks[me];
-        let groups = chunk_groups(plan.p, chunks);
-        // Compact-column prefix boundary just before rank j's slice.
-        let compact_bound = |j: usize| -> usize {
-            if j < plan.p {
-                rp.col_ranges[j].0
-            } else {
-                rp.cols.len()
-            }
-        };
-        let mut col_bounds = Vec::with_capacity(groups.len());
-        let mut blocks = Vec::new();
-        for &(glo, ghi) in &groups {
-            if aware {
-                col_bounds.push((compact_bound(glo), compact_bound(ghi)));
-            } else {
-                let (blo, bhi) = (plan.bounds[glo], plan.bounds[ghi]);
-                col_bounds.push((blo, bhi));
-                blocks.push(rp.block.col_range_block(blo, bhi));
-            }
-        }
-        OverlapPlan1d {
-            groups,
-            col_bounds,
-            blocks,
-            aware,
-        }
-    }
-
-    /// Number of pipeline stages (after clamping).
-    pub fn chunks(&self) -> usize {
-        self.groups.len()
-    }
-}
-
-/// Pipelined counterpart of
-/// [`super::oned::spmm_1d_aware_buf`]: the all-to-allv is decomposed
-/// into nonblocking per-peer exchanges, chunked by peer group, and each
-/// chunk's rows are folded into `Z` while later chunks are in flight.
+/// Sparsity-aware, the all-to-allv is decomposed into nonblocking
+/// per-peer exchanges and each chunk's rows are folded into `Z` while
+/// later chunks are in flight. Oblivious, the `p` broadcasts are chunked
+/// by root group and each chunk's blocks are multiplied while later
+/// broadcasts' cost is still accruing; per-chunk broadcast charges sum to
+/// the blocking total exactly, so the overlapped modeled time is never
+/// worse than blocking.
 ///
 /// Bitwise identical to the blocking variant; logical send volumes and
 /// flop totals are unchanged.
-pub fn spmm_1d_aware_pipelined_buf(
+pub fn spmm_1d_pipelined_buf(
     ctx: &mut RankCtx,
-    plan: &Plan1d,
+    plan: &GridPlan,
     h_local: &Dense,
-    ov: &OverlapPlan1d,
+    chunks: usize,
     bufs: &mut EpochBuffers,
 ) -> Dense {
-    assert!(ov.aware, "aware pipeline needs an aware overlap plan");
     let me = ctx.rank();
     let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    assert_eq!(
-        h_local.rows(),
-        rp.row_hi - rp.row_lo,
-        "local H block shape mismatch"
-    );
-    ctx.span_begin(SpanKind::Spmm1d, Phase::AllToAll);
+    assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
+    let groups = chunk_groups(plan.p(), chunks);
+    ctx.span_begin(plan.span, phase_of(plan));
 
     // Pack outside the window: it must complete before the sends post,
-    // so it cannot hide any chunk's communication.
-    let mut sends = pack_sends(ctx, rp, h_local, bufs);
-
-    ctx.overlap_begin(ov.chunks());
+    // so it cannot hide any chunk's communication. (Oblivious: nothing
+    // to pack or post — the broadcasts below carry the blocks.)
+    let sends = match plan.aware {
+        true => pack_sends(ctx, rp, h_local, bufs),
+        false => Vec::new(),
+    };
+    let peers = sends.len();
+    ctx.overlap_begin(groups.len());
 
     // Post every send up front (eager), tagged with the chunk its
     // destination belongs to — the per-stage α·ops + β·bytes duplex
     // charges then sum to the blocking all-to-allv price at chunks = 1.
     // Empty payloads are sent too, mirroring the blocking collective's
     // (p − 1)·α synchronization cost.
-    for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
-        for (j, slot) in sends.iter_mut().enumerate().take(ghi).skip(glo) {
-            if j == me {
-                continue;
+    let mut outbound = sends.into_iter().enumerate();
+    for (g, &(glo, ghi)) in groups.iter().enumerate() {
+        for (j, payload) in outbound.by_ref().take(ghi - glo) {
+            if j != me {
+                ctx.isend(j, payload, Phase::AllToAll, g);
             }
-            let payload = std::mem::replace(slot, Payload::Empty);
-            ctx.isend(j, payload, Phase::AllToAll, g);
         }
     }
-    let mut recvs: Vec<Option<PendingOp>> = (0..plan.p)
+    let mut recvs: Vec<Option<PendingOp>> = (0..peers)
         .map(|j| (j != me).then(|| ctx.irecv(j, Phase::AllToAll)))
         .collect();
 
-    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
-    for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
+    let mut z = bufs.take_dense(rp.rows(), h_local.cols());
+    for &(glo, ghi) in &groups {
         // Wait for this chunk's rows; the boundary then charges the
         // exposed remainder of the chunk's comm.
-        let arrived: Vec<Option<Payload>> = recvs[glo..ghi]
-            .iter_mut()
-            .map(|slot| slot.take().map(|op| ctx.wait(op)))
-            .collect();
-        ctx.overlap_stage();
-
-        // Fold: the chunk's share of the layout charge, then its run of
-        // segments, each against the rows where they arrived (our own
-        // against `h_local`, if our slice falls in this chunk).
-        let (clo, chi) = ov.col_bounds[g];
-        ctx.record_compute(((chi - clo) * f) as u64);
-        let nnz: usize = rp.segments[glo..ghi].iter().map(Csr::nnz).sum();
-        ctx.compute(2 * (nnz * f) as u64, || {
-            for (j, payload) in (glo..ghi).zip(arrived) {
-                fold_segment(rp, j, payload, h_local, &mut z, bufs);
-            }
-        });
-    }
-    ctx.overlap_end();
-    ctx.span_end();
-    z
-}
-
-/// Pipelined counterpart of [`super::oned::spmm_1d_oblivious_buf`]: the
-/// `p` broadcasts are chunked by root group and each chunk's block of
-/// `H` is multiplied while later broadcasts' cost is still accruing.
-/// Per-chunk broadcast charges sum to the blocking total exactly, so
-/// the overlapped modeled time is never worse than blocking.
-pub fn spmm_1d_oblivious_pipelined_buf(
-    ctx: &mut RankCtx,
-    plan: &Plan1d,
-    h_local: &Dense,
-    ov: &OverlapPlan1d,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    assert!(
-        !ov.aware,
-        "oblivious pipeline needs an oblivious overlap plan"
-    );
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    assert_eq!(
-        h_local.rows(),
-        rp.row_hi - rp.row_lo,
-        "local H block shape mismatch"
-    );
-    ctx.span_begin(SpanKind::Spmm1d, Phase::Bcast);
-
-    let mut h_full = bufs.take_dense(plan.n, f);
-    let mut z = bufs.take_dense(rp.row_hi - rp.row_lo, f);
-    ctx.overlap_begin(ov.chunks());
-    for (g, &(glo, ghi)) in ov.groups.iter().enumerate() {
-        for j in glo..ghi {
-            let payload = if j == me {
-                let mut data = bufs.take_vec(h_local.data().len());
-                data.extend_from_slice(h_local.data());
-                Some(Payload::F64(data))
-            } else {
-                None
+        let run = &rp.stages[glo..ghi];
+        let arrived: Vec<Payload> = if plan.aware {
+            let wait = |slot: &mut Option<PendingOp>| match slot.take() {
+                Some(op) => ctx.wait(op),
+                None => Payload::Empty,
             };
-            let data = ctx.bcast_overlapped(j, payload).into_f64();
-            let rows_j = plan.rows_of(j);
-            assert_eq!(
-                data.len(),
-                rows_j * f,
-                "broadcast size mismatch from rank {j}"
-            );
-            h_full.data_mut()[plan.bounds[j] * f..plan.bounds[j + 1] * f].copy_from_slice(&data);
-            bufs.put_vec(data);
-        }
+            recvs[glo..ghi].iter_mut().map(wait).collect()
+        } else {
+            let bcast = |st| bcast_stage(ctx, rp, st, h_local, bufs, RankCtx::bcast_overlapped);
+            run.iter().map(bcast).collect()
+        };
         ctx.overlap_stage();
-
-        let (blo, bhi) = ov.col_bounds[g];
-        ctx.record_compute(((bhi - blo) * f) as u64);
-        let blk = &ov.blocks[g];
-        ctx.compute(spmm_flops(blk, f), || spmm_acc(blk, &h_full, &mut z));
+        fold_run(ctx, rp, run, arrived, h_local, &mut z, bufs);
     }
     ctx.overlap_end();
-    bufs.put_dense(h_full);
     ctx.span_end();
     z
 }
@@ -258,8 +132,7 @@ pub fn spmm_grid_pipelined_buf(
     bufs: &mut EpochBuffers,
 ) -> Dense {
     let rp = &plan.ranks[ctx.rank()];
-    let rows_i = rp.row_hi - rp.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
+    assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
     let groups = chunk_groups(rp.stages.len(), chunks);
     ctx.span_begin(plan.span, Phase::P2p);
 
@@ -291,7 +164,7 @@ pub fn spmm_grid_pipelined_buf(
         })
         .collect();
 
-    let mut z = bufs.take_dense(rows_i, h_local.cols());
+    let mut z = bufs.take_dense(rp.rows(), h_local.cols());
     for &(slo, shi) in &groups {
         // Wait for this section's inbound blocks, then cross the
         // boundary: earlier sections' multiplies have been hiding them.
@@ -318,10 +191,10 @@ pub fn spmm_grid_pipelined_buf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::even_bounds;
     use crate::dist::grid::spmm_grid_buf;
     use crate::dist::grid::tests::{local_block, Shape};
-    use crate::dist::oned::{spmm_1d_aware_buf, spmm_1d_oblivious_buf};
-    use crate::dist::plan::even_bounds;
+    use crate::dist::oned::spmm_1d_buf;
     use gnn_comm::{CostModel, ThreadWorld, WorldStats};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -343,23 +216,15 @@ mod tests {
         chunks: Option<usize>,
     ) -> (Dense, WorldStats) {
         let bounds = even_bounds(adj.rows(), p);
-        let plan = Plan1d::build(adj, &bounds);
+        let plan = GridPlan::oned(adj, &bounds, aware);
         let world = ThreadWorld::new(p, CostModel::perlmutter_like());
         let (blocks, stats) = world.run(|ctx| {
             let me = ctx.rank();
             let local = h.row_slice(bounds[me], bounds[me + 1]);
             let mut bufs = EpochBuffers::new();
             match chunks {
-                None if aware => spmm_1d_aware_buf(ctx, &plan, &local, &mut bufs),
-                None => spmm_1d_oblivious_buf(ctx, &plan, &local, &mut bufs),
-                Some(k) => {
-                    let ov = OverlapPlan1d::build(&plan, me, k, aware);
-                    if aware {
-                        spmm_1d_aware_pipelined_buf(ctx, &plan, &local, &ov, &mut bufs)
-                    } else {
-                        spmm_1d_oblivious_pipelined_buf(ctx, &plan, &local, &ov, &mut bufs)
-                    }
-                }
+                None => spmm_1d_buf(ctx, &plan, &local, &mut bufs),
+                Some(k) => spmm_1d_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
             }
         });
         let refs: Vec<&Dense> = blocks.iter().collect();
@@ -404,23 +269,22 @@ mod tests {
     }
 
     #[test]
-    fn overlap_plan_blocks_partition_nnz() {
+    fn chunk_runs_partition_the_block_row_nnz() {
         let (adj, _) = setup(6, 11, 4);
         let bounds = even_bounds(adj.rows(), 4);
-        let plan = Plan1d::build(&adj, &bounds);
-        for me in 0..4 {
-            for aware in [true, false] {
+        for aware in [true, false] {
+            let plan = GridPlan::oned(&adj, &bounds, aware);
+            for (me, rp) in plan.ranks.iter().enumerate() {
+                let block_nnz = adj.row_block(rp.row_lo, rp.row_hi).nnz();
                 for k in [1, 2, 3, 7] {
-                    let ov = OverlapPlan1d::build(&plan, me, k, aware);
-                    let rp = &plan.ranks[me];
-                    let total: usize = if aware {
-                        assert!(ov.blocks.is_empty());
-                        let run = |&(glo, ghi): &(usize, usize)| &rp.segments[glo..ghi];
-                        ov.groups.iter().flat_map(run).map(Csr::nnz).sum()
-                    } else {
-                        ov.blocks.iter().map(Csr::nnz).sum()
-                    };
-                    assert_eq!(total, rp.block.nnz(), "rank {me} k={k}");
+                    let runs = chunk_groups(plan.p(), k);
+                    let run = |&(glo, ghi): &(usize, usize)| &rp.stages[glo..ghi];
+                    let total: usize = runs
+                        .iter()
+                        .flat_map(run)
+                        .map(|st| st.block_compact.nnz())
+                        .sum();
+                    assert_eq!(total, block_nnz, "rank {me} k={k} aware={aware}");
                 }
             }
         }
@@ -511,19 +375,18 @@ mod tests {
         let (adj, h) = setup(7, 17, 12);
         let (warm_up, steady) = (6, 6);
         let bounds = even_bounds(adj.rows(), 3);
-        let plan = Plan1d::build(&adj, &bounds);
+        let plan = GridPlan::oned(&adj, &bounds, true);
         for chunks in [None, Some(2)] {
             let world = ThreadWorld::new(3, CostModel::perlmutter_like());
             let (fresh, _) = world.run(|ctx| {
                 let me = ctx.rank();
                 let local = h.row_slice(bounds[me], bounds[me + 1]);
-                let ov = chunks.map(|k| OverlapPlan1d::build(&plan, me, k, true));
                 let mut bufs = EpochBuffers::new();
                 let mut warm = 0;
                 for call in 0..warm_up + steady {
-                    let z = match &ov {
-                        None => spmm_1d_aware_buf(ctx, &plan, &local, &mut bufs),
-                        Some(ov) => spmm_1d_aware_pipelined_buf(ctx, &plan, &local, ov, &mut bufs),
+                    let z = match chunks {
+                        None => spmm_1d_buf(ctx, &plan, &local, &mut bufs),
+                        Some(k) => spmm_1d_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
                     };
                     bufs.put_dense(z);
                     if call + 1 == warm_up {

@@ -92,8 +92,8 @@ pub fn run_rank_proc(
         !cfg.robust.failover,
         "replica failover is not supported on the process backend"
     );
-    let (p, plan) = build_plan(ds, bounds, cfg);
-    let mut world = ProcWorld::new(p, cfg.model, dir)
+    let plan = build_plan(ds, bounds, cfg);
+    let mut world = ProcWorld::new(plan.p(), cfg.model, dir)
         .with_timeout(cfg.robust.timeout)
         .with_tracing(cfg.trace);
     if let Some(faults) = cfg.robust.faults.as_ref().filter(|f| !f.is_empty()) {
@@ -117,7 +117,7 @@ pub fn run_rank_proc(
         // rank 0's rendezvous offset estimates.
         let (mut events, hist) = tracer.finish();
         events.sort_by_key(|e| e.seq);
-        let mut trace = single_rank_trace(p, rank, events);
+        let mut trace = single_rank_trace(plan.p(), rank, events);
         trace.msg_sizes.merge(&hist);
         fs::write(trace_rank_path(dir, rank), jsonl_string(&trace))?;
     }

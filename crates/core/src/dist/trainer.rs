@@ -31,6 +31,7 @@
 //! every rung reproduces the fault-free loss trajectory and final
 //! weights bit-for-bit.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -40,9 +41,10 @@ use gnn_comm::{
     ThreadWorld, WorldError, WorldStats, WorldTrace,
 };
 use spmat::dataset::Dataset;
+use spmat::gen::sbm::block_bounds;
 use spmat::{Csr, Dense};
 
-use crate::model::{softmax_cross_entropy_sums, ArchKind, GcnConfig, Weights};
+use crate::model::{softmax_cross_entropy_sums_into, ArchKind, GcnConfig, Weights};
 use crate::optim::Optimizer;
 use crate::reference::EpochRecord;
 
@@ -50,12 +52,8 @@ use super::buffers::EpochBuffers;
 use super::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use super::failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 use super::grid::{spmm_grid_buf, GridPlan};
-use super::oned::{spmm_1d_aware_buf, spmm_1d_oblivious_buf};
-use super::overlap::{
-    spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, spmm_grid_pipelined_buf,
-    OverlapPlan1d,
-};
-use super::plan::Plan1d;
+use super::oned::spmm_1d_buf;
+use super::overlap::{spmm_1d_pipelined_buf, spmm_grid_pipelined_buf};
 
 /// Which distributed SpMM drives training.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -250,28 +248,22 @@ pub struct DistOutcome {
     pub resume_points: Vec<usize>,
 }
 
-pub(crate) enum PlanKind {
-    OneD(Plan1d),
-    Grid(GridPlan),
-}
-
-/// Derives the world size and builds the communication plan of `algo`
-/// over `bounds` (shared by the trainers and the analytic replay).
-pub(crate) fn plan_for(adj: &Csr, bounds: &[usize], algo: Algo) -> (usize, PlanKind) {
+/// Builds the communication plan of `algo` over `bounds` (shared by the
+/// trainers and the analytic replay); the world size is the plan's `p()`.
+pub(crate) fn plan_for(adj: &Csr, bounds: &[usize], algo: Algo) -> GridPlan {
     let pr = bounds.len() - 1;
-    let plan = match algo {
-        Algo::OneD { .. } => return (pr, PlanKind::OneD(Plan1d::build(adj, bounds))),
+    match algo {
+        Algo::OneD { aware } => GridPlan::oned(adj, bounds, aware),
         Algo::OneFiveD { aware, c } => GridPlan::onefived(adj, pr * c, c, bounds, aware),
         Algo::TwoD { aware, pc } => GridPlan::twod(adj, pr, pc, bounds, aware),
         Algo::ThreeD { aware, pc, c } => GridPlan::threed(adj, pr, pc, c, bounds, aware),
-    };
-    (plan.p(), PlanKind::Grid(plan))
+    }
 }
 
 /// [`plan_for`] `cfg`'s algorithm after checking the model shape against
 /// the dataset (shared by the thread supervisor and the process-backend
 /// child).
-pub(crate) fn build_plan(ds: &Dataset, bounds: &[usize], cfg: &DistConfig) -> (usize, PlanKind) {
+pub(crate) fn build_plan(ds: &Dataset, bounds: &[usize], cfg: &DistConfig) -> GridPlan {
     assert_eq!(cfg.gcn.dims[0], ds.f(), "input width mismatch");
     assert_eq!(
         *cfg.gcn.dims.last().unwrap(),
@@ -318,7 +310,7 @@ pub fn try_train_distributed_with_store(
     cfg: &DistConfig,
     store: &dyn CheckpointBackend,
 ) -> Result<DistOutcome, WorldError> {
-    let (p, plan) = build_plan(ds, bounds, cfg);
+    let plan = build_plan(ds, bounds, cfg);
 
     // One injector for the whole supervised run: a crash fault that
     // fired in attempt k must not re-fire in attempt k+1.
@@ -335,29 +327,28 @@ pub fn try_train_distributed_with_store(
     let mut resume_points = Vec::new();
 
     loop {
-        let mut world = ThreadWorld::new(p, cfg.model)
+        let mut world = ThreadWorld::new(plan.p(), cfg.model)
             .with_timeout(cfg.robust.timeout)
             .with_tracing(cfg.trace)
             .with_failover(use_failover);
         if let Some(inj) = &injector {
             world = world.with_injector(inj.clone());
         }
-        let run = if let (true, PlanKind::Grid(pl)) = (use_failover, &plan) {
-            world
-                .try_run_failover(|ctx| run_rank_failover(ctx, ds, cfg, pl, store))
-                .map(|(results, stats, trace)| {
-                    // Survivors hold identical replicated results; dead
-                    // ranks' slots are `None`.
-                    let (records, weights) = results
-                        .into_iter()
-                        .flatten()
-                        .next()
-                        .expect("a completed failover run has at least one survivor");
-                    (records, weights, stats, trace)
-                })
+        let body = |ctx: &mut RankCtx| run_rank(ctx, ds, cfg, &plan, store);
+        let run = if use_failover {
+            world.try_run_failover(body).map(|(results, stats, trace)| {
+                // Survivors hold identical replicated results; dead
+                // ranks' slots are `None`.
+                let (records, weights) = results
+                    .into_iter()
+                    .flatten()
+                    .next()
+                    .expect("a completed failover run has at least one survivor");
+                (records, weights, stats, trace)
+            })
         } else {
             world
-                .try_run_traced(|ctx| run_rank(ctx, ds, cfg, &plan, store))
+                .try_run_traced(body)
                 .map(|(mut results, stats, trace)| {
                     let (records, weights) = results.swap_remove(0);
                     (records, weights, stats, trace)
@@ -390,114 +381,310 @@ pub(crate) fn run_rank(
     ctx: &mut RankCtx,
     ds: &Dataset,
     cfg: &DistConfig,
-    plan: &PlanKind,
+    plan: &GridPlan,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
-    // The 2D/3D algorithms additionally split feature panels across grid
-    // columns, which changes the dense-layer data flow; they get their
-    // own epoch loop.
-    if let (true, PlanKind::Grid(pl)) = (cfg.algo.paneled(), plan) {
-        return run_rank_grid(ctx, ds, cfg, pl, store);
+    let (mut rank, mut epoch) = RankTrainer::new(ctx, ds, cfg, plan, store);
+    while epoch < cfg.epochs {
+        if rank.epoch(ctx, epoch) {
+            epoch += 1;
+        }
+        // Uncommitted: a peer died mid-attempt — re-run the same epoch
+        // with its duties reassigned.
     }
-    let aware = cfg.algo.aware();
-    let c_rep = cfg.algo.replication() as f64;
-    let all_group: Vec<usize> = (0..ctx.p()).collect();
+    (rank.records, rank.weights)
+}
 
-    // Resolve this rank's block row.
-    let (lo, hi) = match plan {
-        PlanKind::OneD(pl) => (pl.bounds[ctx.rank()], pl.bounds[ctx.rank() + 1]),
-        PlanKind::Grid(pl) => {
-            let rp = &pl.ranks[ctx.rank()];
-            (rp.row_lo, rp.row_hi)
+/// The paneled (2D/3D) dense step, a per-layer hook of the one epoch
+/// program. Those algorithms keep `H`/`Z` **full-width and replicated**
+/// across each grid row (and, in 3D, across the `c` layers) and split
+/// only the SpMM operands into `pc` feature panels: a layer slices its
+/// own panel *in*, and all-reduces over the grid row *out* — the partial
+/// `panel × W` products forward, the disjoint `AᵀG` panels backward — so
+/// everything between stays identical to the row-blocked data flow. The
+/// weight gradient is built from per-panel blocks (`H_panelᵀ · AᵀG` lands
+/// in rows `[lo, hi)` of `Y`), which the global all-reduce sums.
+struct Panel {
+    /// Grid column: which feature panel this rank owns.
+    j: usize,
+    /// Grid columns.
+    pc: usize,
+    /// The rank's grid row within its layer.
+    row_group: Vec<usize>,
+}
+
+impl Panel {
+    /// The own panel `[lo, hi)` of a width-`f` matrix.
+    fn range(&self, f: usize) -> (usize, usize) {
+        let b = block_bounds(f, self.pc);
+        (b[self.j], b[self.j + 1])
+    }
+}
+
+/// The own column range of a width-`f` matrix: its panel, or all of it.
+fn own_range(panel: &Option<Panel>, f: usize) -> (usize, usize) {
+    panel.as_ref().map_or((0, f), |p| p.range(f))
+}
+
+/// Slices the own panel `[lo, hi)` of `src` into a pooled matrix (charged
+/// as the copy it is); `None` without a panel, where `src` itself is the
+/// operand.
+fn slice_in(
+    ctx: &mut RankCtx,
+    panel: &Option<Panel>,
+    src: &Dense,
+    (lo, hi): (usize, usize),
+    bufs: &mut EpochBuffers,
+) -> Option<Dense> {
+    panel.as_ref()?;
+    Some(ctx.compute((src.rows() * (hi - lo)) as u64, || {
+        let mut out = bufs.take_dense(src.rows(), hi - lo);
+        for r in 0..src.rows() {
+            out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
         }
-    };
-    let rows = hi - lo;
-    let labels = &ds.labels[lo..hi];
-    let mask = &ds.train_mask[lo..hi];
+        out
+    }))
+}
 
-    // Resume point: the checkpoint holds replicated state, so every
-    // rank restores the identical (checksum-verified) snapshot without
-    // communicating.
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
-        Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
-        None => (
-            0,
-            Weights::init(&cfg.gcn),
-            Optimizer::from_config(&cfg.gcn),
-            Vec::with_capacity(cfg.epochs),
-        ),
-    };
-    let l_total = cfg.gcn.layers();
-    let dims = &cfg.gcn.dims;
+/// Rows `[lo, hi)` of `w`, borrowed when that is all of it.
+fn w_rows(w: &Dense, lo: usize, hi: usize) -> Cow<'_, Dense> {
+    if (lo, hi) == (0, w.rows()) {
+        Cow::Borrowed(w)
+    } else {
+        Cow::Owned(w.row_slice(lo, hi))
+    }
+}
 
-    // Per-rank scratch: every O(n·f) temporary of the epoch loop —
-    // activations, SpMM accumulators, send/recv staging — cycles through
-    // this pool, so steady-state epochs stay off the allocator.
-    let mut bufs = EpochBuffers::new();
+/// One rank's training program and state. Geometry comes from the plan:
+/// the owned rows, how many ranks hold each block row (`pc·c`, divided
+/// out of the masked count) and how many of those contribute *identical*
+/// weight-gradient blocks (`c`, divided out of `Y` — the `pc` panel
+/// blocks of a grid row are distinct).
+pub(crate) struct RankTrainer<'a> {
+    ds: &'a Dataset,
+    cfg: &'a DistConfig,
+    plan: &'a GridPlan,
+    store: &'a dyn CheckpointBackend,
+    panel: Option<Panel>,
+    all_group: Vec<usize>,
+    weights: Weights,
+    optimizer: Optimizer,
+    records: Vec<EpochRecord>,
+    /// Per-rank scratch: every O(n·f) temporary of the epoch loop —
+    /// activations, SpMM accumulators, send/recv staging, the loss
+    /// gradient — cycles through this pool, so steady-state epochs stay
+    /// off the allocator.
+    pub(crate) bufs: EpochBuffers,
+    /// Layer stacks, reused across epochs (drained into `bufs` after each
+    /// attempt, repopulated from it by the next). `hs[0]` is H⁰,
+    /// this rank's one owned block of input features: it stays in place
+    /// for the whole run, read-only, neither copied per epoch nor retired
+    /// to the pool.
+    hs: Vec<Dense>,
+    zs: Vec<Dense>,
+    ahs: Vec<Dense>,
+}
 
-    // Sparsity-derived chunking for the pipelined 1D variants, built
-    // once per rank and reused by every SpMM of every epoch.
-    let overlap = cfg.overlap;
-    let ov_plan: Option<OverlapPlan1d> = match plan {
-        PlanKind::OneD(pl) if overlap.enabled => {
-            Some(OverlapPlan1d::build(pl, ctx.rank(), overlap.chunks, aware))
-        }
-        _ => None,
-    };
+impl<'a> RankTrainer<'a> {
+    /// The calling rank's program, resumed from the newest verified
+    /// checkpoint if there is one, and the epoch to run next. The
+    /// checkpoint holds replicated state, so every rank restores the
+    /// identical snapshot without communicating.
+    pub(crate) fn new(
+        ctx: &RankCtx,
+        ds: &'a Dataset,
+        cfg: &'a DistConfig,
+        plan: &'a GridPlan,
+        store: &'a dyn CheckpointBackend,
+    ) -> (Self, usize) {
+        let rp = &plan.ranks[ctx.rank()];
+        let panel = cfg.algo.paneled().then(|| Panel {
+            j: rp.j,
+            pc: plan.pc,
+            row_group: (0..plan.pc)
+                .map(|jj| plan.rank_of(rp.i, jj, rp.l))
+                .collect(),
+        });
+        let (start_epoch, weights, optimizer, records) = match store.restore() {
+            Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
+            None => (
+                0,
+                Weights::init(&cfg.gcn),
+                Optimizer::from_config(&cfg.gcn),
+                Vec::with_capacity(cfg.epochs),
+            ),
+        };
+        let l_total = cfg.gcn.layers();
+        let mut hs = Vec::with_capacity(l_total + 1);
+        hs.push(ds.features.row_slice(rp.row_lo, rp.row_hi));
+        let rank = RankTrainer {
+            ds,
+            cfg,
+            plan,
+            store,
+            panel,
+            all_group: (0..ctx.p()).collect(),
+            weights,
+            optimizer,
+            records,
+            bufs: EpochBuffers::new(),
+            hs,
+            zs: Vec::with_capacity(l_total),
+            ahs: Vec::with_capacity(l_total),
+        };
+        (rank, start_epoch)
+    }
 
-    let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-        match plan {
-            PlanKind::OneD(pl) => match &ov_plan {
-                Some(ov) if aware => spmm_1d_aware_pipelined_buf(ctx, pl, h, ov, bufs),
-                Some(ov) => spmm_1d_oblivious_pipelined_buf(ctx, pl, h, ov, bufs),
-                None if aware => spmm_1d_aware_buf(ctx, pl, h, bufs),
-                None => spmm_1d_oblivious_buf(ctx, pl, h, bufs),
-            },
-            PlanKind::Grid(pl) => grid_spmm(ctx, pl, h, overlap, bufs),
-        }
-    };
-
-    // Layer stacks, reused across epochs (drained into `bufs` at the end
-    // of each epoch, repopulated from it at the start of the next).
-    // `hs[0]` is H⁰, this rank's one owned block of input features: it
-    // stays in place for the whole run, read-only, neither copied per
-    // epoch nor retired to the pool.
-    let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
-    hs.push(ds.features.row_slice(lo, hi));
-    let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
-
-    for epoch in start_epoch..cfg.epochs {
+    /// Runs epoch `epoch` as an *attempt* and passes it through the commit
+    /// gate; returns whether it committed. Only a committed attempt
+    /// mutates state (optimizer step, record append, checkpoint), so under
+    /// failover an attempt aborted by a mid-epoch death — every survivor
+    /// unwinds with [`EpochAbortPanic`] — is side-effect free and simply
+    /// re-runs. Without failover nothing can abort in place: the attempt
+    /// runs unguarded and the gate is a no-op that always commits.
+    pub(crate) fn epoch(&mut self, ctx: &mut RankCtx, epoch: usize) -> bool {
         ctx.set_epoch(epoch);
+        let attempt = if ctx.failover_enabled() {
+            catch_unwind(AssertUnwindSafe(|| self.attempt(ctx)))
+        } else {
+            Ok(self.attempt(ctx))
+        };
+        // Finished or aborted, the attempt's activations go back to the
+        // pool; H⁰ stays.
+        let Self {
+            bufs, hs, zs, ahs, ..
+        } = self;
+        for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
+            bufs.put_dense(d);
+        }
+        let (grads, record) = match attempt {
+            Ok(done) => done,
+            Err(payload) => {
+                // Only the failover abort is survivable here; injected
+                // crashes, replica-column loss and genuine bugs keep
+                // unwinding to the world boundary.
+                if !payload.is::<EpochAbortPanic>() {
+                    resume_unwind(payload);
+                }
+                let committed = ctx.commit_epoch();
+                debug_assert!(!committed, "an aborted attempt cannot commit");
+                return false;
+            }
+        };
+        // Commit gate: true unless somebody died during this attempt.
+        let committed = ctx.commit_epoch();
+        if committed {
+            self.optimizer.step(&mut self.weights, &grads);
+            self.records.push(record);
+        }
+        for d in grads {
+            self.bufs.put_dense(d);
+        }
+        // End-of-epoch state is consistent: the writer could only get
+        // here by completing every collective of this epoch, and the
+        // state it snapshots is replicated on all ranks. The store
+        // checksums the snapshot and keeps the previous one as a verified
+        // fallback.
+        let every = self.cfg.robust.checkpoint_every;
+        if committed && every > 0 && (epoch + 1).is_multiple_of(every) {
+            // The lowest survivor writes (rank 0 while nobody has died);
+            // the sealed view makes that choice identical on every rank.
+            let dead = ctx.sealed_dead_ranks();
+            let writer = (0..ctx.p()).find(|r| !dead.contains(r));
+            if writer == Some(ctx.rank()) {
+                self.store.save(Checkpoint {
+                    next_epoch: epoch + 1,
+                    weights: self.weights.clone(),
+                    optimizer: self.optimizer.clone(),
+                    records: self.records.clone(),
+                });
+            }
+        }
+        committed
+    }
+
+    /// One epoch attempt: forward, loss, backward through the final
+    /// gradient all-reduce. Returns the weight gradients (layer order)
+    /// and the epoch's record, leaves its activations on the layer stacks
+    /// for [`Self::epoch`] to retire, and touches no training state. Under a
+    /// degraded [`FailoverView`] the SpMM and the global reductions run
+    /// their degraded forms, which fold in fault-free slot order from
+    /// replicated data, so committed epochs are bit-identical to a
+    /// fault-free run.
+    fn attempt(&mut self, ctx: &mut RankCtx) -> (Vec<Dense>, EpochRecord) {
+        let (ds, cfg, plan) = (self.ds, self.cfg, self.plan);
+        let (panel, all_group, weights) = (&self.panel, &self.all_group, &self.weights);
+        let (bufs, hs, zs, ahs) = (&mut self.bufs, &mut self.hs, &mut self.zs, &mut self.ahs);
+        let rp = &plan.ranks[ctx.rank()];
+        let rows = rp.rows();
+        let (arch, dims, l_total) = (cfg.gcn.arch, &cfg.gcn.dims, cfg.gcn.layers());
+
+        // Role assignment from the *sealed* death set — identical on
+        // every rank of this generation without communication.
+        let view = FailoverView::compute(ctx, plan);
+        let degraded = view.is_degraded();
+        let oned = matches!(cfg.algo, Algo::OneD { .. });
+        // The failover world always runs its blocking schedule.
+        let pipelined = cfg.overlap.enabled && !ctx.failover_enabled();
+        let chunks = cfg.overlap.chunks;
+        let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
+            if degraded {
+                return spmm_15d_failover_buf(ctx, plan, &view, h, bufs);
+            }
+            match (oned, pipelined) {
+                (true, true) => spmm_1d_pipelined_buf(ctx, plan, h, chunks, bufs),
+                (true, false) => spmm_1d_buf(ctx, plan, h, bufs),
+                (false, true) => spmm_grid_pipelined_buf(ctx, plan, h, chunks, bufs),
+                (false, false) => spmm_grid_buf(ctx, plan, h, bufs),
+            }
+        };
+        let global_reduce = |ctx: &mut RankCtx, buf: &mut [f64]| {
+            if degraded {
+                failover_allreduce_replicated(ctx, &view, buf);
+            } else {
+                ctx.allreduce_sum(buf, all_group);
+            }
+        };
         ctx.span_begin(SpanKind::Epoch, Phase::Other);
+
         // ---- forward ----
         ctx.span_begin(SpanKind::Forward, Phase::Other);
         for l in 0..l_total {
-            let ah = dist_spmm(ctx, &hs[l], &mut bufs);
-            let w = &weights.mats[l];
             let (d, d_out) = (dims[l], dims[l + 1]);
+            let (ilo, ihi) = own_range(panel, d);
+            let ipw = ihi - ilo;
+            let h_panel = slice_in(ctx, panel, &hs[l], (ilo, ihi), bufs);
+            let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
+            let ah = dist_spmm(ctx, h_in, bufs);
+            // Product against the own rows of W: all of Z without a
+            // panel, a partial over the full output width with one.
+            let w = &weights.mats[l];
             let mut z = bufs.take_dense(rows, d_out);
-            match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    ctx.compute((2 * rows * d * d_out) as u64, || ah.matmul_into(w, &mut z))
-                }
+            match arch {
+                ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                    ah.matmul_into(&w_rows(w, ilo, ihi), &mut z)
+                }),
                 ArchKind::Sage => {
-                    let h_prev = &hs[l];
                     let mut tmp = bufs.take_dense(rows, d_out);
-                    ctx.compute((4 * rows * d * d_out + rows * d_out) as u64, || {
-                        h_prev.matmul_into(&w.row_slice(0, d), &mut z);
-                        ah.matmul_into(&w.row_slice(d, 2 * d), &mut tmp);
+                    ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
+                        h_in.matmul_into(&w.row_slice(ilo, ihi), &mut z);
+                        ah.matmul_into(&w.row_slice(d + ilo, d + ihi), &mut tmp);
                         z.add_assign(&tmp);
                     });
                     bufs.put_dense(tmp);
                 }
             }
+            if let Some(p) = panel {
+                ctx.allreduce_sum(z.data_mut(), &p.row_group);
+            }
             let mut h = bufs.take_dense(rows, d_out);
             if l + 1 == l_total {
                 h.data_mut().copy_from_slice(z.data());
             } else {
-                ctx.compute((rows * dims[l + 1]) as u64, || z.relu_into(&mut h));
+                ctx.compute((rows * d_out) as u64, || z.relu_into(&mut h));
+            }
+            if let Some(hp) = h_panel {
+                bufs.put_dense(hp);
             }
             zs.push(z);
             hs.push(h);
@@ -506,104 +693,111 @@ pub(crate) fn run_rank(
         ctx.span_end();
 
         // ---- loss / metrics ----
-        let (record, g_count, grad_sum) =
-            loss_and_metrics(ctx, &hs[l_total], labels, mask, |ctx, sums| {
-                ctx.allreduce_sum(sums, &all_group)
-            });
-        records.push(record);
+        let (labels, mask) = (
+            &ds.labels[rp.row_lo..rp.row_hi],
+            &ds.train_mask[rp.row_lo..rp.row_hi],
+        );
+        let (record, g_count, mut g) =
+            loss_and_metrics(ctx, &hs[l_total], labels, mask, global_reduce, bufs);
 
         // ---- backward ----
         ctx.span_begin(SpanKind::Backward, Phase::Other);
-        // True (unreplicated) masked count normalizes the gradient.
-        let denom = (g_count / c_rep).max(1.0);
-        let mut g = grad_sum;
+        // Every block row is held by pc·c ranks; the true masked count
+        // normalizes the gradient.
+        let denom = (g_count / (plan.pc * plan.c) as f64).max(1.0);
         g.scale(1.0 / denom);
+        let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
 
         for l in (0..l_total).rev() {
-            let s = dist_spmm(ctx, &g, &mut bufs);
-            let h_prev = &hs[l];
             let (d, d_out) = (dims[l], dims[l + 1]);
-            let mut y = match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    let mut y = bufs.take_dense(d, d_out);
-                    ctx.compute((2 * rows * d * d_out) as u64, || {
-                        h_prev.transpose_matmul_into(&s, &mut y)
-                    });
-                    y
-                }
+            let (ilo, ihi) = own_range(panel, d);
+            let ipw = ihi - ilo;
+
+            // S = AᵀG; with a panel, the SpMM of the own gradient panel,
+            // reassembled to full width by summing the disjoint panels
+            // across the grid row.
+            let (olo, ohi) = own_range(panel, d_out);
+            let g_panel = slice_in(ctx, panel, &g, (olo, ohi), bufs);
+            let mut s = dist_spmm(ctx, g_panel.as_ref().unwrap_or(&g), bufs);
+            if let (Some(p), Some(g_panel)) = (panel, g_panel) {
+                bufs.put_dense(g_panel);
+                let s_panel = std::mem::replace(&mut s, bufs.take_dense(rows, d_out));
+                ctx.compute((rows * (ohi - olo)) as u64, || {
+                    for r in 0..rows {
+                        s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
+                    }
+                });
+                ctx.allreduce_sum(s.data_mut(), &p.row_group);
+                bufs.put_dense(s_panel);
+            }
+
+            // Weight gradient: this rank fills the own rows of Y; the
+            // all-reduce over all p sums the distinct grid-row (and
+            // panel) contributions and the c identical layer copies.
+            let h_panel = slice_in(ctx, panel, &hs[l], (ilo, ihi), bufs);
+            let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
+            let mut y = bufs.take_dense(weights.mats[l].rows(), d_out);
+            let mut top = bufs.take_dense(ipw, d_out);
+            match arch {
+                ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                    h_in.transpose_matmul_into(&s, &mut top)
+                }),
                 ArchKind::Sage => {
-                    let ah = &ahs[l];
-                    let g_ref = &g;
-                    let mut top = bufs.take_dense(d, d_out);
-                    let mut bottom = bufs.take_dense(d, d_out);
-                    ctx.compute((4 * rows * d * d_out) as u64, || {
-                        h_prev.transpose_matmul_into(g_ref, &mut top);
-                        ah.transpose_matmul_into(g_ref, &mut bottom);
+                    let mut bottom = bufs.take_dense(ipw, d_out);
+                    ctx.compute((4 * rows * ipw * d_out) as u64, || {
+                        h_in.transpose_matmul_into(&g, &mut top);
+                        ahs[l].transpose_matmul_into(&g, &mut bottom);
                     });
-                    let mut y = bufs.take_dense(2 * d, d_out);
-                    y.data_mut()[..d * d_out].copy_from_slice(top.data());
-                    y.data_mut()[d * d_out..].copy_from_slice(bottom.data());
-                    bufs.put_dense(top);
+                    y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
+                        .copy_from_slice(bottom.data());
                     bufs.put_dense(bottom);
-                    y
                 }
-            };
-            ctx.allreduce_sum(y.data_mut(), &all_group);
-            // Replicated rows contributed c times each.
-            y.scale(1.0 / c_rep);
+            }
+            y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(top.data());
+            bufs.put_dense(top);
+            if let Some(hp) = h_panel {
+                bufs.put_dense(hp);
+            }
+            global_reduce(ctx, y.data_mut());
+            y.scale(1.0 / plan.c as f64);
             grads.push(y); // reverse layer order; fixed up below
             if l > 0 {
+                // Full-width local propagation (s and z_prev are
+                // full-width and replicated on every shape).
                 let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
-                propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
+                propagate_gradient(ctx, arch, w, prev_z, &s, &mut g, bufs);
             }
             bufs.put_dense(s);
         }
         grads.reverse();
-        optimizer.step(&mut weights, &grads);
         ctx.span_end();
 
-        // ---- retire epoch temporaries ----
         bufs.put_dense(g);
-        for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-            bufs.put_dense(d);
-        }
-        for d in grads.drain(..) {
-            bufs.put_dense(d);
-        }
-
-        // ---- checkpoint ----
-        // End-of-epoch state is consistent: rank 0 could only get here
-        // by completing every collective of this epoch, and the state
-        // it snapshots is replicated on all ranks. The store checksums
-        // the snapshot and keeps the previous one as a verified
-        // fallback.
-        let every = cfg.robust.checkpoint_every;
-        if ctx.rank() == 0 && every > 0 && (epoch + 1) % every == 0 {
-            store.save(Checkpoint {
-                next_epoch: epoch + 1,
-                weights: weights.clone(),
-                optimizer: optimizer.clone(),
-                records: records.clone(),
-            });
-        }
         ctx.span_end(); // epoch
+        (grads, record)
     }
-    (records, weights)
 }
 
 /// The loss / metrics step of one epoch: local masked cross-entropy
 /// sums, the `[loss, count, correct]` reduction over all ranks through
 /// `reduce`, and the epoch's record. Returns the record, the global
-/// (replication-inflated) masked count, and the local logit gradient sum.
+/// (replication-inflated) masked count, and the local logit gradient sum
+/// — a pooled matrix, like the softmax scratch, so the step leaves the
+/// pool as it found it once the caller retires the gradient.
 fn loss_and_metrics(
     ctx: &mut RankCtx,
     logits: &Dense,
     labels: &[u32],
     mask: &[bool],
     reduce: impl FnOnce(&mut RankCtx, &mut [f64]),
+    bufs: &mut EpochBuffers,
 ) -> (EpochRecord, f64, Dense) {
     ctx.span_begin(SpanKind::Loss, Phase::Other);
-    let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
+    let mut grad_sum = bufs.take_dense(logits.rows(), logits.cols());
+    let mut probs = bufs.take_dense(logits.rows(), logits.cols());
+    let (loss_sum, count) =
+        softmax_cross_entropy_sums_into(logits, labels, mask, &mut probs, &mut grad_sum);
+    bufs.put_dense(probs);
     let correct = crate::model::accuracy(logits, labels, mask) * count as f64;
     let mut sums = [loss_sum, count as f64, correct];
     reduce(ctx, &mut sums);
@@ -653,485 +847,10 @@ fn propagate_gradient(
     bufs.put_dense(std::mem::replace(g, gg));
 }
 
-/// One grid SpMM under `overlap`: the pipelined executor when enabled,
-/// the blocking one otherwise.
-fn grid_spmm(
-    ctx: &mut RankCtx,
-    plan: &GridPlan,
-    h: &Dense,
-    overlap: OverlapConfig,
-    bufs: &mut EpochBuffers,
-) -> Dense {
-    if overlap.enabled {
-        spmm_grid_pipelined_buf(ctx, plan, h, overlap.chunks, bufs)
-    } else {
-        spmm_grid_buf(ctx, plan, h, bufs)
-    }
-}
-
-/// Copies the column panel `[lo, hi)` of `src` into a pooled matrix.
-fn slice_panel(src: &Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Dense {
-    let mut out = bufs.take_dense(src.rows(), hi - lo);
-    for r in 0..src.rows() {
-        out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
-    }
-    out
-}
-
-/// One rank's training program on a 2D or 3D process grid.
-///
-/// The grid algorithms keep `H`/`Z` **full-width and replicated** across
-/// each grid row (and, in 3D, across the `c` layers): the panel-GEMM's
-/// grid-row all-reduce already produces the full-width product on every
-/// rank, so replication costs no extra communication, and the local
-/// backward steps (`relu'`, `·Wᵀ` propagation) stay identical to the 1D
-/// data flow. Only the SpMM operands are transient per-call panels.
-///
-/// Per layer (forward): slice the own feature panel of the full-width
-/// `H`, run the 2D/3D SpMM on it, multiply the panel against the
-/// matching rows of `W` (a partial product over the full output width),
-/// and all-reduce the partials across the grid row — giving the
-/// full-width `Z` everywhere. Backward mirrors it: SpMM of the own
-/// gradient panel, grid-row all-reduce to reassemble the full-width
-/// `AᵀG`, then the weight gradient is built from per-panel blocks
-/// (`H_panelᵀ · AᵀG` lands in rows `[panel_lo, panel_hi)` of `Y`) and
-/// all-reduced over all `p` ranks.
-///
-/// Replication bookkeeping: each block row lives on `pc·c` ranks, so
-/// the masked-count denominator divides by `pc·c`; the weight-gradient
-/// all-reduce sums `pc` *distinct* panel blocks per grid row but `c`
-/// *identical* layer copies, so only `c` is divided out of `Y`.
-fn run_rank_grid(
-    ctx: &mut RankCtx,
-    ds: &Dataset,
-    cfg: &DistConfig,
-    plan: &GridPlan,
-    store: &dyn CheckpointBackend,
-) -> (Vec<EpochRecord>, Weights) {
-    // Geometry: grid coordinates, block row, panel splitter, and the
-    // two all-reduce groups (grid row within the layer; all ranks).
-    let rp = &plan.ranks[ctx.rank()];
-    let (grid_j, lo, hi, cl) = (rp.j, rp.row_lo, rp.row_hi, plan.c);
-    let row_group: Vec<usize> = (0..plan.pc)
-        .map(|jj| plan.rank_of(rp.i, jj, rp.l))
-        .collect();
-    let all_group: Vec<usize> = (0..ctx.p()).collect();
-    let panel_bounds = |f: usize| plan.panel_bounds(f);
-    let rep = (plan.pc * cl) as f64;
-
-    let rows = hi - lo;
-    let labels = &ds.labels[lo..hi];
-    let mask = &ds.train_mask[lo..hi];
-
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
-        Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
-        None => (
-            0,
-            Weights::init(&cfg.gcn),
-            Optimizer::from_config(&cfg.gcn),
-            Vec::with_capacity(cfg.epochs),
-        ),
-    };
-    let l_total = cfg.gcn.layers();
-    let dims = &cfg.gcn.dims;
-    let mut bufs = EpochBuffers::new();
-    let overlap = cfg.overlap;
-
-    // `hs[0]` is H⁰ for the whole run, as in `run_rank`.
-    let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
-    hs.push(ds.features.row_slice(lo, hi));
-    let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
-
-    for epoch in start_epoch..cfg.epochs {
-        ctx.set_epoch(epoch);
-        ctx.span_begin(SpanKind::Epoch, Phase::Other);
-        // ---- forward ----
-        ctx.span_begin(SpanKind::Forward, Phase::Other);
-        for l in 0..l_total {
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let ib = panel_bounds(d);
-            let (ilo, ihi) = (ib[grid_j], ib[grid_j + 1]);
-            let ipw = ihi - ilo;
-            // Own input panel of the full-width activation.
-            let h_panel = ctx.compute((rows * ipw) as u64, || {
-                slice_panel(&hs[l], ilo, ihi, &mut bufs)
-            });
-            let ah = grid_spmm(ctx, plan, &h_panel, overlap, &mut bufs);
-            // Partial product against the panel's rows of W, then
-            // grid-row all-reduce: full-width Z on every rank.
-            let w = &weights.mats[l];
-            let mut z = bufs.take_dense(rows, d_out);
-            match cfg.gcn.arch {
-                ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                    ah.matmul_into(&w.row_slice(ilo, ihi), &mut z)
-                }),
-                ArchKind::Sage => {
-                    let mut tmp = bufs.take_dense(rows, d_out);
-                    ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
-                        h_panel.matmul_into(&w.row_slice(ilo, ihi), &mut z);
-                        ah.matmul_into(&w.row_slice(d + ilo, d + ihi), &mut tmp);
-                        z.add_assign(&tmp);
-                    });
-                    bufs.put_dense(tmp);
-                }
-            }
-            ctx.allreduce_sum(z.data_mut(), &row_group);
-            let mut h = bufs.take_dense(rows, d_out);
-            if l + 1 == l_total {
-                h.data_mut().copy_from_slice(z.data());
-            } else {
-                ctx.compute((rows * d_out) as u64, || z.relu_into(&mut h));
-            }
-            bufs.put_dense(h_panel);
-            zs.push(z);
-            hs.push(h);
-            ahs.push(ah);
-        }
-        ctx.span_end();
-
-        // ---- loss / metrics ----
-        let (record, g_count, grad_sum) =
-            loss_and_metrics(ctx, &hs[l_total], labels, mask, |ctx, sums| {
-                ctx.allreduce_sum(sums, &all_group)
-            });
-        records.push(record);
-
-        // ---- backward ----
-        ctx.span_begin(SpanKind::Backward, Phase::Other);
-        // Every block row is held by pc·c ranks; divide the duplicates
-        // out of the masked count.
-        let denom = (g_count / rep).max(1.0);
-        let mut g = grad_sum;
-        g.scale(1.0 / denom);
-
-        for l in (0..l_total).rev() {
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let ib = panel_bounds(d);
-            let (ilo, ihi) = (ib[grid_j], ib[grid_j + 1]);
-            let ipw = ihi - ilo;
-            let ob = panel_bounds(d_out);
-            let (olo, ohi) = (ob[grid_j], ob[grid_j + 1]);
-            let opw = ohi - olo;
-
-            // SpMM of the own gradient panel, then reassemble the
-            // full-width AᵀG by summing the disjoint panels across the
-            // grid row.
-            let g_panel = ctx.compute((rows * opw) as u64, || slice_panel(&g, olo, ohi, &mut bufs));
-            let s_panel = grid_spmm(ctx, plan, &g_panel, overlap, &mut bufs);
-            bufs.put_dense(g_panel);
-            let mut s = bufs.take_dense(rows, d_out);
-            ctx.compute((rows * opw) as u64, || {
-                for r in 0..rows {
-                    s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
-                }
-            });
-            ctx.allreduce_sum(s.data_mut(), &row_group);
-            bufs.put_dense(s_panel);
-
-            // Weight gradient from per-panel blocks: this rank fills
-            // rows [ilo, ihi) of Y; the all-reduce over all p sums the
-            // pr distinct grid-row contributions per panel and the c
-            // identical layer copies.
-            let h_prev = &hs[l];
-            let mut y = match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    let hp = ctx.compute((rows * ipw) as u64, || {
-                        slice_panel(h_prev, ilo, ihi, &mut bufs)
-                    });
-                    let mut yp = bufs.take_dense(ipw, d_out);
-                    ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                        hp.transpose_matmul_into(&s, &mut yp)
-                    });
-                    let mut y = bufs.take_dense(d, d_out);
-                    y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(yp.data());
-                    bufs.put_dense(hp);
-                    bufs.put_dense(yp);
-                    y
-                }
-                ArchKind::Sage => {
-                    let ah = &ahs[l];
-                    let g_ref = &g;
-                    let hp = ctx.compute((rows * ipw) as u64, || {
-                        slice_panel(h_prev, ilo, ihi, &mut bufs)
-                    });
-                    let mut top = bufs.take_dense(ipw, d_out);
-                    let mut bottom = bufs.take_dense(ipw, d_out);
-                    ctx.compute((4 * rows * ipw * d_out) as u64, || {
-                        hp.transpose_matmul_into(g_ref, &mut top);
-                        ah.transpose_matmul_into(g_ref, &mut bottom);
-                    });
-                    let mut y = bufs.take_dense(2 * d, d_out);
-                    y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(top.data());
-                    y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
-                        .copy_from_slice(bottom.data());
-                    bufs.put_dense(hp);
-                    bufs.put_dense(top);
-                    bufs.put_dense(bottom);
-                    y
-                }
-            };
-            ctx.allreduce_sum(y.data_mut(), &all_group);
-            // Only the layer replicas are duplicates; the grid-row
-            // contributions are distinct panel blocks.
-            y.scale(1.0 / cl as f64);
-            grads.push(y); // reverse layer order; fixed up below
-            if l > 0 {
-                // Full-width local propagation, identical to the 1D
-                // data flow (s and z_prev are full-width and replicated).
-                let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
-                propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
-            }
-            bufs.put_dense(s);
-        }
-        grads.reverse();
-        optimizer.step(&mut weights, &grads);
-        ctx.span_end();
-
-        // ---- retire epoch temporaries ----
-        bufs.put_dense(g);
-        for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-            bufs.put_dense(d);
-        }
-        for d in grads.drain(..) {
-            bufs.put_dense(d);
-        }
-
-        // ---- checkpoint ----
-        let every = cfg.robust.checkpoint_every;
-        if ctx.rank() == 0 && every > 0 && (epoch + 1) % every == 0 {
-            store.save(Checkpoint {
-                next_epoch: epoch + 1,
-                weights: weights.clone(),
-                optimizer: optimizer.clone(),
-                records: records.clone(),
-            });
-        }
-        ctx.span_end(); // epoch
-    }
-    (records, weights)
-}
-
-/// One rank's training program under degraded-mode failover (1.5D
-/// only). Epochs run as *attempts*: the full forward/loss/backward is
-/// computed through the final gradient all-reduce, then the attempt is
-/// committed at a death-aware barrier. Only a committed attempt mutates
-/// state (optimizer step, record append, checkpoint), so an attempt
-/// aborted by a mid-epoch death — every survivor unwinds with
-/// [`EpochAbortPanic`] — is side-effect free and simply re-runs with
-/// the dead rank's duties reassigned via [`FailoverView`]. Degraded
-/// collectives fold in fault-free slot order from replicated data, so
-/// committed epochs are bit-identical to a fault-free run.
-fn run_rank_failover(
-    ctx: &mut RankCtx,
-    ds: &Dataset,
-    cfg: &DistConfig,
-    plan: &GridPlan,
-    store: &dyn CheckpointBackend,
-) -> (Vec<EpochRecord>, Weights) {
-    let c_rep = cfg.algo.replication() as f64;
-    let all_group: Vec<usize> = (0..ctx.p()).collect();
-    let rp = &plan.ranks[ctx.rank()];
-    let (lo, hi) = (rp.row_lo, rp.row_hi);
-    let rows = hi - lo;
-    let labels = &ds.labels[lo..hi];
-    let mask = &ds.train_mask[lo..hi];
-
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
-        Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
-        None => (
-            0,
-            Weights::init(&cfg.gcn),
-            Optimizer::from_config(&cfg.gcn),
-            Vec::with_capacity(cfg.epochs),
-        ),
-    };
-    let l_total = cfg.gcn.layers();
-    let dims = &cfg.gcn.dims;
-    let mut bufs = EpochBuffers::new();
-    // `hs[0]` is H⁰ for the whole run, as in `run_rank`. The stack lives
-    // outside the attempt so the block survives an attempt that unwinds.
-    let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
-    hs.push(ds.features.row_slice(lo, hi));
-
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        ctx.set_epoch(epoch);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            // Role assignment from the *sealed* death set — identical
-            // on every rank of this generation without communication.
-            let view = FailoverView::compute(ctx, plan);
-            let degraded = view.is_degraded();
-            let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-                if degraded {
-                    spmm_15d_failover_buf(ctx, plan, &view, h, bufs)
-                } else {
-                    spmm_grid_buf(ctx, plan, h, bufs)
-                }
-            };
-            let global_reduce = |ctx: &mut RankCtx, buf: &mut [f64]| {
-                if degraded {
-                    failover_allreduce_replicated(ctx, &view, buf);
-                } else {
-                    ctx.allreduce_sum(buf, &all_group);
-                }
-            };
-            ctx.span_begin(SpanKind::Epoch, Phase::Other);
-
-            // ---- forward ----
-            ctx.span_begin(SpanKind::Forward, Phase::Other);
-            let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
-            let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
-            for l in 0..l_total {
-                let ah = dist_spmm(ctx, &hs[l], &mut bufs);
-                let w = &weights.mats[l];
-                let (d, d_out) = (dims[l], dims[l + 1]);
-                let mut z = bufs.take_dense(rows, d_out);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d * d_out) as u64, || ah.matmul_into(w, &mut z))
-                    }
-                    ArchKind::Sage => {
-                        let h_prev = &hs[l];
-                        let mut tmp = bufs.take_dense(rows, d_out);
-                        ctx.compute((4 * rows * d * d_out + rows * d_out) as u64, || {
-                            h_prev.matmul_into(&w.row_slice(0, d), &mut z);
-                            ah.matmul_into(&w.row_slice(d, 2 * d), &mut tmp);
-                            z.add_assign(&tmp);
-                        });
-                        bufs.put_dense(tmp);
-                    }
-                }
-                let mut h = bufs.take_dense(rows, d_out);
-                if l + 1 == l_total {
-                    h.data_mut().copy_from_slice(z.data());
-                } else {
-                    ctx.compute((rows * dims[l + 1]) as u64, || z.relu_into(&mut h));
-                }
-                zs.push(z);
-                hs.push(h);
-                ahs.push(ah);
-            }
-            ctx.span_end();
-
-            // ---- loss / metrics ----
-            let (record, g_count, grad_sum) =
-                loss_and_metrics(ctx, &hs[l_total], labels, mask, global_reduce);
-
-            // ---- backward ----
-            ctx.span_begin(SpanKind::Backward, Phase::Other);
-            let denom = (g_count / c_rep).max(1.0);
-            let mut g = grad_sum;
-            g.scale(1.0 / denom);
-            let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
-
-            for l in (0..l_total).rev() {
-                let s = dist_spmm(ctx, &g, &mut bufs);
-                let h_prev = &hs[l];
-                let (d, d_out) = (dims[l], dims[l + 1]);
-                let mut y = match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        let mut y = bufs.take_dense(d, d_out);
-                        ctx.compute((2 * rows * d * d_out) as u64, || {
-                            h_prev.transpose_matmul_into(&s, &mut y)
-                        });
-                        y
-                    }
-                    ArchKind::Sage => {
-                        let ah = &ahs[l];
-                        let g_ref = &g;
-                        let mut top = bufs.take_dense(d, d_out);
-                        let mut bottom = bufs.take_dense(d, d_out);
-                        ctx.compute((4 * rows * d * d_out) as u64, || {
-                            h_prev.transpose_matmul_into(g_ref, &mut top);
-                            ah.transpose_matmul_into(g_ref, &mut bottom);
-                        });
-                        let mut y = bufs.take_dense(2 * d, d_out);
-                        y.data_mut()[..d * d_out].copy_from_slice(top.data());
-                        y.data_mut()[d * d_out..].copy_from_slice(bottom.data());
-                        bufs.put_dense(top);
-                        bufs.put_dense(bottom);
-                        y
-                    }
-                };
-                global_reduce(ctx, y.data_mut());
-                // Replicated rows contributed c times each.
-                y.scale(1.0 / c_rep);
-                grads.push(y); // reverse layer order; fixed up below
-                if l > 0 {
-                    let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
-                    propagate_gradient(ctx, cfg.gcn.arch, w, prev_z, &s, &mut g, &mut bufs);
-                }
-                bufs.put_dense(s);
-            }
-            grads.reverse();
-            ctx.span_end();
-
-            // ---- retire attempt temporaries ----
-            bufs.put_dense(g);
-            for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-                bufs.put_dense(d);
-            }
-            ctx.span_end(); // epoch
-            (grads, record)
-        }));
-
-        match attempt {
-            Ok((grads, record)) => {
-                // Commit gate: true only if nobody died this attempt.
-                let committed = ctx.commit_epoch();
-                if committed {
-                    optimizer.step(&mut weights, &grads);
-                    records.push(record);
-                }
-                for d in grads {
-                    bufs.put_dense(d);
-                }
-                if committed {
-                    let every = cfg.robust.checkpoint_every;
-                    if every > 0 && (epoch + 1) % every == 0 {
-                        // The lowest survivor writes; the sealed view
-                        // makes that choice identical on every rank.
-                        let dead = ctx.sealed_dead_ranks();
-                        let writer = (0..ctx.p())
-                            .find(|r| !dead.contains(r))
-                            .expect("at least one survivor");
-                        if ctx.rank() == writer {
-                            store.save(Checkpoint {
-                                next_epoch: epoch + 1,
-                                weights: weights.clone(),
-                                optimizer: optimizer.clone(),
-                                records: records.clone(),
-                            });
-                        }
-                    }
-                    epoch += 1;
-                }
-                // Uncommitted: a peer died mid-attempt after our last
-                // recv — discard and re-run the same epoch degraded.
-            }
-            Err(payload) => {
-                // Only the failover abort is survivable here; injected
-                // crashes, replica-column loss and genuine bugs keep
-                // unwinding to the world boundary.
-                if !payload.is::<EpochAbortPanic>() {
-                    resume_unwind(payload);
-                }
-                // Drop the aborted attempt's activations; H⁰ stays.
-                hs.truncate(1);
-                let committed = ctx.commit_epoch();
-                debug_assert!(!committed, "an aborted attempt cannot commit");
-            }
-        }
-    }
-    (records, weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::plan::even_bounds;
+    use crate::dist::even_bounds;
     use crate::reference::ReferenceTrainer;
     use spmat::dataset::reddit_scaled;
 
@@ -1149,6 +868,49 @@ mod tests {
         let dist_cfg = DistConfig::new(algo, cfg, epochs, CostModel::perlmutter_like());
         let out = train_distributed(&ds, &bounds, &dist_cfg);
         (out, ref_records, reference.weights)
+    }
+
+    /// Per rank, `(pooled, fresh_allocs)` of the rank's pool after each
+    /// of 10 epochs driven through [`RankTrainer::epoch`].
+    fn pool_trajectory(
+        algo: Algo,
+        bounds_parts: usize,
+        overlap: OverlapConfig,
+    ) -> Vec<Vec<(usize, u64)>> {
+        let ds = spmat::dataset::amazon_scaled(8, 5);
+        let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
+        let bounds = even_bounds(ds.n(), bounds_parts);
+        let mut cfg = DistConfig::new(algo, gcn, 10, CostModel::perlmutter_like());
+        cfg.overlap = overlap;
+        let plan = build_plan(&ds, &bounds, &cfg);
+        let store = Mutex::new(CheckpointStore::new());
+        let world = ThreadWorld::new(plan.p(), cfg.model);
+        let (per_rank, _) = world.run(|ctx| {
+            let (mut rank, start) = RankTrainer::new(ctx, &ds, &cfg, &plan, &store);
+            let epochs = start..cfg.epochs;
+            let after = |epoch| {
+                assert!(rank.epoch(ctx, epoch), "fault-free epochs commit");
+                (rank.bufs.pooled(), rank.bufs.fresh_allocs())
+            };
+            epochs.map(after).collect::<Vec<_>>()
+        });
+        per_rank
+    }
+
+    #[test]
+    fn trainer_pool_is_flat_in_steady_state() {
+        // 1D aware p=2 is the benchmark shape. Every buffer an epoch takes
+        // it gives back — the loss gradient and softmax scratch included —
+        // so from epoch 3 on the pool neither grows nor allocates.
+        for overlap in [OverlapConfig::off(), OverlapConfig::on(2)] {
+            let per_rank = pool_trajectory(Algo::OneD { aware: true }, 2, overlap);
+            for (rank, after) in per_rank.iter().enumerate() {
+                assert!(
+                    after[2..].iter().all(|counters| *counters == after[2]),
+                    "{overlap:?} rank {rank}: (pooled, fresh) per epoch {after:?}"
+                );
+            }
+        }
     }
 
     #[test]

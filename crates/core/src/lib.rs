@@ -7,9 +7,10 @@
 //!
 //! * [`model`] — GCN weights, softmax cross-entropy, accuracy.
 //! * [`mod@reference`] — sequential full-graph trainer (ground truth).
-//! * [`dist`] — communication plans and the distributed SpMMs — 1D and
-//!   the 1.5D/2D/3D grid template, each oblivious or sparsity-aware,
-//!   blocking or pipelined — plus the SPMD trainer that runs them over
+//! * [`dist`] — the one communication plan (`GridPlan`: 1D, 1.5D, 2D and
+//!   3D are its shapes) and the distributed SpMMs that execute it, each
+//!   oblivious or sparsity-aware, blocking or pipelined — plus the SPMD
+//!   trainer whose one epoch program runs them over
 //!   [`gnn_comm::ThreadWorld`] or rank processes.
 //! * [`analytic`] — closed-form cost replay for large sweeps; proven
 //!   equal to the executor's accounting by integration tests.

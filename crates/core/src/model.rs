@@ -120,7 +120,14 @@ impl Weights {
 
 /// Row-wise softmax.
 pub fn softmax(logits: &Dense) -> Dense {
-    let mut out = logits.clone();
+    let mut out = Dense::zeros(logits.rows(), logits.cols());
+    softmax_into(logits, &mut out);
+    out
+}
+
+/// Row-wise softmax into a caller-provided matrix of the same shape.
+pub fn softmax_into(logits: &Dense, out: &mut Dense) {
+    out.data_mut().copy_from_slice(logits.data());
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -133,7 +140,6 @@ pub fn softmax(logits: &Dense) -> Dense {
             *v /= sum;
         }
     }
-    out
 }
 
 /// Masked softmax cross-entropy **sums** (not yet averaged): returns
@@ -146,10 +152,27 @@ pub fn softmax_cross_entropy_sums(
     labels: &[u32],
     mask: &[bool],
 ) -> (f64, usize, Dense) {
+    let mut probs = Dense::zeros(logits.rows(), logits.cols());
+    let mut grad = Dense::zeros(logits.rows(), logits.cols());
+    let (loss, count) =
+        softmax_cross_entropy_sums_into(logits, labels, mask, &mut probs, &mut grad);
+    (loss, count, grad)
+}
+
+/// [`softmax_cross_entropy_sums`] with caller-provided storage, for loops
+/// that recycle their buffers: `probs` is scratch for the softmax, `grad`
+/// receives `grad_sum` and must arrive **zeroed** (unmasked rows are not
+/// written). Both have the shape of `logits`. Returns `(loss_sum, count)`.
+pub fn softmax_cross_entropy_sums_into(
+    logits: &Dense,
+    labels: &[u32],
+    mask: &[bool],
+    probs: &mut Dense,
+    grad: &mut Dense,
+) -> (f64, usize) {
     assert_eq!(logits.rows(), labels.len());
     assert_eq!(logits.rows(), mask.len());
-    let probs = softmax(logits);
-    let mut grad = Dense::zeros(logits.rows(), logits.cols());
+    softmax_into(logits, probs);
     let mut loss = 0.0;
     let mut count = 0usize;
     for r in 0..logits.rows() {
@@ -164,7 +187,7 @@ pub fn softmax_cross_entropy_sums(
         g.copy_from_slice(probs.row(r));
         g[y] -= 1.0;
     }
-    (loss, count, grad)
+    (loss, count)
 }
 
 /// Fraction of masked vertices whose argmax prediction matches the label.

@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use gnn_comm::msg::Payload;
 use gnn_comm::{CostModel, FaultInjector, FaultPlan, ThreadWorld, WorldError};
-use gnn_core::dist::oned::spmm_1d_aware;
-use gnn_core::dist::{even_bounds, spmm_grid, GridPlan, Plan1d};
+use gnn_core::dist::{even_bounds, spmm_1d, spmm_grid, GridPlan};
 use gnn_core::{
     train_distributed, try_train_distributed, Algo, DistConfig, GcnConfig, RobustnessConfig,
 };
@@ -327,12 +326,12 @@ fn smoke_spmm(
     match algo {
         SmokeAlgo::OneD => {
             let bounds = even_bounds(n, 4);
-            let plan = Plan1d::build(&ds.norm_adj, &bounds);
+            let plan = GridPlan::oned(&ds.norm_adj, &bounds, true);
             let (blocks, stats) = world_of(4).try_run(|ctx| {
                 ctx.set_epoch(0);
                 let rp = &plan.ranks[ctx.rank()];
                 let local = h.row_slice(rp.row_lo, rp.row_hi);
-                spmm_1d_aware(ctx, &plan, &local)
+                spmm_1d(ctx, &plan, &local)
             })?;
             Ok((vstack(&blocks), stats))
         }

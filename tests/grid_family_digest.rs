@@ -160,6 +160,27 @@ const EXPECTED: [[u64; 3]; 48] = [
     [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=7
 ];
 
+/// `[stats, result, trace]` digests of the GraphSAGE runs, in
+/// `sage_cells() × {blocking, chunks 2}` order, produced by running this
+/// file at the commit *before* 1D became a grid shape and the three
+/// trainer rank loops became one (7ed9493).
+const EXPECTED_SAGE: [[u64; 3]; 6] = [
+    [0x3c7fe5b00fb7a0ea, 0x5ee1e3ce52dd2e72, 0xcbe50c00619ae3c7], // sage 1d p=3 blocking
+    [0x72376c8a62ad6260, 0x5ee1e3ce52dd2e72, 0x4f4e5ece608c3e75], // sage 1d p=3 chunks=2
+    [0x03c285844c92e0f0, 0x9a38683ada24b7d7, 0x1610c5355039b052], // sage 1.5d p=4 c=2 blocking
+    [0xc5ef609388c60430, 0x9a38683ada24b7d7, 0xafc4c64871442212], // sage 1.5d p=4 c=2 chunks=2
+    [0xf65146598192f1d9, 0x0176a789e5a570c1, 0xf33ef459f182227f], // sage 2d 2x2 blocking
+    [0xd2b148970e2ce319, 0x0176a789e5a570c1, 0xa6719bf48b11a75b], // sage 2d 2x2 chunks=2
+];
+
+/// `[stats, result, trace]` digests of a fault-free 1.5D run (`p = 4`,
+/// `c = 2`) with failover *enabled*: every epoch is an attempt closed by
+/// a commit barrier and nobody dies. Generated at 7ed9493, where five
+/// consecutive runs repeated all three — and where they equal the first
+/// row of [`EXPECTED`]: the commit gate charges and traces nothing.
+const EXPECTED_FAILOVER_CLEAN: [u64; 3] =
+    [0xf25d4e7c8a413962, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b];
+
 /// Result digest of the 1.5D failover run (`p = 4`, `c = 2`, rank 1
 /// crashed in epoch 2) — equal to the fault-free run's by construction,
 /// pinned so the degraded path cannot drift either.
@@ -212,6 +233,56 @@ fn grid_family_accounting_results_and_traces_are_pinned() {
             .collect();
         panic!("digests diverged for {diverged:?}; actual table:\n{table}");
     }
+}
+
+/// The GraphSAGE cells: label, grid rows, algorithm.
+fn sage_cells() -> [(&'static str, usize, Algo); 3] {
+    [
+        ("1d p=3", 3, Algo::OneD { aware: true }),
+        ("1.5d p=4 c=2", 2, Algo::OneFiveD { aware: true, c: 2 }),
+        ("2d 2x2", 2, Algo::TwoD { aware: true, pc: 2 }),
+    ]
+}
+
+#[test]
+fn sage_accounting_results_and_traces_are_pinned() {
+    let ds = dataset();
+    let mut actual = Vec::new();
+    for (label, pr, algo) in sage_cells() {
+        let bounds = even_bounds(ds.n(), pr);
+        for ov in [OverlapConfig::off(), OverlapConfig::on(2)] {
+            let mut cfg = config(&ds, algo);
+            cfg.gcn = cfg.gcn.with_sage();
+            cfg.overlap = ov;
+            cfg.trace = true;
+            let out = train_distributed(&ds, &bounds, &cfg);
+            let row = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
+            let sched = if ov.enabled { "chunks=2" } else { "blocking" };
+            println!(
+                "    [{:#018x}, {:#018x}, {:#018x}], // sage {label} {sched}",
+                row[0], row[1], row[2]
+            );
+            actual.push(row);
+        }
+    }
+    assert_eq!(actual[..], EXPECTED_SAGE[..], "actual rows printed above");
+}
+
+#[test]
+fn fault_free_failover_run_is_pinned() {
+    let ds = dataset();
+    let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
+    let mut cfg = config(&ds, Algo::OneFiveD { aware: true, c: 2 });
+    cfg.trace = true;
+    cfg.robust.failover = true;
+    let out = try_train_distributed(&ds, &bounds, &cfg).expect("nobody dies");
+    assert_eq!((out.failovers, out.restarts), (0, 0));
+    let actual = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
+    assert_eq!(
+        actual, EXPECTED_FAILOVER_CLEAN,
+        "actual [{:#018x}, {:#018x}, {:#018x}]",
+        actual[0], actual[1], actual[2]
+    );
 }
 
 #[test]

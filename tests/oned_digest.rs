@@ -1,4 +1,5 @@
-//! Pinned digests for the 1D SpMM family, and the structure of its plan.
+//! Pinned digests for the 1D SpMM family, and the structure of its plan
+//! (`GridPlan::oned`).
 //!
 //! Same idea as `grid_family_digest.rs`, for the row-blocked algorithms:
 //! for fixed seeded cells it hashes, per run, (a) every rank's per-phase
@@ -15,11 +16,10 @@
 //! on mismatch it prints the full table of actual digests in source form.
 
 use gnn_comm::{CostModel, OverlapConfig};
-use gnn_core::dist::{even_bounds, Plan1d};
+use gnn_core::dist::{even_bounds, GridPlan};
 use gnn_core::{train_distributed, Algo, DistConfig, DistOutcome, GcnConfig};
 use gnn_trace::{jsonl_string, PHASES};
 use spmat::dataset::{amazon_scaled, Dataset};
-use spmat::Csr;
 
 const EPOCHS: usize = 2;
 
@@ -174,20 +174,22 @@ fn plan_segments_partition_the_block_row_in_order() {
     let ds = dataset();
     for p in [1usize, 2, 3, 4, 7] {
         let bounds = even_bounds(ds.n(), p);
-        let plan = Plan1d::build(&ds.norm_adj, &bounds);
+        let plan = GridPlan::oned(&ds.norm_adj, &bounds, true);
         for (i, rp) in plan.ranks.iter().enumerate() {
             let rows = rp.row_hi - rp.row_lo;
-            assert_eq!(rp.segments.len(), p);
-            for (j, seg) in rp.segments.iter().enumerate() {
-                let width = if j == i { rows } else { rp.recv_from(j).len() };
+            let block = ds.norm_adj.row_block(rp.row_lo, rp.row_hi);
+            assert_eq!(rp.stages.len(), p);
+            for (j, st) in rp.stages.iter().enumerate() {
+                let seg = &st.block_compact;
+                let width = if j == i { rows } else { st.needed.len() };
                 assert_eq!(
                     (seg.rows(), seg.cols()),
                     (rows, width),
                     "p={p} rank {i} segment {j}: shape"
                 );
             }
-            let nnz: usize = rp.segments.iter().map(Csr::nnz).sum();
-            assert_eq!(nnz, rp.block.nnz(), "p={p} rank {i}: Σ nnz");
+            let nnz: usize = rp.stages.iter().map(|st| st.block_compact.nnz()).sum();
+            assert_eq!(nnz, block.nnz(), "p={p} rank {i}: Σ nnz");
 
             // Mapping every segment entry back to its global column and
             // concatenating the segments row by row, in ascending source
@@ -195,11 +197,12 @@ fn plan_segments_partition_the_block_row_in_order() {
             // segments partition its nonzeros and keep each row's order.
             let global = |j: usize, c: u32| match j == i {
                 true => rp.row_lo + c as usize,
-                false => rp.recv_from(j)[c as usize] as usize,
+                false => rp.stages[j].needed[c as usize] as usize,
             };
             let mut rebuilt = Vec::with_capacity(nnz);
             for r in 0..rows {
-                for (j, seg) in rp.segments.iter().enumerate() {
+                for (j, st) in rp.stages.iter().enumerate() {
+                    let seg = &st.block_compact;
                     for (&c, &v) in seg.row_cols(r).iter().zip(seg.row_vals(r)) {
                         let g = global(j, c);
                         assert!(
@@ -210,11 +213,7 @@ fn plan_segments_partition_the_block_row_in_order() {
                     }
                 }
             }
-            let block: Vec<_> = rp
-                .block
-                .iter()
-                .map(|(r, c, v)| (r, c, v.to_bits()))
-                .collect();
+            let block: Vec<_> = block.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
             assert_eq!(rebuilt, block, "p={p} rank {i}: entry order");
         }
     }

@@ -6,7 +6,7 @@
 //! offline, and deterministic seeds make every failure reproducible by
 //! construction — rerun the test, get the same cases.
 
-use gnn_core::dist::{even_bounds, GridPlan, Plan1d};
+use gnn_core::dist::{even_bounds, GridPlan};
 use partition::metrics::volumes;
 use partition::types::Partition;
 use partition::wgraph::WGraph;
@@ -150,20 +150,15 @@ fn plan_volumes_equal_partition_metrics() {
         let k = rng.gen_range(2..6usize);
         let part = Partition::block(24, k);
         let bounds = part.block_bounds();
-        let plan = Plan1d::build(&g, &bounds);
+        let plan = GridPlan::oned(&g, &bounds, true);
         let wg = WGraph::from_csr(&g);
         let (send, recv) = volumes(&wg, &part);
-        for i in 0..k {
-            assert_eq!(
-                plan.ranks[i].send_row_count(),
-                send[i],
-                "send volume at rank {i}"
-            );
-            assert_eq!(
-                plan.ranks[i].recv_row_count(i),
-                recv[i],
-                "recv volume at rank {i}"
-            );
+        for (i, rp) in plan.ranks.iter().enumerate() {
+            let sent: usize = rp.sends.iter().map(|(_, idx)| idx.len()).sum();
+            assert_eq!(sent as u64, send[i], "send volume at rank {i}");
+            let remote = rp.stages.iter().filter(|st| st.k != i);
+            let received: usize = remote.map(|st| st.needed.len()).sum();
+            assert_eq!(received as u64, recv[i], "recv volume at rank {i}");
         }
     }
 }
