@@ -63,6 +63,7 @@ use crate::cost::CostModel;
 use crate::error::{ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, WaitKind};
 use crate::fault::FaultInjector;
 use crate::msg::{Msg, Payload};
+use crate::pool::PayloadPool;
 use crate::stats::{Phase, RankStats};
 use crate::transport::{RecvOutcome, Transport, TryRecvOutcome};
 
@@ -201,9 +202,16 @@ pub struct RankCtx {
     pending: Vec<PendingSlot>,
     /// Open overlap window, if any ([`RankCtx::overlap_begin`]).
     window: Option<OverlapWindow>,
+    /// The world's payload pool (shared with every other rank thread, or
+    /// with this rank process's reader threads and replay queue).
+    pool: Arc<PayloadPool>,
+    /// All-reduce root scratch: the parts received going up, whose
+    /// storage carries the sums back down.
+    parts: Vec<Vec<f64>>,
 }
 
 impl RankCtx {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
         p: usize,
@@ -212,6 +220,7 @@ impl RankCtx {
         injector: Option<Arc<FaultInjector>>,
         tracer: Option<Box<RankTracer>>,
         failover: bool,
+        pool: Arc<PayloadPool>,
     ) -> Self {
         Self {
             rank,
@@ -230,6 +239,8 @@ impl RankCtx {
             tracer,
             pending: Vec::new(),
             window: None,
+            pool,
+            parts: Vec::new(),
         }
     }
 
@@ -251,6 +262,54 @@ impl RankCtx {
     /// Read access to the accumulated statistics.
     pub fn stats(&self) -> &RankStats {
         &self.stats
+    }
+
+    /// The world's payload pool (its counters are what the closed-loop
+    /// tests assert on).
+    pub fn payload_pool(&self) -> &PayloadPool {
+        &self.pool
+    }
+
+    /// An empty `Vec<f64>` with room for `cap` elements out of this
+    /// rank's lane of the world's pool, to pack an outbound payload into.
+    pub fn take_f64(&self, cap: usize) -> Vec<f64> {
+        self.pool.take_f64(self.rank, cap)
+    }
+
+    /// An empty pooled `Vec<u32>` with room for `cap` elements.
+    pub fn take_u32(&self, cap: usize) -> Vec<u32> {
+        self.pool.take_u32(self.rank, cap)
+    }
+
+    /// Sends the storage of a payload received from rank `from` home: into
+    /// `from`'s lane of the world's pool, where its next pack finds it.
+    pub fn recycle(&self, from: usize, payload: Payload) {
+        self.pool.recycle(from, payload);
+    }
+
+    /// `buf` copied into an `F64` payload from this rank's lane.
+    pub fn pooled_f64(&self, buf: &[f64]) -> Payload {
+        let mut copy = self.take_f64(buf.len());
+        copy.extend_from_slice(buf);
+        Payload::F64(copy)
+    }
+
+    /// A copy of `payload` in storage from this rank's lane.
+    fn pooled_copy(&self, payload: &Payload) -> Payload {
+        let ids = |idx: &[u32]| {
+            let mut copy = self.take_u32(idx.len());
+            copy.extend_from_slice(idx);
+            copy
+        };
+        match payload {
+            Payload::Empty => Payload::Empty,
+            Payload::F64(data) => self.pooled_f64(data),
+            Payload::U32(idx) => Payload::U32(ids(idx)),
+            Payload::Rows { idx, data } => Payload::Rows {
+                idx: ids(idx),
+                data: self.pooled_f64(data).into_f64(),
+            },
+        }
     }
 
     /// Declares the start of training epoch `e`. Gives crash faults their
@@ -1074,7 +1133,8 @@ impl RankCtx {
             let payload = payload.expect("root must supply the broadcast payload");
             for dst in 0..self.p {
                 if dst != root {
-                    self.raw_send(dst, tag::BCAST, payload.clone(), Phase::Bcast);
+                    let copy = self.pooled_copy(&payload);
+                    self.raw_send(dst, tag::BCAST, copy, Phase::Bcast);
                 }
             }
             payload
@@ -1117,7 +1177,8 @@ impl RankCtx {
             let payload = payload.expect("root must supply the broadcast payload");
             for dst in 0..self.p {
                 if dst != root {
-                    self.raw_send(dst, tag::BCAST, payload.clone(), Phase::Bcast);
+                    let copy = self.pooled_copy(&payload);
+                    self.raw_send(dst, tag::BCAST, copy, Phase::Bcast);
                 }
             }
             payload
@@ -1211,30 +1272,30 @@ impl RankCtx {
         if g > 1 {
             let root = group[0];
             if self.rank == root {
+                // Same fold order as ever (group order), so the sums are
+                // bitwise what they were; each part's storage then carries
+                // the result back down to the member it came from.
+                let mut parts = std::mem::take(&mut self.parts);
                 for &src in &group[1..] {
                     let part = self.raw_recv(src, tag::REDUCE_UP).into_f64();
                     assert_eq!(part.len(), buf.len(), "allreduce length mismatch");
-                    for (a, b) in buf.iter_mut().zip(part) {
+                    for (a, b) in buf.iter_mut().zip(&part) {
                         *a += b;
                     }
+                    parts.push(part);
                 }
-                for &dst in &group[1..] {
-                    self.raw_send(
-                        dst,
-                        tag::REDUCE_DOWN,
-                        Payload::F64(buf.to_vec()),
-                        Phase::AllReduce,
-                    );
+                for (&dst, mut down) in group[1..].iter().zip(parts.drain(..)) {
+                    down.copy_from_slice(buf);
+                    self.raw_send(dst, tag::REDUCE_DOWN, Payload::F64(down), Phase::AllReduce);
                 }
+                self.parts = parts;
             } else {
-                self.raw_send(
-                    root,
-                    tag::REDUCE_UP,
-                    Payload::F64(buf.to_vec()),
-                    Phase::AllReduce,
-                );
+                let up = self.pooled_f64(buf);
+                self.raw_send(root, tag::REDUCE_UP, up, Phase::AllReduce);
+                // What comes down is the buffer that went up.
                 let summed = self.raw_recv(root, tag::REDUCE_DOWN).into_f64();
                 buf.copy_from_slice(&summed);
+                self.recycle(self.rank, Payload::F64(summed));
             }
         }
         let dur = self.model.allreduce(bytes, g);

@@ -17,6 +17,10 @@
 //! * [`stats`] — per-rank, per-phase counters with the aggregation the
 //!   figures need (max-over-ranks epoch time, per-phase breakdown,
 //!   communication imbalance), plus injected-fault/retry counters.
+//! * [`pool`] — the world's [`PayloadPool`]: payload vectors move
+//!   between ranks, so their free lists belong to the world that moves
+//!   them (one per [`ThreadWorld`] run, one per rank process), reached
+//!   through [`RankCtx::take_f64`] / [`RankCtx::recycle`].
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`] /
 //!   [`FaultInjector`]): delayed, dropped, or corrupted messages, slowed
 //!   compute, and rank crashes at a chosen epoch, all derived from a
@@ -37,6 +41,7 @@ pub mod ctx;
 pub mod error;
 pub mod fault;
 pub mod msg;
+pub mod pool;
 pub mod stats;
 pub mod world;
 
@@ -51,6 +56,7 @@ pub use ctx::{OverlapConfig, PendingOp, RankCtx};
 pub use error::{BlockedRank, DeadlockReport, EpochAbortPanic, WaitKind, WorldError};
 pub use fault::{Fault, FaultInjector, FaultPlan, SendFate};
 pub use gnn_trace::{SpanKind, WorldTrace};
+pub use pool::PayloadPool;
 pub use stats::{FaultCounters, Phase, ProcCounters, RankStats, WorldStats};
 #[cfg(unix)]
 pub use transport::chaos::NetChaosPlan;

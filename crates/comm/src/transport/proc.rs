@@ -98,14 +98,15 @@ use crate::error::{
 };
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
+use crate::pool::PayloadPool;
 use crate::stats::RankStats;
 use crate::watchdog::{DeathRecord, Watchdog};
 use crate::world::PanicHookGuard;
 
 use super::chaos::{Chaos, NetChaosPlan, SendVerdict};
 use super::net::{lock_or_recover, splitmix64, Backoff, HostFile, Listener, Stream};
-use super::replay::{DedupWatermark, FrameBytes, ReplayQueue};
-use super::wire::{self, kind, Frame};
+use super::replay::{DedupWatermark, ReplayQueue};
+use super::wire::{self, kind, Frame, WireFrame};
 use super::{PeerGone, RecvOutcome, Transport, TryRecvOutcome};
 
 /// Poll slice for interruptible blocking waits (sigterm + death checks).
@@ -210,7 +211,8 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 struct Link {
     /// Sender half of the reliable layer: seq assignment + retained
     /// unACKed frames (see [`super::replay`] for the pinned invariants).
-    replay: ReplayQueue,
+    /// Pruning a frame here is what returns its payload to the pool.
+    replay: ReplayQueue<Arc<WireFrame>>,
     /// Receiver half: cumulative delivered watermark for dedup.
     dedup: DedupWatermark,
     /// Highest delivered watermark already written to the peer as an
@@ -219,7 +221,9 @@ struct Link {
 }
 
 /// Lock discipline (DESIGN.md §8): `writer` may be held while taking
-/// `link`, never the other way round; `link` and `sock` are leaves.
+/// `link`, never the other way round; `link` and `sock` take nothing but
+/// the payload pool's mutex (an ACK prunes frames under `link`), which is
+/// the one true leaf.
 struct Peer {
     link: Mutex<Link>,
     /// The write half of the current connection (a `try_clone` of the
@@ -383,6 +387,11 @@ struct Shared {
     metrics: TransportMetrics,
     /// Deterministic network-chaos interposer (None = clean network).
     chaos: Option<Chaos>,
+    /// The rank process's payload pool. Lane `rank`: the executors pack
+    /// out of it and the replay queues return sent buffers to it on ACK.
+    /// Lane `q`: the reader for peer `q` fills its buffers off the socket
+    /// and the executors retire them after folding.
+    pool: Arc<PayloadPool>,
 }
 
 impl Shared {
@@ -467,18 +476,26 @@ impl Shared {
         let _ = writeln!(f, "[{:9.3}s] {}", self.start.elapsed().as_secs_f64(), msg);
     }
 
-    /// Writes one encoded frame to `slot`, with the chaos interposer in
-    /// the path: an injected latency/bandwidth verdict holds the frame
+    /// Writes one frame — its encoded `head`, then `words` as
+    /// little-endian bytes — to `slot`, with the chaos interposer in the
+    /// path: an injected latency/bandwidth verdict holds the frame
     /// (sleeping with the write half held — a slow wire serializes the
     /// link exactly like this), a sever verdict tears the connection
     /// down instead of writing (the frame stays queued for replay).
     /// Returns `true` when the bytes actually went out.
-    fn gated_write(&self, dst: usize, slot: &mut Option<Stream>, bytes: &[u8]) -> bool {
+    fn gated_write(
+        &self,
+        dst: usize,
+        slot: &mut Option<Stream>,
+        head: &[u8],
+        words: &[f64],
+    ) -> bool {
         if slot.is_none() {
             return false;
         }
+        let wire_len = head.len() as u64 + 8 * words.len() as u64;
         if let Some(chaos) = &self.chaos {
-            match chaos.on_send(dst, bytes.len() as u64, self.now_us()) {
+            match chaos.on_send(dst, wire_len, self.now_us()) {
                 SendVerdict::Deliver { delay } => {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
@@ -495,7 +512,7 @@ impl Shared {
         }
         let stream = slot.as_mut().expect("stream checked above");
         let t0 = Instant::now();
-        let outcome = stream.write_all(bytes).and_then(|_| stream.flush());
+        let outcome = wire::write_parts(stream, head, words).and_then(|_| stream.flush());
         if let Err(e) = outcome {
             // Includes a write that outlived the socket's write timeout
             // (the world timeout): the link is torn down and the frame
@@ -506,7 +523,7 @@ impl Shared {
             false
         } else {
             self.metrics
-                .record_send(bytes.len() as u64, t0.elapsed().as_micros() as u64);
+                .record_send(wire_len, t0.elapsed().as_micros() as u64);
             true
         }
     }
@@ -522,7 +539,7 @@ impl Shared {
         };
         if let Some(delivered) = due {
             let ack = wire::encode_frame(&Frame::with_u64(kind::ACK, self.rank, delivered));
-            if self.gated_write(q, w, &ack) {
+            if self.gated_write(q, w, &ack, &[]) {
                 let mut link = lock_or_recover(&peer.link);
                 link.ack_sent = link.ack_sent.max(delivered);
             }
@@ -562,25 +579,32 @@ impl Shared {
         Some(out)
     }
 
-    /// Queues an encoded reliable frame for `dst` (replayed across
-    /// reconnects) and attempts an immediate write. `frame` comes from
-    /// [`wire::encode_data_frame`] / [`wire::encode_frame`] with a zero
+    /// Queues a reliable frame for `dst` (replayed across reconnects)
+    /// and attempts an immediate write. `frame` arrives with a zero
     /// `link_seq`; the real one is stamped here, in the same short
-    /// critical section that retains the buffer for replay.
-    fn send_reliable(&self, dst: usize, mut frame: Vec<u8>) -> Result<(), PeerGone> {
+    /// critical section that retains the frame for replay. A frame for a
+    /// peer already gone is dropped, which returns its payload to the
+    /// pool.
+    fn send_reliable(&self, dst: usize, mut frame: WireFrame) -> Result<(), PeerGone> {
         let peer = &self.peers[dst];
         if peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst) {
             return Err(PeerGone);
         }
-        let bytes = {
+        let frame = {
             let mut link = lock_or_recover(&peer.link);
             let link_seq = link.replay.assign_seq();
-            wire::set_link_seq(&mut frame, link_seq);
-            let bytes = Arc::new(frame);
-            link.replay.push(link_seq, bytes.clone());
-            bytes
+            frame.set_link_seq(link_seq);
+            let frame = Arc::new(frame);
+            link.replay.push(link_seq, frame.clone());
+            frame
         };
-        self.with_writer(dst, |w| self.gated_write(dst, w, &bytes));
+        // The due ACK goes first: the peer's reader then returns the
+        // payloads it covers to the peer's pool before it delivers this
+        // frame, so whoever the frame wakes finds them there.
+        self.with_writer(dst, |w| {
+            self.write_due_ack(dst, w);
+            self.gated_write(dst, w, frame.head(), frame.words())
+        });
         Ok(())
     }
 
@@ -631,7 +655,7 @@ impl Shared {
                 continue;
             }
             let bye = wire::encode_frame(&Frame::control(kind::BYE, self.rank));
-            self.with_writer(q, |w| self.gated_write(q, w, &bye));
+            self.with_writer(q, |w| self.gated_write(q, w, &bye, &[]));
         }
         // Drain: give peers a moment to BYE back so both sides close at
         // a frame boundary instead of racing EOF against final ACKs.
@@ -721,7 +745,7 @@ fn install_conn(
         // The suffix is read only now, with the write half held: a
         // frame queued after this point is written by its own sender,
         // behind us and therefore in order.
-        let unacked: Vec<FrameBytes> = {
+        let unacked: Vec<Arc<WireFrame>> = {
             let mut link = lock_or_recover(&peer.link);
             link.replay.ack(peer_watermark);
             link.replay.unacked().cloned().collect()
@@ -731,8 +755,8 @@ fn install_conn(
         // stream; the remaining suffix stays queued for the next
         // reconnect.
         let mut replayed = 0u64;
-        for bytes in &unacked {
-            if !shared.gated_write(q, w, bytes) {
+        for frame in &unacked {
+            if !shared.gated_write(q, w, frame.head(), frame.words()) {
                 break;
             }
             replayed += 1;
@@ -760,23 +784,8 @@ fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
     let _ = stream.set_read_timeout(None);
     let mut r = BufReader::new(&stream);
     let reason = loop {
-        match wire::read_frame(&mut r) {
-            Ok(Some(frame)) => {
-                shared.peers[q]
-                    .last_seen_ms
-                    .store(shared.now_ms(), Ordering::SeqCst);
-                shared.metrics.record_recv(
-                    wire::FRAME_OVERHEAD + frame.body.len() as u64,
-                    shared.now_us(),
-                );
-                if frame.kind == kind::DATA {
-                    shared
-                        .metrics
-                        .data_bytes_recv
-                        .fetch_add(frame.body.len() as u64, Ordering::Relaxed);
-                }
-                route_frame(&shared, q, frame);
-            }
+        let header = match wire::read_header(&mut r) {
+            Ok(Some(header)) => header,
             Ok(None) => break "EOF".to_string(),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -784,6 +793,39 @@ fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
                 continue;
             }
             Err(e) => break format!("read error: {e}"),
+        };
+        let peer = &shared.peers[q];
+        peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
+        shared.metrics.record_recv(
+            wire::FRAME_OVERHEAD + header.body_len as u64,
+            shared.now_us(),
+        );
+        // A body that does not parse leaves the stream out of step: the
+        // connection ends here and the frame comes back on the replay.
+        let routed = if header.kind == kind::DATA {
+            shared
+                .metrics
+                .data_bytes_recv
+                .fetch_add(header.body_len as u64, Ordering::Relaxed);
+            // The payload's words land in pool buffers straight off the
+            // socket; the rank's executor folds them where they are.
+            wire::read_data(&mut r, header.body_len, &shared.pool, q).map(|msg| {
+                // Watermark-dedup, then deliver. Advancing the watermark
+                // is what makes an ACK due; the next holder of the write
+                // half writes it (`Shared::with_writer`).
+                if !lock_or_recover(&peer.link).dedup.admit(header.link_seq) {
+                    return shared.pool.recycle(q, msg.payload); // duplicate from a replay
+                }
+                let tx = lock_or_recover(&peer.data_tx).clone();
+                if let Some(tx) = tx {
+                    let _ = tx.send(msg);
+                }
+            })
+        } else {
+            wire::read_body(&mut r, header).map(|frame| route_frame(&shared, q, frame))
+        };
+        if let Err(e) = routed {
+            break format!("read error: {e}");
         }
     };
     // This connection is over in both directions; a write still in
@@ -792,47 +834,27 @@ fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
     on_conn_end(&shared, q, epoch, &reason);
 }
 
-/// Routes one received frame to the right consumer.
+/// Routes one received control frame to the right consumer.
 fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
     let peer = &shared.peers[q];
     match frame.kind {
-        kind::DATA | kind::BARRIER_ENTER | kind::BARRIER_RELEASE => {
-            // Reliable frame: watermark-dedup, then deliver. Advancing
-            // the watermark is what makes an ACK due; the next holder
-            // of the write half writes it (`Shared::with_writer`).
+        kind::BARRIER_ENTER | kind::BARRIER_RELEASE => {
+            // Reliable like DATA: watermark-dedup, then deliver.
             if !lock_or_recover(&peer.link).dedup.admit(frame.link_seq) {
                 return; // duplicate from a replay
             }
-            match frame.kind {
-                kind::DATA => {
-                    let msg = match wire::decode_msg(&frame.body) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            shared.log(&format!("rank {q}: undecodable DATA frame: {e}"));
-                            return;
-                        }
-                    };
-                    let tx = lock_or_recover(&peer.data_tx).clone();
-                    if let Some(tx) = tx {
-                        let _ = tx.send(msg);
-                    }
+            let Ok(round) = frame.body_u64() else {
+                return;
+            };
+            if frame.kind == kind::BARRIER_ENTER {
+                let tx = lock_or_recover(&shared.entries_tx).clone();
+                if let Some(tx) = tx {
+                    let _ = tx.send((frame.src, round));
                 }
-                kind::BARRIER_ENTER => {
-                    if let Ok(round) = frame.body_u64() {
-                        let tx = lock_or_recover(&shared.entries_tx).clone();
-                        if let Some(tx) = tx {
-                            let _ = tx.send((frame.src, round));
-                        }
-                    }
-                }
-                _ => {
-                    // BARRIER_RELEASE
-                    if let Ok(round) = frame.body_u64() {
-                        let tx = lock_or_recover(&shared.release_tx).clone();
-                        if let Some(tx) = tx {
-                            let _ = tx.send(round);
-                        }
-                    }
+            } else {
+                let tx = lock_or_recover(&shared.release_tx).clone();
+                if let Some(tx) = tx {
+                    let _ = tx.send(round);
                 }
             }
         }
@@ -1060,7 +1082,7 @@ fn monitor_loop(shared: Arc<Shared>) {
             // Try-lock: a tick must not queue behind a frame in flight
             // (which tells the peer we are alive just as well).
             let beat = wire::encode_frame(&Frame::control(kind::HEARTBEAT, shared.rank));
-            shared.try_with_writer(q, |w| shared.gated_write(q, w, &beat));
+            shared.try_with_writer(q, |w| shared.gated_write(q, w, &beat, &[]));
             let age = now.saturating_sub(peer.last_seen_ms.load(Ordering::SeqCst));
             if age > period_ms {
                 // Each tick past one beacon period of silence is one
@@ -1382,7 +1404,7 @@ impl ProcTransport {
     /// listeners advertise their kernel-assigned or pinned ports via
     /// the ADDRBOOK); otherwise over Unix-domain sockets under the run
     /// dir.
-    fn connect(rank: usize, w: &ProcWorld) -> io::Result<Self> {
+    fn connect(rank: usize, w: &ProcWorld, pool: Arc<PayloadPool>) -> io::Result<Self> {
         let (p, dir, timeout) = (w.p, &w.dir, w.timeout);
         install_sigterm_handler();
         fs::create_dir_all(dir)?;
@@ -1511,6 +1533,7 @@ impl ProcTransport {
             log: Mutex::new(log),
             metrics,
             chaos,
+            pool,
         });
         shared.log(&format!(
             "rank {rank}/{p} rendezvous complete (generation {generation}, mesh {})",
@@ -1604,12 +1627,10 @@ impl ProcTransport {
             }
         }
         for q in 1..p {
+            let release = Frame::with_u64(kind::BARRIER_RELEASE, 0, round);
             if self
                 .shared
-                .send_reliable(
-                    q,
-                    wire::encode_frame(&Frame::with_u64(kind::BARRIER_RELEASE, 0, round)),
-                )
+                .send_reliable(q, WireFrame::control(&release))
                 .is_err()
             {
                 return false;
@@ -1619,16 +1640,10 @@ impl ProcTransport {
     }
 
     fn barrier_member(&mut self, round: u64) -> bool {
+        let enter = Frame::with_u64(kind::BARRIER_ENTER, self.shared.rank, round);
         if self
             .shared
-            .send_reliable(
-                0,
-                wire::encode_frame(&Frame::with_u64(
-                    kind::BARRIER_ENTER,
-                    self.shared.rank,
-                    round,
-                )),
-            )
+            .send_reliable(0, WireFrame::control(&enter))
             .is_err()
         {
             return false;
@@ -1663,8 +1678,8 @@ impl ProcTransport {
 
 impl Transport for ProcTransport {
     fn send(&mut self, dst: usize, msg: Msg) -> Result<(), PeerGone> {
-        let frame = wire::encode_data_frame(self.shared.rank, &msg);
-        let body_len = frame.len() as u64 - wire::FRAME_OVERHEAD;
+        let frame = WireFrame::data(self.shared.rank, msg, self.shared.pool.clone());
+        let body_len = frame.wire_len() - wire::FRAME_OVERHEAD;
         self.shared.send_reliable(dst, frame)?;
         self.shared.data_frame_sent(dst, body_len);
         Ok(())
@@ -1930,7 +1945,10 @@ impl ProcWorld {
         // Structured panics are caught below; the guard keeps the
         // default hook from spraying backtraces for expected failures.
         let _hook = PanicHookGuard::acquire();
-        let transport = ProcTransport::connect(rank, self)?;
+        // One payload pool for the rank process: its main thread, its
+        // reader threads and its replay queues all move the same buffers.
+        let pool = Arc::new(PayloadPool::new(self.p));
+        let transport = ProcTransport::connect(rank, self, pool.clone())?;
         let shared = transport.shared.clone();
         let tracer = self
             .tracing
@@ -1959,6 +1977,7 @@ impl ProcWorld {
             self.injector.clone(),
             tracer,
             false,
+            pool,
         );
         let result = catch_unwind(AssertUnwindSafe(|| {
             let out = f(&mut ctx);
@@ -2045,6 +2064,7 @@ fn metrics_snapshot_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Payload;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gnnpu-{}-{tag}", std::process::id()));
@@ -2227,6 +2247,175 @@ mod tests {
             let rx = listener.accept().unwrap();
             (tx, rx)
         });
+    }
+
+    // ---- DATA frames: (head, payload) parts through queue and socket ----
+
+    /// `n` DATA frames from rank 0 with their payloads packed out of
+    /// `pool`, as `ProcTransport::send` queues them: empty, ids only,
+    /// and rows of 80, 160 and 240 KB (pooled, several staging chunks)
+    /// under a few ids (too small to pool).
+    fn pooled_frames(pool: &Arc<PayloadPool>, n: u64) -> Vec<WireFrame> {
+        let frame = |seq: u64| {
+            let mut idx = pool.take_u32(0, (seq % 3 * 5) as usize);
+            idx.extend((0..idx.capacity() as u32).map(|i| i * 7 + seq as u32));
+            let mut data = pool.take_f64(0, (seq % 4 * 10_000) as usize);
+            data.extend((0..data.capacity()).map(|i| (i as f64 + 0.5) * seq as f64));
+            let payload = match seq % 4 {
+                0 if idx.is_empty() => Payload::Empty,
+                0 => Payload::U32(idx),
+                _ => Payload::Rows { idx, data },
+            };
+            let msg = Msg {
+                tag: 3,
+                seq,
+                gen: 0,
+                checksum: payload.checksum(),
+                payload,
+            };
+            WireFrame::data(0, msg, pool.clone())
+        };
+        (1..=n).map(frame).collect()
+    }
+
+    fn wire_bytes(frame: &WireFrame) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        wire::write_parts(&mut bytes, frame.head(), frame.words()).unwrap();
+        bytes
+    }
+
+    /// Queues `frames` as `Shared::send_reliable` does and returns the
+    /// handles a writer would hold.
+    fn queue_all(
+        queue: &mut ReplayQueue<Arc<WireFrame>>,
+        frames: Vec<WireFrame>,
+    ) -> Vec<Arc<WireFrame>> {
+        let queued = |mut frame: WireFrame| {
+            let seq = queue.assign_seq();
+            frame.set_link_seq(seq);
+            let frame = Arc::new(frame);
+            queue.push(seq, frame.clone());
+            frame
+        };
+        frames.into_iter().map(queued).collect()
+    }
+
+    #[test]
+    fn a_payload_returns_to_the_pool_only_after_the_ack_that_covers_it() {
+        let pool = Arc::new(PayloadPool::new(1));
+        let mut queue = ReplayQueue::new();
+        let mut writers = queue_all(&mut queue, pooled_frames(&pool, 3)).into_iter();
+        let (one, two, three) = (writers.next(), writers.next(), writers.next());
+        // Written or not, the rows stay with the queue: only the spares
+        // of their three classes are free.
+        let spares = pool.pooled();
+        assert_eq!(spares, 3);
+        drop(one);
+        queue.ack(0);
+        assert_eq!(pool.pooled(), spares, "no ACK covers frame 1 yet");
+        queue.ack(1);
+        assert_eq!(pool.pooled(), spares + 1, "frame 1's rows are back");
+        // A writer still borrowing a frame keeps it out past its ACK.
+        queue.ack(2);
+        assert_eq!(pool.pooled(), spares + 1, "frame 2 is being written");
+        drop(two);
+        assert_eq!(pool.pooled(), spares + 2);
+        // A peer that dies takes its ACKs with it. The pool serves the
+        // next pack of frame 3's size regardless, and gets the buffer
+        // back when the queue goes.
+        drop(three);
+        let fresh = pool.fresh_allocs();
+        let next = pool.take_f64(0, 30_000);
+        assert_eq!((next.capacity(), pool.fresh_allocs()), (30_000, fresh));
+        assert_eq!(pool.pooled(), spares + 1);
+        drop(queue);
+        assert_eq!(pool.pooled(), spares + 2);
+    }
+
+    /// The receiving end of one link across connections.
+    struct Receiver {
+        pool: Arc<PayloadPool>,
+        dedup: DedupWatermark,
+        /// Every admitted message, re-encoded from the parts the reader
+        /// produced.
+        delivered: Vec<Vec<u8>>,
+    }
+
+    impl Receiver {
+        /// Reads DATA frames off `rx` until it ends, as `reader_loop`
+        /// does.
+        fn read_all(&mut self, rx: Stream) -> io::Result<()> {
+            let mut r = BufReader::new(rx);
+            while let Some(header) = wire::read_header(&mut r)? {
+                assert_eq!(header.kind, kind::DATA);
+                let msg = wire::read_data(&mut r, header.body_len, &self.pool, 0)?;
+                if self.dedup.admit(header.link_seq) {
+                    let mut back = WireFrame::data(0, msg, self.pool.clone());
+                    back.set_link_seq(header.link_seq);
+                    self.delivered.push(wire_bytes(&back));
+                }
+            }
+            Ok(())
+        }
+
+        /// One connection: `write` feeds it and then drops it (the cut),
+        /// while the reader drains it on its own thread.
+        fn connection(&mut self, write: impl FnOnce(&mut Stream)) -> io::Result<()> {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair().unwrap();
+            std::thread::scope(|s| {
+                let reader = s.spawn(|| self.read_all(Stream::Unix(rx)));
+                let mut tx = Stream::Unix(tx);
+                write(&mut tx);
+                drop(tx);
+                reader.join().unwrap()
+            })
+        }
+    }
+
+    #[test]
+    fn a_cut_mid_frame_replays_byte_identical_from_head_and_payload_parts() {
+        let total = 9;
+        let pool = Arc::new(PayloadPool::new(1));
+        let mut sender = ReplayQueue::new();
+        queue_all(&mut sender, pooled_frames(&pool, total));
+        // What an uninterrupted connection carries.
+        let stream: Vec<Vec<u8>> = sender.unacked().map(|f| wire_bytes(f)).collect();
+
+        let mut receiver = Receiver {
+            pool: Arc::new(PayloadPool::new(1)),
+            dedup: DedupWatermark::new(),
+            delivered: Vec::new(),
+        };
+        // Connection 1: five whole frames, then the cut lands inside the
+        // sixth — past its head, in the middle of its words. A frame left
+        // half written ends the connection and is not delivered.
+        let cut = receiver.connection(|tx| {
+            for bytes in &stream[..5] {
+                tx.write_all(bytes).unwrap();
+            }
+            tx.write_all(&stream[5][..stream[5].len() / 2]).unwrap();
+        });
+        assert!(cut.is_err(), "the half frame must be a read error");
+        assert_eq!(receiver.dedup.delivered(), 5);
+
+        // Connection 2: the HELLO watermark prunes what arrived, the rest
+        // goes out again from the queue's (head, payload) parts.
+        sender.ack(receiver.dedup.delivered());
+        let resent: Vec<Arc<WireFrame>> = sender.unacked().cloned().collect();
+        let replay = receiver.connection(|tx| {
+            for frame in &resent {
+                wire::write_parts(tx, frame.head(), frame.words()).unwrap();
+            }
+        });
+        replay.expect("clean EOF at a frame boundary");
+        sender.ack(receiver.dedup.delivered());
+
+        assert_eq!(
+            receiver.delivered, stream,
+            "replay must reconstruct the exact stream"
+        );
+        assert_eq!((receiver.dedup.delivered(), sender.acked()), (total, total));
+        assert_eq!(sender.len(), 0, "fully ACKed queue must be empty");
     }
 
     #[test]

@@ -14,24 +14,22 @@
 //! > end exactly at the number of frames sent.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// One encoded frame, exactly as it goes on the wire. The queue holds
-/// the only buffer there is: a writer borrows it through the `Arc` for
-/// the length of one socket write, outside the queue's lock, and no
-/// second encoding or copy exists.
-pub(crate) type FrameBytes = Arc<Vec<u8>>;
-
-/// Sender half: assigns `link_seq`s, retains encoded frames until the
-/// peer's cumulative ACK covers them, and replays the suffix beyond the
-/// peer's delivered watermark on reconnect.
-pub(crate) struct ReplayQueue {
+/// Sender half: assigns `link_seq`s, retains frames until the peer's
+/// cumulative ACK covers them, and replays the suffix beyond the peer's
+/// delivered watermark on reconnect. A frame `F` is a shared handle on
+/// the parts that are written (the transport queues
+/// `Arc<`[`super::wire::WireFrame`]`>`): a writer borrows it for the
+/// length of one socket write, outside the queue's lock, and no second
+/// encoding or copy exists. Pruning drops the queue's handle, which is
+/// what returns a frame's payload to the pool.
+pub(crate) struct ReplayQueue<F> {
     next_seq: u64,
     acked: u64,
-    queue: VecDeque<(u64, FrameBytes)>,
+    queue: VecDeque<(u64, F)>,
 }
 
-impl ReplayQueue {
+impl<F> ReplayQueue<F> {
     pub(crate) fn new() -> Self {
         ReplayQueue {
             next_seq: 1,
@@ -47,8 +45,8 @@ impl ReplayQueue {
         s
     }
 
-    /// Retains the encoded bytes of frame `seq` for replay.
-    pub(crate) fn push(&mut self, seq: u64, bytes: FrameBytes) {
+    /// Retains frame `seq` for replay.
+    pub(crate) fn push(&mut self, seq: u64, bytes: F) {
         debug_assert!(
             self.queue.back().is_none_or(|(s, _)| *s < seq),
             "replay queue must stay seq-ordered"
@@ -73,7 +71,7 @@ impl ReplayQueue {
 
     /// Frames retained beyond the ACK watermark, in sequence order —
     /// exactly what a reconnect retransmits.
-    pub(crate) fn unacked(&self) -> impl Iterator<Item = &FrameBytes> {
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &F> {
         self.queue.iter().map(|(_, b)| b)
     }
 
@@ -117,6 +115,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     /// Simulates one link direction end to end: `n` frames sent, a
     /// forced disconnect after the receiver has seen only a prefix

@@ -10,19 +10,26 @@
 //! receive state machine in [`crate::RankCtx`] is backend-agnostic.
 //! The full grammar is documented in DESIGN.md §8.
 //!
-//! A DATA frame is built once and copied once each way:
-//! [`encode_data_frame`] writes frame header, `Msg` header and payload
-//! into the one buffer the replay queue then owns and the socket write
-//! borrows; [`read_frame`] reads the 17 header bytes and the body
-//! separately, and [`decode_msg`] converts the body's element bytes in
-//! bulk into vectors sized from the body's own length — a hostile count
-//! field can neither panic the decoder nor make it reserve more than
-//! the bytes that arrived. The codec carries the `Msg` checksum and
-//! never looks at it: integrity belongs to [`crate::RankCtx`] alone.
+//! A DATA frame never exists as one buffer. Going out it is a
+//! [`WireFrame`]: a small encoded *head* (frame header, `Msg` header,
+//! element counts, row ids) plus the payload itself, whose `f64` words
+//! are written after the head through a fixed staging chunk — the replay
+//! queue retains exactly those two parts and the payload's storage
+//! returns to the world's [`PayloadPool`] when the frame is released.
+//! Coming in, [`read_header`] reads the 17 header bytes and
+//! [`read_data`] checks the element counts against the frame length
+//! *before* it takes anything from the pool, then reads the words
+//! straight into pooled vectors — a hostile count field can neither
+//! panic the decoder nor make it reserve more than the frame it arrived
+//! in. Every other kind carries a short body, capped at
+//! [`MAX_CONTROL_BODY`]. The codec carries the `Msg` checksum and never
+//! looks at it: integrity belongs to [`crate::RankCtx`] alone.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use crate::msg::{Msg, Payload};
+use crate::pool::PayloadPool;
 
 /// Frame kinds (the `kind` byte).
 pub(crate) mod kind {
@@ -58,11 +65,21 @@ pub(crate) mod kind {
 /// cannot trigger an absurd allocation.
 const MAX_FRAME: u32 = 1 << 30;
 
+/// Cap on the body of every kind but DATA. The largest legitimate one is
+/// the ADDRBOOK (a ~100-byte socket path per rank); a control frame with
+/// a forged length prefix is rejected before anything is allocated.
+pub(crate) const MAX_CONTROL_BODY: usize = 64 << 10;
+
+/// Bytes of the staging chunk `f64` words pass through between a payload
+/// vector and the socket, in either direction. Cache-resident, so the
+/// conversion costs no memory traffic beyond the payload itself.
+const STAGE: usize = 64 << 10;
+
 /// Encoded bytes a frame occupies beyond its body: the u32 length
 /// prefix plus the kind/src/link_seq header (metrics accounting).
 pub(crate) const FRAME_OVERHEAD: u64 = 4 + 1 + 4 + 8;
 
-/// One decoded frame.
+/// One decoded control frame.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Frame {
     pub kind: u8,
@@ -125,9 +142,10 @@ fn begin_frame(kind: u8, src: u32, link_seq: u64, body_len: usize) -> Vec<u8> {
     buf
 }
 
-/// Fills in the length prefix once the body is in place.
-fn end_frame(mut buf: Vec<u8>) -> Vec<u8> {
-    let len = (buf.len() - 4) as u32;
+/// Fills in the length prefix once the encoded part of the body is in
+/// place; `streamed` more body bytes follow `buf` on the wire.
+fn end_frame(mut buf: Vec<u8>, streamed: usize) -> Vec<u8> {
+    let len = (buf.len() - 4 + streamed) as u32;
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf
 }
@@ -136,21 +154,24 @@ fn end_frame(mut buf: Vec<u8>) -> Vec<u8> {
 pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut buf = begin_frame(frame.kind, frame.src, frame.link_seq, frame.body.len());
     buf.extend_from_slice(&frame.body);
-    end_frame(buf)
+    end_frame(buf, 0)
 }
 
-/// Stamps the `link_seq` of an already encoded frame. Reliable frames
-/// are encoded before their sequence number is claimed, so the claim
-/// and the replay-queue push share one short critical section.
-pub(crate) fn set_link_seq(frame: &mut [u8], link_seq: u64) {
-    // After the length prefix, `kind` and `src`; the header ends with it.
-    frame[4 + 1 + 4..4 + HEADER].copy_from_slice(&link_seq.to_le_bytes());
+/// What precedes a frame's body on the wire.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrameHeader {
+    pub kind: u8,
+    pub src: u32,
+    pub link_seq: u64,
+    /// Body bytes that follow (the length prefix minus the header).
+    pub body_len: usize,
 }
 
-/// Reads one frame off `r`. `Ok(None)` is a clean EOF at a frame
-/// boundary; errors inside a frame are real I/O failures. The body is
-/// read straight into the vector the frame keeps.
-pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+/// Reads one frame's length prefix and header off `r`. `Ok(None)` is a
+/// clean EOF at a frame boundary; errors inside a frame are real I/O
+/// failures. The body is the caller's to read: [`read_data`] for DATA,
+/// [`read_body`] for every other kind.
+pub(crate) fn read_header(r: &mut impl Read) -> io::Result<Option<FrameHeader>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
@@ -163,14 +184,37 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     }
     let mut header = [0u8; HEADER];
     r.read_exact(&mut header)?;
-    let mut body = vec![0u8; len as usize - HEADER];
-    r.read_exact(&mut body)?;
-    Ok(Some(Frame {
+    Ok(Some(FrameHeader {
         kind: header[0],
         src: u32::from_le_bytes(header[1..5].try_into().expect("4 header bytes")),
         link_seq: u64::from_le_bytes(header[5..13].try_into().expect("8 header bytes")),
-        body,
+        body_len: len as usize - HEADER,
     }))
+}
+
+/// Reads the short body of a non-DATA frame into the vector the frame
+/// keeps; a body over [`MAX_CONTROL_BODY`] is an error before it is an
+/// allocation.
+pub(crate) fn read_body(r: &mut impl Read, h: FrameHeader) -> io::Result<Frame> {
+    if h.body_len > MAX_CONTROL_BODY {
+        return Err(bad_data("control frame body too large"));
+    }
+    let mut body = vec![0u8; h.body_len];
+    r.read_exact(&mut body)?;
+    Ok(Frame {
+        kind: h.kind,
+        src: h.src,
+        link_seq: h.link_seq,
+        body,
+    })
+}
+
+/// Reads one whole short-bodied frame (handshakes, control traffic).
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+    match read_header(r)? {
+        Some(h) => read_body(r, h).map(Some),
+        None => Ok(None),
+    }
 }
 
 // ---- Msg body codec -----------------------------------------------------
@@ -186,29 +230,64 @@ const MSG_HEADER: usize = 1 + 8 + 4 + 8 + 1;
 
 /// Appends `v` as little-endian words: one resize, then a fixed-width
 /// copy per element, which compiles to a block move.
-fn put_words<T: Copy, const N: usize>(buf: &mut Vec<u8>, v: &[T], le: impl Fn(T) -> [u8; N]) {
-    let at = buf.len();
-    buf.resize(at + N * v.len(), 0);
-    for (dst, &x) in buf[at..].chunks_exact_mut(N).zip(v) {
+fn put_words<T: Copy, const N: usize>(buf: &mut [u8], v: &[T], le: impl Fn(T) -> [u8; N]) {
+    for (dst, &x) in buf.chunks_exact_mut(N).zip(v) {
         dst.copy_from_slice(&le(x));
     }
 }
 
-/// The inverse of [`put_words`]: one vector sized from `bytes` itself.
-fn get_words<T, const N: usize>(bytes: &[u8], le: impl Fn([u8; N]) -> T) -> Vec<T> {
-    bytes
-        .chunks_exact(N)
-        .map(|c| le(c.try_into().expect("chunks_exact yields N bytes")))
-        .collect()
+/// Runs `f` with a zeroed staging buffer of at least `need.min(STAGE)`
+/// bytes: a short frame gets a short one, so staging a 24-byte payload
+/// does not clear 64 KiB of stack first.
+fn with_stage<R>(need: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    const SHORT: usize = 1 << 10;
+    if need <= SHORT {
+        f(&mut [0u8; SHORT])
+    } else {
+        f(&mut [0u8; STAGE])
+    }
 }
 
-/// Encodes `msg` as a complete DATA frame from rank `src` — length
-/// prefix, frame header (`link_seq` zero until [`set_link_seq`]), `Msg`
-/// header and payload — in the single buffer that is written, retained
-/// for replay and dropped on ACK.
-pub(crate) fn encode_data_frame(src: usize, msg: &Msg) -> Vec<u8> {
-    let body_len = MSG_HEADER + 16 + msg.payload.bytes() as usize;
-    let mut b = begin_frame(kind::DATA, src as u32, 0, body_len);
+/// Reads `n` little-endian words off `r` onto the end of `out`, one
+/// staging chunk at a time.
+fn read_words<T, const N: usize>(
+    r: &mut impl Read,
+    n: usize,
+    mut out: Vec<T>,
+    le: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    with_stage(N * n, |stage| {
+        let mut left = n;
+        while left > 0 {
+            let words = left.min(stage.len() / N);
+            let bytes = &mut stage[..N * words];
+            r.read_exact(bytes)?;
+            let chunks = bytes.chunks_exact(N);
+            out.extend(chunks.map(|c| le(c.try_into().expect("chunks_exact yields N bytes"))));
+            left -= words;
+        }
+        Ok(out)
+    })
+}
+
+/// The `f64` words of `payload` that follow its head on the wire.
+fn streamed_words(payload: &Payload) -> &[f64] {
+    match payload {
+        Payload::F64(data) | Payload::Rows { data, .. } => data,
+        Payload::Empty | Payload::U32(_) => &[],
+    }
+}
+
+/// Encodes the head of `msg` as a DATA frame from rank `src`: length
+/// prefix (covering the words still to come), frame header (`link_seq`
+/// zero until [`WireFrame::set_link_seq`]), `Msg` header, element counts
+/// and the `u32` ids — everything but [`streamed_words`].
+fn encode_data_head(src: usize, msg: &Msg) -> Vec<u8> {
+    let ids: &[u32] = match &msg.payload {
+        Payload::U32(idx) | Payload::Rows { idx, .. } => idx,
+        Payload::Empty | Payload::F64(_) => &[],
+    };
+    let mut b = begin_frame(kind::DATA, src as u32, 0, MSG_HEADER + 16 + 4 * ids.len());
     b.push(msg.tag);
     b.extend_from_slice(&msg.seq.to_le_bytes());
     b.extend_from_slice(&msg.gen.to_le_bytes());
@@ -218,22 +297,173 @@ pub(crate) fn encode_data_frame(src: usize, msg: &Msg) -> Vec<u8> {
         Payload::F64(v) => {
             b.push(PV_F64);
             b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            put_words(&mut b, v, f64::to_le_bytes);
         }
         Payload::U32(v) => {
             b.push(PV_U32);
             b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            put_words(&mut b, v, u32::to_le_bytes);
         }
         Payload::Rows { idx, data } => {
             b.push(PV_ROWS);
             b.extend_from_slice(&(idx.len() as u64).to_le_bytes());
             b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            put_words(&mut b, idx, u32::to_le_bytes);
-            put_words(&mut b, data, f64::to_le_bytes);
         }
     }
-    end_frame(b)
+    let at = b.len();
+    b.resize(at + 4 * ids.len(), 0);
+    put_words(&mut b[at..], ids, u32::to_le_bytes);
+    end_frame(b, 8 * streamed_words(&msg.payload).len())
+}
+
+/// Writes `head` and then `words` as little-endian bytes, staged through
+/// one chunk so a short frame is still a single write and a long one
+/// never exists as a second full-size buffer.
+pub(crate) fn write_parts(w: &mut impl Write, head: &[u8], words: &[f64]) -> io::Result<()> {
+    if words.is_empty() {
+        return w.write_all(head);
+    }
+    with_stage(head.len() + 8 * words.len(), |stage| {
+        let mut at = 0;
+        if head.len() <= stage.len() / 2 {
+            stage[..head.len()].copy_from_slice(head);
+            at = head.len();
+        } else {
+            w.write_all(head)?;
+        }
+        let mut rest = words;
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(rest.len().min((stage.len() - at) / 8));
+            put_words(&mut stage[at..], now, f64::to_le_bytes);
+            w.write_all(&stage[..at + 8 * now.len()])?;
+            (at, rest) = (0, later);
+        }
+        Ok(())
+    })
+}
+
+/// One reliable frame in the form it is written, retained for replay and
+/// released on ACK: the encoded head and the payload whose words follow
+/// it on the wire ([`Payload::Empty`] for a barrier frame, which is all
+/// head). Dropping it — the covering ACK pruned it and no writer still
+/// borrows it, or its peer is gone — hands the payload's storage back to
+/// the pool.
+pub(crate) struct WireFrame {
+    head: Vec<u8>,
+    payload: Payload,
+    /// Where the payload goes back to: the pool, and the lane in it the
+    /// payload was packed out of (the sending rank's).
+    home: Option<(Arc<PayloadPool>, usize)>,
+}
+
+impl WireFrame {
+    /// `msg` as a DATA frame from rank `src`.
+    pub(crate) fn data(src: usize, msg: Msg, pool: Arc<PayloadPool>) -> Self {
+        WireFrame {
+            head: encode_data_head(src, &msg),
+            payload: msg.payload,
+            home: Some((pool, src)),
+        }
+    }
+
+    /// A reliable control frame (barrier traffic): all head.
+    pub(crate) fn control(frame: &Frame) -> Self {
+        WireFrame {
+            head: encode_frame(frame),
+            payload: Payload::Empty,
+            home: None,
+        }
+    }
+
+    /// Stamps the `link_seq`. Reliable frames are encoded before their
+    /// sequence number is claimed, so the claim and the replay-queue push
+    /// share one short critical section.
+    pub(crate) fn set_link_seq(&mut self, link_seq: u64) {
+        // After the length prefix, `kind` and `src`; the header ends with it.
+        self.head[4 + 1 + 4..4 + HEADER].copy_from_slice(&link_seq.to_le_bytes());
+    }
+
+    /// The encoded head.
+    pub(crate) fn head(&self) -> &[u8] {
+        &self.head
+    }
+
+    /// The words written after the head.
+    pub(crate) fn words(&self) -> &[f64] {
+        streamed_words(&self.payload)
+    }
+
+    /// Bytes the frame occupies on the wire.
+    pub(crate) fn wire_len(&self) -> u64 {
+        self.head.len() as u64 + 8 * self.words().len() as u64
+    }
+}
+
+impl Drop for WireFrame {
+    fn drop(&mut self) {
+        if let Some((pool, lane)) = &self.home {
+            pool.recycle(*lane, std::mem::replace(&mut self.payload, Payload::Empty));
+        }
+    }
+}
+
+/// Reads the `body_len`-byte body of a DATA frame off `r` into a [`Msg`]
+/// whose vectors come from lane `lane` of `pool` (the sending peer's).
+/// Each element count must account for the rest of the body exactly, so a
+/// lying count is rejected before anything is taken for it. An `InvalidData` error leaves the unread
+/// body in `r`: the stream is out of step and the link must be dropped.
+pub(crate) fn read_data(
+    r: &mut impl Read,
+    body_len: usize,
+    pool: &PayloadPool,
+    lane: usize,
+) -> io::Result<Msg> {
+    let truncated = || bad_data("truncated DATA body");
+    let mismatch = || bad_data("element counts do not match the DATA body length");
+    // The `Msg` header, then the one or two counts its variant calls for.
+    let mut fixed = [0u8; MSG_HEADER + 16];
+    let after_header = body_len.checked_sub(MSG_HEADER).ok_or_else(truncated)?;
+    r.read_exact(&mut fixed[..MSG_HEADER])?;
+    let variant = fixed[MSG_HEADER - 1];
+    let counts = match variant {
+        PV_EMPTY => 0,
+        PV_F64 | PV_U32 => 8,
+        PV_ROWS => 16,
+        other => return Err(bad_data(&format!("unknown payload variant {other}"))),
+    };
+    let words_len = after_header.checked_sub(counts).ok_or_else(truncated)?;
+    r.read_exact(&mut fixed[MSG_HEADER..MSG_HEADER + counts])?;
+    let mut c = Cursor {
+        buf: &fixed,
+        pos: 0,
+    };
+    let (tag, seq, gen, checksum, _variant) = (c.u8()?, c.u64()?, c.u32()?, c.u64()?, c.u8()?);
+    // Byte lengths of the id and data arrays the counts claim.
+    let mut bytes_of = |width: u64| c.u64()?.checked_mul(width).ok_or_else(mismatch);
+    let (idx_len, data_len) = match variant {
+        PV_EMPTY => (0, 0),
+        PV_F64 => (0, bytes_of(8)?),
+        PV_U32 => (bytes_of(4)?, 0),
+        _ => (bytes_of(4)?, bytes_of(8)?),
+    };
+    if idx_len.checked_add(data_len) != Some(words_len as u64) {
+        return Err(mismatch());
+    }
+    // Both fit in the body, so in a usize; only now is the pool asked.
+    let (ni, nd) = (idx_len as usize / 4, data_len as usize / 8);
+    let idx = read_words(r, ni, pool.take_u32(lane, ni), u32::from_le_bytes)?;
+    let data = read_words(r, nd, pool.take_f64(lane, nd), f64::from_le_bytes)?;
+    let payload = match variant {
+        PV_EMPTY => Payload::Empty,
+        PV_U32 => Payload::U32(idx),
+        PV_F64 => Payload::F64(data),
+        _ => Payload::Rows { idx, data },
+    };
+    Ok(Msg {
+        tag,
+        seq,
+        gen,
+        checksum,
+        payload,
+    })
 }
 
 struct Cursor<'a> {
@@ -247,7 +477,7 @@ impl<'a> Cursor<'a> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad_data("truncated DATA body"))?;
+            .ok_or_else(|| bad_data("truncated frame body"))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -264,70 +494,6 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    /// Everything not yet consumed.
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-}
-
-/// Deserializes a DATA frame body back into a [`Msg`].
-pub(crate) fn decode_msg(body: &[u8]) -> io::Result<Msg> {
-    let mut c = Cursor { buf: body, pos: 0 };
-    let tag = c.u8()?;
-    let seq = c.u64()?;
-    let gen = c.u32()?;
-    let checksum = c.u64()?;
-    // Each count must account for the rest of the body exactly, so a
-    // lying count is rejected before anything is allocated for it.
-    let mismatch = || bad_data("element counts do not match the DATA body length");
-    let payload = match c.u8()? {
-        PV_EMPTY => {
-            if !c.rest().is_empty() {
-                return Err(mismatch());
-            }
-            Payload::Empty
-        }
-        PV_F64 => {
-            let n = c.u64()?;
-            let words = c.rest();
-            if n.checked_mul(8) != Some(words.len() as u64) {
-                return Err(mismatch());
-            }
-            Payload::F64(get_words(words, f64::from_le_bytes))
-        }
-        PV_U32 => {
-            let n = c.u64()?;
-            let words = c.rest();
-            if n.checked_mul(4) != Some(words.len() as u64) {
-                return Err(mismatch());
-            }
-            Payload::U32(get_words(words, u32::from_le_bytes))
-        }
-        PV_ROWS => {
-            let idx_len = c.u64()?.checked_mul(4).ok_or_else(mismatch)?;
-            let data_len = c.u64()?.checked_mul(8).ok_or_else(mismatch)?;
-            let words = c.rest();
-            if idx_len.checked_add(data_len) != Some(words.len() as u64) {
-                return Err(mismatch());
-            }
-            let (idx, data) = words.split_at(idx_len as usize);
-            Payload::Rows {
-                idx: get_words(idx, u32::from_le_bytes),
-                data: get_words(data, f64::from_le_bytes),
-            }
-        }
-        other => return Err(bad_data(&format!("unknown payload variant {other}"))),
-    };
-    Ok(Msg {
-        tag,
-        seq,
-        gen,
-        checksum,
-        payload,
-    })
 }
 
 /// Encodes a socket path for REGISTER bodies.
@@ -497,6 +663,16 @@ mod tests {
         }
     }
 
+    /// `msg` as rank `src` puts it on the wire: head, then streamed words.
+    fn wire_bytes(src: usize, link_seq: u64, msg: &Msg) -> Vec<u8> {
+        let mut frame = WireFrame::data(src, msg.clone(), Arc::new(PayloadPool::new(src + 1)));
+        frame.set_link_seq(link_seq);
+        let mut bytes = Vec::new();
+        write_parts(&mut bytes, frame.head(), frame.words()).unwrap();
+        assert_eq!(bytes.len() as u64, frame.wire_len());
+        bytes
+    }
+
     /// A decoded message is well formed when it holds no more elements
     /// — and has reserved no more room — than the body that produced it
     /// could carry.
@@ -513,23 +689,50 @@ mod tests {
         );
     }
 
-    /// Feeds arbitrary bytes through both decode stages. Must return,
-    /// never panic; anything it accepts must be well formed.
-    fn decode_hostile(bytes: &[u8]) -> Option<Msg> {
-        let frame = read_frame(&mut &bytes[..]).ok()??;
-        let msg = decode_msg(&frame.body).ok()?;
-        assert_well_formed(&msg, frame.body.len());
+    /// Feeds arbitrary bytes through the header reader and the streaming
+    /// DATA reader (or the capped control-body reader, when the kind byte
+    /// says so), taking from `pool`. Must return, never panic; anything
+    /// it accepts must be well formed.
+    fn decode_hostile_from(bytes: &[u8], pool: &PayloadPool) -> Option<Msg> {
+        let mut r = bytes;
+        let header = read_header(&mut r).ok()??;
+        if header.kind != kind::DATA {
+            let frame = read_body(&mut r, header).ok()?;
+            assert!(frame.body.len() <= MAX_CONTROL_BODY);
+            return None;
+        }
+        let msg = read_data(&mut r, header.body_len, pool, 0).ok()?;
+        assert_well_formed(&msg, header.body_len);
         Some(msg)
+    }
+
+    fn decode_hostile(bytes: &[u8]) -> Option<Msg> {
+        decode_hostile_from(bytes, &PayloadPool::new(1))
     }
 
     #[test]
     fn data_frames_match_the_grammar_and_roundtrip_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(0x5eed_0012);
-        for _case in 0..500 {
-            let msg = random_msg(&mut rng);
+        let mut msgs: Vec<Msg> = (0..500).map(|_| random_msg(&mut rng)).collect();
+        // Payloads of several staging chunks, a whole number of them and
+        // not, and a head too long to share the first chunk.
+        let words = STAGE / 8;
+        for (ni, nd) in [
+            (0, 3 * words + 5),
+            (7, 2 * words),
+            (STAGE / 4 + 3, words + 1),
+        ] {
+            let mut msg = random_msg(&mut rng);
+            msg.payload = Payload::Rows {
+                idx: (0..ni).map(|_| rng.gen()).collect(),
+                data: random_f64s(&mut rng, nd),
+            };
+            msg.checksum = msg.payload.checksum();
+            msgs.push(msg);
+        }
+        for msg in msgs {
             let (src, link_seq) = (rng.gen_range(0..64usize), rng.gen::<u64>());
-            let mut bytes = encode_data_frame(src, &msg);
-            set_link_seq(&mut bytes, link_seq);
+            let bytes = wire_bytes(src, link_seq, &msg);
             assert_eq!(bytes, reference_data_frame(src as u32, link_seq, &msg));
             assert_eq!(
                 bytes.len() as u64,
@@ -537,19 +740,19 @@ mod tests {
             );
 
             let mut r = bytes.as_slice();
-            let frame = read_frame(&mut r).unwrap().expect("one frame");
-            assert!(r.is_empty(), "the frame consumes exactly its bytes");
+            let header = read_header(&mut r).unwrap().expect("one frame");
             assert_eq!(
-                (frame.kind, frame.src, frame.link_seq),
+                (header.kind, header.src, header.link_seq),
                 (kind::DATA, src as u32, link_seq)
             );
-            let back = decode_msg(&frame.body).unwrap();
+            let back = read_data(&mut r, header.body_len, &PayloadPool::new(1), 0).unwrap();
+            assert!(r.is_empty(), "the frame consumes exactly its bytes");
             assert_eq!(
                 (back.tag, back.seq, back.gen, back.checksum),
                 (msg.tag, msg.seq, msg.gen, msg.checksum)
             );
             assert_eq!(payload_bits(&back.payload), payload_bits(&msg.payload));
-            assert_well_formed(&back, frame.body.len());
+            assert_well_formed(&back, header.body_len);
             // Bit-exactness end to end: the checksum still verifies.
             assert_eq!(back.payload.checksum(), back.checksum);
         }
@@ -588,17 +791,22 @@ mod tests {
     #[test]
     fn every_truncation_is_an_error_not_a_panic() {
         for msg in sample_msgs() {
-            let full = encode_data_frame(1, &msg);
+            let full = wire_bytes(1, 0, &msg);
             for cut in 0..full.len() {
                 assert!(decode_hostile(&full[..cut]).is_none(), "frame cut at {cut}");
             }
-            // The body alone, cut anywhere (a frame whose length prefix
-            // was itself shortened consistently).
+            // The body alone, cut anywhere: under a frame length that was
+            // shortened with it, and under the true one (the stream ends
+            // inside the frame).
             let body = &full[FRAME_OVERHEAD as usize..];
+            let pool = PayloadPool::new(1);
             for cut in 0..body.len() {
-                assert!(decode_msg(&body[..cut]).is_err(), "body cut at {cut}");
+                for body_len in [cut, body.len()] {
+                    let got = read_data(&mut &body[..cut], body_len, &pool, 0);
+                    assert!(got.is_err(), "body cut at {cut} of {body_len}");
+                }
             }
-            assert!(decode_msg(body).is_ok());
+            assert!(read_data(&mut &body[..], body.len(), &pool, 0).is_ok());
         }
     }
 
@@ -606,7 +814,7 @@ mod tests {
     fn every_single_byte_mutation_is_an_error_or_a_well_formed_msg() {
         let mut rng = StdRng::seed_from_u64(0x5eed_0013);
         for msg in sample_msgs() {
-            let full = encode_data_frame(1, &msg);
+            let full = wire_bytes(1, 0, &msg);
             for at in 0..full.len() {
                 for value in [0x00, 0xff, full[at] ^ 0x01, full[at] ^ 0x80, rng.gen()] {
                     let mut bad = full.clone();
@@ -626,7 +834,7 @@ mod tests {
         // length prefix, then the one or two element counts.
         let counts_at = FRAME_OVERHEAD as usize + MSG_HEADER;
         for msg in sample_msgs() {
-            let full = encode_data_frame(1, &msg);
+            let full = wire_bytes(1, 0, &msg);
             let n_counts = counts_len(&msg.payload) as usize / 8;
             for _case in 0..200 {
                 let mut bad = full.clone();
@@ -663,7 +871,12 @@ mod tests {
                         continue;
                     };
                     bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
-                    assert!(decode_hostile(&bad).is_none(), "count {n} -> {lie}");
+                    // Rejected on the counts alone, before the pool is
+                    // asked for anything.
+                    let pool = PayloadPool::new(1);
+                    let got = decode_hostile_from(&bad, &pool);
+                    assert!(got.is_none(), "count {n} -> {lie}");
+                    assert_eq!(pool.fresh_allocs(), 0, "count {n} -> {lie} reserved");
                 }
             }
         }
@@ -684,5 +897,28 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         buf.extend_from_slice(&[0u8; 16]);
         assert!(read_frame(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn control_bodies_are_capped_before_they_are_allocated() {
+        // A forged prefix on a control frame: rejected as invalid on the
+        // header alone — not by allocating the claimed body and running
+        // out of stream.
+        for kind in [kind::HELLO, kind::ACK, kind::HEARTBEAT, kind::ADDRBOOK] {
+            for claimed in [MAX_CONTROL_BODY + 1, MAX_FRAME as usize - HEADER] {
+                let mut bytes = encode_frame(&Frame::control(kind, 2));
+                bytes[..4].copy_from_slice(&((HEADER + claimed) as u32).to_le_bytes());
+                let err = read_frame(&mut bytes.as_slice()).expect_err("over the cap");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{claimed}");
+            }
+        }
+        // The cap itself is a legal body.
+        let full = Frame {
+            kind: kind::ADDRBOOK,
+            src: 0,
+            link_seq: 0,
+            body: vec![7; MAX_CONTROL_BODY],
+        };
+        assert_eq!(roundtrip_frame(&full), full);
     }
 }

@@ -28,6 +28,7 @@ use crate::ctx::RankCtx;
 use crate::error::{ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, WorldError};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
+use crate::pool::PayloadPool;
 use crate::stats::{RankStats, WorldStats};
 use crate::transport::thread::ThreadTransport;
 use crate::watchdog::{TimeoutBarrier, Watchdog};
@@ -320,6 +321,10 @@ impl ThreadWorld {
         }
         let barrier = Arc::new(TimeoutBarrier::new(p));
         let watchdog = Arc::new(Watchdog::new(p, self.effective_timeout()));
+        // One payload pool for the run, shared by its rank threads and
+        // dropped with them: payload buffers move between ranks, so only
+        // the world that moves them can balance their free list.
+        let pool = Arc::new(PayloadPool::new(p));
 
         // Per-rank contexts, built outside the threads.
         let mut ctxs: Vec<RankCtx> = senders
@@ -342,6 +347,7 @@ impl ThreadWorld {
                     self.injector.clone(),
                     self.tracing.then(|| Box::new(RankTracer::new(rank))),
                     failover,
+                    pool.clone(),
                 )
             })
             .collect();
@@ -870,6 +876,7 @@ mod tests {
             None,
             None,
             false,
+            Arc::new(PayloadPool::new(1)),
         );
         ctx.send(0, Payload::Empty);
     }
@@ -1073,6 +1080,7 @@ mod tests {
             None,
             None,
             false,
+            Arc::new(PayloadPool::new(2)),
         );
         ctx.recv(1);
     }

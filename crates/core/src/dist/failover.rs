@@ -143,7 +143,7 @@ pub fn spmm_15d_failover_buf(
     // the host's own replicated block. A destination hosted *here* would
     // be a same-grid-row persona, which the plan never ships to.
     for &persona in &personas {
-        ship_blocks(ctx, plan, &plan.ranks[persona], h_local, bufs, route);
+        ship_blocks(ctx, plan, &plan.ranks[persona], h_local, route);
     }
 
     // Phase 2: each persona's stage loop, producing one partial per
@@ -152,7 +152,7 @@ pub fn spmm_15d_failover_buf(
     // flight per SpMM, so ordering is unambiguous.
     let partials: Vec<Dense> = personas
         .iter()
-        .map(|&persona| fold_stages(ctx, plan, &plan.ranks[persona], h_local, bufs, route))
+        .map(|&persona| fold_stages(ctx, &plan.ranks[persona], h_local, bufs, route))
         .collect();
 
     // Phase 3: process-row all-reduce with dead slots folded from their
@@ -185,34 +185,33 @@ fn failover_row_allreduce(
         let mut mine = personas.iter().zip(partials);
         let mut acc: Option<Dense> = None;
         for &r in row_ranks {
-            let part: Dense = if view.host_of(r) == me {
+            if view.host_of(r) == me {
                 let (persona, part) = mine.next().expect("persona partial exhausted");
                 debug_assert_eq!(*persona, r, "persona order mismatch");
-                part
+                match acc.as_mut() {
+                    None => acc = Some(part),
+                    Some(a) => {
+                        ctx.compute(part.data().len() as u64, || a.add_assign(&part));
+                        bufs.put_dense(part);
+                    }
+                }
             } else {
                 // `r` is alive (its host is not me) and not me. Slot 0
                 // is always locally hosted — either rank (row, 0) is
                 // alive and *is* the root, or its proxy is — so the
-                // accumulator already carries the result shape here.
+                // accumulator is in place here.
                 let data = ctx.recv(r).into_f64();
-                let a = acc.as_ref().expect("slot 0 is always locally hosted");
-                Dense::from_vec(a.rows(), a.cols(), data)
-            };
-            match acc.as_mut() {
-                None => acc = Some(part),
-                Some(a) => {
-                    let n = part.data().len() as u64;
-                    ctx.compute(n, || a.add_assign(&part));
-                    bufs.put_dense(part);
-                }
+                let a = acc.as_mut().expect("slot 0 is always locally hosted");
+                let part = Dense::from_vec(a.rows(), a.cols(), data);
+                ctx.compute(part.data().len() as u64, || a.add_assign(&part));
+                ctx.recycle(r, Payload::F64(part.into_vec()));
             }
         }
         let acc = acc.expect("row group is never empty");
         for &r in row_ranks {
             if r != me && view.alive(r) {
-                let mut data = bufs.take_vec(acc.data().len());
-                data.extend_from_slice(acc.data());
-                ctx.send(r, Payload::F64(data));
+                let summed = ctx.pooled_f64(acc.data());
+                ctx.send(r, summed);
             }
         }
         acc
@@ -220,16 +219,19 @@ fn failover_row_allreduce(
         // Non-root hosts carry exactly one persona: themselves.
         debug_assert_eq!(personas, [me]);
         let mut it = partials.into_iter();
-        let part = it.next().expect("own partial");
+        let mut part = it.next().expect("own partial");
         debug_assert!(it.next().is_none());
-        let (rows, cols) = (part.rows(), part.cols());
-        let mut data = bufs.take_vec(part.data().len());
-        data.extend_from_slice(part.data());
-        ctx.send(root, Payload::F64(data));
-        bufs.put_dense(part);
+        let up = ctx.pooled_f64(part.data());
+        ctx.send(root, up);
         let summed = ctx.recv(root).into_f64();
-        assert_eq!(summed.len(), rows * cols, "row allreduce length mismatch");
-        Dense::from_vec(rows, cols, summed)
+        assert_eq!(
+            summed.len(),
+            part.data().len(),
+            "row allreduce length mismatch"
+        );
+        part.data_mut().copy_from_slice(&summed);
+        ctx.recycle(root, Payload::F64(summed));
+        part
     }
 }
 
@@ -274,15 +276,21 @@ pub fn failover_allreduce_replicated(ctx: &mut RankCtx, view: &FailoverView, buf
             }
         }
         ctx.record_compute(((p - 1) * buf.len()) as u64);
+        for (r, data) in received.into_iter().enumerate() {
+            ctx.recycle(r, data.map_or(Payload::Empty, Payload::F64));
+        }
         for r in 0..p {
             if r != me && view.alive(r) {
-                ctx.send(r, Payload::F64(buf.to_vec()));
+                let summed = ctx.pooled_f64(buf);
+                ctx.send(r, summed);
             }
         }
     } else {
-        ctx.send(root, Payload::F64(buf.to_vec()));
+        let up = ctx.pooled_f64(buf);
+        ctx.send(root, up);
         let summed = ctx.recv(root).into_f64();
         buf.copy_from_slice(&summed);
+        ctx.recycle(root, Payload::F64(summed));
     }
 }
 

@@ -362,46 +362,65 @@ pub fn even_bounds(n: usize, p: usize) -> Vec<usize> {
     block_bounds(n, p)
 }
 
-/// Packs one outbound block of `h_local` for a peer that needs the rows
-/// `idx`: the indexed rows when sparsity-aware (their element count is
-/// added to `pack_elems`), the whole block otherwise.
+/// Packs one outbound block of `h_local`, into buffers from the world's
+/// pool, for a peer that needs the rows `idx`: the indexed rows when
+/// sparsity-aware (their element count is added to `pack_elems`), the
+/// whole block otherwise.
 pub(super) fn pack_block(
+    ctx: &RankCtx,
     aware: bool,
     h_local: &Dense,
     row_lo: usize,
     idx: &[u32],
     pack_elems: &mut u64,
-    bufs: &mut EpochBuffers,
 ) -> Payload {
     if aware {
         let f = h_local.cols();
-        let mut data = bufs.take_vec(idx.len() * f);
+        let mut data = ctx.take_f64(idx.len() * f);
         h_local.pack_rows_extend(idx, row_lo, &mut data);
         *pack_elems += (idx.len() * f) as u64;
-        let mut ids = bufs.take_u32(idx.len());
+        let mut ids = ctx.take_u32(idx.len());
         ids.extend_from_slice(idx);
         Payload::Rows { idx: ids, data }
     } else {
-        let mut data = bufs.take_vec(h_local.data().len());
+        let mut data = ctx.take_f64(h_local.data().len());
         data.extend_from_slice(h_local.data());
         Payload::F64(data)
     }
 }
 
+/// Multiplies `block` into `acc` against the rows a payload carries,
+/// where they arrived: the data vector becomes the `rows × f` operand as
+/// it is and goes back into the payload afterwards, for the caller to
+/// recycle.
+pub(super) fn fold_payload(
+    block: &Csr,
+    arrived: &mut Payload,
+    rows: usize,
+    f: usize,
+    acc: &mut Dense,
+) {
+    let (Payload::F64(data) | Payload::Rows { data, .. }) = arrived else {
+        panic!("a stage's rows arrive as F64 or Rows");
+    };
+    let operand = Dense::from_vec(rows, f, std::mem::take(data));
+    spmm_acc(block, &operand, acc);
+    *data = operand.into_vec();
+}
+
 /// Folds one stage into `acc`: multiplies the stage's block against its
 /// operand where that already is — the local block for the rank's own
 /// stage (charged as the gather the model prices), nothing for an empty
-/// one, otherwise the buffer `fetch` obtains from the stage's sender,
-/// retired afterwards.
-#[allow(clippy::too_many_arguments)]
+/// one, otherwise the payload `fetch` obtains from rank `from` (the
+/// stage's sender, or whoever stands in for it), sent home to `from`'s
+/// lane of the world's pool afterwards.
 pub(super) fn fold_stage(
     ctx: &mut RankCtx,
-    aware: bool,
     rp: &RankPlan,
     st: &Stage,
     h_local: &Dense,
     acc: &mut Dense,
-    bufs: &mut EpochBuffers,
+    from: usize,
     fetch: impl FnOnce(&mut RankCtx, usize) -> Payload,
 ) {
     let f = h_local.cols();
@@ -413,25 +432,15 @@ pub(super) fn fold_stage(
         ctx.compute(flops, || spmm_acc(block, h_local, acc));
         return;
     }
-    let h_stage = if rows == 0 {
-        Dense::zeros(0, f)
-    } else if aware {
-        let (idx, data) = fetch(ctx, st.src_rank).into_rows();
-        debug_assert_eq!(idx, st.needed, "row ids mismatch at stage k={}", st.k);
-        bufs.put_u32(idx);
-        Dense::from_vec(rows, f, data)
-    } else {
-        let data = fetch(ctx, st.src_rank).into_f64();
-        assert_eq!(
-            data.len(),
-            rows * f,
-            "block size mismatch at stage k={}",
-            st.k
-        );
-        Dense::from_vec(rows, f, data)
+    let mut arrived = match rows {
+        0 => Payload::F64(Vec::new()),
+        _ => fetch(ctx, from),
     };
-    ctx.compute(flops, || spmm_acc(block, &h_stage, acc));
-    bufs.put_dense(h_stage);
+    if let Payload::Rows { idx, .. } = &arrived {
+        debug_assert_eq!(*idx, st.needed, "row ids mismatch at stage k={}", st.k);
+    }
+    ctx.compute(flops, || fold_payload(block, &mut arrived, rows, f, acc));
+    ctx.recycle(from, arrived);
 }
 
 /// Blocking send phase of plan entry `rp`: packs and ships every outbound
@@ -441,12 +450,11 @@ pub(super) fn ship_blocks(
     plan: &GridPlan,
     rp: &RankPlan,
     h_local: &Dense,
-    bufs: &mut EpochBuffers,
     route: impl Fn(usize) -> usize,
 ) {
     let mut pack_elems = 0u64;
     for (dst, idx) in &rp.sends {
-        let payload = pack_block(plan.aware, h_local, rp.row_lo, idx, &mut pack_elems, bufs);
+        let payload = pack_block(ctx, plan.aware, h_local, rp.row_lo, idx, &mut pack_elems);
         ctx.send(route(*dst), payload);
     }
     if pack_elems > 0 {
@@ -458,7 +466,6 @@ pub(super) fn ship_blocks(
 /// from `route(src)` and returns the accumulated partial `Z[i][j]`.
 pub(super) fn fold_stages(
     ctx: &mut RankCtx,
-    plan: &GridPlan,
     rp: &RankPlan,
     h_local: &Dense,
     bufs: &mut EpochBuffers,
@@ -468,13 +475,12 @@ pub(super) fn fold_stages(
     for st in &rp.stages {
         fold_stage(
             ctx,
-            plan.aware,
             rp,
             st,
             h_local,
             &mut z,
-            bufs,
-            |ctx, src| ctx.recv(route(src)),
+            route(st.src_rank),
+            RankCtx::recv,
         );
     }
     z
@@ -487,9 +493,10 @@ pub fn spmm_grid(ctx: &mut RankCtx, plan: &GridPlan, h_local: &Dense) -> Dense {
     spmm_grid_buf(ctx, plan, h_local, &mut EpochBuffers::new())
 }
 
-/// [`spmm_grid`] with caller-provided scratch: staging, per-stage blocks
-/// and the accumulator come from `bufs`; received buffers retire into it,
-/// so repeated calls are allocation-free once the pool is warm.
+/// [`spmm_grid`] with caller-provided scratch: the accumulator comes from
+/// `bufs`; outbound blocks are packed into buffers from the world's pool
+/// and received ones recycled into it, so repeated calls are
+/// allocation-free on every rank once both are warm.
 pub fn spmm_grid_buf(
     ctx: &mut RankCtx,
     plan: &GridPlan,
@@ -499,8 +506,8 @@ pub fn spmm_grid_buf(
     let rp = &plan.ranks[ctx.rank()];
     assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
     ctx.span_begin(plan.span, Phase::P2p);
-    ship_blocks(ctx, plan, rp, h_local, bufs, |r| r);
-    let mut z = fold_stages(ctx, plan, rp, h_local, bufs, |r| r);
+    ship_blocks(ctx, plan, rp, h_local, |r| r);
+    let mut z = fold_stages(ctx, rp, h_local, bufs, |r| r);
     if !rp.reduce_group.is_empty() {
         ctx.allreduce_sum(z.data_mut(), &rp.reduce_group);
     }

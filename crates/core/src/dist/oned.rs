@@ -15,7 +15,7 @@ use spmat::spmm::spmm_acc;
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
-use super::grid::{pack_block, GridPlan, RankPlan, Stage};
+use super::grid::{fold_payload, pack_block, GridPlan, RankPlan, Stage};
 
 /// One 1D SpMM on the calling rank. Returns `Zᵢ` (`rows_i × f`).
 pub fn spmm_1d(ctx: &mut RankCtx, plan: &GridPlan, h_local: &Dense) -> Dense {
@@ -34,16 +34,11 @@ pub(super) fn phase_of(plan: &GridPlan) -> Phase {
 /// Packs the rows each peer asked for into pooled `Rows` payloads (one
 /// slot per rank, `Empty` for the caller and for peers that need nothing)
 /// and charges the gather.
-pub(super) fn pack_sends(
-    ctx: &mut RankCtx,
-    rp: &RankPlan,
-    h_local: &Dense,
-    bufs: &mut EpochBuffers,
-) -> Vec<Payload> {
+pub(super) fn pack_sends(ctx: &mut RankCtx, rp: &RankPlan, h_local: &Dense) -> Vec<Payload> {
     let mut pack_elems = 0u64;
     let mut sends: Vec<Payload> = (0..ctx.p()).map(|_| Payload::Empty).collect();
     for (dst, idx) in &rp.sends {
-        sends[*dst] = pack_block(true, h_local, rp.row_lo, idx, &mut pack_elems, bufs);
+        sends[*dst] = pack_block(ctx, true, h_local, rp.row_lo, idx, &mut pack_elems);
     }
     ctx.record_compute(pack_elems);
     sends
@@ -56,11 +51,10 @@ pub(super) fn bcast_stage(
     rp: &RankPlan,
     st: &Stage,
     h_local: &Dense,
-    bufs: &mut EpochBuffers,
     bcast: impl FnOnce(&mut RankCtx, usize, Option<Payload>) -> Payload,
 ) -> Payload {
     let own = (st.src_rank == rp.rank)
-        .then(|| pack_block(false, h_local, rp.row_lo, &st.needed, &mut 0, bufs));
+        .then(|| pack_block(ctx, false, h_local, rp.row_lo, &st.needed, &mut 0));
     bcast(ctx, st.src_rank, own)
 }
 
@@ -68,41 +62,37 @@ pub(super) fn bcast_stage(
 /// stage) are in: the model's charge for laying the needed rows out (one
 /// element move per entry of the gathered operand — the executor
 /// multiplies them where they are instead), then one multiply charge
-/// covering every stage of the run.
+/// covering every stage of the run. The spent payloads go back to the
+/// world's pool.
 pub(super) fn fold_run(
     ctx: &mut RankCtx,
     rp: &RankPlan,
     stages: &[Stage],
-    arrived: Vec<Payload>,
+    mut arrived: Vec<Payload>,
     h_local: &Dense,
     z: &mut Dense,
-    bufs: &mut EpochBuffers,
 ) {
     let f = h_local.cols();
     let rows: usize = stages.iter().map(|st| st.needed.len()).sum();
     let nnz: usize = stages.iter().map(|st| st.block_compact.nnz()).sum();
     ctx.record_compute((rows * f) as u64);
     ctx.compute(2 * (nnz * f) as u64, || {
-        for (st, payload) in stages.iter().zip(arrived) {
-            fold_segment(st, st.src_rank == rp.rank, payload, h_local, z, bufs);
+        for (st, payload) in stages.iter().zip(&mut arrived) {
+            fold_segment(st, st.src_rank == rp.rank, payload, h_local, z);
         }
     });
+    for (st, payload) in stages.iter().zip(arrived) {
+        ctx.recycle(st.src_rank, payload);
+    }
 }
 
 /// Folds one stage into `z`. The all-to-allv leaves the caller's own slot
-/// `Empty`: that stage multiplies against `h_local`. Any other payload
-/// becomes the operand as it is and retires into `bufs` afterwards.
-fn fold_segment(
-    st: &Stage,
-    own: bool,
-    arrived: Payload,
-    h_local: &Dense,
-    z: &mut Dense,
-    bufs: &mut EpochBuffers,
-) {
+/// `Empty`: that stage multiplies against `h_local`. Any other payload is
+/// the operand as it is.
+fn fold_segment(st: &Stage, own: bool, arrived: &mut Payload, h_local: &Dense, z: &mut Dense) {
     let seg = &st.block_compact;
-    let (idx, data) = match arrived {
-        Payload::Empty if own => return spmm_acc(seg, h_local, z),
+    match arrived {
+        Payload::Empty if own => spmm_acc(seg, h_local, z),
         Payload::Empty => {
             let src = st.src_rank;
             assert_eq!(
@@ -110,29 +100,20 @@ fn fold_segment(
                 0,
                 "peer {src} sent nothing but rows were expected"
             );
-            return;
         }
-        Payload::F64(data) => (Vec::new(), data),
-        rows => rows.into_rows(),
-    };
-    let f = h_local.cols();
-    assert_eq!(
-        data.len(),
-        seg.cols() * f,
-        "size mismatch from {}",
-        st.src_rank
-    );
-    debug_assert!(idx.is_empty() || idx == st.needed, "row ids mismatch");
-    let h_k = Dense::from_vec(seg.cols(), f, data);
-    spmm_acc(seg, &h_k, z);
-    bufs.put_dense(h_k);
-    bufs.put_u32(idx);
+        rows => {
+            if let Payload::Rows { idx, .. } = &*rows {
+                debug_assert_eq!(*idx, st.needed, "row ids mismatch from {}", st.src_rank);
+            }
+            fold_payload(seg, rows, seg.cols(), h_local.cols(), z);
+        }
+    }
 }
 
-/// [`spmm_1d`] with caller-provided scratch: staging and accumulator
-/// buffers come from `bufs` and retired buffers (including ones received
-/// through the mesh) go back into it, so repeated calls are
-/// allocation-free once the pool is warm.
+/// [`spmm_1d`] with caller-provided scratch: the accumulator comes from
+/// `bufs`; sends are packed into buffers from the world's pool and
+/// received payloads recycled into it, so repeated calls are
+/// allocation-free once both are warm.
 pub fn spmm_1d_buf(
     ctx: &mut RankCtx,
     plan: &GridPlan,
@@ -143,14 +124,14 @@ pub fn spmm_1d_buf(
     assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
     ctx.span_begin(plan.span, phase_of(plan));
     let arrived = if plan.aware {
-        let sends = pack_sends(ctx, rp, h_local, bufs);
+        let sends = pack_sends(ctx, rp, h_local);
         ctx.alltoallv(sends)
     } else {
-        let bcast = |st| bcast_stage(ctx, rp, st, h_local, bufs, RankCtx::bcast);
+        let bcast = |st| bcast_stage(ctx, rp, st, h_local, RankCtx::bcast);
         rp.stages.iter().map(bcast).collect()
     };
     let mut z = bufs.take_dense(rp.rows(), h_local.cols());
-    fold_run(ctx, rp, &rp.stages, arrived, h_local, &mut z, bufs);
+    fold_run(ctx, rp, &rp.stages, arrived, h_local, &mut z);
     ctx.span_end();
     z
 }

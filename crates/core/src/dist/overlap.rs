@@ -69,7 +69,7 @@ pub fn spmm_1d_pipelined_buf(
     // so it cannot hide any chunk's communication. (Oblivious: nothing
     // to pack or post — the broadcasts below carry the blocks.)
     let sends = match plan.aware {
-        true => pack_sends(ctx, rp, h_local, bufs),
+        true => pack_sends(ctx, rp, h_local),
         false => Vec::new(),
     };
     let peers = sends.len();
@@ -104,11 +104,11 @@ pub fn spmm_1d_pipelined_buf(
             };
             recvs[glo..ghi].iter_mut().map(wait).collect()
         } else {
-            let bcast = |st| bcast_stage(ctx, rp, st, h_local, bufs, RankCtx::bcast_overlapped);
+            let bcast = |st| bcast_stage(ctx, rp, st, h_local, RankCtx::bcast_overlapped);
             run.iter().map(bcast).collect()
         };
         ctx.overlap_stage();
-        fold_run(ctx, rp, run, arrived, h_local, &mut z, bufs);
+        fold_run(ctx, rp, run, arrived, h_local, &mut z);
     }
     ctx.overlap_end();
     ctx.span_end();
@@ -143,7 +143,7 @@ pub fn spmm_grid_pipelined_buf(
         .sends
         .iter()
         .map(|(dst, idx)| {
-            let payload = pack_block(plan.aware, h_local, rp.row_lo, idx, &mut pack_elems, bufs);
+            let payload = pack_block(ctx, plan.aware, h_local, rp.row_lo, idx, &mut pack_elems);
             (*dst, payload)
         })
         .collect();
@@ -174,7 +174,7 @@ pub fn spmm_grid_pipelined_buf(
         ctx.overlap_stage();
 
         for (st, slot) in rp.stages[slo..shi].iter().zip(&mut staged) {
-            fold_stage(ctx, plan.aware, rp, st, h_local, &mut z, bufs, |_, _| {
+            fold_stage(ctx, rp, st, h_local, &mut z, st.src_rank, |_, _| {
                 slot.take().expect("a remote stage has a staged payload")
             });
         }
@@ -363,40 +363,6 @@ mod tests {
                         "{label}: overlapped slower than blocking"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn aware_1d_executors_recycle_every_buffer() {
-        // Received payloads become SpMM operands as they are and retire
-        // into the receiver's pool; sends are staged out of it. Once the
-        // pool has seen every size, no call may allocate.
-        let (adj, h) = setup(7, 17, 12);
-        let (warm_up, steady) = (6, 6);
-        let bounds = even_bounds(adj.rows(), 3);
-        let plan = GridPlan::oned(&adj, &bounds, true);
-        for chunks in [None, Some(2)] {
-            let world = ThreadWorld::new(3, CostModel::perlmutter_like());
-            let (fresh, _) = world.run(|ctx| {
-                let me = ctx.rank();
-                let local = h.row_slice(bounds[me], bounds[me + 1]);
-                let mut bufs = EpochBuffers::new();
-                let mut warm = 0;
-                for call in 0..warm_up + steady {
-                    let z = match chunks {
-                        None => spmm_1d_buf(ctx, &plan, &local, &mut bufs),
-                        Some(k) => spmm_1d_pipelined_buf(ctx, &plan, &local, k, &mut bufs),
-                    };
-                    bufs.put_dense(z);
-                    if call + 1 == warm_up {
-                        warm = bufs.fresh_allocs();
-                    }
-                }
-                (warm, bufs.fresh_allocs())
-            });
-            for (rank, (warm, end)) in fresh.into_iter().enumerate() {
-                assert_eq!(warm, end, "chunks={chunks:?}: rank {rank} allocated");
             }
         }
     }
