@@ -1,10 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! repro [--small] [--seed N] [--out DIR] [--threads N] [--kernel strict|fast]
-//!       [--trace [PREFIX]] [--trace-format jsonl|chrome|both] [--metrics-out FILE]
-//!       <table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|sweep|all>
-//! ```
+//! `repro --help` prints the synopsis — flags and commands — generated
+//! from the table in `cli()`.
 //!
 //! Prints each artifact as an aligned table and writes a CSV twin to
 //! `--out` (default `results/`). `--small` runs miniature datasets with
@@ -27,9 +24,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use gnn_bench::cli::{common_flags, store, switch, value, Cli, Common};
 use gnn_bench::experiments::{self, Suite};
 use gnn_bench::table::Table;
-use gnn_bench::traceio::{self, TraceFormat};
+use gnn_bench::traceio;
 use gnn_comm::CostModel;
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig};
 use partition::{partition_graph, Method, PartitionConfig};
@@ -37,119 +35,72 @@ use partition::{partition_graph, Method, PartitionConfig};
 #[derive(Debug)]
 struct Args {
     small: bool,
-    seed: u64,
     out: PathBuf,
-    threads: usize,
-    kernel_mode: Option<spmat::kernel::KernelMode>,
-    trace: bool,
-    trace_prefix: Option<PathBuf>,
-    trace_format: TraceFormat,
-    metrics_out: Option<PathBuf>,
     commands: Vec<String>,
+    /// The flags `train` takes too.
+    common: Common,
 }
 
-fn parse_args() -> Result<Args, String> {
-    parse_args_from(std::env::args().skip(1))
+impl AsMut<Common> for Args {
+    fn as_mut(&mut self) -> &mut Common {
+        &mut self.common
+    }
 }
+
+/// Flags of `train`'s process-backend launcher, which `repro` never is.
+const LAUNCHER_FLAGS: [&str; 6] = [
+    "--backend",
+    "--ranks",
+    "--proc-dir",
+    "--proc-child",
+    "--hostfile",
+    "--net-chaos",
+];
 
 fn parse_args_from(raw: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        small: false,
-        seed: 1,
-        out: PathBuf::from("results"),
-        threads: 0,        // auto
-        kernel_mode: None, // GNN_KERNEL env rules unless --kernel is given
-        trace: false,
-        trace_prefix: None,
-        trace_format: TraceFormat::Both,
-        metrics_out: None,
-        commands: Vec::new(),
-    };
-    let mut it = raw.peekable();
-    // Process-backend launcher flags are rejected, but only after the
-    // whole command line is scanned so the error can name every
-    // offending flag at once instead of stopping at the first.
-    let mut proc_flags: Vec<String> = Vec::new();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--small" => args.small = true,
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
-            "--kernel" => {
-                args.kernel_mode = Some(spmat::kernel::KernelMode::parse(
-                    &it.next().ok_or("--kernel needs a value")?,
-                )?);
-            }
-            "--trace" => {
-                args.trace = true;
-                // Optional value: a path prefix for the artifacts.
-                if let Some(v) = it.peek() {
-                    if v.starts_with('-') || !v.contains(['/', '.']) {
-                        // Bare words are table/figure commands, not paths.
-                    } else {
-                        args.trace_prefix = Some(PathBuf::from(it.next().unwrap()));
-                    }
-                }
-            }
-            "--trace-format" => {
-                args.trace_format =
-                    TraceFormat::parse(&it.next().ok_or("--trace-format needs a value")?)?
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(PathBuf::from(
-                    it.next().ok_or("--metrics-out needs a value")?,
-                ))
-            }
-            "--help" | "-h" => return Err(usage()),
-            // The repro harness replays recorded volumes analytically (or
-            // runs a short traced thread-world pass); it never launches
-            // rank processes. Collect every such flag — each takes a
-            // value, which is swallowed too — and report them together.
-            "--backend" | "--ranks" | "--proc-dir" | "--proc-child" | "--hostfile"
-            | "--net-chaos" => {
-                proc_flags.push(a.clone());
-                if it.peek().is_some_and(|v| !v.starts_with('-')) {
-                    it.next();
-                }
-            }
-            cmd if !cmd.starts_with('-') => args.commands.push(cmd.to_string()),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
-    if !proc_flags.is_empty() {
+    let argv: Vec<String> = raw.collect();
+    // Named all at once, not one per attempt.
+    let launcher: Vec<&str> = argv
+        .iter()
+        .map(String::as_str)
+        .filter(|a| LAUNCHER_FLAGS.contains(a))
+        .collect();
+    if !launcher.is_empty() {
         return Err(format!(
             "{} belong{} to the process-backend launcher; repro computes its \
              artifacts analytically on the thread backend only — use \
              `train --backend proc` for a process-backed run",
-            proc_flags.join(", "),
-            if proc_flags.len() == 1 { "s" } else { "" }
+            launcher.join(", "),
+            if launcher.len() == 1 { "s" } else { "" }
         ));
     }
-    if args.commands.is_empty() && !args.trace {
-        return Err(usage());
+    let mut args = Args {
+        small: false,
+        out: PathBuf::from("results"),
+        commands: Vec::new(),
+        common: Common::default(),
+    };
+    args.commands = cli().parse(&mut args, argv)?;
+    if args.commands.is_empty() && !args.common.trace {
+        return Err(cli().usage());
     }
     Ok(args)
 }
 
-fn usage() -> String {
-    "usage: repro [--small] [--seed N] [--out DIR] [--threads N] \
-     [--kernel strict|fast] \
-     [--trace [PREFIX]] [--trace-format jsonl|chrome|both] [--metrics-out FILE] \
-     <table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|sweep|all> ..."
-        .to_string()
+/// `repro`'s flag table.
+fn cli() -> Cli<Args> {
+    let mut flags = vec![
+        switch("--small", |a: &mut Args| a.small = true),
+        value("--out", "DIR", |a, v| store(&mut a.out, v)),
+    ];
+    // Bare words are table/figure commands; a `--trace` prefix is a path.
+    flags.extend(common_flags(|v| v.contains(['/', '.'])));
+    Cli {
+        program: "repro",
+        flags,
+        operands:
+            "<table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|ablations|sweep|all> ...",
+    }
 }
 
 fn emit(name: &str, title: &str, table: &Table, out: &std::path::Path) {
@@ -162,15 +113,16 @@ fn emit(name: &str, title: &str, table: &Table, out: &std::path::Path) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args_from(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    spmat::pool::set_threads(args.threads); // 0 keeps the auto default
-    if let Some(mode) = args.kernel_mode {
+    let (common, seed) = (&args.common, args.common.seed);
+    spmat::pool::set_threads(common.threads); // 0 keeps the auto default
+    if let Some(mode) = common.kernel_mode {
         spmat::kernel::set_mode(mode);
     }
     let kernels = spmat::kernel::active();
@@ -190,12 +142,12 @@ fn main() -> ExitCode {
     eprintln!(
         "building {} dataset suite (seed {})...",
         if args.small { "small" } else { "full" },
-        args.seed
+        seed
     );
     let suite = if args.small {
-        Suite::small(args.seed)
+        Suite::small(seed)
     } else {
-        Suite::full(args.seed)
+        Suite::full(seed)
     };
     eprintln!("suite ready in {:.1}s", t0.elapsed().as_secs_f64());
 
@@ -219,7 +171,7 @@ fn main() -> ExitCode {
                 } else {
                     vec![16, 32, 64, 128, 256]
                 };
-                let (table, _) = experiments::table2(&suite.amazon, &ps, args.seed);
+                let (table, _) = experiments::table2(&suite.amazon, &ps, seed);
                 emit(
                     "table2",
                     "Table 2: per-SpMM communication under the edgecut-only partitioner (amazon-scaled)",
@@ -237,23 +189,23 @@ fn main() -> ExitCode {
                 );
             }
             "fig3" => {
-                let (table, _) = experiments::fig3(&suite, args.seed);
+                let (table, _) = experiments::fig3(&suite, seed);
                 emit("fig3", "Figure 3: 1D epoch time vs GPUs", &table, &args.out);
             }
             "fig4" => {
-                let (table, _) = experiments::fig4(&suite, args.seed);
+                let (table, _) = experiments::fig4(&suite, seed);
                 emit("fig4", "Figure 4: 1D timing breakdown", &table, &args.out);
             }
             "fig5" => {
-                let (table, _) = experiments::fig5(&suite, args.seed);
+                let (table, _) = experiments::fig5(&suite, seed);
                 emit("fig5", "Figure 5: papers-scaled at p=16", &table, &args.out);
             }
             "fig6" => {
-                let (table, _) = experiments::fig6(&suite, args.seed);
+                let (table, _) = experiments::fig6(&suite, seed);
                 emit("fig6", "Figure 6: SA+METIS vs SA+GVB", &table, &args.out);
             }
             "fig7" => {
-                let (table, _) = experiments::fig7(&suite, args.seed);
+                let (table, _) = experiments::fig7(&suite, seed);
                 emit(
                     "fig7",
                     "Figure 7: 1.5D epoch time vs GPUs",
@@ -262,7 +214,7 @@ fn main() -> ExitCode {
                 );
             }
             "volumes" => {
-                let (table, _) = experiments::volumes(&suite, args.seed);
+                let (table, _) = experiments::volumes(&suite, seed);
                 emit(
                     "volumes",
                     "Communication volume view: bottleneck-rank received MB per epoch",
@@ -271,7 +223,7 @@ fn main() -> ExitCode {
                 );
             }
             "overlap" => {
-                let (table, _) = experiments::overlap(&suite, args.seed);
+                let (table, _) = experiments::overlap(&suite, seed);
                 emit(
                     "overlap",
                     "Overlap ablation: measured chunked-pipeline overlap vs blocking schedules",
@@ -281,7 +233,7 @@ fn main() -> ExitCode {
             }
             "algos" => {
                 let p = if args.small { 8 } else { 16 };
-                let (table, _) = experiments::algos(&suite, p, args.seed);
+                let (table, _) = experiments::algos(&suite, p, seed);
                 emit(
                     "algos",
                     "Extension: per-SpMM bottleneck exchange volume across 1D / 1.5D / 2D layouts",
@@ -289,8 +241,17 @@ fn main() -> ExitCode {
                     &args.out,
                 );
             }
+            "ablations" => {
+                let table = experiments::ablations(&suite, seed);
+                emit(
+                    "ablations",
+                    "Design ablations: alternatives held to the same answer, then timed on this host",
+                    &table,
+                    &args.out,
+                );
+            }
             "sweep" => {
-                let (table, cells) = experiments::sweep(&suite, args.small, args.seed);
+                let (table, cells) = experiments::sweep(&suite, args.small, seed);
                 emit(
                     "sweep",
                     "Conformance sweep: executed training vs serial reference and analytic model \
@@ -310,14 +271,14 @@ fn main() -> ExitCode {
                 }
             }
             other => {
-                eprintln!("unknown command {other}\n{}", usage());
+                eprintln!("unknown command {other}\n{}", cli().usage());
                 return ExitCode::FAILURE;
             }
         }
         eprintln!("[{cmd} done in {:.1}s]", t.elapsed().as_secs_f64());
     }
 
-    if args.trace {
+    if common.trace {
         let t = Instant::now();
         let p = if args.small { 4 } else { 8 };
         let epochs = 3;
@@ -326,7 +287,7 @@ fn main() -> ExitCode {
         let part = partition_graph(
             &ds.adj,
             p,
-            &PartitionConfig::new(Method::VolumeBalanced).with_seed(args.seed),
+            &PartitionConfig::new(Method::VolumeBalanced).with_seed(seed),
         );
         let ds = ds.permute(&part.to_permutation());
         let bounds = part.block_bounds();
@@ -346,11 +307,11 @@ fn main() -> ExitCode {
         };
         let trace = out.trace.as_ref().expect("tracing was enabled");
         print!("\n{}", traceio::render_report(trace));
-        let prefix = args
+        let prefix = common
             .trace_prefix
             .clone()
             .unwrap_or_else(|| traceio::default_prefix(&format!("repro_reddit_1d_p{p}")));
-        match traceio::write_trace(&prefix, args.trace_format, trace) {
+        match traceio::write_trace(&prefix, common.trace_format, trace) {
             Ok(paths) => {
                 for p in paths {
                     println!("[trace written to {}]", p.display());
@@ -358,7 +319,7 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("warning: could not write trace: {e}"),
         }
-        let metrics_path = args
+        let metrics_path = common
             .metrics_out
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
@@ -372,11 +333,22 @@ fn main() -> ExitCode {
 }
 
 #[cfg(test)]
+#[path = "../../tests/common/hostile_argv.rs"]
+mod hostile_argv;
+
+#[cfg(test)]
 mod tests {
     use super::parse_args_from;
 
     fn parse(argv: &[&str]) -> Result<super::Args, String> {
         parse_args_from(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn hostile_argv_is_rejected_by_flag_name() {
+        super::hostile_argv::check(&super::cli(), &["table3"], |argv| {
+            parse_args_from(argv.into_iter()).map(drop)
+        });
     }
 
     /// The launcher-flag rejection must name *every* offending flag, not

@@ -1,22 +1,7 @@
 //! `train` — run full-graph distributed GNN training end to end.
 //!
-//! ```text
-//! train [--dataset reddit|amazon|protein|papers] [--mtx FILE]
-//!       [--algo 1d|1.5d|2d|3d] [--oblivious] [--c N] [--pc N]
-//!       [--partitioner block|random|metis|gvb] [--p N]
-//!       [--backend thread|proc] [--ranks N] [--proc-dir DIR]
-//!       [--hostfile FILE] [--net-chaos SPEC]
-//!       [--arch gcn|sage] [--opt sgd|adam] [--lr X]
-//!       [--overlap on|off|chunks=N]
-//!       [--kernel strict|fast] [--flop-rate auto|FLOPS]
-//!       [--epochs N] [--scale N] [--seed N]
-//!       [--inject-crash RANK@EPOCH] [--slow-rank RANK:FACTOR]
-//!       [--drop-prob X] [--corrupt-prob X] [--fault-seed N]
-//!       [--failover] [--checkpoint-every N] [--max-restarts N]
-//!       [--watchdog-ms N]
-//!       [--trace [PREFIX]] [--trace-format jsonl|chrome|both]
-//!       [--metrics-out FILE] [--metrics-interval SECS]
-//! ```
+//! `train --help` prints the synopsis, generated from the flag table in
+//! `cli()` — the one place a flag is declared.
 //!
 //! `--backend proc` (Unix only) runs every rank as a **real OS
 //! process** over Unix-domain sockets instead of threads: the launcher
@@ -89,7 +74,8 @@ use std::time::Instant;
 
 use std::time::Duration;
 
-use gnn_bench::traceio::{self, TraceFormat};
+use gnn_bench::cli::{choose, common_flags, store, store_some, switch, value, Cli, Common, Flag};
+use gnn_bench::traceio;
 use gnn_comm::{CostModel, FaultPlan, OverlapConfig, Phase};
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, RobustnessConfig};
 use partition::{partition_graph, Method, PartitionConfig};
@@ -132,7 +118,6 @@ struct Args {
     overlap: OverlapConfig,
     epochs: usize,
     scale: u32,
-    seed: u64,
     inject_crash: Option<(usize, usize)>,
     slow_rank: Option<(usize, f64)>,
     drop_prob: f64,
@@ -142,17 +127,9 @@ struct Args {
     checkpoint_every: usize,
     max_restarts: usize,
     watchdog_ms: u64,
-    threads: usize,
-    kernel_mode: spmat::kernel::KernelMode,
-    /// `--kernel` was given explicitly (else the `GNN_KERNEL` env rules).
-    kernel_flag: bool,
     /// `None` = paper constant, `Some(None)` = measured ("auto"),
     /// `Some(Some(x))` = explicit flop/s.
     flop_rate: Option<Option<f64>>,
-    trace: bool,
-    trace_prefix: Option<PathBuf>,
-    trace_format: TraceFormat,
-    metrics_out: Option<PathBuf>,
     /// `--metrics-interval` in seconds (proc backend live snapshots).
     metrics_interval: Option<f64>,
     backend_proc: bool,
@@ -169,10 +146,14 @@ struct Args {
     net_chaos: Option<String>,
     /// Internal: this invocation is rank N of a proc-backend launch.
     proc_child: Option<usize>,
+    /// The flags `repro` takes too.
+    common: Common,
 }
 
-fn parse() -> Result<Args, String> {
-    parse_from(std::env::args().skip(1))
+impl AsMut<Common> for Args {
+    fn as_mut(&mut self) -> &mut Common {
+        &mut self.common
+    }
 }
 
 fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -191,7 +172,6 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         overlap: OverlapConfig::off(),
         epochs: 30,
         scale: 11,
-        seed: 1,
         inject_crash: None,
         slow_rank: None,
         drop_prob: 0.0,
@@ -201,14 +181,7 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         checkpoint_every: 5,
         max_restarts: 2,
         watchdog_ms: 30_000,
-        threads: 0, // auto: GNN_THREADS env or available parallelism
-        kernel_mode: spmat::kernel::KernelMode::Strict,
-        kernel_flag: false,
         flop_rate: None,
-        trace: false,
-        trace_prefix: None,
-        trace_format: TraceFormat::Both,
-        metrics_out: None,
         metrics_interval: None,
         backend_proc: false,
         ranks_flag: false,
@@ -217,243 +190,136 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         hostfile: None,
         net_chaos: None,
         proc_child: None,
+        common: Common::default(),
     };
-    let mut it = args.into_iter().peekable();
-    let next = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().ok_or(format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--dataset" => a.dataset = next(&mut it, "--dataset")?,
-            "--mtx" => a.mtx = Some(PathBuf::from(next(&mut it, "--mtx")?)),
-            "--algo" => {
-                a.algo_tag = match next(&mut it, "--algo")?.as_str() {
-                    "1d" => AlgoTag::OneD,
-                    "1.5d" | "15d" => AlgoTag::OneFiveD,
-                    "2d" => AlgoTag::TwoD,
-                    "3d" => AlgoTag::ThreeD,
-                    other => return Err(format!("unknown algo {other} (1d|1.5d|2d|3d)")),
-                }
-            }
-            "--oblivious" => a.aware = false,
-            "--c" => {
-                a.c = next(&mut it, "--c")?
-                    .parse()
-                    .map_err(|e| format!("bad --c: {e}"))?
-            }
-            "--pc" => {
-                a.pc = next(&mut it, "--pc")?
-                    .parse()
-                    .map_err(|e| format!("bad --pc: {e}"))?
-            }
-            "--partitioner" => {
-                a.partitioner = match next(&mut it, "--partitioner")?.as_str() {
-                    "block" => Method::Block,
-                    "random" => Method::Random,
-                    "metis" => Method::EdgeCut,
-                    "gvb" => Method::VolumeBalanced,
-                    other => return Err(format!("unknown partitioner {other}")),
-                }
-            }
-            "--p" => {
-                a.p_flag = true;
-                a.p = next(&mut it, "--p")?
-                    .parse()
-                    .map_err(|e| format!("bad --p: {e}"))?
-            }
-            "--backend" => {
-                a.backend_proc = match next(&mut it, "--backend")?.as_str() {
-                    "thread" => false,
-                    "proc" | "process" => true,
-                    other => return Err(format!("unknown backend {other} (thread|proc)")),
-                }
-            }
-            "--ranks" => {
-                a.ranks_flag = true;
-                a.p = next(&mut it, "--ranks")?
-                    .parse()
-                    .map_err(|e| format!("bad --ranks: {e}"))?
-            }
-            "--proc-dir" => a.proc_dir = Some(PathBuf::from(next(&mut it, "--proc-dir")?)),
-            "--hostfile" => a.hostfile = Some(PathBuf::from(next(&mut it, "--hostfile")?)),
-            "--net-chaos" => a.net_chaos = Some(next(&mut it, "--net-chaos")?),
-            "--proc-child" => {
-                a.proc_child = Some(
-                    next(&mut it, "--proc-child")?
-                        .parse()
-                        .map_err(|e| format!("bad --proc-child: {e}"))?,
-                )
-            }
-            "--arch" => {
-                a.sage = match next(&mut it, "--arch")?.as_str() {
-                    "gcn" => false,
-                    "sage" => true,
-                    other => return Err(format!("unknown arch {other}")),
-                }
-            }
-            "--opt" => {
-                a.adam = match next(&mut it, "--opt")?.as_str() {
-                    "sgd" => false,
-                    "adam" => true,
-                    other => return Err(format!("unknown optimizer {other}")),
-                }
-            }
-            "--lr" => {
-                a.lr = Some(
-                    next(&mut it, "--lr")?
-                        .parse()
-                        .map_err(|e| format!("bad --lr: {e}"))?,
-                )
-            }
-            "--overlap" => {
-                a.overlap = match next(&mut it, "--overlap")?.as_str() {
-                    "off" => OverlapConfig::off(),
-                    "on" => OverlapConfig::on(4),
-                    v => match v.strip_prefix("chunks=") {
-                        Some(n) => OverlapConfig::on(
-                            n.parse()
-                                .map_err(|e| format!("bad --overlap chunks: {e}"))?,
-                        ),
-                        None => return Err(format!("--overlap wants on|off|chunks=N, got {v}")),
-                    },
-                }
-            }
-            "--epochs" => {
-                a.epochs = next(&mut it, "--epochs")?
-                    .parse()
-                    .map_err(|e| format!("bad --epochs: {e}"))?
-            }
-            "--scale" => {
-                a.scale = next(&mut it, "--scale")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?
-            }
-            "--seed" => {
-                a.seed = next(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--inject-crash" => {
-                let v = next(&mut it, "--inject-crash")?;
-                let (r, e) = v
-                    .split_once('@')
-                    .ok_or(format!("--inject-crash wants RANK@EPOCH, got {v}"))?;
-                a.inject_crash = Some((
-                    r.parse().map_err(|e| format!("bad crash rank: {e}"))?,
-                    e.parse().map_err(|e| format!("bad crash epoch: {e}"))?,
-                ));
-            }
-            "--slow-rank" => {
-                let v = next(&mut it, "--slow-rank")?;
-                let (r, f) = v
-                    .split_once(':')
-                    .ok_or(format!("--slow-rank wants RANK:FACTOR, got {v}"))?;
-                a.slow_rank = Some((
-                    r.parse().map_err(|e| format!("bad slow rank: {e}"))?,
-                    f.parse().map_err(|e| format!("bad slow factor: {e}"))?,
-                ));
-            }
-            "--drop-prob" => {
-                a.drop_prob = next(&mut it, "--drop-prob")?
-                    .parse()
-                    .map_err(|e| format!("bad --drop-prob: {e}"))?
-            }
-            "--corrupt-prob" => {
-                a.corrupt_prob = next(&mut it, "--corrupt-prob")?
-                    .parse()
-                    .map_err(|e| format!("bad --corrupt-prob: {e}"))?
-            }
-            "--fault-seed" => {
-                a.fault_seed = next(&mut it, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-seed: {e}"))?
-            }
-            "--failover" => a.failover = true,
-            "--checkpoint-every" => {
-                a.checkpoint_every = next(&mut it, "--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("bad --checkpoint-every: {e}"))?
-            }
-            "--max-restarts" => {
-                a.max_restarts = next(&mut it, "--max-restarts")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-restarts: {e}"))?
-            }
-            "--watchdog-ms" => {
-                a.watchdog_ms = next(&mut it, "--watchdog-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --watchdog-ms: {e}"))?
-            }
-            "--threads" => {
-                a.threads = next(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?
-            }
-            "--kernel" => {
-                a.kernel_mode = spmat::kernel::KernelMode::parse(&next(&mut it, "--kernel")?)?;
-                a.kernel_flag = true;
-            }
-            "--flop-rate" => {
-                let v = next(&mut it, "--flop-rate")?;
-                a.flop_rate = Some(if v == "auto" {
-                    None
-                } else {
-                    Some(
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|r| r.is_finite() && *r > 0.0)
-                            .ok_or(format!(
-                                "--flop-rate wants auto or a positive flop/s, got {v}"
-                            ))?,
-                    )
-                });
-            }
-            "--trace" => {
-                a.trace = true;
-                // Optional value: a path prefix for the artifacts.
-                if let Some(v) = it.peek() {
-                    if !v.starts_with('-') {
-                        a.trace_prefix = Some(PathBuf::from(it.next().unwrap()));
-                    }
-                }
-            }
-            "--trace-format" => {
-                a.trace_format = TraceFormat::parse(&next(&mut it, "--trace-format")?)?
-            }
-            "--metrics-out" => a.metrics_out = Some(PathBuf::from(next(&mut it, "--metrics-out")?)),
-            "--metrics-interval" => {
-                let v = next(&mut it, "--metrics-interval")?;
-                a.metrics_interval = Some(
-                    v.parse::<f64>()
-                        .ok()
-                        .filter(|s| s.is_finite() && *s > 0.0)
-                        .ok_or(format!(
-                            "--metrics-interval wants a positive number of seconds, got {v}"
-                        ))?,
-                );
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
+    cli().parse(&mut a, args)?;
     Ok(a)
 }
 
-fn usage() -> String {
-    "usage: train [--dataset reddit|amazon|protein|papers] [--mtx FILE] \
-     [--algo 1d|1.5d|2d|3d] [--oblivious] [--c N] [--pc N] \
-     [--partitioner block|random|metis|gvb] [--p N] \
-     [--backend thread|proc] [--ranks N] [--proc-dir DIR] \
-     [--hostfile FILE] [--net-chaos SPEC] [--arch gcn|sage] \
-     [--opt sgd|adam] [--lr X] [--overlap on|off|chunks=N] \
-     [--kernel strict|fast] [--flop-rate auto|FLOPS] \
-     [--epochs N] [--scale N] [--seed N] \
-     [--inject-crash RANK@EPOCH] [--slow-rank RANK:FACTOR] [--drop-prob X] \
-     [--corrupt-prob X] [--fault-seed N] [--failover] [--checkpoint-every N] \
-     [--max-restarts N] [--watchdog-ms N] [--threads N] \
-     [--trace [PREFIX]] [--trace-format jsonl|chrome|both] [--metrics-out FILE] \
-     [--metrics-interval SECS]"
-        .to_string()
+/// `v` split at `sep` into two parsed halves (`RANK@EPOCH`, `RANK:FACTOR`).
+fn pair<T, U>(v: &str, sep: char, shape: &str) -> Result<(T, U), String>
+where
+    T: std::str::FromStr<Err: std::fmt::Display>,
+    U: std::str::FromStr<Err: std::fmt::Display>,
+{
+    let (l, r) = v.split_once(sep).ok_or(format!("wants {shape}, got {v}"))?;
+    let l = l.parse().map_err(|e: T::Err| e.to_string())?;
+    Ok((l, r.parse().map_err(|e: U::Err| e.to_string())?))
+}
+
+/// A finite value above zero, or the reason `v` is not one.
+fn positive(v: &str, what: &str) -> Result<f64, String> {
+    let x = v.parse::<f64>().ok().filter(|x| x.is_finite() && *x > 0.0);
+    x.ok_or(format!("wants {what}, got {v}"))
+}
+
+/// `train`'s flag table: every flag it accepts is one row here.
+fn cli() -> Cli<Args> {
+    use AlgoTag::{OneD, OneFiveD, ThreeD, TwoD};
+    let mut flags: Vec<Flag<Args>> = vec![
+        value("--dataset", "reddit|amazon|protein|papers", |a, v| {
+            store(&mut a.dataset, v)
+        }),
+        value("--mtx", "FILE", |a, v| store_some(&mut a.mtx, v)),
+        value("--algo", "1d|1.5d|2d|3d", |a, v| {
+            let tags = [
+                ("1d", OneD),
+                ("1.5d", OneFiveD),
+                ("15d", OneFiveD),
+                ("2d", TwoD),
+                ("3d", ThreeD),
+            ];
+            choose(&mut a.algo_tag, v, &tags)
+        }),
+        switch("--oblivious", |a| a.aware = false),
+        value("--c", "N", |a, v| store(&mut a.c, v)),
+        value("--pc", "N", |a, v| store(&mut a.pc, v)),
+        value("--partitioner", "block|random|metis|gvb", |a, v| {
+            let methods = [
+                ("block", Method::Block),
+                ("random", Method::Random),
+                ("metis", Method::EdgeCut),
+                ("gvb", Method::VolumeBalanced),
+            ];
+            choose(&mut a.partitioner, v, &methods)
+        }),
+        value("--p", "N", |a, v| {
+            a.p_flag = true;
+            store(&mut a.p, v)
+        }),
+        value("--backend", "thread|proc", |a, v| {
+            let backends = [("thread", false), ("proc", true), ("process", true)];
+            choose(&mut a.backend_proc, v, &backends)
+        }),
+        value("--ranks", "N", |a, v| {
+            a.ranks_flag = true;
+            store(&mut a.p, v)
+        }),
+        value("--proc-dir", "DIR", |a, v| store_some(&mut a.proc_dir, v)),
+        value("--hostfile", "FILE", |a, v| store_some(&mut a.hostfile, v)),
+        value("--net-chaos", "SPEC", |a, v| {
+            store_some(&mut a.net_chaos, v)
+        }),
+        value("--proc-child", "RANK", |a, v| {
+            store_some(&mut a.proc_child, v)
+        }),
+        value("--arch", "gcn|sage", |a, v| {
+            choose(&mut a.sage, v, &[("gcn", false), ("sage", true)])
+        }),
+        value("--opt", "sgd|adam", |a, v| {
+            choose(&mut a.adam, v, &[("sgd", false), ("adam", true)])
+        }),
+        value("--lr", "X", |a, v| store_some(&mut a.lr, v)),
+        value("--overlap", "on|off|chunks=N", |a, v| {
+            a.overlap = match v {
+                "off" => OverlapConfig::off(),
+                "on" => OverlapConfig::on(4),
+                _ => {
+                    let n = v.strip_prefix("chunks=");
+                    let n = n.ok_or(format!("wants on|off|chunks=N, got {v}"))?;
+                    OverlapConfig::on(n.parse().map_err(|e| format!("chunks: {e}"))?)
+                }
+            };
+            Ok(())
+        }),
+        value("--flop-rate", "auto|FLOPS", |a, v| {
+            a.flop_rate = Some(match v {
+                "auto" => None,
+                _ => Some(positive(v, "auto or a positive flop/s")?),
+            });
+            Ok(())
+        }),
+        value("--epochs", "N", |a, v| store(&mut a.epochs, v)),
+        value("--scale", "N", |a, v| store(&mut a.scale, v)),
+        value("--inject-crash", "RANK@EPOCH", |a, v| {
+            a.inject_crash = Some(pair(v, '@', "RANK@EPOCH")?);
+            Ok(())
+        }),
+        value("--slow-rank", "RANK:FACTOR", |a, v| {
+            a.slow_rank = Some(pair(v, ':', "RANK:FACTOR")?);
+            Ok(())
+        }),
+        value("--drop-prob", "X", |a, v| store(&mut a.drop_prob, v)),
+        value("--corrupt-prob", "X", |a, v| store(&mut a.corrupt_prob, v)),
+        value("--fault-seed", "N", |a, v| store(&mut a.fault_seed, v)),
+        switch("--failover", |a| a.failover = true),
+        value("--checkpoint-every", "N", |a, v| {
+            store(&mut a.checkpoint_every, v)
+        }),
+        value("--max-restarts", "N", |a, v| store(&mut a.max_restarts, v)),
+        value("--watchdog-ms", "N", |a, v| store(&mut a.watchdog_ms, v)),
+        value("--metrics-interval", "SECS", |a, v| {
+            a.metrics_interval = Some(positive(v, "a positive number of seconds")?);
+            Ok(())
+        }),
+    ];
+    // No bare-word operands here: whatever follows `--trace` is its prefix.
+    flags.extend(common_flags(|_| true));
+    Cli {
+        program: "train",
+        flags,
+        operands: "",
+    }
 }
 
 /// Number of graph partitions (block rows) for the requested algorithm
@@ -629,7 +495,7 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
         let norm_adj = spmat::graph::gcn_normalize(&adj);
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(a.seed);
+        let mut rng = StdRng::seed_from_u64(a.common.seed);
         let n = adj.rows();
         let classes = 16;
         let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..classes as u32)).collect();
@@ -648,10 +514,10 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
         });
     }
     Ok(match a.dataset.as_str() {
-        "reddit" => reddit_scaled(a.scale.min(13), a.seed),
-        "amazon" => amazon_scaled(a.scale, a.seed),
-        "protein" => protein_scaled(1usize << a.scale, 32, a.seed),
-        "papers" => papers_scaled(a.scale, a.seed),
+        "reddit" => reddit_scaled(a.scale.min(13), a.common.seed),
+        "amazon" => amazon_scaled(a.scale, a.common.seed),
+        "protein" => protein_scaled(1usize << a.scale, 32, a.common.seed),
+        "papers" => papers_scaled(a.scale, a.common.seed),
         other => return Err(format!("unknown dataset {other}")),
     })
 }
@@ -733,7 +599,7 @@ fn merge_proc_traces(dir: &std::path::Path, p: usize) -> Result<gnn_trace::World
 }
 
 fn main() -> ExitCode {
-    let mut args = match parse() {
+    let mut args = match parse_from(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(m) => {
             eprintln!("{m}");
@@ -752,10 +618,11 @@ fn main() -> ExitCode {
     // Proc-backend children rebuild the scenario silently; only the
     // parent (or a thread-backend run) narrates progress.
     let quiet = args.proc_child.is_some();
-    spmat::pool::set_threads(args.threads); // 0 keeps the auto default
+    let common = &args.common;
+    spmat::pool::set_threads(common.threads); // 0 keeps the auto default
     let threads = spmat::pool::current_threads();
-    if args.kernel_flag {
-        spmat::kernel::set_mode(args.kernel_mode); // else GNN_KERNEL env rules
+    if let Some(mode) = common.kernel_mode {
+        spmat::kernel::set_mode(mode); // else GNN_KERNEL env rules
     }
     let kernels = spmat::kernel::active();
     let t0 = Instant::now();
@@ -790,7 +657,7 @@ fn main() -> ExitCode {
     let part = partition_graph(
         &ds.adj,
         parts,
-        &PartitionConfig::new(args.partitioner).with_seed(args.seed),
+        &PartitionConfig::new(args.partitioner).with_seed(common.seed),
     );
     let ds = ds.permute(&part.to_permutation());
     let bounds = part.block_bounds();
@@ -888,7 +755,7 @@ fn main() -> ExitCode {
         }
     }
     let mut cfg = DistConfig::new(algo, gcn, args.epochs, cost);
-    cfg.trace = args.trace;
+    cfg.trace = common.trace;
     cfg.overlap = args.overlap;
     if args.failover && args.algo_tag != AlgoTag::OneFiveD && !quiet {
         println!(
@@ -929,7 +796,7 @@ fn main() -> ExitCode {
         {
             match run_proc_parent(&args) {
                 Ok((mut out, dir)) => {
-                    if args.trace {
+                    if common.trace {
                         // Per-rank dual-clock files → one aligned trace,
                         // reported exactly like a thread-backend run.
                         match merge_proc_traces(&dir, args.p) {
@@ -1045,7 +912,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let prefix = args.trace_prefix.clone().unwrap_or_else(|| {
+    let prefix = common.trace_prefix.clone().unwrap_or_else(|| {
         traceio::default_prefix(&format!(
             "train_{}_{}_p{}",
             args.dataset,
@@ -1056,7 +923,7 @@ fn main() -> ExitCode {
     if let Some(trace) = &out.trace {
         println!("\n-- trace --");
         print!("{}", traceio::render_report(trace));
-        match traceio::write_trace(&prefix, args.trace_format, trace) {
+        match traceio::write_trace(&prefix, common.trace_format, trace) {
             Ok(paths) => {
                 for p in paths {
                     println!("[trace written to {}]", p.display());
@@ -1065,8 +932,8 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("warning: could not write trace: {e}"),
         }
     }
-    if args.trace || args.metrics_out.is_some() {
-        let path = args
+    if common.trace || common.metrics_out.is_some() {
+        let path = common
             .metrics_out
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
@@ -1080,6 +947,10 @@ fn main() -> ExitCode {
 }
 
 #[cfg(test)]
+#[path = "../../tests/common/hostile_argv.rs"]
+mod hostile_argv;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1089,6 +960,32 @@ mod tests {
 
     fn validated(list: &[&str]) -> Result<(), String> {
         validate_backend_flags(&args(list).expect("flags should parse"))
+    }
+
+    #[test]
+    fn hostile_argv_is_rejected_by_flag_name() {
+        super::hostile_argv::check(&cli(), &[], |argv| parse_from(argv).map(drop));
+    }
+
+    /// The README's synopsis is the one hand-written copy of the flag
+    /// list; it may lag the table, never invent a flag.
+    #[test]
+    fn readme_synopsis_lists_only_table_flags() {
+        let readme = include_str!("../../../../README.md");
+        let start = readme
+            .find("train [--")
+            .expect("README has a train synopsis");
+        let block = &readme[start..];
+        let synopsis = &block[..block.find("```").expect("synopsis block closes")];
+        let table = cli();
+        let words = synopsis.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        let mut listed = 0;
+        for word in words.filter(|w| w.starts_with("--")) {
+            let known = table.flags.iter().any(|f| f.name == word);
+            assert!(known, "README lists {word}, which train does not take");
+            listed += 1;
+        }
+        assert!(listed > 30, "synopsis found only {listed} flags");
     }
 
     /// The proc backend records dual-clock traces now; the old

@@ -7,6 +7,8 @@
 //! priced by the Perlmutter-like [`CostModel`]. Epoch times are for one
 //! epoch of the paper's 3-layer / 16-hidden GCN.
 
+use std::time::Instant;
+
 use gnn_comm::stats::PHASES;
 use gnn_comm::{CostModel, OverlapConfig, Phase, WorldStats};
 use gnn_core::analytic::{estimate, AnalyticInput};
@@ -14,8 +16,12 @@ use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, ReferenceTrai
 use partition::metrics::volume_metrics;
 use partition::wgraph::WGraph;
 use partition::{partition_graph, Method, PartitionConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use spmat::dataset::{amazon_scaled, papers_scaled, protein_scaled, reddit_scaled, Dataset};
 use spmat::graph::{degree_cv, degree_stats};
+use spmat::spmm::spmm;
+use spmat::{Csr, Dense};
 
 use crate::schemes::{prepare, prepare_full, Scheme};
 use crate::table::{fmt_mb, fmt_secs, Table};
@@ -518,6 +524,103 @@ pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'stati
     (table, rows)
 }
 
+/// Median wall seconds of three runs of `f`: reported, never gated.
+fn wall_secs<R>(mut f: impl FnMut() -> R) -> f64 {
+    let mut secs: Vec<f64> = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[1]
+}
+
+/// The design ablations (DESIGN §5) on the Amazon analogue: each
+/// alternative to a choice the system made is first held to the same
+/// answer, then both are timed on this host. `plan`: `NnzCols` from a
+/// bitmap over the column range against sort + dedup of the raw
+/// indices. `refine`: edgecut refinement alone, plus volume refinement
+/// (the GVB delta), and flat FM (coarsening disabled by a target above
+/// the graph size). `spmm`: gathered rows assembled into a compact `H̃`
+/// against scattered into a full-height `n × f` buffer (Algorithm 1 as
+/// written; the 1D executor goes further and assembles nothing).
+pub fn ablations(suite: &Suite, seed: u64) -> Table {
+    let ds = &suite.amazon;
+    let mut table = Table::new(&[
+        "ablation",
+        "variant",
+        "wall",
+        "total vol",
+        "max send",
+        "imbalance %",
+    ]);
+    let mut row = |ablation: &str, variant: String, secs: f64, quality: [String; 3]| {
+        let mut cells = vec![ablation.to_string(), variant, fmt_secs(secs)];
+        cells.extend(quality);
+        table.row(cells);
+    };
+    let no_quality = || ["-", "-", "-"].map(String::from);
+
+    let sort_dedup = |block: &Csr| {
+        let mut cols = block.indices().to_vec();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    };
+    for p in [8, 64] {
+        let block = ds.norm_adj.row_block(0, ds.n() / p);
+        assert_eq!(block.distinct_cols(), sort_dedup(&block));
+        let bitmap = wall_secs(|| block.distinct_cols());
+        row("plan", format!("bitmap p={p}"), bitmap, no_quality());
+        let sorted = wall_secs(|| sort_dedup(&block));
+        row("plan", format!("sort-dedup p={p}"), sorted, no_quality());
+    }
+
+    let k = 16;
+    let g = WGraph::from_csr(&ds.adj);
+    for (variant, method, coarsen_factor) in [
+        ("edgecut-only", Method::EdgeCut, 16),
+        ("with-volume-refine", Method::VolumeBalanced, 16),
+        ("flat-fm", Method::EdgeCut, usize::MAX / k),
+    ] {
+        let mut cfg = PartitionConfig::new(method).with_seed(seed);
+        cfg.coarsen_factor = coarsen_factor;
+        let m = volume_metrics(&g, &partition_graph(&ds.adj, k, &cfg));
+        let quality = [
+            m.total.to_string(),
+            m.max_send.to_string(),
+            format!("{:.1}", m.imbalance_pct),
+        ];
+        let secs = wall_secs(|| partition_graph(&ds.adj, k, &cfg));
+        row("refine", variant.to_string(), secs, quality);
+    }
+
+    let f = 32;
+    let block = ds.norm_adj.row_block(0, ds.n() / 8);
+    let cols = block.distinct_cols();
+    let compact = block.remap_cols(&cols);
+    // The "received" rows, one dense row per needed column.
+    let gathered = Dense::glorot(cols.len(), f, &mut StdRng::seed_from_u64(seed));
+    let via_compact = || {
+        let mut h = Dense::zeros(gathered.rows(), f);
+        h.data_mut().copy_from_slice(gathered.data());
+        spmm(&compact, &h)
+    };
+    let via_full_height = || {
+        let mut h = Dense::zeros(ds.n(), f);
+        h.scatter_rows(&cols, &gathered);
+        spmm(&block, &h)
+    };
+    assert!(via_compact().approx_eq(&via_full_height(), 1e-12));
+    let secs = wall_secs(via_compact);
+    row("spmm", "compact".to_string(), secs, no_quality());
+    let secs = wall_secs(via_full_height);
+    row("spmm", "full-height".to_string(), secs, no_quality());
+    table
+}
+
 /// Fig. 7: 1.5D epoch times for oblivious / SA / SA+GVB at c ∈ {2, 4}.
 pub fn fig7(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
     let mut table = Table::new(&["dataset", "c", "p", "oblivious", "SA", "SA+GVB"]);
@@ -799,6 +902,14 @@ mod tests {
             t("SA+GVB"),
             t("CAGNET")
         );
+    }
+
+    #[test]
+    fn ablations_hold_their_guards_and_time_every_variant() {
+        // 4 plan + 3 refine + 2 spmm rows under the two header lines;
+        // an alternative that disagrees with the system's choice panics.
+        let rendered = ablations(&small_suite(), 5).render();
+        assert_eq!(rendered.lines().count(), 2 + 9, "{rendered}");
     }
 
     #[test]

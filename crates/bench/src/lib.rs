@@ -1,5 +1,5 @@
 //! Reproduction harness for every table and figure in the paper's
-//! evaluation (§7), plus shared infrastructure for the criterion benches.
+//! evaluation (§7), plus the flag grammar its binaries share ([`cli`]).
 //!
 //! Entry points mirror the paper's artifacts one-to-one:
 //!
@@ -13,6 +13,7 @@
 //! | Fig. 6 (GVB vs METIS) | [`experiments::fig6`] | `fig6` |
 //! | Fig. 7 (1.5D epoch times) | [`experiments::fig7`] | `fig7` |
 
+pub mod cli;
 pub mod experiments;
 pub mod schemes;
 pub mod table;

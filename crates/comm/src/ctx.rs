@@ -53,14 +53,15 @@
 //! the next generation with the shrunken grid. Stale frames from the
 //! aborted generation are discarded by their `gen` stamp.
 
-use std::panic::panic_any;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gnn_trace::{EventKind, RankTracer, SpanKind};
 
 use crate::cost::CostModel;
-use crate::error::{ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, WaitKind};
+use crate::error::{
+    unwind_with, ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, PeerHungUp, WaitKind,
+};
 use crate::fault::FaultInjector;
 use crate::msg::{Msg, Payload};
 use crate::pool::PayloadPool;
@@ -391,7 +392,7 @@ impl RankCtx {
                     // commit barrier) can attribute it.
                     self.transport.mark_dead(self.rank, self.gen);
                 }
-                panic_any(CrashPanic {
+                unwind_with(CrashPanic {
                     rank: self.rank,
                     epoch: self.epoch,
                     op: self.op_in_epoch,
@@ -531,12 +532,19 @@ impl RankCtx {
                 // at the next blocking receive or the commit barrier.
                 return;
             }
-            panic!(
-                "rank {}: peer rank {dst} hung up (crashed?) — cannot deliver a {} message",
-                self.rank,
-                tag_name(tag)
-            );
+            let doing = format!("— cannot deliver a {} message", tag_name(tag));
+            self.peer_hung_up(dst, doing);
         }
+    }
+
+    /// A peer's channel closed under a world that does not fail over.
+    fn peer_hung_up(&self, peer: usize, waiting_for: String) -> ! {
+        let rank = self.rank;
+        unwind_with(PeerHungUp {
+            rank,
+            peer,
+            waiting_for,
+        })
     }
 
     /// Broadcasts the ABORT control frame for generation `gen` to every
@@ -579,7 +587,7 @@ impl RankCtx {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.close_open_spans();
         }
-        panic_any(EpochAbortPanic { generation: gen });
+        unwind_with(EpochAbortPanic { generation: gen });
     }
 
     /// One step of the reliable-transport receive state machine: decides
@@ -684,7 +692,7 @@ impl RankCtx {
             if now >= deadline {
                 // Leave our wait registered so the report includes us.
                 let report = self.transport.wd_report(self.rank);
-                panic_any(DeadlockPanic(report));
+                unwind_with(DeadlockPanic(report));
             }
             match self.transport.recv_deadline(src, deadline - now) {
                 RecvOutcome::Frame(frame) => {
@@ -700,12 +708,8 @@ impl RankCtx {
                         // and propagate the abort to the other survivors.
                         self.abort_epoch(self.gen);
                     }
-                    panic!(
-                        "rank {}: peer rank {src} hung up (crashed?) while waiting \
-                         for a {} message",
-                        self.rank,
-                        tag_name(expect_tag)
-                    );
+                    let doing = format!("while waiting for a {} message", tag_name(expect_tag));
+                    self.peer_hung_up(src, doing);
                 }
             }
         };
@@ -781,7 +785,7 @@ impl RankCtx {
         let committed = self.transport.commit_wait(self.gen);
         let Some(committed) = committed else {
             let report = self.transport.wd_report(self.rank);
-            panic_any(DeadlockPanic(report));
+            unwind_with(DeadlockPanic(report));
         };
         self.transport.wd_end(self.rank);
         if !committed {
@@ -797,7 +801,7 @@ impl RankCtx {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.close_open_spans();
         }
-        panic_any(ColumnLostPanic { block_row });
+        unwind_with(ColumnLostPanic { block_row });
     }
 
     /// Non-blocking point-to-point send (phase `P2p`). Pays
@@ -937,11 +941,7 @@ impl RankCtx {
                     if self.failover {
                         self.abort_epoch(self.gen);
                     }
-                    panic!(
-                        "rank {}: peer rank {src} hung up (crashed?) during nonblocking \
-                         progress",
-                        self.rank
-                    );
+                    self.peer_hung_up(src, "during nonblocking progress".to_string());
                 }
             }
         }
@@ -1118,59 +1118,11 @@ impl RankCtx {
         self.span_end();
     }
 
-    /// Broadcast from `root` inside an overlap window (phase `Bcast`):
-    /// same wire protocol and byte accounting as [`RankCtx::bcast`],
-    /// but its modeled tree time accrues to the current pipeline
-    /// stage's collective cost instead of the modeled clock — the
-    /// CAGNET-style fused broadcast/compute pipeline.
-    pub fn bcast_overlapped(&mut self, root: usize, payload: Option<Payload>) -> Payload {
-        assert!(
-            self.window.is_some(),
-            "bcast_overlapped outside an overlap window"
-        );
-        self.op_tick();
-        let out = if self.rank == root {
-            let payload = payload.expect("root must supply the broadcast payload");
-            for dst in 0..self.p {
-                if dst != root {
-                    let copy = self.pooled_copy(&payload);
-                    self.raw_send(dst, tag::BCAST, copy, Phase::Bcast);
-                }
-            }
-            payload
-        } else {
-            assert!(
-                payload.is_none(),
-                "non-root rank supplied a broadcast payload"
-            );
-            self.raw_recv(root, tag::BCAST)
-        };
-        let bytes = out.bytes();
-        let dur = self.model.bcast(bytes, self.p);
-        self.window.as_mut().unwrap().coll_seconds += dur;
-        let is_root = self.rank == root;
-        let c = self.stats.phase_mut(Phase::Bcast);
-        c.ops += 1;
-        if is_root {
-            c.bytes_sent += bytes;
-        } else {
-            c.bytes_recv += bytes;
-        }
-        let (sent, recv) = if is_root { (bytes, 0) } else { (0, bytes) };
-        self.trace_op(
-            EventKind::Bcast,
-            Phase::Bcast,
-            Some(root),
-            sent,
-            recv,
-            0,
-            0.0,
-        );
-        out
-    }
-
     /// Broadcast from `root` (phase `Bcast`): the root passes its payload,
-    /// everyone else passes `None` and receives the root's payload.
+    /// everyone else passes `None` and receives the root's payload. Inside
+    /// an overlap window the modeled tree time accrues to the current
+    /// pipeline stage's collective cost instead of the phase clock — the
+    /// CAGNET-style fused broadcast/compute pipeline.
     pub fn bcast(&mut self, root: usize, payload: Option<Payload>) -> Payload {
         self.op_tick();
         let out = if self.rank == root {
@@ -1190,7 +1142,14 @@ impl RankCtx {
             self.raw_recv(root, tag::BCAST)
         };
         let bytes = out.bytes();
-        let dur = self.model.bcast(bytes, self.p);
+        let tree = self.model.bcast(bytes, self.p);
+        let dur = match self.window.as_mut() {
+            Some(w) => {
+                w.coll_seconds += tree;
+                0.0
+            }
+            None => tree,
+        };
         let is_root = self.rank == root;
         let c = self.stats.phase_mut(Phase::Bcast);
         c.ops += 1;
@@ -1353,7 +1312,7 @@ impl RankCtx {
         };
         if !ok {
             let report = self.transport.wd_report(self.rank);
-            panic_any(DeadlockPanic(report));
+            unwind_with(DeadlockPanic(report));
         }
         self.transport.wd_end(self.rank);
     }

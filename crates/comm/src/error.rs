@@ -171,8 +171,38 @@ impl fmt::Display for WorldError {
 
 impl std::error::Error for WorldError {}
 
-/// Panic payload carrying a deadlock report out of a rank thread.
+/// Unwinds the calling rank with one of this module's typed payloads.
+/// The runtime's own unwinds are control flow that a run entry point
+/// catches and classifies into one [`WorldError`], so they go through
+/// `resume_unwind`, which — unlike `panic_any` — never invokes the panic
+/// hook: a recovered run prints nothing, and a rank's genuine `panic!`
+/// still reports through whatever hook the process has.
+pub(crate) fn unwind_with(payload: impl std::any::Any + Send) -> ! {
+    std::panic::resume_unwind(Box::new(payload))
+}
+
+/// Unwind payload carrying a deadlock report out of a rank thread.
 pub(crate) struct DeadlockPanic(pub DeadlockReport);
+
+/// Unwind payload of a rank whose peer's channel closed under it: the
+/// cascade some other rank's death leaves behind, reported only when no
+/// root cause is.
+pub(crate) struct PeerHungUp {
+    pub rank: usize,
+    pub peer: usize,
+    /// What the rank was doing, as the sentence's tail.
+    pub waiting_for: String,
+}
+
+impl fmt::Display for PeerHungUp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (rank, peer, doing) = (self.rank, self.peer, &self.waiting_for);
+        write!(
+            f,
+            "rank {rank}: peer rank {peer} hung up (crashed?) {doing}"
+        )
+    }
+}
 
 /// Panic payload for an injected crash.
 pub(crate) struct CrashPanic {

@@ -94,14 +94,14 @@ use gnn_trace::{EventKind, Histogram, MetricsRegistry, RankTracer};
 use crate::cost::CostModel;
 use crate::ctx::RankCtx;
 use crate::error::{
-    ColumnLostPanic, CrashPanic, DeadlockPanic, DeadlockReport, EpochAbortPanic, WaitKind,
+    ColumnLostPanic, CrashPanic, DeadlockPanic, DeadlockReport, EpochAbortPanic, PeerHungUp,
+    WaitKind,
 };
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
 use crate::pool::PayloadPool;
 use crate::stats::RankStats;
 use crate::watchdog::{DeathRecord, Watchdog};
-use crate::world::PanicHookGuard;
 
 use super::chaos::{Chaos, NetChaosPlan, SendVerdict};
 use super::net::{lock_or_recover, splitmix64, Backoff, HostFile, Listener, Stream};
@@ -197,6 +197,8 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
         format!("epoch abort (generation {})", a.generation)
     } else if let Some(l) = payload.downcast_ref::<ColumnLostPanic>() {
         format!("replica column {} lost", l.block_row)
+    } else if let Some(h) = payload.downcast_ref::<PeerHungUp>() {
+        h.to_string()
     } else {
         "unknown panic payload".to_string()
     }
@@ -1942,9 +1944,6 @@ impl ProcWorld {
         f: impl FnOnce(&mut RankCtx) -> R,
     ) -> Result<(R, RankStats, Option<Box<RankTracer>>), ProcError> {
         assert!(rank < self.p, "rank {rank} out of range (p={})", self.p);
-        // Structured panics are caught below; the guard keeps the
-        // default hook from spraying backtraces for expected failures.
-        let _hook = PanicHookGuard::acquire();
         // One payload pool for the rank process: its main thread, its
         // reader threads and its replay queues all move the same buffers.
         let pool = Arc::new(PayloadPool::new(self.p));

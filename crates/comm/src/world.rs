@@ -18,14 +18,16 @@
 
 use std::any::Any;
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gnn_trace::{RankTracer, WorldTrace};
 
 use crate::cost::CostModel;
 use crate::ctx::RankCtx;
-use crate::error::{ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, WorldError};
+use crate::error::{
+    ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, PeerHungUp, WorldError,
+};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
 use crate::pool::PayloadPool;
@@ -305,7 +307,6 @@ impl ThreadWorld {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let _hook = PanicHookGuard::acquire();
         let p = self.p;
         // Mesh of channels: tx[src][dst] feeds rx[dst][src].
         let mut senders: Vec<Vec<Option<std::sync::mpsc::Sender<Msg>>>> =
@@ -380,80 +381,6 @@ impl ThreadWorld {
     }
 }
 
-/// The previously installed panic hook, held while the filtering hook
-/// is active so unexpected payloads still reach it.
-type PrevHook = dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send;
-
-struct HookState {
-    /// Live [`PanicHookGuard`]s; the filter is installed on 0→1 and
-    /// restored on 1→0.
-    refs: usize,
-    prev: Option<Arc<PrevHook>>,
-}
-
-static HOOK_STATE: Mutex<HookState> = Mutex::new(HookState {
-    refs: 0,
-    prev: None,
-});
-
-/// Scoped, refcounted install of the panic hook that suppresses the
-/// default "thread panicked" report for panics the runtime throws on
-/// purpose: the structured control-flow payloads (injected crashes,
-/// epoch aborts, replica-column loss, deadlock reports) and the "peer
-/// hung up" cascades a dead rank leaves behind. All of them are caught
-/// and classified by the run entry points into one structured
-/// [`WorldError`]; printing a backtrace per survivor per aborted epoch
-/// attempt is pure noise. Every other payload (a genuine bug) still
-/// prints through the previously installed hook.
-///
-/// Refcounting (instead of a process-wide `Once`) lets concurrent
-/// worlds in one test binary overlap without clobbering each other's
-/// hooks: the first acquire installs the filter, the last drop restores
-/// whatever hook was there before.
-pub(crate) struct PanicHookGuard(());
-
-impl PanicHookGuard {
-    pub(crate) fn acquire() -> Self {
-        let mut st = HOOK_STATE.lock().unwrap_or_else(|e| e.into_inner());
-        st.refs += 1;
-        if st.refs == 1 {
-            let prev: Arc<PrevHook> = Arc::from(std::panic::take_hook());
-            st.prev = Some(prev.clone());
-            std::panic::set_hook(Box::new(move |info| {
-                let p = info.payload();
-                let expected = p.is::<CrashPanic>()
-                    || p.is::<EpochAbortPanic>()
-                    || p.is::<ColumnLostPanic>()
-                    || p.is::<DeadlockPanic>()
-                    // Same string classify_failures demotes to a cascade.
-                    || p.downcast_ref::<String>()
-                        .is_some_and(|m| m.contains("hung up"));
-                if !expected {
-                    prev(info);
-                }
-            }));
-        }
-        PanicHookGuard(())
-    }
-
-    #[cfg(test)]
-    fn refs() -> usize {
-        HOOK_STATE.lock().unwrap_or_else(|e| e.into_inner()).refs
-    }
-}
-
-impl Drop for PanicHookGuard {
-    fn drop(&mut self) {
-        let mut st = HOOK_STATE.lock().unwrap_or_else(|e| e.into_inner());
-        st.refs -= 1;
-        if st.refs == 0 {
-            if let Some(prev) = st.prev.take() {
-                std::panic::set_hook(Box::new(move |info| prev(info)));
-            }
-        }
-    }
-}
-
 /// Picks the root cause out of (possibly cascading) rank failures.
 ///
 /// Precedence: losing a whole replica group (the most informative
@@ -492,17 +419,16 @@ fn classify_failures(failures: Failures) -> WorldError {
             });
         } else if let Some(d) = payload.downcast_ref::<DeadlockPanic>() {
             deadlock.get_or_insert(WorldError::Deadlock(d.0.clone()));
-        } else {
-            let message = panic_message(payload.as_ref());
-            let err = WorldError::Panicked {
+        } else if let Some(h) = payload.downcast_ref::<PeerHungUp>() {
+            cascade.get_or_insert(WorldError::Panicked {
                 rank,
-                message: message.clone(),
-            };
-            if message.contains("hung up") {
-                cascade.get_or_insert(err);
-            } else {
-                primary.get_or_insert(err);
-            }
+                message: h.to_string(),
+            });
+        } else {
+            primary.get_or_insert(WorldError::Panicked {
+                rank,
+                message: panic_message(payload.as_ref()),
+            });
         }
     }
     column_lost
@@ -879,34 +805,6 @@ mod tests {
             Arc::new(PayloadPool::new(1)),
         );
         ctx.send(0, Payload::Empty);
-    }
-
-    #[test]
-    fn panic_hook_guard_is_refcounted() {
-        // Overlapping guards (concurrent worlds in one test binary) must
-        // refcount: the count reflects both while they live, and dropping
-        // one must not restore the hook out from under the other. Other
-        // tests run worlds concurrently, so only relative claims hold.
-        let g1 = PanicHookGuard::acquire();
-        let g2 = PanicHookGuard::acquire();
-        assert!(PanicHookGuard::refs() >= 2);
-        drop(g1);
-        assert!(PanicHookGuard::refs() >= 1);
-        // The filter must still be active for g2: a structured panic in
-        // a world is classified, not printed.
-        let err = world(1)
-            .try_run(|ctx| {
-                if ctx.rank() == 0 {
-                    std::panic::panic_any(CrashPanic {
-                        rank: 0,
-                        epoch: None,
-                        op: 0,
-                    });
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(err, WorldError::InjectedCrash { .. }));
-        drop(g2);
     }
 
     #[test]

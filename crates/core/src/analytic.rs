@@ -384,13 +384,18 @@ fn rank_charges(
             let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
             let ipw = own_width(dims[l]);
             let opw = own_width(dims[l + 1]);
-            if paneled {
-                add_compute(&mut st, model, rows * opw); // own gradient panel
+            // SAGE's layer 0 never reads AᵀG, so the executor skips it.
+            if l > 0 || input.arch == ArchKind::Gcn {
+                if paneled {
+                    add_compute(&mut st, model, rows * opw); // own gradient panel
+                }
+                charge_spmm(&mut st, opw);
+                if paneled {
+                    add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
+                    add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
+                }
             }
-            charge_spmm(&mut st, opw);
             if paneled {
-                add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
-                add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
                 add_compute(&mut st, model, rows * ipw); // H panel slice
             }
             let (y_flops, w_in) = match input.arch {

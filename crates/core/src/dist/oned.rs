@@ -45,17 +45,16 @@ pub(super) fn pack_sends(ctx: &mut RankCtx, rp: &RankPlan, h_local: &Dense) -> V
 }
 
 /// Stage `st`'s turn of the oblivious exchange: its source rank
-/// broadcasts a pooled copy of its whole block through `bcast`.
+/// broadcasts a pooled copy of its whole block.
 pub(super) fn bcast_stage(
     ctx: &mut RankCtx,
     rp: &RankPlan,
     st: &Stage,
     h_local: &Dense,
-    bcast: impl FnOnce(&mut RankCtx, usize, Option<Payload>) -> Payload,
 ) -> Payload {
     let own = (st.src_rank == rp.rank)
         .then(|| pack_block(ctx, false, h_local, rp.row_lo, &st.needed, &mut 0));
-    bcast(ctx, st.src_rank, own)
+    ctx.bcast(st.src_rank, own)
 }
 
 /// Folds the run `stages` into `z` once its payloads (`arrived`, one per
@@ -127,7 +126,7 @@ pub fn spmm_1d_buf(
         let sends = pack_sends(ctx, rp, h_local);
         ctx.alltoallv(sends)
     } else {
-        let bcast = |st| bcast_stage(ctx, rp, st, h_local, RankCtx::bcast);
+        let bcast = |st| bcast_stage(ctx, rp, st, h_local);
         rp.stages.iter().map(bcast).collect()
     };
     let mut z = bufs.take_dense(rp.rows(), h_local.cols());

@@ -104,7 +104,7 @@ pub fn spmm_1d_pipelined_buf(
             };
             recvs[glo..ghi].iter_mut().map(wait).collect()
         } else {
-            let bcast = |st| bcast_stage(ctx, rp, st, h_local, RankCtx::bcast_overlapped);
+            let bcast = |st| bcast_stage(ctx, rp, st, h_local);
             run.iter().map(bcast).collect()
         };
         ctx.overlap_stage();

@@ -768,21 +768,25 @@ impl<'a> RankTrainer<'a> {
 
             // S = AᵀG; with a panel, the SpMM of the own gradient panel,
             // reassembled to full width by summing the disjoint panels
-            // across the grid row.
-            let (olo, ohi) = own_range(panel, d_out);
-            let g_panel = slice_in(ctx, panel, &g, (olo, ohi), bufs);
-            let mut s = dist_spmm(ctx, g_panel.as_ref().unwrap_or(&g), bufs);
-            if let (Some(p), Some(g_panel)) = (panel, g_panel) {
-                bufs.put_dense(g_panel);
-                let s_panel = std::mem::replace(&mut s, bufs.take_dense(rows, d_out));
-                ctx.compute((rows * (ohi - olo)) as u64, || {
-                    for r in 0..rows {
-                        s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
-                    }
-                });
-                ctx.allreduce_sum(s.data_mut(), &p.row_group);
-                bufs.put_dense(s_panel);
-            }
+            // across the grid row. SAGE's layer 0 has no reader for it:
+            // its ∂W takes G and ÂH⁰, and nothing propagates below.
+            let s = (l > 0 || arch == ArchKind::Gcn).then(|| {
+                let (olo, ohi) = own_range(panel, d_out);
+                let g_panel = slice_in(ctx, panel, &g, (olo, ohi), bufs);
+                let mut s = dist_spmm(ctx, g_panel.as_ref().unwrap_or(&g), bufs);
+                if let (Some(p), Some(g_panel)) = (panel, g_panel) {
+                    bufs.put_dense(g_panel);
+                    let s_panel = std::mem::replace(&mut s, bufs.take_dense(rows, d_out));
+                    ctx.compute((rows * (ohi - olo)) as u64, || {
+                        for r in 0..rows {
+                            s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
+                        }
+                    });
+                    ctx.allreduce_sum(s.data_mut(), &p.row_group);
+                    bufs.put_dense(s_panel);
+                }
+                s
+            });
 
             // Weight gradient: this rank fills the own rows of Y; the
             // all-reduce over all p sums the distinct grid-row (and
@@ -792,9 +796,12 @@ impl<'a> RankTrainer<'a> {
             let mut y = bufs.take_dense(weights.mats[l].rows(), d_out);
             let mut top = bufs.take_dense(ipw, d_out);
             match arch {
-                ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                    h_in.transpose_matmul_into(&s, &mut top)
-                }),
+                ArchKind::Gcn => {
+                    let s = s.as_ref().expect("GCN forms S at every layer");
+                    ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                        h_in.transpose_matmul_into(s, &mut top)
+                    })
+                }
                 ArchKind::Sage => {
                     let mut bottom = bufs.take_dense(ipw, d_out);
                     ctx.compute((4 * rows * ipw * d_out) as u64, || {
@@ -818,9 +825,12 @@ impl<'a> RankTrainer<'a> {
                 // Full-width local propagation (s and z_prev are
                 // full-width and replicated on every shape).
                 let (w, prev_z) = (&weights.mats[l], &zs[l - 1]);
-                propagate_gradient(ctx, arch, w, prev_z, &s, &mut g, bufs);
+                let s = s.as_ref().expect("S is formed above layer 0");
+                propagate_gradient(ctx, arch, w, prev_z, s, &mut g, bufs);
             }
-            bufs.put_dense(s);
+            if let Some(s) = s {
+                bufs.put_dense(s);
+            }
         }
         grads.reverse();
         ctx.span_end();

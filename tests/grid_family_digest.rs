@@ -161,16 +161,18 @@ const EXPECTED: [[u64; 3]; 48] = [
 ];
 
 /// `[stats, result, trace]` digests of the GraphSAGE runs, in
-/// `sage_cells() × {blocking, chunks 2}` order, produced by running this
-/// file at the commit *before* 1D became a grid shape and the three
-/// trainer rank loops became one (7ed9493).
+/// `sage_cells() × {blocking, chunks 2}` order. The result digests were
+/// produced by running this file at the commit *before* 1D became a grid
+/// shape and the three trainer rank loops became one (7ed9493); the stats
+/// and trace digests were regenerated when SAGE stopped forming the
+/// layer-0 `AᵀG` that nothing reads (one exchange per epoch fewer).
 const EXPECTED_SAGE: [[u64; 3]; 6] = [
-    [0x3c7fe5b00fb7a0ea, 0x5ee1e3ce52dd2e72, 0xcbe50c00619ae3c7], // sage 1d p=3 blocking
-    [0x72376c8a62ad6260, 0x5ee1e3ce52dd2e72, 0x4f4e5ece608c3e75], // sage 1d p=3 chunks=2
-    [0x03c285844c92e0f0, 0x9a38683ada24b7d7, 0x1610c5355039b052], // sage 1.5d p=4 c=2 blocking
-    [0xc5ef609388c60430, 0x9a38683ada24b7d7, 0xafc4c64871442212], // sage 1.5d p=4 c=2 chunks=2
-    [0xf65146598192f1d9, 0x0176a789e5a570c1, 0xf33ef459f182227f], // sage 2d 2x2 blocking
-    [0xd2b148970e2ce319, 0x0176a789e5a570c1, 0xa6719bf48b11a75b], // sage 2d 2x2 chunks=2
+    [0x7902829323f490c7, 0x5ee1e3ce52dd2e72, 0x5128e6d72e3777e8], // sage 1d p=3 blocking
+    [0x8ab100120803c15a, 0x5ee1e3ce52dd2e72, 0xb4675b5d3ee81501], // sage 1d p=3 chunks=2
+    [0x8c0cfd8a1828e4de, 0x9a38683ada24b7d7, 0xa8d1c4ded1dfcf40], // sage 1.5d p=4 c=2 blocking
+    [0x278c3ded2634e99a, 0x9a38683ada24b7d7, 0x58cc0b523f1195c4], // sage 1.5d p=4 c=2 chunks=2
+    [0xc85784ed4a421a29, 0x0176a789e5a570c1, 0x7b886139a1e9b840], // sage 2d 2x2 blocking
+    [0x4636a30ed929bb45, 0x0176a789e5a570c1, 0x883789d685b2f4a4], // sage 2d 2x2 chunks=2
 ];
 
 /// `[stats, result, trace]` digests of a fault-free 1.5D run (`p = 4`,
