@@ -12,6 +12,10 @@
 //! SIMD kernel numerics (strict — the default — is also bit-identical
 //! across scalar/AVX2/NEON backends; fast trades that for FMA).
 //!
+//! Everything here is the paper's layer order, `(ÂH)W` at every layer —
+//! there is no flag for the other one; `repro ablations` prices both side
+//! by side in its *layer order* table.
+//!
 //! The tables and figures are computed analytically from recorded
 //! volumes, so `--trace` instead runs a short *executor-backed*
 //! training pass (1D sparsity-aware on the Reddit analogue) with the
@@ -138,6 +142,7 @@ fn main() -> ExitCode {
             ""
         }
     );
+    eprintln!("layer order: paper (ÂH)W — `train --order narrow` is the extension");
     let t0 = Instant::now();
     eprintln!(
         "building {} dataset suite (seed {})...",
@@ -249,6 +254,13 @@ fn main() -> ExitCode {
                     &table,
                     &args.out,
                 );
+                let (table, _) = experiments::layer_order(&suite, seed);
+                emit(
+                    "layer_order",
+                    "Layer order (extension): the paper's (ÂH)W vs the narrow side of every layer, 1D modeled",
+                    &table,
+                    &args.out,
+                );
             }
             "sweep" => {
                 let (table, cells) = experiments::sweep(&suite, args.small, seed);
@@ -296,7 +308,8 @@ fn main() -> ExitCode {
             GcnConfig::paper_default(ds.f(), ds.num_classes),
             epochs,
             CostModel::perlmutter_like().with_threads(spmat::pool::current_threads()),
-        );
+        )
+        .paper_order();
         cfg.trace = true;
         let out = match try_train_distributed(&ds, &bounds, &cfg) {
             Ok(out) => out,
@@ -323,7 +336,7 @@ fn main() -> ExitCode {
             .metrics_out
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
-        match traceio::write_metrics(&metrics_path, &out.stats, Some(trace)) {
+        match traceio::write_metrics(&metrics_path, &out) {
             Ok(()) => println!("[metrics written to {}]", metrics_path.display()),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }

@@ -53,6 +53,12 @@
 //! blocking schedule; only comm that fits behind a chunk's compute is
 //! hidden, and the exposed remainder is reported as the `overlap` phase.
 //!
+//! `--order paper|narrow` picks which side of each layer's `Â·H·W` is
+//! exchanged: `paper` is `(ÂH)W` everywhere, what the paper and CAGNET
+//! run and what `repro` pins; `narrow` (the default) multiplies by `W`
+//! first wherever a layer narrows, so layer 0 ships 16 columns instead
+//! of `f`. Same model, same losses to ≤ 1e-8; fewer bytes and flops.
+//!
 //! `--kernel strict|fast` selects the numerics of the SIMD kernel layer
 //! (default `strict` — bit-identical to the portable scalar loops on
 //! every backend; `fast` enables FMA with a documented rounding
@@ -77,7 +83,7 @@ use std::time::Duration;
 use gnn_bench::cli::{choose, common_flags, store, store_some, switch, value, Cli, Common, Flag};
 use gnn_bench::traceio;
 use gnn_comm::{CostModel, FaultPlan, OverlapConfig, Phase};
-use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, RobustnessConfig};
+use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, RobustnessConfig};
 use partition::{partition_graph, Method, PartitionConfig};
 use spmat::dataset::{amazon_scaled, papers_scaled, protein_scaled, reddit_scaled, Dataset};
 
@@ -116,6 +122,7 @@ struct Args {
     adam: bool,
     lr: Option<f64>,
     overlap: OverlapConfig,
+    order: LayerOrder,
     epochs: usize,
     scale: u32,
     inject_crash: Option<(usize, usize)>,
@@ -170,6 +177,7 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         adam: false,
         lr: None,
         overlap: OverlapConfig::off(),
+        order: LayerOrder::default(),
         epochs: 30,
         scale: 11,
         inject_crash: None,
@@ -281,6 +289,13 @@ fn cli() -> Cli<Args> {
                 }
             };
             Ok(())
+        }),
+        value("--order", "paper|narrow", |a, v| {
+            let orders = [
+                ("paper", LayerOrder::AggregateFirst),
+                ("narrow", LayerOrder::NarrowSide),
+            ];
+            choose(&mut a.order, v, &orders)
         }),
         value("--flop-rate", "auto|FLOPS", |a, v| {
             a.flop_rate = Some(match v {
@@ -696,9 +711,10 @@ fn main() -> ExitCode {
         },
     };
     if !quiet {
+        // `--order paper` prints the paper's program as it always has.
         println!(
             "training: {} | {:?} arch | {} epochs | {threads} kernel thread(s) | \
-             {} kernels ({}){}",
+             {} kernels ({}){}{}",
             algo.label(),
             gcn.arch,
             args.epochs,
@@ -708,6 +724,10 @@ fn main() -> ExitCode {
                 format!(" | overlap chunks={}", args.overlap.chunks)
             } else {
                 String::new()
+            },
+            match args.order {
+                LayerOrder::AggregateFirst => "",
+                LayerOrder::NarrowSide => " | order narrow: Â(HW) where a layer narrows",
             }
         );
     }
@@ -757,6 +777,7 @@ fn main() -> ExitCode {
     let mut cfg = DistConfig::new(algo, gcn, args.epochs, cost);
     cfg.trace = common.trace;
     cfg.overlap = args.overlap;
+    cfg.order = args.order;
     if args.failover && args.algo_tag != AlgoTag::OneFiveD && !quiet {
         println!(
             "note: --failover needs 1.5D row replication; other algorithms fall back to \
@@ -937,7 +958,7 @@ fn main() -> ExitCode {
             .metrics_out
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
-        match traceio::write_metrics(&path, st, out.trace.as_ref()) {
+        match traceio::write_metrics(&path, &out) {
             Ok(()) => println!("[metrics written to {}]", path.display()),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }

@@ -5,14 +5,16 @@
 //! Times come from [`gnn_core::analytic`] (proven equal to the threaded
 //! executor's accounting by `tests/analytic_matches_executor.rs`),
 //! priced by the Perlmutter-like [`CostModel`]. Epoch times are for one
-//! epoch of the paper's 3-layer / 16-hidden GCN.
+//! epoch of the paper's 3-layer / 16-hidden GCN, in the paper's `(ÂH)W`
+//! layer order (`PAPER_ORDER`) — [`layer_order`] is the one artifact
+//! that also prices the narrow-side order `train` defaults to.
 
 use std::time::Instant;
 
 use gnn_comm::stats::PHASES;
 use gnn_comm::{CostModel, OverlapConfig, Phase, WorldStats};
-use gnn_core::analytic::{estimate, AnalyticInput};
-use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, ReferenceTrainer};
+use gnn_core::analytic::{estimate_in_order, AnalyticInput};
+use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, ReferenceTrainer};
 use partition::metrics::volume_metrics;
 use partition::wgraph::WGraph;
 use partition::{partition_graph, Method, PartitionConfig};
@@ -23,7 +25,7 @@ use spmat::graph::{degree_cv, degree_stats};
 use spmat::spmm::spmm;
 use spmat::{Csr, Dense};
 
-use crate::schemes::{prepare, prepare_full, Scheme};
+use crate::schemes::{prepare, prepare_full, Prepared, Scheme};
 use crate::table::{fmt_mb, fmt_secs, Table};
 
 /// The four datasets plus the sweep shapes of the paper's figures.
@@ -77,8 +79,32 @@ impl Suite {
     }
 }
 
+/// The order every reproduced table, figure and sweep cell runs in: the
+/// paper and CAGNET exchange `H` and multiply by `W` afterwards.
+const PAPER_ORDER: LayerOrder = LayerOrder::AggregateFirst;
+
 fn gcn_dims(ds: &Dataset) -> Vec<usize> {
     GcnConfig::paper_default(ds.f(), ds.num_classes).dims
+}
+
+/// One epoch of the paper's GCN (`dims`) with `algo` on `prep`'s
+/// distribution, as the analytic model takes it.
+fn one_epoch<'a>(
+    prep: &'a Prepared,
+    dims: &'a [usize],
+    algo: Algo,
+    overlap: OverlapConfig,
+) -> AnalyticInput<'a> {
+    AnalyticInput {
+        adj: &prep.norm_adj,
+        bounds: &prep.bounds,
+        algo,
+        dims,
+        model: CostModel::perlmutter_like(),
+        epochs: 1,
+        arch: gnn_core::model::ArchKind::Gcn,
+        overlap,
+    }
 }
 
 /// Analytic stats for one epoch of a 1D scheme on `p` ranks.
@@ -97,18 +123,10 @@ pub fn stats_1d_overlap(
     overlap: OverlapConfig,
 ) -> WorldStats {
     let prep = prepare(ds, p, scheme, seed);
-    estimate(&AnalyticInput {
-        adj: &prep.norm_adj,
-        bounds: &prep.bounds,
-        algo: Algo::OneD {
-            aware: scheme.aware(),
-        },
-        dims: &gcn_dims(ds),
-        model: CostModel::perlmutter_like(),
-        epochs: 1,
-        arch: gnn_core::model::ArchKind::Gcn,
-        overlap,
-    })
+    let algo = Algo::OneD {
+        aware: scheme.aware(),
+    };
+    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo, overlap), PAPER_ORDER)
 }
 
 /// Analytic stats for one epoch of a 1.5D scheme on `p` ranks with
@@ -127,19 +145,11 @@ pub fn stats_15d_overlap(
     overlap: OverlapConfig,
 ) -> WorldStats {
     let prep = prepare(ds, p / c, scheme, seed);
-    estimate(&AnalyticInput {
-        adj: &prep.norm_adj,
-        bounds: &prep.bounds,
-        algo: Algo::OneFiveD {
-            aware: scheme.aware(),
-            c,
-        },
-        dims: &gcn_dims(ds),
-        model: CostModel::perlmutter_like(),
-        epochs: 1,
-        arch: gnn_core::model::ArchKind::Gcn,
-        overlap,
-    })
+    let algo = Algo::OneFiveD {
+        aware: scheme.aware(),
+        c,
+    };
+    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo, overlap), PAPER_ORDER)
 }
 
 /// One measured point of a sweep.
@@ -621,6 +631,80 @@ pub fn ablations(suite: &Suite, seed: u64) -> Table {
     table
 }
 
+/// One row of the layer-order ablation: a 1D scheme at `p` ranks priced
+/// in both orders.
+#[derive(Clone, Debug)]
+pub struct OrderPoint {
+    /// Dataset name.
+    pub dataset: String,
+    /// Scheme label.
+    pub scheme: &'static str,
+    /// Total ranks.
+    pub p: usize,
+    /// Modeled epoch seconds, `[paper, narrow]`.
+    pub epoch_time: [f64; 2],
+    /// Bytes received per epoch over all ranks, `[paper, narrow]` — a
+    /// broadcast counts once per receiver, which its sent bytes would not.
+    pub bytes_recv: [u64; 2],
+}
+
+/// Layer-order ablation (extension): the paper's three 1D schemes on the
+/// Amazon and Protein analogues at the sweep's rank counts, each priced
+/// as `(ÂH)W` at every layer (what the paper and CAGNET run, and every
+/// other artifact here) and with the narrow side of each layer exchanged
+/// (what `train` defaults to: layer 0 ships 16 columns, not `f`). With
+/// only narrow exchanges left the α term weighs more, which is what the
+/// table is for: does SA+GVB still beat SA, and where does CAGNET's
+/// broadcast stop losing.
+pub fn layer_order(suite: &Suite, seed: u64) -> (Table, Vec<OrderPoint>) {
+    let mut table = Table::new(&[
+        "dataset",
+        "p",
+        "scheme",
+        "paper epoch",
+        "narrow epoch",
+        "paper recv MB",
+        "narrow recv MB",
+        "paper/narrow",
+    ]);
+    let mut points = Vec::new();
+    for ds in [&suite.amazon, &suite.protein] {
+        let dims = gcn_dims(ds);
+        for &p in &suite.ps_large {
+            for scheme in [Scheme::Cagnet, Scheme::Sa, Scheme::SaGvb] {
+                let prep = prepare(ds, p, scheme, seed);
+                let algo = Algo::OneD {
+                    aware: scheme.aware(),
+                };
+                let input = one_epoch(&prep, &dims, algo, OverlapConfig::off());
+                let stats = [PAPER_ORDER, LayerOrder::NarrowSide]
+                    .map(|order| estimate_in_order(&input, order));
+                let pt = OrderPoint {
+                    dataset: ds.name.clone(),
+                    scheme: scheme.label(),
+                    p,
+                    epoch_time: stats.each_ref().map(WorldStats::modeled_epoch_time),
+                    bytes_recv: stats
+                        .each_ref()
+                        .map(|st| st.per_rank.iter().map(|r| r.bytes_recv_total()).sum()),
+                };
+                table.row(vec![
+                    pt.dataset.clone(),
+                    p.to_string(),
+                    pt.scheme.to_string(),
+                    fmt_secs(pt.epoch_time[0]),
+                    fmt_secs(pt.epoch_time[1]),
+                    fmt_mb(pt.bytes_recv[0]),
+                    fmt_mb(pt.bytes_recv[1]),
+                    format!("{:.2}x", pt.epoch_time[0] / pt.epoch_time[1]),
+                ]);
+                points.push(pt);
+            }
+        }
+    }
+    (table, points)
+}
+
 /// Fig. 7: 1.5D epoch times for oblivious / SA / SA+GVB at c ∈ {2, 4}.
 pub fn fig7(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
     let mut table = Table::new(&["dataset", "c", "p", "oblivious", "SA", "SA+GVB"]);
@@ -802,10 +886,10 @@ pub fn sweep(suite: &Suite, small: bool, seed: u64) -> (Table, Vec<SweepCell>) {
             let out = try_train_distributed(
                 &pds,
                 &bounds,
-                &DistConfig::new(algo, gcn.clone(), SWEEP_EPOCHS, model),
+                &DistConfig::new(algo, gcn.clone(), SWEEP_EPOCHS, model).paper_order(),
             )
             .unwrap_or_else(|e| panic!("{} {} p={p}: {e}", kind.label(), scheme.label()));
-            let est = estimate(&AnalyticInput {
+            let input = AnalyticInput {
                 adj: &pds.norm_adj,
                 bounds: &bounds,
                 algo,
@@ -814,7 +898,8 @@ pub fn sweep(suite: &Suite, small: bool, seed: u64) -> (Table, Vec<SweepCell>) {
                 epochs: SWEEP_EPOCHS,
                 arch: gnn_core::model::ArchKind::Gcn,
                 overlap: OverlapConfig::off(),
-            });
+            };
+            let est = estimate_in_order(&input, PAPER_ORDER);
 
             let cell = SweepCell {
                 algo: kind.label(),
@@ -910,6 +995,24 @@ mod tests {
         // an alternative that disagrees with the system's choice panics.
         let rendered = ablations(&small_suite(), 5).render();
         assert_eq!(rendered.lines().count(), 2 + 9, "{rendered}");
+    }
+
+    #[test]
+    fn narrow_side_never_costs_more_and_keeps_the_scheme_ranking() {
+        let suite = small_suite();
+        let (_, pts) = layer_order(&suite, 5);
+        assert_eq!(pts.len(), 2 * suite.ps_large.len() * 3);
+        for pt in &pts {
+            let at = format!("{} {} p={}", pt.dataset, pt.scheme, pt.p);
+            assert!(pt.bytes_recv[1] < pt.bytes_recv[0], "{at}: {pt:?}");
+            assert!(pt.epoch_time[1] < pt.epoch_time[0], "{at}: {pt:?}");
+        }
+        // CAGNET, SA, SA+GVB per (dataset, p): the paper's ranking of
+        // the sparsity-aware schemes over the broadcast survives.
+        for cell in pts.chunks(3) {
+            assert!(cell[1].epoch_time[1] < cell[0].epoch_time[1], "{cell:?}");
+            assert!(cell[2].epoch_time[1] < cell[0].epoch_time[1], "{cell:?}");
+        }
     }
 
     #[test]

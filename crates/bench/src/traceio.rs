@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gnn_comm::WorldStats;
+use gnn_core::DistOutcome;
 use gnn_trace::{
     chrome_trace_string, chrome_trace_string_wall, jsonl_string, text_timeline, write_to_file,
     BottleneckReport, WorldTrace,
@@ -86,15 +86,16 @@ pub fn render_report(trace: &WorldTrace) -> String {
     out
 }
 
-/// Writes the unified metrics registry (stats counters plus, when a
-/// trace was collected, its message-size distribution) as JSON.
-pub fn write_metrics(
-    path: &Path,
-    stats: &WorldStats,
-    trace: Option<&WorldTrace>,
-) -> std::io::Result<()> {
-    let mut reg = stats.to_metrics();
-    if let Some(tr) = trace {
+/// Writes the run's unified metrics registry as JSON: the stats
+/// counters, the final training loss at full precision (the loss table
+/// on stdout keeps four decimals) and, when a trace was collected, its
+/// message-size distribution.
+pub fn write_metrics(path: &Path, out: &DistOutcome) -> std::io::Result<()> {
+    let mut reg = out.stats.to_metrics();
+    if let Some(last) = out.records.last() {
+        reg.gauge("train.final_loss", last.loss);
+    }
+    if let Some(tr) = &out.trace {
         reg.hist("trace.message_bytes", tr.msg_sizes.clone());
         reg.counter("trace.events", tr.len() as u64);
     }

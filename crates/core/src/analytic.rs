@@ -16,7 +16,7 @@ use spmat::Csr;
 use crate::dist::grid::{GridPlan, RankPlan, Stage};
 use crate::dist::overlap::chunk_groups;
 use crate::dist::trainer::plan_for;
-use crate::dist::Algo;
+use crate::dist::{Algo, LayerOrder};
 use crate::model::ArchKind;
 
 /// Inputs for an estimate.
@@ -329,14 +329,17 @@ fn spmm_grid_pipelined_charges(
 
 /// One rank's full training charges: replays the epoch program of
 /// [`crate::dist::trainer`] op-for-op — per layer the SpMM and the dense
-/// step on `rows` owned rows, the global loss and weight-gradient
-/// all-reduces (`p` ranks), the full-width local backward steps — with
-/// the same panel hook: under the paneled (2D/3D) program every layer
-/// additionally slices its own panel in and all-reduces `Z` / `AᵀG` over
-/// the grid row (`pc` ranks) out, and the SpMM and GEMMs run at panel
-/// width.
+/// step on `rows` owned rows, in the order [`LayerOrder::narrow_first`]
+/// gives that layer; the global loss and weight-gradient all-reduces (`p`
+/// ranks); the full-width local backward steps — with the same panel
+/// hook: under the paneled (2D/3D) program the SpMM and GEMMs run at
+/// panel width, an aggregate-first layer slices its own input panel in
+/// and all-reduces the partial `Z` over the grid row (`pc` ranks) out,
+/// and a narrow-first `Z` and every `AᵀG` are placed panel by panel and
+/// summed over the grid row.
 fn rank_charges(
     input: &AnalyticInput<'_>,
+    order: LayerOrder,
     plan: &GridPlan,
     me: usize,
     charge_spmm: impl Fn(&mut RankStats, u64),
@@ -348,6 +351,7 @@ fn rank_charges(
     let rp = &plan.ranks[me];
     let (rows, pc, p) = (rp.rows() as u64, plan.pc, plan.p());
     let paneled = input.algo.paneled();
+    let sage = input.arch == ArchKind::Sage;
     let own_width = |f: usize| -> u64 {
         if !paneled {
             return f as u64;
@@ -355,23 +359,41 @@ fn rank_charges(
         let b = plan.panel_bounds(f);
         (b[rp.j + 1] - b[rp.j]) as u64
     };
+    // Own panel placed at full width, then summed over the grid row.
+    let place_out = |st: &mut RankStats, opw: u64, d_out: u64| {
+        if paneled {
+            add_compute(st, model, rows * opw);
+            add_allreduce(st, model, 8 * rows * d_out, pc);
+        }
+    };
 
     for _epoch in 0..input.epochs {
         // Forward.
         for l in 0..l_total {
-            let d_out = dims[l + 1] as u64;
-            let ipw = own_width(dims[l]);
-            if paneled {
-                add_compute(&mut st, model, rows * ipw); // own input panel
-            }
-            charge_spmm(&mut st, ipw);
-            let gemm = match input.arch {
-                ArchKind::Gcn => 2 * rows * ipw * d_out,
-                ArchKind::Sage => 4 * rows * ipw * d_out + rows * d_out,
-            };
-            add_compute(&mut st, model, gemm);
-            if paneled {
-                add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row Z
+            let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
+            if order.narrow_first(dims, l) {
+                let opw = own_width(dims[l + 1]);
+                add_compute(&mut st, model, 2 * rows * d * opw); // H·W column panel
+                charge_spmm(&mut st, opw);
+                if sage {
+                    add_compute(&mut st, model, 2 * rows * d * opw + rows * opw);
+                    // self term
+                }
+                place_out(&mut st, opw, d_out);
+            } else {
+                let ipw = own_width(dims[l]);
+                if paneled {
+                    add_compute(&mut st, model, rows * ipw); // own input panel
+                }
+                charge_spmm(&mut st, ipw);
+                let gemm = match input.arch {
+                    ArchKind::Gcn => 2 * rows * ipw * d_out,
+                    ArchKind::Sage => 4 * rows * ipw * d_out + rows * d_out,
+                };
+                add_compute(&mut st, model, gemm);
+                if paneled {
+                    add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row Z
+                }
             }
             if l + 1 < l_total {
                 add_compute(&mut st, model, rows * d_out); // relu
@@ -384,16 +406,14 @@ fn rank_charges(
             let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
             let ipw = own_width(dims[l]);
             let opw = own_width(dims[l + 1]);
-            // SAGE's layer 0 never reads AᵀG, so the executor skips it.
-            if l > 0 || input.arch == ArchKind::Gcn {
+            // AᵀG is formed where somebody reads it: not at SAGE's layer
+            // 0, unless that layer is narrow-first and takes ∂W from it.
+            if l > 0 || !sage || order.narrow_first(dims, l) {
                 if paneled {
                     add_compute(&mut st, model, rows * opw); // own gradient panel
                 }
                 charge_spmm(&mut st, opw);
-                if paneled {
-                    add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
-                    add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
-                }
+                place_out(&mut st, opw, d_out);
             }
             if paneled {
                 add_compute(&mut st, model, rows * ipw); // H panel slice
@@ -416,8 +436,14 @@ fn rank_charges(
     st
 }
 
-/// Estimates the full training stats (all epochs) without executing.
+/// Estimates the full training stats (all epochs) without executing, in
+/// the layer order [`DistConfig::new`](crate::DistConfig::new) trains in.
 pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
+    estimate_in_order(input, LayerOrder::default())
+}
+
+/// [`estimate`] for a run configured with `order`.
+pub fn estimate_in_order(input: &AnalyticInput<'_>, order: LayerOrder) -> WorldStats {
     let model = &input.model;
     let chunks = input.overlap.chunks;
     let plan = plan_for(input.adj, input.bounds, input.algo);
@@ -430,7 +456,7 @@ pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
                 (false, true) => spmm_grid_pipelined_charges(&plan, me, f, chunks, model, st),
                 (false, false) => spmm_grid_charges(&plan, me, f, model, st),
             };
-            rank_charges(input, &plan, me, charge)
+            rank_charges(input, order, &plan, me, charge)
         })
         .collect();
     WorldStats::new(per_rank)

@@ -31,5 +31,5 @@ pub use proc::{
 };
 pub use trainer::{
     train_distributed, try_train_distributed, try_train_distributed_with_store, Algo, DistConfig,
-    DistOutcome, RobustnessConfig,
+    DistOutcome, LayerOrder, RobustnessConfig,
 };

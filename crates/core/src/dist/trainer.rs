@@ -135,6 +135,31 @@ impl Algo {
     }
 }
 
+/// Which side of a layer's `Â·H·W` is exchanged. The product is the same
+/// matrix either way; what differs is the width of the distributed SpMM —
+/// `d_in` columns packed, shipped and multiplied, or `d_out`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum LayerOrder {
+    /// `(ÂH)W` at every layer: what the paper and CAGNET execute, and
+    /// therefore what `repro` and the pinned digests select.
+    AggregateFirst,
+    /// `Â(HW)` where a layer narrows, `(ÂH)W` elsewhere: every layer
+    /// exchanges `min(d_in, d_out)` columns. Re-associates one product per
+    /// narrowing layer, so results agree with [`Self::AggregateFirst`] to
+    /// rounding (≤ 1e-8 of the sequential reference), not to the bit.
+    #[default]
+    NarrowSide,
+}
+
+impl LayerOrder {
+    /// Whether layer `l` of a model with widths `dims` multiplies by `W`
+    /// before it aggregates. The executor and the analytic replay both
+    /// ask here, and nowhere else.
+    pub fn narrow_first(self, dims: &[usize], l: usize) -> bool {
+        self == LayerOrder::NarrowSide && dims[l + 1] < dims[l]
+    }
+}
+
 /// Fault-tolerance knobs for a training run. The default is the
 /// fault-free fast path: no injection, no checkpoints, no restarts.
 #[derive(Clone, Debug)]
@@ -205,6 +230,10 @@ pub struct DistConfig {
     /// refusal rules, replayed bit-identically from the seed. `None` =
     /// no chaos. Ignored by the thread backend.
     pub net_chaos: Option<String>,
+    /// Which side of each layer's `Â·H·W` is exchanged.
+    /// [`DistConfig::new`] picks [`LayerOrder::NarrowSide`]; a run that
+    /// reproduces the paper's exchange sets [`LayerOrder::AggregateFirst`].
+    pub order: LayerOrder,
 }
 
 impl DistConfig {
@@ -220,7 +249,14 @@ impl DistConfig {
             overlap: OverlapConfig::off(),
             hostfile: None,
             net_chaos: None,
+            order: LayerOrder::default(),
         }
+    }
+
+    /// This configuration in the paper's `(ÂH)W` order.
+    pub fn paper_order(mut self) -> Self {
+        self.order = LayerOrder::AggregateFirst;
+        self
     }
 }
 
@@ -434,7 +470,11 @@ pub fn pool_trajectory(
 /// only the SpMM operands into `pc` feature panels: a layer slices its
 /// own panel *in*, and all-reduces over the grid row *out* — the partial
 /// `panel × W` products forward, the disjoint `AᵀG` panels backward — so
-/// everything between stays identical to the row-blocked data flow. The
+/// everything between stays identical to the row-blocked data flow. A
+/// narrow-first layer ([`LayerOrder::narrow_first`]) needs no slice in:
+/// each rank multiplies the full-width `H` it already holds by its own
+/// *column* panel of `W`, and `Z` is assembled out of the disjoint
+/// `Â(H·W_panel)` the way `AᵀG` is ([`place_out`]). The
 /// weight gradient is built from per-panel blocks (`H_panelᵀ · AᵀG` lands
 /// in rows `[lo, hi)` of `Y`), which the global all-reduce sums.
 struct Panel {
@@ -479,23 +519,62 @@ fn slice_in(
     }))
 }
 
-/// Rows `[lo, hi)` of `w`: `w` itself when that is all of it, otherwise
-/// a pooled copy, which [`put_rows`] retires — the dense steps take row
-/// tiles of `W` every layer of every epoch (a panel's rows; SAGE's self
-/// and neighbour halves) without touching the allocator.
-fn w_rows<'w>(w: &'w Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Cow<'w, Dense> {
-    if (lo, hi) == (0, w.rows()) {
+/// Reassembles a full-width matrix from the grid row's disjoint column
+/// panels: places `own` at columns `[lo, hi)` of a `width`-wide pooled
+/// matrix (charged as the copy it is) and sums over the grid row. Without
+/// a panel `own` already is the whole matrix.
+fn place_out(
+    ctx: &mut RankCtx,
+    panel: &Option<Panel>,
+    own: Dense,
+    (lo, hi): (usize, usize),
+    width: usize,
+    bufs: &mut EpochBuffers,
+) -> Dense {
+    let Some(p) = panel else {
+        return own;
+    };
+    let rows = own.rows();
+    let mut full = bufs.take_dense(rows, width);
+    ctx.compute((rows * (hi - lo)) as u64, || {
+        for r in 0..rows {
+            full.row_mut(r)[lo..hi].copy_from_slice(own.row(r));
+        }
+    });
+    ctx.allreduce_sum(full.data_mut(), &p.row_group);
+    bufs.put_dense(own);
+    full
+}
+
+/// Rows `[rlo, rhi)` × columns `[clo, chi)` of `w`: `w` itself when that
+/// is all of it, otherwise a pooled copy, which [`put_tile`] retires —
+/// the dense steps take tiles of `W` every layer of every epoch (a
+/// panel's rows or columns; SAGE's self and neighbour halves) without
+/// touching the allocator.
+fn w_tile<'w>(
+    w: &'w Dense,
+    (rlo, rhi): (usize, usize),
+    (clo, chi): (usize, usize),
+    bufs: &mut EpochBuffers,
+) -> Cow<'w, Dense> {
+    if (rlo, rhi, clo, chi) == (0, w.rows(), 0, w.cols()) {
         return Cow::Borrowed(w);
     }
-    let mut tile = bufs.take_dense(hi - lo, w.cols());
-    tile.data_mut()
-        .copy_from_slice(&w.data()[lo * w.cols()..hi * w.cols()]);
+    let mut tile = bufs.take_dense(rhi - rlo, chi - clo);
+    for r in rlo..rhi {
+        tile.row_mut(r - rlo).copy_from_slice(&w.row(r)[clo..chi]);
+    }
     Cow::Owned(tile)
 }
 
-/// Retires a [`w_rows`] tile.
-fn put_rows(rows: Cow<'_, Dense>, bufs: &mut EpochBuffers) {
-    if let Cow::Owned(tile) = rows {
+/// Rows `[lo, hi)` of `w` at full width.
+fn w_rows<'w>(w: &'w Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Cow<'w, Dense> {
+    w_tile(w, (lo, hi), (0, w.cols()), bufs)
+}
+
+/// Retires a [`w_tile`].
+fn put_tile(tile: Cow<'_, Dense>, bufs: &mut EpochBuffers) {
+    if let Cow::Owned(tile) = tile {
         bufs.put_dense(tile);
     }
 }
@@ -527,6 +606,9 @@ pub(crate) struct RankTrainer<'a> {
     /// to the pool.
     hs: Vec<Dense>,
     zs: Vec<Dense>,
+    /// `ÂH` of SAGE's aggregate-first layers, which its backward pops for
+    /// `∂W_neigh`; nobody else reads an aggregate after the layer's GEMM,
+    /// so nothing else is kept.
     ahs: Vec<Dense>,
 }
 
@@ -651,7 +733,9 @@ impl<'a> RankTrainer<'a> {
     /// One epoch attempt: forward, loss, backward through the final
     /// gradient all-reduce. Returns the weight gradients (layer order)
     /// and the epoch's record, leaves its activations on the layer stacks
-    /// for [`Self::epoch`] to retire, and touches no training state. Under a
+    /// for [`Self::epoch`] to retire, and touches no training state. A
+    /// layer's forward SpMM runs on `H` or on `H·W`, as
+    /// [`LayerOrder::narrow_first`] decides for it. Under a
     /// degraded [`FailoverView`] the SpMM and the global reductions run
     /// their degraded forms, which fold in fault-free slot order from
     /// replicated data, so committed epochs are bit-identical to a
@@ -663,6 +747,7 @@ impl<'a> RankTrainer<'a> {
         let rp = &plan.ranks[ctx.rank()];
         let rows = rp.rows();
         let (arch, dims, l_total) = (cfg.gcn.arch, &cfg.gcn.dims, cfg.gcn.layers());
+        let order = cfg.order;
 
         // Role assignment from the *sealed* death set — identical on
         // every rank of this generation without communication.
@@ -696,52 +781,86 @@ impl<'a> RankTrainer<'a> {
         ctx.span_begin(SpanKind::Forward, Phase::Other);
         for l in 0..l_total {
             let (d, d_out) = (dims[l], dims[l + 1]);
-            let (ilo, ihi) = own_range(panel, d);
-            let ipw = ihi - ilo;
-            let h_panel = slice_in(ctx, panel, &hs[l], (ilo, ihi), bufs);
-            let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
-            let ah = dist_spmm(ctx, h_in, bufs);
-            // Product against the own rows of W: all of Z without a
-            // panel, a partial over the full output width with one.
             let w = &weights.mats[l];
-            let mut z = bufs.take_dense(rows, d_out);
-            match arch {
-                ArchKind::Gcn => {
-                    let w_own = w_rows(w, ilo, ihi, bufs);
-                    ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                        ah.matmul_into(&w_own, &mut z)
+            let z = if order.narrow_first(dims, l) {
+                // Â(HW): multiply first, exchange `d_out` columns. With a
+                // panel, H is full-width on every rank of the grid row, so
+                // each takes its own *column* panel of W and the grid row
+                // assembles Z from disjoint panels, as backward does AᵀG.
+                let (olo, ohi) = own_range(panel, d_out);
+                let opw = ohi - olo;
+                let neigh = match arch {
+                    ArchKind::Gcn => (0, d),
+                    ArchKind::Sage => (d, 2 * d),
+                };
+                let w_neigh = w_tile(w, neigh, (olo, ohi), bufs);
+                let mut t = bufs.take_dense(rows, opw);
+                ctx.compute((2 * rows * d * opw) as u64, || {
+                    hs[l].matmul_into(&w_neigh, &mut t)
+                });
+                put_tile(w_neigh, bufs);
+                let mut z_own = dist_spmm(ctx, &t, bufs);
+                if arch == ArchKind::Sage {
+                    let w_self = w_tile(w, (0, d), (olo, ohi), bufs);
+                    ctx.compute((2 * rows * d * opw + rows * opw) as u64, || {
+                        hs[l].matmul_into(&w_self, &mut t);
+                        z_own.add_assign(&t);
                     });
-                    put_rows(w_own, bufs);
+                    put_tile(w_self, bufs);
                 }
-                ArchKind::Sage => {
-                    let mut tmp = bufs.take_dense(rows, d_out);
-                    let w_self = w_rows(w, ilo, ihi, bufs);
-                    let w_neigh = w_rows(w, d + ilo, d + ihi, bufs);
-                    ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
-                        h_in.matmul_into(&w_self, &mut z);
-                        ah.matmul_into(&w_neigh, &mut tmp);
-                        z.add_assign(&tmp);
-                    });
-                    put_rows(w_self, bufs);
-                    put_rows(w_neigh, bufs);
-                    bufs.put_dense(tmp);
+                bufs.put_dense(t);
+                place_out(ctx, panel, z_own, (olo, ohi), d_out, bufs)
+            } else {
+                let (ilo, ihi) = own_range(panel, d);
+                let ipw = ihi - ilo;
+                let h_panel = slice_in(ctx, panel, &hs[l], (ilo, ihi), bufs);
+                let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
+                let ah = dist_spmm(ctx, h_in, bufs);
+                // Product against the own rows of W: all of Z without a
+                // panel, a partial over the full output width with one.
+                let mut z = bufs.take_dense(rows, d_out);
+                match arch {
+                    ArchKind::Gcn => {
+                        let w_own = w_rows(w, ilo, ihi, bufs);
+                        ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                            ah.matmul_into(&w_own, &mut z)
+                        });
+                        put_tile(w_own, bufs);
+                        // GCN's backward takes ∂W from HᵀS.
+                        bufs.put_dense(ah);
+                    }
+                    ArchKind::Sage => {
+                        let mut tmp = bufs.take_dense(rows, d_out);
+                        let w_self = w_rows(w, ilo, ihi, bufs);
+                        let w_neigh = w_rows(w, d + ilo, d + ihi, bufs);
+                        ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
+                            h_in.matmul_into(&w_self, &mut z);
+                            ah.matmul_into(&w_neigh, &mut tmp);
+                            z.add_assign(&tmp);
+                        });
+                        put_tile(w_self, bufs);
+                        put_tile(w_neigh, bufs);
+                        bufs.put_dense(tmp);
+                        // Backward pops it for ∂W_neigh = (ÂH)ᵀG.
+                        ahs.push(ah);
+                    }
                 }
-            }
-            if let Some(p) = panel {
-                ctx.allreduce_sum(z.data_mut(), &p.row_group);
-            }
+                if let Some(p) = panel {
+                    ctx.allreduce_sum(z.data_mut(), &p.row_group);
+                }
+                if let Some(hp) = h_panel {
+                    bufs.put_dense(hp);
+                }
+                z
+            };
             let mut h = bufs.take_dense(rows, d_out);
             if l + 1 == l_total {
                 h.data_mut().copy_from_slice(z.data());
             } else {
                 ctx.compute((rows * d_out) as u64, || z.relu_into(&mut h));
             }
-            if let Some(hp) = h_panel {
-                bufs.put_dense(hp);
-            }
             zs.push(z);
             hs.push(h);
-            ahs.push(ah);
         }
         ctx.span_end();
 
@@ -768,24 +887,18 @@ impl<'a> RankTrainer<'a> {
 
             // S = AᵀG; with a panel, the SpMM of the own gradient panel,
             // reassembled to full width by summing the disjoint panels
-            // across the grid row. SAGE's layer 0 has no reader for it:
-            // its ∂W takes G and ÂH⁰, and nothing propagates below.
-            let s = (l > 0 || arch == ArchKind::Gcn).then(|| {
+            // across the grid row. Formed where somebody reads it: the
+            // propagation below layer 0, GCN's ∂W = HᵀS, and SAGE's
+            // ∂W_neigh at a layer that never formed ÂH.
+            let narrow = order.narrow_first(dims, l);
+            let s = (l > 0 || arch == ArchKind::Gcn || narrow).then(|| {
                 let (olo, ohi) = own_range(panel, d_out);
                 let g_panel = slice_in(ctx, panel, &g, (olo, ohi), bufs);
-                let mut s = dist_spmm(ctx, g_panel.as_ref().unwrap_or(&g), bufs);
-                if let (Some(p), Some(g_panel)) = (panel, g_panel) {
+                let s_own = dist_spmm(ctx, g_panel.as_ref().unwrap_or(&g), bufs);
+                if let Some(g_panel) = g_panel {
                     bufs.put_dense(g_panel);
-                    let s_panel = std::mem::replace(&mut s, bufs.take_dense(rows, d_out));
-                    ctx.compute((rows * (ohi - olo)) as u64, || {
-                        for r in 0..rows {
-                            s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
-                        }
-                    });
-                    ctx.allreduce_sum(s.data_mut(), &p.row_group);
-                    bufs.put_dense(s_panel);
                 }
-                s
+                place_out(ctx, panel, s_own, (olo, ohi), d_out, bufs)
             });
 
             // Weight gradient: this rank fills the own rows of Y; the
@@ -804,13 +917,23 @@ impl<'a> RankTrainer<'a> {
                 }
                 ArchKind::Sage => {
                     let mut bottom = bufs.take_dense(ipw, d_out);
+                    // ∂W_neigh = (ÂH)ᵀG from the layer's kept aggregate,
+                    // or the same matrix as HᵀS where it kept none.
+                    let ah = (!narrow).then(|| ahs.pop().expect("forward kept this layer's ÂH"));
+                    let (lhs, rhs) = match &ah {
+                        Some(ah) => (ah, &g),
+                        None => (h_in, s.as_ref().expect("a narrow-first layer forms S")),
+                    };
                     ctx.compute((4 * rows * ipw * d_out) as u64, || {
                         h_in.transpose_matmul_into(&g, &mut top);
-                        ahs[l].transpose_matmul_into(&g, &mut bottom);
+                        lhs.transpose_matmul_into(rhs, &mut bottom);
                     });
                     y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
                         .copy_from_slice(bottom.data());
                     bufs.put_dense(bottom);
+                    if let Some(ah) = ah {
+                        bufs.put_dense(ah);
+                    }
                 }
             }
             y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(top.data());
@@ -908,8 +1031,8 @@ fn propagate_gradient(
                 prev_z.relu_prime_into(&mut tmp);
                 gg.hadamard_assign(&tmp);
             });
-            put_rows(w_self, bufs);
-            put_rows(w_neigh, bufs);
+            put_tile(w_self, bufs);
+            put_tile(w_neigh, bufs);
         }
     }
     bufs.put_dense(tmp);

@@ -30,7 +30,7 @@ pub use dist::{
 };
 pub use dist::{
     train_distributed, try_train_distributed, try_train_distributed_with_store, Algo,
-    CheckpointBackend, DiskCheckpointStore, DistConfig, DistOutcome, RobustnessConfig,
+    CheckpointBackend, DiskCheckpointStore, DistConfig, DistOutcome, LayerOrder, RobustnessConfig,
 };
 pub use model::{GcnConfig, Weights};
 pub use optim::{OptKind, Optimizer};

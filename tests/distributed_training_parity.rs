@@ -5,40 +5,74 @@
 
 use gnn_bench::{prepare_full, Scheme};
 use gnn_comm::CostModel;
-use gnn_core::{train_distributed, Algo, DistConfig, GcnConfig, ReferenceTrainer};
+use gnn_core::model::ArchKind;
+use gnn_core::{train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, ReferenceTrainer};
 use spmat::dataset::{amazon_scaled, protein_scaled, Dataset};
 
 const EPOCHS: usize = 3;
 
 /// Trains distributed on a scheme-permuted dataset and checks records +
 /// final weights against the sequential reference on the same permuted
-/// dataset.
-fn check(ds: &Dataset, scheme: Scheme, algo: Algo, parts: usize) {
+/// dataset — which forms `(ÂH)W` whatever order the distributed run
+/// exchanges in.
+fn check_in_order(
+    ds: &Dataset,
+    scheme: Scheme,
+    algo: Algo,
+    parts: usize,
+    arch: ArchKind,
+    order: LayerOrder,
+) {
     let (pds, bounds) = prepare_full(ds, parts, scheme, 3);
-    let gcn = GcnConfig::paper_default(pds.f(), pds.num_classes);
+    let mut gcn = GcnConfig::paper_default(pds.f(), pds.num_classes);
+    gcn.arch = arch;
 
     let mut reference = ReferenceTrainer::new(&pds, gcn.clone());
     let ref_records = reference.train(EPOCHS);
 
-    let out = train_distributed(
-        &pds,
-        &bounds,
-        &DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like()),
-    );
+    let mut cfg = DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like());
+    cfg.order = order;
+    let out = train_distributed(&pds, &bounds, &cfg);
+    let label = format!("{scheme:?}/{algo:?}/{arch:?}/{order:?}");
     for (e, (a, b)) in out.records.iter().zip(&ref_records).enumerate() {
         assert!(
             (a.loss - b.loss).abs() < 1e-8,
-            "{scheme:?}/{algo:?} epoch {e}: loss {} vs {}",
+            "{label} epoch {e}: loss {} vs {}",
             a.loss,
             b.loss
         );
         assert!(
             (a.train_accuracy - b.train_accuracy).abs() < 1e-8,
-            "{scheme:?}/{algo:?} epoch {e}: accuracy mismatch"
+            "{label} epoch {e}: accuracy mismatch"
         );
     }
     let drift = out.weights.max_abs_diff(&reference.weights);
-    assert!(drift < 1e-8, "{scheme:?}/{algo:?}: weight drift {drift}");
+    assert!(drift < 1e-8, "{label}: weight drift {drift}");
+}
+
+/// [`check_in_order`] for a GCN in the default order.
+fn check(ds: &Dataset, scheme: Scheme, algo: Algo, parts: usize) {
+    let order = LayerOrder::default();
+    check_in_order(ds, scheme, algo, parts, ArchKind::Gcn, order);
+}
+
+#[test]
+fn every_family_and_architecture_in_both_orders() {
+    let ds = amazon_scaled(8, 29);
+    let aware = true;
+    let families = [
+        (Algo::OneD { aware }, 4),
+        (Algo::OneFiveD { aware, c: 2 }, 2),
+        (Algo::TwoD { aware, pc: 2 }, 2),
+        (Algo::ThreeD { aware, pc: 2, c: 2 }, 2),
+    ];
+    for (algo, parts) in families {
+        for arch in [ArchKind::Gcn, ArchKind::Sage] {
+            for order in [LayerOrder::AggregateFirst, LayerOrder::NarrowSide] {
+                check_in_order(&ds, Scheme::SaGvb, algo, parts, arch, order);
+            }
+        }
+    }
 }
 
 #[test]

@@ -14,8 +14,10 @@ use std::time::{Duration, Instant};
 use gnn_comm::msg::Payload;
 use gnn_comm::{CostModel, FaultInjector, FaultPlan, ThreadWorld, WorldError};
 use gnn_core::dist::{even_bounds, spmm_1d, spmm_grid, GridPlan};
+use gnn_core::model::ArchKind;
 use gnn_core::{
-    train_distributed, try_train_distributed, Algo, DistConfig, GcnConfig, RobustnessConfig,
+    train_distributed, try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder,
+    RobustnessConfig,
 };
 use spmat::dataset::{amazon_scaled, reddit_scaled, Dataset};
 use spmat::spmm::spmm;
@@ -128,49 +130,63 @@ fn deadlock_report_is_displayable_and_bounded() {
 
 // ---- elastic restart: the acceptance-criteria demo ----
 
+/// Recovery replays whatever program the clean run ran: both layer
+/// orders, both architectures (SAGE's narrow-first backward reads `S`
+/// where its aggregate-first one pops a kept `ÂH`).
+fn programs() -> impl Iterator<Item = (ArchKind, LayerOrder)> {
+    let orders = [LayerOrder::AggregateFirst, LayerOrder::NarrowSide];
+    [ArchKind::Gcn, ArchKind::Sage]
+        .into_iter()
+        .flat_map(move |arch| orders.map(|order| (arch, order)))
+}
+
 #[test]
 fn crash_at_epoch_k_restores_and_matches_fault_free_bit_for_bit() {
     let ds = reddit_scaled(7, 31);
-    let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
     let bounds = even_bounds(ds.n(), 4);
     let epochs = 6;
 
-    let clean_cfg = DistConfig::new(
-        Algo::OneD { aware: true },
-        gcn,
-        epochs,
-        CostModel::perlmutter_like(),
-    );
-    let clean = train_distributed(&ds, &bounds, &clean_cfg);
-
-    // Crash rank 3 at epoch 4; checkpoints every 2 epochs → resume
-    // replays epochs 4..6 from the epoch-4 snapshot.
-    let mut faulty_cfg = clean_cfg.clone();
-    faulty_cfg.robust = RobustnessConfig {
-        faults: Some(FaultPlan::new(7).crash_at(3, 4, 0)),
-        checkpoint_every: 2,
-        max_restarts: 1,
-        timeout: Duration::from_secs(15),
-        failover: false,
-    };
-    let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
-        .expect("one restart budget covers one injected crash");
-
-    assert_eq!(recovered.restarts, 1);
-    assert_eq!(recovered.records.len(), clean.records.len());
-    for (e, (a, b)) in recovered.records.iter().zip(&clean.records).enumerate() {
-        assert_eq!(
-            a.loss.to_bits(),
-            b.loss.to_bits(),
-            "epoch {e} loss diverged"
+    for (arch, order) in programs() {
+        let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
+        gcn.arch = arch;
+        let mut clean_cfg = DistConfig::new(
+            Algo::OneD { aware: true },
+            gcn,
+            epochs,
+            CostModel::perlmutter_like(),
         );
-        assert_eq!(
-            a.train_accuracy.to_bits(),
-            b.train_accuracy.to_bits(),
-            "epoch {e} accuracy diverged"
-        );
+        clean_cfg.order = order;
+        let clean = train_distributed(&ds, &bounds, &clean_cfg);
+
+        // Crash rank 3 at epoch 4; checkpoints every 2 epochs → resume
+        // replays epochs 4..6 from the epoch-4 snapshot.
+        let mut faulty_cfg = clean_cfg.clone();
+        faulty_cfg.robust = RobustnessConfig {
+            faults: Some(FaultPlan::new(7).crash_at(3, 4, 0)),
+            checkpoint_every: 2,
+            max_restarts: 1,
+            timeout: Duration::from_secs(15),
+            failover: false,
+        };
+        let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
+            .expect("one restart budget covers one injected crash");
+
+        assert_eq!(recovered.restarts, 1);
+        assert_eq!(recovered.records.len(), clean.records.len());
+        for (e, (a, b)) in recovered.records.iter().zip(&clean.records).enumerate() {
+            assert_eq!(
+                a.loss.to_bits(),
+                b.loss.to_bits(),
+                "{arch:?} {order:?}: epoch {e} loss diverged"
+            );
+            assert_eq!(
+                a.train_accuracy.to_bits(),
+                b.train_accuracy.to_bits(),
+                "{arch:?} {order:?}: epoch {e} accuracy diverged"
+            );
+        }
+        assert_eq!(recovered.weights.max_abs_diff(&clean.weights), 0.0);
     }
-    assert_eq!(recovered.weights.max_abs_diff(&clean.weights), 0.0);
 }
 
 #[test]
@@ -603,43 +619,55 @@ fn failover_dataset() -> (Dataset, GcnConfig, Vec<usize>) {
 fn failover_crash_mid_training_completes_without_restart() {
     let (ds, gcn, bounds) = failover_dataset();
     let epochs = 6;
-    let clean_cfg = DistConfig::new(
-        Algo::OneFiveD { aware: true, c: 2 },
-        gcn,
-        epochs,
-        CostModel::perlmutter_like(),
-    );
-    let clean = train_distributed(&ds, &bounds, &clean_cfg);
+    for (arch, order) in programs() {
+        let mut clean_cfg = DistConfig::new(
+            Algo::OneFiveD { aware: true, c: 2 },
+            gcn.clone(),
+            epochs,
+            CostModel::perlmutter_like(),
+        );
+        clean_cfg.gcn.arch = arch;
+        clean_cfg.order = order;
+        let clean = train_distributed(&ds, &bounds, &clean_cfg);
 
-    // Rank 5 = grid position (2, 1); its row-2 replica (rank 4) takes
-    // over its duties and the run finishes on the shrunken grid.
-    let mut faulty_cfg = clean_cfg.clone();
-    faulty_cfg.robust = RobustnessConfig {
-        faults: Some(FaultPlan::new(13).crash_at(5, 3, 7)),
-        checkpoint_every: 2,
-        max_restarts: 0, // any restart would fail the run
-        timeout: Duration::from_secs(15),
-        failover: true,
-    };
-    let survived = try_train_distributed(&ds, &bounds, &faulty_cfg)
-        .expect("degraded-mode failover must absorb a single rank crash");
+        // Rank 5 = grid position (2, 1); its row-2 replica (rank 4) takes
+        // over its duties and the run finishes on the shrunken grid.
+        let mut faulty_cfg = clean_cfg.clone();
+        faulty_cfg.robust = RobustnessConfig {
+            faults: Some(FaultPlan::new(13).crash_at(5, 3, 7)),
+            checkpoint_every: 2,
+            max_restarts: 0, // any restart would fail the run
+            timeout: Duration::from_secs(15),
+            failover: true,
+        };
+        let survived = try_train_distributed(&ds, &bounds, &faulty_cfg)
+            .expect("degraded-mode failover must absorb a single rank crash");
 
-    assert_eq!(survived.restarts, 0, "completed without a world restart");
-    assert_eq!(survived.failovers, 1, "one death absorbed in place");
-    assert_eq!(survived.records.len(), clean.records.len());
-    for (e, (a, b)) in survived.records.iter().zip(&clean.records).enumerate() {
-        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {e} loss");
+        let label = format!("{arch:?} {order:?}");
+        assert_eq!(survived.restarts, 0, "{label}: no world restart");
         assert_eq!(
-            a.train_accuracy.to_bits(),
-            b.train_accuracy.to_bits(),
-            "epoch {e} accuracy"
+            survived.failovers, 1,
+            "{label}: one death absorbed in place"
+        );
+        assert_eq!(survived.records.len(), clean.records.len());
+        for (e, (a, b)) in survived.records.iter().zip(&clean.records).enumerate() {
+            assert_eq!(
+                a.loss.to_bits(),
+                b.loss.to_bits(),
+                "{label}: epoch {e} loss"
+            );
+            assert_eq!(
+                a.train_accuracy.to_bits(),
+                b.train_accuracy.to_bits(),
+                "{label}: epoch {e} accuracy"
+            );
+        }
+        assert_eq!(
+            survived.weights.max_abs_diff(&clean.weights),
+            0.0,
+            "{label}: final weights must be bit-identical to the fault-free run"
         );
     }
-    assert_eq!(
-        survived.weights.max_abs_diff(&clean.weights),
-        0.0,
-        "final weights must be bit-identical to the fault-free run"
-    );
 }
 
 #[test]

@@ -11,6 +11,10 @@
 //! to op order, byte accounting, fold order or span emission in that
 //! family shows up here as a changed digest.
 //!
+//! Every table but the last is the paper's `(ÂH)W` order, selected once in
+//! [`config`]; [`EXPECTED_NARROW`] pins the narrow-side order that
+//! `DistConfig::new` defaults to, on one cell per family and schedule.
+//!
 //! Regenerating (only when a behaviour change is intended): run the test;
 //! on mismatch it prints the full table of actual digests in source form.
 
@@ -19,7 +23,7 @@ use std::time::Duration;
 use gnn_comm::{CostModel, FaultPlan, OverlapConfig};
 use gnn_core::dist::even_bounds;
 use gnn_core::{
-    train_distributed, try_train_distributed, Algo, DistConfig, DistOutcome, GcnConfig,
+    train_distributed, try_train_distributed, Algo, DistConfig, DistOutcome, GcnConfig, LayerOrder,
     RobustnessConfig,
 };
 use gnn_trace::{jsonl_string, PHASES};
@@ -92,7 +96,7 @@ fn dataset() -> Dataset {
 
 fn config(ds: &Dataset, algo: Algo) -> DistConfig {
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
-    DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like())
+    DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like()).paper_order()
 }
 
 /// The seeded cells: label, grid rows (`bounds.len() - 1`), algorithm.
@@ -312,4 +316,116 @@ fn failover_run_results_are_pinned() {
         "failover result digest {:#018x}",
         result_digest(&out)
     );
+}
+
+/// The narrow-side cells: label, grid rows, algorithm, SAGE?, schedule.
+fn narrow_cells() -> [(&'static str, usize, Algo, bool, OverlapConfig); 9] {
+    let (blocking, chunked) = (OverlapConfig::off(), OverlapConfig::on(2));
+    let (aware, gcn, sage) = (true, false, true);
+    [
+        (
+            "1d aware p=2 blocking",
+            2,
+            Algo::OneD { aware },
+            gcn,
+            blocking,
+        ),
+        (
+            "1d aware p=2 chunks=2",
+            2,
+            Algo::OneD { aware },
+            gcn,
+            chunked,
+        ),
+        (
+            "1d aware p=3 blocking",
+            3,
+            Algo::OneD { aware },
+            gcn,
+            blocking,
+        ),
+        (
+            "1d aware p=3 chunks=2",
+            3,
+            Algo::OneD { aware },
+            gcn,
+            chunked,
+        ),
+        (
+            "1d oblivious p=2 blocking",
+            2,
+            Algo::OneD { aware: false },
+            gcn,
+            blocking,
+        ),
+        (
+            "1.5d p=4 c=2 blocking",
+            2,
+            Algo::OneFiveD { aware, c: 2 },
+            gcn,
+            blocking,
+        ),
+        (
+            "2d 2x2 blocking",
+            2,
+            Algo::TwoD { aware, pc: 2 },
+            gcn,
+            blocking,
+        ),
+        (
+            "3d 2x2x2 blocking",
+            2,
+            Algo::ThreeD { aware, pc: 2, c: 2 },
+            gcn,
+            blocking,
+        ),
+        (
+            "sage 1d p=3 blocking",
+            3,
+            Algo::OneD { aware },
+            sage,
+            blocking,
+        ),
+    ]
+}
+
+/// `[stats, result, trace]` digests under [`LayerOrder::NarrowSide`], in
+/// [`narrow_cells`] order; generated at the commit that introduced the
+/// order, identical over repeated runs, at 1 and 4 kernel threads and in
+/// debug and release builds. A pipelined row repeats its blocking row's
+/// result digest, and the oblivious row its aware twin's.
+const EXPECTED_NARROW: [[u64; 3]; 9] = [
+    [0xdcbcbfae548c8602, 0x5b4af35c51934254, 0xfa789b97365485fc], // 1d aware p=2 blocking
+    [0xbd023cd9eff560d1, 0x5b4af35c51934254, 0x5e6f5f164561c408], // 1d aware p=2 chunks=2
+    [0xa6fb781aa3accd35, 0xbda5b766b30e7c2e, 0xfcd6d3da995743e0], // 1d aware p=3 blocking
+    [0x33cab64ecd790d28, 0xbda5b766b30e7c2e, 0xba9d647d65ac580a], // 1d aware p=3 chunks=2
+    [0xacc2dde5b45f5a3e, 0x5b4af35c51934254, 0xbe292365ee758886], // 1d oblivious p=2 blocking
+    [0x8d375f6f7844e51d, 0x53ab20d5a4a74744, 0xbd28f9a6752b3d50], // 1.5d p=4 c=2 blocking
+    [0x645bddbcd91a5719, 0x27ca0b631a54a2b5, 0x20dd18b68513f56d], // 2d 2x2 blocking
+    [0x5fa14b438b6e61a9, 0xb3814da4c5f89f54, 0x17e1b75cbe17c029], // 3d 2x2x2 blocking
+    [0x5866b85c0ed431c6, 0x4f747a4d23d84727, 0x6a1a88ade5c0659b], // sage 1d p=3 blocking
+];
+
+#[test]
+fn narrow_side_accounting_results_and_traces_are_pinned() {
+    let ds = dataset();
+    let mut actual = Vec::new();
+    for (label, pr, algo, sage, ov) in narrow_cells() {
+        let bounds = even_bounds(ds.n(), pr);
+        let mut cfg = config(&ds, algo);
+        cfg.order = LayerOrder::NarrowSide;
+        if sage {
+            cfg.gcn = cfg.gcn.with_sage();
+        }
+        cfg.overlap = ov;
+        cfg.trace = true;
+        let out = train_distributed(&ds, &bounds, &cfg);
+        let row = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
+        println!(
+            "    [{:#018x}, {:#018x}, {:#018x}], // {label}",
+            row[0], row[1], row[2]
+        );
+        actual.push(row);
+    }
+    assert_eq!(actual[..], EXPECTED_NARROW[..], "actual rows printed above");
 }

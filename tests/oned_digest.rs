@@ -135,7 +135,8 @@ fn oned_accounting_results_and_traces_are_pinned() {
                     gcn.clone(),
                     EPOCHS,
                     CostModel::perlmutter_like(),
-                );
+                )
+                .paper_order();
                 cfg.overlap = ov;
                 cfg.trace = true;
                 let out = train_distributed(&ds, &bounds, &cfg);

@@ -22,7 +22,7 @@ const CHUNKS: [usize; 3] = [1, 2, 7];
 
 fn run(ds: &Dataset, bounds: &[usize], algo: Algo, ov: OverlapConfig, trace: bool) -> DistOutcome {
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
-    let mut cfg = DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like());
+    let mut cfg = DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like()).paper_order();
     cfg.overlap = ov;
     cfg.trace = trace;
     train_distributed(ds, bounds, &cfg)

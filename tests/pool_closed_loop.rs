@@ -15,7 +15,7 @@ use gnn_core::dist::trainer::pool_trajectory;
 use gnn_core::dist::{even_bounds, spmm_1d_buf, spmm_grid_buf, spmm_grid_pipelined_buf};
 use gnn_core::dist::{spmm_1d_pipelined_buf, EpochBuffers, GridPlan};
 use gnn_core::model::ArchKind;
-use gnn_core::{Algo, DistConfig, GcnConfig};
+use gnn_core::{Algo, DistConfig, GcnConfig, LayerOrder};
 use spmat::dataset::amazon_scaled;
 use spmat::Dense;
 
@@ -35,7 +35,11 @@ fn shapes() -> Vec<(&'static str, Algo, usize)> {
 #[test]
 fn trainer_pools_are_flat_in_steady_state_on_every_shape() {
     let ds = amazon_scaled(8, 5);
-    for arch in [ArchKind::Gcn, ArchKind::Sage] {
+    let orders = [LayerOrder::AggregateFirst, LayerOrder::NarrowSide];
+    for (arch, order) in [ArchKind::Gcn, ArchKind::Sage]
+        .into_iter()
+        .flat_map(|arch| orders.map(|order| (arch, order)))
+    {
         let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
         gcn.arch = arch;
         for (label, algo, block_rows) in shapes() {
@@ -44,16 +48,21 @@ fn trainer_pools_are_flat_in_steady_state_on_every_shape() {
                 let mut cfg =
                     DistConfig::new(algo, gcn.clone(), EPOCHS, CostModel::perlmutter_like());
                 cfg.overlap = overlap;
+                cfg.order = order;
                 let per_rank = pool_trajectory(&ds, &bounds, &cfg);
                 for (rank, after) in per_rank.iter().enumerate() {
                     assert_eq!(after.len(), EPOCHS);
                     assert!(
                         after[2..].iter().all(|counters| *counters == after[2]),
-                        "{arch:?} {label} {overlap:?} rank {rank}: [world, rank] \
+                        "{arch:?} {order:?} {label} {overlap:?} rank {rank}: [world, rank] \
                          (pooled, fresh) per epoch {after:?}"
                     );
-                    // Payloads did go through the world's pool.
-                    assert!(after[2][0].0 > 0, "{label}: the world pool is empty");
+                    // Payloads did go through the world's pool: on this
+                    // graph only a 300-wide exchange is big enough to be
+                    // pooled, and only the paper's order has one.
+                    if order == LayerOrder::AggregateFirst {
+                        assert!(after[2][0].0 > 0, "{label}: the world pool is empty");
+                    }
                 }
             }
         }
