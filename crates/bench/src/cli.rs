@@ -16,7 +16,8 @@ pub enum Kind<A> {
     /// `--flag`.
     Switch(fn(&mut A)),
     /// `--flag VALUE`. The setter returns only the reason a value is
-    /// bad; [`Cli::parse`] names the flag.
+    /// bad; [`Cli::parse`] names the flag. A token that is the name of a
+    /// row of the same table is never taken as the value.
     Value(fn(&mut A, &str) -> Result<(), String>),
     /// `--flag [VALUE]`: the next token is the value when it does not
     /// start with `-` and `takes` accepts it.
@@ -96,7 +97,11 @@ impl<A> Cli<A> {
             match flag.kind {
                 Kind::Switch(set) => set(a),
                 Kind::Value(set) => {
-                    let v = it.next().ok_or(format!("{arg} needs a value"))?;
+                    // A row's name is the next flag, never this one's value.
+                    let is_flag = |v: &String| self.flags.iter().any(|f| f.name == v);
+                    let v = it
+                        .next_if(|v| !is_flag(v))
+                        .ok_or(format!("{arg} needs a value"))?;
                     set(a, &v).map_err(|why| format!("bad {arg}: {why}"))?;
                 }
                 Kind::Optional { takes, set } => {

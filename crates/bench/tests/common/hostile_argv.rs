@@ -4,7 +4,8 @@
 use gnn_bench::cli::{Cli, Kind};
 
 /// For every row of `cli`: the synopsis mentions it, the flag given last
-/// with its value missing says so, and no hostile value gets past it as
+/// with its value missing says so, so does the flag followed by any row's
+/// name in place of its value, and no hostile value gets past it as
 /// anything but `Err("bad <flag>: …")` — a count (`N`) takes none of
 /// them. An unknown flag and `--help` are the generated synopsis.
 /// `operands` completes a line whose flags are fine.
@@ -27,6 +28,10 @@ pub fn check<A>(
         }
         let missing = parse(vec![name.to_string()]).expect_err("no value given");
         assert_eq!(missing, format!("{name} needs a value"));
+        for other in &cli.flags {
+            let swallowed = parse(line(&[name, other.name])).expect_err(other.name);
+            assert_eq!(swallowed, missing, "{name} {}", other.name);
+        }
         for hostile in [
             "zzz",
             "",

@@ -1,5 +1,10 @@
 //! Graph contraction: collapse matched vertex pairs into coarse vertices,
 //! summing vertex weights and merging parallel edges by weight.
+//!
+//! Neighbor lists are merged unsorted, then sorted all at once by one
+//! O(m) transpose: the coarse graph is symmetric, so row `u` of its
+//! transpose, filled in ascending `c`, is exactly `u`'s sorted list with
+//! the same weights.
 
 use crate::wgraph::WGraph;
 
@@ -17,46 +22,39 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> Coarsening {
     let n = g.n();
     assert_eq!(mate.len(), n);
 
-    // Assign coarse ids: each pair gets one id (owned by the smaller
-    // endpoint), singletons keep their own.
+    // Assign coarse ids: each pair gets one id, owned by the smaller
+    // endpoint `v` (its members are `v` and `mate[v]`); singletons keep
+    // their own.
     let mut coarse_of = vec![u32::MAX; n];
-    let mut nc = 0u32;
+    let mut owner: Vec<u32> = Vec::with_capacity(n);
     for v in 0..n {
         let m = mate[v] as usize;
         if m < v {
             continue; // the partner already claimed an id
         }
-        coarse_of[v] = nc;
-        if m != v {
-            coarse_of[m] = nc;
-        }
-        nc += 1;
+        coarse_of[v] = owner.len() as u32;
+        coarse_of[m] = owner.len() as u32;
+        owner.push(v as u32);
     }
-    let nc = nc as usize;
+    let nc = owner.len();
+    let members = |c: usize| {
+        let v = owner[c];
+        let m = mate[v as usize];
+        std::iter::once(v).chain((m != v).then_some(m))
+    };
+    let vwgt: Vec<u64> = (0..nc)
+        .map(|c| members(c).map(|v| g.vwgt[v as usize]).sum())
+        .collect();
 
-    // Accumulate coarse vertex weights.
-    let mut vwgt = vec![0u64; nc];
-    for v in 0..n {
-        vwgt[coarse_of[v] as usize] += g.vwgt[v];
-    }
-
-    // Merge edges with a timestamped scratch accumulator.
+    // Merge edges with a timestamped accumulator, in first-seen order.
     let mut xadj = Vec::with_capacity(nc + 1);
     let mut adjncy: Vec<u32> = Vec::new();
     let mut adjwgt: Vec<u64> = Vec::new();
     xadj.push(0usize);
-
     let mut stamp = vec![u32::MAX; nc];
     let mut slot = vec![0usize; nc];
-    // members[c] listed implicitly: iterate fine vertices grouped by id.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for v in 0..n {
-        members[coarse_of[v] as usize].push(v as u32);
-    }
-
-    for (c, mem) in members.iter().enumerate() {
-        let start = adjncy.len();
-        for &v in mem {
+    for c in 0..nc {
+        for v in members(c) {
             for (u, w) in g.neighbors(v as usize) {
                 let cu = coarse_of[u as usize];
                 if cu as usize == c {
@@ -72,26 +70,29 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> Coarsening {
                 }
             }
         }
-        // Keep neighbor lists sorted for reproducibility.
-        let mut pairs: Vec<(u32, u64)> = adjncy[start..]
-            .iter()
-            .copied()
-            .zip(adjwgt[start..].iter().copied())
-            .collect();
-        pairs.sort_unstable_by_key(|&(u, _)| u);
-        for (i, (u, w)) in pairs.into_iter().enumerate() {
-            adjncy[start + i] = u;
-            adjwgt[start + i] = w;
-        }
         xadj.push(adjncy.len());
+    }
+
+    // Sort every list by transposing: symmetry gives the transpose the
+    // same row lengths, and rows filled in ascending `c` come out sorted.
+    let mut next = xadj[..nc].to_vec();
+    let mut sorted = vec![0u32; adjncy.len()];
+    let mut sorted_wgt = vec![0u64; adjncy.len()];
+    for c in 0..nc {
+        for e in xadj[c]..xadj[c + 1] {
+            let u = adjncy[e] as usize;
+            sorted[next[u]] = c as u32;
+            sorted_wgt[next[u]] = adjwgt[e];
+            next[u] += 1;
+        }
     }
 
     Coarsening {
         graph: WGraph {
             vwgt,
             xadj,
-            adjncy,
-            adjwgt,
+            adjncy: sorted,
+            adjwgt: sorted_wgt,
         },
         coarse_of,
     }
@@ -101,7 +102,111 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> Coarsening {
 mod tests {
     use super::*;
     use crate::matching::heavy_edge_matching;
-    use spmat::gen::{erdos_renyi, grid2d};
+    use spmat::gen::{erdos_renyi, grid2d, rmat, sbm, RmatConfig, SbmConfig};
+
+    /// The contraction this module used before the transpose: collect
+    /// and sort each coarse vertex's list on its own. Kept as the oracle.
+    fn contract_sorting(g: &WGraph, mate: &[u32]) -> Coarsening {
+        let n = g.n();
+        let mut coarse_of = vec![u32::MAX; n];
+        let mut nc = 0u32;
+        for v in 0..n {
+            let m = mate[v] as usize;
+            if m < v {
+                continue;
+            }
+            coarse_of[v] = nc;
+            coarse_of[m] = nc;
+            nc += 1;
+        }
+        let nc = nc as usize;
+        let mut vwgt = vec![0u64; nc];
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
+        for v in 0..n {
+            vwgt[coarse_of[v] as usize] += g.vwgt[v];
+            members[coarse_of[v] as usize].push(v as u32);
+        }
+        let mut xadj = vec![0usize];
+        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        let mut stamp = vec![u32::MAX; nc];
+        let mut slot = vec![0usize; nc];
+        for (c, mem) in members.iter().enumerate() {
+            let start = adjncy.len();
+            for &v in mem {
+                for (u, w) in g.neighbors(v as usize) {
+                    let cu = coarse_of[u as usize];
+                    if cu as usize == c {
+                        continue;
+                    }
+                    if stamp[cu as usize] == c as u32 {
+                        adjwgt[slot[cu as usize]] += w;
+                    } else {
+                        stamp[cu as usize] = c as u32;
+                        slot[cu as usize] = adjncy.len();
+                        adjncy.push(cu);
+                        adjwgt.push(w);
+                    }
+                }
+            }
+            let mut pairs: Vec<(u32, u64)> = adjncy[start..]
+                .iter()
+                .copied()
+                .zip(adjwgt[start..].iter().copied())
+                .collect();
+            pairs.sort_unstable_by_key(|&(u, _)| u);
+            for (i, (u, w)) in pairs.into_iter().enumerate() {
+                adjncy[start + i] = u;
+                adjwgt[start + i] = w;
+            }
+            xadj.push(adjncy.len());
+        }
+        Coarsening {
+            graph: WGraph {
+                vwgt,
+                xadj,
+                adjncy,
+                adjwgt,
+            },
+            coarse_of,
+        }
+    }
+
+    #[test]
+    fn transpose_sort_matches_per_vertex_sort_at_every_level() {
+        let graphs = [
+            erdos_renyi(2000, 12_000, 1),
+            rmat(RmatConfig::graph500(11, 8, 2)),
+            grid2d(40),
+            sbm(SbmConfig {
+                n: 3000,
+                blocks: 12,
+                avg_degree_in: 20.0,
+                avg_degree_out: 1.5,
+                seed: 3,
+            })
+            .0,
+        ];
+        for (i, adj) in graphs.iter().enumerate() {
+            let mut g = WGraph::from_csr(adj);
+            let mut seed = i as u64;
+            let mut levels = 0;
+            while g.n() > 64 {
+                let mate = heavy_edge_matching(&g, seed);
+                let c = contract(&g, &mate);
+                let oracle = contract_sorting(&g, &mate);
+                assert_eq!(c.graph, oracle.graph, "graph {i} level {levels}");
+                assert_eq!(c.coarse_of, oracle.coarse_of, "graph {i} level {levels}");
+                c.graph.validate();
+                if c.graph.n() as f64 > 0.95 * g.n() as f64 {
+                    break;
+                }
+                g = c.graph;
+                seed += 1;
+                levels += 1;
+            }
+            assert!(levels >= 3, "graph {i} coarsened only {levels} levels");
+        }
+    }
 
     #[test]
     fn contraction_preserves_total_vertex_weight() {

@@ -126,21 +126,25 @@ fn multilevel(adj: &Csr, k: usize, cfg: &PartitionConfig) -> Partition {
     let finest = WGraph::from_csr(adj);
     let target = (cfg.coarsen_factor * k).max(256);
 
-    // Coarsening phase.
+    // Coarsening phase; the last level's graph (or the finest) is read in
+    // place.
     let mut levels: Vec<Coarsening> = Vec::new();
-    let mut current = finest.clone();
     let mut level_seed = cfg.seed;
-    while current.n() > target {
-        let mate = heavy_edge_matching(&current, level_seed);
-        let c = contract(&current, &mate);
+    loop {
+        let current = levels.last().map_or(&finest, |c| &c.graph);
+        if current.n() <= target {
+            break;
+        }
+        let mate = heavy_edge_matching(current, level_seed);
+        let c = contract(current, &mate);
         // A stalled matching (near-star graphs) stops making progress.
         if c.graph.n() as f64 > 0.95 * current.n() as f64 {
             break;
         }
-        current = c.graph.clone();
         levels.push(c);
         level_seed = level_seed.wrapping_add(1);
     }
+    let current = levels.last().map_or(&finest, |c| &c.graph);
 
     // Initial partition at the coarsest level: coarse vertices are heavy
     // (many fine vertices each), so a tight balance cap would freeze
@@ -156,15 +160,15 @@ fn multilevel(adj: &Csr, k: usize, cfg: &PartitionConfig) -> Partition {
         for attempt in 0..2u64 {
             // Recursive bisection is the reliable workhorse; greedy
             // growing adds a differently-biased candidate.
-            let mut cand = recursive_bisection(&current, k, cfg.seed ^ (0xB15EC7 + attempt));
-            refine_edgecut(&current, &mut cand, coarse_refine);
-            let cut = crate::metrics::edgecut(&current, &cand);
+            let mut cand = recursive_bisection(current, k, cfg.seed ^ (0xB15EC7 + attempt));
+            refine_edgecut(current, &mut cand, coarse_refine);
+            let cut = crate::metrics::edgecut(current, &cand);
             if best.as_ref().is_none_or(|&(bc, _)| cut < bc) {
                 best = Some((cut, cand));
             }
-            let mut grown = greedy_growing(&current, k, cfg.seed ^ (0x9E37_79B9 + attempt));
-            refine_edgecut(&current, &mut grown, coarse_refine);
-            let gcut = crate::metrics::edgecut(&current, &grown);
+            let mut grown = greedy_growing(current, k, cfg.seed ^ (0x9E37_79B9 + attempt));
+            refine_edgecut(current, &mut grown, coarse_refine);
+            let gcut = crate::metrics::edgecut(current, &grown);
             if best.as_ref().is_none_or(|&(bc, _)| gcut < bc) {
                 best = Some((gcut, grown));
             }

@@ -10,8 +10,9 @@ use spmat::Csr;
 
 /// Undirected graph with integer vertex and edge weights, CSR-shaped.
 ///
-/// Invariants: symmetric adjacency, no self-loops, `adjncy`/`adjwgt`
-/// aligned, weights ≥ 1.
+/// Invariants: symmetric adjacency, no self-loops, no parallel edges
+/// (a neighbor appears once per list), `adjncy`/`adjwgt` aligned,
+/// weights ≥ 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WGraph {
     /// Vertex weights (length n).
@@ -93,8 +94,8 @@ impl WGraph {
         self.adjwgt.iter().sum::<u64>() / 2
     }
 
-    /// Debug validation of all structural invariants (symmetry included);
-    /// O(m log m), test use only.
+    /// Debug validation of all structural invariants (symmetry and
+    /// parallel edges included); O(m log m), test use only.
     pub fn validate(&self) {
         assert_eq!(self.xadj.len(), self.n() + 1);
         assert_eq!(self.adjncy.len(), self.adjwgt.len());
@@ -110,6 +111,12 @@ impl WGraph {
         let mut mirror: Vec<(u32, u32, u64)> = pairs.iter().map(|&(a, b, w)| (b, a, w)).collect();
         pairs.sort_unstable();
         mirror.sort_unstable();
+        if let Some(w) = pairs
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1)
+        {
+            panic!("parallel edge {}-{}", w[0].0, w[0].1);
+        }
         assert_eq!(pairs, mirror, "graph is not symmetric");
     }
 }
@@ -149,6 +156,18 @@ mod tests {
         assert_eq!(g.m(), 25 * 4);
         assert_eq!(g.total_edge_weight(), 50);
         assert_eq!(g.degree_w(7), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel edge 0-1")]
+    fn validate_rejects_parallel_edges() {
+        WGraph {
+            vwgt: vec![1, 1],
+            xadj: vec![0, 2, 4],
+            adjncy: vec![1, 1, 0, 0],
+            adjwgt: vec![1; 4],
+        }
+        .validate();
     }
 
     #[test]

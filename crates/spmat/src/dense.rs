@@ -597,13 +597,29 @@ impl Dense {
     /// Applies a row permutation: `out[perm[i]] = self[i]` (old → new),
     /// matching [`crate::Csr::permute_symmetric`] so features follow their
     /// relabeled vertices.
+    ///
+    /// Rows are gathered in destination order into a reserved buffer, so
+    /// the output is written once, front to back, with no zero fill.
+    ///
+    /// # Panics
+    /// Panics if `perm` is not a permutation of `0..rows`.
     pub fn permute_rows(&self, perm: &[u32]) -> Dense {
         assert_eq!(perm.len(), self.rows);
-        let mut out = Dense::zeros(self.rows, self.cols);
+        let mut old_of_new = vec![u32::MAX; self.rows];
         for (old, &new) in perm.iter().enumerate() {
-            out.row_mut(new as usize).copy_from_slice(self.row(old));
+            old_of_new[new as usize] = old as u32;
         }
-        out
+        let mut data = AVec::new();
+        data.reserve(self.rows * self.cols);
+        for &old in &old_of_new {
+            assert_ne!(old, u32::MAX, "perm is not a permutation");
+            data.extend_from_slice(self.row(old as usize));
+        }
+        Dense {
+            rows: self.rows,
+            cols: self.cols,
+            data: DenseStorage::Aligned(data),
+        }
     }
 
     /// Frobenius norm.
@@ -781,6 +797,12 @@ mod tests {
         let a = m(3, 1, &[0.0, 1.0, 2.0]);
         let p = a.permute_rows(&[2, 0, 1]);
         assert_eq!(p.data(), &[1.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permute_rows_rejects_a_repeated_target() {
+        m(2, 1, &[0.0, 1.0]).permute_rows(&[1, 1]);
     }
 
     #[test]
