@@ -1,7 +1,9 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! `repro --help` prints the synopsis — flags and commands — generated
-//! from the table in `cli()`.
+//! `repro --help` prints the synopsis generated from two tables: the
+//! flags in `cli()`, and the commands in `ARTIFACTS`, where every
+//! artifact is one row (command, CSV name, title, run). `all` and the
+//! dispatch read the same rows.
 //!
 //! Prints each artifact as an aligned table and writes a CSV twin to
 //! `--out` (default `results/`). `--small` runs miniature datasets with
@@ -9,7 +11,7 @@
 //! `--threads N` sets the kernel thread count for every local SpMM/GEMM
 //! (default: `GNN_THREADS` env, then available parallelism); results are
 //! bit-identical at any thread count. `--kernel strict|fast` sets the
-//! SIMD kernel numerics (strict — the default — is also bit-identical
+//! kernel numerics (strict — the default — is also bit-identical
 //! across scalar/AVX2/NEON backends; fast trades that for FMA).
 //!
 //! Everything here is the paper's layer order, `(ÂH)W` at every layer —
@@ -26,6 +28,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use gnn_bench::cli::{common_flags, store, switch, value, Cli, Common};
@@ -102,9 +105,120 @@ fn cli() -> Cli<Args> {
     Cli {
         program: "repro",
         flags,
-        operands:
-            "<table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|ablations|sweep|all> ...",
+        operands: operands(),
     }
+}
+
+/// Computes one artifact: its table, and the lines that fail the run
+/// once the table is out (the sweep's nonconformant cells).
+type Run = fn(&Suite, &Args) -> (Table, Vec<String>);
+
+/// Every artifact `repro` prints, in synopsis order: (command, CSV name,
+/// title, run). A command that prints two tables has two adjacent rows.
+const ARTIFACTS: &[(&str, &str, &str, Run)] = &[
+    (
+        "table2",
+        "table2",
+        "Table 2: per-SpMM communication under the edgecut-only partitioner (amazon-scaled)",
+        |s, a| {
+            let ps: &[usize] = if a.small {
+                &[4, 8, 16, 32]
+            } else {
+                &[16, 32, 64, 128, 256]
+            };
+            (experiments::table2(&s.amazon, ps, a.common.seed).0, vec![])
+        },
+    ),
+    (
+        "table3",
+        "table3",
+        "Table 3: dataset properties (scaled analogues)",
+        |s, _| (experiments::table3(s), vec![]),
+    ),
+    ("fig3", "fig3", "Figure 3: 1D epoch time vs GPUs", |s, a| {
+        (experiments::fig3(s, a.common.seed).0, vec![])
+    }),
+    ("fig4", "fig4", "Figure 4: 1D timing breakdown", |s, a| {
+        (experiments::fig4(s, a.common.seed).0, vec![])
+    }),
+    ("fig5", "fig5", "Figure 5: papers-scaled at p=16", |s, a| {
+        (experiments::fig5(s, a.common.seed).0, vec![])
+    }),
+    ("fig6", "fig6", "Figure 6: SA+METIS vs SA+GVB", |s, a| {
+        (experiments::fig6(s, a.common.seed).0, vec![])
+    }),
+    (
+        "fig7",
+        "fig7",
+        "Figure 7: 1.5D epoch time vs GPUs",
+        |s, a| (experiments::fig7(s, a.common.seed).0, vec![]),
+    ),
+    (
+        "volumes",
+        "volumes",
+        "Communication volume view: bottleneck-rank received MB per epoch",
+        |s, a| (experiments::volumes(s, a.common.seed).0, vec![]),
+    ),
+    (
+        "overlap",
+        "overlap",
+        "Overlap ablation: measured chunked-pipeline overlap vs blocking schedules",
+        |s, a| (experiments::overlap(s, a.common.seed).0, vec![]),
+    ),
+    (
+        "algos",
+        "algos",
+        "Extension: per-SpMM bottleneck exchange volume across 1D / 1.5D / 2D layouts",
+        |s, a| {
+            let p = if a.small { 8 } else { 16 };
+            (experiments::algos(s, p, a.common.seed).0, vec![])
+        },
+    ),
+    (
+        "ablations",
+        "ablations",
+        "Design ablations: alternatives held to the same answer, then timed on this host",
+        |s, a| (experiments::ablations(s, a.common.seed), vec![]),
+    ),
+    (
+        "ablations",
+        "layer_order",
+        "Layer order (extension): the paper's (ÂH)W vs the narrow side of every layer, 1D modeled",
+        |s, a| (experiments::layer_order(s, a.common.seed).0, vec![]),
+    ),
+    (
+        "sweep",
+        "sweep",
+        "Conformance sweep: executed training vs serial reference and analytic model \
+         across 1D / 1.5D / 2D / 3D × oblivious / SA / SA+GVB",
+        |s, a| {
+            let (table, cells) = experiments::sweep(s, a.small, a.common.seed);
+            let bad = cells.iter().filter(|c| !c.conforms()).map(|c| {
+                format!(
+                    "NONCONFORMANT: {} {} p={} (weight drift {:.3e}, volume match {})",
+                    c.algo, c.scheme, c.p, c.weight_drift, c.volume_match
+                )
+            });
+            (table, bad.collect())
+        },
+    ),
+];
+
+/// Commands `all` leaves out: they time this host or run the full
+/// conformance check rather than reproduce a paper artifact.
+const NOT_IN_ALL: [&str; 2] = ["ablations", "sweep"];
+
+/// Every command once, in table order.
+fn command_names() -> Vec<&'static str> {
+    let mut names: Vec<_> = ARTIFACTS.iter().map(|&(name, ..)| name).collect();
+    names.dedup();
+    names
+}
+
+/// The usage synopsis's operands: every command, then `all`.
+fn operands() -> &'static str {
+    static OPERANDS: OnceLock<String> = OnceLock::new();
+    OPERANDS.get_or_init(|| format!("<{}|all> ...", command_names().join("|")))
 }
 
 fn emit(name: &str, title: &str, table: &Table, out: &std::path::Path) {
@@ -158,132 +272,29 @@ fn main() -> ExitCode {
 
     let mut commands = args.commands.clone();
     if commands.iter().any(|c| c == "all") {
-        commands = [
-            "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "volumes", "overlap",
-            "algos",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let all = command_names()
+            .into_iter()
+            .filter(|c| !NOT_IN_ALL.contains(c));
+        commands = all.map(String::from).collect();
     }
 
     for cmd in &commands {
         let t = Instant::now();
-        match cmd.as_str() {
-            "table2" => {
-                let ps: Vec<usize> = if args.small {
-                    vec![4, 8, 16, 32]
-                } else {
-                    vec![16, 32, 64, 128, 256]
-                };
-                let (table, _) = experiments::table2(&suite.amazon, &ps, seed);
-                emit(
-                    "table2",
-                    "Table 2: per-SpMM communication under the edgecut-only partitioner (amazon-scaled)",
-                    &table,
-                    &args.out,
-                );
-            }
-            "table3" => {
-                let table = experiments::table3(&suite);
-                emit(
-                    "table3",
-                    "Table 3: dataset properties (scaled analogues)",
-                    &table,
-                    &args.out,
-                );
-            }
-            "fig3" => {
-                let (table, _) = experiments::fig3(&suite, seed);
-                emit("fig3", "Figure 3: 1D epoch time vs GPUs", &table, &args.out);
-            }
-            "fig4" => {
-                let (table, _) = experiments::fig4(&suite, seed);
-                emit("fig4", "Figure 4: 1D timing breakdown", &table, &args.out);
-            }
-            "fig5" => {
-                let (table, _) = experiments::fig5(&suite, seed);
-                emit("fig5", "Figure 5: papers-scaled at p=16", &table, &args.out);
-            }
-            "fig6" => {
-                let (table, _) = experiments::fig6(&suite, seed);
-                emit("fig6", "Figure 6: SA+METIS vs SA+GVB", &table, &args.out);
-            }
-            "fig7" => {
-                let (table, _) = experiments::fig7(&suite, seed);
-                emit(
-                    "fig7",
-                    "Figure 7: 1.5D epoch time vs GPUs",
-                    &table,
-                    &args.out,
-                );
-            }
-            "volumes" => {
-                let (table, _) = experiments::volumes(&suite, seed);
-                emit(
-                    "volumes",
-                    "Communication volume view: bottleneck-rank received MB per epoch",
-                    &table,
-                    &args.out,
-                );
-            }
-            "overlap" => {
-                let (table, _) = experiments::overlap(&suite, seed);
-                emit(
-                    "overlap",
-                    "Overlap ablation: measured chunked-pipeline overlap vs blocking schedules",
-                    &table,
-                    &args.out,
-                );
-            }
-            "algos" => {
-                let p = if args.small { 8 } else { 16 };
-                let (table, _) = experiments::algos(&suite, p, seed);
-                emit(
-                    "algos",
-                    "Extension: per-SpMM bottleneck exchange volume across 1D / 1.5D / 2D layouts",
-                    &table,
-                    &args.out,
-                );
-            }
-            "ablations" => {
-                let table = experiments::ablations(&suite, seed);
-                emit(
-                    "ablations",
-                    "Design ablations: alternatives held to the same answer, then timed on this host",
-                    &table,
-                    &args.out,
-                );
-                let (table, _) = experiments::layer_order(&suite, seed);
-                emit(
-                    "layer_order",
-                    "Layer order (extension): the paper's (ÂH)W vs the narrow side of every layer, 1D modeled",
-                    &table,
-                    &args.out,
-                );
-            }
-            "sweep" => {
-                let (table, cells) = experiments::sweep(&suite, args.small, seed);
-                emit(
-                    "sweep",
-                    "Conformance sweep: executed training vs serial reference and analytic model \
-                     across 1D / 1.5D / 2D / 3D × oblivious / SA / SA+GVB",
-                    &table,
-                    &args.out,
-                );
-                let bad: Vec<_> = cells.iter().filter(|c| !c.conforms()).collect();
-                if !bad.is_empty() {
-                    for c in &bad {
-                        eprintln!(
-                            "NONCONFORMANT: {} {} p={} (weight drift {:.3e}, volume match {})",
-                            c.algo, c.scheme, c.p, c.weight_drift, c.volume_match
-                        );
-                    }
-                    return ExitCode::FAILURE;
+        let mut rows = ARTIFACTS
+            .iter()
+            .filter(|&&(name, ..)| name == cmd)
+            .peekable();
+        if rows.peek().is_none() {
+            eprintln!("unknown command {cmd}\n{}", cli().usage());
+            return ExitCode::FAILURE;
+        }
+        for &(_, csv, title, run) in rows {
+            let (table, failures) = run(&suite, &args);
+            emit(csv, title, &table, &args.out);
+            if !failures.is_empty() {
+                for line in &failures {
+                    eprintln!("{line}");
                 }
-            }
-            other => {
-                eprintln!("unknown command {other}\n{}", cli().usage());
                 return ExitCode::FAILURE;
             }
         }
@@ -386,6 +397,16 @@ mod tests {
         let err = parse(&["--backend", "proc", "table2"]).unwrap_err();
         assert!(err.contains("--backend belongs"), "singular form: {err}");
         assert!(!err.contains("--ranks"));
+    }
+
+    /// Each command once, in table order: a command's rows must be
+    /// adjacent in `ARTIFACTS`.
+    #[test]
+    fn synopsis_lists_each_command_once() {
+        assert_eq!(
+            super::operands(),
+            "<table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|ablations|sweep|all> ..."
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! | Fig. 6 (GVB vs METIS) | [`experiments::fig6`] | `fig6` |
 //! | Fig. 7 (1.5D epoch times) | [`experiments::fig7`] | `fig7` |
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod schemes;

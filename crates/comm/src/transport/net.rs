@@ -422,6 +422,12 @@ fn reuseaddr_bind(addr: &std::net::SocketAddr) -> Option<io::Result<TcpListener>
         addr_be: u32::from(*v4.ip()).to_be(),
         zero: [0; 8],
     };
+    // SAFETY: plain syscalls on a descriptor this function owns. `socket`
+    // returns a fresh fd or a negative error, checked before use.
+    // `setsockopt` reads 4 bytes from `&one`, an `i32`; `bind` reads
+    // `size_of::<SockaddrIn>()` bytes from `&sa`, a `repr(C)` mirror of
+    // `sockaddr_in`. On failure the fd is closed once and dropped; on
+    // success `from_raw_fd` takes sole ownership of it.
     unsafe {
         let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if fd < 0 {

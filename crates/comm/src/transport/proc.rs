@@ -135,6 +135,9 @@ fn install_sigterm_handler() {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` only installs the handler. `on_sigterm` has the
+    // `extern "C" fn(i32)` signature it calls, and it is
+    // async-signal-safe: it does nothing but store to an atomic.
     unsafe {
         signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
     }

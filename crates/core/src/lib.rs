@@ -17,6 +17,8 @@
 //!
 //! Quick start: see `examples/quickstart.rs` at the workspace root.
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod dist;
 pub mod model;

@@ -18,6 +18,8 @@
 //! Entry point: [`partition_graph`]. Metrics used across the paper's
 //! tables: [`metrics`].
 
+#![forbid(unsafe_code)]
+
 pub mod bisect;
 pub mod coarsen;
 pub mod initial;

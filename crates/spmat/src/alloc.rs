@@ -4,9 +4,9 @@
 //! 64-byte aligned — one cache line, and a superset of every SIMD
 //! vector alignment in use (32 B for AVX2, 16 B for NEON). Matrices
 //! backed by it start every row on an aligned address whenever the row
-//! stride is a multiple of 8 `f64`s, which covers the specialized
-//! feature widths 32/64/128 — so the kernel layer's vector loads on
-//! row starts never straddle a cache line.
+//! stride is a multiple of 8 `f64`s, which covers the model's 16- and
+//! 24-wide layers — so the kernel layer's vector loads on row starts
+//! never straddle a cache line.
 //!
 //! Implementation: a `Vec` of 64-byte `Lane`s (`#[repr(align(64))]`
 //! wrappers around `[f64; 8]`) plus a logical element length. Allocation

@@ -11,7 +11,8 @@
 //! result is bit-identical to the serial kernels at any thread count
 //! (small problems fall back to the serial path automatically). The
 //! GEMM-family inner loops run through the [`crate::kernel`] dispatch
-//! layer (AVX2/NEON/scalar, strict-by-default numerics). The `*_into`
+//! layer (register-blocked kernels vectorized for AVX2 or NEON, or the
+//! scalar oracle; strict-by-default numerics). The `*_into`
 //! variants write into caller-provided buffers so steady-state training
 //! epochs can run without heap allocation.
 //!

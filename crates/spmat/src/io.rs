@@ -45,10 +45,22 @@ fn parse_err(msg: impl Into<String>) -> MtxError {
 /// Reads a Matrix Market file into CSR.
 ///
 /// `symmetric` files are expanded (each off-diagonal entry mirrored);
-/// `pattern` files get unit values. Duplicate entries are summed.
+/// `pattern` files get unit values. Duplicate entries are summed. A file
+/// that is malformed in any way — including a size line that claims
+/// more than the file holds — is a [`MtxError::Parse`], never a panic.
 pub fn read_mtx(path: &Path) -> Result<Csr, MtxError> {
     let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
+    let len = file.metadata()?.len();
+    parse_mtx(BufReader::new(file), len)
+}
+
+/// Shortest entry line, `"r c\n"`: a file of `len` bytes holds at most
+/// `len / MIN_ENTRY_BYTES + 1` entries, whatever its size line claims.
+const MIN_ENTRY_BYTES: u64 = 4;
+
+/// [`read_mtx`] on the bytes of a file `len` bytes long (`len` only
+/// bounds the up-front reservation).
+fn parse_mtx(mut reader: impl BufRead, len: u64) -> Result<Csr, MtxError> {
     let mut line = String::new();
 
     // Header.
@@ -93,8 +105,19 @@ pub fn read_mtx(path: &Path) -> Result<Csr, MtxError> {
             .map_err(|e| parse_err(format!("bad nnz count: {e}")))?;
         break (rows, cols, nnz);
     };
+    if u32::try_from(rows.max(cols)).is_err() {
+        return Err(parse_err(format!(
+            "{rows} x {cols} exceeds the {} row/column limit",
+            u32::MAX
+        )));
+    }
+    if symmetric && rows != cols {
+        return Err(parse_err(format!("symmetric matrix is {rows} x {cols}")));
+    }
 
-    let mut coo = Coo::with_capacity(rows, cols, if symmetric { 2 * nnz } else { nnz });
+    let fits = usize::try_from(len / MIN_ENTRY_BYTES + 1).unwrap_or(usize::MAX);
+    let mirrored = if symmetric { 2 } else { 1 };
+    let mut coo = Coo::with_capacity(rows, cols, nnz.min(fits).saturating_mul(mirrored));
     let mut seen = 0usize;
     loop {
         line.clear();
@@ -226,6 +249,54 @@ mod tests {
         .unwrap();
         assert!(matches!(read_mtx(&path), Err(MtxError::Parse(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Size lines that overflow `Coo`, the reservation or `2 · nnz`: each
+    /// is a parse error before anything of that size is allocated.
+    #[test]
+    fn rejects_huge_and_overflowing_counts() {
+        for text in [
+            "%%MatrixMarket matrix coordinate real general\n4294967296 2 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 4294967296 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000000\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n4294967295 4294967295 18446744073709551615\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 18446744073709551615\n2 1\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 9223372036854775808\n2 1\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551616\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 3 1\n1 3\n",
+        ] {
+            let got = parse_mtx(text.as_bytes(), text.len() as u64);
+            assert!(matches!(got, Err(MtxError::Parse(_))), "{text:?}: {got:?}");
+        }
+    }
+
+    /// Every prefix and every single-byte mutation of two valid files
+    /// parses to `Ok` or `Err`; none panics.
+    #[test]
+    fn mutated_files_never_panic() {
+        let files = [
+            "%%MatrixMarket matrix coordinate real general\n% c\n3 4 3\n1 1 1.5\n3 4 -2e3\n2 2 7\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 3\n",
+        ];
+        for text in files {
+            let bytes = text.as_bytes();
+            assert!(parse_mtx(bytes, bytes.len() as u64).is_ok(), "{text:?}");
+            for cut in 0..bytes.len() {
+                let _ = parse_mtx(&bytes[..cut], cut as u64);
+            }
+            for at in 0..bytes.len() {
+                for flip in [0x01, 0x08, 0x10, 0x20, 0x80] {
+                    let mut m = bytes.to_vec();
+                    m[at] ^= flip;
+                    let _ = parse_mtx(&m[..], m.len() as u64);
+                }
+                for put in [b'0', b'9', b' ', b'\n', b'-', b'%', 0xff] {
+                    let mut m = bytes.to_vec();
+                    m[at] = put;
+                    let _ = parse_mtx(&m[..], m.len() as u64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,29 +1,30 @@
-//! SIMD-specialized compute kernels with runtime dispatch.
+//! Runtime-dispatched compute kernels.
 //!
 //! Every local kernel the distributed variants execute — CSR SpMM rows,
 //! the GEMM family, dot products — funnels through this module. At
 //! process start the best available backend is detected **once**
 //! ([`Backend::detect`] via `is_x86_feature_detected!` / the aarch64
-//! baseline) and all kernels dispatch to it:
+//! baseline) and all kernels dispatch to it. Both vector backends run
+//! the same safe source, the register-blocked kernels of [`blocked`]:
 //!
-//! * **`Avx2`** — x86_64 AVX2(+FMA) intrinsics, 4 × f64 lanes,
-//!   register-blocked output tiles of 32, 16, 8 and 4 columns ([`x86`]).
-//! * **`Neon`** — aarch64 NEON intrinsics, 2 × f64 lanes (`neon`).
-//! * **`Scalar`** — the portable loop every backend is tested against;
-//!   always available, and the whole story when the `simd` cargo
-//!   feature is off.
+//! * **`Avx2`** — [`blocked`] compiled under `#[target_feature(enable =
+//!   "avx2,fma")]`, 4 × f64 lanes, chosen when the CPU reports both.
+//! * **`Neon`** — [`blocked`] as compiled for aarch64, whose baseline
+//!   includes NEON (2 × f64 lanes) and FMA.
+//! * **`Scalar`** — the portable loops of [`scalar`] that every backend
+//!   is tested against; always available.
 //!
 //! # Determinism contract
 //!
 //! The default [`KernelMode::Strict`] stays **bit-identical to the
 //! historical serial scalar loop on every backend and at every thread
-//! count**. The SIMD kernels achieve this by vectorizing only across
-//! *independent output elements* (lanes of the feature dimension), never
-//! across a reduction: each output element still accumulates its terms
-//! in exactly the serial order with separately rounded multiply and add
-//! (`_mm256_mul_pd` + `_mm256_add_pd`, not FMA). Kernels whose inner
-//! loop *is* a reduction (the `A·Bᵀ` dot products) stay scalar in
-//! strict mode, because any vectorization would reassociate the sum.
+//! count**. The blocked kernels vectorize only across *independent
+//! output elements* (lanes of the feature dimension), never across a
+//! reduction: each output element still accumulates its terms in exactly
+//! the serial order with separately rounded multiply and add (`acc + a *
+//! b`, which Rust never contracts into an FMA). Kernels whose inner loop
+//! *is* a reduction (the `A·Bᵀ` dot products) stay scalar in strict
+//! mode, because any vectorization would reassociate the sum.
 //!
 //! [`KernelMode::Fast`] (opt-in: `--kernel fast` or `GNN_KERNEL=fast`)
 //! unlocks fused multiply-add and multi-accumulator reductions. Results
@@ -41,13 +42,8 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+pub mod blocked;
 pub mod scalar;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod x86;
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-pub mod neon;
 
 /// Documented bound on `max|fast − strict| / scale` for the Fast-mode
 /// kernels (FMA + 4-way reassociated reductions), where `scale` is the
@@ -57,10 +53,6 @@ pub mod neon;
 /// The real error is a few ULPs; the bound leaves three orders of
 /// magnitude of headroom and is asserted by `tests/kernel_dispatch.rs`.
 pub const FAST_MODE_RTOL: f64 = 1e-12;
-
-/// Feature widths with register-blocked specializations; other widths
-/// take the generic blocked path.
-pub const SPECIALIZED_WIDTHS: [usize; 3] = [32, 64, 128];
 
 /// Numerical mode of the kernel layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,9 +87,9 @@ impl KernelMode {
 pub enum Backend {
     /// Portable scalar loops; always available, the bit-exactness oracle.
     Scalar,
-    /// x86_64 AVX2 + FMA intrinsics (4 × f64 lanes).
+    /// x86_64 AVX2 + FMA: the blocked kernels at 4 × f64 lanes.
     Avx2,
-    /// aarch64 NEON intrinsics (2 × f64 lanes).
+    /// aarch64 NEON: the blocked kernels at 2 × f64 lanes.
     Neon,
 }
 
@@ -106,13 +98,15 @@ impl Backend {
     pub fn supported(self) -> bool {
         match self {
             Backend::Scalar => true,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
+                static AVX2_FMA: OnceLock<bool> = OnceLock::new(); // dispatch re-checks per call
+                *AVX2_FMA.get_or_init(|| {
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
+                })
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => true, // NEON is aarch64 baseline
+            Backend::Neon => cfg!(target_arch = "aarch64"), // NEON is aarch64 baseline
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -133,15 +127,10 @@ impl Backend {
             match pick {
                 Some(b) if b.supported() => b,
                 Some(_) => Backend::Scalar, // pinned but unsupported: safe fallback
-                None => {
-                    if Backend::Avx2.supported() {
-                        Backend::Avx2
-                    } else if Backend::Neon.supported() {
-                        Backend::Neon
-                    } else {
-                        Backend::Scalar
-                    }
-                }
+                None => [Backend::Avx2, Backend::Neon]
+                    .into_iter()
+                    .find(|b| b.supported())
+                    .unwrap_or(Backend::Scalar),
             }
         })
     }
@@ -229,7 +218,7 @@ pub fn active_backend() -> Backend {
 
 /// A resolved (backend, mode) pair. Kernels resolve dispatch **once per
 /// matrix operation** (two atomic loads), then every row/chunk call is a
-/// direct branch on plain enum values — nothing per-element.
+/// branch on plain enum values (plus `Avx2`'s cached feature check).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernels {
     /// The instruction set the kernels execute on.
@@ -267,10 +256,15 @@ impl Kernels {
         debug_assert_eq!(cols.len(), vals.len());
         debug_assert_eq!(out_row.len(), f);
         match self.backend {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => unsafe { x86::spmm_row(cols, vals, h, f, out_row, self.fast()) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => unsafe { neon::spmm_row(cols, vals, h, f, out_row, self.fast()) },
+            // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if Backend::Avx2.supported() => unsafe {
+                avx2::spmm_row(cols, vals, h, f, out_row, self.fast())
+            },
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon if self.fast() => blocked::spmm_row::<true>(cols, vals, h, f, out_row),
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon => blocked::spmm_row::<false>(cols, vals, h, f, out_row),
             _ => scalar::spmm_row(cols, vals, h, f, out_row),
         }
     }
@@ -284,10 +278,15 @@ impl Kernels {
         debug_assert_eq!(out_row.len(), n);
         debug_assert_eq!(b.len(), a_row.len() * n);
         match self.backend {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => unsafe { x86::gemm_row(a_row, b, n, out_row, self.fast()) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => unsafe { neon::gemm_row(a_row, b, n, out_row, self.fast()) },
+            // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if Backend::Avx2.supported() => unsafe {
+                avx2::gemm_row(a_row, b, n, out_row, self.fast())
+            },
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon if self.fast() => blocked::gemm_row::<true>(a_row, b, n, out_row),
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon => blocked::gemm_row::<false>(a_row, b, n, out_row),
             _ => scalar::gemm_row(a_row, b, n, out_row),
         }
     }
@@ -312,14 +311,16 @@ impl Kernels {
             "gemm_t operands must be whole rows with equal row counts"
         );
         assert!(k0 + kn <= lda, "gemm_t output rows past the last column");
-        // SAFETY (both SIMD arms): a SIMD backend is only ever selected
-        // after `supported()` held, and the asserts above are exactly
-        // the bounds the kernels' raw-pointer tiles stay within.
         match self.backend {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => unsafe { x86::gemm_t(a, lda, k0, b, n, out, self.fast()) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => unsafe { neon::gemm_t(a, lda, k0, b, n, out, self.fast()) },
+            // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if Backend::Avx2.supported() => unsafe {
+                avx2::gemm_t(a, lda, k0, b, n, out, self.fast())
+            },
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon if self.fast() => blocked::gemm_t::<true>(a, lda, k0, b, n, out),
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon => blocked::gemm_t::<false>(a, lda, k0, b, n, out),
             _ => scalar::gemm_t(a, lda, k0, b, n, out),
         }
     }
@@ -334,12 +335,69 @@ impl Kernels {
             return scalar::dot(a, b);
         }
         match self.backend {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Backend::Avx2 => unsafe { x86::dot_fast(a, b) },
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            Backend::Neon => unsafe { neon::dot_fast(a, b) },
+            // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if Backend::Avx2.supported() => unsafe { avx2::dot_fast(a, b) },
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon => blocked::dot_fast(a, b),
             _ => scalar::dot(a, b),
         }
+    }
+}
+
+/// The [`blocked`] kernels compiled with AVX2 and FMA enabled. Each
+/// wrapper inlines its generic kernel, so the compiler vectorizes it 4
+/// lanes wide and lowers fast mode's `mul_add` to `vfmadd`. Callers must
+/// have checked that the CPU has both features ([`Backend::supported`]).
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::blocked;
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn spmm_row(
+        cols: &[u32],
+        vals: &[f64],
+        h: &[f64],
+        f: usize,
+        out: &mut [f64],
+        fast: bool,
+    ) {
+        if fast {
+            blocked::spmm_row::<true>(cols, vals, h, f, out)
+        } else {
+            blocked::spmm_row::<false>(cols, vals, h, f, out)
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn gemm_row(a_row: &[f64], b: &[f64], n: usize, out: &mut [f64], fast: bool) {
+        if fast {
+            blocked::gemm_row::<true>(a_row, b, n, out)
+        } else {
+            blocked::gemm_row::<false>(a_row, b, n, out)
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn gemm_t(
+        a: &[f64],
+        lda: usize,
+        k0: usize,
+        b: &[f64],
+        n: usize,
+        out: &mut [f64],
+        fast: bool,
+    ) {
+        if fast {
+            blocked::gemm_t::<true>(a, lda, k0, b, n, out)
+        } else {
+            blocked::gemm_t::<false>(a, lda, k0, b, n, out)
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
+        blocked::dot_fast(a, b)
     }
 }
 

@@ -7,8 +7,9 @@
 //! The kernels are row-parallel over the [`crate::pool`] worker pool and
 //! cache-blocked: output rows are processed in fixed chunks of
 //! [`SPMM_CHUNK_ROWS`], and each row runs through the
-//! [`crate::kernel`] dispatch layer — AVX2/NEON register-blocked SIMD
-//! when the host supports it, the portable scalar tile loop otherwise.
+//! [`crate::kernel`] dispatch layer — the register-blocked kernels,
+//! vectorized for AVX2 or NEON, when the host supports them, the
+//! portable scalar tile loop otherwise.
 //! Dispatch is resolved **once per matrix operation**, not per row.
 //! Empty sparse rows are skipped before any dense work.
 //!
@@ -16,7 +17,7 @@
 //! accumulates its nonzeros in CSR order, exactly like the serial loop —
 //! so results are bit-identical at every thread count (asserted by
 //! `tests/parallel_kernels.rs` at 1, 2, 4 and 7 threads). In the default
-//! strict kernel mode this holds on every SIMD backend too; see the
+//! strict kernel mode this holds on every backend too; see the
 //! [`crate::kernel`] determinism contract.
 
 use crate::csr::Csr;

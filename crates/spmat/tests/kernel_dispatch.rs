@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spmat::kernel::{self, Backend, KernelMode, Kernels, FAST_MODE_RTOL, SPECIALIZED_WIDTHS};
+use spmat::kernel::{self, Backend, KernelMode, Kernels, FAST_MODE_RTOL};
 use spmat::spmm::spmm_with;
 use spmat::{Coo, Csr, Dense};
 
@@ -334,16 +334,6 @@ fn fast_mode_full_training_ops_close_to_strict() {
     assert!(max_rel_diff(fast.data(), strict.data()) <= FAST_MODE_RTOL);
     assert!(max_rel_diff(fast_mt.data(), strict_mt.data()) <= FAST_MODE_RTOL);
     assert!(max_rel_diff(fast_tm.data(), strict_tm.data()) <= FAST_MODE_RTOL);
-}
-
-#[test]
-fn specialized_widths_are_block_multiples() {
-    // The register-blocked SIMD kernels assume the specialized widths
-    // decompose into whole vector blocks on every backend.
-    for w in SPECIALIZED_WIDTHS {
-        assert_eq!(w % 32, 0, "width {w} must be a multiple of the x86 block");
-        assert_eq!(w % 16, 0, "width {w} must be a multiple of the neon block");
-    }
 }
 
 #[test]

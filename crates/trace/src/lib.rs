@@ -48,6 +48,8 @@
 //! or merging the same files is byte-stable), but wall values naturally
 //! differ between runs.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod json;

@@ -11,6 +11,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use gnn_comm as comm;
 pub use gnn_core as core;
 pub use partition;
