@@ -61,7 +61,7 @@ pub use stats::{FaultCounters, Phase, ProcCounters, RankStats, WorldStats};
 #[cfg(unix)]
 pub use transport::chaos::NetChaosPlan;
 #[cfg(unix)]
-pub use transport::net::HostFile;
+pub use transport::net::{wait_child_exit, HostFile};
 #[cfg(unix)]
 pub use transport::proc::{write_proc_generation, ProcError, ProcWorld};
 pub use world::ThreadWorld;

@@ -5,7 +5,7 @@
 //! [`super::proc`] are written against [`Stream`]/[`Listener`] and
 //! never see which family is underneath.
 //!
-//! Also home to two small pieces the whole transport shares:
+//! Also home to the small pieces the whole transport shares:
 //!
 //! * [`lock_or_recover`] — poison-tolerant mutex acquisition. A rank
 //!   process runs many sibling threads (readers, acceptor, monitor);
@@ -16,10 +16,15 @@
 //!   jitter (a pure function of the seed), used by every
 //!   connection-establishment retry loop: rendezvous dial, mesh dial,
 //!   and dialer-side reconnect.
+//! * The two blocking waits the launch and teardown paths use instead
+//!   of sleep-polling: [`poll_readable`] (`poll(2)` over sockets and
+//!   listeners) and [`wait_child_exit`] (a non-reaping `waitid(2)` for
+//!   the supervisor's per-child exit waiters).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
@@ -258,6 +263,15 @@ impl Stream {
     }
 }
 
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Unix(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => s.as_raw_fd(),
+        }
+    }
+}
+
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
@@ -381,6 +395,121 @@ impl Listener {
                 Ok(Stream::Tcp(s))
             }
         }
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+}
+
+/// Blocks until at least one of `fds` is ready to read — bytes, a
+/// pending connection, EOF or an error, so a read or accept on it will
+/// not block — or until `timeout` passes. Returns one flag per
+/// descriptor: all `false` on a timeout, or when a signal cut the wait
+/// short (callers wait again against their own deadline).
+pub(crate) fn poll_readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<bool>> {
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+
+    let mut set: Vec<PollFd> = fds
+        .iter()
+        .map(|&fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        })
+        .collect();
+    // Rounded up: a sub-millisecond remainder must wait, not spin.
+    let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+    // SAFETY: `set` is an exclusively borrowed, initialised array of
+    // `set.len()` `repr(C)` mirrors of `struct pollfd`; `poll` reads and
+    // writes only those entries and keeps no pointer after it returns.
+    let n = unsafe { poll(set.as_mut_ptr(), set.len() as NFds, ms) };
+    if n < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    // Any returned event (POLLIN, POLLHUP, POLLERR, POLLNVAL) means the
+    // next read or accept returns at once.
+    Ok(set.iter().map(|p| n > 0 && p.revents != 0).collect())
+}
+
+/// Blocks until child process `pid` has exited, **without reaping it**:
+/// `waitid(P_PID, pid, WEXITED | WNOWAIT)` leaves the zombie and its
+/// status to the `Child` that owns them, whose `try_wait`/`wait` reap
+/// as before. A process supervisor can therefore give each child a
+/// thread that wakes it on the exit, while it alone reaps and signals.
+///
+/// `Err` means `pid` is not, or no longer, a waitable child of this
+/// process — for example its owner already reaped it — and comes back
+/// at once. Linux, Android, macOS and iOS; elsewhere every call is an
+/// `Unsupported` error.
+pub fn wait_child_exit(pid: u32) -> io::Result<()> {
+    #[cfg(any(
+        target_os = "linux",
+        target_os = "android",
+        target_os = "macos",
+        target_os = "ios"
+    ))]
+    {
+        extern "C" {
+            fn waitid(idtype: i32, id: u32, infop: *mut u64, options: i32) -> i32;
+        }
+        const P_PID: i32 = 1;
+        const WEXITED: i32 = 4;
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const WNOWAIT: i32 = 0x0100_0000;
+        #[cfg(any(target_os = "macos", target_os = "ios"))]
+        const WNOWAIT: i32 = 0x20;
+        // Room for a `siginfo_t`: 128 bytes on Linux, 104 on Apple
+        // targets, 8-aligned on both.
+        let mut info = [0u64; 16];
+        loop {
+            // SAFETY: `info` is 128 writable, 8-aligned bytes, at least
+            // one `siginfo_t`, which is all `waitid` writes; it keeps no
+            // pointer after it returns. `WNOWAIT` makes the call
+            // read-only with respect to the child: nothing is reaped.
+            if unsafe { waitid(P_PID, pid, info.as_mut_ptr(), WEXITED | WNOWAIT) } == 0 {
+                return Ok(());
+            }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        }
+    }
+    #[cfg(not(any(
+        target_os = "linux",
+        target_os = "android",
+        target_os = "macos",
+        target_os = "ios"
+    )))]
+    {
+        let _ = pid;
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "non-reaping waitid is not wired up for this target",
+        ))
     }
 }
 
@@ -508,6 +637,85 @@ mod tests {
         );
         assert!(HostFile::parse("10.0.0.1:notaport\n").is_err(), "bad port");
         assert!(HostFile::parse(":7700\n").is_err(), "empty host");
+    }
+
+    /// Every prefix and every single-byte mutation of a valid hostfile
+    /// parses to `Ok` or `Err`; none panics, none yields more ranks than
+    /// the text has lines, and whatever parses survives its own
+    /// `Display`.
+    #[test]
+    fn mutated_hostfiles_never_panic() {
+        let text = "# cluster\n10.0.0.1:7700  # rank 0\n10.0.0.1\n\n[::1]:7710\nlocalhost\n";
+        let bytes = text.as_bytes();
+        let check = |bytes: &[u8]| {
+            // `parse` takes text: bytes that are not UTF-8 never reach it.
+            let Ok(text) = std::str::from_utf8(bytes) else {
+                return;
+            };
+            if let Ok(hf) = HostFile::parse(text) {
+                assert!(hf.p() <= text.lines().count(), "{text:?}");
+                assert_eq!(HostFile::parse(&hf.to_string()).as_ref(), Ok(&hf));
+            }
+        };
+        assert_eq!(HostFile::parse(text).unwrap().p(), 4);
+        for cut in 0..=bytes.len() {
+            check(&bytes[..cut]);
+        }
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x08, 0x10, 0x20, 0x80] {
+                let mut m = bytes.to_vec();
+                m[at] ^= flip;
+                check(&m);
+            }
+            for put in [b':', b'#', b'\n', b' ', b'9', 0xff] {
+                let mut m = bytes.to_vec();
+                m[at] = put;
+                check(&m);
+            }
+        }
+    }
+
+    /// The exit wait leaves the status to the `Child`: after it returns,
+    /// `try_wait` still reaps the real exit code. Once reaped, the pid is
+    /// no child of ours and the wait fails at once instead of blocking.
+    #[test]
+    fn waiting_for_a_child_exit_does_not_reap_it() {
+        let mut child = std::process::Command::new("sh")
+            .args(["-c", "exit 7"])
+            .spawn()
+            .expect("spawn sh");
+        wait_child_exit(child.id()).expect("a live child is waitable");
+        let status = child.try_wait().expect("try_wait").expect("exited");
+        assert_eq!(status.code(), Some(7), "the wait must not reap");
+        let t0 = std::time::Instant::now();
+        assert!(wait_child_exit(child.id()).is_err(), "reaped pid");
+        assert!(t0.elapsed() < Duration::from_secs(5), "must not block");
+    }
+
+    #[test]
+    fn poll_wakes_on_bytes_and_eof_and_times_out_on_silence() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (a, b) = (Stream::Unix(a), Stream::Unix(b));
+        let fds = [a.as_raw_fd(), b.as_raw_fd()];
+        let t0 = std::time::Instant::now();
+        let quiet = poll_readable(&fds, Duration::from_millis(30)).unwrap();
+        assert_eq!(quiet, [false, false]);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(25),
+            "{:?}",
+            t0.elapsed()
+        );
+        (&a).write_all(b"x").unwrap();
+        assert_eq!(
+            poll_readable(&fds, Duration::from_secs(5)).unwrap(),
+            [false, true]
+        );
+        drop(b);
+        // The peer is gone: `a` reads EOF at once.
+        assert_eq!(
+            poll_readable(&fds[..1], Duration::from_secs(5)).unwrap(),
+            [true]
+        );
     }
 
     #[test]

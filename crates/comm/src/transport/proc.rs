@@ -48,6 +48,12 @@
 //!   A SIGKILL'd rank never says BYE: peers see an unclean EOF or
 //!   missed heartbeats and fail over to the trainer's
 //!   checkpoint-restart ladder.
+//! * **Waits, not polls** — launch and teardown block on the event
+//!   itself: `poll(2)` on the rendezvous and mesh listeners and the held
+//!   registrant streams, and one condition variable ([`Shared::notify`])
+//!   for a connection installed, a BYE, a death or shutdown. The only
+//!   sleeps left are an injected chaos delay, the backoff between
+//!   failed dials and the heartbeat thread's tick.
 //! * **Network chaos** — an optional deterministic interposer
 //!   ([`crate::NetChaosPlan`], armed via
 //!   [`ProcWorld::with_net_chaos`] or `GNN_PROC_NET_CHAOS`) sits on
@@ -82,11 +88,12 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Write};
 use std::net::Shutdown;
+use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex, TryLockError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use gnn_trace::{EventKind, Histogram, MetricsRegistry, RankTracer};
@@ -104,13 +111,18 @@ use crate::stats::RankStats;
 use crate::watchdog::{DeathRecord, Watchdog};
 
 use super::chaos::{Chaos, NetChaosPlan, SendVerdict};
-use super::net::{lock_or_recover, splitmix64, Backoff, HostFile, Listener, Stream};
+use super::net::{lock_or_recover, poll_readable, splitmix64, Backoff, HostFile, Listener, Stream};
 use super::replay::{DedupWatermark, ReplayQueue};
 use super::wire::{self, kind, Frame, WireFrame};
 use super::{PeerGone, RecvOutcome, Transport, TryRecvOutcome};
 
-/// Poll slice for interruptible blocking waits (sigterm + death checks).
+/// Slice for interruptible blocking waits: how late a receive notices
+/// SIGTERM or a dead peer, and the acceptor notices shutdown.
 const SLICE: Duration = Duration::from_millis(25);
+
+/// Heartbeat-thread tick: the ACK backstop's period and the resolution
+/// of the beacon deadline.
+const TICK: Duration = Duration::from_millis(20);
 
 /// Default heartbeat beacon period (override: `GNN_PROC_HEARTBEAT_MS`).
 const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(200);
@@ -383,6 +395,12 @@ struct Shared {
     /// We started shutting down (gracefully or not): background threads
     /// exit and connection teardown stops triggering reconnects.
     shutting_down: AtomicBool,
+    /// Notified on every event a launch or teardown wait is waiting for:
+    /// a connection installed, a BYE received, a peer declared dead,
+    /// shutdown begun (see [`Shared::wait_until`]).
+    events: Condvar,
+    /// The mutex `events` waits under; it guards nothing itself.
+    events_lock: Mutex<()>,
     /// DATA frames sent process-wide (the drop-injection trigger).
     data_sent: AtomicU64,
     drop_after: Option<u64>,
@@ -406,6 +424,34 @@ impl Shared {
 
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
+    }
+
+    /// Wakes every [`Shared::wait_until`] after the state change it
+    /// announces. Taking `events_lock` first means a waiter between its
+    /// check and its wait cannot miss the change.
+    fn notify(&self) {
+        let _held = lock_or_recover(&self.events_lock);
+        self.events.notify_all();
+    }
+
+    /// Blocks until `done()` holds or `deadline` passes, re-checking on
+    /// every [`Shared::notify`]; returns `done()`. `done` must read only
+    /// state whose changes are notified.
+    fn wait_until(&self, deadline: Instant, done: impl Fn() -> bool) -> bool {
+        let held = lock_or_recover(&self.events_lock);
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let _ = self
+            .events
+            .wait_timeout_while(held, timeout, |_| !done())
+            .unwrap_or_else(PoisonError::into_inner);
+        done()
+    }
+
+    /// Marks the start of shutdown; `false` when it had already begun.
+    fn start_shutdown(&self) -> bool {
+        let first = !self.shutting_down.swap(true, Ordering::SeqCst);
+        self.notify();
+        first
     }
 
     /// Snapshots the live transport metrics into a registry under
@@ -643,6 +689,7 @@ impl Shared {
         // the shutdown.
         *lock_or_recover(&peer.data_tx) = None;
         peer.shutdown_sock();
+        self.notify();
     }
 
     fn any_peer_dead(&self) -> bool {
@@ -652,7 +699,7 @@ impl Shared {
     /// Graceful shutdown: BYE every live peer, wait briefly for theirs,
     /// then tear the mesh down.
     fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        if !self.start_shutdown() {
             return;
         }
         for q in 0..self.p {
@@ -663,19 +710,16 @@ impl Shared {
             self.with_writer(q, |w| self.gated_write(q, w, &bye, &[]));
         }
         // Drain: give peers a moment to BYE back so both sides close at
-        // a frame boundary instead of racing EOF against final ACKs.
-        let deadline = Instant::now() + Duration::from_millis(750);
-        while Instant::now() < deadline {
-            let all_done = (0..self.p).all(|q| {
+        // a frame boundary instead of racing EOF against final ACKs. The
+        // last BYE (or death) wakes this wait.
+        let all_done = || {
+            (0..self.p).all(|q| {
                 q == self.rank
                     || self.peers[q].dead.load(Ordering::SeqCst)
                     || self.peers[q].bye.load(Ordering::SeqCst)
-            });
-            if all_done {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+            })
+        };
+        self.wait_until(Instant::now() + Duration::from_millis(750), all_done);
         self.teardown();
         self.log("graceful shutdown complete");
     }
@@ -683,7 +727,7 @@ impl Shared {
     /// Unclean shutdown (rank panicked): no BYE, peers see a raw EOF
     /// and route it into their own failure handling.
     fn abort_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        if !self.start_shutdown() {
             return;
         }
         self.teardown();
@@ -776,6 +820,7 @@ fn install_conn(
         epoch
     });
     peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
+    shared.notify();
     let shared = shared.clone();
     std::thread::Builder::new()
         .name(format!("proc-read-{q}"))
@@ -872,6 +917,7 @@ fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
         kind::BYE => {
             shared.log(&format!("rank {q} said BYE"));
             peer.bye.store(true, Ordering::SeqCst);
+            shared.notify();
         }
         other => shared.log(&format!("rank {q}: unexpected frame kind {other}")),
     }
@@ -924,38 +970,59 @@ fn on_conn_end(shared: &Arc<Shared>, q: usize, epoch: u64, reason: &str) {
     // replacement and the heartbeat monitor handles true death.
 }
 
+/// Runs `attempt` until it succeeds or `deadline` passes, then returns
+/// its last outcome. Between failures it backs off exponentially with
+/// deterministic jitter from `seed`: the first retry comes after ≈1 ms,
+/// doubling to a 500 ms cap, so a peer that binds a moment late costs
+/// about that moment. Every backoff counts in `proc.dial_backoffs`.
+/// This is the one retry loop of the rendezvous dial, the mesh dial and
+/// the dialer-side reconnect.
+fn dial_until<T>(
+    seed: u64,
+    deadline: Instant,
+    metrics: &TransportMetrics,
+    mut attempt: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
+    let mut backoff = Backoff::new(1, 500, seed);
+    loop {
+        match attempt() {
+            Err(_) if Instant::now() < deadline => {}
+            outcome => return outcome,
+        }
+        metrics.dial_backoffs.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(backoff.next());
+    }
+}
+
 /// Dialer-side reconnect with capped exponential backoff + jitter,
 /// bounded by the liveness budget (miss threshold × heartbeat period).
 fn reconnect_loop(shared: &Arc<Shared>, q: usize) {
     let budget = shared.heartbeat * shared.miss;
     let deadline = Instant::now() + budget.max(Duration::from_secs(1));
-    let mut backoff = Backoff::new(20, 500, splitmix64(((shared.rank as u64) << 32) ^ q as u64));
+    let seed = splitmix64(((shared.rank as u64) << 32) ^ q as u64);
     let addr = shared.addrbook[q].clone();
-    loop {
+    // `Ok(false)`: shutdown began or the peer died meanwhile, so the
+    // link is no longer this loop's to restore.
+    let redialed = dial_until(seed, deadline, &shared.metrics, || {
         if shared.shutting_down.load(Ordering::SeqCst)
             || shared.peers[q].dead.load(Ordering::SeqCst)
         {
-            return;
+            return Ok(false);
         }
-        match dial_peer(shared, q, &addr) {
-            Ok(()) => {
-                shared.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-                shared.log(&format!("reconnected to rank {q}"));
-                return;
-            }
-            Err(e) => {
-                shared.log(&format!("redial rank {q} failed: {e}"));
-            }
+        dial_peer(shared, q, &addr)
+            .map(|()| true)
+            .inspect_err(|e| shared.log(&format!("redial rank {q} failed: {e}")))
+    });
+    match redialed {
+        Ok(true) => {
+            shared.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+            shared.log(&format!("reconnected to rank {q}"));
         }
-        if Instant::now() >= deadline {
-            shared.mark_peer_dead(
-                q,
-                "reconnect budget exhausted (peer process died or partition outlived the deadline)",
-            );
-            return;
-        }
-        shared.metrics.dial_backoffs.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(backoff.next());
+        Ok(false) => {}
+        Err(_) => shared.mark_peer_dead(
+            q,
+            "reconnect budget exhausted (peer process died or partition outlived the deadline)",
+        ),
     }
 }
 
@@ -993,23 +1060,29 @@ fn dial_peer(shared: &Arc<Shared>, q: usize, addr: &str) -> io::Result<()> {
 /// watermark); we reply with our own watermark and install it.
 fn acceptor_loop(shared: Arc<Shared>, listener: Listener) {
     let _ = listener.set_nonblocking(true);
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
+    let fd = listener.as_raw_fd();
+    while !shared.shutting_down.load(Ordering::SeqCst) {
+        // A dialer wakes this wait at once; `SLICE` only bounds how late
+        // the thread notices shutdown.
+        let accepted = match poll_readable(&[fd], SLICE) {
+            Ok(ready) if ready[0] => listener.accept(),
+            Ok(_) => continue,
+            Err(e) => Err(e),
+        };
+        match accepted {
             Ok(stream) => {
                 let _ = stream.set_nonblocking(false);
                 if let Err(e) = handle_accept(&shared, stream) {
                     shared.log(&format!("accept handshake failed: {e}"));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(SLICE);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(e) => {
+                // A listener that keeps failing (out of descriptors)
+                // stays readable; pause instead of spinning on it.
                 shared.log(&format!("accept error: {e}"));
-                std::thread::sleep(SLICE);
+                let stopping = || shared.shutting_down.load(Ordering::SeqCst);
+                shared.wait_until(Instant::now() + SLICE, stopping);
             }
         }
     }
@@ -1068,7 +1141,7 @@ fn monitor_loop(shared: Arc<Shared>) {
             if shared.shutting_down.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(20).min(shared.heartbeat));
+            std::thread::sleep(TICK.min(shared.heartbeat));
             // ACK backstop: what a reader delivered while the rank's
             // main thread had nothing to send to that peer.
             for q in (0..shared.p).filter(|&q| q != shared.rank) {
@@ -1184,11 +1257,11 @@ fn estimate_clock_offset(stream: &Stream, src: usize, anchor: &Instant) -> io::R
     Ok(best_offset)
 }
 
-/// Nonblocking probe of a held rendezvous stream. A registrant must be
-/// silent between REGISTER and the CLOCK_PING exchange, so readable
-/// bytes are a protocol violation and EOF means the rank died
-/// mid-rendezvous; both must fail the world now rather than stall every
-/// rank until the wire-up deadline.
+/// Nonblocking probe of a held rendezvous stream that `poll` reported
+/// readable. A registrant must be silent between REGISTER and the
+/// CLOCK_PING exchange, so readable bytes are a protocol violation and
+/// EOF means the rank died mid-rendezvous; both must fail the world now
+/// rather than stall every rank until the wire-up deadline.
 fn rendezvous_conn_died(stream: &Stream) -> io::Result<bool> {
     stream.set_nonblocking(true)?;
     let mut byte = [0u8; 1];
@@ -1222,7 +1295,8 @@ fn rendezvous_serve(
     book[0] = Some(my_addr.to_string());
     let mut conns: Vec<(usize, Stream)> = Vec::new();
     while conns.len() < p - 1 {
-        if Instant::now() >= deadline {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!(
@@ -1232,61 +1306,66 @@ fn rendezvous_serve(
                 ),
             ));
         }
-        match listener.accept() {
-            Ok(stream) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-                let frame = wire::read_frame(&mut &stream)?.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before REGISTER")
-                })?;
-                if frame.kind != kind::REGISTER {
+        // One wait on every event that moves the rendezvous: a dialer on
+        // the listener, or a held registrant's bytes or EOF.
+        let fds: Vec<RawFd> = std::iter::once(listener.as_raw_fd())
+            .chain(conns.iter().map(|(_, stream)| stream.as_raw_fd()))
+            .collect();
+        let ready = poll_readable(&fds, remaining)?;
+        for ((src, stream), _) in conns.iter().zip(&ready[1..]).filter(|(_, &r)| r) {
+            match rendezvous_conn_died(stream) {
+                Ok(false) => {}
+                Ok(true) => {
                     return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "expected REGISTER",
+                        io::ErrorKind::ConnectionAborted,
+                        format!("rank {src} died during rendezvous"),
                     ));
                 }
-                let src = frame.src as usize;
-                if src == 0 || src >= p {
+                Err(e) => {
                     return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "REGISTER from invalid rank",
+                        e.kind(),
+                        format!("rank {src} rendezvous stream: {e}"),
                     ));
                 }
-                if book[src].is_some() {
-                    // Two processes claiming one rank is a launcher bug
-                    // (or a stray straggler from a previous generation);
-                    // silently keeping the newcomer would wire a mesh to
-                    // the wrong process.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("duplicate REGISTER from rank {src}"),
-                    ));
-                }
-                book[src] = Some(wire::decode_register(&frame.body)?);
-                conns.push((src, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (src, stream) in &conns {
-                    match rendezvous_conn_died(stream) {
-                        Ok(false) => {}
-                        Ok(true) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                format!("rank {src} died during rendezvous"),
-                            ));
-                        }
-                        Err(e) => {
-                            return Err(io::Error::new(
-                                e.kind(),
-                                format!("rank {src} rendezvous stream: {e}"),
-                            ));
-                        }
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
         }
+        if !ready[0] {
+            continue;
+        }
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+            Err(e) => return Err(e),
+        };
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+        let frame = wire::read_frame(&mut &stream)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before REGISTER"))?;
+        if frame.kind != kind::REGISTER {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "expected REGISTER",
+            ));
+        }
+        let src = frame.src as usize;
+        if src == 0 || src >= p {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "REGISTER from invalid rank",
+            ));
+        }
+        if book[src].is_some() {
+            // Two processes claiming one rank is a launcher bug (or a
+            // stray straggler from a previous generation); silently
+            // keeping the newcomer would wire a mesh to the wrong
+            // process.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("duplicate REGISTER from rank {src}"),
+            ));
+        }
+        book[src] = Some(wire::decode_register(&frame.body)?);
+        conns.push((src, stream));
     }
     let paths: Vec<String> = book.into_iter().map(|b| b.unwrap()).collect();
     // Clock-offset estimation rides the held rendezvous streams before
@@ -1326,30 +1405,20 @@ fn rendezvous_join(
     chaos: Option<&Chaos>,
     metrics: &TransportMetrics,
 ) -> io::Result<Vec<String>> {
-    let mut backoff = Backoff::new(20, 500, splitmix64(0x52454E44 ^ rank as u64));
-    let mut stream = loop {
-        let refused = chaos.and_then(|c| c.dial_refused(0, anchor.elapsed().as_millis() as u64));
-        let attempt = match refused {
-            Some(why) => Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("chaos: {why}"),
-            )),
-            None => Stream::connect(target),
-        };
-        match attempt {
-            Ok(s) => break s,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("rendezvous dial timed out: {e}"),
-                    ));
-                }
-                metrics.dial_backoffs.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff.next());
-            }
-        }
+    let seed = splitmix64(0x52454E44 ^ rank as u64);
+    let dial = || match chaos.and_then(|c| c.dial_refused(0, anchor.elapsed().as_millis() as u64)) {
+        Some(why) => Err(io::Error::new(
+            io::ErrorKind::ConnectionRefused,
+            format!("chaos: {why}"),
+        )),
+        None => Stream::connect(target),
     };
+    let mut stream = dial_until(seed, deadline, metrics, dial).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("rendezvous dial timed out: {e}"),
+        )
+    })?;
     let frame = Frame {
         kind: kind::REGISTER,
         src: rank as u32,
@@ -1532,6 +1601,8 @@ impl ProcTransport {
             entries_tx: Mutex::new(entries_tx),
             release_tx: Mutex::new(release_tx),
             shutting_down: AtomicBool::new(false),
+            events: Condvar::new(),
+            events_lock: Mutex::new(()),
             data_sent: AtomicU64::new(0),
             drop_after,
             drop_fired: AtomicBool::new(false),
@@ -1554,39 +1625,27 @@ impl ProcTransport {
             }
             // Dial every lower rank; higher ranks dial us.
             for q in 0..rank {
-                let addr = shared.addrbook[q].clone();
-                let mut backoff = Backoff::new(20, 500, splitmix64((rank as u64) << 16 | q as u64));
-                loop {
-                    match dial_peer(&shared, q, &addr) {
-                        Ok(()) => break,
-                        Err(e) => {
-                            if Instant::now() >= deadline {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::TimedOut,
-                                    format!("mesh dial to rank {q} timed out: {e}"),
-                                ));
-                            }
-                            shared.metrics.dial_backoffs.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(backoff.next());
-                        }
-                    }
-                }
-            }
-            // Wait for the full mesh (higher ranks connect through the
-            // acceptor).
-            loop {
-                let all_up =
-                    (0..p).all(|q| q == rank || shared.peers[q].epoch.load(Ordering::SeqCst) > 0);
-                if all_up {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
+                let addr = &shared.addrbook[q];
+                let seed = splitmix64((rank as u64) << 16 | q as u64);
+                dial_until(seed, deadline, &shared.metrics, || {
+                    dial_peer(&shared, q, addr)
+                })
+                .map_err(|e| {
+                    io::Error::new(
                         io::ErrorKind::TimedOut,
-                        "mesh wire-up timed out",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
+                        format!("mesh dial to rank {q} timed out: {e}"),
+                    )
+                })?;
+            }
+            // Wait for the full mesh: higher ranks connect through the
+            // acceptor, and each install wakes this wait.
+            let all_up =
+                || (0..p).all(|q| q == rank || shared.peers[q].epoch.load(Ordering::SeqCst) > 0);
+            if !shared.wait_until(deadline, all_up) {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "mesh wire-up timed out",
+                ));
             }
             {
                 let shared = shared.clone();
@@ -2037,15 +2096,8 @@ fn metrics_snapshot_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration)
         Err(_) => return,
     };
     loop {
-        let wake = Instant::now() + interval;
-        let mut done = false;
-        while Instant::now() < wake {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                done = true;
-                break;
-            }
-            std::thread::sleep(SLICE.min(interval));
-        }
+        let stopping = || shared.shutting_down.load(Ordering::SeqCst);
+        let done = shared.wait_until(Instant::now() + interval, stopping);
         let line = format!(
             "{{\"schema\":\"{}\",\"type\":\"metrics\",\"rank\":{},\"wall\":{},\"metrics\":{}}}",
             gnn_trace::SCHEMA_VERSION,

@@ -525,11 +525,22 @@ pub(crate) fn decode_register(body: &[u8]) -> io::Result<String> {
     decode_path(&mut c)
 }
 
-/// Decodes an ADDRBOOK body.
+/// Decodes an ADDRBOOK body. The entry count is checked against the
+/// body before anything is reserved for it: every entry takes at least
+/// its 2-byte length.
 pub(crate) fn decode_addrbook(body: &[u8]) -> io::Result<Vec<String>> {
     let mut c = Cursor { buf: body, pos: 0 };
     let n = c.u32()? as usize;
-    (0..n).map(|_| decode_path(&mut c)).collect()
+    if n > (body.len() - c.pos) / 2 {
+        return Err(bad_data(
+            "address book claims more entries than its body holds",
+        ));
+    }
+    let mut book = Vec::with_capacity(n);
+    for _ in 0..n {
+        book.push(decode_path(&mut c)?);
+    }
+    Ok(book)
 }
 
 #[cfg(test)]
@@ -889,6 +900,70 @@ mod tests {
         assert_eq!(book, paths);
         let reg = decode_register(&encode_path("/tmp/x/rank7.sock")).unwrap();
         assert_eq!(reg, "/tmp/x/rank7.sock");
+    }
+
+    /// Runs both rendezvous body decoders over `body`: each returns, and
+    /// whatever it accepts holds — and has reserved — no more than the
+    /// body can carry.
+    fn decode_rendezvous_hostile(body: &[u8]) {
+        if let Ok(path) = decode_register(body) {
+            assert!(path.capacity() <= body.len());
+        }
+        if let Ok(book) = decode_addrbook(body) {
+            assert!(
+                book.capacity() <= body.len() / 2,
+                "{} entries",
+                book.capacity()
+            );
+            let text: usize = book.iter().map(String::capacity).sum();
+            assert!(text <= body.len());
+        }
+    }
+
+    /// Every prefix, every single-bit flip and a few byte stores at every
+    /// offset of a REGISTER and an ADDRBOOK body: `Ok` or `Err`, never a
+    /// panic or an over-reservation. A strict prefix never decodes.
+    #[test]
+    fn mutated_rendezvous_bodies_never_panic_or_over_reserve() {
+        let paths: Vec<String> = ["/tmp/gnn-x/rank0.sock", "127.0.0.1:7700", ""]
+            .map(String::from)
+            .to_vec();
+        let (register, book) = (encode_path(&paths[0]), encode_addrbook(&paths));
+        for cut in 0..register.len() {
+            assert!(decode_register(&register[..cut]).is_err(), "cut at {cut}");
+        }
+        for cut in 0..book.len() {
+            assert!(decode_addrbook(&book[..cut]).is_err(), "cut at {cut}");
+        }
+        for body in [register, book] {
+            for cut in 0..body.len() {
+                decode_rendezvous_hostile(&body[..cut]);
+            }
+            for at in 0..body.len() {
+                for bit in 0..8 {
+                    let mut m = body.clone();
+                    m[at] ^= 1 << bit;
+                    decode_rendezvous_hostile(&m);
+                }
+                for put in [0x00, 0x7f, 0x80, 0xff] {
+                    let mut m = body.clone();
+                    m[at] = put;
+                    decode_rendezvous_hostile(&m);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_addrbook_claiming_u32_max_entries_is_rejected_before_reserving() {
+        let mut body = encode_addrbook(&["/tmp/a.sock".to_string()]);
+        body[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_addrbook(&body).expect_err("u32::MAX entries");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // One more entry than the bytes could frame is the same lie.
+        let mut body = encode_addrbook(&[String::new(), String::new()]);
+        body[..4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(decode_addrbook(&body).is_err());
     }
 
     #[test]

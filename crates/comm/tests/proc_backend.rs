@@ -251,9 +251,11 @@ fn flooding_both_directions_before_receiving_cannot_wedge_the_link() {
             let path = write_loopback_hostfile(&dir, P);
             path.to_str().expect("utf8 hostfile path").to_owned()
         });
-        let env: Vec<(&str, &str)> = hosts
-            .iter()
-            .map(|h| ("GNN_PROC_HOSTFILE", h.as_str()))
+        // This test is about wedging, not death detection: a 2 s
+        // liveness budget (40 × 50 ms) keeps a peer that is slow under
+        // parallel tests from being declared dead.
+        let env: Vec<(&str, &str)> = std::iter::once(("GNN_PROC_MISS", "40"))
+            .chain(hosts.iter().map(|h| ("GNN_PROC_HOSTFILE", h.as_str())))
             .collect();
         let children: Vec<_> = (0..P).map(|r| spawn_rank(NAME, r, &dir, &env)).collect();
         let t0 = std::time::Instant::now();

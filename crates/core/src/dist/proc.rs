@@ -26,6 +26,8 @@ use std::io::{self, Write};
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ExitStatus};
+use std::sync::mpsc::{self, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gnn_comm::stats::PHASES;
@@ -41,9 +43,6 @@ use crate::reference::EpochRecord;
 
 use super::checkpoint::{CheckpointBackend, DiskCheckpointStore};
 use super::trainer::{build_plan, run_rank, DistConfig, DistOutcome};
-
-/// Poll period for child-process liveness.
-const POLL: Duration = Duration::from_millis(25);
 
 /// Subdirectory of the run dir holding the persistent checkpoint slots.
 const CKPT_SUBDIR: &str = "ckpt";
@@ -171,10 +170,11 @@ fn describe_status(status: ExitStatus) -> String {
 }
 
 /// Supervises `p` rank processes to completion: spawns a generation via
-/// `spawn(rank)`, polls for failures, and on any non-zero exit SIGKILLs
-/// the survivors and respawns everyone (up to `max_restarts` times) —
-/// the process-world analogue of the thread supervisor's restart rung.
-/// Ranks resume from the shared disk checkpoint store under `dir`.
+/// `spawn(rank)`, wakes on each child's exit, and on any non-zero exit
+/// SIGKILLs the survivors and respawns everyone (up to `max_restarts`
+/// times) — the process-world analogue of the thread supervisor's
+/// restart rung. Ranks resume from the shared disk checkpoint store
+/// under `dir`.
 ///
 /// `spawn` must start the given rank as a child process that ends up in
 /// [`run_rank_proc`] with the same `dir` and a matching configuration.
@@ -221,23 +221,26 @@ pub fn supervise_proc_training_with(
         // not re-partitioned into a livelock by the same plan.
         gnn_comm::write_proc_generation(dir, restarts as u64)?;
 
+        let (exited_tx, exited) = mpsc::channel();
         let mut children: Vec<Option<Child>> = Vec::with_capacity(p);
+        let mut waiters = Vec::with_capacity(p);
         let mut spawn_err: Option<io::Error> = None;
         for rank in 0..p {
-            match spawn(rank) {
-                Ok(child) => {
-                    // Chaos harnesses target ranks through these files.
-                    let _ = fs::write(pid_path(dir, rank), child.id().to_string());
-                    children.push(Some(child));
-                }
-                Err(e) => {
-                    spawn_err = Some(e);
-                    break;
-                }
+            let watched = spawn(rank).and_then(|child| {
+                // Chaos harnesses target ranks through these files.
+                let _ = fs::write(pid_path(dir, rank), child.id().to_string());
+                let waiter = watch_exit(rank, child.id(), exited_tx.clone());
+                children.push(Some(child));
+                waiters.push(waiter?);
+                Ok(())
+            });
+            if let Err(e) = watched {
+                spawn_err = Some(e);
+                break;
             }
         }
         if let Some(e) = spawn_err {
-            kill_all(&mut children);
+            end_generation(&mut children, waiters);
             return Err(e.into());
         }
 
@@ -260,24 +263,29 @@ pub fn supervise_proc_training_with(
                     }
                 }
             }
-            if !failures.is_empty() {
-                // One dead rank dooms the generation: peers will stall
-                // on it anyway, so reap them now and restart from the
-                // newest checkpoint.
-                kill_all(&mut children);
+            if !failures.is_empty() || !running {
                 break;
             }
-            if !running {
-                break;
-            }
-            if let (Some(iv), Some(due)) = (metrics_interval, next_snapshot) {
-                if Instant::now() >= due {
-                    append_aggregate_snapshot(p, dir);
-                    next_snapshot = Some(Instant::now() + iv);
+            // Block until a child exits; with live metrics, at most until
+            // the next aggregate snapshot is due.
+            match (metrics_interval, next_snapshot) {
+                (Some(iv), Some(due)) => {
+                    let _ = exited.recv_timeout(due.saturating_duration_since(Instant::now()));
+                    if Instant::now() >= due {
+                        append_aggregate_snapshot(p, dir);
+                        next_snapshot = Some(Instant::now() + iv);
+                    }
+                }
+                _ => {
+                    // Cannot disconnect: `exited_tx` lives in this scope.
+                    let _ = exited.recv();
                 }
             }
-            std::thread::sleep(POLL);
         }
+        // After a failure, one dead rank dooms the generation: peers will
+        // stall on it anyway, so reap them now and restart from the
+        // newest checkpoint.
+        end_generation(&mut children, waiters);
 
         if failures.is_empty() {
             if metrics_interval.is_some() {
@@ -352,14 +360,34 @@ fn append_aggregate_snapshot(p: usize, dir: &Path) {
     }
 }
 
-/// SIGKILLs and reaps every still-tracked child.
-fn kill_all(children: &mut [Option<Child>]) {
+/// Starts the thread that announces `pid`'s exit on `exited`. It blocks
+/// in [`gnn_comm::wait_child_exit`], which does not reap, so the
+/// supervisor keeps sole ownership of every `Child`: `try_wait` and
+/// [`end_generation`] reap as before, and no pid is signalled after its
+/// reaping. A waiter whose child was killed and reaped first wakes with
+/// an error instead; either way it sends once and ends.
+fn watch_exit(rank: usize, pid: u32, exited: Sender<()>) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("proc-wait-{rank}"))
+        .spawn(move || {
+            let _ = gnn_comm::wait_child_exit(pid);
+            let _ = exited.send(());
+        })
+}
+
+/// SIGKILLs and reaps every still-tracked child, then joins the exit
+/// waiters. With every child reaped and none of the next generation
+/// spawned yet, each waiter has returned or returns at once.
+fn end_generation(children: &mut [Option<Child>], waiters: Vec<JoinHandle<()>>) {
     for slot in children.iter_mut() {
         if let Some(child) = slot {
             let _ = child.kill(); // SIGKILL; no-op if already dead
             let _ = child.wait();
             *slot = None;
         }
+    }
+    for waiter in waiters {
+        let _ = waiter.join();
     }
 }
 

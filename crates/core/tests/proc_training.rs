@@ -17,7 +17,7 @@ use gnn_comm::CostModel;
 use gnn_core::dist::even_bounds;
 use gnn_core::{
     run_rank_proc, supervise_proc_training, train_distributed, Algo, DistConfig, DistOutcome,
-    GcnConfig,
+    GcnConfig, ProcTrainError,
 };
 use spmat::dataset::{reddit_scaled, Dataset};
 
@@ -209,6 +209,33 @@ fn proc_backend_matches_thread_oracle_2d() {
 #[test]
 fn proc_backend_matches_thread_oracle_3d() {
     oracle_case("proc_backend_matches_thread_oracle_3d", "3d", "oracle3d");
+}
+
+/// The supervisor wakes on the first exit rather than on a timer, and
+/// still kills a child whose exit waiter is blocked on it: rank 0 fails
+/// at once, rank 1 would sleep for 30 s, no restart is allowed.
+#[test]
+fn supervisor_wakes_on_the_first_exit_and_kills_the_rest() {
+    let dir = scratch_dir("firstexit");
+    let t0 = Instant::now();
+    let err = supervise_proc_training(2, &dir, 0, |rank| {
+        let script = if rank == 0 { "exit 3" } else { "exec sleep 30" };
+        Command::new("sh").args(["-c", script]).spawn()
+    })
+    .expect_err("rank 0's failure exhausts a budget of no restarts");
+    let elapsed = t0.elapsed();
+    match err {
+        ProcTrainError::Exhausted { restarts, failures } => {
+            assert_eq!(restarts, 0);
+            assert_eq!(failures, ["rank 0 exited with code 3"]);
+        }
+        other => panic!("expected Exhausted, got {other}"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "the supervisor took {elapsed:?}: it waited for the sleeping rank"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Waits for evidence that the run is past its first checkpoint, then
