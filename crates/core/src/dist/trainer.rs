@@ -561,10 +561,31 @@ fn w_tile<'w>(
         return Cow::Borrowed(w);
     }
     let mut tile = bufs.take_dense(rhi - rlo, chi - clo);
-    for r in rlo..rhi {
-        tile.row_mut(r - rlo).copy_from_slice(&w.row(r)[clo..chi]);
+    if (clo, chi) == (0, w.cols()) {
+        // Whole rows are one contiguous block.
+        tile.data_mut()
+            .copy_from_slice(&w.data()[rlo * w.cols()..rhi * w.cols()]);
+    } else {
+        for r in rlo..rhi {
+            tile.row_mut(r - rlo).copy_from_slice(&w.row(r)[clo..chi]);
+        }
     }
     Cow::Owned(tile)
+}
+
+/// Rows `[lo, hi)` of `w`, transposed into a pooled `w.cols() × (hi − lo)`
+/// matrix: the operand that makes `S·Wᵀ` a GEMM, whose output elements
+/// add their terms in the order of the dot products it replaces.
+fn w_rows_t(w: &Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Dense {
+    let width = hi - lo;
+    let mut t = bufs.take_dense(w.cols(), width);
+    let out = t.data_mut();
+    for (i, r) in (lo..hi).enumerate() {
+        for (c, &v) in w.row(r).iter().enumerate() {
+            out[c * width + i] = v;
+        }
+    }
+    t
 }
 
 /// Rows `[lo, hi)` of `w` at full width.
@@ -968,8 +989,9 @@ impl<'a> RankTrainer<'a> {
 /// sums, the `[loss, count, correct]` reduction over all ranks through
 /// `reduce`, and the epoch's record. Returns the record, the global
 /// (replication-inflated) masked count, and the local logit gradient sum
-/// — a pooled matrix, like the softmax scratch, so the step leaves the
-/// pool as it found it once the caller retires the gradient.
+/// — a pooled matrix, so the step leaves the pool as it found it once the
+/// caller retires the gradient. One pass over the masked rows computes
+/// the loss, the gradient and the argmax; no other row is read.
 fn loss_and_metrics(
     ctx: &mut RankCtx,
     logits: &Dense,
@@ -980,12 +1002,16 @@ fn loss_and_metrics(
 ) -> (EpochRecord, f64, Dense) {
     ctx.span_begin(SpanKind::Loss, Phase::Other);
     let mut grad_sum = bufs.take_dense(logits.rows(), logits.cols());
-    let mut probs = bufs.take_dense(logits.rows(), logits.cols());
-    let (loss_sum, count) =
-        softmax_cross_entropy_sums_into(logits, labels, mask, &mut probs, &mut grad_sum);
-    bufs.put_dense(probs);
-    let correct = crate::model::accuracy(logits, labels, mask) * count as f64;
-    let mut sums = [loss_sum, count as f64, correct];
+    let (loss_sum, count, correct) =
+        softmax_cross_entropy_sums_into(logits, labels, mask, &mut grad_sum);
+    // `accuracy · count`, rounded as `accuracy` rounds it: the reduced
+    // sums feed records that are pinned to the bit.
+    let accuracy = if count == 0 {
+        0.0
+    } else {
+        correct as f64 / count as f64
+    };
+    let mut sums = [loss_sum, count as f64, accuracy * count as f64];
     reduce(ctx, &mut sums);
     let [g_loss, g_count, g_correct] = sums;
     let record = EpochRecord {
@@ -1003,6 +1029,9 @@ fn loss_and_metrics(
 /// Propagates the layer gradient one layer down, in place:
 /// `G ← (S·Wᵀ) ⊙ relu'(Z_prev)` for GCN, with the extra self term
 /// `G·W_selfᵀ` for SAGE. `s` is `AᵀG`; all operands are full-width.
+/// Each product is a GEMM against a pooled transposed tile of `W`, the
+/// same bits as `matmul_transpose_into`'s dot products (`W` is finite),
+/// and the ReLU′ mask is one multiply per element.
 fn propagate_gradient(
     ctx: &mut RankCtx,
     arch: ArchKind,
@@ -1014,28 +1043,30 @@ fn propagate_gradient(
 ) {
     let (rows, d, d_out) = (prev_z.rows(), prev_z.cols(), s.cols());
     let mut gg = bufs.take_dense(rows, d);
-    let mut tmp = bufs.take_dense(rows, d);
     match arch {
-        ArchKind::Gcn => ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-            s.matmul_transpose_into(w, &mut gg);
-            prev_z.relu_prime_into(&mut tmp);
-            gg.hadamard_assign(&tmp);
-        }),
-        ArchKind::Sage => {
-            let w_self = w_rows(w, 0, d, bufs);
-            let w_neigh = w_rows(w, d, 2 * d, bufs);
-            ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                g.matmul_transpose_into(&w_self, &mut gg);
-                s.matmul_transpose_into(&w_neigh, &mut tmp);
-                gg.add_assign(&tmp);
-                prev_z.relu_prime_into(&mut tmp);
-                gg.hadamard_assign(&tmp);
+        ArchKind::Gcn => {
+            let w_t = w_rows_t(w, 0, d, bufs);
+            ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
+                s.matmul_into(&w_t, &mut gg);
+                gg.mul_relu_prime_assign(prev_z);
             });
-            put_tile(w_self, bufs);
-            put_tile(w_neigh, bufs);
+            bufs.put_dense(w_t);
+        }
+        ArchKind::Sage => {
+            let w_self_t = w_rows_t(w, 0, d, bufs);
+            let w_neigh_t = w_rows_t(w, d, 2 * d, bufs);
+            let mut tmp = bufs.take_dense(rows, d);
+            ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
+                g.matmul_into(&w_self_t, &mut gg);
+                s.matmul_into(&w_neigh_t, &mut tmp);
+                gg.add_assign(&tmp);
+                gg.mul_relu_prime_assign(prev_z);
+            });
+            for m in [w_self_t, w_neigh_t, tmp] {
+                bufs.put_dense(m);
+            }
         }
     }
-    bufs.put_dense(tmp);
     bufs.put_dense(std::mem::replace(g, gg));
 }
 

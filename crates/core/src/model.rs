@@ -152,42 +152,60 @@ pub fn softmax_cross_entropy_sums(
     labels: &[u32],
     mask: &[bool],
 ) -> (f64, usize, Dense) {
-    let mut probs = Dense::zeros(logits.rows(), logits.cols());
     let mut grad = Dense::zeros(logits.rows(), logits.cols());
-    let (loss, count) =
-        softmax_cross_entropy_sums_into(logits, labels, mask, &mut probs, &mut grad);
+    let (loss, count, _) = softmax_cross_entropy_sums_into(logits, labels, mask, &mut grad);
     (loss, count, grad)
 }
 
-/// [`softmax_cross_entropy_sums`] with caller-provided storage, for loops
-/// that recycle their buffers: `probs` is scratch for the softmax, `grad`
-/// receives `grad_sum` and must arrive **zeroed** (unmasked rows are not
-/// written). Both have the shape of `logits`. Returns `(loss_sum, count)`.
+/// [`softmax_cross_entropy_sums`] into caller-provided storage, plus
+/// [`accuracy`]'s count of correct predictions, in one pass over the
+/// masked rows: no other row is read or written. `grad` has the shape of
+/// `logits` and must arrive **zeroed**. Returns `(loss_sum, count,
+/// correct)`. Bit for bit what [`softmax_into`], the cross-entropy of its
+/// masked rows and [`accuracy`] give: the argmax runs on the logits and
+/// the last maximum wins.
+///
+/// # Panics
+/// Panics on a NaN logit in a masked row, as [`accuracy`] does.
 pub fn softmax_cross_entropy_sums_into(
     logits: &Dense,
     labels: &[u32],
     mask: &[bool],
-    probs: &mut Dense,
     grad: &mut Dense,
-) -> (f64, usize) {
+) -> (f64, usize, usize) {
     assert_eq!(logits.rows(), labels.len());
     assert_eq!(logits.rows(), mask.len());
-    softmax_into(logits, probs);
-    let mut loss = 0.0;
-    let mut count = 0usize;
+    assert_eq!((grad.rows(), grad.cols()), (logits.rows(), logits.cols()));
+    let (mut loss, mut count, mut correct) = (0.0, 0usize, 0usize);
     for r in 0..logits.rows() {
         if !mask[r] {
             continue;
         }
-        count += 1;
-        let y = labels[r] as usize;
-        let p = probs.get(r, y).max(1e-300);
-        loss -= p.ln();
+        let (row, y) = (logits.row(r), labels[r] as usize);
+        // The max doubles as the softmax shift: `f64::max`'s fold could
+        // differ only in the sign of a zero, which `exp` does not see.
+        let (mut max, mut pred) = (f64::NEG_INFINITY, 0);
+        for (j, &v) in row.iter().enumerate() {
+            assert!(!v.is_nan(), "NaN logit");
+            if v >= max {
+                (max, pred) = (v, j);
+            }
+        }
         let g = grad.row_mut(r);
-        g.copy_from_slice(probs.row(r));
+        let mut sum = 0.0;
+        for (p, &v) in g.iter_mut().zip(row) {
+            *p = (v - max).exp();
+            sum += *p;
+        }
+        for p in g.iter_mut() {
+            *p /= sum;
+        }
+        loss -= g[y].max(1e-300).ln();
         g[y] -= 1.0;
+        count += 1;
+        correct += usize::from(pred == y);
     }
-    (loss, count)
+    (loss, count, correct)
 }
 
 /// Fraction of masked vertices whose argmax prediction matches the label.
@@ -302,6 +320,91 @@ mod tests {
                 "dim {j}: fd {fd} vs grad {}",
                 grad.get(0, j)
             );
+        }
+    }
+
+    /// What the fused step replaced: softmax of every row, the
+    /// cross-entropy and gradient of the masked ones, then [`accuracy`].
+    fn unfused(logits: &Dense, labels: &[u32], mask: &[bool]) -> (f64, usize, f64, Dense) {
+        let mut probs = Dense::zeros(logits.rows(), logits.cols());
+        softmax_into(logits, &mut probs);
+        let mut grad = Dense::zeros(logits.rows(), logits.cols());
+        let (mut loss, mut count) = (0.0, 0);
+        for r in (0..logits.rows()).filter(|&r| mask[r]) {
+            count += 1;
+            let y = labels[r] as usize;
+            loss -= probs.get(r, y).max(1e-300).ln();
+            let g = grad.row_mut(r);
+            g.copy_from_slice(probs.row(r));
+            g[y] -= 1.0;
+        }
+        (loss, count, accuracy(logits, labels, mask), grad)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_loss_step_matches_the_unfused_composition_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(29);
+        let (rows, classes) = (300, 24);
+        let mut logits = Dense::from_fn(rows, classes, |_, _| rng.gen_range(-6.0..6.0));
+        // Ties for the maximum (last wins), zeros of both signs as the
+        // maximum, and a row that saturates the 1e-300 floor.
+        for r in (0..rows).step_by(7) {
+            let row = logits.row_mut(r);
+            row[r % classes] = 9.0;
+            row[(r * 5 + 3) % classes] = 9.0;
+        }
+        for r in (3..rows).step_by(11) {
+            let row = logits.row_mut(r);
+            row.iter_mut().for_each(|v| *v = -v.abs() - 1.0);
+            row[r % classes] = -0.0;
+            row[(r + 1) % classes] = 0.0;
+        }
+        logits.row_mut(5).copy_from_slice(&[-800.0; 24]);
+        logits.set(5, 0, 800.0);
+        let mut labels: Vec<u32> = (0..rows)
+            .map(|_| rng.gen_range(0..classes as u32))
+            .collect();
+        labels[5] = 1;
+        let mask: Vec<bool> = (0..rows).map(|r| r == 5 || rng.gen_bool(0.6)).collect();
+
+        let mut grad = Dense::zeros(rows, classes);
+        let (loss, count, correct) =
+            softmax_cross_entropy_sums_into(&logits, &labels, &mask, &mut grad);
+        let (want_loss, want_count, want_accuracy, want_grad) = unfused(&logits, &labels, &mask);
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        assert_eq!(count, want_count);
+        assert_eq!(
+            (correct as f64 / count as f64).to_bits(),
+            want_accuracy.to_bits()
+        );
+        assert!(correct > 0 && correct < count, "both outcomes occur");
+        for (r, &masked) in mask.iter().enumerate() {
+            if masked {
+                assert_eq!(bits(grad.row(r)), bits(want_grad.row(r)), "row {r}");
+            } else {
+                assert!(
+                    grad.row(r).iter().all(|v| v.to_bits() == 0),
+                    "row {r} is +0.0"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_argmax_gives_ties_to_the_last_maximal_logit() {
+        let logits = Dense::from_vec(2, 3, vec![2.0, 1.0, 2.0, 0.5, 0.5, -1.0]);
+        let mask = [true, true];
+        for (labels, want) in [([2u32, 1], 2), ([0, 0], 0), ([2, 0], 1)] {
+            let mut grad = Dense::zeros(2, 3);
+            let (_, _, correct) =
+                softmax_cross_entropy_sums_into(&logits, &labels, &mask, &mut grad);
+            assert_eq!(correct, want, "labels {labels:?}");
+            assert_eq!(accuracy(&logits, &labels, &mask), want as f64 / 2.0);
         }
     }
 

@@ -12,7 +12,9 @@
 //! (small problems fall back to the serial path automatically). The
 //! GEMM-family inner loops run through the [`crate::kernel`] dispatch
 //! layer (register-blocked kernels vectorized for AVX2 or NEON, or the
-//! scalar oracle; strict-by-default numerics). The `*_into`
+//! scalar oracle; strict-by-default numerics): the blocked GEMMs add the
+//! exact zeros of ReLU outputs instead of branching on them, to the
+//! oracle's bits. The `*_into`
 //! variants write into caller-provided buffers so steady-state training
 //! epochs can run without heap allocation.
 //!
@@ -252,8 +254,8 @@ impl Dense {
             GEMM_CHUNK_ROWS * n,
             |ci, out_chunk| {
                 let row0 = ci * GEMM_CHUNK_ROWS;
-                // ikj order per row (ascending k, exact zeros skipped) — the
-                // accumulation order the kernel contract preserves.
+                // ikj order per row (ascending k) — the accumulation order
+                // the kernel contract preserves.
                 for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
                     ker.gemm_row(self.row(row0 + i), b, n, out_row);
                 }
@@ -310,8 +312,12 @@ impl Dense {
         );
     }
 
-    /// `C = self · otherᵀ` without materializing the transpose. Used for
-    /// gradient propagation `G W ᵀ`.
+    /// `C = self · otherᵀ` without materializing the transpose: one
+    /// strict dot product per output element (the reference trainer's
+    /// gradient propagation `G Wᵀ`). For finite `other`,
+    /// `self.matmul(&other.transpose())` gives the same bits through the
+    /// faster GEMM kernels — each output element is the same chain from
+    /// `+0.0` — which is how the distributed trainer propagates.
     pub fn matmul_transpose(&self, other: &Dense) -> Dense {
         self.matmul_transpose_with(other, pool::current_threads())
     }
@@ -423,15 +429,17 @@ impl Dense {
         });
     }
 
-    /// `self ⊙= other` (in-place Hadamard, parallel element-wise).
-    pub fn hadamard_assign(&mut self, other: &Dense) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
+    /// `self ⊙= relu'(z)` in one pass (parallel element-wise): each
+    /// element times `1.0` where `z` is positive and `0.0` elsewhere —
+    /// the bits of `self.hadamard(&z.relu_prime())`, with no mask matrix.
+    pub fn mul_relu_prime_assign(&mut self, z: &Dense) {
+        assert_eq!((self.rows, self.cols), (z.rows, z.cols));
         let t = pool::effective_threads(pool::current_threads(), self.data().len());
-        let src = other.data.as_slice();
+        let src = z.data.as_slice();
         pool::for_each_chunk_mut(t, self.data.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
             let (off, len) = (ci * ELEM_CHUNK, chunk.len());
-            for (a, &b) in chunk.iter_mut().zip(&src[off..off + len]) {
-                *a *= b;
+            for (a, &v) in chunk.iter_mut().zip(&src[off..off + len]) {
+                *a *= if v > 0.0 { 1.0 } else { 0.0 };
             }
         });
     }
@@ -747,6 +755,11 @@ mod tests {
         let a = m(1, 4, &[-1.0, 0.0, 2.0, -0.5]);
         assert_eq!(a.relu().data(), &[0.0, 0.0, 2.0, 0.0]);
         assert_eq!(a.relu_prime().data(), &[0.0, 0.0, 1.0, 0.0]);
+        let mut g = m(1, 4, &[3.0, -2.0, 5.0, 7.0]);
+        let want = g.hadamard(&a.relu_prime());
+        g.mul_relu_prime_assign(&a);
+        let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g), bits(&want), "-2.0 · 0.0 is -0.0 on both paths");
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! uses `a.mul_add(b, acc)`, one rounding per term: a `vfmadd` where the
 //! target has FMA, a correctly rounded library call where it has not.
 //!
+//! The GEMM kernels add every term, exact zeros of `a` included, where
+//! the oracle skips them: no compare in the inner loop, so ReLU outputs
+//! (zero at random, half the time) cost no mispredicted branch. The two
+//! agree bit for bit whenever the other operand is finite. An
+//! accumulator starts at `+0.0`, and under round-to-nearest a sum is
+//! `-0.0` only when both addends are, so it never becomes `-0.0`; a zero
+//! coefficient times a finite value is `±0.0`; and `x + (±0.0) == x` for
+//! every `x` that is not `-0.0`. (An infinite or NaN operand would turn
+//! the added `0 · x` into NaN; the oracle's skip hides it.)
+//!
 //! Every function is `#[inline(always)]`: the dispatcher wraps them in
 //! `#[target_feature]` functions, and only inlined code gets their features.
 
@@ -70,8 +80,8 @@ pub fn spmm_row<const FAST: bool>(
 }
 
 /// One GEMM output row from zero:
-/// `out_row[0..n] = Σ_k a_row[k] · b[k·n .. k·n+n]`, ascending `k`, exact
-/// zeros of `a_row` skipped.
+/// `out_row[0..n] = Σ_k a_row[k] · b[k·n .. k·n+n]`, ascending `k`, every
+/// term added (exact zeros of `a_row` too; see the module docs).
 #[inline(always)]
 pub fn gemm_row<const FAST: bool>(a_row: &[f64], b: &[f64], n: usize, out_row: &mut [f64]) {
     if n == 0 {
@@ -83,10 +93,10 @@ pub fn gemm_row<const FAST: bool>(a_row: &[f64], b: &[f64], n: usize, out_row: &
 
 /// `out_row ⊕= Σ coef · row` over `terms` in order, each column its own
 /// chain: the ladder of tiles, then a scalar tail. `GEMM` selects the
-/// GEMM row's contract — `out_row` is overwritten, from zero, and a term
-/// whose `coef` is exactly zero is skipped — over SpMM's, which adds
-/// every term to `out_row`. `terms` is cloned per tile; a clone copies
-/// the divisions a fresh `chunks_exact` would redo.
+/// GEMM row's contract — `out_row` is overwritten, from zero — over
+/// SpMM's, which adds to `out_row`; both add every term. `terms` is
+/// cloned per tile; a clone copies the divisions a fresh `chunks_exact`
+/// would redo.
 #[inline(always)]
 fn combine<'a, const FAST: bool, const GEMM: bool>(
     terms: impl Iterator<Item = (f64, &'a [f64])> + Clone,
@@ -116,7 +126,7 @@ fn combine<'a, const FAST: bool, const GEMM: bool>(
     if GEMM {
         out_row[j..].fill(0.0);
     }
-    for (coef, row) in terms.filter(|&(coef, _)| !(GEMM && coef == 0.0)) {
+    for (coef, row) in terms {
         for (o, &x) in out_row[j..].iter_mut().zip(&row[j..]) {
             *o = madd::<FAST>(*o, coef, x);
         }
@@ -133,9 +143,7 @@ fn combine_tile<'a, const FAST: bool, const GEMM: bool, const W: usize>(
     let out = window_mut::<W>(out_row, j);
     let mut acc = if GEMM { [0.0; W] } else { *out };
     for (coef, row) in terms {
-        if !(GEMM && coef == 0.0) {
-            madd_tile::<FAST, W>(&mut acc, coef, window::<W>(row, j));
-        }
+        madd_tile::<FAST, W>(&mut acc, coef, window::<W>(row, j));
     }
     *out = acc;
 }
@@ -149,8 +157,9 @@ const GEMM_T_ROWS: usize = 32;
 /// `AᵀB` for the output rows `k0 .. k0 + out.len()/n` of the product of
 /// `a` (`rows × lda`) and `b` (`rows × n`):
 /// `out[k − k0][j] = Σ_i a[i·lda + k] · b[i·n + j]`, overwriting `out`.
-/// Every output element accumulates in ascending `i` with exact zeros of
-/// `a` skipped — the scalar oracle's order. The caller has checked that
+/// Every output element accumulates in ascending `i`, every term added —
+/// the scalar oracle's order, and its bits (module docs). The caller has
+/// checked that
 /// the operands are whole rows and that `k0 + out.len()/n <= lda`.
 #[inline(always)]
 pub fn gemm_t<const FAST: bool>(
@@ -205,10 +214,7 @@ fn gemm_t_rows<'a, const FAST: bool, const KP: usize>(
         for jj in j..n {
             let o = &mut out[kk * n + jj];
             for (a_row, b_row) in rows.clone() {
-                let av = a_row[k + kk];
-                if av != 0.0 {
-                    *o = madd::<FAST>(*o, av, b_row[jj]);
-                }
+                *o = madd::<FAST>(*o, a_row[k + kk], b_row[jj]);
             }
         }
     }
@@ -216,7 +222,7 @@ fn gemm_t_rows<'a, const FAST: bool, const KP: usize>(
 
 /// A `KP`-row × `W`-column tile of [`gemm_t`]'s output at column `j`:
 /// loaded once, updated by each input row of the block in ascending order
-/// (a row whose `a` element is exactly zero is skipped), stored once.
+/// (a zero `a` element too), stored once.
 #[inline(always)]
 fn gemm_t_tile<'a, const FAST: bool, const KP: usize, const W: usize>(
     rows: impl Iterator<Item = (&'a [f64], &'a [f64])>,
@@ -232,9 +238,7 @@ fn gemm_t_tile<'a, const FAST: bool, const KP: usize, const W: usize>(
     for (a_row, b_row) in rows {
         let x = window::<W>(b_row, j);
         for (tile, &av) in acc.iter_mut().zip(window::<KP>(a_row, k)) {
-            if av != 0.0 {
-                madd_tile::<FAST, W>(tile, av, x);
-            }
+            madd_tile::<FAST, W>(tile, av, x);
         }
     }
     for (kk, tile) in acc.iter().enumerate() {
@@ -300,6 +304,17 @@ mod tests {
             .collect()
     }
 
+    /// ReLU outputs: [`values`] with every negative entry zeroed, as `+0.0`
+    /// or `-0.0` — about half the entries, at random positions.
+    fn relu_values(len: usize, seed: u64) -> Vec<f64> {
+        let signs = values(len, seed + 1);
+        values(len, seed)
+            .into_iter()
+            .zip(signs)
+            .map(|(v, s)| if v > 0.0 { v } else { 0.0f64.copysign(s) })
+            .collect()
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -347,31 +362,35 @@ mod tests {
                 }
             });
 
-            let a_row = values(k, seed + 300);
-            let mut want = vec![f64::NAN; w];
-            scalar::gemm_row(&a_row, &h, w, &mut want);
-            check("gemm_row", w, &[f64::NAN; 300][..w], &want, |fast, out| {
-                if fast {
-                    gemm_row::<true>(&a_row, &h, w, out)
-                } else {
-                    gemm_row::<false>(&a_row, &h, w, out)
-                }
-            });
+            // `a` as features and as ReLU outputs: the oracle skips its
+            // zeros, the blocked kernels add them.
+            for a_values in [values, relu_values] {
+                let a_row = a_values(k, seed + 300);
+                let mut want = vec![f64::NAN; w];
+                scalar::gemm_row(&a_row, &h, w, &mut want);
+                check("gemm_row", w, &[f64::NAN; 300][..w], &want, |fast, out| {
+                    if fast {
+                        gemm_row::<true>(&a_row, &h, w, out)
+                    } else {
+                        gemm_row::<false>(&a_row, &h, w, out)
+                    }
+                });
 
-            // `AᵀB` over several row blocks, output rows 1..k-1 of k (an odd
-            // count, so the single-row tile runs too).
-            let a = values(rows * k, seed + 400);
-            let b = values(rows * w, seed + 500);
-            let mut want = vec![f64::NAN; (k - 2) * w];
-            scalar::gemm_t(&a, k, 1, &b, w, &mut want);
-            let init = vec![f64::NAN; want.len()];
-            check("gemm_t", w, &init, &want, |fast, out| {
-                if fast {
-                    gemm_t::<true>(&a, k, 1, &b, w, out)
-                } else {
-                    gemm_t::<false>(&a, k, 1, &b, w, out)
-                }
-            });
+                // `AᵀB` over several row blocks, output rows 1..k-1 of k (an
+                // odd count, so the single-row tile runs too).
+                let a = a_values(rows * k, seed + 400);
+                let b = values(rows * w, seed + 500);
+                let mut want = vec![f64::NAN; (k - 2) * w];
+                scalar::gemm_t(&a, k, 1, &b, w, &mut want);
+                let init = vec![f64::NAN; want.len()];
+                check("gemm_t", w, &init, &want, |fast, out| {
+                    if fast {
+                        gemm_t::<true>(&a, k, 1, &b, w, out)
+                    } else {
+                        gemm_t::<false>(&a, k, 1, &b, w, out)
+                    }
+                });
+            }
 
             let (x, y) = (values(w, seed + 600), values(w, seed + 700));
             let scale: f64 = x.iter().zip(&y).map(|(p, q)| (p * q).abs()).sum();

@@ -22,9 +22,14 @@
 //! output elements* (lanes of the feature dimension), never across a
 //! reduction: each output element still accumulates its terms in exactly
 //! the serial order with separately rounded multiply and add (`acc + a *
-//! b`, which Rust never contracts into an FMA). Kernels whose inner loop
-//! *is* a reduction (the `A·Bᵀ` dot products) stay scalar in strict
-//! mode, because any vectorization would reassociate the sum.
+//! b`, which Rust never contracts into an FMA). The blocked GEMM kernels
+//! add the exact zeros of `a` the oracle skips, which changes no bit
+//! while the other operand is finite ([`blocked`]'s module docs).
+//! Kernels whose inner loop *is* a reduction (the `A·Bᵀ` dot products)
+//! stay scalar in strict mode, because any vectorization would
+//! reassociate the sum. Training no longer calls them: gradient
+//! propagation multiplies by a transposed tile of `W` through the GEMM,
+//! whose per-element chains are those dot products' own.
 //!
 //! [`KernelMode::Fast`] (opt-in: `--kernel fast` or `GNN_KERNEL=fast`)
 //! unlocks fused multiply-add and multi-accumulator reductions. Results
@@ -271,8 +276,9 @@ impl Kernels {
 
     /// One GEMM output row from zero:
     /// `out_row[0..n] = Σ_k a_row[k] · b[k·n .. k·n+n]`, terms in
-    /// ascending `k` with exact zeros skipped (the historical kernel's
-    /// order).
+    /// ascending `k` (the historical kernel's order). The oracle skips
+    /// exact zeros of `a_row` and the blocked kernels add them: the same
+    /// bits for finite `b`.
     #[inline]
     pub fn gemm_row(self, a_row: &[f64], b: &[f64], n: usize, out_row: &mut [f64]) {
         debug_assert_eq!(out_row.len(), n);
@@ -294,9 +300,10 @@ impl Kernels {
     /// `AᵀB` for the output rows `k0 .. k0 + out.len()/n` of the
     /// product of `a` (`rows × lda`) and `b` (`rows × n`):
     /// `out[k − k0][j] = Σ_i a[i·lda + k] · b[i·n + j]`, overwriting
-    /// `out`. Terms accumulate in ascending `i` with exact zeros of `a`
-    /// skipped; lanes are independent output elements, so SIMD stays
-    /// bit-exact.
+    /// `out`. Terms accumulate in ascending `i` (exact zeros of `a`
+    /// skipped by the oracle, added by the blocked kernels: the same bits
+    /// for finite `b`); lanes are independent output elements, so SIMD
+    /// stays bit-exact.
     ///
     /// # Panics
     /// Panics if `lda` or `n` is zero, if `a`, `b` and `out` are not
@@ -325,7 +332,8 @@ impl Kernels {
         }
     }
 
-    /// Dot product `Σ a[i]·b[i]` (the `A·Bᵀ` inner kernel). A true
+    /// Dot product `Σ a[i]·b[i]` (the `A·Bᵀ` inner kernel, which
+    /// training no longer calls). A true
     /// reduction: strict mode is scalar on every backend (vectorizing
     /// would reassociate); fast mode uses multi-accumulator SIMD.
     #[inline]

@@ -3,7 +3,10 @@
 //!
 //! The accumulation order here **is** the determinism contract: each
 //! output element sums its terms in ascending source order with
-//! separately rounded multiply and add. SpMM keeps the historical
+//! separately rounded multiply and add. The GEMM loops skip exact zeros
+//! of `a`, as the historical kernels did; the blocked kernels add them,
+//! which gives the same bits whenever the other operand is finite
+//! (`kernel::blocked`'s module docs). SpMM keeps the historical
 //! [`FTILE`]-column tiling (tile width never changes the per-element
 //! order, only the cache behavior).
 

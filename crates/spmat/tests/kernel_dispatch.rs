@@ -118,7 +118,8 @@ fn strict_gemm_rows_bitwise_equal_scalar_on_all_backends_and_widths() {
     let oracle = Kernels::scalar_strict();
     for &n in WIDTHS {
         let k = 17;
-        // Exact zeros included: the skip branch is part of the contract.
+        // Exact zeros included: the oracle skips them, the blocked
+        // kernels add them, and the bits must agree.
         let a_row: Vec<f64> = (0..k)
             .map(|i| {
                 if i % 5 == 0 {
@@ -168,9 +169,9 @@ fn strict_dot_bitwise_equal_scalar_on_all_backends() {
 }
 
 /// `AᵀB` inputs the weight-gradient kernel meets: dense features, exact
-/// zeros and `-0.0` scattered through `a` (the skip branch is part of the
-/// contract), and ReLU-style columns of `a` that are zero in half their
-/// rows.
+/// zeros and `-0.0` scattered through `a` (skipped by the oracle, added
+/// by the blocked kernels), and ReLU-style columns of `a` that are zero
+/// in half their rows.
 fn transpose_matmul_operands(rows: usize, k: usize, n: usize, rng: &mut StdRng) -> (Dense, Dense) {
     let a = Dense::from_fn(rows, k, |r, c| {
         let v: f64 = rng.gen_range(-1.0..1.0);
@@ -213,6 +214,77 @@ fn strict_transpose_matmul_bitwise_equals_scalar() {
                             backend.label()
                         );
                     }
+                }
+            }
+        }
+    }
+    kernel::clear_forced_backend();
+}
+
+/// ReLU outputs: about half the entries `+0.0` or `-0.0`, at random
+/// positions — the `a` operand of every narrow GEMM training runs.
+fn relu_sparse(rows: usize, cols: usize, rng: &mut StdRng) -> Dense {
+    Dense::from_fn(rows, cols, |_, _| {
+        let v: f64 = rng.gen_range(-1.0..1.0);
+        if v > 0.0 {
+            v
+        } else if rng.gen_bool(0.5) {
+            0.0
+        } else {
+            -0.0
+        }
+    })
+}
+
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    let same = got
+        .iter()
+        .zip(want)
+        .all(|(g, w)| g.to_bits() == w.to_bits());
+    assert!(same, "{what}");
+}
+
+#[test]
+fn strict_gemms_on_relu_sparse_inputs_bitwise_equal_scalar() {
+    let _guard = GLOBAL_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x2E10);
+    kernel::set_mode(KernelMode::Strict);
+    let oracle = Kernels::scalar_strict();
+    // Several GEMM chunks and `gemm_t` row blocks, the last one ragged.
+    let rows = 133;
+    // Every pairing of the model's widths but 300 × 300, which no layer
+    // multiplies.
+    for k in [16usize, 24, 300] {
+        for n in [16usize, 24, 300].into_iter().filter(|&n| k + n < 600) {
+            let a = relu_sparse(rows, k, &mut rng);
+            let b = Dense::glorot(k, n, &mut rng);
+            let c = Dense::glorot(rows, n, &mut rng);
+            let mut want_ab = vec![f64::NAN; rows * n];
+            for (a_row, out) in a.data().chunks_exact(k).zip(want_ab.chunks_exact_mut(n)) {
+                oracle.gemm_row(a_row, b.data(), n, out);
+            }
+            let mut want_atc = vec![f64::NAN; k * n];
+            oracle.gemm_t(a.data(), k, 0, c.data(), n, &mut want_atc);
+            // Gradient propagation `S·Wᵀ`: a GEMM against the transposed
+            // tile gives the strict dot products' bits.
+            let w = Dense::glorot(n, k, &mut rng);
+            let mut want_swt = Dense::zeros(rows, n);
+            a.matmul_transpose_into_with(&w, &mut want_swt, 1);
+            let w_t = w.transpose();
+            for backend in supported_backends() {
+                kernel::try_force_backend(backend).unwrap();
+                for threads in [1usize, 2, 4] {
+                    let what = format!("backend={} k={k} n={n} t={threads}", backend.label());
+                    let mut got = Dense::from_fn(rows, n, |_, _| f64::NAN);
+                    a.matmul_into_with(&b, &mut got, threads);
+                    assert_bits(got.data(), &want_ab, &format!("A·B {what}"));
+                    let mut got = Dense::from_fn(k, n, |_, _| f64::NAN);
+                    a.transpose_matmul_into_with(&c, &mut got, threads);
+                    assert_bits(got.data(), &want_atc, &format!("AᵀC {what}"));
+                    let mut got = Dense::from_fn(rows, n, |_, _| f64::NAN);
+                    a.matmul_into_with(&w_t, &mut got, threads);
+                    assert_bits(got.data(), want_swt.data(), &format!("A·(Wᵀ) {what}"));
                 }
             }
         }
