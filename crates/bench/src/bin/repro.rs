@@ -55,13 +55,12 @@ impl AsMut<Common> for Args {
 }
 
 /// Flags of `train`'s process-backend launcher, which `repro` never is.
-const LAUNCHER_FLAGS: [&str; 6] = [
+const LAUNCHER_FLAGS: [&str; 5] = [
     "--backend",
     "--ranks",
     "--proc-dir",
     "--proc-child",
     "--hostfile",
-    "--net-chaos",
 ];
 
 fn parse_args_from(raw: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -377,20 +376,14 @@ mod tests {
 
     /// The launcher-flag rejection must name *every* offending flag, not
     /// just the first one encountered (regression: the old match arm
-    /// returned on first sight, so `--hostfile h --net-chaos c` only
+    /// returned on first sight, so `--hostfile h --proc-dir d` only
     /// reported `--hostfile`).
     #[test]
     fn launcher_flag_error_names_all_offenders() {
-        let err = parse(&[
-            "--hostfile",
-            "hosts.txt",
-            "--net-chaos",
-            "drop=0.1",
-            "volumes",
-        ])
-        .unwrap_err();
+        let err =
+            parse(&["--hostfile", "hosts.txt", "--proc-dir", "/tmp/d", "volumes"]).unwrap_err();
         assert!(err.contains("--hostfile"), "missing --hostfile: {err}");
-        assert!(err.contains("--net-chaos"), "missing --net-chaos: {err}");
+        assert!(err.contains("--proc-dir"), "missing --proc-dir: {err}");
         assert!(err.contains("train --backend proc"), "no remedy: {err}");
 
         // A single offender still reads grammatically.

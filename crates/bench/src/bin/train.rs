@@ -10,8 +10,8 @@
 //! generation from the newest disk checkpoint when a rank process dies
 //! — including genuinely SIGKILL'd ranks. Results are bit-identical to
 //! the thread backend. Thread-only features are rejected up front:
-//! `--failover` and `--inject-crash` (kill the rank process instead;
-//! that is the point of the backend).
+//! `--failover` and a `crash=` fault rule (kill the rank process
+//! instead; that is the point of the backend).
 //!
 //! `--hostfile FILE` (proc only) switches the rank mesh from
 //! Unix-domain sockets to **TCP listeners**: one `host[:port]` line per
@@ -19,14 +19,21 @@
 //! all-loopback hostfile simulates the multi-node wire-up on one
 //! machine (what CI runs); non-loopback hostfiles are rejected by this
 //! launcher with per-host instructions, since it only spawns local
-//! processes. `--net-chaos SPEC` arms the deterministic network-chaos
-//! interposer inside every rank: seeded per-link delay/jitter,
-//! bandwidth caps, byte-counted connection cuts, timed (possibly
-//! one-way) partitions, and rendezvous connection-refusal windows —
-//! all replayed bit-identically from the seed. Partitions that heal
+//! processes.
+//!
+//! `--faults SPEC` declares every injected fault in one seeded
+//! `;`-separated spec (grammar: `gnn_comm::fault`). Message rules
+//! (`crash=R@E[:OP]`, `slow=R:F`, `drop=A>B:X`, `corrupt=A>B:X`) run on
+//! both backends, except `crash`, which is thread-only. Link rules
+//! (`delay`, `bw`, `cut`, `partition`, `refuse`) need `--backend proc`,
+//! where the network-chaos interposer inside every rank replays seeded
+//! per-link delay/jitter, bandwidth caps, byte-counted connection cuts,
+//! timed (possibly one-way) partitions, and rendezvous
+//! connection-refusal windows bit-identically. Partitions that heal
 //! within the heartbeat deadline are absorbed by reconnect + replay;
-//! ones that outlive it take the checkpoint-restart ladder. Either
-//! way final weights match the thread backend bit for bit.
+//! ones that outlive it take the checkpoint-restart ladder. Either way
+//! final weights match the thread backend bit for bit. The spec is
+//! parsed, and checked against the backend, before any work happens.
 //!
 //! `--trace` on the process backend records a **dual-clock** trace:
 //! each rank process writes `<proc-dir>/trace-rank<N>.jsonl` with both
@@ -40,8 +47,8 @@
 //! into `<proc-dir>/metrics.jsonl`.
 //!
 //! Trains on the simulated distributed runtime, prints the loss/accuracy
-//! trajectory and the modeled communication/compute cost summary. The
-//! fault flags rehearse degraded conditions: injected crashes trigger
+//! trajectory and the modeled communication/compute cost summary.
+//! `--faults` rehearses degraded conditions: injected crashes trigger
 //! checkpoint/restart, link faults exercise the retry path, and the
 //! watchdog bounds every hang. With `--failover` (1.5D only) a crashed
 //! rank's same-row replica takes over in place and the epoch finishes
@@ -82,7 +89,7 @@ use std::time::Duration;
 
 use gnn_bench::cli::{choose, common_flags, store, store_some, switch, value, Cli, Common, Flag};
 use gnn_bench::traceio;
-use gnn_comm::{CostModel, FaultPlan, OverlapConfig, Phase};
+use gnn_comm::{CostModel, Fault, FaultPlan, OverlapConfig, Phase};
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, RobustnessConfig};
 use partition::{partition_graph, Method, PartitionConfig};
 use spmat::dataset::{amazon_scaled, papers_scaled, protein_scaled, reddit_scaled, Dataset};
@@ -125,11 +132,8 @@ struct Args {
     order: LayerOrder,
     epochs: usize,
     scale: u32,
-    inject_crash: Option<(usize, usize)>,
-    slow_rank: Option<(usize, f64)>,
-    drop_prob: f64,
-    corrupt_prob: f64,
-    fault_seed: u64,
+    /// `--faults`: the spec as given, and the plan parsed from it.
+    faults: Option<(String, FaultPlan)>,
     failover: bool,
     checkpoint_every: usize,
     max_restarts: usize,
@@ -148,9 +152,6 @@ struct Args {
     /// `--hostfile`: switch the proc-backend mesh to TCP listeners at
     /// the listed `host[:port]` addresses (one line per rank).
     hostfile: Option<PathBuf>,
-    /// `--net-chaos`: deterministic network-fault spec for the proc
-    /// backend (validated up front, applied inside every rank).
-    net_chaos: Option<String>,
     /// Internal: this invocation is rank N of a proc-backend launch.
     proc_child: Option<usize>,
     /// The flags `repro` takes too.
@@ -180,11 +181,7 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         order: LayerOrder::default(),
         epochs: 30,
         scale: 11,
-        inject_crash: None,
-        slow_rank: None,
-        drop_prob: 0.0,
-        corrupt_prob: 0.0,
-        fault_seed: 0,
+        faults: None,
         failover: false,
         checkpoint_every: 5,
         max_restarts: 2,
@@ -196,23 +193,11 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         p_flag: false,
         proc_dir: None,
         hostfile: None,
-        net_chaos: None,
         proc_child: None,
         common: Common::default(),
     };
     cli().parse(&mut a, args)?;
     Ok(a)
-}
-
-/// `v` split at `sep` into two parsed halves (`RANK@EPOCH`, `RANK:FACTOR`).
-fn pair<T, U>(v: &str, sep: char, shape: &str) -> Result<(T, U), String>
-where
-    T: std::str::FromStr<Err: std::fmt::Display>,
-    U: std::str::FromStr<Err: std::fmt::Display>,
-{
-    let (l, r) = v.split_once(sep).ok_or(format!("wants {shape}, got {v}"))?;
-    let l = l.parse().map_err(|e: T::Err| e.to_string())?;
-    Ok((l, r.parse().map_err(|e: U::Err| e.to_string())?))
 }
 
 /// A finite value above zero, or the reason `v` is not one.
@@ -265,9 +250,6 @@ fn cli() -> Cli<Args> {
         }),
         value("--proc-dir", "DIR", |a, v| store_some(&mut a.proc_dir, v)),
         value("--hostfile", "FILE", |a, v| store_some(&mut a.hostfile, v)),
-        value("--net-chaos", "SPEC", |a, v| {
-            store_some(&mut a.net_chaos, v)
-        }),
         value("--proc-child", "RANK", |a, v| {
             store_some(&mut a.proc_child, v)
         }),
@@ -306,17 +288,10 @@ fn cli() -> Cli<Args> {
         }),
         value("--epochs", "N", |a, v| store(&mut a.epochs, v)),
         value("--scale", "N", |a, v| store(&mut a.scale, v)),
-        value("--inject-crash", "RANK@EPOCH", |a, v| {
-            a.inject_crash = Some(pair(v, '@', "RANK@EPOCH")?);
+        value("--faults", "SPEC", |a, v| {
+            a.faults = Some((v.to_string(), FaultPlan::parse(v)?));
             Ok(())
         }),
-        value("--slow-rank", "RANK:FACTOR", |a, v| {
-            a.slow_rank = Some(pair(v, ':', "RANK:FACTOR")?);
-            Ok(())
-        }),
-        value("--drop-prob", "X", |a, v| store(&mut a.drop_prob, v)),
-        value("--corrupt-prob", "X", |a, v| store(&mut a.corrupt_prob, v)),
-        value("--fault-seed", "N", |a, v| store(&mut a.fault_seed, v)),
         switch("--failover", |a| a.failover = true),
         value("--checkpoint-every", "N", |a, v| {
             store(&mut a.checkpoint_every, v)
@@ -380,6 +355,7 @@ fn grid_parts(tag: AlgoTag, p: usize, pc: usize, c: usize) -> Result<usize, Stri
 /// process backend (and vice versa) before any work happens, with a
 /// pointer to what to use instead.
 fn validate_backend_flags(a: &Args) -> Result<(), String> {
+    let plan = a.faults.as_ref().map(|(_, plan)| plan);
     if !a.backend_proc {
         if a.ranks_flag {
             return Err(
@@ -412,13 +388,12 @@ fn validate_backend_flags(a: &Args) -> Result<(), String> {
                     .into(),
             );
         }
-        if a.net_chaos.is_some() {
-            return Err(
-                "--net-chaos injects deterministic network faults into the process-backend \
-                 transport and needs --backend proc; for the thread backend use the fault \
-                 flags (--drop-prob, --slow-rank, ...) instead"
-                    .into(),
-            );
+        if let Some(kind) = plan.and_then(|p| p.link_rule_kinds().next()) {
+            return Err(format!(
+                "--faults rule {kind}= injects network faults into the process-backend \
+                 sockets and needs --backend proc; the thread backend runs crash, slow, drop \
+                 and corrupt rules"
+            ));
         }
         return Ok(());
     }
@@ -437,22 +412,17 @@ fn validate_backend_flags(a: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if a.inject_crash.is_some() {
+    let crash = |f: &Fault| matches!(f, Fault::CrashAt { .. });
+    if plan.is_some_and(|p| p.faults.iter().any(crash)) {
         return Err(
-            "--inject-crash simulates a rank crash inside a thread world; on the process \
-             backend kill the real rank process instead (PIDs are published at \
+            "--faults rule crash= simulates a rank crash inside a thread world; on the \
+             process backend kill the real rank process instead (PIDs are published at \
              <proc-dir>/rank<N>.pid), or use --backend thread"
                 .into(),
         );
     }
     if a.proc_child.is_some() && a.proc_dir.is_none() {
         return Err("--proc-child needs --proc-dir (both are set by the launcher)".into());
-    }
-    // Reject a malformed chaos spec before any process is spawned; the
-    // same string reaches every rank, so one parse here covers them all.
-    #[cfg(unix)]
-    if let Some(spec) = a.net_chaos.as_deref() {
-        gnn_comm::NetChaosPlan::parse(spec).map_err(|e| format!("--net-chaos: {e}"))?;
     }
     Ok(())
 }
@@ -561,9 +531,6 @@ fn run_proc_parent(args: &Args) -> Result<(gnn_core::DistOutcome, PathBuf), Stri
     );
     if let Some(hosts) = &args.hostfile {
         println!("proc backend: TCP mesh from hostfile {}", hosts.display());
-    }
-    if let Some(spec) = &args.net_chaos {
-        println!("proc backend: deterministic net chaos armed: {spec}");
     }
     let interval = args.metrics_interval.map(Duration::from_secs_f64);
     let metrics_ms = interval.map(|iv| (iv.as_millis().max(1)).to_string());
@@ -732,30 +699,9 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut plan = FaultPlan::new(args.fault_seed);
-    if let Some((rank, epoch)) = args.inject_crash {
-        plan = plan.crash_at(rank, epoch, 0);
-    }
-    if let Some((rank, factor)) = args.slow_rank {
-        plan = plan.slow_compute(rank, factor);
-    }
-    if args.drop_prob > 0.0 {
-        for rank in 0..args.p {
-            plan = plan.drop_messages(rank, None, args.drop_prob);
-        }
-    }
-    if args.corrupt_prob > 0.0 {
-        for rank in 0..args.p {
-            plan = plan.corrupt_messages(rank, None, args.corrupt_prob);
-        }
-    }
-    let faulty = !plan.is_empty();
-    if faulty && !quiet {
-        println!(
-            "fault plan: {} fault(s), seed {}",
-            plan.faults.len(),
-            args.fault_seed
-        );
+    let faulty = args.faults.is_some();
+    if let Some((spec, _)) = args.faults.as_ref().filter(|_| !quiet) {
+        println!("fault plan: {spec}");
     }
 
     let mut cost = CostModel::perlmutter_like().with_threads(threads);
@@ -785,14 +731,13 @@ fn main() -> ExitCode {
         );
     }
     cfg.robust = RobustnessConfig {
-        faults: faulty.then_some(plan),
+        faults: args.faults.as_ref().map(|(_, plan)| plan.clone()),
         checkpoint_every: args.checkpoint_every,
         max_restarts: args.max_restarts,
         timeout: Duration::from_millis(args.watchdog_ms.max(1)),
         failover: args.failover,
     };
     cfg.hostfile = args.hostfile.clone();
-    cfg.net_chaos = args.net_chaos.clone();
 
     // Proc-backend child: this invocation *is* rank N — run it over the
     // real sockets and exit without printing anything.
@@ -1064,8 +1009,8 @@ mod tests {
     fn proc_backend_still_rejects_thread_only_fault_flags() {
         let err = validated(&["--backend", "proc", "--failover"]).unwrap_err();
         assert!(err.contains("--failover"), "{err}");
-        let err = validated(&["--backend", "proc", "--inject-crash", "1@3"]).unwrap_err();
-        assert!(err.contains("--inject-crash"), "{err}");
+        let err = validated(&["--backend", "proc", "--faults", "crash=1@3"]).unwrap_err();
+        assert!(err.contains("crash="), "{err}");
     }
 
     #[test]
@@ -1094,28 +1039,94 @@ mod tests {
     }
 
     #[test]
-    fn hostfile_and_net_chaos_need_proc_backend() {
+    fn hostfile_and_link_faults_need_proc_backend() {
         let err = validated(&["--hostfile", "hosts.txt"]).unwrap_err();
         assert!(err.contains("--backend proc"), "{err}");
-        let err = validated(&["--net-chaos", "seed=1"]).unwrap_err();
+        let err = validated(&["--faults", "seed=1;drop=*>*:0.1;partition=0-1@5.."]).unwrap_err();
         assert!(err.contains("--backend proc"), "{err}");
+        assert!(err.contains("partition="), "names the rule: {err}");
     }
 
-    #[cfg(unix)]
     #[test]
-    fn malformed_net_chaos_is_rejected_before_spawning() {
-        let err =
-            validated(&["--backend", "proc", "--net-chaos", "seed=1;partition=bogus"]).unwrap_err();
-        assert!(err.contains("--net-chaos"), "{err}");
-        assert_eq!(
-            validated(&[
-                "--backend",
-                "proc",
-                "--net-chaos",
-                "seed=7;partition=0-1@200..700;delay=0>1:3+-2",
-            ]),
-            Ok(())
-        );
+    fn malformed_fault_spec_is_rejected_before_spawning() {
+        let err = args(&["--backend", "proc", "--faults", "seed=1;partition=bogus"])
+            .err()
+            .expect("a malformed spec is a flag error");
+        assert!(err.starts_with("bad --faults: "), "{err}");
+        let spec = "seed=7;partition=0-1@200..700;delay=0>1:3+-2;drop=0-1:0.1";
+        let ok = validated(&["--backend", "proc", "--faults", spec]);
+        assert_eq!(ok.is_ok(), cfg!(unix), "{ok:?}");
+    }
+
+    /// The plan `--faults SPEC` parsed, for a thread-backend run.
+    fn faults(spec: &str) -> FaultPlan {
+        let a = args(&["--faults", spec]).expect("spec parses");
+        validate_backend_flags(&a).expect("a thread-backend plan");
+        a.faults.expect("plan stored").1
+    }
+
+    /// Each retired fault flag has one `--faults` spelling, and the
+    /// flags themselves are gone.
+    #[test]
+    fn faults_flag_spells_every_retired_fault_flag() {
+        // --inject-crash R@E
+        assert_eq!(faults("crash=2@3"), FaultPlan::new(0).crash_at(2, 3, 0));
+        assert_eq!(faults("crash=2@3:7"), FaultPlan::new(0).crash_at(2, 3, 7));
+        // --slow-rank R:F
+        assert_eq!(faults("slow=3:4.0"), FaultPlan::new(0).slow_compute(3, 4.0));
+        // --fault-seed N, --drop-prob X, --corrupt-prob X
+        let plan = faults("seed=7;drop=*>*:0.2;corrupt=*-*:0.15");
+        let mut want = FaultPlan::new(7);
+        want.faults = vec![
+            Fault::DropMsg {
+                rank: None,
+                to: None,
+                prob: 0.2,
+            },
+            Fault::CorruptMsg {
+                rank: None,
+                to: None,
+                prob: 0.15,
+            },
+        ];
+        assert_eq!(plan, want);
+        // A symmetric pair is both directions, in that order.
+        let pair = faults("drop=0-1:0.5").faults;
+        let dirs: Vec<_> = pair
+            .iter()
+            .map(|f| match *f {
+                Fault::DropMsg { rank, to, .. } => (rank, to),
+                _ => panic!("{f:?}"),
+            })
+            .collect();
+        assert_eq!(dirs, [(Some(0), Some(1)), (Some(1), Some(0))]);
+        for gone in [
+            "--inject-crash",
+            "--slow-rank",
+            "--drop-prob",
+            "--corrupt-prob",
+            "--fault-seed",
+            "--net-chaos",
+        ] {
+            let err = args(&[gone, "1"]).err().expect("retired flag");
+            assert!(err.starts_with(&format!("unknown flag {gone}\n")), "{err}");
+        }
+    }
+
+    /// A `*` sender is every rank of whatever world the plan lands in.
+    #[test]
+    fn a_wildcard_sender_drops_on_every_rank() {
+        let plan = faults("seed=3;drop=*>*:1");
+        let retries = u64::from(plan.max_retries);
+        let world = gnn_comm::ThreadWorld::new(3, CostModel::default()).with_faults(plan);
+        let (_, stats) = world.run(|ctx| {
+            let (p, me) = (ctx.p(), ctx.rank());
+            ctx.send((me + 1) % p, gnn_comm::msg::Payload::F64(vec![me as f64]));
+            ctx.recv((me + p - 1) % p).into_f64()[0]
+        });
+        for (rank, r) in stats.per_rank.iter().enumerate() {
+            assert_eq!(r.faults.drops, retries, "rank {rank}");
+        }
     }
 
     #[cfg(unix)]

@@ -66,7 +66,7 @@ use crate::fault::FaultInjector;
 use crate::msg::{Msg, Payload};
 use crate::pool::PayloadPool;
 use crate::stats::{Phase, RankStats};
-use crate::transport::{RecvOutcome, Transport, TryRecvOutcome};
+use crate::transport::{RecvOutcome, Transport};
 
 /// Message tags, one per operation kind; mismatches indicate an SPMD
 /// protocol bug and fail fast.
@@ -131,8 +131,8 @@ impl OverlapConfig {
 }
 
 /// Handle to a nonblocking operation posted with [`RankCtx::isend`] /
-/// [`RankCtx::irecv`]. Redeem with [`RankCtx::wait`] (or poll with
-/// [`RankCtx::test`]); handles are valid until the next `set_epoch`.
+/// [`RankCtx::irecv`]. Redeem with [`RankCtx::wait`] or
+/// [`RankCtx::wait_all`]; handles are valid until the next `set_epoch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PendingOp(usize);
 
@@ -141,9 +141,8 @@ enum PendingSlot {
     /// Eagerly-pushed send: complete as soon as it is posted (channel
     /// buffering plays the role of MPI's eager protocol).
     Send,
-    /// Posted receive; `payload` fills in when channel progress (a
-    /// blocking [`RankCtx::wait`] or a nonblocking [`RankCtx::test`])
-    /// delivers the matching frame.
+    /// Posted receive; `payload` fills in when a [`RankCtx::wait`] on
+    /// this or a later receive from `src` drains the matching frame.
     Recv {
         src: usize,
         phase: Phase,
@@ -837,7 +836,7 @@ impl RankCtx {
     // ---- nonblocking op layer -------------------------------------------
     //
     // `isend`/`irecv` return `PendingOp` handles redeemed by `wait`/
-    // `wait_all` (or polled with `test`). Sends are eager — the buffered
+    // `wait_all`. Sends are eager — the buffered
     // channel plays MPI's eager protocol — and still run through
     // `raw_send`, so the checksum/retransmit/fault machinery composes
     // unchanged. Inside an overlap window ([`RankCtx::overlap_begin`])
@@ -879,8 +878,7 @@ impl RankCtx {
     }
 
     /// Posts a nonblocking receive from `src` on `phase`. No data moves
-    /// until [`RankCtx::wait`] (or channel progress via
-    /// [`RankCtx::test`]) matches the frame.
+    /// until a [`RankCtx::wait`] matches the frame.
     pub fn irecv(&mut self, src: usize, phase: Phase) -> PendingOp {
         self.op_tick();
         self.pending.push(PendingSlot::Recv {
@@ -914,57 +912,6 @@ impl RankCtx {
             "rank {}: frame from rank {src} arrived with no matching posted irecv",
             self.rank
         );
-    }
-
-    /// Nonblocking progress on `src`'s channel: drains every frame that
-    /// is already sitting in the queue through the reliable-transport
-    /// state machine and files the deliveries against posted receives.
-    fn try_progress(&mut self, src: usize) {
-        loop {
-            match self.transport.try_recv(src) {
-                TryRecvOutcome::Frame(frame) => {
-                    if let Some(msg) = self.transport_accept(src, frame) {
-                        assert_eq!(
-                            msg.tag,
-                            tag::P2P,
-                            "rank {}: protocol mismatch on nonblocking progress from {} \
-                             (got tag {})",
-                            self.rank,
-                            src,
-                            msg.tag
-                        );
-                        self.deliver_to_earliest(src, msg.payload);
-                    }
-                }
-                TryRecvOutcome::Empty => break,
-                TryRecvOutcome::Disconnected => {
-                    if self.failover {
-                        self.abort_epoch(self.gen);
-                    }
-                    self.peer_hung_up(src, "during nonblocking progress".to_string());
-                }
-            }
-        }
-    }
-
-    /// Tests a pending op for completion without blocking (drains any
-    /// frames already queued first). Completion does not consume the
-    /// handle — redeem it with [`RankCtx::wait`].
-    pub fn test(&mut self, op: PendingOp) -> bool {
-        match &self.pending[op.0] {
-            PendingSlot::Send => true,
-            PendingSlot::Recv { src, .. } => {
-                let src = *src;
-                self.try_progress(src);
-                matches!(
-                    &self.pending[op.0],
-                    PendingSlot::Recv {
-                        payload: Some(_),
-                        ..
-                    } | PendingSlot::Recv { done: true, .. }
-                )
-            }
-        }
     }
 
     /// Blocks until `op` completes and returns its payload (`Empty` for

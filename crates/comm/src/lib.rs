@@ -21,10 +21,12 @@
 //!   between ranks, so their free lists belong to the world that moves
 //!   them (one per [`ThreadWorld`] run, one per rank process), reached
 //!   through [`RankCtx::take_f64`] / [`RankCtx::recycle`].
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`] /
-//!   [`FaultInjector`]): delayed, dropped, or corrupted messages, slowed
-//!   compute, and rank crashes at a chosen epoch, all derived from a
-//!   seed so faulty runs replay bit-identically.
+//! * [`fault`] — deterministic fault injection: one seeded
+//!   [`FaultPlan`] (builders or a `;`-separated spec) whose message
+//!   rules — delayed, dropped, or corrupted messages, slowed compute,
+//!   rank crashes at a chosen epoch — a [`FaultInjector`] evaluates on
+//!   both backends, and whose link rules the process backend's socket
+//!   interposer runs; faulty runs replay bit-identically.
 //! * [`error`] — structured failure reporting: [`ThreadWorld::try_run`]
 //!   returns a [`WorldError`] naming the panicking rank, the injected
 //!   crash, or a [`DeadlockReport`] from the built-in watchdog instead
@@ -58,8 +60,6 @@ pub use fault::{Fault, FaultInjector, FaultPlan, SendFate};
 pub use gnn_trace::{SpanKind, WorldTrace};
 pub use pool::PayloadPool;
 pub use stats::{FaultCounters, Phase, ProcCounters, RankStats, WorldStats};
-#[cfg(unix)]
-pub use transport::chaos::NetChaosPlan;
 #[cfg(unix)]
 pub use transport::net::{wait_child_exit, HostFile};
 #[cfg(unix)]

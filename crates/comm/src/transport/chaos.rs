@@ -1,358 +1,24 @@
-//! Deterministic network-chaos interposer for the process backend.
+//! The link-rule runtime of a [`FaultPlan`]: the process backend's
+//! deterministic network-chaos interposer.
 //!
-//! A [`NetChaosPlan`] sits between the frame codec and the socket and
-//! perturbs the wire the way real interconnects do: per-link latency
-//! with jitter, bandwidth caps, connections that die after N bytes,
-//! one-way and symmetric partitions with scheduled heal times, and
-//! connection-refused windows during rendezvous. Every perturbation is
-//! a pure function of `(seed, link, counter, window clock)`, so the
-//! same spec replays the same fault schedule — the chaos soak tests
-//! assert the trained weights stay bit-identical to the `ThreadWorld`
-//! oracle under every fault class.
-//!
-//! The spec grammar (CLI `--net-chaos`, one rule per `;`):
-//!
-//! ```text
-//! seed=42                      # jitter seed (default 0)
-//! delay=A>B:BASE[+-JIT]        # per-frame latency ms (one-way link)
-//! delay=A-B:BASE[+-JIT]        # … both directions
-//! bw=A>B:BYTES_PER_SEC         # token-bucket bandwidth cap
-//! cut=A>B:NBYTES               # sever the link after N sent bytes
-//! partition=A-B@FROM..UNTIL    # no traffic in [FROM,UNTIL) ms
-//! partition=A>B@FROM..         # one-way, never heals
-//! refuse=R@FROM..UNTIL         # dials to rank R refused in window
-//! ```
-//!
-//! `A`/`B` are rank numbers or `*`. Windowed faults (`partition`,
-//! `refuse`, `cut`) apply only to **generation 0** — the first
-//! supervised process generation — unless suffixed `/all`; otherwise a
-//! partition that outlives the reconnect deadline would re-fire after
-//! every checkpoint restart and the run could never converge. `delay`
-//! and `bw` shape timing only (never data), so they apply to every
-//! generation.
+//! A [`Chaos`] sits between the frame codec and the socket and applies
+//! the plan's link rules (`delay`, `bw`, `cut`, `partition`, `refuse`;
+//! grammar in [`crate::fault`]) the way real interconnects misbehave:
+//! per-link latency with jitter, bandwidth caps, connections that die
+//! after N bytes, one-way and symmetric partitions with scheduled heal
+//! times, and connection-refused windows during rendezvous. Every
+//! perturbation is a pure function of `(seed, link, counter, window
+//! clock)`, so the same spec replays the same fault schedule — the
+//! chaos soak tests assert the trained weights stay bit-identical to
+//! the `ThreadWorld` oracle under every fault class. Windowed rules
+//! skip restart generations after the first unless suffixed `/all`.
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use super::net::{lock_or_recover, splitmix64};
-
-/// Rank selector in a rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Sel {
-    Any,
-    Rank(usize),
-}
-
-impl Sel {
-    fn parse(s: &str) -> Result<Sel, String> {
-        if s == "*" {
-            Ok(Sel::Any)
-        } else {
-            s.parse::<usize>()
-                .map(Sel::Rank)
-                .map_err(|_| format!("bad rank selector {s:?} (want a rank number or '*')"))
-        }
-    }
-
-    fn matches(&self, rank: usize) -> bool {
-        match self {
-            Sel::Any => true,
-            Sel::Rank(r) => *r == rank,
-        }
-    }
-}
-
-impl fmt::Display for Sel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Sel::Any => write!(f, "*"),
-            Sel::Rank(r) => write!(f, "{r}"),
-        }
-    }
-}
-
-/// Directed link pattern: `src>dst` or the symmetric `src-dst`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct LinkSel {
-    src: Sel,
-    dst: Sel,
-    symmetric: bool,
-}
-
-impl LinkSel {
-    fn parse(s: &str) -> Result<LinkSel, String> {
-        let (a, b, symmetric) = if let Some((a, b)) = s.split_once('>') {
-            (a, b, false)
-        } else if let Some((a, b)) = s.split_once('-') {
-            (a, b, true)
-        } else {
-            return Err(format!("bad link selector {s:?} (want 'A>B' or 'A-B')"));
-        };
-        Ok(LinkSel {
-            src: Sel::parse(a)?,
-            dst: Sel::parse(b)?,
-            symmetric,
-        })
-    }
-
-    /// Does this pattern cover the directed link `src → dst`?
-    fn covers(&self, src: usize, dst: usize) -> bool {
-        (self.src.matches(src) && self.dst.matches(dst))
-            || (self.symmetric && self.src.matches(dst) && self.dst.matches(src))
-    }
-}
-
-impl fmt::Display for LinkSel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sep = if self.symmetric { '-' } else { '>' };
-        write!(f, "{}{sep}{}", self.src, self.dst)
-    }
-}
-
-/// Half-open activity window in milliseconds since transport start
-/// (`until` `None` = never ends).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Window {
-    from_ms: u64,
-    until_ms: Option<u64>,
-}
-
-impl Window {
-    fn parse(s: &str) -> Result<Window, String> {
-        let (from, until) = s
-            .split_once("..")
-            .ok_or_else(|| format!("bad window {s:?} (want 'FROM..UNTIL' or 'FROM..')"))?;
-        let from_ms = from
-            .parse::<u64>()
-            .map_err(|_| format!("bad window start {from:?}"))?;
-        let until_ms = if until.is_empty() {
-            None
-        } else {
-            let u = until
-                .parse::<u64>()
-                .map_err(|_| format!("bad window end {until:?}"))?;
-            if u <= from_ms {
-                return Err(format!("window {s:?} ends before it starts"));
-            }
-            Some(u)
-        };
-        Ok(Window { from_ms, until_ms })
-    }
-
-    fn active(&self, now_ms: u64) -> bool {
-        now_ms >= self.from_ms && self.until_ms.is_none_or(|u| now_ms < u)
-    }
-}
-
-impl fmt::Display for Window {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.until_ms {
-            Some(u) => write!(f, "{}..{u}", self.from_ms),
-            None => write!(f, "{}..", self.from_ms),
-        }
-    }
-}
-
-/// One parsed chaos rule.
-#[derive(Clone, Debug, PartialEq)]
-enum Rule {
-    /// Per-frame latency: `base_ms ± jitter_ms` on matching links.
-    Delay {
-        link: LinkSel,
-        base_ms: u64,
-        jitter_ms: u64,
-    },
-    /// Token-bucket bandwidth cap on matching links.
-    Bandwidth { link: LinkSel, bytes_per_sec: u64 },
-    /// Sever the connection once N bytes have been sent on the link.
-    Cut {
-        link: LinkSel,
-        after_bytes: u64,
-        all_gens: bool,
-    },
-    /// No traffic on matching links while the window is active.
-    Partition {
-        link: LinkSel,
-        window: Window,
-        all_gens: bool,
-    },
-    /// Dials to `rank` fail with ConnectionRefused while active
-    /// (covers the rendezvous endpoint when `rank` is 0).
-    Refuse {
-        rank: usize,
-        window: Window,
-        all_gens: bool,
-    },
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let all = |b: bool| if b { "/all" } else { "" };
-        match self {
-            Rule::Delay {
-                link,
-                base_ms,
-                jitter_ms,
-            } => {
-                if *jitter_ms > 0 {
-                    write!(f, "delay={link}:{base_ms}+-{jitter_ms}")
-                } else {
-                    write!(f, "delay={link}:{base_ms}")
-                }
-            }
-            Rule::Bandwidth {
-                link,
-                bytes_per_sec,
-            } => write!(f, "bw={link}:{bytes_per_sec}"),
-            Rule::Cut {
-                link,
-                after_bytes,
-                all_gens,
-            } => write!(f, "cut={link}:{after_bytes}{}", all(*all_gens)),
-            Rule::Partition {
-                link,
-                window,
-                all_gens,
-            } => write!(f, "partition={link}@{window}{}", all(*all_gens)),
-            Rule::Refuse {
-                rank,
-                window,
-                all_gens,
-            } => write!(f, "refuse={rank}@{window}{}", all(*all_gens)),
-        }
-    }
-}
-
-/// A seeded, replayable network-fault schedule for one run. Parse one
-/// from a `--net-chaos` spec; apply it with
-/// `ProcWorld::with_net_chaos`. The same spec produces the same fault
-/// timeline on every run (jitter included), so chaos runs are
-/// reproducible end to end.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NetChaosPlan {
-    seed: u64,
-    rules: Vec<Rule>,
-}
-
-impl NetChaosPlan {
-    /// Parses a `;`-separated rule spec (see the module docs for the
-    /// grammar). Errors name the offending rule.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut seed = 0u64;
-        let mut rules = Vec::new();
-        for raw in spec.split(';') {
-            let part = raw.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, val) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad chaos rule {part:?} (want key=value)"))?;
-            let (val, all_gens) = match val.strip_suffix("/all") {
-                Some(v) => (v, true),
-                None => (val, false),
-            };
-            match key {
-                "seed" => {
-                    seed = val
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad chaos seed {val:?}"))?;
-                }
-                "delay" => {
-                    let (link, amount) = split_rule(val)?;
-                    let (base_ms, jitter_ms) = match amount.split_once("+-") {
-                        Some((b, j)) => (parse_u64("delay", b)?, parse_u64("jitter", j)?),
-                        None => (parse_u64("delay", amount)?, 0),
-                    };
-                    rules.push(Rule::Delay {
-                        link: LinkSel::parse(link)?,
-                        base_ms,
-                        jitter_ms,
-                    });
-                }
-                "bw" => {
-                    let (link, rate) = split_rule(val)?;
-                    let bytes_per_sec = parse_u64("bandwidth", rate)?;
-                    if bytes_per_sec == 0 {
-                        return Err(
-                            "bw rate must be positive (use partition= to block a link)".to_string()
-                        );
-                    }
-                    rules.push(Rule::Bandwidth {
-                        link: LinkSel::parse(link)?,
-                        bytes_per_sec,
-                    });
-                }
-                "cut" => {
-                    let (link, n) = split_rule(val)?;
-                    rules.push(Rule::Cut {
-                        link: LinkSel::parse(link)?,
-                        after_bytes: parse_u64("cut threshold", n)?,
-                        all_gens,
-                    });
-                }
-                "partition" => {
-                    let (link, window) = val
-                        .split_once('@')
-                        .ok_or_else(|| format!("bad partition {val:?} (want LINK@FROM..UNTIL)"))?;
-                    rules.push(Rule::Partition {
-                        link: LinkSel::parse(link)?,
-                        window: Window::parse(window)?,
-                        all_gens,
-                    });
-                }
-                "refuse" => {
-                    let (rank, window) = val
-                        .split_once('@')
-                        .ok_or_else(|| format!("bad refuse {val:?} (want RANK@FROM..UNTIL)"))?;
-                    let rank = rank
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad refuse rank {rank:?}"))?;
-                    rules.push(Rule::Refuse {
-                        rank,
-                        window: Window::parse(window)?,
-                        all_gens,
-                    });
-                }
-                other => return Err(format!("unknown chaos rule kind {other:?}")),
-            }
-        }
-        if rules.is_empty() {
-            return Err("chaos spec has no rules".to_string());
-        }
-        Ok(NetChaosPlan { seed, rules })
-    }
-
-    /// The jitter seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-impl fmt::Display for NetChaosPlan {
-    /// Re-serializes to a spec string `NetChaosPlan::parse` accepts —
-    /// the launcher uses this to hand the plan to child processes.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        for r in &self.rules {
-            write!(f, ";{r}")?;
-        }
-        Ok(())
-    }
-}
-
-fn split_rule(val: &str) -> Result<(&str, &str), String> {
-    val.split_once(':')
-        .ok_or_else(|| format!("bad chaos rule value {val:?} (want LINK:AMOUNT)"))
-}
-
-fn parse_u64(what: &str, s: &str) -> Result<u64, String> {
-    s.parse::<u64>().map_err(|_| format!("bad {what} {s:?}"))
-}
-
-// ---- Runtime state --------------------------------------------------------
+use crate::fault::{FaultPlan, LinkRule};
 
 /// What the interposer decided for one outbound frame.
 pub(crate) enum SendVerdict {
@@ -400,7 +66,8 @@ struct LinkState {
 /// `generation` the supervised restart generation (windowed faults
 /// default to generation 0 — see the module docs).
 pub(crate) struct Chaos {
-    plan: NetChaosPlan,
+    rules: Vec<LinkRule>,
+    seed: u64,
     me: usize,
     generation: u64,
     links: Vec<LinkState>,
@@ -414,7 +81,7 @@ pub(crate) struct Chaos {
 }
 
 impl Chaos {
-    pub(crate) fn new(plan: NetChaosPlan, me: usize, p: usize, generation: u64) -> Self {
+    pub(crate) fn new(plan: &FaultPlan, me: usize, p: usize, generation: u64) -> Self {
         let links = (0..p)
             .map(|_| LinkState {
                 bytes_sent: AtomicU64::new(0),
@@ -425,7 +92,8 @@ impl Chaos {
             })
             .collect();
         Chaos {
-            plan,
+            rules: plan.links.clone(),
+            seed: plan.seed,
             me,
             generation,
             links,
@@ -442,8 +110,8 @@ impl Chaos {
 
     /// Is the directed link `src → dst` inside an active partition?
     pub(crate) fn partitioned(&self, src: usize, dst: usize, now_ms: u64) -> bool {
-        self.plan.rules.iter().any(|r| match r {
-            Rule::Partition {
+        self.rules.iter().any(|r| match r {
+            LinkRule::Partition {
                 link,
                 window,
                 all_gens,
@@ -457,8 +125,8 @@ impl Chaos {
     /// either one-way partition blocks it; `refuse` windows model the
     /// listener not being there at all.
     pub(crate) fn dial_refused(&self, dst: usize, now_ms: u64) -> Option<&'static str> {
-        let refused = self.plan.rules.iter().any(|r| match r {
-            Rule::Refuse {
+        let refused = self.rules.iter().any(|r| match r {
+            LinkRule::Refuse {
                 rank,
                 window,
                 all_gens,
@@ -497,8 +165,8 @@ impl Chaos {
         link.partition_severed.store(false, Ordering::SeqCst);
 
         let sent = link.bytes_sent.fetch_add(nbytes, Ordering::Relaxed) + nbytes;
-        for r in &self.plan.rules {
-            if let Rule::Cut {
+        for r in &self.rules {
+            if let LinkRule::Cut {
                 link: sel,
                 after_bytes,
                 all_gens,
@@ -519,9 +187,9 @@ impl Chaos {
         }
 
         let mut delay_us: u64 = 0;
-        for r in &self.plan.rules {
+        for r in &self.rules {
             match r {
-                Rule::Delay {
+                LinkRule::Delay {
                     link: sel,
                     base_ms,
                     jitter_ms,
@@ -530,7 +198,6 @@ impl Chaos {
                     if *jitter_ms > 0 {
                         let n = link.draws.fetch_add(1, Ordering::Relaxed);
                         let key = self
-                            .plan
                             .seed
                             .wrapping_add((self.me as u64) << 40)
                             .wrapping_add((dst as u64) << 20)
@@ -540,9 +207,9 @@ impl Chaos {
                         let off = splitmix64(key) % span;
                         d = (d + off).saturating_sub(jitter_ms * 1000);
                     }
-                    delay_us += d;
+                    delay_us = delay_us.saturating_add(d);
                 }
-                Rule::Bandwidth {
+                LinkRule::Bandwidth {
                     link: sel,
                     bytes_per_sec,
                 } if sel.covers(self.me, dst) => {
@@ -552,8 +219,8 @@ impl Chaos {
                     let occupy_us = nbytes.saturating_mul(1_000_000) / bytes_per_sec;
                     let mut busy = lock_or_recover(&link.busy_until_us);
                     let start = (*busy).max(now_us);
-                    *busy = start + occupy_us;
-                    delay_us += (*busy).saturating_sub(now_us);
+                    *busy = start.saturating_add(occupy_us);
+                    delay_us = delay_us.saturating_add(*busy - now_us);
                 }
                 _ => {}
             }
@@ -588,36 +255,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_roundtrips_through_display() {
-        let spec = "seed=7;delay=0>1:5+-2;bw=*-*:1000000;cut=1>0:4096;\
-                    partition=0-2@100..600;partition=1>3@50../all;refuse=0@0..250";
-        let plan = NetChaosPlan::parse(spec).unwrap();
-        let back = NetChaosPlan::parse(&plan.to_string()).unwrap();
-        assert_eq!(plan, back);
-        assert_eq!(plan.seed(), 7);
-    }
-
-    #[test]
-    fn spec_rejects_malformed_rules() {
-        for bad in [
-            "",
-            "delay=0>1",            // no amount
-            "delay=0_1:5",          // bad link sep
-            "bw=*>*:0",             // zero rate
-            "partition=0-1",        // no window
-            "partition=0-1@9..3",   // inverted window
-            "refuse=x@0..5",        // bad rank
-            "frobnicate=1",         // unknown kind
-            "seed=abc;delay=0>1:1", // bad seed
-        ] {
-            assert!(NetChaosPlan::parse(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
     fn partitions_cover_directions_and_windows() {
-        let plan = NetChaosPlan::parse("partition=0-1@100..200;partition=2>3@50..").unwrap();
-        let c = Chaos::new(plan, 0, 4, 0);
+        let plan = FaultPlan::parse("partition=0-1@100..200;partition=2>3@50..").unwrap();
+        let c = Chaos::new(&plan, 0, 4, 0);
         assert!(!c.partitioned(0, 1, 99));
         assert!(c.partitioned(0, 1, 100));
         assert!(c.partitioned(1, 0, 150), "symmetric covers both ways");
@@ -628,22 +268,22 @@ mod tests {
 
     #[test]
     fn windowed_faults_skip_later_generations() {
-        let plan = NetChaosPlan::parse("partition=0-1@0..;refuse=0@0..").unwrap();
-        let gen0 = Chaos::new(plan.clone(), 1, 2, 0);
+        let plan = FaultPlan::parse("partition=0-1@0..;refuse=0@0..").unwrap();
+        let gen0 = Chaos::new(&plan, 1, 2, 0);
         assert!(gen0.partitioned(0, 1, 10));
         assert!(gen0.dial_refused(0, 10).is_some());
-        let gen1 = Chaos::new(plan, 1, 2, 1);
+        let gen1 = Chaos::new(&plan, 1, 2, 1);
         assert!(!gen1.partitioned(0, 1, 10));
         assert!(gen1.dial_refused(0, 10).is_none());
-        let sticky = NetChaosPlan::parse("partition=0-1@0../all").unwrap();
-        assert!(Chaos::new(sticky, 1, 2, 3).partitioned(0, 1, 10));
+        let sticky = FaultPlan::parse("partition=0-1@0../all").unwrap();
+        assert!(Chaos::new(&sticky, 1, 2, 3).partitioned(0, 1, 10));
     }
 
     #[test]
     fn delay_jitter_is_deterministic_and_bounded() {
-        let plan = NetChaosPlan::parse("seed=9;delay=0>1:5+-3").unwrap();
-        let a = Chaos::new(plan.clone(), 0, 2, 0);
-        let b = Chaos::new(plan, 0, 2, 0);
+        let plan = FaultPlan::parse("seed=9;delay=0>1:5+-3").unwrap();
+        let a = Chaos::new(&plan, 0, 2, 0);
+        let b = Chaos::new(&plan, 0, 2, 0);
         for i in 0..64 {
             let (va, vb) = (a.on_send(1, 100, i * 1000), b.on_send(1, 100, i * 1000));
             match (va, vb) {
@@ -659,8 +299,8 @@ mod tests {
     #[test]
     fn bandwidth_cap_accumulates_backpressure() {
         // 1 MB/s; a 100 kB frame occupies 100 ms of link time.
-        let plan = NetChaosPlan::parse("bw=*>*:1000000").unwrap();
-        let c = Chaos::new(plan, 0, 2, 0);
+        let plan = FaultPlan::parse("bw=*>*:1000000").unwrap();
+        let c = Chaos::new(&plan, 0, 2, 0);
         let d1 = match c.on_send(1, 100_000, 0) {
             SendVerdict::Deliver { delay } => delay,
             _ => panic!(),
@@ -675,8 +315,8 @@ mod tests {
 
     #[test]
     fn cut_fires_once_at_threshold() {
-        let plan = NetChaosPlan::parse("cut=0>1:1000").unwrap();
-        let c = Chaos::new(plan, 0, 2, 0);
+        let plan = FaultPlan::parse("cut=0>1:1000").unwrap();
+        let c = Chaos::new(&plan, 0, 2, 0);
         assert!(matches!(c.on_send(1, 600, 0), SendVerdict::Deliver { .. }));
         assert!(matches!(c.on_send(1, 600, 1000), SendVerdict::Sever { .. }));
         assert!(

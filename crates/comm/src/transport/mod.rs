@@ -53,16 +53,6 @@ pub(crate) enum RecvOutcome {
     Disconnected,
 }
 
-/// Outcome of a nonblocking receive probe.
-pub(crate) enum TryRecvOutcome {
-    /// A frame was already queued.
-    Frame(Msg),
-    /// Nothing queued right now.
-    Empty,
-    /// The peer's channel is gone.
-    Disconnected,
-}
-
 /// The link layer beneath a [`crate::RankCtx`]: framed point-to-point
 /// delivery, a rendezvous barrier, peer liveness, and the watchdog that
 /// converts hangs into structured deadlock reports. One instance per
@@ -76,9 +66,6 @@ pub(crate) trait Transport: Send {
 
     /// Blocks up to `timeout` for the next frame from `src`.
     fn recv_deadline(&mut self, src: usize, timeout: Duration) -> RecvOutcome;
-
-    /// Returns a frame from `src` only if one is already queued.
-    fn try_recv(&mut self, src: usize) -> TryRecvOutcome;
 
     /// Rendezvous of all ranks; `false` when the transport's watchdog
     /// timeout expired first.

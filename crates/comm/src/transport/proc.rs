@@ -54,14 +54,15 @@
 //!   for a connection installed, a BYE, a death or shutdown. The only
 //!   sleeps left are an injected chaos delay, the backoff between
 //!   failed dials and the heartbeat thread's tick.
-//! * **Network chaos** — an optional deterministic interposer
-//!   ([`crate::NetChaosPlan`], armed via
-//!   [`ProcWorld::with_net_chaos`] or `GNN_PROC_NET_CHAOS`) sits on
-//!   the frame write path and the dial/accept path, injecting seeded
-//!   per-link latency/jitter, bandwidth caps, byte-threshold cuts,
-//!   partitions, and connection-refused windows — real TCP resets and
-//!   refused dials, replayed exactly from the seed. Windowed faults
-//!   fire only in supervised restart generation 0 by default (the
+//! * **Network chaos** — the link rules of a [`FaultPlan`] armed with
+//!   [`ProcWorld::with_faults`] (its message rules run in
+//!   [`crate::RankCtx`], as on the thread backend) drive a
+//!   deterministic interposer on the frame write path and the
+//!   dial/accept path, injecting seeded per-link latency/jitter,
+//!   bandwidth caps, byte-threshold cuts, partitions, and
+//!   connection-refused windows — real TCP resets and refused dials,
+//!   replayed exactly from the seed. Windowed faults fire only in
+//!   supervised restart generation 0 by default (the
 //!   `<dir>/generation` file, written by the supervisor via
 //!   [`write_proc_generation`], tells children their generation), so a
 //!   fault that forces a restart does not re-fire forever.
@@ -79,10 +80,6 @@
 //!   --merge` uses to align per-rank wall-clock traces onto one axis.
 //!   Chaos fault activations are exported onto the trace wall axis as
 //!   `chaos_*` events at run end.
-//!
-//! Set `GNN_PROC_DROP_CONN_AFTER=<n>` to forcibly shut one connection
-//! down after the n-th DATA send — a deterministic transient-fault hook
-//! the reconnect tests use.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -92,7 +89,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -110,11 +107,11 @@ use crate::pool::PayloadPool;
 use crate::stats::RankStats;
 use crate::watchdog::{DeathRecord, Watchdog};
 
-use super::chaos::{Chaos, NetChaosPlan, SendVerdict};
+use super::chaos::{Chaos, SendVerdict};
 use super::net::{lock_or_recover, poll_readable, splitmix64, Backoff, HostFile, Listener, Stream};
 use super::replay::{DedupWatermark, ReplayQueue};
 use super::wire::{self, kind, Frame, WireFrame};
-use super::{PeerGone, RecvOutcome, Transport, TryRecvOutcome};
+use super::{PeerGone, RecvOutcome, Transport};
 
 /// Slice for interruptible blocking waits: how late a receive notices
 /// SIGTERM or a dead peer, and the acceptor notices shutdown.
@@ -401,10 +398,6 @@ struct Shared {
     events: Condvar,
     /// The mutex `events` waits under; it guards nothing itself.
     events_lock: Mutex<()>,
-    /// DATA frames sent process-wide (the drop-injection trigger).
-    data_sent: AtomicU64,
-    drop_after: Option<u64>,
-    drop_fired: AtomicBool,
     log: Mutex<File>,
     /// Live link-layer metrics (snapshot via [`Shared::metrics_registry`]).
     metrics: TransportMetrics,
@@ -659,24 +652,6 @@ impl Shared {
         Ok(())
     }
 
-    /// Accounts one DATA frame of `body_len` body bytes sent to `dst`,
-    /// and fires the `GNN_PROC_DROP_CONN_AFTER` fault hook when its
-    /// count comes up.
-    fn data_frame_sent(&self, dst: usize, body_len: u64) {
-        self.metrics
-            .data_bytes_sent
-            .fetch_add(body_len, Ordering::Relaxed);
-        let n = self.data_sent.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(after) = self.drop_after {
-            if n >= after && !self.drop_fired.swap(true, Ordering::SeqCst) {
-                self.log(&format!(
-                    "fault hook: dropping connection to rank {dst} after DATA #{n}"
-                ));
-                self.peers[dst].shutdown_sock();
-            }
-        }
-    }
-
     fn mark_peer_dead(&self, q: usize, why: &str) {
         let peer = &self.peers[q];
         if peer.dead.swap(true, Ordering::SeqCst) {
@@ -759,9 +734,9 @@ impl Shared {
 
 // ---- Connection wiring ----------------------------------------------------
 
-/// Installs `stream` as the current connection to `q`: syncs the replay
-/// queue against the peer's delivered watermark, retransmits the
-/// unacknowledged suffix, and spawns a reader for the new connection.
+/// Installs `stream` as the current connection to `q`: starts its
+/// reader, syncs the replay queue against the peer's delivered
+/// watermark, and retransmits the unacknowledged suffix.
 fn install_conn(
     shared: &Arc<Shared>,
     q: usize,
@@ -779,7 +754,7 @@ fn install_conn(
     if let Some(old) = lock_or_recover(&peer.sock).replace(sock) {
         let _ = old.shutdown(Shutdown::Both);
     }
-    let epoch = shared.with_writer(q, |w| {
+    shared.with_writer(q, |w| {
         if peer.epoch.load(Ordering::SeqCst) > 0 {
             // This link existed before and is coming back: whatever
             // took it down (reset, partition, peer restart of the
@@ -791,6 +766,13 @@ fn install_conn(
         }
         let epoch = peer.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         *w = Some(writer);
+        // The reader starts before the replay: when both ends come back
+        // with a suffix larger than a socket buffer, each replay drains
+        // only because the other end is already reading.
+        let reader = shared.clone();
+        std::thread::Builder::new()
+            .name(format!("proc-read-{q}"))
+            .spawn(move || reader_loop(reader, q, stream, epoch))?;
         // The suffix is read only now, with the write half held: a
         // frame queued after this point is written by its own sender,
         // behind us and therefore in order.
@@ -817,15 +799,11 @@ fn install_conn(
         shared.log(&format!(
             "link to rank {q} up (epoch {epoch}, peer watermark {peer_watermark}, replayed {replayed})"
         ));
-        epoch
-    });
+        Ok::<(), io::Error>(())
+    })?;
     peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
     shared.notify();
-    let shared = shared.clone();
-    std::thread::Builder::new()
-        .name(format!("proc-read-{q}"))
-        .spawn(move || reader_loop(shared, q, stream, epoch))
-        .map(|_| ())
+    Ok(())
 }
 
 /// Reads frames off one connection to peer `q` until it dies, then
@@ -1486,10 +1464,6 @@ impl ProcTransport {
             .create(true)
             .append(true)
             .open(dir.join(format!("rank{rank}.log")))?;
-        let drop_after = std::env::var("GNN_PROC_DROP_CONN_AFTER")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok());
-
         // One anchor serves both clocks-of-record: it is `Shared.start`
         // (heartbeat ages, log stamps, chaos windows) *and* the
         // wall-clock zero the tracer and the rendezvous offset
@@ -1499,8 +1473,10 @@ impl ProcTransport {
         let deadline = start + timeout;
         let generation = read_proc_generation(dir);
         let chaos = w
-            .net_chaos
-            .clone()
+            .injector
+            .as_deref()
+            .map(FaultInjector::plan)
+            .filter(|plan| plan.link_rule_kinds().next().is_some())
             .map(|plan| Chaos::new(plan, rank, p, generation));
         let metrics = TransportMetrics::new();
 
@@ -1603,9 +1579,6 @@ impl ProcTransport {
             shutting_down: AtomicBool::new(false),
             events: Condvar::new(),
             events_lock: Mutex::new(()),
-            data_sent: AtomicU64::new(0),
-            drop_after,
-            drop_fired: AtomicBool::new(false),
             log: Mutex::new(log),
             metrics,
             chaos,
@@ -1745,7 +1718,10 @@ impl Transport for ProcTransport {
         let frame = WireFrame::data(self.shared.rank, msg, self.shared.pool.clone());
         let body_len = frame.wire_len() - wire::FRAME_OVERHEAD;
         self.shared.send_reliable(dst, frame)?;
-        self.shared.data_frame_sent(dst, body_len);
+        self.shared
+            .metrics
+            .data_bytes_sent
+            .fetch_add(body_len, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1768,18 +1744,6 @@ impl Transport for ProcTransport {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return RecvOutcome::Disconnected,
             }
-        }
-    }
-
-    fn try_recv(&mut self, src: usize) -> TryRecvOutcome {
-        let rx = match self.data_rx[src].as_ref() {
-            Some(rx) => rx,
-            None => return TryRecvOutcome::Disconnected,
-        };
-        match rx.try_recv() {
-            Ok(msg) => TryRecvOutcome::Frame(msg),
-            Err(TryRecvError::Empty) => TryRecvOutcome::Empty,
-            Err(TryRecvError::Disconnected) => TryRecvOutcome::Disconnected,
         }
     }
 
@@ -1862,7 +1826,6 @@ pub struct ProcWorld {
     tracing: bool,
     metrics_interval: Option<Duration>,
     hostfile: Option<HostFile>,
-    net_chaos: Option<NetChaosPlan>,
 }
 
 impl ProcWorld {
@@ -1872,14 +1835,9 @@ impl ProcWorld {
     /// Heartbeat period and miss threshold honor the
     /// `GNN_PROC_HEARTBEAT_MS` / `GNN_PROC_MISS` environment overrides;
     /// `GNN_PROC_METRICS_MS=<n>` turns on the periodic live-metrics
-    /// snapshot stream (`metrics-rank<r>.jsonl` under `dir`).
-    /// `GNN_PROC_HOSTFILE=<path>` switches the mesh to TCP listeners
-    /// from that hostfile, and `GNN_PROC_NET_CHAOS=<spec>` arms the
-    /// deterministic network-chaos interposer — both also settable
-    /// explicitly via [`ProcWorld::with_hostfile`] /
-    /// [`ProcWorld::with_net_chaos`]. Malformed values for either
-    /// panic: silently training on a clean network when chaos was
-    /// requested would invalidate the experiment.
+    /// snapshot stream (`metrics-rank<r>.jsonl` under `dir`). The mesh
+    /// and the faults are set by the builders:
+    /// [`ProcWorld::with_hostfile`], [`ProcWorld::with_faults`].
     pub fn new(p: usize, model: CostModel, dir: impl Into<PathBuf>) -> Self {
         assert!(p > 0, "need at least one rank");
         let heartbeat = std::env::var("GNN_PROC_HEARTBEAT_MS")
@@ -1896,21 +1854,6 @@ impl ProcWorld {
             .and_then(|v| v.parse::<u64>().ok())
             .filter(|&ms| ms > 0)
             .map(Duration::from_millis);
-        let hostfile = std::env::var("GNN_PROC_HOSTFILE").ok().map(|path| {
-            HostFile::load(Path::new(&path))
-                .unwrap_or_else(|e| panic!("GNN_PROC_HOSTFILE {path}: {e}"))
-        });
-        let net_chaos = std::env::var("GNN_PROC_NET_CHAOS").ok().map(|spec| {
-            NetChaosPlan::parse(&spec).unwrap_or_else(|e| panic!("GNN_PROC_NET_CHAOS: {e}"))
-        });
-        if let Some(hosts) = &hostfile {
-            assert_eq!(
-                hosts.p(),
-                p,
-                "hostfile names {} ranks but the world has {p}",
-                hosts.p()
-            );
-        }
         ProcWorld {
             p,
             model,
@@ -1921,8 +1864,7 @@ impl ProcWorld {
             injector: None,
             tracing: false,
             metrics_interval,
-            hostfile,
-            net_chaos,
+            hostfile: None,
         }
     }
 
@@ -1937,10 +1879,13 @@ impl ProcWorld {
         self
     }
 
-    /// Message-level fault plan (drop/corrupt/duplicate/delay), applied
-    /// by the backend-independent retransmit machinery. Fates are pure
-    /// functions of (seed, src, dst, seq), so thread and process runs
-    /// under the same plan stay bit-identical.
+    /// Arms a fault plan. Its message rules (drop/corrupt/duplicate/
+    /// delay/slow) run in the backend-independent retransmit machinery,
+    /// whose fates are pure functions of (seed, src, dst, seq, rule), so
+    /// thread and process runs under the same plan stay bit-identical.
+    /// Its link rules drive this backend's network-chaos interposer;
+    /// every rank of one world must receive the identical plan or the
+    /// fault schedule loses its meaning.
     pub fn with_faults(self, plan: FaultPlan) -> Self {
         let injector = Arc::new(FaultInjector::new(plan));
         Self {
@@ -1961,14 +1906,6 @@ impl ProcWorld {
             self.p
         );
         self.hostfile = Some(hosts);
-        self
-    }
-
-    /// Arms the deterministic network-chaos interposer: every rank of
-    /// one world must receive the identical plan (same spec string) or
-    /// the fault schedule loses its meaning.
-    pub fn with_net_chaos(mut self, plan: NetChaosPlan) -> Self {
-        self.net_chaos = Some(plan);
         self
     }
 

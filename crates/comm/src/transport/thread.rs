@@ -3,7 +3,7 @@
 //! the original simulator link layer, extracted verbatim — it is the
 //! bit-exact oracle the process backend is differenced against.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,7 +11,7 @@ use crate::error::{DeadlockReport, WaitKind};
 use crate::msg::Msg;
 use crate::watchdog::{DeathRecord, TimeoutBarrier, Watchdog};
 
-use super::{PeerGone, RecvOutcome, Transport, TryRecvOutcome};
+use super::{PeerGone, RecvOutcome, Transport};
 
 /// Channel-mesh link layer for one rank: `to[dst]` feeds the peer's
 /// `from[src]` (unbounded, so sends never block — the MPI eager-protocol
@@ -54,14 +54,6 @@ impl Transport for ThreadTransport {
             Ok(frame) => RecvOutcome::Frame(frame),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Disconnected,
-        }
-    }
-
-    fn try_recv(&mut self, src: usize) -> TryRecvOutcome {
-        match self.from[src].try_recv() {
-            Ok(frame) => TryRecvOutcome::Frame(frame),
-            Err(TryRecvError::Empty) => TryRecvOutcome::Empty,
-            Err(TryRecvError::Disconnected) => TryRecvOutcome::Disconnected,
         }
     }
 

@@ -4,7 +4,8 @@
 //! pattern `train --backend proc` uses): the parent spawns `p` copies of
 //! itself filtered to the same test name, each child detects its role
 //! via `GNN_PROC_RANK`, runs the rank body over real Unix-domain
-//! sockets, and exits with a status the parent asserts on.
+//! sockets (TCP when the parent left a hostfile in the run dir), and
+//! exits with a status the parent asserts on.
 
 #![cfg(unix)]
 
@@ -12,7 +13,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use gnn_comm::msg::Payload;
-use gnn_comm::{CostModel, ProcError, ProcWorld};
+use gnn_comm::{CostModel, FaultPlan, HostFile, ProcError, ProcWorld};
 
 /// Short scratch dir for the socket mesh (UDS paths are length-limited).
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -38,7 +39,7 @@ fn child_rank(test_name: &str) -> Option<usize> {
 }
 
 /// Re-executes this test binary as rank `rank` of `test_name`, meshed
-/// under `dir`. Extra env pairs let a test arm fault hooks per rank.
+/// under `dir`. Extra env pairs tune the child's liveness budget.
 fn spawn_rank(
     test_name: &str,
     rank: usize,
@@ -63,9 +64,16 @@ fn spawn_rank(
     cmd.spawn().expect("spawn child rank")
 }
 
+/// The world a child rank joins: meshed under `GNN_PROC_DIR`, over TCP
+/// when the parent wrote a hostfile there ([`write_loopback_hostfile`]).
 fn world(p: usize) -> ProcWorld {
     let dir = std::env::var("GNN_PROC_DIR").expect("child is missing GNN_PROC_DIR");
-    ProcWorld::new(p, CostModel::default(), dir).with_timeout(Duration::from_secs(20))
+    let hosts = std::path::Path::new(&dir).join("hosts.txt");
+    let world = ProcWorld::new(p, CostModel::default(), &dir).with_timeout(Duration::from_secs(20));
+    match hosts.exists() {
+        true => world.with_hostfile(HostFile::load(&hosts).expect("load hostfile")),
+        false => world,
+    }
 }
 
 /// Asks the kernel for a currently-free loopback port. The listener is
@@ -79,17 +87,16 @@ fn free_loopback_port() -> u16 {
         .port()
 }
 
-/// Writes an all-loopback hostfile for `p` ranks into `dir`: rank 0 gets
-/// a pinned rendezvous port, the rest take kernel-chosen mesh ports
-/// (published through the ADDRBOOK). Returns the hostfile path.
-fn write_loopback_hostfile(dir: &std::path::Path, p: usize) -> std::path::PathBuf {
+/// Writes an all-loopback hostfile for `p` ranks into `dir`, which
+/// switches the children meshed there to TCP: rank 0 gets a pinned
+/// rendezvous port, the rest take kernel-chosen mesh ports (published
+/// through the ADDRBOOK).
+fn write_loopback_hostfile(dir: &std::path::Path, p: usize) {
     let mut text = format!("127.0.0.1:{}\n", free_loopback_port());
     for _ in 1..p {
         text.push_str("127.0.0.1\n");
     }
-    let path = dir.join("hosts.txt");
-    std::fs::write(&path, text).expect("write hostfile");
-    path
+    std::fs::write(dir.join("hosts.txt"), text).expect("write hostfile");
 }
 
 /// Every rank passes a growing f64 vector around a ring `rounds` times;
@@ -158,11 +165,8 @@ fn ring_exchange_over_tcp_loopback() {
         return;
     }
     let dir = scratch_dir("tcpring");
-    let hosts = write_loopback_hostfile(&dir, P);
-    let hosts = hosts.to_str().expect("utf8 hostfile path").to_owned();
-    let children: Vec<_> = (0..P)
-        .map(|r| spawn_rank(NAME, r, &dir, &[("GNN_PROC_HOSTFILE", &hosts)]))
-        .collect();
+    write_loopback_hostfile(&dir, P);
+    let children: Vec<_> = (0..P).map(|r| spawn_rank(NAME, r, &dir, &[])).collect();
     for (rank, mut child) in children.into_iter().enumerate() {
         let status = child.wait().expect("wait child");
         assert!(status.success(), "rank {rank} exited with {status}");
@@ -247,16 +251,13 @@ fn flooding_both_directions_before_receiving_cannot_wedge_the_link() {
     for tcp in [false, true] {
         let leg = if tcp { "tcp" } else { "unix" };
         let dir = scratch_dir(if tcp { "tcpflood" } else { "flood" });
-        let hosts = tcp.then(|| {
-            let path = write_loopback_hostfile(&dir, P);
-            path.to_str().expect("utf8 hostfile path").to_owned()
-        });
+        if tcp {
+            write_loopback_hostfile(&dir, P);
+        }
         // This test is about wedging, not death detection: a 2 s
         // liveness budget (40 × 50 ms) keeps a peer that is slow under
         // parallel tests from being declared dead.
-        let env: Vec<(&str, &str)> = std::iter::once(("GNN_PROC_MISS", "40"))
-            .chain(hosts.iter().map(|h| ("GNN_PROC_HOSTFILE", h.as_str())))
-            .collect();
+        let env = [("GNN_PROC_MISS", "40")];
         let children: Vec<_> = (0..P).map(|r| spawn_rank(NAME, r, &dir, &env)).collect();
         let t0 = std::time::Instant::now();
         for (rank, status) in wait_within(children, DEADLINE).into_iter().enumerate() {
@@ -273,43 +274,46 @@ fn flooding_both_directions_before_receiving_cannot_wedge_the_link() {
     }
 }
 
+/// The fault both reconnect tests arm on every rank: rank 1 is the
+/// dialing side (higher rank dials lower), and cutting its link to rank
+/// 0 after a few hundred bytes lands mid-stream, so it exercises redial
+/// + replay.
+const CUT: &str = "cut=1>0:300";
+
+/// Child side of the reconnect tests: many small round trips across the
+/// cut; the reliable layer must replay the unacked suffix and the
+/// receiver must dedup, with no effect on contents.
+fn reconnect_child(rank: usize) {
+    let faults = FaultPlan::parse(CUT).expect("cut spec");
+    let (_out, stats) = world(2)
+        .with_faults(faults)
+        .run_rank(rank, |ctx| {
+            let peer = 1 - ctx.rank();
+            for i in 0..40u32 {
+                ctx.send(peer, Payload::U32(vec![i, ctx.rank() as u32]));
+                match ctx.recv(peer) {
+                    Payload::U32(v) => assert_eq!(v, vec![i, peer as u32]),
+                    other => panic!("expected U32, got {other:?}"),
+                }
+            }
+            ctx.barrier();
+        })
+        .expect("rank body survives the cut connection");
+    let cuts = if rank == 1 { 1 } else { 0 };
+    assert_eq!(stats.proc.chaos_injected, cuts, "rank {rank}: cuts");
+}
+
 #[test]
 fn reconnect_replays_unacked_frames_over_tcp() {
     const NAME: &str = "reconnect_replays_unacked_frames_over_tcp";
-    const P: usize = 2;
     if let Some(rank) = child_rank(NAME) {
-        let (_out, _stats) = world(P)
-            .run_rank(rank, |ctx| {
-                let peer = 1 - ctx.rank();
-                for i in 0..40u32 {
-                    ctx.send(peer, Payload::U32(vec![i, ctx.rank() as u32]));
-                    match ctx.recv(peer) {
-                        Payload::U32(v) => assert_eq!(v, vec![i, peer as u32]),
-                        other => panic!("expected U32, got {other:?}"),
-                    }
-                }
-                ctx.barrier();
-            })
-            .expect("rank body survives the dropped TCP connection");
-        return;
+        return reconnect_child(rank);
     }
+    // Same cut as the UDS variant, but across a real TCP reset: redial
+    // + watermark sync + replay must hide it.
     let dir = scratch_dir("tcpreconn");
-    let hosts = write_loopback_hostfile(&dir, P);
-    let hosts = hosts.to_str().expect("utf8 hostfile path").to_owned();
-    // Same forced-drop scenario as the UDS variant, but across a real
-    // TCP reset: redial + watermark sync + replay must hide the cut.
-    let children = vec![
-        spawn_rank(NAME, 0, &dir, &[("GNN_PROC_HOSTFILE", &hosts)]),
-        spawn_rank(
-            NAME,
-            1,
-            &dir,
-            &[
-                ("GNN_PROC_HOSTFILE", &hosts),
-                ("GNN_PROC_DROP_CONN_AFTER", "5"),
-            ],
-        ),
-    ];
+    write_loopback_hostfile(&dir, 2);
+    let children: Vec<_> = (0..2).map(|r| spawn_rank(NAME, r, &dir, &[])).collect();
     for (rank, mut child) in children.into_iter().enumerate() {
         let status = child.wait().expect("wait child");
         assert!(status.success(), "rank {rank} exited with {status}");
@@ -320,33 +324,11 @@ fn reconnect_replays_unacked_frames_over_tcp() {
 #[test]
 fn reconnect_replays_unacked_frames() {
     const NAME: &str = "reconnect_replays_unacked_frames";
-    const P: usize = 2;
     if let Some(rank) = child_rank(NAME) {
-        // Many small round trips so the forced connection drop lands
-        // mid-stream; the reliable layer must replay the unacked suffix
-        // and the receiver must dedup, with no effect on contents.
-        let (_out, _stats) = world(P)
-            .run_rank(rank, |ctx| {
-                let peer = 1 - ctx.rank();
-                for i in 0..40u32 {
-                    ctx.send(peer, Payload::U32(vec![i, ctx.rank() as u32]));
-                    match ctx.recv(peer) {
-                        Payload::U32(v) => assert_eq!(v, vec![i, peer as u32]),
-                        other => panic!("expected U32, got {other:?}"),
-                    }
-                }
-                ctx.barrier();
-            })
-            .expect("rank body survives the dropped connection");
-        return;
+        return reconnect_child(rank);
     }
     let dir = scratch_dir("reconn");
-    // Rank 1 is the dialing side (higher rank dials lower): shooting its
-    // connection down after the 5th DATA send exercises redial + replay.
-    let children = vec![
-        spawn_rank(NAME, 0, &dir, &[]),
-        spawn_rank(NAME, 1, &dir, &[("GNN_PROC_DROP_CONN_AFTER", "5")]),
-    ];
+    let children: Vec<_> = (0..2).map(|r| spawn_rank(NAME, r, &dir, &[])).collect();
     for (rank, mut child) in children.into_iter().enumerate() {
         let status = child.wait().expect("wait child");
         assert!(status.success(), "rank {rank} exited with {status}");

@@ -5,16 +5,16 @@
 //!
 //! The two ranks run as threads of this process, each through its own
 //! [`ProcWorld::run_rank`] — the transport neither knows nor cares that
-//! its peer lives in the same address space. The reconnect leg sets a
-//! process-wide environment hook, so run this file with
-//! `--test-threads=1`, beside `proc_backend`.
+//! its peer lives in the same address space. Each test binds its own
+//! socket mesh; run this file with `--test-threads=1`, beside
+//! `proc_backend`.
 
 #![cfg(unix)]
 
 use std::time::Duration;
 
 use gnn_comm::msg::Payload;
-use gnn_comm::{CostModel, ProcWorld, RankCtx, RankStats};
+use gnn_comm::{CostModel, FaultPlan, ProcWorld, RankCtx, RankStats};
 
 const ROWS: usize = 700;
 const WIDTH: usize = 48; // 268 KB of f64 a message: several staging chunks
@@ -28,17 +28,24 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Runs `body` on two in-process ranks meshed under a fresh dir.
-fn run_pair<R: Send>(tag: &str, body: impl Fn(&mut RankCtx) -> R + Sync) -> Vec<(R, RankStats)> {
+/// Runs `body` on two in-process ranks meshed under a fresh dir, with
+/// `faults` armed on both when given.
+fn run_pair<R: Send>(
+    tag: &str,
+    faults: Option<&str>,
+    body: impl Fn(&mut RankCtx) -> R + Sync,
+) -> Vec<(R, RankStats)> {
     let dir = scratch_dir(tag);
     let outs = std::thread::scope(|s| {
         let rank = |rank| {
             let (dir, body) = (&dir, &body);
             s.spawn(move || {
-                ProcWorld::new(2, CostModel::default(), dir)
-                    .with_timeout(Duration::from_secs(20))
-                    .run_rank(rank, body)
-                    .expect("rank body")
+                let mut world = ProcWorld::new(2, CostModel::default(), dir)
+                    .with_timeout(Duration::from_secs(20));
+                if let Some(spec) = faults {
+                    world = world.with_faults(FaultPlan::parse(spec).expect("fault spec"));
+                }
+                world.run_rank(rank, body).expect("rank body")
             })
         };
         let handles = [rank(0), rank(1)];
@@ -81,7 +88,7 @@ fn exchange(ctx: &mut RankCtx, round: usize) -> f64 {
 
 #[test]
 fn a_steady_proc_exchange_allocates_no_payload_buffer() {
-    let per_rank = run_pair("flat", |ctx| {
+    let per_rank = run_pair("flat", None, |ctx| {
         let after = |round| {
             let sum = exchange(ctx, round);
             // A barrier frame is written behind the ACKs its sender owed,
@@ -113,27 +120,26 @@ fn a_steady_proc_exchange_allocates_no_payload_buffer() {
 
 #[test]
 fn a_dropped_connection_replays_pooled_frames_unnoticed() {
-    let clean = run_pair("clean", |ctx| {
+    let clean = run_pair("clean", None, |ctx| {
         (0..ROUNDS).map(|r| exchange(ctx, r)).collect::<Vec<_>>()
     });
-    // Each rank shuts one connection down after its 7th DATA frame: the
-    // frames in flight come back from the replay queues' (head, payload)
-    // parts, and the exchange must not be able to tell.
-    std::env::set_var("GNN_PROC_DROP_CONN_AFTER", "7");
-    let bounced = run_pair("bounce", |ctx| {
+    // Each rank cuts its link once it has sent 1 MB, inside its 4th rows
+    // frame (272 kB each): the frames in flight come back from the
+    // replay queues' (head, payload) parts, and the exchange must not be
+    // able to tell.
+    let bounced = run_pair("bounce", Some("cut=*>*:1000000"), |ctx| {
         let sums: Vec<f64> = (0..ROUNDS).map(|r| exchange(ctx, r)).collect();
         // Whatever the bounce cost, the pool still serves: a buffer lost
         // with a half-read frame is replaced, never waited for.
         assert!(ctx.take_f64(ROWS * WIDTH).capacity() >= ROWS * WIDTH);
         sums
     });
-    std::env::remove_var("GNN_PROC_DROP_CONN_AFTER");
     for rank in 0..2 {
         assert_eq!(bounced[rank].0, clean[rank].0, "rank {rank}: sums differ");
     }
     let replayed = |(_, stats): &(_, RankStats)| stats.proc.replayed_frames;
     assert!(
         bounced.iter().map(replayed).sum::<u64>() > 0,
-        "the drop hook never fired: nothing was replayed"
+        "the cut never fired: nothing was replayed"
     );
 }

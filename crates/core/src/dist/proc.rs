@@ -101,11 +101,6 @@ pub fn run_rank_proc(
     if let Some(path) = cfg.hostfile.as_deref() {
         world = world.with_hostfile(gnn_comm::HostFile::load(path)?);
     }
-    if let Some(spec) = cfg.net_chaos.as_deref() {
-        let plan = gnn_comm::NetChaosPlan::parse(spec)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        world = world.with_net_chaos(plan);
-    }
     let store = DiskCheckpointStore::new(dir.join(CKPT_SUBDIR))?;
     let ((records, weights), stats, tracer) =
         world.run_rank_traced(rank, |ctx| run_rank(ctx, ds, cfg, &plan, &store))?;

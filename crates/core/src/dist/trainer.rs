@@ -164,7 +164,9 @@ impl LayerOrder {
 /// fault-free fast path: no injection, no checkpoints, no restarts.
 #[derive(Clone, Debug)]
 pub struct RobustnessConfig {
-    /// Faults to inject (None = clean run).
+    /// Faults to inject (None = clean run). Message rules run on both
+    /// backends; link rules (see [`FaultPlan::parse`]) act on the
+    /// process backend's sockets and are inert on the thread backend.
     pub faults: Option<FaultPlan>,
     /// Snapshot training state every this many epochs (0 = never).
     /// A crash restarts from the newest snapshot, or from scratch.
@@ -225,11 +227,6 @@ pub struct DistConfig {
     /// rendezvous endpoint). `None` = single-machine UDS mesh. Ignored
     /// by the thread backend.
     pub hostfile: Option<std::path::PathBuf>,
-    /// Deterministic network-chaos spec for the process backend (see
-    /// `NetChaosPlan`): seeded per-link latency/bandwidth/partition/
-    /// refusal rules, replayed bit-identically from the seed. `None` =
-    /// no chaos. Ignored by the thread backend.
-    pub net_chaos: Option<String>,
     /// Which side of each layer's `Â·H·W` is exchanged.
     /// [`DistConfig::new`] picks [`LayerOrder::NarrowSide`]; a run that
     /// reproduces the paper's exchange sets [`LayerOrder::AggregateFirst`].
@@ -248,7 +245,6 @@ impl DistConfig {
             trace: false,
             overlap: OverlapConfig::off(),
             hostfile: None,
-            net_chaos: None,
             order: LayerOrder::default(),
         }
     }

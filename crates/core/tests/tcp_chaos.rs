@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::Duration;
 
-use gnn_comm::CostModel;
+use gnn_comm::{CostModel, FaultPlan};
 use gnn_core::dist::even_bounds;
 use gnn_core::{
     run_rank_proc, supervise_proc_training, train_distributed, Algo, DistConfig, DistOutcome,
@@ -44,7 +44,7 @@ fn scenario(
     epochs: usize,
     checkpoint_every: usize,
     hostfile: Option<PathBuf>,
-    net_chaos: Option<String>,
+    faults: Option<String>,
 ) -> (Dataset, Vec<usize>, DistConfig) {
     let ds = reddit_scaled(7, 11); // 128 vertices
     let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
@@ -59,7 +59,7 @@ fn scenario(
     dist_cfg.robust.checkpoint_every = checkpoint_every;
     dist_cfg.robust.timeout = Duration::from_secs(30);
     dist_cfg.hostfile = hostfile;
-    dist_cfg.net_chaos = net_chaos;
+    dist_cfg.robust.faults = faults.map(|spec| FaultPlan::parse(&spec).expect("fault spec"));
     (ds, bounds, dist_cfg)
 }
 

@@ -92,6 +92,29 @@ fn write_event_json(out: &mut String, e: &Event) {
 /// as a thread, spans and ops as nested slices on the modeled-time
 /// axis (microseconds).
 pub fn chrome_trace_string(trace: &WorldTrace) -> String {
+    chrome_string(trace, Axis::Modeled)
+}
+
+/// Renders a dual-clock trace as Chrome `trace_event` JSON on the
+/// **wall-clock** axis: slice positions and durations come from
+/// `wall_ts`/`wall_dur` (microseconds), with the modeled numbers kept
+/// in each slice's `args`. Events without wall stamps (legacy
+/// modeled-only inputs mixed into a merge) are skipped. This is the
+/// exporter behind `trace-report --merge`: after per-rank clock offsets
+/// are applied, every rank's slices share one aligned time base.
+pub fn chrome_trace_string_wall(trace: &WorldTrace) -> String {
+    chrome_string(trace, Axis::Wall)
+}
+
+/// The clock a Chrome export lays its slices out on; the other clock,
+/// when the event has it, rides along in the slice's `args`.
+#[derive(Clone, Copy, PartialEq)]
+enum Axis {
+    Modeled,
+    Wall,
+}
+
+fn chrome_string(trace: &WorldTrace, axis: Axis) -> String {
     let mut out = String::with_capacity(256 + trace.len() * 192);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -111,41 +134,50 @@ pub fn chrome_trace_string(trace: &WorldTrace) -> String {
     }
     for events in &trace.per_rank {
         for e in events {
+            if axis == Axis::Wall && !e.has_wall() {
+                continue;
+            }
             sep(&mut out);
-            write_chrome_event(&mut out, e);
+            write_chrome_event(&mut out, e, axis);
         }
     }
     out.push_str("\n]}\n");
     out
 }
 
-fn write_chrome_event(out: &mut String, e: &Event) {
+fn write_chrome_event(out: &mut String, e: &Event, axis: Axis) {
+    let (ts, dur) = match axis {
+        Axis::Modeled => (e.t_start, e.dur),
+        Axis::Wall => (e.t_wall, e.wall_dur),
+    };
     // Complete ("X") slices for everything with duration; instant
     // ("i") marks for zero-duration ops (barriers, unpriced gathers).
-    let ts_us = e.t_start * 1e6;
-    let dur_us = e.dur * 1e6;
-    let name = e.kind.name();
-    if e.dur > 0.0 || e.kind.is_span() {
+    let (name, cat) = (quote(e.kind.name()), quote(e.phase.name()));
+    if dur > 0.0 || e.kind.is_span() {
         let _ = write!(
             out,
-            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}",
-            quote(name),
-            quote(e.phase.name()),
+            "{{\"name\":{name},\"cat\":{cat},\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}",
             e.rank,
-            fmt_f64(ts_us),
-            fmt_f64(dur_us)
+            fmt_f64(ts * 1e6),
+            fmt_f64(dur * 1e6)
         );
     } else {
         let _ = write!(
             out,
-            "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}",
-            quote(name),
-            quote(e.phase.name()),
+            "{{\"name\":{name},\"cat\":{cat},\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}",
             e.rank,
-            fmt_f64(ts_us)
+            fmt_f64(ts * 1e6)
         );
     }
     let _ = write!(out, ",\"args\":{{\"epoch\":{}", e.epoch);
+    if axis == Axis::Wall {
+        let _ = write!(
+            out,
+            ",\"modeled_ts\":{},\"modeled_dur\":{}",
+            fmt_f64(e.t_start),
+            fmt_f64(e.dur)
+        );
+    }
     if e.peer != NO_PEER {
         let _ = write!(out, ",\"peer\":{}", e.peer);
     }
@@ -158,7 +190,7 @@ fn write_chrome_event(out: &mut String, e: &Event) {
     if e.flops > 0 {
         let _ = write!(out, ",\"flops\":{}", e.flops);
     }
-    if e.has_wall() {
+    if axis == Axis::Modeled && e.has_wall() {
         let _ = write!(
             out,
             ",\"wall_ts\":{},\"wall_dur\":{}",
@@ -167,86 +199,6 @@ fn write_chrome_event(out: &mut String, e: &Event) {
         );
     }
     out.push_str("}}");
-}
-
-/// Renders a dual-clock trace as Chrome `trace_event` JSON on the
-/// **wall-clock** axis: slice positions and durations come from
-/// `wall_ts`/`wall_dur` (microseconds), with the modeled numbers kept
-/// in each slice's `args`. Events without wall stamps (legacy
-/// modeled-only inputs mixed into a merge) are skipped. This is the
-/// exporter behind `trace-report --merge`: after per-rank clock offsets
-/// are applied, every rank's slices share one aligned time base.
-pub fn chrome_trace_string_wall(trace: &WorldTrace) -> String {
-    let mut out = String::with_capacity(256 + trace.len() * 192);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-    };
-    for rank in 0..trace.p() {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
-             \"args\":{{\"name\":\"rank {rank}\"}}}}"
-        );
-    }
-    for events in &trace.per_rank {
-        for e in events {
-            if !e.has_wall() {
-                continue;
-            }
-            sep(&mut out);
-            let ts_us = e.t_wall * 1e6;
-            let dur_us = e.wall_dur * 1e6;
-            let name = e.kind.name();
-            if e.wall_dur > 0.0 || e.kind.is_span() {
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}",
-                    quote(name),
-                    quote(e.phase.name()),
-                    e.rank,
-                    fmt_f64(ts_us),
-                    fmt_f64(dur_us)
-                );
-            } else {
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}",
-                    quote(name),
-                    quote(e.phase.name()),
-                    e.rank,
-                    fmt_f64(ts_us)
-                );
-            }
-            let _ = write!(
-                out,
-                ",\"args\":{{\"epoch\":{},\"modeled_ts\":{},\"modeled_dur\":{}",
-                e.epoch,
-                fmt_f64(e.t_start),
-                fmt_f64(e.dur)
-            );
-            if e.peer != NO_PEER {
-                let _ = write!(out, ",\"peer\":{}", e.peer);
-            }
-            if e.bytes_sent > 0 {
-                let _ = write!(out, ",\"bytes_sent\":{}", e.bytes_sent);
-            }
-            if e.bytes_recv > 0 {
-                let _ = write!(out, ",\"bytes_recv\":{}", e.bytes_recv);
-            }
-            if e.flops > 0 {
-                let _ = write!(out, ",\"flops\":{}", e.flops);
-            }
-            out.push_str("}}");
-        }
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 /// Renders a per-epoch text timeline: for every epoch, one line per
@@ -455,6 +407,68 @@ mod tests {
     fn timeline_gains_wall_column_only_for_dual_clock_traces() {
         assert!(!text_timeline(&tiny_trace()).contains("wall ms"));
         assert!(text_timeline(&dual_trace()).contains("wall ms"));
+    }
+
+    /// A dual-clock trace with fixed wall stamps: one event on each
+    /// chrome form (slice, instant), every optional arg, and one event
+    /// without wall stamps, which the wall axis skips.
+    fn fixed_dual_trace() -> WorldTrace {
+        let mut t0 = RankTracer::new(0);
+        t0.set_epoch(2);
+        t0.begin_span(SpanKind::Epoch, Phase::Other);
+        t0.op(EventKind::Send, Phase::P2p, Some(1), 64, 0, 0, 1e-4);
+        t0.op(
+            EventKind::Compute,
+            Phase::LocalCompute,
+            None,
+            0,
+            0,
+            4096,
+            3e-5,
+        );
+        t0.op(EventKind::Barrier, Phase::Other, None, 0, 0, 0, 0.0);
+        t0.end_span();
+        let mut t1 = RankTracer::new(1);
+        t1.set_epoch(2);
+        t1.op(EventKind::Recv, Phase::P2p, Some(0), 0, 64, 0, 1e-4);
+        let mut trace = WorldTrace::collect(vec![t0, t1]);
+        let wall = [(0.5, 0.25), (0.5, 1e-4 / 3.0), (0.625, 0.0)];
+        for (e, (ts, dur)) in trace.per_rank[0].iter_mut().zip(wall) {
+            (e.t_wall, e.wall_dur) = (ts, dur);
+        }
+        trace.per_rank[1][0].t_wall = 0.75;
+        trace.per_rank[1][0].wall_dur = 2e-4;
+        trace
+    }
+
+    const PINNED_MODELED: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank 0"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"rank 1"}},
+{"name":"epoch","cat":"other","ph":"X","pid":0,"tid":0,"ts":0,"dur":130.00000000000003,"args":{"epoch":2,"bytes_sent":64,"flops":4096,"wall_ts":0.5,"wall_dur":0.25}},
+{"name":"send","cat":"p2p","ph":"X","pid":0,"tid":0,"ts":0,"dur":100,"args":{"epoch":2,"peer":1,"bytes_sent":64,"wall_ts":0.5,"wall_dur":0.000033333333333333335}},
+{"name":"compute","cat":"local_compute","ph":"X","pid":0,"tid":0,"ts":100,"dur":30,"args":{"epoch":2,"flops":4096,"wall_ts":0.625,"wall_dur":0}},
+{"name":"barrier","cat":"other","ph":"i","s":"t","pid":0,"tid":0,"ts":130.00000000000003,"args":{"epoch":2}},
+{"name":"recv","cat":"p2p","ph":"X","pid":0,"tid":1,"ts":0,"dur":100,"args":{"epoch":2,"peer":0,"bytes_recv":64,"wall_ts":0.75,"wall_dur":0.0002}}
+]}
+"#;
+
+    const PINNED_WALL: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank 0"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"rank 1"}},
+{"name":"epoch","cat":"other","ph":"X","pid":0,"tid":0,"ts":500000,"dur":250000,"args":{"epoch":2,"modeled_ts":0,"modeled_dur":0.00013000000000000002,"bytes_sent":64,"flops":4096}},
+{"name":"send","cat":"p2p","ph":"X","pid":0,"tid":0,"ts":500000,"dur":33.333333333333336,"args":{"epoch":2,"modeled_ts":0,"modeled_dur":0.0001,"peer":1,"bytes_sent":64}},
+{"name":"compute","cat":"local_compute","ph":"i","s":"t","pid":0,"tid":0,"ts":625000,"args":{"epoch":2,"modeled_ts":0.0001,"modeled_dur":0.00003,"flops":4096}},
+{"name":"recv","cat":"p2p","ph":"X","pid":0,"tid":1,"ts":750000,"dur":200,"args":{"epoch":2,"modeled_ts":0,"modeled_dur":0.0001,"peer":0,"bytes_recv":64}}
+]}
+"#;
+
+    /// Both Chrome axes render the fixed trace byte for byte as they
+    /// always have.
+    #[test]
+    fn chrome_exports_of_a_fixed_dual_clock_trace_are_pinned() {
+        let trace = fixed_dual_trace();
+        assert_eq!(chrome_trace_string(&trace), PINNED_MODELED);
+        assert_eq!(chrome_trace_string_wall(&trace), PINNED_WALL);
     }
 
     #[test]
