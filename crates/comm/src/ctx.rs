@@ -45,7 +45,8 @@
 //! paper's tables report. Injected delays are the one exception: a slow
 //! link is part of the op's real cost and stays on the op's phase.
 //!
-//! In failover mode (`ThreadWorld::with_failover`), a crashed peer does
+//! In failover mode ([`crate::ThreadWorld::try_run_failover`], the only
+//! run that hands a rank the world's failover state), a crashed peer does
 //! not kill the world: the survivor that observes the closed channel
 //! broadcasts an `ABORT` control frame and unwinds the epoch attempt
 //! with [`crate::EpochAbortPanic`]; all survivors rendezvous at the
@@ -67,6 +68,7 @@ use crate::msg::{Msg, Payload};
 use crate::pool::PayloadPool;
 use crate::stats::{Phase, RankStats};
 use crate::transport::{RecvOutcome, Transport};
+use crate::watchdog::{DeathRecord, Failover, Watchdog};
 
 /// Message tags, one per operation kind; mismatches indicate an SPMD
 /// protocol bug and fail fast.
@@ -178,6 +180,8 @@ pub struct RankCtx {
     /// The pluggable link layer (thread channels or real sockets); see
     /// [`crate::transport`].
     transport: Box<dyn Transport>,
+    /// The world's deadlock watchdog: timeout plus wait-for registry.
+    watchdog: Arc<Watchdog>,
     injector: Option<Arc<FaultInjector>>,
     /// Trainer-reported epoch (fault-plan coordinates + diagnostics).
     epoch: Option<usize>,
@@ -190,8 +194,9 @@ pub struct RankCtx {
     expect_seq: Vec<u64>,
     /// Failover generation: bumped at each poisoned epoch commit.
     gen: u32,
-    /// Whether the world tolerates crashes via degraded-mode failover.
-    failover: bool,
+    /// The world's failover state when it tolerates crashes in place
+    /// (degraded mode); `None` everywhere else.
+    failover: Option<Arc<Failover>>,
     /// Guard so the ABORT broadcast goes out at most once per generation.
     abort_sent_gen: Option<u32>,
     stats: RankStats,
@@ -217,9 +222,10 @@ impl RankCtx {
         p: usize,
         model: CostModel,
         transport: Box<dyn Transport>,
+        watchdog: Arc<Watchdog>,
         injector: Option<Arc<FaultInjector>>,
         tracer: Option<Box<RankTracer>>,
-        failover: bool,
+        failover: Option<Arc<Failover>>,
         pool: Arc<PayloadPool>,
     ) -> Self {
         Self {
@@ -227,6 +233,7 @@ impl RankCtx {
             p,
             model,
             transport,
+            watchdog,
             injector,
             epoch: None,
             op_in_epoch: 0,
@@ -385,11 +392,11 @@ impl RankCtx {
     fn maybe_crash(&mut self) {
         if let Some(inj) = &self.injector {
             if inj.crash_due(self.rank, self.epoch, self.op_in_epoch) {
-                if self.failover {
+                if let Some(failover) = &self.failover {
                     // Register the death *before* unwinding so survivors
                     // that observe the closed channel (or the shrunken
                     // commit barrier) can attribute it.
-                    self.transport.mark_dead(self.rank, self.gen);
+                    failover.mark_dead(self.rank, self.gen);
                 }
                 unwind_with(CrashPanic {
                     rank: self.rank,
@@ -526,7 +533,7 @@ impl RankCtx {
     fn push(&mut self, dst: usize, msg: Msg) {
         let tag = msg.tag;
         if self.transport.send(dst, msg).is_err() {
-            if self.failover {
+            if self.failover.is_some() {
                 // Dead peer: the frame evaporates; the death is handled
                 // at the next blocking receive or the commit barrier.
                 return;
@@ -577,7 +584,10 @@ impl RankCtx {
     /// trace spans the unwind would otherwise leave dangling, and panic
     /// with [`EpochAbortPanic`] for the trainer's `catch_unwind`.
     fn abort_epoch(&mut self, gen: u32) -> ! {
-        debug_assert!(self.failover, "abort protocol requires failover mode");
+        debug_assert!(
+            self.failover.is_some(),
+            "abort protocol requires failover mode"
+        );
         self.broadcast_abort(gen);
         // Unwinding through a pipeline: drop its handles and window so
         // the retried attempt starts clean.
@@ -601,7 +611,7 @@ impl RankCtx {
                 // Stale abort from an already-retired generation.
                 std::cmp::Ordering::Less => {}
                 std::cmp::Ordering::Equal => {
-                    self.transport.wd_end(self.rank);
+                    self.watchdog.end(self.rank);
                     self.abort_epoch(frame.gen);
                 }
                 std::cmp::Ordering::Greater => panic!(
@@ -677,9 +687,8 @@ impl RankCtx {
     /// sequence number — and, in failover mode, converts a dead peer
     /// (closed channel or ABORT frame) into an epoch abort.
     fn raw_recv(&mut self, src: usize, expect_tag: u8) -> Payload {
-        let timeout = self.transport.timeout();
-        let deadline = Instant::now() + timeout;
-        self.transport.wd_begin(
+        let deadline = Instant::now() + self.watchdog.timeout();
+        self.watchdog.begin(
             self.rank,
             WaitKind::Recv,
             Some(src),
@@ -690,8 +699,7 @@ impl RankCtx {
             let now = Instant::now();
             if now >= deadline {
                 // Leave our wait registered so the report includes us.
-                let report = self.transport.wd_report(self.rank);
-                unwind_with(DeadlockPanic(report));
+                unwind_with(DeadlockPanic(self.watchdog.report(self.rank)));
             }
             match self.transport.recv_deadline(src, deadline - now) {
                 RecvOutcome::Frame(frame) => {
@@ -701,8 +709,8 @@ impl RankCtx {
                 }
                 RecvOutcome::TimedOut => {}
                 RecvOutcome::Disconnected => {
-                    self.transport.wd_end(self.rank);
-                    if self.failover {
+                    self.watchdog.end(self.rank);
+                    if self.failover.is_some() {
                         // The peer died mid-epoch; abandon this attempt
                         // and propagate the abort to the other survivors.
                         self.abort_epoch(self.gen);
@@ -712,7 +720,7 @@ impl RankCtx {
                 }
             }
         };
-        self.transport.wd_end(self.rank);
+        self.watchdog.end(self.rank);
         assert_eq!(
             msg.tag, expect_tag,
             "rank {}: protocol mismatch receiving from {} (got tag {}, expected {})",
@@ -723,7 +731,7 @@ impl RankCtx {
 
     /// True when the world tolerates crashes via degraded-mode failover.
     pub fn failover_enabled(&self) -> bool {
-        self.failover
+        self.failover.is_some()
     }
 
     /// Current failover generation — the number of epoch attempts that
@@ -734,7 +742,12 @@ impl RankCtx {
 
     /// All ranks recorded dead so far (failover mode), in death order.
     pub fn dead_ranks(&self) -> Vec<usize> {
-        self.transport.deaths().iter().map(|d| d.rank).collect()
+        self.deaths().iter().map(|d| d.rank).collect()
+    }
+
+    /// The failover death registry; empty outside failover mode.
+    fn deaths(&self) -> Vec<DeathRecord> {
+        self.failover.as_ref().map_or_else(Vec::new, |f| f.deaths())
     }
 
     /// Ranks whose deaths are *sealed*: recorded in a generation strictly
@@ -749,7 +762,6 @@ impl RankCtx {
     pub fn sealed_dead_ranks(&self) -> Vec<usize> {
         let gen = self.gen;
         let mut dead: Vec<usize> = self
-            .transport
             .deaths()
             .iter()
             .filter(|d| d.gen < gen)
@@ -776,17 +788,15 @@ impl RankCtx {
     /// uniformly *not* part of this commit; every survivor trips over it
     /// in the next epoch attempt and the following commit retires it.
     pub fn commit_epoch(&mut self) -> bool {
-        if !self.failover {
+        let Some(failover) = &self.failover else {
             return true;
-        }
-        self.transport
-            .wd_begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
-        let committed = self.transport.commit_wait(self.gen);
-        let Some(committed) = committed else {
-            let report = self.transport.wd_report(self.rank);
-            unwind_with(DeadlockPanic(report));
         };
-        self.transport.wd_end(self.rank);
+        let wd = &self.watchdog;
+        wd.begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
+        let Some(committed) = failover.commit(self.gen, wd.timeout()) else {
+            unwind_with(DeadlockPanic(wd.report(self.rank)));
+        };
+        wd.end(self.rank);
         if !committed {
             self.gen += 1;
         }
@@ -1250,18 +1260,16 @@ impl RankCtx {
     pub fn barrier(&mut self) {
         self.op_tick();
         self.trace_op(EventKind::Barrier, Phase::Other, None, 0, 0, 0, 0.0);
-        self.transport
-            .wd_begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
-        let ok = if self.failover {
-            self.transport.barrier_wait_alive()
-        } else {
-            self.transport.barrier_wait()
+        let wd = &self.watchdog;
+        wd.begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
+        let ok = match &self.failover {
+            Some(failover) => failover.barrier_alive(wd.timeout()),
+            None => self.transport.barrier_wait(wd.timeout()),
         };
         if !ok {
-            let report = self.transport.wd_report(self.rank);
-            unwind_with(DeadlockPanic(report));
+            unwind_with(DeadlockPanic(wd.report(self.rank)));
         }
-        self.transport.wd_end(self.rank);
+        wd.end(self.rank);
     }
 
     /// Runs `work`, recording its wall time and `flops` into

@@ -7,6 +7,7 @@
 //! [`DeadlockReport`] built by the watchdog from the wait-for state of
 //! every blocked rank.
 
+use std::any::Any;
 use std::fmt;
 use std::time::Duration;
 
@@ -170,6 +171,62 @@ impl fmt::Display for WorldError {
 }
 
 impl std::error::Error for WorldError {}
+
+/// Why a rank unwound, in the order a run reports causes: losing a
+/// whole replica group (the most informative diagnosis — it subsumes the
+/// crashes that caused it) beats an injected crash (the planned root
+/// cause), which beats an organic panic, which beats a deadlock report
+/// (ranks parked at a barrier while a peer dies time out as a
+/// *consequence*, not a cause); a "peer hung up" unwind is the cascade
+/// of some other rank's death and is reported only when nothing better
+/// is available.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Cause {
+    ColumnLost,
+    Crash,
+    Organic,
+    Deadlock,
+    Cascade,
+}
+
+impl WorldError {
+    /// Classifies the unwind payload of `rank` — one of this module's
+    /// typed payloads or a genuine panic's message — into the error it
+    /// reports and the [`Cause`] that ranks it against other ranks'.
+    pub(crate) fn from_unwind(rank: usize, payload: &(dyn Any + Send)) -> (Cause, WorldError) {
+        if let Some(c) = payload.downcast_ref::<ColumnLostPanic>() {
+            let block_row = c.block_row;
+            (
+                Cause::ColumnLost,
+                WorldError::ReplicaColumnLost { block_row },
+            )
+        } else if let Some(c) = payload.downcast_ref::<CrashPanic>() {
+            let (rank, epoch, op) = (c.rank, c.epoch, c.op);
+            (Cause::Crash, WorldError::InjectedCrash { rank, epoch, op })
+        } else if let Some(d) = payload.downcast_ref::<DeadlockPanic>() {
+            (Cause::Deadlock, WorldError::Deadlock(d.0.clone()))
+        } else if let Some(h) = payload.downcast_ref::<PeerHungUp>() {
+            let message = h.to_string();
+            (Cause::Cascade, WorldError::Panicked { rank, message })
+        } else {
+            let message = if let Some(a) = payload.downcast_ref::<EpochAbortPanic>() {
+                // Only reachable when no trainer catch_unwind was in
+                // place — a harness bug, reported as an organic panic.
+                format!(
+                    "epoch abort (generation {}) escaped to the world boundary",
+                    a.generation
+                )
+            } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "<non-string panic payload>".to_string()
+            };
+            (Cause::Organic, WorldError::Panicked { rank, message })
+        }
+    }
+}
 
 /// Unwinds the calling rank with one of this module's typed payloads.
 /// The runtime's own unwinds are control flow that a run entry point

@@ -97,15 +97,12 @@ use gnn_trace::{EventKind, Histogram, MetricsRegistry, RankTracer};
 
 use crate::cost::CostModel;
 use crate::ctx::RankCtx;
-use crate::error::{
-    ColumnLostPanic, CrashPanic, DeadlockPanic, DeadlockReport, EpochAbortPanic, PeerHungUp,
-    WaitKind,
-};
+use crate::error::WorldError;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
 use crate::pool::PayloadPool;
 use crate::stats::RankStats;
-use crate::watchdog::{DeathRecord, Watchdog};
+use crate::watchdog::Watchdog;
 
 use super::chaos::{Chaos, SendVerdict};
 use super::net::{lock_or_recover, poll_readable, splitmix64, Backoff, HostFile, Listener, Stream};
@@ -189,30 +186,6 @@ impl std::error::Error for ProcError {}
 impl From<io::Error> for ProcError {
     fn from(e: io::Error) -> Self {
         ProcError::Io(e)
-    }
-}
-
-/// Decodes a caught panic payload into the message a supervisor logs.
-fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(d) = payload.downcast_ref::<DeadlockPanic>() {
-        format!("deadlock: {:?}", d.0)
-    } else if let Some(c) = payload.downcast_ref::<CrashPanic>() {
-        format!(
-            "injected crash on rank {} at epoch {:?} op {}",
-            c.rank, c.epoch, c.op
-        )
-    } else if let Some(a) = payload.downcast_ref::<EpochAbortPanic>() {
-        format!("epoch abort (generation {})", a.generation)
-    } else if let Some(l) = payload.downcast_ref::<ColumnLostPanic>() {
-        format!("replica column {} lost", l.block_row)
-    } else if let Some(h) = payload.downcast_ref::<PeerHungUp>() {
-        h.to_string()
-    } else {
-        "unknown panic payload".to_string()
     }
 }
 
@@ -384,7 +357,6 @@ struct Shared {
     start: Instant,
     addrbook: Vec<String>,
     peers: Vec<Peer>,
-    dead: Mutex<Vec<DeathRecord>>,
     /// Rank 0 only: barrier-entry announcements (src, round).
     entries_tx: Mutex<Option<Sender<(u32, u64)>>>,
     /// Non-zero ranks: barrier releases from rank 0.
@@ -658,7 +630,6 @@ impl Shared {
             return;
         }
         self.log(&format!("peer rank {q} declared dead: {why}"));
-        lock_or_recover(&self.dead).push(DeathRecord { rank: q, gen: 0 });
         // Wake anything blocked on this peer: receives observe
         // `Disconnected` once the sender is gone, the reader wakes on
         // the shutdown.
@@ -1438,7 +1409,6 @@ fn rendezvous_join(
 /// Process-backend link layer for one rank (one per process).
 pub(crate) struct ProcTransport {
     shared: Arc<Shared>,
-    watchdog: Arc<Watchdog>,
     data_rx: Vec<Option<Receiver<Msg>>>,
     /// Rank 0: barrier entries from every peer (all reader threads feed
     /// one channel; rounds are tallied in `pending_entries`).
@@ -1573,7 +1543,6 @@ impl ProcTransport {
             start,
             addrbook,
             peers,
-            dead: Mutex::new(Vec::new()),
             entries_tx: Mutex::new(entries_tx),
             release_tx: Mutex::new(release_tx),
             shutting_down: AtomicBool::new(false),
@@ -1631,7 +1600,6 @@ impl ProcTransport {
 
         Ok(ProcTransport {
             shared,
-            watchdog: Arc::new(Watchdog::new(p, timeout)),
             data_rx,
             entries_rx,
             release_rx,
@@ -1640,9 +1608,9 @@ impl ProcTransport {
         })
     }
 
-    fn barrier_rank0(&mut self, round: u64) -> bool {
+    fn barrier_rank0(&mut self, round: u64, timeout: Duration) -> bool {
         let p = self.shared.p;
-        let deadline = Instant::now() + self.shared.timeout;
+        let deadline = Instant::now() + timeout;
         let mut have = self.pending_entries.remove(&round).unwrap_or(0);
         let rx = self.entries_rx.as_ref().expect("rank 0 entries channel");
         while have < p - 1 {
@@ -1676,7 +1644,7 @@ impl ProcTransport {
         true
     }
 
-    fn barrier_member(&mut self, round: u64) -> bool {
+    fn barrier_member(&mut self, round: u64, timeout: Duration) -> bool {
         let enter = Frame::with_u64(kind::BARRIER_ENTER, self.shared.rank, round);
         if self
             .shared
@@ -1685,7 +1653,7 @@ impl ProcTransport {
         {
             return false;
         }
-        let deadline = Instant::now() + self.shared.timeout;
+        let deadline = Instant::now() + timeout;
         let rx = self.release_rx.as_ref().expect("member release channel");
         loop {
             if sigterm_requested() {
@@ -1747,65 +1715,17 @@ impl Transport for ProcTransport {
         }
     }
 
-    fn barrier_wait(&mut self) -> bool {
+    fn barrier_wait(&mut self, timeout: Duration) -> bool {
         if self.shared.p == 1 {
             return true;
         }
         self.round += 1;
         let round = self.round;
         if self.shared.rank == 0 {
-            self.barrier_rank0(round)
+            self.barrier_rank0(round, timeout)
         } else {
-            self.barrier_member(round)
+            self.barrier_member(round, timeout)
         }
-    }
-
-    fn barrier_wait_alive(&mut self) -> bool {
-        // Failover is thread-backend-only; a death-aware rendezvous
-        // degenerates to the plain barrier here.
-        self.barrier_wait()
-    }
-
-    fn commit_wait(&mut self, _gen: u32) -> Option<bool> {
-        panic!(
-            "replica failover is not supported on the process backend; \
-             run with checkpoint-restart (the default) or --backend thread"
-        );
-    }
-
-    fn mark_dead(&self, rank: usize, gen: u32) {
-        // Only reached by injected-crash bookkeeping; record it so
-        // `deaths()` stays truthful, then let the crash panic unwind.
-        self.shared
-            .log(&format!("rank {rank} marked dead (gen {gen})"));
-        lock_or_recover(&self.shared.dead).push(DeathRecord { rank, gen });
-    }
-
-    fn deaths(&self) -> Vec<DeathRecord> {
-        lock_or_recover(&self.shared.dead).clone()
-    }
-
-    fn timeout(&self) -> Duration {
-        self.shared.timeout
-    }
-
-    fn wd_begin(
-        &self,
-        rank: usize,
-        kind: WaitKind,
-        peer: Option<usize>,
-        tag: Option<u8>,
-        epoch: Option<usize>,
-    ) {
-        self.watchdog.begin(rank, kind, peer, tag, epoch);
-    }
-
-    fn wd_end(&self, rank: usize) {
-        self.watchdog.end(rank);
-    }
-
-    fn wd_report(&self, rank: usize) -> DeadlockReport {
-        self.watchdog.report(rank)
     }
 }
 
@@ -1972,9 +1892,10 @@ impl ProcWorld {
             self.p,
             self.model,
             Box::new(transport),
+            Arc::new(Watchdog::new(self.p, self.timeout)),
             self.injector.clone(),
             tracer,
-            false,
+            None,
             pool,
         );
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -2013,7 +1934,10 @@ impl ProcWorld {
                 Ok((out, stats, tracer))
             }
             Err(payload) => {
-                let message = describe_panic(payload.as_ref());
+                let message = match WorldError::from_unwind(rank, payload.as_ref()).1 {
+                    WorldError::Panicked { message, .. } => message,
+                    err => err.to_string(),
+                };
                 shared.log(&format!("rank {rank} panicked: {message}"));
                 shared.abort_shutdown();
                 finish_metrics();

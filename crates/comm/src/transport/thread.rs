@@ -1,15 +1,14 @@
 //! The thread-backed [`Transport`]: a full mesh of unbounded in-process
-//! channels plus the shared [`TimeoutBarrier`] and [`Watchdog`]. This is
-//! the original simulator link layer, extracted verbatim — it is the
-//! bit-exact oracle the process backend is differenced against.
+//! channels plus the world's shared [`TimeoutBarrier`]. This is the
+//! original simulator link layer — the bit-exact oracle the process
+//! backend is differenced against.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::{DeadlockReport, WaitKind};
 use crate::msg::Msg;
-use crate::watchdog::{DeathRecord, TimeoutBarrier, Watchdog};
+use crate::watchdog::TimeoutBarrier;
 
 use super::{PeerGone, RecvOutcome, Transport};
 
@@ -17,30 +16,19 @@ use super::{PeerGone, RecvOutcome, Transport};
 /// `from[src]` (unbounded, so sends never block — the MPI eager-protocol
 /// analogue).
 pub(crate) struct ThreadTransport {
-    p: usize,
     to: Vec<Sender<Msg>>,
     from: Vec<Receiver<Msg>>,
     barrier: Arc<TimeoutBarrier>,
-    watchdog: Arc<Watchdog>,
 }
 
 impl ThreadTransport {
     pub(crate) fn new(
-        p: usize,
         to: Vec<Sender<Msg>>,
         from: Vec<Receiver<Msg>>,
         barrier: Arc<TimeoutBarrier>,
-        watchdog: Arc<Watchdog>,
     ) -> Self {
-        assert_eq!(to.len(), p, "one sender per peer");
-        assert_eq!(from.len(), p, "one receiver per peer");
-        Self {
-            p,
-            to,
-            from,
-            barrier,
-            watchdog,
-        }
+        assert_eq!(to.len(), from.len(), "one sender and one receiver per peer");
+        Self { to, from, barrier }
     }
 }
 
@@ -57,59 +45,7 @@ impl Transport for ThreadTransport {
         }
     }
 
-    fn barrier_wait(&mut self) -> bool {
-        self.barrier.wait(self.watchdog.timeout())
-    }
-
-    fn barrier_wait_alive(&mut self) -> bool {
-        let p = self.p;
-        let wd = self.watchdog.clone();
-        self.barrier
-            .wait_with(self.watchdog.timeout(), move || wd.alive_count(p))
-    }
-
-    fn commit_wait(&mut self, gen: u32) -> Option<bool> {
-        let p = self.p;
-        let wd = self.watchdog.clone();
-        let wd_verdict = self.watchdog.clone();
-        self.barrier.wait_verdict(
-            self.watchdog.timeout(),
-            move || wd.alive_count(p),
-            // All survivors enter the commit with equal `gen` (they bump
-            // in lockstep on every poisoned verdict), so whichever rank
-            // evaluates this sees the same generation stamp.
-            move || !wd_verdict.deaths().iter().any(|d| d.gen == gen),
-        )
-    }
-
-    fn mark_dead(&self, rank: usize, gen: u32) {
-        self.watchdog.mark_dead(rank, gen);
-    }
-
-    fn deaths(&self) -> Vec<DeathRecord> {
-        self.watchdog.deaths()
-    }
-
-    fn timeout(&self) -> Duration {
-        self.watchdog.timeout()
-    }
-
-    fn wd_begin(
-        &self,
-        rank: usize,
-        kind: WaitKind,
-        peer: Option<usize>,
-        tag: Option<u8>,
-        epoch: Option<usize>,
-    ) {
-        self.watchdog.begin(rank, kind, peer, tag, epoch);
-    }
-
-    fn wd_end(&self, rank: usize) {
-        self.watchdog.end(rank);
-    }
-
-    fn wd_report(&self, rank: usize) -> DeadlockReport {
-        self.watchdog.report(rank)
+    fn barrier_wait(&mut self, timeout: Duration) -> bool {
+        self.barrier.wait(timeout)
     }
 }

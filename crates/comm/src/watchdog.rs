@@ -1,16 +1,21 @@
-//! The deadlock watchdog: a shared wait-for registry plus a barrier with
-//! timeout.
+//! The deadlock watchdog and degraded-mode failover.
 //!
-//! Every blocking operation registers *what it waits for* before
-//! blocking and deregisters on success. When any rank's wait exceeds the
-//! world timeout, it snapshots the registry into a
-//! [`DeadlockReport`] — which rank is blocked on which peer, with which
-//! tag, in which epoch — and panics with it, so
+//! Every blocking operation registers *what it waits for* in the
+//! [`Watchdog`] before blocking and deregisters on success. When any
+//! rank's wait exceeds the world timeout, it snapshots the registry into
+//! a [`DeadlockReport`] — which rank is blocked on which peer, with
+//! which tag, in which epoch — and unwinds with it, so
 //! [`crate::ThreadWorld::try_run`] can surface a structured
 //! [`crate::WorldError::Deadlock`] instead of hanging the process
-//! forever.
+//! forever. Every [`crate::RankCtx`] holds its world's watchdog, on
+//! both backends.
+//!
+//! [`Failover`] is the whole failover protocol's shared state: the
+//! death registry plus the death-aware rendezvous over the world's
+//! [`TimeoutBarrier`]. Only [`crate::ThreadWorld::try_run_failover`]
+//! builds one; the link layer knows nothing of it.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockedRank, DeadlockReport, WaitKind};
@@ -25,24 +30,12 @@ struct WaitState {
     since: Instant,
 }
 
-/// One recorded rank death (failover mode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct DeathRecord {
-    /// The dead rank.
-    pub rank: usize,
-    /// The failover generation the rank died in.
-    pub gen: u32,
-}
-
-/// Shared wait-for registry for one world run.
+/// Shared wait-for registry for one world run (one per rank process on
+/// the process backend).
 #[derive(Debug)]
 pub(crate) struct Watchdog {
     timeout: Duration,
     waits: Vec<Mutex<Option<WaitState>>>,
-    /// Death registry for degraded-mode failover: a crashing rank marks
-    /// itself dead *before* unwinding, so survivors can consult the set
-    /// when a channel disconnects or the commit barrier shrinks.
-    deaths: Mutex<Vec<DeathRecord>>,
 }
 
 impl Watchdog {
@@ -50,30 +43,12 @@ impl Watchdog {
         Self {
             timeout,
             waits: (0..p).map(|_| Mutex::new(None)).collect(),
-            deaths: Mutex::new(Vec::new()),
         }
     }
 
+    /// The timeout bounding every watched wait.
     pub(crate) fn timeout(&self) -> Duration {
         self.timeout
-    }
-
-    /// Records that `rank` died during failover generation `gen`.
-    pub(crate) fn mark_dead(&self, rank: usize, gen: u32) {
-        let mut deaths = self.deaths.lock().unwrap();
-        if !deaths.iter().any(|d| d.rank == rank) {
-            deaths.push(DeathRecord { rank, gen });
-        }
-    }
-
-    /// Snapshot of all recorded deaths, in registration order.
-    pub(crate) fn deaths(&self) -> Vec<DeathRecord> {
-        self.deaths.lock().unwrap().clone()
-    }
-
-    /// Ranks still alive out of a world of `p`.
-    pub(crate) fn alive_count(&self, p: usize) -> usize {
-        p - self.deaths.lock().unwrap().len()
     }
 
     /// Registers that `rank` is about to block.
@@ -122,6 +97,79 @@ impl Watchdog {
             timeout: self.timeout,
             blocked,
         }
+    }
+}
+
+/// One recorded rank death.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DeathRecord {
+    /// The dead rank.
+    pub rank: usize,
+    /// The failover generation the rank died in.
+    pub gen: u32,
+}
+
+/// Degraded-mode failover state of one thread-world run: a crashing
+/// rank marks itself dead *before* unwinding, so survivors can consult
+/// the registry when a channel disconnects or the commit barrier
+/// shrinks; barriers and epoch commits wait only for the living.
+#[derive(Debug)]
+pub(crate) struct Failover {
+    p: usize,
+    barrier: Arc<TimeoutBarrier>,
+    deaths: Mutex<Vec<DeathRecord>>,
+}
+
+impl Failover {
+    /// Failover over a world of `p` ranks rendezvousing at `barrier`.
+    pub(crate) fn new(p: usize, barrier: Arc<TimeoutBarrier>) -> Self {
+        Self {
+            p,
+            barrier,
+            deaths: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn registry(&self) -> MutexGuard<'_, Vec<DeathRecord>> {
+        // Nothing that can panic runs under this lock.
+        self.deaths.lock().expect("death registry poisoned")
+    }
+
+    /// Records that `rank` died during failover generation `gen`.
+    pub(crate) fn mark_dead(&self, rank: usize, gen: u32) {
+        let mut deaths = self.registry();
+        if !deaths.iter().any(|d| d.rank == rank) {
+            deaths.push(DeathRecord { rank, gen });
+        }
+    }
+
+    /// Snapshot of all recorded deaths, in registration order.
+    pub(crate) fn deaths(&self) -> Vec<DeathRecord> {
+        self.registry().clone()
+    }
+
+    /// Ranks still alive.
+    pub(crate) fn alive_count(&self) -> usize {
+        self.p - self.registry().len()
+    }
+
+    /// Rendezvous of the ranks still alive; `false` on timeout.
+    pub(crate) fn barrier_alive(&self, timeout: Duration) -> bool {
+        self.barrier.wait_with(timeout, || self.alive_count())
+    }
+
+    /// Epoch commit: the survivors rendezvous, then one party rules
+    /// "was generation `gen` poisoned by a death?" and every survivor
+    /// gets that verdict. `Some(true)` = commit, `Some(false)` = abort
+    /// and retry, `None` = timed out. All survivors enter with equal
+    /// `gen` (they bump in lockstep on every poisoned verdict), so
+    /// whichever rank rules sees the same generation stamp.
+    pub(crate) fn commit(&self, gen: u32, timeout: Duration) -> Option<bool> {
+        self.barrier.wait_verdict(
+            timeout,
+            || self.alive_count(),
+            || !self.registry().iter().any(|d| d.gen == gen),
+        )
     }
 }
 
@@ -224,7 +272,6 @@ impl TimeoutBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn report_includes_only_blocked_ranks() {
@@ -276,13 +323,13 @@ mod tests {
 
     #[test]
     fn death_registry_dedups_and_counts() {
-        let wd = Watchdog::new(4, Duration::from_millis(100));
-        assert_eq!(wd.alive_count(4), 4);
-        wd.mark_dead(2, 0);
-        wd.mark_dead(2, 1); // second report of the same rank is ignored
-        wd.mark_dead(3, 1);
-        assert_eq!(wd.alive_count(4), 2);
-        let deaths = wd.deaths();
+        let fo = Failover::new(4, Arc::new(TimeoutBarrier::new(4)));
+        assert_eq!(fo.alive_count(), 4);
+        fo.mark_dead(2, 0);
+        fo.mark_dead(2, 1); // second report of the same rank is ignored
+        fo.mark_dead(3, 1);
+        assert_eq!(fo.alive_count(), 2);
+        let deaths = fo.deaths();
         assert_eq!(deaths.len(), 2);
         assert_eq!(deaths[0], DeathRecord { rank: 2, gen: 0 });
         assert_eq!(deaths[1], DeathRecord { rank: 3, gen: 1 });

@@ -14,9 +14,11 @@
 //! crash that fired, or a [`crate::error::DeadlockReport`] when the
 //! watchdog converted a hang into a diagnosis. Attach a
 //! [`FaultPlan`]/[`FaultInjector`] to rehearse degraded conditions
-//! deterministically.
+//! deterministically. [`ThreadWorld::try_run_failover`] is the one run
+//! that survives injected crashes in place (degraded-mode failover): it
+//! alone builds the world's failover state, which the link layer never
+//! sees.
 
-use std::any::Any;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,15 +27,13 @@ use gnn_trace::{RankTracer, WorldTrace};
 
 use crate::cost::CostModel;
 use crate::ctx::RankCtx;
-use crate::error::{
-    ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, PeerHungUp, WorldError,
-};
+use crate::error::{Cause, WorldError};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::msg::Msg;
 use crate::pool::PayloadPool;
 use crate::stats::{RankStats, WorldStats};
 use crate::transport::thread::ThreadTransport;
-use crate::watchdog::{TimeoutBarrier, Watchdog};
+use crate::watchdog::{Failover, TimeoutBarrier, Watchdog};
 
 /// Factory for SPMD runs.
 #[derive(Clone, Debug)]
@@ -43,14 +43,13 @@ pub struct ThreadWorld {
     timeout: Duration,
     injector: Option<Arc<FaultInjector>>,
     tracing: bool,
-    failover: bool,
 }
 
 /// What one rank thread hands back on success.
 type RankOut<R> = (R, RankStats, Option<Box<RankTracer>>);
 
-/// Joined panic payloads, tagged with the thread's rank index.
-type Failures = Vec<(usize, Box<dyn Any + Send>)>;
+/// Every rank's unwind, classified, in rank order.
+type Failures = Vec<(Cause, WorldError)>;
 
 /// What a failover run yields: one result slot per rank (`None` for
 /// ranks that died), aggregated stats, and the whole-world trace when
@@ -74,7 +73,6 @@ impl ThreadWorld {
             timeout: Self::DEFAULT_TIMEOUT,
             injector: None,
             tracing: false,
-            failover: false,
         }
     }
 
@@ -133,7 +131,9 @@ impl ThreadWorld {
     /// Enables structured tracing: each rank records a span/event
     /// timeline into a private [`RankTracer`], collected after the run
     /// into the [`WorldTrace`] returned by
-    /// [`ThreadWorld::try_run_traced`]. Off by default (zero overhead).
+    /// [`ThreadWorld::try_run_traced`] (and by
+    /// [`ThreadWorld::try_run_failover`] when no rank died). Off by
+    /// default (zero overhead).
     #[must_use]
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
@@ -143,24 +143,6 @@ impl ThreadWorld {
     /// True when tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Enables degraded-mode failover: an injected crash no longer tears
-    /// the world down. The dying rank registers itself in the death
-    /// registry, survivors abort the in-flight epoch attempt (`ABORT`
-    /// control frames + [`EpochAbortPanic`] unwinding), rendezvous at the
-    /// death-aware commit barrier, and retry under the next generation
-    /// with the shrunken grid. Use [`ThreadWorld::try_run_failover`] to
-    /// collect the survivors' results.
-    #[must_use]
-    pub fn with_failover(mut self, on: bool) -> Self {
-        self.failover = on;
-        self
-    }
-
-    /// True when degraded-mode failover is enabled.
-    pub fn failover(&self) -> bool {
-        self.failover
     }
 
     /// Runs `f` on every rank; returns rank-indexed results and stats.
@@ -205,9 +187,9 @@ impl ThreadWorld {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (results, failures) = self.launch(self.failover, &f);
-        if !failures.is_empty() {
-            return Err(classify_failures(failures));
+        let (results, failures) = self.launch(false, &f);
+        if let Some(err) = root_cause(failures) {
+            return Err(err);
         }
         let p = self.p;
         let mut outs = Vec::with_capacity(p);
@@ -225,8 +207,15 @@ impl ThreadWorld {
         Ok((outs, WorldStats::new(stats), trace))
     }
 
-    /// Degraded-mode entry point: runs `f` with failover enabled and
-    /// tolerates injected crashes as long as at least one rank survives.
+    /// Degraded-mode entry point: runs `f` with failover and tolerates
+    /// injected crashes as long as at least one rank survives. An injected
+    /// crash no longer tears the world down: the dying rank registers
+    /// itself in the death registry, survivors abort the in-flight epoch
+    /// attempt (`ABORT` control frames + [`crate::EpochAbortPanic`]
+    /// unwinding), rendezvous at the death-aware commit barrier, and
+    /// retry under the next generation with the shrunken grid. This is
+    /// the only run that arms failover; every other entry point treats a
+    /// death as fatal.
     ///
     /// Returns one slot per rank — `Some(result)` for survivors, `None`
     /// for ranks that died (their stats slots are default-filled so rank
@@ -246,33 +235,17 @@ impl ThreadWorld {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let (results, failures) = self.launch(true, &f);
-
-        let mut crash: Option<WorldError> = None;
-        let mut deaths = 0u64;
-        let mut column_lost: Option<usize> = None;
-        let mut other: Failures = Vec::new();
-        for (rank, payload) in failures {
-            if let Some(c) = payload.downcast_ref::<CrashPanic>() {
-                deaths += 1;
-                crash.get_or_insert(WorldError::InjectedCrash {
-                    rank: c.rank,
-                    epoch: c.epoch,
-                    op: c.op,
-                });
-            } else if let Some(c) = payload.downcast_ref::<ColumnLostPanic>() {
-                column_lost.get_or_insert(c.block_row);
-            } else {
-                other.push((rank, payload));
-            }
+        let (crashes, other): (Failures, Failures) = failures
+            .into_iter()
+            .partition(|(cause, _)| *cause == Cause::Crash);
+        // Injected crashes are what failover absorbs; anything else fails
+        // the run.
+        if let Some(err) = root_cause(other) {
+            return Err(err);
         }
-        if let Some(block_row) = column_lost {
-            return Err(WorldError::ReplicaColumnLost { block_row });
-        }
-        if !other.is_empty() {
-            return Err(classify_failures(other));
-        }
+        let deaths = crashes.len() as u64;
         if results.iter().all(Option::is_none) {
-            return Err(crash.expect("no survivors implies at least one crash"));
+            return Err(root_cause(crashes).expect("no survivors implies at least one crash"));
         }
 
         let mut outs = Vec::with_capacity(self.p);
@@ -322,6 +295,7 @@ impl ThreadWorld {
         }
         let barrier = Arc::new(TimeoutBarrier::new(p));
         let watchdog = Arc::new(Watchdog::new(p, self.effective_timeout()));
+        let failover = failover.then(|| Arc::new(Failover::new(p, barrier.clone())));
         // One payload pool for the run, shared by its rank threads and
         // dropped with them: payload buffers move between ranks, so only
         // the world that moves them can balance their free list.
@@ -334,20 +308,19 @@ impl ThreadWorld {
             .enumerate()
             .map(|(rank, (tx_row, rx_row))| {
                 let transport = ThreadTransport::new(
-                    p,
                     tx_row.into_iter().map(Option::unwrap).collect(),
                     rx_row.into_iter().map(Option::unwrap).collect(),
                     barrier.clone(),
-                    watchdog.clone(),
                 );
                 RankCtx::new(
                     rank,
                     p,
                     self.model,
                     Box::new(transport),
+                    watchdog.clone(),
                     self.injector.clone(),
                     self.tracing.then(|| Box::new(RankTracer::new(rank))),
-                    failover,
+                    failover.clone(),
                     pool.clone(),
                 )
             })
@@ -372,7 +345,7 @@ impl ThreadWorld {
             }
             for (rank, h) in handles.into_iter().enumerate() {
                 if let Err(payload) = h.join() {
-                    failures.push((rank, payload));
+                    failures.push(WorldError::from_unwind(rank, payload.as_ref()));
                 }
             }
         });
@@ -381,78 +354,20 @@ impl ThreadWorld {
     }
 }
 
-/// Picks the root cause out of (possibly cascading) rank failures.
-///
-/// Precedence: losing a whole replica group (the most informative
-/// diagnosis — it subsumes the crashes that caused it) beats an injected
-/// crash (the planned root cause), which beats an organic panic, which
-/// beats a deadlock report (ranks parked at a barrier while a peer dies
-/// time out as a *consequence*, not a cause); "peer hung up" panics are
-/// cascades of some other rank's death and are only reported when
-/// nothing better is available.
-fn classify_failures(failures: Failures) -> WorldError {
-    let mut column_lost: Option<WorldError> = None;
-    let mut crash: Option<WorldError> = None;
-    let mut deadlock: Option<WorldError> = None;
-    let mut primary: Option<WorldError> = None;
-    let mut cascade: Option<WorldError> = None;
-    for (rank, payload) in failures {
-        if let Some(c) = payload.downcast_ref::<CrashPanic>() {
-            crash.get_or_insert(WorldError::InjectedCrash {
-                rank: c.rank,
-                epoch: c.epoch,
-                op: c.op,
-            });
-        } else if let Some(c) = payload.downcast_ref::<ColumnLostPanic>() {
-            column_lost.get_or_insert(WorldError::ReplicaColumnLost {
-                block_row: c.block_row,
-            });
-        } else if let Some(a) = payload.downcast_ref::<EpochAbortPanic>() {
-            // Only reachable when no trainer catch_unwind was in place —
-            // a harness bug, reported as an organic panic.
-            primary.get_or_insert(WorldError::Panicked {
-                rank,
-                message: format!(
-                    "epoch abort (generation {}) escaped to the world boundary",
-                    a.generation
-                ),
-            });
-        } else if let Some(d) = payload.downcast_ref::<DeadlockPanic>() {
-            deadlock.get_or_insert(WorldError::Deadlock(d.0.clone()));
-        } else if let Some(h) = payload.downcast_ref::<PeerHungUp>() {
-            cascade.get_or_insert(WorldError::Panicked {
-                rank,
-                message: h.to_string(),
-            });
-        } else {
-            primary.get_or_insert(WorldError::Panicked {
-                rank,
-                message: panic_message(payload.as_ref()),
-            });
-        }
-    }
-    column_lost
-        .or(crash)
-        .or(primary)
-        .or(deadlock)
-        .or(cascade)
-        .expect("classify_failures called with no failures")
-}
-
-/// Downcasts a panic payload to something printable.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
+/// The root cause among (possibly cascading) rank failures: the
+/// lowest-ranked rank's error of the most informative [`Cause`], `None`
+/// when no rank failed.
+fn root_cause(failures: Failures) -> Option<WorldError> {
+    failures
+        .into_iter()
+        .min_by_key(|(cause, _)| *cause)
+        .map(|(_, err)| err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EpochAbortPanic;
     use crate::msg::Payload;
     use crate::stats::Phase;
 
@@ -787,21 +702,16 @@ mod tests {
     fn self_send_is_rejected() {
         // Assert fires on the calling thread before any message moves.
         let (tx, rx) = channel();
-        let transport = ThreadTransport::new(
-            1,
-            vec![tx],
-            vec![rx],
-            Arc::new(TimeoutBarrier::new(1)),
-            Arc::new(Watchdog::new(1, Duration::from_secs(1))),
-        );
+        let transport = ThreadTransport::new(vec![tx], vec![rx], Arc::new(TimeoutBarrier::new(1)));
         let mut ctx = crate::ctx::RankCtx::new(
             0,
             1,
             CostModel::bandwidth_only(),
             Box::new(transport),
+            Arc::new(Watchdog::new(1, Duration::from_secs(1))),
             None,
             None,
-            false,
+            None,
             Arc::new(PayloadPool::new(1)),
         );
         ctx.send(0, Payload::Empty);
@@ -964,20 +874,19 @@ mod tests {
             })
             .unwrap();
         let transport = ThreadTransport::new(
-            2,
             vec![tx_self, tx_peer],
             vec![rx_self, rx_peer],
             Arc::new(TimeoutBarrier::new(2)),
-            Arc::new(Watchdog::new(2, Duration::from_secs(1))),
         );
         let mut ctx = crate::ctx::RankCtx::new(
             0,
             2,
             CostModel::bandwidth_only(),
             Box::new(transport),
+            Arc::new(Watchdog::new(2, Duration::from_secs(1))),
             None,
             None,
-            false,
+            None,
             Arc::new(PayloadPool::new(2)),
         );
         ctx.recv(1);
@@ -1113,7 +1022,6 @@ mod tests {
     fn failover_run_tolerates_a_crash_with_survivors() {
         let plan = FaultPlan::new(0).crash_at(1, 0, 0);
         let (outs, stats, trace) = world(2)
-            .with_failover(true)
             .with_faults(plan)
             .try_run_failover(|ctx| {
                 ctx.set_epoch(0);
@@ -1129,7 +1037,6 @@ mod tests {
     fn failover_with_no_survivors_reports_the_crash() {
         let plan = FaultPlan::new(0).crash_at(0, 0, 0).crash_at(1, 0, 0);
         let err = world(2)
-            .with_failover(true)
             .with_faults(plan)
             .try_run_failover(|ctx| {
                 ctx.set_epoch(0);
@@ -1151,7 +1058,6 @@ mod tests {
         // shrunken world — stale generation-0 frames are discarded.
         let plan = FaultPlan::new(0).crash_at(1, 0, 1);
         let (outs, stats, _) = world(3)
-            .with_failover(true)
             .with_faults(plan)
             .try_run_failover(|ctx| {
                 ctx.set_epoch(0);
@@ -1203,7 +1109,6 @@ mod tests {
     #[test]
     fn failover_propagates_replica_column_loss() {
         let err = world(2)
-            .with_failover(true)
             .try_run_failover(|ctx| {
                 if ctx.rank() == 0 {
                     ctx.replica_column_lost(3);

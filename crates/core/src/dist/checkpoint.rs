@@ -245,6 +245,14 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// A count of items at least `unit` bytes long each, if the bytes
+    /// left can hold that many: a corrupted count must not size a
+    /// reservation or a split.
+    fn count(&mut self, unit: usize) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n.checked_mul(unit)? <= self.buf.len() - self.pos).then_some(n)
+    }
+
     fn dense(&mut self) -> Option<Dense> {
         let rows = self.u64()? as usize;
         let cols = self.u64()? as usize;
@@ -318,8 +326,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
     let save_seq = r.u64()?;
     let stored_sum = r.u64()?;
     let next_epoch = r.u64()? as usize;
-    let nmats = r.u64()? as usize;
-    let mut mats = Vec::with_capacity(nmats.min(1 << 10));
+    // A matrix is at least its two dimension words.
+    let nmats = r.count(16)?;
+    let mut mats = Vec::with_capacity(nmats);
     for _ in 0..nmats {
         mats.push(r.dense()?);
     }
@@ -331,8 +340,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
             let beta2 = r.f64()?;
             let eps = r.f64()?;
             let t = r.u64()?;
-            let nm = r.u64()? as usize;
-            let mut moments = Vec::with_capacity(2 * nm.min(1 << 10));
+            // `nm` first and `nm` second moments, 16 bytes or more each.
+            let nm = r.count(32)?;
+            let mut moments = Vec::with_capacity(2 * nm);
             for _ in 0..2 * nm {
                 moments.push(r.dense()?);
             }
@@ -349,8 +359,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
         }
         _ => return None,
     };
-    let nrec = r.u64()? as usize;
-    let mut records = Vec::with_capacity(nrec.min(1 << 20));
+    let nrec = r.count(16)?;
+    let mut records = Vec::with_capacity(nrec);
     for _ in 0..nrec {
         records.push(EpochRecord {
             loss: r.f64()?,
@@ -592,6 +602,103 @@ mod tests {
         std::fs::write(dir.join("slot0.ck"), b"not a checkpoint at all").unwrap();
         std::fs::write(dir.join("slot1.ck"), [0xffu8; 64]).unwrap();
         assert!(store.restore().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Byte offsets of every count field in `encode_checkpoint(ck, _)`:
+    /// the matrix count, each matrix's rows and cols, Adam's moment
+    /// count, the record count.
+    fn count_offsets(ck: &Checkpoint) -> Vec<usize> {
+        let mut at = vec![32];
+        let mut pos = 40;
+        let mut dense = |pos: &mut usize, d: &Dense| {
+            at.extend([*pos, *pos + 8]);
+            *pos += 16 + 8 * d.data().len();
+        };
+        for m in &ck.weights.mats {
+            dense(&mut pos, m);
+        }
+        pos += 8; // optimizer tag
+        match &ck.optimizer {
+            Optimizer::Sgd { .. } => pos += 8,
+            Optimizer::Adam { m, v, .. } => {
+                pos += 40;
+                let nm_at = pos;
+                pos += 8;
+                for d in m.iter().chain(v) {
+                    dense(&mut pos, d);
+                }
+                at.push(nm_at);
+            }
+        }
+        at.push(pos);
+        assert_eq!(
+            pos + 8 + 16 * ck.records.len(),
+            encode_checkpoint(ck, 1).len()
+        );
+        at
+    }
+
+    /// Decodes `bytes`: `None`, or a snapshot whose checksum verifies and
+    /// which holds no more items than `bytes` can carry.
+    fn decode_hostile(bytes: &[u8]) {
+        let Some((ck, _)) = decode_checkpoint(bytes) else {
+            return;
+        };
+        let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        assert_eq!(checksum(&ck), stored);
+        // `m` keeps the reservation made for both moment lists.
+        let moments = match &ck.optimizer {
+            Optimizer::Sgd { .. } => 0,
+            Optimizer::Adam { m, .. } => m.capacity(),
+        };
+        let items = ck.weights.mats.capacity() + moments + ck.records.capacity();
+        assert!(
+            16 * items <= bytes.len(),
+            "{items} items from {} bytes",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn mutated_slots_never_panic_or_over_reserve() {
+        for opt in [OptKind::Adam, OptKind::Sgd] {
+            let ck = snapshot(4, 7, opt);
+            let good = encode_checkpoint(&ck, 3);
+            for cut in 0..good.len() {
+                assert!(decode_checkpoint(&good[..cut]).is_none(), "cut at {cut}");
+            }
+            for at in 0..good.len() {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bad = good.clone();
+                    bad[at] ^= flip;
+                    decode_hostile(&bad);
+                }
+            }
+            for at in count_offsets(&ck) {
+                for lie in [u64::MAX, 1 << 63, 1 << 32] {
+                    let mut bad = good.clone();
+                    bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                    assert!(decode_checkpoint(&bad).is_none(), "count at {at} = {lie}");
+                }
+            }
+            assert!(decode_checkpoint(&good).is_some());
+        }
+    }
+
+    #[test]
+    fn restore_falls_back_past_a_slot_with_a_hostile_moment_count() {
+        let dir = disk_dir("hostile");
+        let store = DiskCheckpointStore::new(&dir).unwrap();
+        store.save(snapshot(2, 1, OptKind::Adam)); // slot 0, seq 1
+        store.save(snapshot(4, 2, OptKind::Adam)); // slot 1, seq 2
+        let offsets = count_offsets(&snapshot(4, 2, OptKind::Adam));
+        let nm_at = offsets[offsets.len() - 2];
+        let path = dir.join("slot1.ck");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[nm_at..nm_at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(store.resume_epoch(), Some(2), "the older slot restores");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -397,7 +397,6 @@ mod tests {
             let injector = Arc::new(FaultInjector::new(FaultPlan::new(5).crash_at(2, 0, 0)));
             let world = ThreadWorld::new(p, CostModel::perlmutter_like())
                 .with_timeout(Duration::from_secs(10))
-                .with_failover(true)
                 .with_injector(injector);
             let (outs, stats, trace) = world
                 .try_run_failover(|ctx| {
@@ -463,7 +462,6 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(FaultPlan::new(9).crash_at(4, 0, 0)));
         let world = ThreadWorld::new(p, CostModel::perlmutter_like())
             .with_timeout(Duration::from_secs(10))
-            .with_failover(true)
             .with_injector(injector);
         let (outs, stats, _) = world
             .try_run_failover(|ctx| {

@@ -430,6 +430,16 @@ fn write_outcome(
     weights: &Weights,
     stats: &RankStats,
 ) -> io::Result<()> {
+    let out = encode_outcome(records, weights, stats);
+    // Publish atomically so a half-written file is never collected.
+    let tmp = dir.join(format!("outcome-rank{rank}.tmp"));
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(out.as_bytes())?;
+    f.sync_all()?;
+    fs::rename(&tmp, outcome_path(dir, rank))
+}
+
+fn encode_outcome(records: &[EpochRecord], weights: &Weights, stats: &RankStats) -> String {
     let mut out = String::new();
     out.push_str(&format!("records {}\n", records.len()));
     for r in records {
@@ -493,36 +503,53 @@ fn write_outcome(
         pc.chaos_injected
     ));
     out.push_str("end\n");
-
-    // Publish atomically so a half-written file is never collected.
-    let tmp = dir.join(format!("outcome-rank{rank}.tmp"));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(out.as_bytes())?;
-    f.sync_all()?;
-    fs::rename(&tmp, outcome_path(dir, rank))
+    out
 }
 
+/// Whitespace-separated tokens that know how many more can follow.
 struct Tok<'a> {
-    it: std::str::SplitWhitespace<'a>,
+    rest: &'a str,
 }
 
 impl<'a> Tok<'a> {
     fn new(text: &'a str) -> Self {
-        Tok {
-            it: text.split_whitespace(),
-        }
+        Tok { rest: text }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest.trim_start();
+        let end = s.find(char::is_whitespace).unwrap_or(s.len());
+        let (token, rest) = s.split_at(end);
+        self.rest = rest;
+        (!token.is_empty()).then_some(token)
     }
 
     fn word(&mut self, expect: &str) -> io::Result<()> {
-        match self.it.next() {
+        match self.next() {
             Some(w) if w == expect => Ok(()),
             other => Err(bad(&format!("expected `{expect}`, got {other:?}"))),
         }
     }
 
+    /// `n` items of `per` tokens each, if that many tokens can still
+    /// follow (each is a character plus a separator): a corrupted count
+    /// must not size a reservation.
+    fn fits(&self, n: usize, per: usize) -> io::Result<usize> {
+        let left = self.rest.len().div_ceil(2);
+        match n.checked_mul(per) {
+            Some(need) if need <= left => Ok(n),
+            _ => Err(bad(&format!("count {n} exceeds what the file holds"))),
+        }
+    }
+
+    /// A count of items `per` tokens long each (see [`Tok::fits`]).
+    fn count(&mut self, per: usize) -> io::Result<usize> {
+        let n = self.usize()?;
+        self.fits(n, per)
+    }
+
     fn u64(&mut self) -> io::Result<u64> {
-        self.it
-            .next()
+        self.next()
             .ok_or_else(|| bad("unexpected end of outcome file"))?
             .parse()
             .map_err(|e| bad(&format!("bad integer: {e}")))
@@ -544,7 +571,7 @@ fn bad(msg: &str) -> io::Error {
 fn decode_outcome(text: &str) -> io::Result<(Vec<EpochRecord>, Weights, RankStats)> {
     let mut t = Tok::new(text);
     t.word("records")?;
-    let nrec = t.usize()?;
+    let nrec = t.count(2)?;
     let mut records = Vec::with_capacity(nrec);
     for _ in 0..nrec {
         records.push(EpochRecord {
@@ -553,14 +580,15 @@ fn decode_outcome(text: &str) -> io::Result<(Vec<EpochRecord>, Weights, RankStat
         });
     }
     t.word("weights")?;
-    let nmats = t.usize()?;
+    let nmats = t.count(3)?;
     let mut mats = Vec::with_capacity(nmats);
     for _ in 0..nmats {
         t.word("mat")?;
         let rows = t.usize()?;
         let cols = t.usize()?;
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
+        let len = t.fits(rows.saturating_mul(cols), 1)?;
+        let mut data = Vec::with_capacity(len);
+        for _ in 0..len {
             data.push(t.f64_bits()?);
         }
         mats.push(Dense::from_vec(rows, cols, data));
@@ -666,9 +694,79 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Decodes `text`: an error, or an outcome that holds — and has
+    /// reserved — no more items than `text` can carry.
+    fn decode_hostile(text: &str) {
+        let Ok((records, weights, _)) = decode_outcome(text) else {
+            return;
+        };
+        assert!(
+            2 * records.capacity() <= text.len(),
+            "{} records",
+            records.capacity()
+        );
+        assert!(3 * weights.mats.capacity() <= text.len());
+        for m in &weights.mats {
+            assert!(m.data().len() <= text.len(), "{}x{}", m.rows(), m.cols());
+        }
+    }
+
     #[test]
     fn truncated_outcome_is_an_error() {
         let text = "records 2\n123 456\n";
         assert!(decode_outcome(text).is_err());
+        for lie in [
+            "records 18446744073709551615\n",
+            "records 0\nweights 1\nmat 4294967296 4294967297\n",
+            "records 0\nweights 1\nmat 100000 100000\n1 2\n",
+        ] {
+            assert!(decode_outcome(lie).is_err(), "{lie:?}");
+        }
+
+        let mut stats = RankStats::default();
+        stats.phase_mut(Phase::AllToAll).bytes_sent = 4096;
+        let records = [EpochRecord {
+            loss: 0.75,
+            train_accuracy: 0.25,
+        }];
+        let weights = Weights {
+            mats: vec![Dense::from_fn(2, 3, |r, c| r as f64 - c as f64 * 0.5)],
+        };
+        let good = encode_outcome(&records, &weights, &stats);
+        assert!(decode_outcome(&good).is_ok());
+        // Only the final newline can go.
+        for cut in 0..good.len() - 1 {
+            assert!(decode_outcome(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..good.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bad = good.clone().into_bytes();
+                bad[at] ^= flip;
+                if let Ok(bad) = std::str::from_utf8(&bad) {
+                    decode_hostile(bad);
+                }
+            }
+        }
+        // Every count: the record and matrix counts, each matrix's rows
+        // and cols.
+        let tokens: Vec<&str> = good.split_whitespace().collect();
+        let counts: Vec<usize> = (1..tokens.len())
+            .filter(|&i| {
+                matches!(tokens[i - 1], "records" | "weights" | "mat")
+                    || (i >= 2 && tokens[i - 2] == "mat")
+            })
+            .collect();
+        assert_eq!(counts.len(), 4, "{tokens:?}");
+        for at in counts {
+            for lie in [u64::MAX, 1 << 63, 1 << 32] {
+                let mut bad = tokens.clone();
+                let lie = lie.to_string();
+                bad[at] = &lie;
+                assert!(
+                    decode_outcome(&bad.join(" ")).is_err(),
+                    "token {at} = {lie}"
+                );
+            }
+        }
     }
 }

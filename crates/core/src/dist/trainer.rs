@@ -361,8 +361,7 @@ pub fn try_train_distributed_with_store(
     loop {
         let mut world = ThreadWorld::new(plan.p(), cfg.model)
             .with_timeout(cfg.robust.timeout)
-            .with_tracing(cfg.trace)
-            .with_failover(use_failover);
+            .with_tracing(cfg.trace);
         if let Some(inj) = &injector {
             world = world.with_injector(inj.clone());
         }
