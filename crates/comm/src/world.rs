@@ -490,6 +490,61 @@ mod tests {
     }
 
     #[test]
+    fn zero_padded_allreduce_reassembles_every_slab_bit_for_bit() {
+        // Each of c replicas fills one slab of rows (uneven, or empty when
+        // rows < c), zeroes the rest, and the group sum is the whole
+        // matrix: v + 0.0 and 0.0 + v are v for every v but -0.0.
+        let cols = 3;
+        let value = |r: usize, j: usize| -> f64 {
+            match (r * cols + j) % 6 {
+                0 => 0.0,
+                1 => f64::MIN_POSITIVE / 8.0, // subnormal
+                2 => -1.0e300,
+                3 => 1.0 / 3.0,
+                4 => -(r as f64 + 0.1),
+                _ => f64::EPSILON * j as f64,
+            }
+        };
+        for c in 2..=4 {
+            for rows in [1, 2, 3, 5, 7, 10] {
+                // Two replica groups side by side, as 1.5D runs them.
+                let (outs, _) = world(2 * c).run(|ctx| {
+                    let me = ctx.rank();
+                    let base = me / c * c;
+                    let group: Vec<usize> = (base..base + c).collect();
+                    let k = me - base;
+                    let slab = k * rows / c..(k + 1) * rows / c;
+                    let mut buf = vec![0.0; rows * cols];
+                    for r in slab {
+                        for j in 0..cols {
+                            buf[r * cols + j] = value(r, j);
+                        }
+                    }
+                    ctx.allreduce_sum(&mut buf, &group);
+                    buf
+                });
+                for (me, got) in outs.iter().enumerate() {
+                    for (at, g) in got.iter().enumerate() {
+                        let want = value(at / cols, at % cols);
+                        assert_eq!(
+                            g.to_bits(),
+                            want.to_bits(),
+                            "c={c} rows={rows} rank {me} at {at}"
+                        );
+                    }
+                }
+            }
+        }
+        // The precondition is real: a -0.0 slab element comes back +0.0.
+        let (outs, _) = world(2).run(|ctx| {
+            let mut buf = vec![if ctx.rank() == 1 { -0.0 } else { 0.0 }];
+            ctx.allreduce_sum(&mut buf, &[0, 1]);
+            buf[0]
+        });
+        assert!(outs.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+    }
+
+    #[test]
     fn allreduce_single_member_is_identity() {
         let (outs, stats) = world(2).run(|ctx| {
             let me = ctx.rank();

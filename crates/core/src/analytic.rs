@@ -11,6 +11,7 @@
 
 use gnn_comm::stats::{Phase, RankStats, WorldStats};
 use gnn_comm::{CostModel, OverlapConfig};
+use spmat::gen::sbm::block_bounds;
 use spmat::Csr;
 
 use crate::dist::grid::{GridPlan, RankPlan, Stage};
@@ -336,7 +337,10 @@ fn spmm_grid_pipelined_charges(
 /// panel width, an aggregate-first layer slices its own input panel in
 /// and all-reduces the partial `Z` over the grid row (`pc` ranks) out,
 /// and a narrow-first `Z` and every `AᵀG` are placed panel by panel and
-/// summed over the grid row.
+/// summed over the grid row — and with the same replica split: under the
+/// narrow order a replica group of `c > 1` charges each rank its slab of
+/// layer 0's products against `H⁰` and one `c`-rank all-reduce per
+/// product.
 fn rank_charges(
     input: &AnalyticInput<'_>,
     order: LayerOrder,
@@ -366,6 +370,24 @@ fn rank_charges(
             add_allreduce(st, model, 8 * rows * d_out, pc);
         }
     };
+    // Layer 0's products against H⁰ split over the replica group (the
+    // trainer's `ReplicaSlab`): this rank's slab of a `len`-row product,
+    // or all of it.
+    let group = rp.reduce_group.len();
+    let split0 = order.narrow_first(dims, 0) && group > 1;
+    let part = |l: usize, len: u64| -> u64 {
+        if split0 && l == 0 {
+            let b = block_bounds(len as usize, group);
+            (b[rp.l + 1] - b[rp.l]) as u64
+        } else {
+            len
+        }
+    };
+    let reassemble = |st: &mut RankStats, l: usize, len: u64, width: u64| {
+        if split0 && l == 0 {
+            add_allreduce(st, model, 8 * len * width, group);
+        }
+    };
 
     for _epoch in 0..input.epochs {
         // Forward.
@@ -373,11 +395,19 @@ fn rank_charges(
             let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
             if order.narrow_first(dims, l) {
                 let opw = own_width(dims[l + 1]);
-                add_compute(&mut st, model, 2 * rows * d * opw); // H·W column panel
+                let gemm = 2 * part(l, rows) * d * opw;
+                add_compute(&mut st, model, gemm); // H·W column panel
+                reassemble(&mut st, l, rows, opw);
                 charge_spmm(&mut st, opw);
                 if sage {
-                    add_compute(&mut st, model, 2 * rows * d * opw + rows * opw);
-                    // self term
+                    // Self term: the product, then the add.
+                    if split0 && l == 0 {
+                        add_compute(&mut st, model, gemm);
+                        reassemble(&mut st, l, rows, opw);
+                        add_compute(&mut st, model, rows * opw);
+                    } else {
+                        add_compute(&mut st, model, gemm + rows * opw);
+                    }
                 }
                 place_out(&mut st, opw, d_out);
             } else {
@@ -418,11 +448,15 @@ fn rank_charges(
             if paneled {
                 add_compute(&mut st, model, rows * ipw); // H panel slice
             }
-            let (y_flops, w_in) = match input.arch {
-                ArchKind::Gcn => (2 * rows * ipw * d_out, d),
-                ArchKind::Sage => (4 * rows * ipw * d_out, 2 * d),
+            let gemm = 2 * rows * part(l, ipw) * d_out;
+            let (products, w_in) = match input.arch {
+                ArchKind::Gcn => (1, d),
+                ArchKind::Sage => (2, 2 * d),
             };
-            add_compute(&mut st, model, y_flops);
+            add_compute(&mut st, model, products * gemm);
+            for _ in 0..products {
+                reassemble(&mut st, l, ipw, d_out);
+            }
             add_allreduce(&mut st, model, 8 * w_in * d_out, p); // weight grad
             if l > 0 {
                 let prop = match input.arch {

@@ -32,6 +32,7 @@
 //! weights bit-for-bit.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -595,6 +596,43 @@ fn put_tile(tile: Cow<'_, Dense>, bufs: &mut EpochBuffers) {
     }
 }
 
+/// One replica's share of layer 0's products against `H⁰`. The `c` ranks
+/// of a replica group (the plan's `reduce_group`: 1.5D's process row,
+/// 3D's fiber) hold the same `H⁰`, `W` and layer gradients, so instead of
+/// each computing the whole of `H⁰·W₀` and `∂W₀`, the replica at position
+/// `k` of the group computes output rows `block_bounds(len, c)[k..k+1]`,
+/// leaves the other rows zero, and the group's all-reduce sums the slabs
+/// back together. That sum is the whole product bit for bit: the GEMM
+/// kernels never return `-0.0` (their accumulators start at `+0.0`), so
+/// every element is `v + 0.0` or `0.0 + v`, which is `v`.
+#[derive(Clone, Copy)]
+struct ReplicaSlab<'p> {
+    /// Position in the group: the replication layer.
+    k: usize,
+    group: &'p [usize],
+}
+
+impl ReplicaSlab<'_> {
+    /// The rows of a `len`-row product this replica computes: its slab,
+    /// or all of them without one.
+    fn rows(slab: Option<Self>, len: usize) -> Range<usize> {
+        match slab {
+            Some(s) => {
+                let b = block_bounds(len, s.group.len());
+                b[s.k]..b[s.k + 1]
+            }
+            None => 0..len,
+        }
+    }
+
+    /// Sums the group's slabs of `m` into the whole product.
+    fn reassemble(slab: Option<Self>, ctx: &mut RankCtx, m: &mut Dense) {
+        if let Some(s) = slab {
+            ctx.allreduce_sum(m.data_mut(), s.group);
+        }
+    }
+}
+
 /// One rank's training program and state. Geometry comes from the plan:
 /// the owned rows, how many ranks hold each block row (`pc·c`, divided
 /// out of the masked count) and how many of those contribute *identical*
@@ -751,9 +789,11 @@ impl<'a> RankTrainer<'a> {
     /// and the epoch's record, leaves its activations on the layer stacks
     /// for [`Self::epoch`] to retire, and touches no training state. A
     /// layer's forward SpMM runs on `H` or on `H·W`, as
-    /// [`LayerOrder::narrow_first`] decides for it. Under a
-    /// degraded [`FailoverView`] the SpMM and the global reductions run
-    /// their degraded forms, which fold in fault-free slot order from
+    /// [`LayerOrder::narrow_first`] decides for it; a narrow-first layer
+    /// 0 splits its products against `H⁰` across the replica group
+    /// ([`ReplicaSlab`]). Under a degraded [`FailoverView`] those products
+    /// run whole, and the SpMM and the global reductions run their
+    /// degraded forms, which fold in fault-free slot order from
     /// replicated data, so committed epochs are bit-identical to a
     /// fault-free run.
     fn attempt(&mut self, ctx: &mut RankCtx) -> (Vec<Dense>, EpochRecord) {
@@ -784,6 +824,15 @@ impl<'a> RankTrainer<'a> {
                 (false, false) => spmm_grid_buf(ctx, plan, h, bufs),
             }
         };
+        // Layer 0's products against H⁰ split across the replica group,
+        // where there is one: only under the narrow order (the paper's
+        // order keeps Algorithm 2's op sequence verbatim) and only while
+        // every replica is alive (a degraded group computes them whole).
+        let slab0 = (order.narrow_first(dims, 0) && rp.reduce_group.len() > 1 && !degraded)
+            .then_some(ReplicaSlab {
+                k: rp.l,
+                group: &rp.reduce_group,
+            });
         let global_reduce = |ctx: &mut RankCtx, buf: &mut [f64]| {
             if degraded {
                 failover_allreduce_replicated(ctx, &view, buf);
@@ -809,19 +858,33 @@ impl<'a> RankTrainer<'a> {
                     ArchKind::Gcn => (0, d),
                     ArchKind::Sage => (d, 2 * d),
                 };
+                let slab = slab0.filter(|_| l == 0);
+                let part = ReplicaSlab::rows(slab, rows);
+                let gemm = (2 * part.len() * d * opw) as u64;
                 let w_neigh = w_tile(w, neigh, (olo, ohi), bufs);
                 let mut t = bufs.take_dense(rows, opw);
-                ctx.compute((2 * rows * d * opw) as u64, || {
-                    hs[l].matmul_into(&w_neigh, &mut t)
+                ctx.compute(gemm, || {
+                    hs[l].matmul_rows_into(&w_neigh, part.clone(), &mut t)
                 });
+                ReplicaSlab::reassemble(slab, ctx, &mut t);
                 put_tile(w_neigh, bufs);
                 let mut z_own = dist_spmm(ctx, &t, bufs);
                 if arch == ArchKind::Sage {
                     let w_self = w_tile(w, (0, d), (olo, ohi), bufs);
-                    ctx.compute((2 * rows * d * opw + rows * opw) as u64, || {
-                        hs[l].matmul_into(&w_self, &mut t);
-                        z_own.add_assign(&t);
-                    });
+                    let add = (rows * opw) as u64;
+                    let h = &hs[l];
+                    // A split self term is rebuilt before the add; an
+                    // unsplit one keeps product and add one compute op.
+                    if slab.is_some() {
+                        ctx.compute(gemm, || h.matmul_rows_into(&w_self, part, &mut t));
+                        ReplicaSlab::reassemble(slab, ctx, &mut t);
+                        ctx.compute(add, || z_own.add_assign(&t));
+                    } else {
+                        ctx.compute(gemm + add, || {
+                            h.matmul_into(&w_self, &mut t);
+                            z_own.add_assign(&t);
+                        });
+                    }
                     put_tile(w_self, bufs);
                 }
                 bufs.put_dense(t);
@@ -922,14 +985,16 @@ impl<'a> RankTrainer<'a> {
             // panel) contributions and the c identical layer copies.
             let h_panel = slice_in(ctx, panel, &hs[l], (ilo, ihi), bufs);
             let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
+            let slab = slab0.filter(|_| l == 0);
+            let part = ReplicaSlab::rows(slab, ipw);
+            let gemm = (2 * rows * part.len() * d_out) as u64;
             let mut y = bufs.take_dense(weights.mats[l].rows(), d_out);
             let mut top = bufs.take_dense(ipw, d_out);
             match arch {
                 ArchKind::Gcn => {
                     let s = s.as_ref().expect("GCN forms S at every layer");
-                    ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                        h_in.transpose_matmul_into(s, &mut top)
-                    })
+                    ctx.compute(gemm, || h_in.transpose_matmul_rows_into(s, part, &mut top));
+                    ReplicaSlab::reassemble(slab, ctx, &mut top);
                 }
                 ArchKind::Sage => {
                     let mut bottom = bufs.take_dense(ipw, d_out);
@@ -940,10 +1005,12 @@ impl<'a> RankTrainer<'a> {
                         Some(ah) => (ah, &g),
                         None => (h_in, s.as_ref().expect("a narrow-first layer forms S")),
                     };
-                    ctx.compute((4 * rows * ipw * d_out) as u64, || {
-                        h_in.transpose_matmul_into(&g, &mut top);
-                        lhs.transpose_matmul_into(rhs, &mut bottom);
+                    ctx.compute(2 * gemm, || {
+                        h_in.transpose_matmul_rows_into(&g, part.clone(), &mut top);
+                        lhs.transpose_matmul_rows_into(rhs, part, &mut bottom);
                     });
+                    ReplicaSlab::reassemble(slab, ctx, &mut top);
+                    ReplicaSlab::reassemble(slab, ctx, &mut bottom);
                     y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
                         .copy_from_slice(bottom.data());
                     bufs.put_dense(bottom);
@@ -1403,6 +1470,68 @@ mod tests {
             assert_eq!(a.train_accuracy.to_bits(), b.train_accuracy.to_bits());
         }
         assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
+    }
+
+    #[test]
+    fn crash_at_the_slab_allreduce_fails_over_to_the_full_product() {
+        use gnn_comm::trace::EventKind;
+        let ds = reddit_scaled(7, 11);
+        let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
+        let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
+        let (epochs, crash_epoch) = (5, 2);
+        let mut clean_cfg = DistConfig::new(
+            Algo::OneFiveD { aware: true, c: 2 },
+            cfg,
+            epochs,
+            CostModel::perlmutter_like(),
+        );
+        clean_cfg.trace = true;
+        let clean = train_distributed(&ds, &bounds, &clean_cfg);
+        // Op 2 of rank 1's epoch (counted as a crash rule counts) is
+        // layer 0's slab all-reduce of H⁰·W₀'s 16-wide rows, right after
+        // the slab product.
+        let rows = (bounds[1] - bounds[0]) as u64;
+        let trace = clean.trace.as_ref().expect("traced");
+        let mut ops = trace.per_rank[1]
+            .iter()
+            .filter(|e| e.epoch == crash_epoch as i64 && !e.kind.is_span());
+        assert_eq!(ops.next().map(|e| e.kind), Some(EventKind::Compute));
+        let op2 = ops.next().expect("a second op");
+        assert_eq!(
+            (op2.kind, op2.bytes_sent),
+            (EventKind::AllReduce, 8 * rows * 16)
+        );
+
+        let mut faulty_cfg = clean_cfg.clone();
+        faulty_cfg.robust = RobustnessConfig {
+            faults: Some(FaultPlan::parse(&format!("crash=1@{crash_epoch}:2")).unwrap()),
+            checkpoint_every: 0,
+            max_restarts: 0,
+            timeout: Duration::from_secs(10),
+            failover: true,
+        };
+        let faulty = try_train_distributed(&ds, &bounds, &faulty_cfg)
+            .expect("failover should absorb a crash at the slab all-reduce");
+        assert_eq!((faulty.restarts, faulty.failovers), (0, 1));
+        for (a, b) in faulty.records.iter().zip(&clean.records) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+            assert_eq!(a.train_accuracy.to_bits(), b.train_accuracy.to_bits());
+        }
+        assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
+        // Degraded epochs compute the products whole, and their
+        // collectives are the failover routines' sends and receives: no
+        // survivor enters an all-reduce after the healthy epochs but for
+        // its slab sum in the aborted attempt, if it got that far.
+        let all_reduces =
+            |out: &DistOutcome, rank: usize| out.stats.per_rank[rank].phase(Phase::AllReduce).ops;
+        for rank in [0, 2, 3] {
+            let healthy = all_reduces(&clean, rank) / epochs as u64 * crash_epoch as u64;
+            let got = all_reduces(&faulty, rank);
+            assert!(
+                (healthy..=healthy + 1).contains(&got),
+                "rank {rank}: {got} all-reduces, {healthy} in the healthy epochs"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! become matrices without a copy, and how buffer pools recycle
 //! allocations across epochs.
 
+use std::ops::Range;
+
 use crate::alloc::AVec;
 use crate::kernel;
 use crate::pool;
@@ -238,29 +240,45 @@ impl Dense {
 
     /// [`Dense::matmul_into`] with an explicit thread count.
     pub fn matmul_into_with(&self, other: &Dense, out: &mut Dense, threads: usize) {
+        self.matmul_rows_into_with(other, 0..self.rows, out, threads);
+    }
+
+    /// Rows `rows` of `self · other` into the same rows of `out`, every
+    /// other row of `out` zeroed. Each output row is one kernel call, so
+    /// a row gets the bits of the whole product wherever the range falls.
+    ///
+    /// # Panics
+    /// Panics on any dimension mismatch or a range past the last row.
+    pub fn matmul_rows_into(&self, other: &Dense, rows: Range<usize>, out: &mut Dense) {
+        self.matmul_rows_into_with(other, rows, out, pool::current_threads());
+    }
+
+    fn matmul_rows_into_with(
+        &self,
+        other: &Dense,
+        rows: Range<usize>,
+        out: &mut Dense,
+        threads: usize,
+    ) {
         assert_eq!(self.cols, other.rows, "gemm inner dimension mismatch");
         assert_eq!(out.rows, self.rows, "gemm output rows mismatch");
         assert_eq!(out.cols, other.cols, "gemm output cols mismatch");
         let (k_dim, n) = (self.cols, other.cols);
-        if self.rows == 0 || n == 0 {
+        let slab = out.zero_outside(rows.clone());
+        if slab.is_empty() {
             return;
         }
-        let t = pool::effective_threads(threads, 2 * self.rows * k_dim * n);
+        let t = pool::effective_threads(threads, 2 * rows.len() * k_dim * n);
         let ker = kernel::active();
         let b = other.data.as_slice();
-        pool::for_each_chunk_mut(
-            t,
-            out.data.as_mut_slice(),
-            GEMM_CHUNK_ROWS * n,
-            |ci, out_chunk| {
-                let row0 = ci * GEMM_CHUNK_ROWS;
-                // ikj order per row (ascending k) — the accumulation order
-                // the kernel contract preserves.
-                for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
-                    ker.gemm_row(self.row(row0 + i), b, n, out_row);
-                }
-            },
-        );
+        pool::for_each_chunk_mut(t, slab, GEMM_CHUNK_ROWS * n, |ci, out_chunk| {
+            let row0 = rows.start + ci * GEMM_CHUNK_ROWS;
+            // ikj order per row (ascending k) — the accumulation order
+            // the kernel contract preserves.
+            for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
+                ker.gemm_row(self.row(row0 + i), b, n, out_row);
+            }
+        });
     }
 
     /// `C = selfᵀ · other` without materializing the transpose
@@ -283,13 +301,33 @@ impl Dense {
     }
 
     /// [`Dense::transpose_matmul_into`] with an explicit thread count.
-    ///
-    /// One kernel call per chunk of output rows `k` — every row when one
-    /// worker runs, so the input is streamed once; `GEMM_CHUNK_ROWS`
-    /// otherwise. Each output element accumulates over `i = 0..rows` in
-    /// ascending order whatever the chunking, so every thread count
-    /// matches the scalar kernel bit for bit.
     pub fn transpose_matmul_into_with(&self, other: &Dense, out: &mut Dense, threads: usize) {
+        self.transpose_matmul_rows_into_with(other, 0..self.cols, out, threads);
+    }
+
+    /// Rows `rows` of `selfᵀ · other` into the same rows of `out`, every
+    /// other row of `out` zeroed.
+    ///
+    /// One kernel call per chunk of output rows `k` — every row of the
+    /// range when one worker runs, so the input is streamed once;
+    /// `GEMM_CHUNK_ROWS` otherwise. Each output element accumulates over
+    /// `i = 0..self.rows()` in ascending order whatever the chunking and
+    /// the range, so every thread count and every split of the rows
+    /// matches the scalar kernel bit for bit.
+    ///
+    /// # Panics
+    /// Panics on any dimension mismatch or a range past the last row.
+    pub fn transpose_matmul_rows_into(&self, other: &Dense, rows: Range<usize>, out: &mut Dense) {
+        self.transpose_matmul_rows_into_with(other, rows, out, pool::current_threads());
+    }
+
+    fn transpose_matmul_rows_into_with(
+        &self,
+        other: &Dense,
+        rows: Range<usize>,
+        out: &mut Dense,
+        threads: usize,
+    ) {
         assert_eq!(self.rows, other.rows, "transpose_matmul row mismatch");
         assert_eq!(out.rows, self.cols, "transpose_matmul output rows mismatch");
         assert_eq!(
@@ -297,19 +335,33 @@ impl Dense {
             "transpose_matmul output cols mismatch"
         );
         let (k_dim, n) = (self.cols, other.cols);
-        if k_dim == 0 || n == 0 {
+        let slab = out.zero_outside(rows.clone());
+        if slab.is_empty() {
             return;
         }
-        let t = pool::effective_threads(threads, 2 * self.rows * k_dim * n);
-        let chunk_rows = if t <= 1 { k_dim } else { GEMM_CHUNK_ROWS };
+        let t = pool::effective_threads(threads, 2 * self.rows * rows.len() * n);
+        let chunk_rows = if t <= 1 { rows.len() } else { GEMM_CHUNK_ROWS };
         let ker = kernel::active();
         let (a, b) = (self.data.as_slice(), other.data.as_slice());
-        pool::for_each_chunk_mut(
-            t,
-            out.data.as_mut_slice(),
-            chunk_rows * n,
-            |ci, out_chunk| ker.gemm_t(a, k_dim, ci * chunk_rows, b, n, out_chunk),
+        pool::for_each_chunk_mut(t, slab, chunk_rows * n, |ci, out_chunk| {
+            ker.gemm_t(a, k_dim, rows.start + ci * chunk_rows, b, n, out_chunk)
+        });
+    }
+
+    /// Zeroes every row outside `rows` and returns the rows inside.
+    fn zero_outside(&mut self, rows: Range<usize>) -> &mut [f64] {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.rows,
+            "row range {rows:?} past {} rows",
+            self.rows
         );
+        let cols = self.cols;
+        let data = self.data.as_mut_slice();
+        let (head, rest) = data.split_at_mut(rows.start * cols);
+        let (slab, tail) = rest.split_at_mut(rows.len() * cols);
+        head.fill(0.0);
+        tail.fill(0.0);
+        slab
     }
 
     /// `C = self · otherᵀ` without materializing the transpose: one
@@ -698,6 +750,37 @@ mod tests {
                 mt1.data(),
                 "threads={t}"
             );
+        }
+    }
+
+    #[test]
+    fn row_ranges_carry_the_whole_products_bits_and_zero_the_rest() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let a = Dense::glorot(2 * GEMM_CHUNK_ROWS + 5, 40, &mut rng);
+        let b = Dense::glorot(40, 19, &mut rng);
+        let c = Dense::glorot(a.rows(), 19, &mut rng);
+        let (full, full_t) = (a.matmul(&b), a.transpose_matmul(&c));
+        let check = |out: &Dense, whole: &Dense, lo: usize, hi: usize| {
+            for r in 0..whole.rows() {
+                let want = if (lo..hi).contains(&r) {
+                    whole.row(r).to_vec()
+                } else {
+                    vec![0.0; whole.cols()]
+                };
+                assert_eq!(out.row(r), &want[..], "row {r} of slab {lo}..{hi}");
+            }
+        };
+        for threads in [1, 2, 4] {
+            for (lo, hi) in [(0, 0), (0, 37), (3, 20), (16, 33), (36, 37), (37, 37)] {
+                let mut out = Dense::from_fn(full.rows(), full.cols(), |_, _| 7.0);
+                a.matmul_rows_into_with(&b, lo..hi, &mut out, threads);
+                check(&out, &full, lo, hi);
+            }
+            for (lo, hi) in [(0, 0), (0, 40), (5, 22), (39, 40)] {
+                let mut out = Dense::from_fn(full_t.rows(), full_t.cols(), |_, _| 7.0);
+                a.transpose_matmul_rows_into_with(&c, lo..hi, &mut out, threads);
+                check(&out, &full_t, lo, hi);
+            }
         }
     }
 

@@ -292,6 +292,78 @@ fn strict_gemms_on_relu_sparse_inputs_bitwise_equal_scalar() {
     kernel::clear_forced_backend();
 }
 
+fn assert_no_negative_zero(got: &[f64], what: &str) {
+    let at = got.iter().position(|v| v.to_bits() == (-0.0f64).to_bits());
+    assert_eq!(at, None, "-0.0 in {what}");
+}
+
+/// The precondition of splitting a product across replicas and summing
+/// the zero-padded slabs: no GEMM returns `-0.0`, in either mode, on any
+/// backend, at any thread count, on any slab of its rows — even from
+/// operands full of `±0.0`, ReLU-sparse rows, rows and columns that are
+/// all `-0.0`, and an empty inner dimension, where every term is a zero.
+#[test]
+fn gemms_never_return_negative_zero() {
+    let _guard = GLOBAL_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x0517);
+    let signed_zeros = |rows: usize, cols: usize, rng: &mut StdRng| {
+        Dense::from_fn(rows, cols, |r, c| match (r + 2 * c) % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        })
+    };
+    let rows = 70;
+    for (k, n) in [(0usize, 16usize), (16, 16), (300, 16), (16, 300), (24, 33)] {
+        let mut a = relu_sparse(rows, k, &mut rng);
+        // An all-(-0.0) row and column of `a`: every term of their
+        // outputs is a signed zero.
+        for c in 0..k {
+            a.set(3, c, -0.0);
+        }
+        for r in 0..rows {
+            if k > 0 {
+                a.set(r, k / 2, -0.0);
+            }
+        }
+        let b = signed_zeros(k, n, &mut rng);
+        let c = signed_zeros(rows, n, &mut rng);
+        for backend in supported_backends() {
+            kernel::try_force_backend(backend).unwrap();
+            for mode in [KernelMode::Strict, KernelMode::Fast] {
+                kernel::set_mode(mode);
+                let ker = kernel::active();
+                for threads in [1usize, 2, 4] {
+                    let what = format!("{} {mode:?} k={k} n={n} t={threads}", backend.label());
+                    let mut out = Dense::from_fn(rows, n, |_, _| -0.0);
+                    a.matmul_into_with(&b, &mut out, threads);
+                    assert_no_negative_zero(out.data(), &format!("A·B {what}"));
+                    let mut out = Dense::from_fn(k, n, |_, _| -0.0);
+                    a.transpose_matmul_into_with(&c, &mut out, threads);
+                    assert_no_negative_zero(out.data(), &format!("AᵀC {what}"));
+                }
+                // The kernels themselves, on every slab of a 3-way split.
+                for part in 0..3 {
+                    let what = format!("{} {mode:?} k={k} n={n} slab {part}", backend.label());
+                    for r in part * rows / 3..(part + 1) * rows / 3 {
+                        let mut out = vec![-0.0; n];
+                        ker.gemm_row(a.row(r), b.data(), n, &mut out);
+                        assert_no_negative_zero(&out, &format!("gemm_row {what}"));
+                    }
+                    let (lo, hi) = (part * k / 3, (part + 1) * k / 3);
+                    if n > 0 && k > 0 {
+                        let mut out = vec![-0.0; (hi - lo) * n];
+                        ker.gemm_t(a.data(), k, lo, c.data(), n, &mut out);
+                        assert_no_negative_zero(&out, &format!("gemm_t {what}"));
+                    }
+                }
+            }
+        }
+    }
+    kernel::set_mode(KernelMode::Strict);
+    kernel::clear_forced_backend();
+}
+
 #[test]
 fn strict_full_ops_bitwise_equal_across_backends_and_thread_counts() {
     let _guard = GLOBAL_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());

@@ -308,6 +308,53 @@ mod tests {
     }
 
     #[test]
+    fn mutated_offsets_sidecars_never_panic_or_over_reserve() {
+        let good = offsets_json(&[0.0, 1.5e-3, -2.25e-4, 7.0]);
+        // An `Ok` holds one offset per number the text spells out.
+        let read = |text: &str| match parse_offsets_json(text) {
+            Ok(offsets) => {
+                assert!(offsets.len() <= text.len(), "{text}");
+                true
+            }
+            Err(_) => false,
+        };
+        assert!(read(&good));
+        for cut in 0..good.len() - 1 {
+            assert!(!read(&good[..cut]), "cut at {cut}");
+        }
+        for at in 0..good.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bad = good.clone().into_bytes();
+                bad[at] ^= flip;
+                if let Ok(bad) = String::from_utf8(bad) {
+                    read(&bad);
+                }
+            }
+        }
+        let p_at = good.find("\"p\":").unwrap() + 4;
+        for run in crate::validate::tests::digit_runs(&good) {
+            let splice = |lie: &str| format!("{}{lie}{}", &good[..run.start], &good[run.end..]);
+            for lie in ["100000000000000", "99999999999999999999999"] {
+                // A world size the array does not match is an error; a
+                // huge offset is merely unusual.
+                assert!(
+                    !(read(&splice(lie)) && run.start == p_at),
+                    "{}",
+                    splice(lie)
+                );
+            }
+            for lie in ["-100000000000000", "-99999999999999999999999"] {
+                // A negative offset is legal; a negative count is not.
+                assert!(
+                    !(read(&splice(lie)) && run.start == p_at),
+                    "{}",
+                    splice(lie)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn offset_pipeline_ignores_modeled_only_events() {
         let mut legacy = ev(0, 0, 0.5, 0.0);
         legacy.t_wall = f64::NAN;

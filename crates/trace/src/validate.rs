@@ -8,6 +8,8 @@
 //! JSON-schema tooling. [`parse_jsonl`] reloads a validated trace into
 //! a [`WorldTrace`] for offline reporting.
 
+use std::collections::BTreeMap;
+
 use crate::event::{Event, EventKind, NO_PARENT, NO_PEER};
 use crate::json::{parse, Json};
 use crate::metrics::Histogram;
@@ -248,21 +250,38 @@ fn check_and_collect(input: &str) -> Result<(usize, TraceSummary, Vec<Event>), V
         .next()
         .ok_or_else(|| fail(1, "empty input (no header line)"))?;
     let (p, declared) = parse_header(header)?;
+    // The header's counts are held to the input before anything is
+    // reserved: an event takes a line of its own, and a world of `p`
+    // ranks reloads into `p` event lists, so `p` may not exceed the
+    // input's bytes.
+    let lines_left = lines.clone().count();
+    if declared > lines_left {
+        return Err(fail(
+            1,
+            format!("header declares {declared} events but {lines_left} lines follow"),
+        ));
+    }
+    if p > input.len() {
+        return Err(fail(
+            1,
+            format!("header declares p = {p}, more ranks than the trace has bytes"),
+        ));
+    }
     let mut events = Vec::with_capacity(declared);
     let mut summary = TraceSummary {
         p,
         max_epoch: -1,
         ..TraceSummary::default()
     };
-    let mut last_seq: Vec<Option<u32>> = vec![None; p];
+    // Last seq per rank, for the ranks that appear.
+    let mut last_seq: BTreeMap<u32, u32> = BTreeMap::new();
     for (i, line) in lines {
         let lineno = i + 1;
         if line.trim().is_empty() {
             continue;
         }
         let e = parse_event_line(lineno, line, p)?;
-        let last = &mut last_seq[e.rank as usize];
-        if let Some(prev) = *last {
+        if let Some(prev) = last_seq.insert(e.rank, e.seq) {
             if e.seq <= prev {
                 return Err(fail(
                     lineno,
@@ -273,16 +292,16 @@ fn check_and_collect(input: &str) -> Result<(usize, TraceSummary, Vec<Event>), V
                 ));
             }
         }
-        *last = Some(e.seq);
         if e.kind.is_span() {
             summary.spans += 1;
         } else {
             summary.ops += 1;
-            if e.kind == EventKind::Retransmit {
-                summary.retransmit_wire_bytes += e.bytes_sent;
+            let total = if e.kind == EventKind::Retransmit {
+                &mut summary.retransmit_wire_bytes
             } else {
-                summary.logical_bytes_sent += e.bytes_sent;
-            }
+                &mut summary.logical_bytes_sent
+            };
+            *total = total.saturating_add(e.bytes_sent);
         }
         summary.max_epoch = summary.max_epoch.max(e.epoch);
         if e.has_wall() {
@@ -328,7 +347,7 @@ pub fn parse_jsonl(input: &str) -> Result<WorldTrace, ValidateError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::SpanKind;
     use crate::export::jsonl_string;
@@ -477,6 +496,92 @@ mod tests {
             out.push(line.to_string());
         }
         out.join("\n") + "\n"
+    }
+
+    /// Every maximal run of ASCII digits in `s`, as byte ranges.
+    pub(crate) fn digit_runs(s: &str) -> Vec<std::ops::Range<usize>> {
+        let b = s.as_bytes();
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < b.len() {
+            if b[i].is_ascii_digit() {
+                let start = i;
+                while i < b.len() && b[i].is_ascii_digit() {
+                    i += 1;
+                }
+                runs.push(start..i);
+            } else {
+                i += 1;
+            }
+        }
+        runs
+    }
+
+    /// Both readers on hostile text: an `Err` or a trace no bigger than
+    /// the text — no panic, no world or event list the bytes cannot hold.
+    fn read_hostile(text: &str) -> bool {
+        let summary = validate_jsonl(text);
+        let reloaded = parse_jsonl(text);
+        assert_eq!(summary.is_ok(), reloaded.is_ok(), "{text}");
+        if let Ok(summary) = summary {
+            assert!(summary.p <= text.len(), "p = {} from {text}", summary.p);
+            assert!(summary.events <= text.lines().count(), "{text}");
+        }
+        reloaded.is_ok()
+    }
+
+    #[test]
+    fn hostile_header_counts_are_errors_not_aborts() {
+        let good = sample();
+        let (header, body) = good.split_once('\n').unwrap();
+        for (field, at) in [("events", "\"events\":4"), ("p", "\"p\":2")] {
+            assert!(header.contains(at), "{field}");
+            for lie in ["100000000000000", "8000000000000000"] {
+                let bad = format!(
+                    "{}\n{body}",
+                    header.replace(at, &format!("\"{field}\":{lie}"))
+                );
+                let e = validate_jsonl(&bad).unwrap_err();
+                assert!(e.msg.contains("header declares"), "{field}={lie}: {e}");
+                assert!(parse_jsonl(&bad).is_err(), "{field}={lie}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_traces_never_panic_or_over_reserve() {
+        for good in [sample(), dual_sample()] {
+            assert!(read_hostile(&good));
+            // Every truncation fails but the one that drops only the
+            // final newline.
+            for cut in 0..good.len() - 1 {
+                if good.is_char_boundary(cut) {
+                    assert!(!read_hostile(&good[..cut]), "cut at {cut}");
+                }
+            }
+            for at in 0..good.len() {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bad = good.clone().into_bytes();
+                    bad[at] ^= flip;
+                    if let Ok(bad) = String::from_utf8(bad) {
+                        read_hostile(&bad);
+                    }
+                }
+            }
+            let header_end = good.find('\n').unwrap();
+            for run in digit_runs(&good) {
+                let splice = |lie: &str| format!("{}{lie}{}", &good[..run.start], &good[run.end..]);
+                for lie in ["100000000000000", "99999999999999999999999"] {
+                    let ok = read_hostile(&splice(lie));
+                    // Header counts must fit the text; a huge time or
+                    // byte count on an event line is merely unusual.
+                    assert!(!(ok && run.start < header_end), "{}", splice(lie));
+                }
+                for lie in ["-100000000000000", "-99999999999999999999999"] {
+                    assert!(!read_hostile(&splice(lie)), "{}", splice(lie));
+                }
+            }
+        }
     }
 
     #[test]

@@ -479,3 +479,78 @@ fn a_layer_is_narrow_first_iff_it_narrows() {
         );
     }
 }
+
+/// All-reduces charged on `rank` per epoch of a run of `epochs`.
+fn allreduce_ops_per_epoch(stats: &gnn_comm::WorldStats, rank: usize, epochs: u64) -> u64 {
+    let ops = stats.per_rank[rank].phase(Phase::AllReduce).ops;
+    assert_eq!(
+        ops % epochs,
+        0,
+        "rank {rank}: {ops} all-reduces over {epochs} epochs"
+    );
+    ops / epochs
+}
+
+#[test]
+fn replica_split_cells_match() {
+    // Under the narrow order every replica group (1.5D process row, 3D
+    // fiber) splits layer 0's products against H⁰ into slabs and sums
+    // them with one all-reduce per product: GCN's H⁰·W₀ and H⁰ᵀS₀, and
+    // SAGE's two of each. The model charges the same slabs and sums, on
+    // uneven slabs too; the paper's order splits nothing.
+    let ds = amazon_scaled(8, 52);
+    let n = ds.n();
+    let halves = [0, 127, n];
+    let quarters = [0, 61, 130, 190, n];
+    let threed = Algo::ThreeD {
+        aware: true,
+        pc: 2,
+        c: 2,
+    };
+    let onefived = |c| Algo::OneFiveD { aware: true, c };
+    let cells: [(&[usize], Algo, ArchKind, LayerOrder); 4] = [
+        (&halves, threed, ArchKind::Gcn, LayerOrder::NarrowSide),
+        (&halves, onefived(2), ArchKind::Sage, LayerOrder::NarrowSide),
+        (
+            &quarters,
+            onefived(4),
+            ArchKind::Gcn,
+            LayerOrder::NarrowSide,
+        ),
+        (
+            &halves,
+            onefived(2),
+            ArchKind::Gcn,
+            LayerOrder::AggregateFirst,
+        ),
+    ];
+    for (bounds, algo, arch, order) in cells {
+        let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
+        gcn.arch = arch;
+        let (out, est) = run_in_order(&ds, bounds, algo, &gcn, OverlapConfig::off(), order);
+        let label = format!("{} {arch:?} {order:?}", algo.label());
+        assert_stats_equal(&out.stats, &est, &label);
+        if matches!(algo, Algo::ThreeD { .. }) {
+            continue;
+        }
+        // 1.5D: one replica all-reduce per SpMM, the loss, one weight
+        // gradient per layer, and the slab sums.
+        let layers = gcn.layers() as u64;
+        let narrow = order == LayerOrder::NarrowSide;
+        let sage = arch == ArchKind::Sage;
+        // SAGE forms no AᵀG at an aggregate-first layer 0.
+        let spmms = 2 * layers - u64::from(sage && !narrow);
+        let slabs = match (narrow, sage) {
+            (false, _) => 0,
+            (true, false) => 2,
+            (true, true) => 4,
+        };
+        for rank in 0..out.stats.p() {
+            assert_eq!(
+                allreduce_ops_per_epoch(&out.stats, rank, 2),
+                spmms + 1 + layers + slabs,
+                "{label}: rank {rank}"
+            );
+        }
+    }
+}

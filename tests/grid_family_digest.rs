@@ -400,9 +400,9 @@ const EXPECTED_NARROW: [[u64; 3]; 9] = [
     [0xa6fb781aa3accd35, 0xbda5b766b30e7c2e, 0xfcd6d3da995743e0], // 1d aware p=3 blocking
     [0x33cab64ecd790d28, 0xbda5b766b30e7c2e, 0xba9d647d65ac580a], // 1d aware p=3 chunks=2
     [0xacc2dde5b45f5a3e, 0x5b4af35c51934254, 0xbe292365ee758886], // 1d oblivious p=2 blocking
-    [0x8d375f6f7844e51d, 0x53ab20d5a4a74744, 0xbd28f9a6752b3d50], // 1.5d p=4 c=2 blocking
+    [0x12c272b90a70c01f, 0x53ab20d5a4a74744, 0xc1c9df39101549a0], // 1.5d p=4 c=2 blocking
     [0x645bddbcd91a5719, 0x27ca0b631a54a2b5, 0x20dd18b68513f56d], // 2d 2x2 blocking
-    [0x5fa14b438b6e61a9, 0xb3814da4c5f89f54, 0x17e1b75cbe17c029], // 3d 2x2x2 blocking
+    [0xa4eb84ff251463e1, 0xb3814da4c5f89f54, 0x32e074891fdc73cc], // 3d 2x2x2 blocking
     [0x5866b85c0ed431c6, 0x4f747a4d23d84727, 0x6a1a88ade5c0659b], // sage 1d p=3 blocking
 ];
 
