@@ -10,9 +10,8 @@
 //! the same sweep shapes (seconds instead of minutes; used by CI).
 //! `--threads N` sets the kernel thread count for every local SpMM/GEMM
 //! (default: `GNN_THREADS` env, then available parallelism); results are
-//! bit-identical at any thread count. `--kernel strict|fast` sets the
-//! kernel numerics (strict — the default — is also bit-identical
-//! across scalar/AVX2/NEON backends; fast trades that for FMA).
+//! bit-identical at any thread count and across the scalar, AVX2 and
+//! NEON kernel backends.
 //!
 //! Everything here is the paper's layer order, `(ÂH)W` at every layer —
 //! there is no flag for the other one; `repro ablations` prices both side
@@ -239,21 +238,13 @@ fn main() -> ExitCode {
     };
     let (common, seed) = (&args.common, args.common.seed);
     spmat::pool::set_threads(common.threads); // 0 keeps the auto default
-    if let Some(mode) = common.kernel_mode {
-        spmat::kernel::set_mode(mode);
-    }
     let kernels = spmat::kernel::active();
     eprintln!(
         "kernel threads: {} | {} backend ({} mode) — results are \
-         thread-count independent{}",
+         thread-count and backend independent",
         spmat::pool::current_threads(),
         kernels.backend.label(),
         kernels.mode.label(),
-        if kernels.mode == spmat::kernel::KernelMode::Strict {
-            " and backend-independent"
-        } else {
-            ""
-        }
     );
     eprintln!("layer order: paper (ÂH)W — `train --order narrow` is the extension");
     let t0 = Instant::now();

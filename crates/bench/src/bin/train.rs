@@ -66,10 +66,8 @@
 //! first wherever a layer narrows, so layer 0 ships 16 columns instead
 //! of `f`. Same model, same losses to ≤ 1e-8; fewer bytes and flops.
 //!
-//! `--kernel strict|fast` selects the numerics of the SIMD kernel layer
-//! (default `strict` — bit-identical to the portable scalar loops on
-//! every backend; `fast` enables FMA with a documented rounding
-//! tolerance). `--flop-rate auto` replaces the cost model's A100-class
+//! Every SIMD kernel backend is bit-identical to the portable scalar
+//! loops. `--flop-rate auto` replaces the cost model's A100-class
 //! compute constant with the *measured* single-core throughput of the
 //! active kernel backend on this host; a number sets it explicitly.
 //!
@@ -603,9 +601,6 @@ fn main() -> ExitCode {
     let common = &args.common;
     spmat::pool::set_threads(common.threads); // 0 keeps the auto default
     let threads = spmat::pool::current_threads();
-    if let Some(mode) = common.kernel_mode {
-        spmat::kernel::set_mode(mode); // else GNN_KERNEL env rules
-    }
     let kernels = spmat::kernel::active();
     let t0 = Instant::now();
     let ds = match load_dataset(&args) {

@@ -7,8 +7,6 @@ use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use spmat::kernel::KernelMode;
-
 use crate::traceio::TraceFormat;
 
 /// How a flag consumes argv, and the setter that stores it into `A`.
@@ -161,8 +159,6 @@ pub struct Common {
     pub seed: u64,
     /// 0 keeps the `GNN_THREADS` / available-parallelism default.
     pub threads: usize,
-    /// `None` leaves the `GNN_KERNEL` env in charge.
-    pub kernel_mode: Option<KernelMode>,
     pub trace: bool,
     /// `--trace`'s optional value.
     pub trace_prefix: Option<PathBuf>,
@@ -175,7 +171,6 @@ impl Default for Common {
         Self {
             seed: 1,
             threads: 0,
-            kernel_mode: None,
             trace: false,
             trace_prefix: None,
             trace_format: TraceFormat::Both,
@@ -184,17 +179,13 @@ impl Default for Common {
     }
 }
 
-/// The six rows both binaries accept. `prefix_like` is the binary's rule
+/// The five rows both binaries accept. `prefix_like` is the binary's rule
 /// for telling `--trace`'s optional `PREFIX` from whatever else may
 /// follow the flag.
 pub fn common_flags<A: AsMut<Common>>(prefix_like: fn(&str) -> bool) -> Vec<Flag<A>> {
     vec![
         value("--seed", "N", |a, v| store(&mut a.as_mut().seed, v)),
         value("--threads", "N", |a, v| store(&mut a.as_mut().threads, v)),
-        value("--kernel", "strict|fast", |a, v| {
-            a.as_mut().kernel_mode = Some(KernelMode::parse(v)?);
-            Ok(())
-        }),
         Flag {
             name: "--trace",
             metavar: "PREFIX",

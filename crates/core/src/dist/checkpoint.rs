@@ -4,12 +4,14 @@
 //! state (weights, optimizer state, epoch records) so a torn-down world
 //! can resume instead of recomputing from scratch. A snapshot that was
 //! silently corrupted between write and restore would poison the resumed
-//! run while *looking* healthy — so every [`Checkpoint`] is stamped with
-//! an FNV-1a checksum over all of its bits at save time, and
-//! [`CheckpointStore::restore`] re-verifies before handing it out. The
-//! store keeps the last **two** snapshots: if the newest fails
-//! verification, restore falls back to the previous one, and only when
-//! both are bad (or none exist) does training restart from scratch.
+//! run while *looking* healthy — so every [`Checkpoint`] is stored as
+//! the bytes of one codec (the slot format of [`DiskCheckpointStore`],
+//! which the in-memory [`CheckpointStore`] keeps too), stamped with an
+//! FNV-1a checksum over every other byte, and restore re-verifies
+//! before decoding. Both stores keep the last **two** snapshots: if the
+//! newest fails verification, restore falls back to the previous one,
+//! and only when both are bad (or none exist) does training restart
+//! from scratch.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -66,86 +68,13 @@ impl CheckpointBackend for Mutex<CheckpointStore> {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Stored {
-    ck: Checkpoint,
-    checksum: u64,
-}
-
-/// Ring of the last two checksummed snapshots.
+/// Ring of the last two snapshots, each held as the bytes
+/// [`encode_checkpoint`] writes to disk.
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointStore {
-    slots: [Option<Stored>; 2],
-    /// Index of the most recently written slot.
-    newest: usize,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_u64(hash: &mut u64, v: u64) {
-    fnv(hash, &v.to_le_bytes());
-}
-
-fn fnv_f64(hash: &mut u64, v: f64) {
-    fnv_u64(hash, v.to_bits());
-}
-
-fn fnv_dense(hash: &mut u64, d: &Dense) {
-    fnv_u64(hash, d.rows() as u64);
-    fnv_u64(hash, d.cols() as u64);
-    for &x in d.data() {
-        fnv_f64(hash, x);
-    }
-}
-
-/// FNV-1a over every bit of the snapshot: epoch cursor, weight
-/// matrices, full optimizer state, and the epoch records.
-fn checksum(ck: &Checkpoint) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_u64(&mut h, ck.next_epoch as u64);
-    fnv_u64(&mut h, ck.weights.mats.len() as u64);
-    for m in &ck.weights.mats {
-        fnv_dense(&mut h, m);
-    }
-    match &ck.optimizer {
-        Optimizer::Sgd { lr } => {
-            fnv_u64(&mut h, 0);
-            fnv_f64(&mut h, *lr);
-        }
-        Optimizer::Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t,
-            m,
-            v,
-        } => {
-            fnv_u64(&mut h, 1);
-            fnv_f64(&mut h, *lr);
-            fnv_f64(&mut h, *beta1);
-            fnv_f64(&mut h, *beta2);
-            fnv_f64(&mut h, *eps);
-            fnv_u64(&mut h, *t);
-            for d in m.iter().chain(v) {
-                fnv_dense(&mut h, d);
-            }
-        }
-    }
-    fnv_u64(&mut h, ck.records.len() as u64);
-    for r in &ck.records {
-        fnv_f64(&mut h, r.loss);
-        fnv_f64(&mut h, r.train_accuracy);
-    }
-    h
+    slots: [Option<Vec<u8>>; 2],
+    /// Sequence number of the most recent save; slots alternate by it.
+    seq: u64,
 }
 
 impl CheckpointStore {
@@ -154,33 +83,19 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Stamps `ck` with its checksum and writes it over the *older*
-    /// slot, so the previous snapshot survives as the fallback.
+    /// Encodes `ck` over the *older* slot, so the previous snapshot
+    /// survives as the fallback.
     pub fn save(&mut self, ck: Checkpoint) {
-        let slot = if self.slots[self.newest].is_some() {
-            1 - self.newest
-        } else {
-            self.newest
-        };
-        self.slots[slot] = Some(Stored {
-            checksum: checksum(&ck),
-            ck,
-        });
-        self.newest = slot;
+        self.seq += 1;
+        self.slots[self.seq as usize % 2] = Some(encode_checkpoint(&ck, self.seq));
     }
 
     /// The newest snapshot that passes checksum verification: the most
     /// recent save, the previous one if the newest is corrupted, or
     /// `None` when neither verifies (train from scratch).
     pub fn restore(&self) -> Option<Checkpoint> {
-        for slot in [self.newest, 1 - self.newest] {
-            if let Some(st) = &self.slots[slot] {
-                if checksum(&st.ck) == st.checksum {
-                    return Some(st.ck.clone());
-                }
-            }
-        }
-        None
+        let slots = self.slots.each_ref();
+        newest(slots.map(|s| decode_checkpoint(s.as_deref()?)))
     }
 
     /// How many snapshots are currently held (verified or not).
@@ -198,19 +113,48 @@ impl CheckpointStore {
         self.restore().map(|ck| ck.next_epoch)
     }
 
+    /// Flips one byte of the newest slot.
     #[cfg(test)]
     pub(crate) fn corrupt_newest(&mut self) {
-        let st = self.slots[self.newest]
+        let bytes = self.slots[self.seq as usize % 2]
             .as_mut()
             .expect("nothing to corrupt");
-        let data = st.ck.weights.mats[0].data_mut();
-        data[0] = f64::from_bits(data[0].to_bits() ^ 1); // single bit flip
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
     }
 }
 
-// ---- Disk persistence ------------------------------------------------------
+/// The decoded slot with the highest save sequence, if any decoded.
+fn newest(slots: [Option<(Checkpoint, u64)>; 2]) -> Option<Checkpoint> {
+    let newest = slots.into_iter().flatten().max_by_key(|&(_, seq)| seq);
+    newest.map(|(ck, _)| ck)
+}
 
-const DISK_MAGIC: u64 = 0x474e_4e43_4b50_5431; // "GNNCKPT1"
+// ---- Slot codec and disk persistence ---------------------------------------
+
+const DISK_MAGIC: u64 = 0x474e_4e43_4b50_5432; // "GNNCKPT2"
+
+/// Byte range of the checksum word in an encoded snapshot.
+const SUM_AT: std::ops::Range<usize> = 16..24;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over every byte of an encoded snapshot but its checksum word.
+/// Each step is a bijection of the hash state, so any one changed byte
+/// changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let covered = bytes[..SUM_AT.start].iter().chain(&bytes[SUM_AT.end..]);
+    covered.fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// Writes the checksum word of an encoded snapshot.
+fn stamp(bytes: &mut [u8]) {
+    let sum = checksum(bytes);
+    bytes[SUM_AT].copy_from_slice(&sum.to_le_bytes());
+}
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -270,13 +214,13 @@ impl<'a> Reader<'a> {
 }
 
 /// `[magic][save_seq][checksum][next_epoch][weights][optimizer][records]`,
-/// all u64 little-endian (f64 via `to_bits`). The checksum is the same
-/// FNV-1a the in-memory store uses, computed over the decoded snapshot.
+/// all u64 little-endian (f64 via `to_bits`); the checksum covers every
+/// other word.
 fn encode_checkpoint(ck: &Checkpoint, save_seq: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, DISK_MAGIC);
     put_u64(&mut buf, save_seq);
-    put_u64(&mut buf, checksum(ck));
+    put_u64(&mut buf, 0); // stamped below
     put_u64(&mut buf, ck.next_epoch as u64);
     put_u64(&mut buf, ck.weights.mats.len() as u64);
     for m in &ck.weights.mats {
@@ -313,18 +257,21 @@ fn encode_checkpoint(ck: &Checkpoint, save_seq: u64) -> Vec<u8> {
         put_f64(&mut buf, r.loss);
         put_f64(&mut buf, r.train_accuracy);
     }
+    stamp(&mut buf);
     buf
 }
 
-/// `None` on any structural damage (bad magic, truncation, absurd
-/// sizes) *or* a checksum mismatch — either way the slot is invalid.
+/// `None` on a checksum mismatch *or* any structural damage (bad magic,
+/// truncation, absurd sizes) — either way the slot is invalid.
 fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.u64()? != DISK_MAGIC {
         return None;
     }
     let save_seq = r.u64()?;
-    let stored_sum = r.u64()?;
+    if r.u64()? != checksum(bytes) {
+        return None;
+    }
     let next_epoch = r.u64()? as usize;
     // A matrix is at least its two dimension words.
     let nmats = r.count(16)?;
@@ -373,9 +320,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
         optimizer,
         records,
     };
-    if checksum(&ck) != stored_sum {
-        return None;
-    }
     Some((ck, save_seq))
 }
 
@@ -465,11 +409,7 @@ impl CheckpointBackend for DiskCheckpointStore {
     }
 
     fn restore(&self) -> Option<Checkpoint> {
-        let newest = [0, 1]
-            .iter()
-            .filter_map(|&s| self.read_slot(s))
-            .max_by_key(|&(_, seq)| seq);
-        newest.map(|(ck, _)| ck)
+        newest([0, 1].map(|s| self.read_slot(s)))
     }
 }
 
@@ -639,14 +579,12 @@ mod tests {
         at
     }
 
-    /// Decodes `bytes`: `None`, or a snapshot whose checksum verifies and
-    /// which holds no more items than `bytes` can carry.
+    /// Decodes `bytes`: `None`, or a snapshot which holds no more items
+    /// than `bytes` can carry.
     fn decode_hostile(bytes: &[u8]) {
         let Some((ck, _)) = decode_checkpoint(bytes) else {
             return;
         };
-        let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        assert_eq!(checksum(&ck), stored);
         // `m` keeps the reservation made for both moment lists.
         let moments = match &ck.optimizer {
             Optimizer::Sgd { .. } => 0,
@@ -668,10 +606,14 @@ mod tests {
             for cut in 0..good.len() {
                 assert!(decode_checkpoint(&good[..cut]).is_none(), "cut at {cut}");
             }
+            // The checksum rejects every one-byte change; re-stamped, the
+            // change reaches the parser, which must stay in bounds.
             for at in 0..good.len() {
                 for flip in [0x01, 0x80, 0xff] {
                     let mut bad = good.clone();
                     bad[at] ^= flip;
+                    assert!(decode_checkpoint(&bad).is_none(), "byte {at} ^ {flip:#x}");
+                    stamp(&mut bad);
                     decode_hostile(&bad);
                 }
             }
@@ -679,6 +621,7 @@ mod tests {
                 for lie in [u64::MAX, 1 << 63, 1 << 32] {
                     let mut bad = good.clone();
                     bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                    stamp(&mut bad);
                     assert!(decode_checkpoint(&bad).is_none(), "count at {at} = {lie}");
                 }
             }
@@ -697,6 +640,7 @@ mod tests {
         let path = dir.join("slot1.ck");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[nm_at..nm_at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        stamp(&mut bytes);
         std::fs::write(&path, bytes).unwrap();
         assert_eq!(store.resume_epoch(), Some(2), "the older slot restores");
         let _ = std::fs::remove_dir_all(&dir);
@@ -711,36 +655,5 @@ mod tests {
         clear_disk_checkpoints(&dir);
         assert!(store.restore().is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checksum_covers_every_field() {
-        let base = snapshot(2, 1, OptKind::Adam);
-        let sum = checksum(&base);
-
-        let mut c = base.clone();
-        c.next_epoch = 3;
-        assert_ne!(checksum(&c), sum, "epoch cursor");
-
-        let mut c = base.clone();
-        c.records[0].loss += 1e-12;
-        assert_ne!(checksum(&c), sum, "records");
-
-        let mut c = base.clone();
-        if let Optimizer::Adam { t, .. } = &mut c.optimizer {
-            *t += 1;
-        }
-        assert_ne!(checksum(&c), sum, "optimizer step counter");
-
-        let mut c = base.clone();
-        if let Optimizer::Adam { m, .. } = &mut c.optimizer {
-            m[0].data_mut()[0] += 1.0;
-        }
-        assert_ne!(checksum(&c), sum, "optimizer moments");
-
-        let d = base.weights.mats[0].data()[0];
-        let mut c = base;
-        c.weights.mats[0].data_mut()[0] = f64::from_bits(d.to_bits() ^ 1);
-        assert_ne!(checksum(&c), sum, "single weight bit");
     }
 }

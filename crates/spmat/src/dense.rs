@@ -12,9 +12,9 @@
 //! (small problems fall back to the serial path automatically). The
 //! GEMM-family inner loops run through the [`crate::kernel`] dispatch
 //! layer (register-blocked kernels vectorized for AVX2 or NEON, or the
-//! scalar oracle; strict-by-default numerics): the blocked GEMMs add the
-//! exact zeros of ReLU outputs instead of branching on them, to the
-//! oracle's bits. The `*_into`
+//! scalar oracle, all bit-identical): the blocked GEMMs add the exact
+//! zeros of ReLU outputs instead of branching on them, to the oracle's
+//! bits. The `*_into`
 //! variants write into caller-provided buffers so steady-state training
 //! epochs can run without heap allocation.
 //!
@@ -365,7 +365,7 @@ impl Dense {
     }
 
     /// `C = self · otherᵀ` without materializing the transpose: one
-    /// strict dot product per output element (the reference trainer's
+    /// sequential dot product per output element (the reference trainer's
     /// gradient propagation `G Wᵀ`). For finite `other`,
     /// `self.matmul(&other.transpose())` gives the same bits through the
     /// faster GEMM kernels — each output element is the same chain from
@@ -399,10 +399,8 @@ impl Dense {
             return;
         }
         let t = pool::effective_threads(threads, 2 * self.rows * self.cols * n);
-        // Dot-product-shaped: a true reduction per output element, so the
-        // kernel layer keeps it scalar in strict mode and only fast mode
-        // vectorizes it.
-        let ker = kernel::active();
+        // Dot-product-shaped: a true reduction per output element, which
+        // any vectorization would reassociate, so it stays scalar.
         pool::for_each_chunk_mut(
             t,
             out.data.as_mut_slice(),
@@ -412,7 +410,7 @@ impl Dense {
                 for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
                     let a_row = self.row(row0 + i);
                     for (j, o) in out_row.iter_mut().enumerate() {
-                        *o = ker.dot(a_row, other.row(j));
+                        *o = kernel::scalar::dot(a_row, other.row(j));
                     }
                 }
             },

@@ -6,12 +6,10 @@
 //! 9 · 32 + 8 + 4). A tile is loaded once, updated by every term in source
 //! order and stored once, in vector registers (a 32-wide tile is 8 `ymm`).
 //!
-//! `FAST = false` updates a lane with `acc + a * b`. Rust never contracts
-//! that into a fused multiply-add, and the lanes of a tile are
-//! independent output elements, so every output element is the scalar
-//! oracle's chain bit for bit whatever the vector width. `FAST = true`
-//! uses `a.mul_add(b, acc)`, one rounding per term: a `vfmadd` where the
-//! target has FMA, a correctly rounded library call where it has not.
+//! A lane is updated with `acc + a * b`. Rust never contracts that into
+//! a fused multiply-add, and the lanes of a tile are independent output
+//! elements, so every output element is the scalar oracle's chain bit
+//! for bit whatever the vector width.
 //!
 //! The GEMM kernels add every term, exact zeros of `a` included, where
 //! the oracle skips them: no compare in the inner loop, so ReLU outputs
@@ -26,21 +24,11 @@
 //! Every function is `#[inline(always)]`: the dispatcher wraps them in
 //! `#[target_feature]` functions, and only inlined code gets their features.
 
-/// One multiply-add in the mode's rounding (see the module docs).
+/// `tile[t] += a · x[t]` for every lane of a `W`-column tile.
 #[inline(always)]
-fn madd<const FAST: bool>(acc: f64, a: f64, b: f64) -> f64 {
-    if FAST {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
-
-/// `tile[t] ⊕= a · x[t]` for every lane of a `W`-column tile.
-#[inline(always)]
-fn madd_tile<const FAST: bool, const W: usize>(tile: &mut [f64; W], a: f64, x: &[f64; W]) {
+fn madd_tile<const W: usize>(tile: &mut [f64; W], a: f64, x: &[f64; W]) {
     for (o, &v) in tile.iter_mut().zip(x) {
-        *o = madd::<FAST>(*o, a, v);
+        *o += a * v;
     }
 }
 
@@ -59,13 +47,7 @@ fn window_mut<const W: usize>(row: &mut [f64], j: usize) -> &mut [f64; W] {
 /// One SpMM output row: `out_row[0..f] += Σ vals[k] · h[cols[k]·f ..]`,
 /// nonzeros in CSR order per output element.
 #[inline(always)]
-pub fn spmm_row<const FAST: bool>(
-    cols: &[u32],
-    vals: &[f64],
-    h: &[f64],
-    f: usize,
-    out_row: &mut [f64],
-) {
+pub fn spmm_row(cols: &[u32], vals: &[f64], h: &[f64], f: usize, out_row: &mut [f64]) {
     // One compare per nonzero: `start <= last` proves the row is in `h`.
     let Some(last) = h.len().checked_sub(f) else {
         assert!(cols.is_empty(), "h is shorter than one row");
@@ -76,19 +58,19 @@ pub fn spmm_row<const FAST: bool>(
         assert!(start <= last, "column past the last row of h");
         (v, &h[start..start + f])
     });
-    combine::<FAST, false>(terms, out_row);
+    combine::<false>(terms, out_row);
 }
 
 /// One GEMM output row from zero:
 /// `out_row[0..n] = Σ_k a_row[k] · b[k·n .. k·n+n]`, ascending `k`, every
 /// term added (exact zeros of `a_row` too; see the module docs).
 #[inline(always)]
-pub fn gemm_row<const FAST: bool>(a_row: &[f64], b: &[f64], n: usize, out_row: &mut [f64]) {
+pub fn gemm_row(a_row: &[f64], b: &[f64], n: usize, out_row: &mut [f64]) {
     if n == 0 {
         return; // `chunks_exact` takes no zero width
     }
     let terms = a_row.iter().zip(b.chunks_exact(n));
-    combine::<FAST, true>(terms.map(|(&a, b_row)| (a, b_row)), out_row);
+    combine::<true>(terms.map(|(&a, b_row)| (a, b_row)), out_row);
 }
 
 /// `out_row ⊕= Σ coef · row` over `terms` in order, each column its own
@@ -98,26 +80,26 @@ pub fn gemm_row<const FAST: bool>(a_row: &[f64], b: &[f64], n: usize, out_row: &
 /// cloned per tile; a clone copies the divisions a fresh `chunks_exact`
 /// would redo.
 #[inline(always)]
-fn combine<'a, const FAST: bool, const GEMM: bool>(
+fn combine<'a, const GEMM: bool>(
     terms: impl Iterator<Item = (f64, &'a [f64])> + Clone,
     out_row: &mut [f64],
 ) {
     let width = out_row.len();
     let mut j = 0;
     while j + 32 <= width {
-        combine_tile::<FAST, GEMM, 32>(terms.clone(), out_row, j);
+        combine_tile::<GEMM, 32>(terms.clone(), out_row, j);
         j += 32;
     }
     if j + 16 <= width {
-        combine_tile::<FAST, GEMM, 16>(terms.clone(), out_row, j);
+        combine_tile::<GEMM, 16>(terms.clone(), out_row, j);
         j += 16;
     }
     if j + 8 <= width {
-        combine_tile::<FAST, GEMM, 8>(terms.clone(), out_row, j);
+        combine_tile::<GEMM, 8>(terms.clone(), out_row, j);
         j += 8;
     }
     if j + 4 <= width {
-        combine_tile::<FAST, GEMM, 4>(terms.clone(), out_row, j);
+        combine_tile::<GEMM, 4>(terms.clone(), out_row, j);
         j += 4;
     }
     if j == width {
@@ -128,14 +110,14 @@ fn combine<'a, const FAST: bool, const GEMM: bool>(
     }
     for (coef, row) in terms {
         for (o, &x) in out_row[j..].iter_mut().zip(&row[j..]) {
-            *o = madd::<FAST>(*o, coef, x);
+            *o += coef * x;
         }
     }
 }
 
 /// Columns `j .. j + W` of [`combine`].
 #[inline(always)]
-fn combine_tile<'a, const FAST: bool, const GEMM: bool, const W: usize>(
+fn combine_tile<'a, const GEMM: bool, const W: usize>(
     terms: impl Iterator<Item = (f64, &'a [f64])>,
     out_row: &mut [f64],
     j: usize,
@@ -143,7 +125,7 @@ fn combine_tile<'a, const FAST: bool, const GEMM: bool, const W: usize>(
     let out = window_mut::<W>(out_row, j);
     let mut acc = if GEMM { [0.0; W] } else { *out };
     for (coef, row) in terms {
-        madd_tile::<FAST, W>(&mut acc, coef, window::<W>(row, j));
+        madd_tile::<W>(&mut acc, coef, window::<W>(row, j));
     }
     *out = acc;
 }
@@ -162,14 +144,7 @@ const GEMM_T_ROWS: usize = 32;
 /// checked that
 /// the operands are whole rows and that `k0 + out.len()/n <= lda`.
 #[inline(always)]
-pub fn gemm_t<const FAST: bool>(
-    a: &[f64],
-    lda: usize,
-    k0: usize,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
+pub fn gemm_t(a: &[f64], lda: usize, k0: usize, b: &[f64], n: usize, out: &mut [f64]) {
     out.fill(0.0);
     let blocks = a.chunks(GEMM_T_ROWS * lda).zip(b.chunks(GEMM_T_ROWS * n));
     for (a_blk, b_blk) in blocks {
@@ -179,9 +154,9 @@ pub fn gemm_t<const FAST: bool>(
         for (pair, out_rows) in out.chunks_mut(2 * n).enumerate() {
             let k = k0 + 2 * pair;
             if out_rows.len() == 2 * n {
-                gemm_t_rows::<FAST, 2>(rows.clone(), k, n, out_rows);
+                gemm_t_rows::<2>(rows.clone(), k, n, out_rows);
             } else {
-                gemm_t_rows::<FAST, 1>(rows.clone(), k, n, out_rows);
+                gemm_t_rows::<1>(rows.clone(), k, n, out_rows);
             }
         }
     }
@@ -191,7 +166,7 @@ pub fn gemm_t<const FAST: bool>(
 /// row)` pairs: 16-, 8- and 4-column tiles (a `KP` × 32 tile would not
 /// fit the registers), then a scalar tail.
 #[inline(always)]
-fn gemm_t_rows<'a, const FAST: bool, const KP: usize>(
+fn gemm_t_rows<'a, const KP: usize>(
     rows: impl Iterator<Item = (&'a [f64], &'a [f64])> + Clone,
     k: usize,
     n: usize,
@@ -199,22 +174,22 @@ fn gemm_t_rows<'a, const FAST: bool, const KP: usize>(
 ) {
     let mut j = 0;
     while j + 16 <= n {
-        gemm_t_tile::<FAST, KP, 16>(rows.clone(), k, n, out, j);
+        gemm_t_tile::<KP, 16>(rows.clone(), k, n, out, j);
         j += 16;
     }
     if j + 8 <= n {
-        gemm_t_tile::<FAST, KP, 8>(rows.clone(), k, n, out, j);
+        gemm_t_tile::<KP, 8>(rows.clone(), k, n, out, j);
         j += 8;
     }
     if j + 4 <= n {
-        gemm_t_tile::<FAST, KP, 4>(rows.clone(), k, n, out, j);
+        gemm_t_tile::<KP, 4>(rows.clone(), k, n, out, j);
         j += 4;
     }
     for kk in 0..KP {
         for jj in j..n {
             let o = &mut out[kk * n + jj];
             for (a_row, b_row) in rows.clone() {
-                *o = madd::<FAST>(*o, a_row[k + kk], b_row[jj]);
+                *o += a_row[k + kk] * b_row[jj];
             }
         }
     }
@@ -224,7 +199,7 @@ fn gemm_t_rows<'a, const FAST: bool, const KP: usize>(
 /// loaded once, updated by each input row of the block in ascending order
 /// (a zero `a` element too), stored once.
 #[inline(always)]
-fn gemm_t_tile<'a, const FAST: bool, const KP: usize, const W: usize>(
+fn gemm_t_tile<'a, const KP: usize, const W: usize>(
     rows: impl Iterator<Item = (&'a [f64], &'a [f64])>,
     k: usize,
     n: usize,
@@ -238,39 +213,12 @@ fn gemm_t_tile<'a, const FAST: bool, const KP: usize, const W: usize>(
     for (a_row, b_row) in rows {
         let x = window::<W>(b_row, j);
         for (tile, &av) in acc.iter_mut().zip(window::<KP>(a_row, k)) {
-            madd_tile::<FAST, W>(tile, av, x);
+            madd_tile::<W>(tile, av, x);
         }
     }
     for (kk, tile) in acc.iter().enumerate() {
         *window_mut::<W>(out, kk * n + j) = *tile;
     }
-}
-
-/// Fast-mode dot product: 16 fused accumulators (4 per 4-lane group),
-/// summed pairwise at the end. Reassociates, so strict mode never calls it.
-#[inline(always)]
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = [0.0; 16];
-    let (a16, b16) = (a.chunks_exact(16), b.chunks_exact(16));
-    let (a_rest, b_rest) = (a16.remainder(), b16.remainder());
-    for (x, y) in a16.zip(b16) {
-        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
-            *s = x.mul_add(y, *s);
-        }
-    }
-    let (a4, b4) = (a_rest.chunks_exact(4), b_rest.chunks_exact(4));
-    let (a_tail, b_tail) = (a4.remainder(), b4.remainder());
-    for (x, y) in a4.zip(b4) {
-        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
-            *s = x.mul_add(y, *s);
-        }
-    }
-    let lane = |l: usize| (acc[l] + acc[4 + l]) + (acc[8 + l] + acc[12 + l]);
-    let mut total = (lane(0) + lane(2)) + (lane(1) + lane(3));
-    for (&x, &y) in a_tail.iter().zip(b_tail) {
-        total += x * y;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -279,7 +227,7 @@ mod tests {
     //! features enabled — which no x86_64 host reaches through dispatch.
 
     use super::*;
-    use crate::kernel::{scalar, FAST_MODE_RTOL};
+    use crate::kernel::scalar;
 
     /// `kernel_dispatch.rs`'s widths: every ladder rung alone and stacked,
     /// sub-lane tails, and the datasets' 300.
@@ -315,31 +263,13 @@ mod tests {
             .collect()
     }
 
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// `max|got − want|` over the larger operand's infinity norm.
-    fn rel(got: &[f64], want: &[f64]) -> f64 {
-        let scale = got
-            .iter()
-            .chain(want)
-            .fold(1e-300_f64, |m, x| m.max(x.abs()));
-        got.iter()
-            .zip(want)
-            .map(|(g, w)| (g - w).abs() / scale)
-            .fold(0.0, f64::max)
-    }
-
-    /// Runs `kernel` strict and fast on copies of `init` and checks them
-    /// against the oracle's result.
-    fn check(what: &str, w: usize, init: &[f64], want: &[f64], kernel: impl Fn(bool, &mut [f64])) {
-        let mut strict = init.to_vec();
-        kernel(false, &mut strict);
-        assert_eq!(bits(&strict), bits(want), "strict {what} w={w}");
-        let mut fast = init.to_vec();
-        kernel(true, &mut fast);
-        assert!(rel(&fast, want) <= FAST_MODE_RTOL, "fast {what} w={w}");
+    /// Runs `kernel` on a copy of `init` and checks it against the
+    /// oracle's result bit for bit.
+    fn check(what: &str, w: usize, init: &[f64], want: &[f64], kernel: impl Fn(&mut [f64])) {
+        let mut got = init.to_vec();
+        kernel(&mut got);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(want), "{what} w={w}");
     }
 
     #[test]
@@ -354,12 +284,8 @@ mod tests {
             let init = values(w, seed + 200);
             let mut want = init.clone();
             scalar::spmm_row(&nz_cols, &vals, &h, w, &mut want);
-            check("spmm_row", w, &init, &want, |fast, out| {
-                if fast {
-                    spmm_row::<true>(&nz_cols, &vals, &h, w, out)
-                } else {
-                    spmm_row::<false>(&nz_cols, &vals, &h, w, out)
-                }
+            check("spmm_row", w, &init, &want, |out| {
+                spmm_row(&nz_cols, &vals, &h, w, out)
             });
 
             // `a` as features and as ReLU outputs: the oracle skips its
@@ -368,12 +294,8 @@ mod tests {
                 let a_row = a_values(k, seed + 300);
                 let mut want = vec![f64::NAN; w];
                 scalar::gemm_row(&a_row, &h, w, &mut want);
-                check("gemm_row", w, &[f64::NAN; 300][..w], &want, |fast, out| {
-                    if fast {
-                        gemm_row::<true>(&a_row, &h, w, out)
-                    } else {
-                        gemm_row::<false>(&a_row, &h, w, out)
-                    }
+                check("gemm_row", w, &[f64::NAN; 300][..w], &want, |out| {
+                    gemm_row(&a_row, &h, w, out)
                 });
 
                 // `AᵀB` over several row blocks, output rows 1..k-1 of k (an
@@ -383,19 +305,10 @@ mod tests {
                 let mut want = vec![f64::NAN; (k - 2) * w];
                 scalar::gemm_t(&a, k, 1, &b, w, &mut want);
                 let init = vec![f64::NAN; want.len()];
-                check("gemm_t", w, &init, &want, |fast, out| {
-                    if fast {
-                        gemm_t::<true>(&a, k, 1, &b, w, out)
-                    } else {
-                        gemm_t::<false>(&a, k, 1, &b, w, out)
-                    }
+                check("gemm_t", w, &init, &want, |out| {
+                    gemm_t(&a, k, 1, &b, w, out)
                 });
             }
-
-            let (x, y) = (values(w, seed + 600), values(w, seed + 700));
-            let scale: f64 = x.iter().zip(&y).map(|(p, q)| (p * q).abs()).sum();
-            let err = (dot_fast(&x, &y) - scalar::dot(&x, &y)).abs();
-            assert!(err <= FAST_MODE_RTOL * scale.max(1e-300), "dot_fast w={w}");
         }
     }
 }

@@ -1,47 +1,42 @@
 //! Runtime-dispatched compute kernels.
 //!
-//! Every local kernel the distributed variants execute — CSR SpMM rows,
-//! the GEMM family, dot products — funnels through this module. At
-//! process start the best available backend is detected **once**
-//! ([`Backend::detect`] via `is_x86_feature_detected!` / the aarch64
-//! baseline) and all kernels dispatch to it. Both vector backends run
-//! the same safe source, the register-blocked kernels of [`blocked`]:
+//! Every local kernel the distributed variants execute — CSR SpMM rows
+//! and the GEMM family — funnels through this module. At process start
+//! the best available backend is detected **once** ([`Backend::detect`]
+//! via `is_x86_feature_detected!` / the aarch64 baseline) and all
+//! kernels dispatch to it. Both vector backends run the same safe
+//! source, the register-blocked kernels of [`blocked`]:
 //!
 //! * **`Avx2`** — [`blocked`] compiled under `#[target_feature(enable =
 //!   "avx2,fma")]`, 4 × f64 lanes, chosen when the CPU reports both.
 //! * **`Neon`** — [`blocked`] as compiled for aarch64, whose baseline
-//!   includes NEON (2 × f64 lanes) and FMA.
+//!   includes NEON (2 × f64 lanes).
 //! * **`Scalar`** — the portable loops of [`scalar`] that every backend
 //!   is tested against; always available.
 //!
 //! # Determinism contract
 //!
-//! The default [`KernelMode::Strict`] stays **bit-identical to the
-//! historical serial scalar loop on every backend and at every thread
-//! count**. The blocked kernels vectorize only across *independent
-//! output elements* (lanes of the feature dimension), never across a
-//! reduction: each output element still accumulates its terms in exactly
-//! the serial order with separately rounded multiply and add (`acc + a *
-//! b`, which Rust never contracts into an FMA). The blocked GEMM kernels
-//! add the exact zeros of `a` the oracle skips, which changes no bit
-//! while the other operand is finite ([`blocked`]'s module docs).
-//! Kernels whose inner loop *is* a reduction (the `A·Bᵀ` dot products)
-//! stay scalar in strict mode, because any vectorization would
-//! reassociate the sum. Training no longer calls them: gradient
-//! propagation multiplies by a transposed tile of `W` through the GEMM,
-//! whose per-element chains are those dot products' own.
-//!
-//! [`KernelMode::Fast`] (opt-in: `--kernel fast` or `GNN_KERNEL=fast`)
-//! unlocks fused multiply-add and multi-accumulator reductions. Results
-//! then differ from strict by rounding only: property tests bound the
-//! max relative error at [`FAST_MODE_RTOL`].
+//! Every kernel stays **bit-identical to the historical serial scalar
+//! loop on every backend and at every thread count**. The blocked
+//! kernels vectorize only across *independent output elements* (lanes
+//! of the feature dimension), never across a reduction: each output
+//! element still accumulates its terms in exactly the serial order with
+//! separately rounded multiply and add (`acc + a * b`, which Rust never
+//! contracts into an FMA). The blocked GEMM kernels add the exact zeros
+//! of `a` the oracle skips, which changes no bit while the other operand
+//! is finite ([`blocked`]'s module docs). The `A·Bᵀ` dot products are a
+//! reduction, so they run [`scalar::dot`] on every backend: any
+//! vectorization would reassociate the sum. Training no longer calls
+//! them: gradient propagation multiplies by a transposed tile of `W`
+//! through the GEMM, whose per-element chains are those dot products'
+//! own.
 //!
 //! # Environment
 //!
-//! * `GNN_KERNEL=strict|fast` — default mode (CLI `--kernel` overrides).
-//! * `GNN_KERNEL_BACKEND=auto|scalar|avx2|neon` — pins the backend;
-//!   an unsupported pin falls back to scalar (never to an illegal
-//!   instruction). `scalar` is how CI's portable job forces the
+//! * `GNN_KERNEL_BACKEND=auto|scalar|avx2|neon` — pins the backend
+//!   ([`Backend::from_pin`]); an unsupported or unrecognised pin falls
+//!   back to scalar (never to an illegal instruction, never to SIMD the
+//!   pin did not name). `scalar` is how CI's portable job forces the
 //!   fallback path on SIMD-capable hosts.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -50,39 +45,19 @@ use std::sync::OnceLock;
 pub mod blocked;
 pub mod scalar;
 
-/// Documented bound on `max|fast − strict| / scale` for the Fast-mode
-/// kernels (FMA + 4-way reassociated reductions), where `scale` is the
-/// magnitude of the computation — the result's infinity norm for matrix
-/// ops, `Σ|xᵢ·yᵢ|` for dot products. (Per-element relative error is the
-/// wrong contract: cancellation can leave individual outputs near zero.)
-/// The real error is a few ULPs; the bound leaves three orders of
-/// magnitude of headroom and is asserted by `tests/kernel_dispatch.rs`.
-pub const FAST_MODE_RTOL: f64 = 1e-12;
-
-/// Numerical mode of the kernel layer.
+/// Numerical contract of the kernel layer, recorded next to results.
+/// There is one: every backend gives the scalar oracle's bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Bit-identical to the historical serial scalar loop (default).
+    /// Bit-identical to the historical serial scalar loop.
     Strict,
-    /// FMA + reassociated reductions; bounded by [`FAST_MODE_RTOL`].
-    Fast,
 }
 
 impl KernelMode {
-    /// Parses `strict` / `fast` (the `--kernel` and `GNN_KERNEL` values).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "strict" => Ok(Self::Strict),
-            "fast" => Ok(Self::Fast),
-            other => Err(format!("unknown kernel mode {other} (strict|fast)")),
-        }
-    }
-
-    /// The mode's CLI spelling.
+    /// The mode's name in logs and bench records.
     pub fn label(self) -> &'static str {
         match self {
             Self::Strict => "strict",
-            Self::Fast => "fast",
         }
     }
 }
@@ -117,27 +92,36 @@ impl Backend {
         }
     }
 
-    /// The best supported backend, honoring `GNN_KERNEL_BACKEND`.
+    /// The backend a `GNN_KERNEL_BACKEND` value selects. Unset or `auto`
+    /// is the best supported backend; a supported name is that backend.
+    /// Anything else — a name this host cannot run, a misspelling, the
+    /// wrong case — is [`Backend::Scalar`]: a bad pin never runs an
+    /// illegal instruction, nor SIMD it did not ask for.
+    pub fn from_pin(pin: Option<&str>) -> Backend {
+        let pick = match pin {
+            None | Some("auto") => {
+                return [Backend::Avx2, Backend::Neon]
+                    .into_iter()
+                    .find(|b| b.supported())
+                    .unwrap_or(Backend::Scalar)
+            }
+            Some("avx2") => Backend::Avx2,
+            Some("neon") => Backend::Neon,
+            Some(_) => Backend::Scalar, // `scalar`, and every unrecognised pin
+        };
+        if pick.supported() {
+            pick
+        } else {
+            Backend::Scalar
+        }
+    }
+
+    /// [`Backend::from_pin`] of this process's `GNN_KERNEL_BACKEND`.
     /// Detected once per process and cached.
     pub fn detect() -> Backend {
         static DETECTED: OnceLock<Backend> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            let pinned = std::env::var("GNN_KERNEL_BACKEND").ok();
-            let pick = match pinned.as_deref() {
-                Some("scalar") => Some(Backend::Scalar),
-                Some("avx2") => Some(Backend::Avx2),
-                Some("neon") => Some(Backend::Neon),
-                _ => None, // auto (also any unrecognized value)
-            };
-            match pick {
-                Some(b) if b.supported() => b,
-                Some(_) => Backend::Scalar, // pinned but unsupported: safe fallback
-                None => [Backend::Avx2, Backend::Neon]
-                    .into_iter()
-                    .find(|b| b.supported())
-                    .unwrap_or(Backend::Scalar),
-            }
-        })
+        *DETECTED
+            .get_or_init(|| Backend::from_pin(std::env::var("GNN_KERNEL_BACKEND").ok().as_deref()))
     }
 
     /// Short name used in logs, bench keys and JSON.
@@ -150,42 +134,9 @@ impl Backend {
     }
 }
 
-/// Process-wide mode: 0 = unset (use `GNN_KERNEL` env), 1 = strict,
-/// 2 = fast.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
 /// Process-wide forced backend (bench/test hook): 0 = auto-detect,
 /// 1 = scalar, 2 = avx2, 3 = neon.
 static FORCED: AtomicU8 = AtomicU8::new(0);
-
-fn env_mode() -> KernelMode {
-    static ENV: OnceLock<KernelMode> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("GNN_KERNEL")
-            .ok()
-            .and_then(|s| KernelMode::parse(&s).ok())
-            .unwrap_or(KernelMode::Strict)
-    })
-}
-
-/// Sets the process-wide kernel mode (CLI `--kernel`).
-pub fn set_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Strict => 1,
-        KernelMode::Fast => 2,
-    };
-    MODE.store(v, Ordering::Relaxed);
-}
-
-/// The mode kernels run in: [`set_mode`] if called, else `GNN_KERNEL`,
-/// else [`KernelMode::Strict`].
-pub fn current_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Strict,
-        2 => KernelMode::Fast,
-        _ => env_mode(),
-    }
-}
 
 /// Pins dispatch to `backend` for this process (bench/test hook; the
 /// CLI path is the `GNN_KERNEL_BACKEND` env var). Fails rather than
@@ -222,13 +173,13 @@ pub fn active_backend() -> Backend {
 }
 
 /// A resolved (backend, mode) pair. Kernels resolve dispatch **once per
-/// matrix operation** (two atomic loads), then every row/chunk call is a
-/// branch on plain enum values (plus `Avx2`'s cached feature check).
+/// matrix operation** (one atomic load), then every row/chunk call is a
+/// branch on a plain enum value (plus `Avx2`'s cached feature check).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernels {
     /// The instruction set the kernels execute on.
     pub backend: Backend,
-    /// Strict (bit-exact) or fast (FMA) numerics.
+    /// The numerical contract (always [`KernelMode::Strict`]).
     pub mode: KernelMode,
 }
 
@@ -236,22 +187,17 @@ pub struct Kernels {
 pub fn active() -> Kernels {
     Kernels {
         backend: active_backend(),
-        mode: current_mode(),
+        mode: KernelMode::Strict,
     }
 }
 
 impl Kernels {
-    /// A pair that always runs the portable strict loops (the oracle).
+    /// A pair that always runs the portable loops (the oracle).
     pub fn scalar_strict() -> Self {
         Kernels {
             backend: Backend::Scalar,
             mode: KernelMode::Strict,
         }
-    }
-
-    #[inline]
-    fn fast(self) -> bool {
-        self.mode == KernelMode::Fast
     }
 
     /// One SpMM output row: `out_row[0..f] += Σ vals[k] · h[cols[k]·f ..]`,
@@ -264,12 +210,10 @@ impl Kernels {
             // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 if Backend::Avx2.supported() => unsafe {
-                avx2::spmm_row(cols, vals, h, f, out_row, self.fast())
+                avx2::spmm_row(cols, vals, h, f, out_row)
             },
             #[cfg(target_arch = "aarch64")]
-            Backend::Neon if self.fast() => blocked::spmm_row::<true>(cols, vals, h, f, out_row),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => blocked::spmm_row::<false>(cols, vals, h, f, out_row),
+            Backend::Neon => blocked::spmm_row(cols, vals, h, f, out_row),
             _ => scalar::spmm_row(cols, vals, h, f, out_row),
         }
     }
@@ -287,12 +231,10 @@ impl Kernels {
             // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 if Backend::Avx2.supported() => unsafe {
-                avx2::gemm_row(a_row, b, n, out_row, self.fast())
+                avx2::gemm_row(a_row, b, n, out_row)
             },
             #[cfg(target_arch = "aarch64")]
-            Backend::Neon if self.fast() => blocked::gemm_row::<true>(a_row, b, n, out_row),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => blocked::gemm_row::<false>(a_row, b, n, out_row),
+            Backend::Neon => blocked::gemm_row(a_row, b, n, out_row),
             _ => scalar::gemm_row(a_row, b, n, out_row),
         }
     }
@@ -322,90 +264,36 @@ impl Kernels {
             // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 if Backend::Avx2.supported() => unsafe {
-                avx2::gemm_t(a, lda, k0, b, n, out, self.fast())
+                avx2::gemm_t(a, lda, k0, b, n, out)
             },
             #[cfg(target_arch = "aarch64")]
-            Backend::Neon if self.fast() => blocked::gemm_t::<true>(a, lda, k0, b, n, out),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => blocked::gemm_t::<false>(a, lda, k0, b, n, out),
+            Backend::Neon => blocked::gemm_t(a, lda, k0, b, n, out),
             _ => scalar::gemm_t(a, lda, k0, b, n, out),
-        }
-    }
-
-    /// Dot product `Σ a[i]·b[i]` (the `A·Bᵀ` inner kernel, which
-    /// training no longer calls). A true
-    /// reduction: strict mode is scalar on every backend (vectorizing
-    /// would reassociate); fast mode uses multi-accumulator SIMD.
-    #[inline]
-    pub fn dot(self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        if !self.fast() {
-            return scalar::dot(a, b);
-        }
-        match self.backend {
-            // SAFETY: the guard has just confirmed AVX2 and FMA on this CPU.
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if Backend::Avx2.supported() => unsafe { avx2::dot_fast(a, b) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => blocked::dot_fast(a, b),
-            _ => scalar::dot(a, b),
         }
     }
 }
 
 /// The [`blocked`] kernels compiled with AVX2 and FMA enabled. Each
 /// wrapper inlines its generic kernel, so the compiler vectorizes it 4
-/// lanes wide and lowers fast mode's `mul_add` to `vfmadd`. Callers must
-/// have checked that the CPU has both features ([`Backend::supported`]).
+/// lanes wide. Callers must have checked that the CPU has both features
+/// ([`Backend::supported`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::blocked;
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn spmm_row(
-        cols: &[u32],
-        vals: &[f64],
-        h: &[f64],
-        f: usize,
-        out: &mut [f64],
-        fast: bool,
-    ) {
-        if fast {
-            blocked::spmm_row::<true>(cols, vals, h, f, out)
-        } else {
-            blocked::spmm_row::<false>(cols, vals, h, f, out)
-        }
+    pub(super) fn spmm_row(cols: &[u32], vals: &[f64], h: &[f64], f: usize, out: &mut [f64]) {
+        blocked::spmm_row(cols, vals, h, f, out)
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gemm_row(a_row: &[f64], b: &[f64], n: usize, out: &mut [f64], fast: bool) {
-        if fast {
-            blocked::gemm_row::<true>(a_row, b, n, out)
-        } else {
-            blocked::gemm_row::<false>(a_row, b, n, out)
-        }
+    pub(super) fn gemm_row(a_row: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+        blocked::gemm_row(a_row, b, n, out)
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gemm_t(
-        a: &[f64],
-        lda: usize,
-        k0: usize,
-        b: &[f64],
-        n: usize,
-        out: &mut [f64],
-        fast: bool,
-    ) {
-        if fast {
-            blocked::gemm_t::<true>(a, lda, k0, b, n, out)
-        } else {
-            blocked::gemm_t::<false>(a, lda, k0, b, n, out)
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-        blocked::dot_fast(a, b)
+    pub(super) fn gemm_t(a: &[f64], lda: usize, k0: usize, b: &[f64], n: usize, out: &mut [f64]) {
+        blocked::gemm_t(a, lda, k0, b, n, out)
     }
 }
 
@@ -477,11 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn mode_parse_roundtrip() {
-        assert_eq!(KernelMode::parse("strict"), Ok(KernelMode::Strict));
-        assert_eq!(KernelMode::parse("fast"), Ok(KernelMode::Fast));
-        assert!(KernelMode::parse("fused").is_err());
-        assert_eq!(KernelMode::Fast.label(), "fast");
+    fn a_pin_is_its_backend_or_scalar_never_auto_detect() {
+        let best = [Backend::Avx2, Backend::Neon]
+            .into_iter()
+            .find(|b| b.supported())
+            .unwrap_or(Backend::Scalar);
+        assert_eq!(Backend::from_pin(None), best);
+        assert_eq!(Backend::from_pin(Some("auto")), best);
+        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+            let want = if be.supported() { be } else { Backend::Scalar };
+            assert_eq!(Backend::from_pin(Some(be.label())), want, "{be:?}");
+        }
+        for bad in ["avx512", "sclar", "Scalar", "AVX2", "Auto", ""] {
+            assert_eq!(Backend::from_pin(Some(bad)), Backend::Scalar, "{bad:?}");
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn axpy(out: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
-/// Sequential dot product — the strict-mode reduction order.
+/// Sequential dot product — the one reduction order on every backend.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;

@@ -12,8 +12,7 @@
 //! * [`spmm`] — parallel cache-blocked CSR × dense kernels, the local
 //!   workhorse of every distributed algorithm variant.
 //! * [`kernel`] — runtime-dispatched SIMD backends (AVX2/NEON/scalar)
-//!   under the row kernels, with a strict bit-exact default mode and an
-//!   opt-in fast (FMA) mode.
+//!   under the row kernels, every one bit-identical to the scalar oracle.
 //! * [`alloc`] — 64-byte-aligned `f64` buffers backing dense storage.
 //! * [`pool`] — dependency-free scoped-thread worker pool the kernels
 //!   run on (deterministic chunked scheduling, bit-identical to serial).

@@ -16,9 +16,8 @@
 //! **Determinism:** each output row is produced by exactly one worker and
 //! accumulates its nonzeros in CSR order, exactly like the serial loop —
 //! so results are bit-identical at every thread count (asserted by
-//! `tests/parallel_kernels.rs` at 1, 2, 4 and 7 threads). In the default
-//! strict kernel mode this holds on every backend too; see the
-//! [`crate::kernel`] determinism contract.
+//! `tests/parallel_kernels.rs` at 1, 2, 4 and 7 threads). It holds on
+//! every backend too; see the [`crate::kernel`] determinism contract.
 
 use crate::csr::Csr;
 use crate::dense::Dense;
