@@ -158,12 +158,6 @@ const ARTIFACTS: &[(&str, &str, &str, Run)] = &[
         |s, a| (experiments::volumes(s, a.common.seed).0, vec![]),
     ),
     (
-        "overlap",
-        "overlap",
-        "Overlap ablation: measured chunked-pipeline overlap vs blocking schedules",
-        |s, a| (experiments::overlap(s, a.common.seed).0, vec![]),
-    ),
-    (
         "algos",
         "algos",
         "Extension: per-SpMM bottleneck exchange volume across 1D / 1.5D / 2D layouts",
@@ -389,7 +383,7 @@ mod tests {
     fn synopsis_lists_each_command_once() {
         assert_eq!(
             super::operands(),
-            "<table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|overlap|algos|ablations|sweep|all> ..."
+            "<table2|table3|fig3|fig4|fig5|fig6|fig7|volumes|algos|ablations|sweep|all> ..."
         );
     }
 

@@ -54,12 +54,6 @@
 //! rank's same-row replica takes over in place and the epoch finishes
 //! on the shrunken grid — no world restart, bit-identical weights.
 //!
-//! `--overlap` pipelines each SpMM: remote blocks are fetched in chunks
-//! with nonblocking sends/receives and folded into the accumulator while
-//! the next chunk is in flight. Outputs are bit-identical to the
-//! blocking schedule; only comm that fits behind a chunk's compute is
-//! hidden, and the exposed remainder is reported as the `overlap` phase.
-//!
 //! `--order paper|narrow` picks which side of each layer's `Â·H·W` is
 //! exchanged: `paper` is `(ÂH)W` everywhere, what the paper and CAGNET
 //! run and what `repro` pins; `narrow` (the default) multiplies by `W`
@@ -87,7 +81,7 @@ use std::time::Duration;
 
 use gnn_bench::cli::{choose, common_flags, store, store_some, switch, value, Cli, Common, Flag};
 use gnn_bench::traceio;
-use gnn_comm::{CostModel, Fault, FaultPlan, OverlapConfig, Phase};
+use gnn_comm::{CostModel, Fault, FaultPlan, Phase};
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, RobustnessConfig};
 use partition::{partition_graph, Method, PartitionConfig};
 use spmat::dataset::{amazon_scaled, papers_scaled, protein_scaled, reddit_scaled, Dataset};
@@ -126,7 +120,6 @@ struct Args {
     sage: bool,
     adam: bool,
     lr: Option<f64>,
-    overlap: OverlapConfig,
     order: LayerOrder,
     epochs: usize,
     scale: u32,
@@ -175,7 +168,6 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         sage: false,
         adam: false,
         lr: None,
-        overlap: OverlapConfig::off(),
         order: LayerOrder::default(),
         epochs: 30,
         scale: 11,
@@ -258,18 +250,6 @@ fn cli() -> Cli<Args> {
             choose(&mut a.adam, v, &[("sgd", false), ("adam", true)])
         }),
         value("--lr", "X", |a, v| store_some(&mut a.lr, v)),
-        value("--overlap", "on|off|chunks=N", |a, v| {
-            a.overlap = match v {
-                "off" => OverlapConfig::off(),
-                "on" => OverlapConfig::on(4),
-                _ => {
-                    let n = v.strip_prefix("chunks=");
-                    let n = n.ok_or(format!("wants on|off|chunks=N, got {v}"))?;
-                    OverlapConfig::on(n.parse().map_err(|e| format!("chunks: {e}"))?)
-                }
-            };
-            Ok(())
-        }),
         value("--order", "paper|narrow", |a, v| {
             let orders = [
                 ("paper", LayerOrder::AggregateFirst),
@@ -284,7 +264,13 @@ fn cli() -> Cli<Args> {
             });
             Ok(())
         }),
-        value("--epochs", "N", |a, v| store(&mut a.epochs, v)),
+        value("--epochs", "N", |a, v| {
+            store(&mut a.epochs, v)?;
+            match a.epochs {
+                0 => Err("wants at least one epoch, got 0".into()),
+                _ => Ok(()),
+            }
+        }),
         value("--scale", "N", |a, v| store(&mut a.scale, v)),
         value("--faults", "SPEC", |a, v| {
             a.faults = Some((v.to_string(), FaultPlan::parse(v)?));
@@ -496,6 +482,7 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
             train_mask,
         });
     }
+    check_scale(&a.dataset, a.scale)?;
     Ok(match a.dataset.as_str() {
         "reddit" => reddit_scaled(a.scale.min(13), a.common.seed),
         "amazon" => amazon_scaled(a.scale, a.common.seed),
@@ -503,6 +490,43 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
         "papers" => papers_scaled(a.scale, a.common.seed),
         other => return Err(format!("unknown dataset {other}")),
     })
+}
+
+/// Rejects a `--scale` the generator behind `--dataset` cannot build,
+/// before it builds anything: each generator has a floor, and the
+/// `2^scale` vertices must fit the `u32` vertex ids (reddit caps its
+/// scale at 13 instead).
+fn check_scale(dataset: &str, scale: u32) -> Result<(), String> {
+    let (floor, ceiling) = match dataset {
+        "reddit" => (4, u32::MAX),
+        "amazon" => (4, u32::BITS - 1),
+        "protein" => (5, u32::BITS - 1),
+        "papers" => (0, u32::BITS - 1),
+        other => return Err(format!("unknown dataset {other}")),
+    };
+    if (floor..=ceiling).contains(&scale) {
+        Ok(())
+    } else if scale < floor {
+        Err(format!(
+            "--dataset {dataset} needs --scale >= {floor}, got {scale}"
+        ))
+    } else {
+        Err(format!(
+            "--scale {scale} means 2^{scale} vertices, more than u32 vertex ids hold \
+             (max --scale {ceiling})"
+        ))
+    }
+}
+
+/// Every block row owns at least one vertex: `parts` block rows need a
+/// graph of at least `parts` vertices.
+fn parts_fit(parts: usize, n: usize) -> Result<usize, String> {
+    if parts > n {
+        return Err(format!(
+            "{parts} block rows but the graph has only {n} vertices; lower --p or raise --scale"
+        ));
+    }
+    Ok(parts)
 }
 
 /// Parent side of `--backend proc`: supervise one re-exec'd child per
@@ -623,7 +647,8 @@ fn main() -> ExitCode {
     }
 
     // Partition & permute.
-    let parts = match grid_parts(args.algo_tag, args.p, args.pc, args.c) {
+    let parts = grid_parts(args.algo_tag, args.p, args.pc, args.c);
+    let parts = match parts.and_then(|parts| parts_fit(parts, ds.n())) {
         Ok(parts) => parts,
         Err(m) => {
             eprintln!("invalid grid: {m}");
@@ -676,17 +701,12 @@ fn main() -> ExitCode {
         // `--order paper` prints the paper's program as it always has.
         println!(
             "training: {} | {:?} arch | {} epochs | {threads} kernel thread(s) | \
-             {} kernels ({}){}{}",
+             {} kernels ({}){}",
             algo.label(),
             gcn.arch,
             args.epochs,
             kernels.backend.label(),
             kernels.mode.label(),
-            if args.overlap.enabled {
-                format!(" | overlap chunks={}", args.overlap.chunks)
-            } else {
-                String::new()
-            },
             match args.order {
                 LayerOrder::AggregateFirst => "",
                 LayerOrder::NarrowSide => " | order narrow: Â(HW) where a layer narrows",
@@ -717,7 +737,6 @@ fn main() -> ExitCode {
     }
     let mut cfg = DistConfig::new(algo, gcn, args.epochs, cost);
     cfg.trace = common.trace;
-    cfg.overlap = args.overlap;
     cfg.order = args.order;
     if args.failover && args.algo_tag != AlgoTag::OneFiveD && !quiet {
         println!(
@@ -804,23 +823,11 @@ fn main() -> ExitCode {
         ("bcast", Phase::Bcast),
         ("allreduce", Phase::AllReduce),
         ("p2p", Phase::P2p),
-        ("overlap (exposed)", Phase::Overlap),
     ] {
         let t = st.phase_time(phase) / args.epochs as f64;
         if t > 0.0 {
             println!("  {label:<17} {:>10.3} ms", t * 1e3);
         }
-    }
-    if st.total_overlap_stages() > 0 {
-        let hidden = st.total_overlap_hidden_seconds() / args.epochs as f64;
-        let exposed = st.total_overlap_exposed_seconds() / args.epochs as f64;
-        println!(
-            "  overlap window: {:.3} ms comm hidden, {:.3} ms exposed \
-             ({} stages, all ranks)",
-            hidden * 1e3,
-            exposed * 1e3,
-            st.total_overlap_stages()
-        );
     }
     let (kernel_flops, kernel_wall) = st
         .per_rank
@@ -946,7 +953,7 @@ mod tests {
             assert!(known, "README lists {word}, which train does not take");
             listed += 1;
         }
-        assert!(listed > 30, "synopsis found only {listed} flags");
+        assert!(listed >= 30, "synopsis found only {listed} flags");
     }
 
     /// The proc backend records dual-clock traces now; the old
@@ -982,6 +989,47 @@ mod tests {
         assert_eq!(args(&["--algo", "3d"]).unwrap().algo_tag, AlgoTag::ThreeD);
         assert!(args(&["--algo", "4d"]).is_err());
         assert_eq!(args(&["--pc", "4"]).unwrap().pc, 4);
+    }
+
+    #[test]
+    fn out_of_range_scales_are_rejected_before_generating() {
+        for (dataset, scale) in [("amazon", 0), ("reddit", 3), ("protein", 4), ("amazon", 40)] {
+            assert!(check_scale(dataset, scale).is_err(), "{dataset} {scale}");
+        }
+        // Past the shift width too: rejected, not overflowed.
+        for dataset in ["amazon", "protein", "papers"] {
+            let err = check_scale(dataset, 64).unwrap_err();
+            assert!(err.contains("u32"), "{err}");
+        }
+        for (dataset, scale) in [("amazon", 4), ("protein", 5), ("papers", 0), ("reddit", 64)] {
+            assert_eq!(check_scale(dataset, scale), Ok(()), "{dataset} {scale}");
+        }
+        let a = args(&["--dataset", "protein", "--scale", "4"]).unwrap();
+        let err = load_dataset(&a).unwrap_err();
+        assert!(err.contains("--scale >= 5"), "{err}");
+        let a = args(&["--dataset", "amazon", "--scale", "40"]).unwrap();
+        assert!(load_dataset(&a).is_err());
+    }
+
+    #[test]
+    fn more_block_rows_than_vertices_is_an_invalid_grid() {
+        // papers at --scale 0 has one vertex; at --scale 4, sixteen.
+        assert!(parts_fit(8, 1).is_err());
+        let err = parts_fit(32, 16).unwrap_err();
+        assert!(
+            err.contains("32 block rows") && err.contains("16 vertices"),
+            "{err}"
+        );
+        assert_eq!(parts_fit(16, 16), Ok(16));
+    }
+
+    #[test]
+    fn zero_epochs_are_rejected() {
+        let err = args(&["--epochs", "0"])
+            .err()
+            .expect("--epochs 0 is rejected");
+        assert!(err.contains("bad --epochs"), "{err}");
+        assert_eq!(args(&["--epochs", "1"]).unwrap().epochs, 1);
     }
 
     #[test]

@@ -89,12 +89,7 @@ fn gcn_dims(ds: &Dataset) -> Vec<usize> {
 
 /// One epoch of the paper's GCN (`dims`) with `algo` on `prep`'s
 /// distribution, as the analytic model takes it.
-fn one_epoch<'a>(
-    prep: &'a Prepared,
-    dims: &'a [usize],
-    algo: Algo,
-    overlap: OverlapConfig,
-) -> AnalyticInput<'a> {
+fn one_epoch<'a>(prep: &'a Prepared, dims: &'a [usize], algo: Algo) -> AnalyticInput<'a> {
     AnalyticInput {
         adj: &prep.norm_adj,
         bounds: &prep.bounds,
@@ -103,53 +98,28 @@ fn one_epoch<'a>(
         model: CostModel::perlmutter_like(),
         epochs: 1,
         arch: gnn_core::model::ArchKind::Gcn,
-        overlap,
+        overlap: OverlapConfig::off(),
     }
 }
 
 /// Analytic stats for one epoch of a 1D scheme on `p` ranks.
 pub fn stats_1d(ds: &Dataset, scheme: Scheme, p: usize, seed: u64) -> WorldStats {
-    stats_1d_overlap(ds, scheme, p, seed, OverlapConfig::off())
-}
-
-/// Like [`stats_1d`] but with an explicit overlap configuration: when
-/// enabled, the estimate replays the executor's chunked pipeline and the
-/// exposed-comm window lands in [`Phase::Overlap`].
-pub fn stats_1d_overlap(
-    ds: &Dataset,
-    scheme: Scheme,
-    p: usize,
-    seed: u64,
-    overlap: OverlapConfig,
-) -> WorldStats {
     let prep = prepare(ds, p, scheme, seed);
     let algo = Algo::OneD {
         aware: scheme.aware(),
     };
-    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo, overlap), PAPER_ORDER)
+    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo), PAPER_ORDER)
 }
 
 /// Analytic stats for one epoch of a 1.5D scheme on `p` ranks with
 /// replication `c` (partitioned into `p/c` block rows).
 pub fn stats_15d(ds: &Dataset, scheme: Scheme, p: usize, c: usize, seed: u64) -> WorldStats {
-    stats_15d_overlap(ds, scheme, p, c, seed, OverlapConfig::off())
-}
-
-/// Like [`stats_15d`] but with an explicit overlap configuration.
-pub fn stats_15d_overlap(
-    ds: &Dataset,
-    scheme: Scheme,
-    p: usize,
-    c: usize,
-    seed: u64,
-    overlap: OverlapConfig,
-) -> WorldStats {
     let prep = prepare(ds, p / c, scheme, seed);
     let algo = Algo::OneFiveD {
         aware: scheme.aware(),
         c,
     };
-    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo, overlap), PAPER_ORDER)
+    estimate_in_order(&one_epoch(&prep, &gcn_dims(ds), algo), PAPER_ORDER)
 }
 
 /// One measured point of a sweep.
@@ -434,63 +404,6 @@ pub fn volumes(suite: &Suite, seed: u64) -> (Table, Vec<(String, usize, &'static
     (table, rows)
 }
 
-/// Default chunk count for the overlap ablation's pipelined runs.
-pub const OVERLAP_CHUNKS: usize = 4;
-
-/// Overlap ablation: the paper's §1 credits the sparsity-oblivious
-/// approach with the *ability to overlap communication and computation*.
-/// Earlier revisions of this table granted CAGNET **perfect** overlap
-/// (epoch = max(compute, comm) per rank). It now reports *measured*
-/// overlap: the chunked pipeline actually executed by the trainer
-/// (chunks = [`OVERLAP_CHUNKS`]), with only comm that fits behind the
-/// chunk's compute hidden. `modeled_epoch_time_overlapped()` is kept in
-/// the codebase for contrast but no longer feeds this table.
-pub fn overlap(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
-    let mut table = Table::new(&[
-        "dataset",
-        "p",
-        "CAGNET",
-        "CAGNET+overlap",
-        "SA",
-        "SA+overlap",
-        "SA+GVB",
-    ]);
-    let mut points = Vec::new();
-    let ov = OverlapConfig::on(OVERLAP_CHUNKS);
-    let sweeps: [(&Dataset, &[usize]); 2] = [
-        (&suite.amazon, &suite.ps_large),
-        (&suite.protein, &suite.ps_large),
-    ];
-    for (ds, ps) in sweeps {
-        for &p in ps {
-            let cagnet = stats_1d(ds, Scheme::Cagnet, p, seed);
-            let cagnet_ov = stats_1d_overlap(ds, Scheme::Cagnet, p, seed, ov);
-            let sa = stats_1d(ds, Scheme::Sa, p, seed);
-            let sa_ov = stats_1d_overlap(ds, Scheme::Sa, p, seed, ov);
-            let gvb = stats_1d(ds, Scheme::SaGvb, p, seed);
-            table.row(vec![
-                ds.name.clone(),
-                p.to_string(),
-                fmt_secs(cagnet.modeled_epoch_time()),
-                fmt_secs(cagnet_ov.modeled_epoch_time()),
-                fmt_secs(sa.modeled_epoch_time()),
-                fmt_secs(sa_ov.modeled_epoch_time()),
-                fmt_secs(gvb.modeled_epoch_time()),
-            ]);
-            for (scheme, st) in [
-                (Scheme::Cagnet, &cagnet),
-                (Scheme::Cagnet, &cagnet_ov),
-                (Scheme::Sa, &sa),
-                (Scheme::Sa, &sa_ov),
-                (Scheme::SaGvb, &gvb),
-            ] {
-                points.push(Point::from_stats(ds, scheme, p, 1, st));
-            }
-        }
-    }
-    (table, points)
-}
-
 /// Rows of `H` the bottleneck rank of `plan` fetches from other ranks in
 /// one SpMM.
 fn max_remote_rows(plan: &gnn_core::dist::GridPlan) -> u64 {
@@ -676,7 +589,7 @@ pub fn layer_order(suite: &Suite, seed: u64) -> (Table, Vec<OrderPoint>) {
                 let algo = Algo::OneD {
                     aware: scheme.aware(),
                 };
-                let input = one_epoch(&prep, &dims, algo, OverlapConfig::off());
+                let input = one_epoch(&prep, &dims, algo);
                 let stats = [PAPER_ORDER, LayerOrder::NarrowSide]
                     .map(|order| estimate_in_order(&input, order));
                 let pt = OrderPoint {

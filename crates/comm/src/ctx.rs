@@ -97,78 +97,16 @@ pub(crate) fn tag_name(t: u8) -> &'static str {
     }
 }
 
-/// Configuration for the pipelined comm/compute overlap window shared
-/// by the trainer, the analytic estimator, and the bench CLI. Lives in
-/// `gnn-comm` so every layer speaks the same knob.
+/// Inert: names the retired pipelined SpMM schedule, so code that still
+/// writes `OverlapConfig::off()` compiles; ROADMAP item 1(b) deletes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverlapConfig {
-    /// Run the 1D/1.5D SpMM exchange through the nonblocking pipeline.
-    pub enabled: bool,
-    /// How many chunks each epoch's remote fetches are split into.
-    pub chunks: usize,
-}
-
-impl Default for OverlapConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            chunks: 2,
-        }
-    }
-}
+pub struct OverlapConfig;
 
 impl OverlapConfig {
-    /// Overlap enabled with `chunks` pipeline chunks (clamped to ≥ 1).
-    pub fn on(chunks: usize) -> Self {
-        Self {
-            enabled: true,
-            chunks: chunks.max(1),
-        }
-    }
-
-    /// Overlap disabled (the blocking executor).
+    /// The one schedule there is: blocking.
     pub fn off() -> Self {
-        Self::default()
+        Self
     }
-}
-
-/// Handle to a nonblocking operation posted with [`RankCtx::isend`] /
-/// [`RankCtx::irecv`]. Redeem with [`RankCtx::wait`] or
-/// [`RankCtx::wait_all`]; handles are valid until the next `set_epoch`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PendingOp(usize);
-
-/// One outstanding nonblocking op.
-enum PendingSlot {
-    /// Eagerly-pushed send: complete as soon as it is posted (channel
-    /// buffering plays the role of MPI's eager protocol).
-    Send,
-    /// Posted receive; `payload` fills in when a [`RankCtx::wait`] on
-    /// this or a later receive from `src` drains the matching frame.
-    Recv {
-        src: usize,
-        phase: Phase,
-        payload: Option<Payload>,
-        done: bool,
-    },
-}
-
-/// Accounting state of one open overlap window: per-stage send charges,
-/// the current stage's receive/collective charges, and the compute that
-/// has run since the last stage boundary (available to hide comm).
-struct OverlapWindow {
-    /// `(ops, bytes)` posted per declared pipeline stage.
-    stage_send: Vec<(u64, u64)>,
-    /// Boundaries crossed so far.
-    cur_stage: usize,
-    /// Receives completed since the last boundary.
-    recv_ops: u64,
-    /// Bytes received since the last boundary.
-    recv_bytes: u64,
-    /// Collective time (pipelined broadcasts) since the last boundary.
-    coll_seconds: f64,
-    /// Modeled compute seconds since the last boundary.
-    compute_seconds: f64,
 }
 
 /// Per-rank handle passed to the SPMD closure by
@@ -203,10 +141,6 @@ pub struct RankCtx {
     /// Structured event recorder; `None` (a single branch per op) when
     /// tracing is off, so the steady-state path stays allocation-free.
     tracer: Option<Box<RankTracer>>,
-    /// Outstanding nonblocking ops ([`RankCtx::isend`]/[`RankCtx::irecv`]).
-    pending: Vec<PendingSlot>,
-    /// Open overlap window, if any ([`RankCtx::overlap_begin`]).
-    window: Option<OverlapWindow>,
     /// The world's payload pool (shared with every other rank thread, or
     /// with this rank process's reader threads and replay queue).
     pool: Arc<PayloadPool>,
@@ -244,8 +178,6 @@ impl RankCtx {
             abort_sent_gen: None,
             stats: RankStats::default(),
             tracer,
-            pending: Vec::new(),
-            window: None,
             pool,
             parts: Vec::new(),
         }
@@ -325,10 +257,6 @@ impl RankCtx {
     pub fn set_epoch(&mut self, e: usize) {
         self.epoch = Some(e);
         self.op_in_epoch = 0;
-        // A failover abort can unwind mid-pipeline; stale handles and a
-        // half-open window must not leak into the retried epoch.
-        self.pending.clear();
-        self.window = None;
         if let Some(t) = self.tracer.as_deref_mut() {
             t.set_epoch(e);
         }
@@ -589,10 +517,6 @@ impl RankCtx {
             "abort protocol requires failover mode"
         );
         self.broadcast_abort(gen);
-        // Unwinding through a pipeline: drop its handles and window so
-        // the retried attempt starts clean.
-        self.pending.clear();
-        self.window = None;
         if let Some(t) = self.tracer.as_deref_mut() {
             t.close_open_spans();
         }
@@ -603,8 +527,7 @@ impl RankCtx {
     /// the fate of a frame pulled off `src`'s channel. Returns the frame
     /// when it is the next in-order, checksum-clean delivery; `None` when
     /// it was consumed by the protocol (stale generation, detected
-    /// corruption, duplicate, old ABORT). Shared between the blocking
-    /// receive path and the nonblocking pending-op progress path.
+    /// corruption, duplicate, old ABORT).
     fn transport_accept(&mut self, src: usize, frame: Msg) -> Option<Msg> {
         if frame.tag == tag::ABORT {
             match frame.gen.cmp(&self.gen) {
@@ -843,243 +766,8 @@ impl RankCtx {
         payload
     }
 
-    // ---- nonblocking op layer -------------------------------------------
-    //
-    // `isend`/`irecv` return `PendingOp` handles redeemed by `wait`/
-    // `wait_all`. Sends are eager — the buffered
-    // channel plays MPI's eager protocol — and still run through
-    // `raw_send`, so the checksum/retransmit/fault machinery composes
-    // unchanged. Inside an overlap window ([`RankCtx::overlap_begin`])
-    // the ops charge their bytes and op counts to their natural phase
-    // with **zero** modeled seconds; the time is settled at each
-    // [`RankCtx::overlap_stage`] boundary as exposed-vs-hidden against
-    // the compute that ran since the previous boundary. Outside a
-    // window they price exactly like their blocking counterparts.
-
-    /// Nonblocking point-to-point send on `phase`. `stage` names the
-    /// pipeline chunk this send belongs to when a window is open (its
-    /// wire time is settled at that stage's boundary); ignored outside
-    /// a window.
-    pub fn isend(&mut self, dst: usize, payload: Payload, phase: Phase, stage: usize) -> PendingOp {
-        assert_ne!(dst, self.rank, "self-sends indicate an algorithm bug");
-        self.op_tick();
-        let bytes = payload.bytes();
-        let dur = match self.window.as_mut() {
-            Some(w) => {
-                assert!(
-                    stage < w.stage_send.len(),
-                    "isend stage {stage} out of range ({} chunks declared)",
-                    w.stage_send.len()
-                );
-                w.stage_send[stage].0 += 1;
-                w.stage_send[stage].1 += bytes;
-                0.0
-            }
-            None => self.model.p2p(bytes),
-        };
-        let c = self.stats.phase_mut(phase);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-        c.modeled_seconds += dur;
-        self.trace_op(EventKind::Send, phase, Some(dst), bytes, 0, 0, dur);
-        self.raw_send(dst, tag::P2P, payload, phase);
-        self.pending.push(PendingSlot::Send);
-        PendingOp(self.pending.len() - 1)
-    }
-
-    /// Posts a nonblocking receive from `src` on `phase`. No data moves
-    /// until a [`RankCtx::wait`] matches the frame.
-    pub fn irecv(&mut self, src: usize, phase: Phase) -> PendingOp {
-        self.op_tick();
-        self.pending.push(PendingSlot::Recv {
-            src,
-            phase,
-            payload: None,
-            done: false,
-        });
-        PendingOp(self.pending.len() - 1)
-    }
-
-    /// Stores a delivered payload into the earliest outstanding posted
-    /// receive for `src` — channels are FIFO, and receives posted in
-    /// order must complete in order.
-    fn deliver_to_earliest(&mut self, src: usize, delivered: Payload) {
-        for slot in self.pending.iter_mut() {
-            if let PendingSlot::Recv {
-                src: s,
-                payload,
-                done: false,
-                ..
-            } = slot
-            {
-                if *s == src && payload.is_none() {
-                    *payload = Some(delivered);
-                    return;
-                }
-            }
-        }
-        panic!(
-            "rank {}: frame from rank {src} arrived with no matching posted irecv",
-            self.rank
-        );
-    }
-
-    /// Blocks until `op` completes and returns its payload (`Empty` for
-    /// sends). Frames arriving for *other* posted receives on the same
-    /// channel are filed against them, so out-of-order waits are safe.
-    ///
-    /// # Panics
-    /// Panics if the op was already waited on.
-    pub fn wait(&mut self, op: PendingOp) -> Payload {
-        self.op_tick();
-        let (src, phase) = match &mut self.pending[op.0] {
-            PendingSlot::Send => return Payload::Empty,
-            PendingSlot::Recv {
-                src, phase, done, ..
-            } => {
-                assert!(!*done, "pending op waited on twice");
-                (*src, *phase)
-            }
-        };
-        let payload = loop {
-            if let PendingSlot::Recv { payload, done, .. } = &mut self.pending[op.0] {
-                if let Some(p) = payload.take() {
-                    *done = true;
-                    break p;
-                }
-            }
-            let delivered = self.raw_recv(src, tag::P2P);
-            self.deliver_to_earliest(src, delivered);
-        };
-        let bytes = payload.bytes();
-        let dur = match self.window.as_mut() {
-            Some(w) => {
-                w.recv_ops += 1;
-                w.recv_bytes += bytes;
-                0.0
-            }
-            None => self.model.p2p(bytes),
-        };
-        let c = self.stats.phase_mut(phase);
-        c.ops += 1;
-        c.bytes_recv += bytes;
-        c.modeled_seconds += dur;
-        self.trace_op(EventKind::Recv, phase, Some(src), 0, bytes, 0, dur);
-        payload
-    }
-
-    /// Waits on every handle in order, returning their payloads.
-    pub fn wait_all(&mut self, ops: &[PendingOp]) -> Vec<Payload> {
-        ops.iter().map(|&op| self.wait(op)).collect()
-    }
-
-    // ---- overlap window --------------------------------------------------
-
-    /// Opens a pipelined overlap window with `chunks` declared stages.
-    /// Until [`RankCtx::overlap_end`], nonblocking ops charge zero
-    /// modeled seconds to their phase; each [`RankCtx::overlap_stage`]
-    /// boundary settles the stage's communication time against the
-    /// compute that ran since the previous boundary: the exposed
-    /// remainder `max(0, comm − compute)` goes to [`Phase::Overlap`]'s
-    /// modeled clock, the hidden part only to the overlap counters.
-    pub fn overlap_begin(&mut self, chunks: usize) {
-        assert!(chunks >= 1, "an overlap window needs at least one chunk");
-        assert!(
-            self.window.is_none(),
-            "rank {}: overlap windows do not nest",
-            self.rank
-        );
-        self.span_begin(SpanKind::Overlap, Phase::Overlap);
-        self.window = Some(OverlapWindow {
-            stage_send: vec![(0, 0); chunks],
-            cur_stage: 0,
-            recv_ops: 0,
-            recv_bytes: 0,
-            coll_seconds: 0.0,
-            compute_seconds: 0.0,
-        });
-    }
-
-    /// Closes the current pipeline stage: prices the stage's
-    /// communication (duplex `max` of the send and receive directions
-    /// plus any pipelined collectives), splits it into exposed vs.
-    /// hidden against the compute since the last boundary, and charges
-    /// only the exposed part to the modeled clock. Call after the
-    /// stage's waits complete and before its folding compute runs.
-    pub fn overlap_stage(&mut self) {
-        let (alpha, beta) = (self.model.alpha, self.model.beta);
-        let w = self
-            .window
-            .as_mut()
-            .expect("overlap_stage outside an overlap window");
-        let stage = w.cur_stage;
-        assert!(
-            stage < w.stage_send.len(),
-            "more overlap_stage calls than declared chunks"
-        );
-        let (send_ops, send_bytes) = w.stage_send[stage];
-        let send_cost = send_ops as f64 * alpha + send_bytes as f64 * beta;
-        let recv_cost = w.recv_ops as f64 * alpha + w.recv_bytes as f64 * beta;
-        let comm = send_cost.max(recv_cost) + w.coll_seconds;
-        let exposed = (comm - w.compute_seconds).max(0.0);
-        let hidden = comm - exposed;
-        w.cur_stage += 1;
-        w.recv_ops = 0;
-        w.recv_bytes = 0;
-        w.coll_seconds = 0.0;
-        w.compute_seconds = 0.0;
-        let c = self.stats.phase_mut(Phase::Overlap);
-        c.ops += 1;
-        c.modeled_seconds += exposed;
-        self.stats.overlap.stages += 1;
-        self.stats.overlap.raw_comm_seconds += comm;
-        self.stats.overlap.hidden_seconds += hidden;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.op(
-                EventKind::OverlapWait,
-                Phase::Overlap,
-                None,
-                0,
-                0,
-                0,
-                exposed,
-            );
-            t.op_async(
-                EventKind::OverlapHidden,
-                Phase::Overlap,
-                None,
-                0,
-                0,
-                0,
-                hidden,
-            );
-        }
-    }
-
-    /// Closes the overlap window.
-    ///
-    /// # Panics
-    /// Panics unless every declared chunk was settled with
-    /// [`RankCtx::overlap_stage`].
-    pub fn overlap_end(&mut self) {
-        let w = self
-            .window
-            .take()
-            .expect("overlap_end without overlap_begin");
-        assert_eq!(
-            w.cur_stage,
-            w.stage_send.len(),
-            "rank {}: overlap window closed with unsettled chunks",
-            self.rank
-        );
-        self.span_end();
-    }
-
     /// Broadcast from `root` (phase `Bcast`): the root passes its payload,
-    /// everyone else passes `None` and receives the root's payload. Inside
-    /// an overlap window the modeled tree time accrues to the current
-    /// pipeline stage's collective cost instead of the phase clock — the
-    /// CAGNET-style fused broadcast/compute pipeline.
+    /// everyone else passes `None` and receives the root's payload.
     pub fn bcast(&mut self, root: usize, payload: Option<Payload>) -> Payload {
         self.op_tick();
         let out = if self.rank == root {
@@ -1099,14 +787,7 @@ impl RankCtx {
             self.raw_recv(root, tag::BCAST)
         };
         let bytes = out.bytes();
-        let tree = self.model.bcast(bytes, self.p);
-        let dur = match self.window.as_mut() {
-            Some(w) => {
-                w.coll_seconds += tree;
-                0.0
-            }
-            None => tree,
-        };
+        let dur = self.model.bcast(bytes, self.p);
         let is_root = self.rank == root;
         let c = self.stats.phase_mut(Phase::Bcast);
         c.ops += 1;
@@ -1281,9 +962,6 @@ impl RankCtx {
         let out = work();
         let factor = self.slow_factor();
         let dur = self.model.compute(flops) * factor;
-        if let Some(w) = self.window.as_mut() {
-            w.compute_seconds += dur;
-        }
         let c = self.stats.phase_mut(Phase::LocalCompute);
         c.ops += 1;
         c.flops += flops;
@@ -1307,9 +985,6 @@ impl RankCtx {
         self.op_tick();
         let factor = self.slow_factor();
         let dur = self.model.compute(flops) * factor;
-        if let Some(w) = self.window.as_mut() {
-            w.compute_seconds += dur;
-        }
         let c = self.stats.phase_mut(Phase::LocalCompute);
         c.ops += 1;
         c.flops += flops;

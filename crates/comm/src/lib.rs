@@ -60,7 +60,7 @@ pub(crate) mod watchdog;
 pub use gnn_trace as trace;
 
 pub use cost::CostModel;
-pub use ctx::{OverlapConfig, PendingOp, RankCtx};
+pub use ctx::{OverlapConfig, RankCtx};
 pub use error::{BlockedRank, DeadlockReport, EpochAbortPanic, WaitKind, WorldError};
 pub use fault::{Fault, FaultInjector, FaultPlan, SendFate};
 pub use gnn_trace::{SpanKind, WorldTrace};

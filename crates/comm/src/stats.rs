@@ -92,32 +92,6 @@ impl FaultCounters {
     }
 }
 
-/// Pipelined comm/compute overlap accounting for one rank.
-///
-/// When an SpMM runs its exchange through the nonblocking pipeline, the
-/// per-stage communication time is split into the *exposed* remainder
-/// (`max(0, comm − compute)`, charged to [`Phase::Overlap`]'s
-/// `modeled_seconds`) and the *hidden* part that ran concurrently with
-/// local compute (tracked here, never on the modeled clock).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OverlapCounters {
-    /// Pipeline stage boundaries crossed.
-    pub stages: u64,
-    /// Total communication seconds the pipeline stages would have cost
-    /// if fully blocking (exposed + hidden).
-    pub raw_comm_seconds: f64,
-    /// Communication seconds hidden behind local compute.
-    pub hidden_seconds: f64,
-}
-
-impl OverlapCounters {
-    fn merge(&mut self, o: &OverlapCounters) {
-        self.stages += o.stages;
-        self.raw_comm_seconds += o.raw_comm_seconds;
-        self.hidden_seconds += o.hidden_seconds;
-    }
-}
-
 /// Process-backend link-layer counters for one rank: real socket events
 /// (reconnects, replay retransmits, heartbeat misses) that have no
 /// thread-backend analogue. Always present — and always zero — on
@@ -167,8 +141,6 @@ pub struct RankStats {
     phases: [PhaseCounters; PHASES.len()],
     /// Injected-fault and retry counters.
     pub faults: FaultCounters,
-    /// Pipelined-overlap accounting (all zero for blocking runs).
-    pub overlap: OverlapCounters,
     /// Process-backend link-layer counters (zero on thread runs).
     pub proc: ProcCounters,
 }
@@ -219,25 +191,12 @@ impl RankStats {
         self.bytes_sent_total() + self.phases[Phase::Retransmit.index()].bytes_sent
     }
 
-    /// Communication seconds this rank hid behind compute via the
-    /// pipelined overlap window.
-    pub fn overlap_hidden_seconds(&self) -> f64 {
-        self.overlap.hidden_seconds
-    }
-
-    /// Exposed overlap-window seconds (identical to the
-    /// [`Phase::Overlap`] phase's modeled time).
-    pub fn overlap_exposed_seconds(&self) -> f64 {
-        self.phases[Phase::Overlap.index()].modeled_seconds
-    }
-
     /// Adds another rank-stats (e.g. accumulating epochs).
     pub fn merge(&mut self, other: &RankStats) {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
             a.merge(b);
         }
         self.faults.merge(&other.faults);
-        self.overlap.merge(&other.overlap);
         self.proc.merge(&other.proc);
     }
 }
@@ -372,29 +331,6 @@ impl WorldStats {
             .sum()
     }
 
-    /// Sum over ranks of communication seconds hidden behind compute by
-    /// the pipelined overlap window.
-    pub fn total_overlap_hidden_seconds(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .map(RankStats::overlap_hidden_seconds)
-            .sum()
-    }
-
-    /// Sum over ranks of exposed overlap-window seconds (the part of
-    /// pipelined communication compute could not hide).
-    pub fn total_overlap_exposed_seconds(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .map(RankStats::overlap_exposed_seconds)
-            .sum()
-    }
-
-    /// Sum over ranks of pipeline stage boundaries crossed.
-    pub fn total_overlap_stages(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.overlap.stages).sum()
-    }
-
     /// Sum over ranks of duplicate frames detected and discarded.
     pub fn total_duplicates_discarded(&self) -> u64 {
         self.per_rank
@@ -473,15 +409,6 @@ impl WorldStats {
         );
         reg.counter("proc.partitions_healed", self.total_partitions_healed());
         reg.counter("chaos.injected", self.total_chaos_injected());
-        reg.counter("overlap.stages", self.total_overlap_stages());
-        reg.gauge(
-            "overlap.hidden_seconds",
-            self.total_overlap_hidden_seconds(),
-        );
-        reg.gauge(
-            "overlap.exposed_seconds",
-            self.total_overlap_exposed_seconds(),
-        );
         for p in PHASES {
             let name = p.name();
             reg.counter(
@@ -625,33 +552,6 @@ mod tests {
         assert_eq!(r.wire_bytes_sent_total(), 140);
         let w = WorldStats::new(vec![r]);
         assert_eq!(w.total_wire_bytes_sent(), 140);
-    }
-
-    #[test]
-    fn overlap_counters_merge_and_reconcile() {
-        let mut r = RankStats::default();
-        r.overlap.stages = 3;
-        r.overlap.raw_comm_seconds = 5.0;
-        r.overlap.hidden_seconds = 4.0;
-        r.phase_mut(Phase::Overlap).modeled_seconds = 1.0;
-        r.phase_mut(Phase::Overlap).ops = 3;
-        assert_eq!(r.overlap_hidden_seconds(), 4.0);
-        assert_eq!(r.overlap_exposed_seconds(), 1.0);
-        // exposed + hidden = raw comm (the blocking-equivalent price).
-        assert_eq!(
-            r.overlap_exposed_seconds() + r.overlap_hidden_seconds(),
-            r.overlap.raw_comm_seconds
-        );
-        let mut a = r.clone();
-        a.merge(&r);
-        assert_eq!(a.overlap.stages, 6);
-        assert_eq!(a.overlap.hidden_seconds, 8.0);
-        let w = WorldStats::new(vec![a]);
-        assert_eq!(w.total_overlap_stages(), 6);
-        assert_eq!(w.total_overlap_hidden_seconds(), 8.0);
-        assert_eq!(w.total_overlap_exposed_seconds(), 2.0);
-        let reg = w.to_metrics();
-        assert_eq!(reg.counter_value("overlap.stages"), Some(6));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Pluggable link layer beneath [`crate::RankCtx`].
 //!
 //! Everything *above* this trait — sequence numbers, generation stamps,
-//! end-to-end checksums, retransmit pricing, collectives, overlap
-//! windows, tracing — is backend-independent and lives in
-//! [`crate::ctx`], and so do the deadlock watchdog and degraded-mode
-//! failover ([`crate::watchdog`]). A [`Transport`] is a link: it moves
-//! already-framed [`Msg`]s between ranks, runs a rendezvous barrier, and
-//! reports a peer it knows to be gone:
+//! end-to-end checksums, retransmit pricing, collectives, tracing — is
+//! backend-independent and lives in [`crate::ctx`], and so do the
+//! deadlock watchdog and degraded-mode failover ([`crate::watchdog`]). A
+//! [`Transport`] is a link: it moves already-framed [`Msg`]s between
+//! ranks, runs a rendezvous barrier, and reports a peer it knows to be
+//! gone:
 //!
 //! * [`ThreadTransport`](thread::ThreadTransport) — ranks are OS threads
 //!   in one process, connected by a full mesh of unbounded channels. The

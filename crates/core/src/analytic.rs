@@ -15,7 +15,6 @@ use spmat::gen::sbm::block_bounds;
 use spmat::Csr;
 
 use crate::dist::grid::{GridPlan, RankPlan, Stage};
-use crate::dist::overlap::chunk_groups;
 use crate::dist::trainer::plan_for;
 use crate::dist::{Algo, LayerOrder};
 use crate::model::ArchKind;
@@ -38,10 +37,8 @@ pub struct AnalyticInput<'a> {
     /// Layer architecture (changes local compute and gradient-reduce
     /// sizes; communication plans are identical).
     pub arch: ArchKind,
-    /// Comm/compute overlap configuration. When enabled the estimator
-    /// replays the *pipelined* op sequence: per-chunk duplex charges
-    /// with the exposed remainder on [`Phase::Overlap`], exactly
-    /// mirroring the executor's measured overlap window.
+    /// Read by nothing: kept, with the fieldless [`OverlapConfig`], so
+    /// callers that still name it compile; ROADMAP item 1(b) deletes both.
     pub overlap: OverlapConfig,
 }
 
@@ -65,30 +62,13 @@ fn rows_payload_bytes(rows: u64, f: u64) -> u64 {
     4 * rows + 8 * rows * f
 }
 
-/// One pipeline-stage boundary: mirrors [`RankCtx::overlap_stage`] —
-/// the exposed remainder of `comm` (after subtracting the compute that
-/// ran since the previous boundary) lands on [`Phase::Overlap`]'s
-/// modeled clock, the hidden part only on the overlap counters.
-///
-/// [`RankCtx::overlap_stage`]: gnn_comm::RankCtx::overlap_stage
-fn add_overlap_boundary(st: &mut RankStats, comm: f64, hidden_budget: f64) {
-    let exposed = (comm - hidden_budget).max(0.0);
-    let c = st.phase_mut(Phase::Overlap);
-    c.ops += 1;
-    c.modeled_seconds += exposed;
-    st.overlap.stages += 1;
-    st.overlap.raw_comm_seconds += comm;
-    st.overlap.hidden_seconds += comm - exposed;
-}
-
 /// Rows laid out and flops multiplied by folding the run `stages` at
 /// width `f` (mirrors `fold_run` of [`crate::dist::oned`]).
-fn fold_run_charges(stages: &[Stage], f: u64, model: &CostModel, st: &mut RankStats) -> f64 {
+fn fold_run_charges(stages: &[Stage], f: u64, model: &CostModel, st: &mut RankStats) {
     let rows: u64 = stages.iter().map(|s| s.needed.len() as u64).sum();
     let nnz: u64 = stages.iter().map(|s| s.block_compact.nnz() as u64).sum();
     add_compute(st, model, rows * f);
     add_compute(st, model, 2 * nnz * f);
-    model.compute(rows * f) + model.compute(2 * nnz * f)
 }
 
 /// Elements the sparsity-aware 1D sender packs, and the gather's charge.
@@ -97,8 +77,7 @@ fn pack_sends_charges(rp: &RankPlan, f: u64, model: &CostModel, st: &mut RankSta
     add_compute(st, model, rows * f);
 }
 
-/// One broadcast of `stage`'s whole block as rank `me` counts it;
-/// returns its modeled tree time, which the caller places.
+/// One broadcast of `stage`'s whole block as rank `me` counts it.
 fn bcast_charges(
     plan: &GridPlan,
     me: usize,
@@ -106,7 +85,7 @@ fn bcast_charges(
     f: u64,
     model: &CostModel,
     st: &mut RankStats,
-) -> f64 {
+) {
     let bytes = 8 * stage.needed.len() as u64 * f;
     let c = st.phase_mut(Phase::Bcast);
     c.ops += 1;
@@ -115,34 +94,20 @@ fn bcast_charges(
     } else {
         c.bytes_recv += bytes;
     }
-    model.bcast(bytes, plan.p())
+    c.modeled_seconds += model.bcast(bytes, plan.p());
 }
 
-/// `Rows` payload bytes the rank of `rp` ships to the ranks `dsts`.
-fn sent_bytes(rp: &RankPlan, dsts: std::ops::Range<usize>, f: u64) -> u64 {
-    let shipped = rp.sends.iter().filter(|(dst, _)| dsts.contains(dst));
-    shipped
-        .map(|(_, idx)| rows_payload_bytes(idx.len() as u64, f))
-        .sum()
-}
-
-/// `Rows` payload bytes rank `me` receives for the run `stages`.
-fn recv_bytes(stages: &[Stage], me: usize, f: u64) -> u64 {
-    let remote = stages.iter().filter(|s| s.src_rank != me);
-    remote
-        .map(|s| rows_payload_bytes(s.needed.len() as u64, f))
-        .sum()
-}
-
-/// One blocking 1D SpMM's charges on rank `me` at width `f`: replays
+/// One 1D SpMM's charges on rank `me` at width `f`: replays
 /// [`crate::dist::oned::spmm_1d_buf`] — one all-to-allv of the needed
 /// rows when sparsity-aware, `p` whole-block broadcasts otherwise.
 fn spmm_1d_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
     let rp = &plan.ranks[me];
     if plan.aware {
         pack_sends_charges(rp, f, model, st);
-        let sent = sent_bytes(rp, 0..plan.p(), f);
-        let recv = recv_bytes(&rp.stages, me, f);
+        let rows_bytes = |rows: usize| rows_payload_bytes(rows as u64, f);
+        let sent = rp.sends.iter().map(|(_, idx)| rows_bytes(idx.len())).sum();
+        let remote = rp.stages.iter().filter(|s| s.src_rank != me);
+        let recv = remote.map(|s| rows_bytes(s.needed.len())).sum();
         let c = st.phase_mut(Phase::AllToAll);
         c.ops += 1;
         c.bytes_sent += sent;
@@ -150,52 +115,10 @@ fn spmm_1d_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: &m
         c.modeled_seconds += model.alltoallv(sent, recv, plan.p());
     } else {
         for stage in &rp.stages {
-            let tree = bcast_charges(plan, me, stage, f, model, st);
-            st.phase_mut(Phase::Bcast).modeled_seconds += tree;
+            bcast_charges(plan, me, stage, f, model, st);
         }
     }
     fold_run_charges(&rp.stages, f, model, st);
-}
-
-/// One *pipelined* 1D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_1d_pipelined_buf`] — per chunk of source
-/// ranks, duplex pricing of the chunk's exchanges (aware) or its
-/// broadcasts' accrued tree time (oblivious) at the stage boundary, with
-/// the previous chunk's folding compute available to hide it.
-fn spmm_1d_pipelined_charges(
-    plan: &GridPlan,
-    me: usize,
-    f: u64,
-    chunks: usize,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    if plan.aware {
-        pack_sends_charges(rp, f, model, st);
-    }
-    let mut prev_compute = 0.0f64;
-    for (glo, ghi) in chunk_groups(plan.p(), chunks) {
-        let run = &rp.stages[glo..ghi];
-        let comm = if plan.aware {
-            // One send and one receive per remote rank of the chunk;
-            // empty payloads are sent too (α cost, no bytes).
-            let ops = run.iter().filter(|s| s.src_rank != me).count() as u64;
-            let sent = sent_bytes(rp, glo..ghi, f);
-            let recv = recv_bytes(run, me, f);
-            let c = st.phase_mut(Phase::AllToAll);
-            c.ops += 2 * ops;
-            c.bytes_sent += sent;
-            c.bytes_recv += recv;
-            let cost = |bytes: u64| ops as f64 * model.alpha + bytes as f64 * model.beta;
-            cost(sent).max(cost(recv))
-        } else {
-            let tree = |s| bcast_charges(plan, me, s, f, model, st);
-            run.iter().map(tree).sum()
-        };
-        add_overlap_boundary(st, comm, prev_compute);
-        prev_compute = fold_run_charges(run, f, model, st);
-    }
 }
 
 /// Bytes of one exchanged block of `rows` rows at width `f`: an indexed
@@ -234,7 +157,7 @@ fn add_p2p(st: &mut RankStats, sent: bool, bytes: u64, seconds: f64) {
     c.modeled_seconds += seconds;
 }
 
-/// One blocking grid SpMM's charges on linear rank `me` at panel width
+/// One grid SpMM's charges on linear rank `me` at panel width
 /// `f`: replays [`crate::dist::grid::spmm_grid_buf`] — the designated
 /// sender's shipments, the receive-or-gather/multiply stage loop, and
 /// the trailing replica all-reduce (absent for the 2D shape).
@@ -259,69 +182,6 @@ fn spmm_grid_charges(plan: &GridPlan, me: usize, f: u64, model: &CostModel, st: 
             add_p2p(st, false, bytes, model.p2p(bytes));
         }
         add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
-    if !rp.reduce_group.is_empty() {
-        add_allreduce(st, model, 8 * rows_i * f, rp.reduce_group.len());
-    }
-}
-
-/// One *pipelined* grid SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_grid_pipelined_buf`] — every outbound
-/// block lands on the first stage boundary, each stage section's
-/// receives settle against the previous section's multiplies, and the
-/// trailing all-reduce stays blocking.
-fn spmm_grid_pipelined_charges(
-    plan: &GridPlan,
-    me: usize,
-    f: u64,
-    chunks: usize,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = rp.rows() as u64;
-
-    // Sender side: packed before the window, posted on stage 0.
-    let (mut send_ops, mut send_bytes) = (0u64, 0u64);
-    let mut pack_elems = 0u64;
-    for (_, idx) in &rp.sends {
-        let (bytes, packed) = shipment(plan, rows_i, idx, f);
-        pack_elems += packed;
-        send_ops += 1;
-        send_bytes += bytes;
-        add_p2p(st, true, bytes, 0.0);
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-
-    let mut prev_compute = 0.0f64;
-    for (slo, shi) in chunk_groups(rp.stages.len(), chunks) {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.src_rank != me && !stage.needed.is_empty() {
-                let bytes = block_bytes(plan.aware, stage.needed.len() as u64, f);
-                recv_ops += 1;
-                recv_bytes += bytes;
-                add_p2p(st, false, bytes, 0.0);
-            }
-        }
-        let send_cost = send_ops as f64 * model.alpha + send_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-        (send_ops, send_bytes) = (0, 0);
-
-        prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.src_rank == me {
-                let gather = stage.needed.len() as u64 * f;
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
-            }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
-        }
     }
     if !rp.reduce_group.is_empty() {
         add_allreduce(st, model, 8 * rows_i * f, rp.reduce_group.len());
@@ -479,16 +339,13 @@ pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
 /// [`estimate`] for a run configured with `order`.
 pub fn estimate_in_order(input: &AnalyticInput<'_>, order: LayerOrder) -> WorldStats {
     let model = &input.model;
-    let chunks = input.overlap.chunks;
     let plan = plan_for(input.adj, input.bounds, input.algo);
     let oned = matches!(input.algo, Algo::OneD { .. });
     let per_rank = (0..plan.p())
         .map(|me| {
-            let charge = |st: &mut RankStats, f: u64| match (oned, input.overlap.enabled) {
-                (true, true) => spmm_1d_pipelined_charges(&plan, me, f, chunks, model, st),
-                (true, false) => spmm_1d_charges(&plan, me, f, model, st),
-                (false, true) => spmm_grid_pipelined_charges(&plan, me, f, chunks, model, st),
-                (false, false) => spmm_grid_charges(&plan, me, f, model, st),
+            let charge = |st: &mut RankStats, f: u64| match oned {
+                true => spmm_1d_charges(&plan, me, f, model, st),
+                false => spmm_grid_charges(&plan, me, f, model, st),
             };
             rank_charges(input, order, &plan, me, charge)
         })
@@ -572,71 +429,6 @@ mod tests {
         ));
         assert!(c4.phase_bytes_total(Phase::P2p) < c2.phase_bytes_total(Phase::P2p));
         assert!(c4.phase_time(Phase::AllReduce) > c2.phase_time(Phase::AllReduce));
-    }
-
-    #[test]
-    fn overlapped_estimate_preserves_volumes_and_moves_time() {
-        let adj = gcn_normalize(&rmat(RmatConfig::graph500(8, 6, 5)));
-        let bounds = even_bounds(adj.rows(), 8);
-        let dims = [16usize, 16, 8];
-        for algo in [
-            Algo::OneD { aware: true },
-            Algo::OneD { aware: false },
-            Algo::OneFiveD { aware: true, c: 2 },
-        ] {
-            let b15 = even_bounds(adj.rows(), 4);
-            let b = if matches!(algo, Algo::OneFiveD { .. }) {
-                &b15
-            } else {
-                &bounds
-            };
-            let base = estimate(&input_for(&adj, b, algo, &dims));
-            let mut ov_in = input_for(&adj, b, algo, &dims);
-            ov_in.overlap = OverlapConfig::on(3);
-            let ov = estimate(&ov_in);
-            // Logical volumes are untouched by pipelining.
-            for ph in [Phase::AllToAll, Phase::Bcast, Phase::P2p] {
-                assert_eq!(
-                    ov.phase_bytes_total(ph),
-                    base.phase_bytes_total(ph),
-                    "{algo:?} {ph:?}"
-                );
-            }
-            // Comm time moved off the natural phases onto Overlap.
-            assert!(ov.phase_time(Phase::Overlap) > 0.0, "{algo:?}");
-            assert!(
-                ov.total_overlap_hidden_seconds() + ov.phase_time(Phase::Overlap) > 0.0,
-                "{algo:?}"
-            );
-            // exposed + hidden reconcile with the raw comm charged.
-            for rs in &ov.per_rank {
-                let raw = rs.overlap.raw_comm_seconds;
-                let split = rs.overlap_exposed_seconds() + rs.overlap_hidden_seconds();
-                assert!((raw - split).abs() <= 1e-12 * raw.max(1.0));
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_oblivious_estimate_never_slower() {
-        let adj = gcn_normalize(&rmat(RmatConfig::graph500(8, 6, 6)));
-        let bounds = even_bounds(adj.rows(), 8);
-        let dims = [16usize, 16, 8];
-        let base = estimate(&input_for(
-            &adj,
-            &bounds,
-            Algo::OneD { aware: false },
-            &dims,
-        ));
-        for k in [1, 2, 4, 8] {
-            let mut ov_in = input_for(&adj, &bounds, Algo::OneD { aware: false }, &dims);
-            ov_in.overlap = OverlapConfig::on(k);
-            let ov = estimate(&ov_in);
-            assert!(
-                ov.modeled_epoch_time() <= base.modeled_epoch_time() + 1e-12,
-                "chunks={k}"
-            );
-        }
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! this module moves each stage point to point, which is what Algorithm 2
 //! and SUMMA are. Algorithm 1 is a single all-to-allv (oblivious: `p`
 //! broadcasts) — a different collective with a different α–β price, op
-//! count and [`Phase`] — so the 1D executors in [`super::oned`] and
-//! [`super::overlap`] keep their collectives and read the same
-//! `stages`/`sends` the staged executor reads.
+//! count and [`Phase`] — so the 1D executor in [`super::oned`] keeps its
+//! collectives and reads the same `stages`/`sends` the staged executor
+//! reads.
 
 use gnn_comm::msg::Payload;
 use gnn_comm::{Phase, RankCtx, SpanKind};
@@ -408,41 +408,6 @@ pub(super) fn fold_payload(
     *data = operand.into_vec();
 }
 
-/// Folds one stage into `acc`: multiplies the stage's block against its
-/// operand where that already is — the local block for the rank's own
-/// stage (charged as the gather the model prices), nothing for an empty
-/// one, otherwise the payload `fetch` obtains from rank `from` (the
-/// stage's sender, or whoever stands in for it), sent home to `from`'s
-/// lane of the world's pool afterwards.
-pub(super) fn fold_stage(
-    ctx: &mut RankCtx,
-    rp: &RankPlan,
-    st: &Stage,
-    h_local: &Dense,
-    acc: &mut Dense,
-    from: usize,
-    fetch: impl FnOnce(&mut RankCtx, usize) -> Payload,
-) {
-    let f = h_local.cols();
-    let rows = st.needed.len();
-    let block = &st.block_compact;
-    let flops = spmm_flops(block, f);
-    if st.src_rank == rp.rank {
-        ctx.record_compute((rows * f) as u64);
-        ctx.compute(flops, || spmm_acc(block, h_local, acc));
-        return;
-    }
-    let mut arrived = match rows {
-        0 => Payload::F64(Vec::new()),
-        _ => fetch(ctx, from),
-    };
-    if let Payload::Rows { idx, .. } = &arrived {
-        debug_assert_eq!(*idx, st.needed, "row ids mismatch at stage k={}", st.k);
-    }
-    ctx.compute(flops, || fold_payload(block, &mut arrived, rows, f, acc));
-    ctx.recycle(from, arrived);
-}
-
 /// Blocking send phase of plan entry `rp`: packs and ships every outbound
 /// block, each addressed to `route(dst)`.
 pub(super) fn ship_blocks(
@@ -462,8 +427,12 @@ pub(super) fn ship_blocks(
     }
 }
 
-/// Blocking stage loop of plan entry `rp`: receives each stage's block
-/// from `route(src)` and returns the accumulated partial `Z[i][j]`.
+/// Blocking stage loop of plan entry `rp`: folds each stage into the
+/// accumulated partial `Z[i][j]`, multiplying the stage's block against
+/// its operand where that already is — the local block for the rank's own
+/// stage (charged as the gather the model prices), nothing for an empty
+/// one, otherwise the block received from `route(src)`, sent home to that
+/// rank's lane of the world's pool afterwards.
 pub(super) fn fold_stages(
     ctx: &mut RankCtx,
     rp: &RankPlan,
@@ -471,17 +440,27 @@ pub(super) fn fold_stages(
     bufs: &mut EpochBuffers,
     route: impl Fn(usize) -> usize,
 ) -> Dense {
-    let mut z = bufs.take_dense(rp.rows(), h_local.cols());
+    let f = h_local.cols();
+    let mut z = bufs.take_dense(rp.rows(), f);
     for st in &rp.stages {
-        fold_stage(
-            ctx,
-            rp,
-            st,
-            h_local,
-            &mut z,
-            route(st.src_rank),
-            RankCtx::recv,
-        );
+        let rows = st.needed.len();
+        let block = &st.block_compact;
+        let flops = spmm_flops(block, f);
+        if st.src_rank == rp.rank {
+            ctx.record_compute((rows * f) as u64);
+            ctx.compute(flops, || spmm_acc(block, h_local, &mut z));
+            continue;
+        }
+        let from = route(st.src_rank);
+        let mut arrived = match rows {
+            0 => Payload::F64(Vec::new()),
+            _ => ctx.recv(from),
+        };
+        if let Payload::Rows { idx, .. } = &arrived {
+            debug_assert_eq!(*idx, st.needed, "row ids mismatch at stage k={}", st.k);
+        }
+        ctx.compute(flops, || fold_payload(block, &mut arrived, rows, f, &mut z));
+        ctx.recycle(from, arrived);
     }
     z
 }

@@ -1,17 +1,16 @@
 //! Distributed training: the one communication plan ([`grid::GridPlan`],
 //! whose shapes are 1D, 1.5D, 2D and 3D), the distributed SpMMs that
 //! execute it — staged point-to-point ([`grid`]) or, for 1D, one
-//! collective ([`oned`]); each sparsity-oblivious or sparsity-aware,
-//! blocking or pipelined ([`overlap`]) — and the SPMD trainer whose one
-//! epoch program runs full GCN training over a [`gnn_comm::ThreadWorld`]
-//! or rank processes.
+//! collective ([`oned`]); each sparsity-oblivious or sparsity-aware, each
+//! one blocking schedule — and the SPMD trainer whose one epoch program
+//! runs full GCN training over a [`gnn_comm::ThreadWorld`] or rank
+//! processes.
 
 pub mod buffers;
 pub mod checkpoint;
 pub mod failover;
 pub mod grid;
 pub mod oned;
-pub mod overlap;
 #[cfg(unix)]
 pub mod proc;
 pub mod trainer;
@@ -23,7 +22,6 @@ pub use checkpoint::{
 pub use failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 pub use grid::{even_bounds, spmm_grid, spmm_grid_buf, GridPlan};
 pub use oned::{spmm_1d, spmm_1d_buf};
-pub use overlap::{spmm_1d_pipelined_buf, spmm_grid_pipelined_buf};
 #[cfg(unix)]
 pub use proc::{
     metrics_aggregate_path, metrics_rank_path, run_rank_proc, supervise_proc_training,

@@ -22,19 +22,10 @@ pub fn spmm_1d(ctx: &mut RankCtx, plan: &GridPlan, h_local: &Dense) -> Dense {
     spmm_1d_buf(ctx, plan, h_local, &mut EpochBuffers::new())
 }
 
-/// The collective a 1D SpMM of `plan` runs under.
-pub(super) fn phase_of(plan: &GridPlan) -> Phase {
-    if plan.aware {
-        Phase::AllToAll
-    } else {
-        Phase::Bcast
-    }
-}
-
 /// Packs the rows each peer asked for into pooled `Rows` payloads (one
 /// slot per rank, `Empty` for the caller and for peers that need nothing)
 /// and charges the gather.
-pub(super) fn pack_sends(ctx: &mut RankCtx, rp: &RankPlan, h_local: &Dense) -> Vec<Payload> {
+fn pack_sends(ctx: &mut RankCtx, rp: &RankPlan, h_local: &Dense) -> Vec<Payload> {
     let mut pack_elems = 0u64;
     let mut sends: Vec<Payload> = (0..ctx.p()).map(|_| Payload::Empty).collect();
     for (dst, idx) in &rp.sends {
@@ -44,26 +35,13 @@ pub(super) fn pack_sends(ctx: &mut RankCtx, rp: &RankPlan, h_local: &Dense) -> V
     sends
 }
 
-/// Stage `st`'s turn of the oblivious exchange: its source rank
-/// broadcasts a pooled copy of its whole block.
-pub(super) fn bcast_stage(
-    ctx: &mut RankCtx,
-    rp: &RankPlan,
-    st: &Stage,
-    h_local: &Dense,
-) -> Payload {
-    let own = (st.src_rank == rp.rank)
-        .then(|| pack_block(ctx, false, h_local, rp.row_lo, &st.needed, &mut 0));
-    ctx.bcast(st.src_rank, own)
-}
-
 /// Folds the run `stages` into `z` once its payloads (`arrived`, one per
 /// stage) are in: the model's charge for laying the needed rows out (one
 /// element move per entry of the gathered operand — the executor
 /// multiplies them where they are instead), then one multiply charge
 /// covering every stage of the run. The spent payloads go back to the
 /// world's pool.
-pub(super) fn fold_run(
+fn fold_run(
     ctx: &mut RankCtx,
     rp: &RankPlan,
     stages: &[Stage],
@@ -121,12 +99,18 @@ pub fn spmm_1d_buf(
 ) -> Dense {
     let rp = &plan.ranks[ctx.rank()];
     assert_eq!(h_local.rows(), rp.rows(), "local H block shape mismatch");
-    ctx.span_begin(plan.span, phase_of(plan));
     let arrived = if plan.aware {
+        ctx.span_begin(plan.span, Phase::AllToAll);
         let sends = pack_sends(ctx, rp, h_local);
         ctx.alltoallv(sends)
     } else {
-        let bcast = |st| bcast_stage(ctx, rp, st, h_local);
+        // Each stage's source rank broadcasts a pooled copy of its block.
+        ctx.span_begin(plan.span, Phase::Bcast);
+        let bcast = |st: &Stage| {
+            let own = (st.src_rank == rp.rank)
+                .then(|| pack_block(ctx, false, h_local, rp.row_lo, &st.needed, &mut 0));
+            ctx.bcast(st.src_rank, own)
+        };
         rp.stages.iter().map(bcast).collect()
     };
     let mut z = bufs.take_dense(rp.rows(), h_local.cols());

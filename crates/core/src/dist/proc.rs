@@ -484,13 +484,6 @@ fn encode_outcome(records: &[EpochRecord], weights: &Weights, stats: &RankStats)
         fc.duplicates_discarded,
         fc.slowed_ops
     ));
-    let ov = &stats.overlap;
-    out.push_str(&format!(
-        "overlap {} {} {}\n",
-        ov.stages,
-        ov.raw_comm_seconds.to_bits(),
-        ov.hidden_seconds.to_bits()
-    ));
     let pc = &stats.proc;
     out.push_str(&format!(
         "proc {} {} {} {} {} {} {}\n",
@@ -620,10 +613,6 @@ fn decode_outcome(text: &str) -> io::Result<(Vec<EpochRecord>, Weights, RankStat
     stats.faults.duplicates = t.u64()?;
     stats.faults.duplicates_discarded = t.u64()?;
     stats.faults.slowed_ops = t.u64()?;
-    t.word("overlap")?;
-    stats.overlap.stages = t.u64()?;
-    stats.overlap.raw_comm_seconds = t.f64_bits()?;
-    stats.overlap.hidden_seconds = t.f64_bits()?;
     t.word("proc")?;
     stats.proc.reconnects = t.u64()?;
     stats.proc.replayed_frames = t.u64()?;
@@ -667,8 +656,6 @@ mod tests {
             c.modeled_seconds = 0.1234567890123;
         }
         stats.faults.retries = 3;
-        stats.overlap.stages = 9;
-        stats.overlap.hidden_seconds = 2.5e-4;
         stats.proc.reconnects = 2;
         stats.proc.replayed_frames = 11;
         stats.proc.heartbeat_misses = 5;

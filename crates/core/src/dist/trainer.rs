@@ -1,6 +1,6 @@
 //! The SPMD GCN trainer: full forward/backward/SGD training where every
 //! SpMM runs through one of the distributed algorithms (1D or a grid
-//! shape, sparsity-oblivious or -aware, blocking or pipelined).
+//! shape, sparsity-oblivious or -aware), each with one blocking schedule.
 //!
 //! Every rank holds its block of `H⁰`, labels and mask; weights are
 //! replicated (deterministic seeded init) and kept consistent by
@@ -38,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gnn_comm::{
-    CostModel, EpochAbortPanic, FaultInjector, FaultPlan, OverlapConfig, Phase, RankCtx, SpanKind,
-    ThreadWorld, WorldError, WorldStats, WorldTrace,
+    CostModel, EpochAbortPanic, FaultInjector, FaultPlan, Phase, RankCtx, SpanKind, ThreadWorld,
+    WorldError, WorldStats, WorldTrace,
 };
 use spmat::dataset::Dataset;
 use spmat::gen::sbm::block_bounds;
@@ -54,7 +54,6 @@ use super::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use super::failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 use super::grid::{spmm_grid_buf, GridPlan};
 use super::oned::spmm_1d_buf;
-use super::overlap::{spmm_1d_pipelined_buf, spmm_grid_pipelined_buf};
 
 /// Which distributed SpMM drives training.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -213,15 +212,6 @@ pub struct DistConfig {
     /// forward/loss/backward → SpMM, plus every communication op).
     /// Off by default: steady-state epochs then do no tracing work.
     pub trace: bool,
-    /// Comm/compute overlap: when enabled, every distributed SpMM runs
-    /// its pipelined variant (remote fetches split into
-    /// [`OverlapConfig::chunks`] stages, folded into the accumulation
-    /// while later chunks are in flight). Results are bit-identical to
-    /// the blocking schedule and logical volumes are unchanged; only
-    /// the modeled time attribution moves (exposed comm lands in
-    /// [`Phase::Overlap`]). Ignored by the degraded-mode failover path,
-    /// which always runs its blocking schedule.
-    pub overlap: OverlapConfig,
     /// Hostfile for the process backend: switches the rank mesh from
     /// Unix-domain sockets to TCP listeners at the listed `host[:port]`
     /// addresses (one line per rank; rank 0's port doubles as the
@@ -244,7 +234,6 @@ impl DistConfig {
             model,
             robust: RobustnessConfig::default(),
             trace: false,
-            overlap: OverlapConfig::off(),
             hostfile: None,
             order: LayerOrder::default(),
         }
@@ -810,18 +799,13 @@ impl<'a> RankTrainer<'a> {
         let view = FailoverView::compute(ctx, plan);
         let degraded = view.is_degraded();
         let oned = matches!(cfg.algo, Algo::OneD { .. });
-        // The failover world always runs its blocking schedule.
-        let pipelined = cfg.overlap.enabled && !ctx.failover_enabled();
-        let chunks = cfg.overlap.chunks;
         let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
             if degraded {
-                return spmm_15d_failover_buf(ctx, plan, &view, h, bufs);
-            }
-            match (oned, pipelined) {
-                (true, true) => spmm_1d_pipelined_buf(ctx, plan, h, chunks, bufs),
-                (true, false) => spmm_1d_buf(ctx, plan, h, bufs),
-                (false, true) => spmm_grid_pipelined_buf(ctx, plan, h, chunks, bufs),
-                (false, false) => spmm_grid_buf(ctx, plan, h, bufs),
+                spmm_15d_failover_buf(ctx, plan, &view, h, bufs)
+            } else if oned {
+                spmm_1d_buf(ctx, plan, h, bufs)
+            } else {
+                spmm_grid_buf(ctx, plan, h, bufs)
             }
         };
         // Layer 0's products against H⁰ split across the replica group,
@@ -1593,43 +1577,6 @@ mod tests {
         assert_eq!(out.restarts, 1);
         assert_eq!(out.failovers, 0);
         assert_eq!(out.records.len(), 4);
-    }
-
-    #[test]
-    fn overlapped_training_is_bit_identical_to_blocking() {
-        let ds = reddit_scaled(7, 11);
-        let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
-        for (algo, parts) in [
-            (Algo::OneD { aware: true }, 4),
-            (Algo::OneD { aware: false }, 4),
-            (Algo::OneFiveD { aware: true, c: 2 }, 2),
-            (Algo::TwoD { aware: true, pc: 2 }, 2),
-            (
-                Algo::ThreeD {
-                    aware: true,
-                    pc: 1,
-                    c: 2,
-                },
-                2,
-            ),
-        ] {
-            let bounds = even_bounds(ds.n(), parts);
-            let base_cfg = DistConfig::new(algo, cfg.clone(), 3, CostModel::perlmutter_like());
-            let base = train_distributed(&ds, &bounds, &base_cfg);
-            let mut ov_cfg = base_cfg.clone();
-            ov_cfg.overlap = OverlapConfig::on(3);
-            let ov = train_distributed(&ds, &bounds, &ov_cfg);
-            for (a, b) in ov.records.iter().zip(&base.records) {
-                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{}", algo.label());
-            }
-            assert_eq!(
-                ov.weights.max_abs_diff(&base.weights),
-                0.0,
-                "{}",
-                algo.label()
-            );
-            assert!(ov.stats.total_overlap_stages() > 0, "{}", algo.label());
-        }
     }
 
     #[test]

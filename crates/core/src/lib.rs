@@ -9,7 +9,7 @@
 //! * [`mod@reference`] — sequential full-graph trainer (ground truth).
 //! * [`dist`] — the one communication plan (`GridPlan`: 1D, 1.5D, 2D and
 //!   3D are its shapes) and the distributed SpMMs that execute it, each
-//!   oblivious or sparsity-aware, blocking or pipelined — plus the SPMD
+//!   oblivious or sparsity-aware, with one blocking schedule — plus the SPMD
 //!   trainer whose one epoch program runs them over
 //!   [`gnn_comm::ThreadWorld`] or rank processes.
 //! * [`analytic`] — closed-form cost replay for large sweeps; proven

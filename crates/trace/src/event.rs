@@ -44,10 +44,6 @@ pub enum SpanKind {
     Spmm2d,
     /// One 3D (2.5D-style replicated-grid) distributed SpMM call.
     Spmm3d,
-    /// One pipelined (nonblocking) exchange window inside a distributed
-    /// SpMM: remote fetches split into chunks and folded into the local
-    /// accumulation while the next chunk is in flight.
-    Overlap,
 }
 
 impl SpanKind {
@@ -62,13 +58,12 @@ impl SpanKind {
             SpanKind::Spmm15d => "spmm_15d",
             SpanKind::Spmm2d => "spmm_2d",
             SpanKind::Spmm3d => "spmm_3d",
-            SpanKind::Overlap => "overlap",
         }
     }
 
     /// Inverse of [`SpanKind::name`].
     pub fn from_name(s: &str) -> Option<SpanKind> {
-        const ALL: [SpanKind; 9] = [
+        const ALL: [SpanKind; 8] = [
             SpanKind::Epoch,
             SpanKind::Forward,
             SpanKind::Loss,
@@ -77,7 +72,6 @@ impl SpanKind {
             SpanKind::Spmm15d,
             SpanKind::Spmm2d,
             SpanKind::Spmm3d,
-            SpanKind::Overlap,
         ];
         ALL.iter().copied().find(|k| k.name() == s)
     }
@@ -106,14 +100,6 @@ pub enum EventKind {
     /// `bytes_sent` is the extra *wire* traffic (zero for pure delays);
     /// logical volumes are untouched.
     Retransmit,
-    /// Exposed communication at a pipeline-stage boundary: the part of
-    /// a chunk's comm time local compute could not hide. Advances the
-    /// modeled clock (it is real critical-path time).
-    OverlapWait,
-    /// Hidden communication at a pipeline-stage boundary: comm time
-    /// that ran concurrently with local compute. Recorded with its
-    /// duration but does *not* advance the modeled clock.
-    OverlapHidden,
     /// Network-chaos interposer severed a live connection (partition
     /// onset). `peer` is the affected link; recorded on the wall axis
     /// at the fault's activation time.
@@ -140,8 +126,6 @@ impl EventKind {
             EventKind::Barrier => "barrier",
             EventKind::Compute => "compute",
             EventKind::Retransmit => "retransmit",
-            EventKind::OverlapWait => "overlap_wait",
-            EventKind::OverlapHidden => "overlap_hidden",
             EventKind::ChaosSever => "chaos_sever",
             EventKind::ChaosCut => "chaos_cut",
             EventKind::ChaosRefused => "chaos_refused",
@@ -151,7 +135,7 @@ impl EventKind {
 
     /// Inverse of [`EventKind::name`].
     pub fn from_name(s: &str) -> Option<EventKind> {
-        const OPS: [EventKind; 14] = [
+        const OPS: [EventKind; 12] = [
             EventKind::Send,
             EventKind::Recv,
             EventKind::Bcast,
@@ -161,8 +145,6 @@ impl EventKind {
             EventKind::Barrier,
             EventKind::Compute,
             EventKind::Retransmit,
-            EventKind::OverlapWait,
-            EventKind::OverlapHidden,
             EventKind::ChaosSever,
             EventKind::ChaosCut,
             EventKind::ChaosRefused,
@@ -275,14 +257,11 @@ mod tests {
             EventKind::Barrier,
             EventKind::Compute,
             EventKind::Retransmit,
-            EventKind::OverlapWait,
-            EventKind::OverlapHidden,
             EventKind::ChaosSever,
             EventKind::ChaosCut,
             EventKind::ChaosRefused,
             EventKind::Span(SpanKind::Epoch),
             EventKind::Span(SpanKind::Spmm1d),
-            EventKind::Span(SpanKind::Overlap),
         ];
         for k in kinds {
             assert_eq!(EventKind::from_name(k.name()), Some(k), "{k:?}");

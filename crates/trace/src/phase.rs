@@ -25,15 +25,10 @@ pub enum Phase {
     /// waits, and discarded corrupt/duplicate frames. Never part of the
     /// logical communication volume.
     Retransmit,
-    /// Pipelined comm/compute overlap: the *exposed* remainder of
-    /// nonblocking communication that local compute could not hide
-    /// (`max(0, comm − compute)` per pipeline stage). The hidden part
-    /// is tracked separately and never charged to the modeled clock.
-    Overlap,
 }
 
 /// All phases, in breakdown display order.
-pub const PHASES: [Phase; 8] = [
+pub const PHASES: [Phase; 7] = [
     Phase::LocalCompute,
     Phase::AllToAll,
     Phase::Bcast,
@@ -41,7 +36,6 @@ pub const PHASES: [Phase; 8] = [
     Phase::P2p,
     Phase::Other,
     Phase::Retransmit,
-    Phase::Overlap,
 ];
 
 impl Phase {
@@ -55,7 +49,6 @@ impl Phase {
             Phase::P2p => 4,
             Phase::Other => 5,
             Phase::Retransmit => 6,
-            Phase::Overlap => 7,
         }
     }
 
@@ -69,7 +62,6 @@ impl Phase {
             Phase::P2p => "p2p",
             Phase::Other => "other",
             Phase::Retransmit => "retransmit",
-            Phase::Overlap => "overlap",
         }
     }
 
@@ -109,6 +101,5 @@ mod tests {
         assert!(!Phase::LocalCompute.is_comm());
         assert!(Phase::AllToAll.is_comm());
         assert!(Phase::Other.is_comm());
-        assert!(Phase::Overlap.is_comm());
     }
 }

@@ -188,56 +188,6 @@ impl RankTracer {
         self.events.push(ev);
     }
 
-    /// Records an operation that ran *concurrently* with the timeline:
-    /// the event carries its duration but the modeled clock does not
-    /// advance (the time was hidden behind compute). Used for
-    /// [`EventKind::OverlapHidden`] and the dur-0 natural-phase records
-    /// of asynchronously-posted ops.
-    #[allow(clippy::too_many_arguments)]
-    pub fn op_async(
-        &mut self,
-        kind: EventKind,
-        phase: Phase,
-        peer: Option<usize>,
-        bytes_sent: u64,
-        bytes_recv: u64,
-        flops: u64,
-        dur: f64,
-    ) {
-        debug_assert!(!kind.is_span(), "use begin_span/end_span for spans");
-        let seq = self.next_seq();
-        // Concurrent with the timeline: stamped at the cursor with a
-        // zero wall duration (the hidden time is bookkeeping, not a
-        // slice of this rank's wall timeline).
-        let (t_wall, wall_dur) = if self.wall_anchor.is_some() {
-            (self.wall_cursor, 0.0)
-        } else {
-            (f64::NAN, f64::NAN)
-        };
-        let ev = Event {
-            seq,
-            parent: self.parent(),
-            rank: self.rank,
-            epoch: self.epoch,
-            kind,
-            phase,
-            peer: peer.map_or(NO_PEER, |p| p as i32),
-            bytes_sent,
-            bytes_recv,
-            flops,
-            t_start: self.clock,
-            dur,
-            t_wall,
-            wall_dur,
-        };
-        if let Some(top) = self.stack.last_mut() {
-            top.bytes_sent += bytes_sent;
-            top.bytes_recv += bytes_recv;
-            top.flops += flops;
-        }
-        self.events.push(ev);
-    }
-
     /// Records a network-chaos fault activation (sever / cut / refused
     /// dial) on the wall-clock axis. Chaos faults fire on the
     /// transport's background threads and are exported when the rank
@@ -399,11 +349,6 @@ pub struct PhaseAgg {
     pub flops: u64,
     /// Modeled seconds (retransmission overhead included).
     pub seconds: f64,
-    /// Communication seconds hidden behind compute by pipelined
-    /// overlap ([`EventKind::OverlapHidden`] events). Never part of
-    /// the timeline ([`PhaseAgg::seconds`]) — the timeline only carries
-    /// the *exposed* remainder.
-    pub hidden_seconds: f64,
     /// Measured wall-clock seconds (dual-clock traces only; stays 0.0
     /// for modeled-only traces).
     pub wall_seconds: f64,
@@ -413,14 +358,6 @@ impl PhaseAgg {
     fn absorb(&mut self, e: &Event) {
         if e.wall_dur.is_finite() {
             self.wall_seconds += e.wall_dur;
-        }
-        // Hidden overlap ran concurrently with the timeline: its
-        // duration is bookkeeping (how much comm was hidden), not
-        // clock time, so it gets its own accumulator — the same
-        // separation retransmit wire bytes get from logical volume.
-        if e.kind == EventKind::OverlapHidden {
-            self.hidden_seconds += e.dur;
-            return;
         }
         self.ops += 1;
         if e.kind == EventKind::Retransmit {
@@ -687,25 +624,6 @@ mod tests {
         assert_eq!(agg[Phase::P2p.index()].seconds, 2.0);
         assert_eq!(agg[Phase::P2p.index()].bytes_sent, 8);
         assert_eq!(agg[Phase::P2p.index()].retransmit_bytes, 8);
-    }
-
-    #[test]
-    fn hidden_overlap_is_bookkeeping_not_timeline() {
-        let mut t = RankTracer::new(0);
-        // Async-posted op: bytes recorded in the natural phase, dur 0.
-        t.op_async(EventKind::Send, Phase::P2p, Some(1), 64, 0, 0, 0.0);
-        // Stage boundary: 1.5s of comm, 1.0s hidden behind compute.
-        t.op(EventKind::OverlapWait, Phase::Overlap, None, 0, 0, 0, 0.5);
-        t.op_async(EventKind::OverlapHidden, Phase::Overlap, None, 0, 0, 0, 1.0);
-        assert_eq!(t.clock(), 0.5, "only exposed time advances the clock");
-        let tr = WorldTrace::collect(vec![t]);
-        let agg = tr.phase_aggregates(0, None);
-        let ov = agg[Phase::Overlap.index()];
-        assert_eq!(ov.ops, 1, "hidden events are not ops");
-        assert_eq!(ov.seconds, 0.5);
-        assert_eq!(ov.hidden_seconds, 1.0);
-        assert_eq!(agg[Phase::P2p.index()].bytes_sent, 64);
-        assert_eq!(agg[Phase::P2p.index()].seconds, 0.0);
     }
 
     #[test]

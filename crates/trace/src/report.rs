@@ -62,19 +62,6 @@ impl RankEpoch {
     pub fn wall_comm_seconds(&self) -> f64 {
         self.wall_seconds - self.phases[Phase::LocalCompute.index()].wall_seconds
     }
-
-    /// Communication seconds hidden behind compute by the overlap
-    /// pipeline (off the modeled clock; recorded by `overlap_hidden`
-    /// events).
-    pub fn hidden_comm_seconds(&self) -> f64 {
-        self.phases.iter().map(|a| a.hidden_seconds).sum()
-    }
-
-    /// Communication seconds the overlap pipeline could *not* hide —
-    /// the `Phase::Overlap` wait time that stays on the clock.
-    pub fn exposed_comm_seconds(&self) -> f64 {
-        self.phases[Phase::Overlap.index()].seconds
-    }
 }
 
 /// Attribution for one epoch: every rank's totals plus the critical
@@ -250,18 +237,6 @@ impl BottleneckReport {
                     agg.seconds * 1e3,
                     agg.bytes_sent,
                     agg.ops
-                );
-            }
-            let hidden: f64 = e.ranks.iter().map(|r| r.hidden_comm_seconds()).sum();
-            if hidden > 0.0 {
-                let exposed: f64 = e.ranks.iter().map(|r| r.exposed_comm_seconds()).sum();
-                let _ = writeln!(
-                    out,
-                    "    overlap: {:.3} ms comm hidden behind compute, {:.3} ms exposed \
-                     (all ranks; bottleneck hides {:.3} ms)",
-                    hidden * 1e3,
-                    exposed * 1e3,
-                    b.hidden_comm_seconds() * 1e3
                 );
             }
             let retrans: u64 = e.ranks.iter().map(|r| r.retransmit_bytes).sum();

@@ -6,8 +6,8 @@
 //! Both layer orders are held to it: the named cells below run in the
 //! order `DistConfig::new` and `estimate` default to, and
 //! `both_orders_match_on_every_family` runs the paper's `(ÂH)W` and the
-//! narrow-side order through every family, architecture, schedule and
-//! awareness, with the order rule itself pinned by a closed form and a
+//! narrow-side order through every family, architecture and awareness,
+//! with the order rule itself pinned by a closed form and a
 //! property over random layer widths.
 
 use gnn_comm::stats::PHASES;
@@ -49,29 +49,18 @@ fn assert_stats_equal(
                 pa.modeled_seconds
             );
         }
-        // The measured-overlap counters must agree too: same stage
-        // count, same hidden-comm bookkeeping.
-        assert_eq!(
-            e.overlap.stages, a.overlap.stages,
-            "{label}: rank {rank} overlap stages"
-        );
-        let dh = (e.overlap.hidden_seconds - a.overlap.hidden_seconds).abs();
-        assert!(
-            dh <= 1e-9 * e.overlap.hidden_seconds.abs().max(1e-12),
-            "{label}: rank {rank} hidden {} vs {}",
-            e.overlap.hidden_seconds,
-            a.overlap.hidden_seconds
-        );
     }
 }
 
-fn check_overlap(ds: &Dataset, algo: Algo, block_rows: usize, epochs: usize, ov: OverlapConfig) {
+fn check(ds: &Dataset, algo: Algo, block_rows: usize, epochs: usize) {
     let bounds = even_bounds(ds.n(), block_rows);
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
     let model = CostModel::perlmutter_like();
-    let mut cfg = DistConfig::new(algo, gcn.clone(), epochs, model);
-    cfg.overlap = ov;
-    let out = train_distributed(ds, &bounds, &cfg);
+    let out = train_distributed(
+        ds,
+        &bounds,
+        &DistConfig::new(algo, gcn.clone(), epochs, model),
+    );
     let est = estimate(&AnalyticInput {
         adj: &ds.norm_adj,
         bounds: &bounds,
@@ -80,14 +69,9 @@ fn check_overlap(ds: &Dataset, algo: Algo, block_rows: usize, epochs: usize, ov:
         model,
         epochs,
         arch: gnn_core::model::ArchKind::Gcn,
-        overlap: ov,
+        overlap: OverlapConfig::off(),
     });
-    let label = format!("{} overlap={ov:?}", algo.label());
-    assert_stats_equal(&out.stats, &est, &label);
-}
-
-fn check(ds: &Dataset, algo: Algo, block_rows: usize, epochs: usize) {
-    check_overlap(ds, algo, block_rows, epochs, OverlapConfig::off());
+    assert_stats_equal(&out.stats, &est, &algo.label());
 }
 
 #[test]
@@ -123,50 +107,6 @@ fn one_five_d_c4_matches() {
 }
 
 #[test]
-fn overlapped_one_d_aware_matches() {
-    let ds = amazon_scaled(8, 46);
-    for chunks in [1, 2, 7] {
-        check_overlap(
-            &ds,
-            Algo::OneD { aware: true },
-            4,
-            2,
-            OverlapConfig::on(chunks),
-        );
-    }
-}
-
-#[test]
-fn overlapped_one_d_oblivious_matches() {
-    let ds = amazon_scaled(8, 46);
-    for chunks in [1, 3] {
-        check_overlap(
-            &ds,
-            Algo::OneD { aware: false },
-            4,
-            2,
-            OverlapConfig::on(chunks),
-        );
-    }
-}
-
-#[test]
-fn overlapped_one_five_d_matches() {
-    let ds = amazon_scaled(8, 47);
-    for aware in [true, false] {
-        for chunks in [1, 2, 7] {
-            check_overlap(
-                &ds,
-                Algo::OneFiveD { aware, c: 2 },
-                4,
-                2,
-                OverlapConfig::on(chunks),
-            );
-        }
-    }
-}
-
-#[test]
 fn two_d_matches() {
     let ds = amazon_scaled(8, 48);
     // pr = 4, pc = 2 → p = 8.
@@ -181,31 +121,6 @@ fn three_d_matches() {
     // pr = 4, pc = 2, c = 2 → p = 16.
     for aware in [true, false] {
         check(&ds, Algo::ThreeD { aware, pc: 2, c: 2 }, 4, 2);
-    }
-}
-
-#[test]
-fn overlapped_grid_matches() {
-    let ds = amazon_scaled(8, 49);
-    for chunks in [1, 2, 7] {
-        check_overlap(
-            &ds,
-            Algo::TwoD { aware: true, pc: 2 },
-            4,
-            2,
-            OverlapConfig::on(chunks),
-        );
-        check_overlap(
-            &ds,
-            Algo::ThreeD {
-                aware: true,
-                pc: 1,
-                c: 2,
-            },
-            4,
-            2,
-            OverlapConfig::on(chunks),
-        );
     }
 }
 
@@ -295,12 +210,10 @@ fn run_in_order(
     bounds: &[usize],
     algo: Algo,
     gcn: &GcnConfig,
-    ov: OverlapConfig,
     order: LayerOrder,
 ) -> (DistOutcome, gnn_comm::WorldStats) {
     let model = CostModel::perlmutter_like();
     let mut cfg = DistConfig::new(algo, gcn.clone(), 2, model);
-    cfg.overlap = ov;
     cfg.order = order;
     cfg.trace = true;
     let input = AnalyticInput {
@@ -311,7 +224,7 @@ fn run_in_order(
         model,
         epochs: 2,
         arch: gcn.arch,
-        overlap: ov,
+        overlap: OverlapConfig::off(),
     };
     (
         train_distributed(ds, bounds, &cfg),
@@ -334,28 +247,26 @@ fn both_orders_match_on_every_family() {
             for arch in [ArchKind::Gcn, ArchKind::Sage] {
                 let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
                 gcn.arch = arch;
-                for ov in [OverlapConfig::off(), OverlapConfig::on(2)] {
-                    let mut sent = [0u64; 2];
-                    for (order, sent) in ORDERS.into_iter().zip(&mut sent) {
-                        let (out, est) = run_in_order(&ds, &bounds, algo, &gcn, ov, order);
-                        let label = format!("{} {arch:?} {ov:?} {order:?}", algo.label());
-                        assert_stats_equal(&out.stats, &est, &label);
-                        *sent = out
-                            .stats
-                            .per_rank
-                            .iter()
-                            .map(|r| r.bytes_sent_total())
-                            .sum();
-                    }
-                    // Layer 0 narrows 300 → 16: the narrow side ships less.
-                    assert!(
-                        sent[1] < sent[0],
-                        "{} {arch:?} {ov:?}: narrow sent {} vs paper {}",
-                        algo.label(),
-                        sent[1],
-                        sent[0]
-                    );
+                let mut sent = [0u64; 2];
+                for (order, sent) in ORDERS.into_iter().zip(&mut sent) {
+                    let (out, est) = run_in_order(&ds, &bounds, algo, &gcn, order);
+                    let label = format!("{} {arch:?} {order:?}", algo.label());
+                    assert_stats_equal(&out.stats, &est, &label);
+                    *sent = out
+                        .stats
+                        .per_rank
+                        .iter()
+                        .map(|r| r.bytes_sent_total())
+                        .sum();
                 }
+                // Layer 0 narrows 300 → 16: the narrow side ships less.
+                assert!(
+                    sent[1] < sent[0],
+                    "{} {arch:?}: narrow sent {} vs paper {}",
+                    algo.label(),
+                    sent[1],
+                    sent[0]
+                );
             }
         }
     }
@@ -371,14 +282,7 @@ fn narrow_side_forward_alltoallv_bytes_have_a_closed_form() {
     let algo = Algo::OneD { aware: true };
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
     let plan = GridPlan::oned(&ds.norm_adj, &bounds, true);
-    let (out, _) = run_in_order(
-        &ds,
-        &bounds,
-        algo,
-        &gcn,
-        OverlapConfig::off(),
-        LayerOrder::NarrowSide,
-    );
+    let (out, _) = run_in_order(&ds, &bounds, algo, &gcn, LayerOrder::NarrowSide);
     let trace = out.trace.as_ref().expect("trace requested");
     for (rank, rp) in plan.ranks.iter().enumerate() {
         let shipped: u64 = rp.sends.iter().map(|(_, idx)| idx.len() as u64).sum();
@@ -456,8 +360,7 @@ fn a_layer_is_narrow_first_iff_it_narrows() {
             let algo = Algo::TwoD { aware: true, pc: 2 };
             let bounds = even_bounds(ds.n(), 2);
             for order in ORDERS {
-                let (out, est) =
-                    run_in_order(&ds, &bounds, algo, &gcn, OverlapConfig::off(), order);
+                let (out, est) = run_in_order(&ds, &bounds, algo, &gcn, order);
                 assert_stats_equal(&out.stats, &est, &format!("{dims:?} {order:?}"));
             }
         }
@@ -471,7 +374,7 @@ fn a_layer_is_narrow_first_iff_it_narrows() {
         let bounds = even_bounds(ds.n(), 3);
         let run = |order| {
             let algo = Algo::OneD { aware: true };
-            digest(&run_in_order(&ds, &bounds, algo, &gcn, OverlapConfig::off(), order).0)
+            digest(&run_in_order(&ds, &bounds, algo, &gcn, order).0)
         };
         assert!(
             run(LayerOrder::AggregateFirst) == run(LayerOrder::NarrowSide),
@@ -527,7 +430,7 @@ fn replica_split_cells_match() {
     for (bounds, algo, arch, order) in cells {
         let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
         gcn.arch = arch;
-        let (out, est) = run_in_order(&ds, bounds, algo, &gcn, OverlapConfig::off(), order);
+        let (out, est) = run_in_order(&ds, bounds, algo, &gcn, order);
         let label = format!("{} {arch:?} {order:?}", algo.label());
         assert_stats_equal(&out.stats, &est, &label);
         if matches!(algo, Algo::ThreeD { .. }) {

@@ -9,7 +9,10 @@
 //! produced by running this same file at the commit *before* the
 //! 1.5D/2D/3D executors were merged into one grid executor. Any change
 //! to op order, byte accounting, fold order or span emission in that
-//! family shows up here as a changed digest.
+//! family shows up here as a changed digest. Every stats digest here was
+//! regenerated once since, when the pipelined schedule's phase left
+//! `PHASES` (one phase fewer hashed per rank, all of its counters zero
+//! here); the result and trace digests kept their bits.
 //!
 //! Every table but the last is the paper's `(ÂH)W` order, selected once in
 //! [`config`]; [`EXPECTED_NARROW`] pins the narrow-side order that
@@ -20,7 +23,7 @@
 
 use std::time::Duration;
 
-use gnn_comm::{CostModel, FaultPlan, OverlapConfig};
+use gnn_comm::{CostModel, FaultPlan};
 use gnn_core::dist::even_bounds;
 use gnn_core::{
     train_distributed, try_train_distributed, Algo, DistConfig, DistOutcome, GcnConfig, LayerOrder,
@@ -112,71 +115,32 @@ fn cells(aware: bool) -> [(&'static str, usize, Algo); 6] {
 }
 
 /// `[stats, result, trace]` digests per run, in `cells() × {aware,
-/// oblivious} × {blocking, chunks 1, 2, 7}` order.
-const EXPECTED: [[u64; 3]; 48] = [
-    [0xf25d4e7c8a413962, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b], // 1.5d p=4 c=2 aware=true blocking
-    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=1
-    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=2
-    [0xd52a8cebb9f57d5a, 0xd8a61bbc3fb5670d, 0xfe0ae96d8acf0998], // 1.5d p=4 c=2 aware=true chunks=7
-    [0x72d8ed351bd3ed05, 0xd8a61bbc3fb5670d, 0x92a1a4e8f06f817c], // 1.5d p=4 c=2 aware=false blocking
-    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=1
-    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=2
-    [0x25acebb4bf796ccd, 0xd8a61bbc3fb5670d, 0x7fa94cd735f2b324], // 1.5d p=4 c=2 aware=false chunks=7
-    [0x9473980184450b57, 0x18c16fd026667f41, 0xef8e986c14f6dfa6], // 1.5d p=8 c=2 aware=true blocking
-    [0x9b2d93352fcb44df, 0x18c16fd026667f41, 0x89bb0da9ba601071], // 1.5d p=8 c=2 aware=true chunks=1
-    [0xd3ac686c02c9a8fd, 0x18c16fd026667f41, 0x911073bdf115e325], // 1.5d p=8 c=2 aware=true chunks=2
-    [0xd3ac686c02c9a8fd, 0x18c16fd026667f41, 0x911073bdf115e325], // 1.5d p=8 c=2 aware=true chunks=7
-    [0x50f5262d108a47d1, 0x18c16fd026667f41, 0x9a210beafaead4e7], // 1.5d p=8 c=2 aware=false blocking
-    [0x515fdcc9956731b1, 0x18c16fd026667f41, 0xcb04ab40028087cf], // 1.5d p=8 c=2 aware=false chunks=1
-    [0x720831c1d8b35e88, 0x18c16fd026667f41, 0x61679185223f39dd], // 1.5d p=8 c=2 aware=false chunks=2
-    [0x720831c1d8b35e88, 0x18c16fd026667f41, 0x61679185223f39dd], // 1.5d p=8 c=2 aware=false chunks=7
-    [0x385691d1aaa111b9, 0x3cac66db50c6898a, 0xb7614a9d4a986ccb], // 2d 2x2 aware=true blocking
-    [0x00e020aea93d66b5, 0x3cac66db50c6898a, 0x58d978c2ee0df4a0], // 2d 2x2 aware=true chunks=1
-    [0xee854c5f5ebcee2d, 0x3cac66db50c6898a, 0x09cdf9928db6a271], // 2d 2x2 aware=true chunks=2
-    [0xee854c5f5ebcee2d, 0x3cac66db50c6898a, 0x09cdf9928db6a271], // 2d 2x2 aware=true chunks=7
-    [0x2228110838f68359, 0x3cac66db50c6898a, 0x87c1edfdea360c9b], // 2d 2x2 aware=false blocking
-    [0xe584fa6b9cccd0bd, 0x3cac66db50c6898a, 0x773de87a00882d54], // 2d 2x2 aware=false chunks=1
-    [0xd916dbba76a83b91, 0x3cac66db50c6898a, 0x1e180c3930e3b0fa], // 2d 2x2 aware=false chunks=2
-    [0xd916dbba76a83b91, 0x3cac66db50c6898a, 0x1e180c3930e3b0fa], // 2d 2x2 aware=false chunks=7
-    [0x23596c006402cdb9, 0x3cac66db50c6898a, 0x8051bf1f8a761214], // 3d 2x2x1 aware=true blocking
-    [0x2242284ab602076d, 0x3cac66db50c6898a, 0x12ddf0cf2ef1ace6], // 3d 2x2x1 aware=true chunks=1
-    [0x1210f3996dd3c115, 0x3cac66db50c6898a, 0x35af65fe6bc9ed51], // 3d 2x2x1 aware=true chunks=2
-    [0x1210f3996dd3c115, 0x3cac66db50c6898a, 0x35af65fe6bc9ed51], // 3d 2x2x1 aware=true chunks=7
-    [0x308eb54455a99641, 0x3cac66db50c6898a, 0x66925c60cd357767], // 3d 2x2x1 aware=false blocking
-    [0x34abac97eb05845d, 0x3cac66db50c6898a, 0xc2239f0346bd7cea], // 3d 2x2x1 aware=false chunks=1
-    [0xa3d802149023a0b1, 0x3cac66db50c6898a, 0x0e2054e9f01af65b], // 3d 2x2x1 aware=false chunks=2
-    [0xa3d802149023a0b1, 0x3cac66db50c6898a, 0x0e2054e9f01af65b], // 3d 2x2x1 aware=false chunks=7
-    [0xda7889087c58a6d3, 0xca97c82a3e22e6ae, 0x4ba4247d2b95a88d], // 3d 2x1x2 aware=true blocking
-    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=1
-    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=2
-    [0x93bbe14b1ec9612b, 0xca97c82a3e22e6ae, 0x16051c2d55ee04e7], // 3d 2x1x2 aware=true chunks=7
-    [0x265033daa5e50c16, 0xca97c82a3e22e6ae, 0xed4ae22e4e29a3d4], // 3d 2x1x2 aware=false blocking
-    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=1
-    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=2
-    [0x00c7de97a3266b46, 0xca97c82a3e22e6ae, 0x7e3d176719c32c76], // 3d 2x1x2 aware=false chunks=7
-    [0xaf40f0a5f3bde615, 0x3f2c175f07f35fb3, 0xfcfe76e9c1d21d4b], // 3d 2x2x2 aware=true blocking
-    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=1
-    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=2
-    [0x89e59b49e56556ed, 0x3f2c175f07f35fb3, 0x470acd8dd2dc2d29], // 3d 2x2x2 aware=true chunks=7
-    [0x04c21bc7a3530529, 0x3f2c175f07f35fb3, 0x2750329f93cca8aa], // 3d 2x2x2 aware=false blocking
-    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=1
-    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=2
-    [0xd606ce5236c1a941, 0x3f2c175f07f35fb3, 0x783c14794cfaa8cd], // 3d 2x2x2 aware=false chunks=7
+/// oblivious}` order.
+const EXPECTED: [[u64; 3]; 12] = [
+    [0x863ec85b0c582742, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b], // 1.5d p=4 c=2 aware=true
+    [0xb530fcf2624450a5, 0xd8a61bbc3fb5670d, 0x92a1a4e8f06f817c], // 1.5d p=4 c=2 aware=false
+    [0xa1ed6a0a21c57817, 0x18c16fd026667f41, 0xef8e986c14f6dfa6], // 1.5d p=8 c=2 aware=true
+    [0xae2d2f462f4c6311, 0x18c16fd026667f41, 0x9a210beafaead4e7], // 1.5d p=8 c=2 aware=false
+    [0x95536a311792b259, 0x3cac66db50c6898a, 0xb7614a9d4a986ccb], // 2d 2x2 aware=true
+    [0x35286b6cd50fb8b9, 0x3cac66db50c6898a, 0x87c1edfdea360c9b], // 2d 2x2 aware=false
+    [0xf546c9dd2df1cc99, 0x3cac66db50c6898a, 0x8051bf1f8a761214], // 3d 2x2x1 aware=true
+    [0x065afc07b9c4fb61, 0x3cac66db50c6898a, 0x66925c60cd357767], // 3d 2x2x1 aware=false
+    [0xd15917616d455f93, 0xca97c82a3e22e6ae, 0x4ba4247d2b95a88d], // 3d 2x1x2 aware=true
+    [0x07d8516ae17d4036, 0xca97c82a3e22e6ae, 0xed4ae22e4e29a3d4], // 3d 2x1x2 aware=false
+    [0x4dcd2497d709af95, 0x3f2c175f07f35fb3, 0xfcfe76e9c1d21d4b], // 3d 2x2x2 aware=true
+    [0x5d3df125bbcbe7a9, 0x3f2c175f07f35fb3, 0x2750329f93cca8aa], // 3d 2x2x2 aware=false
 ];
 
 /// `[stats, result, trace]` digests of the GraphSAGE runs, in
-/// `sage_cells() × {blocking, chunks 2}` order. The result digests were
+/// `sage_cells()` order. The result digests were
 /// produced by running this file at the commit *before* 1D became a grid
 /// shape and the three trainer rank loops became one (7ed9493); the stats
 /// and trace digests were regenerated when SAGE stopped forming the
 /// layer-0 `AᵀG` that nothing reads (one exchange per epoch fewer).
-const EXPECTED_SAGE: [[u64; 3]; 6] = [
-    [0x7902829323f490c7, 0x5ee1e3ce52dd2e72, 0x5128e6d72e3777e8], // sage 1d p=3 blocking
-    [0x8ab100120803c15a, 0x5ee1e3ce52dd2e72, 0xb4675b5d3ee81501], // sage 1d p=3 chunks=2
-    [0x8c0cfd8a1828e4de, 0x9a38683ada24b7d7, 0xa8d1c4ded1dfcf40], // sage 1.5d p=4 c=2 blocking
-    [0x278c3ded2634e99a, 0x9a38683ada24b7d7, 0x58cc0b523f1195c4], // sage 1.5d p=4 c=2 chunks=2
-    [0xc85784ed4a421a29, 0x0176a789e5a570c1, 0x7b886139a1e9b840], // sage 2d 2x2 blocking
-    [0x4636a30ed929bb45, 0x0176a789e5a570c1, 0x883789d685b2f4a4], // sage 2d 2x2 chunks=2
+const EXPECTED_SAGE: [[u64; 3]; 3] = [
+    [0x662ece267f26aba7, 0x5ee1e3ce52dd2e72, 0x5128e6d72e3777e8], // sage 1d p=3
+    [0x31c1aa5e6c97cd3e, 0x9a38683ada24b7d7, 0xa8d1c4ded1dfcf40], // sage 1.5d p=4 c=2
+    [0xc5f9f743f6785049, 0x0176a789e5a570c1, 0x7b886139a1e9b840], // sage 2d 2x2
 ];
 
 /// `[stats, result, trace]` digests of a fault-free 1.5D run (`p = 4`,
@@ -185,7 +149,7 @@ const EXPECTED_SAGE: [[u64; 3]; 6] = [
 /// consecutive runs repeated all three — and where they equal the first
 /// row of [`EXPECTED`]: the commit gate charges and traces nothing.
 const EXPECTED_FAILOVER_CLEAN: [u64; 3] =
-    [0xf25d4e7c8a413962, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b];
+    [0x863ec85b0c582742, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b];
 
 /// Result digest of the 1.5D failover run (`p = 4`, `c = 2`, rank 1
 /// crashed in epoch 2) — equal to the fault-free run's by construction,
@@ -201,24 +165,11 @@ fn grid_family_accounting_results_and_traces_are_pinned() {
         for aware in [true, false] {
             let (label, pr, algo) = cells(aware)[cell];
             let bounds = even_bounds(ds.n(), pr);
-            for ov in [
-                OverlapConfig::off(),
-                OverlapConfig::on(1),
-                OverlapConfig::on(2),
-                OverlapConfig::on(7),
-            ] {
-                let mut cfg = config(&ds, algo);
-                cfg.overlap = ov;
-                cfg.trace = true;
-                let out = train_distributed(&ds, &bounds, &cfg);
-                actual.push([stats_digest(&out), result_digest(&out), trace_digest(&out)]);
-                let sched = if ov.enabled {
-                    format!("chunks={}", ov.chunks)
-                } else {
-                    "blocking".to_string()
-                };
-                labels.push(format!("{label} aware={aware} {sched}"));
-            }
+            let mut cfg = config(&ds, algo);
+            cfg.trace = true;
+            let out = train_distributed(&ds, &bounds, &cfg);
+            actual.push([stats_digest(&out), result_digest(&out), trace_digest(&out)]);
+            labels.push(format!("{label} aware={aware}"));
         }
     }
     if actual[..] != EXPECTED[..] {
@@ -256,20 +207,16 @@ fn sage_accounting_results_and_traces_are_pinned() {
     let mut actual = Vec::new();
     for (label, pr, algo) in sage_cells() {
         let bounds = even_bounds(ds.n(), pr);
-        for ov in [OverlapConfig::off(), OverlapConfig::on(2)] {
-            let mut cfg = config(&ds, algo);
-            cfg.gcn = cfg.gcn.with_sage();
-            cfg.overlap = ov;
-            cfg.trace = true;
-            let out = train_distributed(&ds, &bounds, &cfg);
-            let row = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
-            let sched = if ov.enabled { "chunks=2" } else { "blocking" };
-            println!(
-                "    [{:#018x}, {:#018x}, {:#018x}], // sage {label} {sched}",
-                row[0], row[1], row[2]
-            );
-            actual.push(row);
-        }
+        let mut cfg = config(&ds, algo);
+        cfg.gcn = cfg.gcn.with_sage();
+        cfg.trace = true;
+        let out = train_distributed(&ds, &bounds, &cfg);
+        let row = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
+        println!(
+            "    [{:#018x}, {:#018x}, {:#018x}], // sage {label}",
+            row[0], row[1], row[2]
+        );
+        actual.push(row);
     }
     assert_eq!(actual[..], EXPECTED_SAGE[..], "actual rows printed above");
 }
@@ -318,106 +265,46 @@ fn failover_run_results_are_pinned() {
     );
 }
 
-/// The narrow-side cells: label, grid rows, algorithm, SAGE?, schedule.
-fn narrow_cells() -> [(&'static str, usize, Algo, bool, OverlapConfig); 9] {
-    let (blocking, chunked) = (OverlapConfig::off(), OverlapConfig::on(2));
+/// The narrow-side cells: label, grid rows, algorithm, SAGE?
+fn narrow_cells() -> [(&'static str, usize, Algo, bool); 7] {
     let (aware, gcn, sage) = (true, false, true);
     [
-        (
-            "1d aware p=2 blocking",
-            2,
-            Algo::OneD { aware },
-            gcn,
-            blocking,
-        ),
-        (
-            "1d aware p=2 chunks=2",
-            2,
-            Algo::OneD { aware },
-            gcn,
-            chunked,
-        ),
-        (
-            "1d aware p=3 blocking",
-            3,
-            Algo::OneD { aware },
-            gcn,
-            blocking,
-        ),
-        (
-            "1d aware p=3 chunks=2",
-            3,
-            Algo::OneD { aware },
-            gcn,
-            chunked,
-        ),
-        (
-            "1d oblivious p=2 blocking",
-            2,
-            Algo::OneD { aware: false },
-            gcn,
-            blocking,
-        ),
-        (
-            "1.5d p=4 c=2 blocking",
-            2,
-            Algo::OneFiveD { aware, c: 2 },
-            gcn,
-            blocking,
-        ),
-        (
-            "2d 2x2 blocking",
-            2,
-            Algo::TwoD { aware, pc: 2 },
-            gcn,
-            blocking,
-        ),
-        (
-            "3d 2x2x2 blocking",
-            2,
-            Algo::ThreeD { aware, pc: 2, c: 2 },
-            gcn,
-            blocking,
-        ),
-        (
-            "sage 1d p=3 blocking",
-            3,
-            Algo::OneD { aware },
-            sage,
-            blocking,
-        ),
+        ("1d aware p=2", 2, Algo::OneD { aware }, gcn),
+        ("1d aware p=3", 3, Algo::OneD { aware }, gcn),
+        ("1d oblivious p=2", 2, Algo::OneD { aware: false }, gcn),
+        ("1.5d p=4 c=2", 2, Algo::OneFiveD { aware, c: 2 }, gcn),
+        ("2d 2x2", 2, Algo::TwoD { aware, pc: 2 }, gcn),
+        ("3d 2x2x2", 2, Algo::ThreeD { aware, pc: 2, c: 2 }, gcn),
+        ("sage 1d p=3", 3, Algo::OneD { aware }, sage),
     ]
 }
 
 /// `[stats, result, trace]` digests under [`LayerOrder::NarrowSide`], in
 /// [`narrow_cells`] order; generated at the commit that introduced the
 /// order, identical over repeated runs, at 1 and 4 kernel threads and in
-/// debug and release builds. A pipelined row repeats its blocking row's
-/// result digest, and the oblivious row its aware twin's.
-const EXPECTED_NARROW: [[u64; 3]; 9] = [
-    [0xdcbcbfae548c8602, 0x5b4af35c51934254, 0xfa789b97365485fc], // 1d aware p=2 blocking
-    [0xbd023cd9eff560d1, 0x5b4af35c51934254, 0x5e6f5f164561c408], // 1d aware p=2 chunks=2
-    [0xa6fb781aa3accd35, 0xbda5b766b30e7c2e, 0xfcd6d3da995743e0], // 1d aware p=3 blocking
-    [0x33cab64ecd790d28, 0xbda5b766b30e7c2e, 0xba9d647d65ac580a], // 1d aware p=3 chunks=2
-    [0xacc2dde5b45f5a3e, 0x5b4af35c51934254, 0xbe292365ee758886], // 1d oblivious p=2 blocking
-    [0x12c272b90a70c01f, 0x53ab20d5a4a74744, 0xc1c9df39101549a0], // 1.5d p=4 c=2 blocking
-    [0x645bddbcd91a5719, 0x27ca0b631a54a2b5, 0x20dd18b68513f56d], // 2d 2x2 blocking
-    [0xa4eb84ff251463e1, 0xb3814da4c5f89f54, 0x32e074891fdc73cc], // 3d 2x2x2 blocking
-    [0x5866b85c0ed431c6, 0x4f747a4d23d84727, 0x6a1a88ade5c0659b], // sage 1d p=3 blocking
+/// debug and release builds. The oblivious row repeats its aware twin's
+/// result digest.
+const EXPECTED_NARROW: [[u64; 3]; 7] = [
+    [0x2210a8986fb1bc62, 0x5b4af35c51934254, 0xfa789b97365485fc], // 1d aware p=2
+    [0x1f61636383426ed5, 0xbda5b766b30e7c2e, 0xfcd6d3da995743e0], // 1d aware p=3
+    [0x0cb8e08e06457e3e, 0x5b4af35c51934254, 0xbe292365ee758886], // 1d oblivious p=2
+    [0xdf4ee1821dc8abdf, 0x53ab20d5a4a74744, 0xc1c9df39101549a0], // 1.5d p=4 c=2
+    [0xbffa206685383d39, 0x27ca0b631a54a2b5, 0x20dd18b68513f56d], // 2d 2x2
+    [0x66e91b4851ab4561, 0xb3814da4c5f89f54, 0x32e074891fdc73cc], // 3d 2x2x2
+    [0x4fc86c426a6a5346, 0x4f747a4d23d84727, 0x6a1a88ade5c0659b], // sage 1d p=3
 ];
 
 #[test]
 fn narrow_side_accounting_results_and_traces_are_pinned() {
     let ds = dataset();
     let mut actual = Vec::new();
-    for (label, pr, algo, sage, ov) in narrow_cells() {
+    for (label, pr, algo, sage) in narrow_cells() {
         let bounds = even_bounds(ds.n(), pr);
         let mut cfg = config(&ds, algo);
         cfg.order = LayerOrder::NarrowSide;
         if sage {
             cfg.gcn = cfg.gcn.with_sage();
         }
-        cfg.overlap = ov;
         cfg.trace = true;
         let out = train_distributed(&ds, &bounds, &cfg);
         let row = [stats_digest(&out), result_digest(&out), trace_digest(&out)];

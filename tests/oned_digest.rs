@@ -10,12 +10,15 @@
 //! sparsity-aware executors stopped gathering `H̃` and started multiplying
 //! one CSR segment per source rank (731421d). Any change to op order,
 //! charge amounts, fold order or span emission in the 1D family shows up
-//! here as a changed digest.
+//! here as a changed digest. The stats column was regenerated once since,
+//! when the pipelined schedule's phase left `PHASES` (one phase fewer
+//! hashed per rank, all of its counters zero here); the result and trace
+//! columns kept their bits.
 //!
 //! Regenerating (only when a behaviour change is intended): run the test;
 //! on mismatch it prints the full table of actual digests in source form.
 
-use gnn_comm::{CostModel, OverlapConfig};
+use gnn_comm::CostModel;
 use gnn_core::dist::{even_bounds, GridPlan};
 use gnn_core::{train_distributed, Algo, DistConfig, DistOutcome, GcnConfig};
 use gnn_trace::{jsonl_string, PHASES};
@@ -87,32 +90,14 @@ fn dataset() -> Dataset {
 }
 
 /// `[stats, result, trace]` digests per run, in `{aware, oblivious} ×
-/// p ∈ {2, 3, 4} × {blocking, chunks 1, 2, 7}` order.
-const EXPECTED: [[u64; 3]; 24] = [
-    [0x1538fbd431f47377, 0xd11ee3ef73f99b22, 0xc19d829703a4dd42], // 1d aware=true p=2 blocking
-    [0xff2bfe8b85b2fe77, 0xd11ee3ef73f99b22, 0xb506950796c03d71], // 1d aware=true p=2 chunks=1
-    [0x0c610a27624f62f5, 0xd11ee3ef73f99b22, 0x36cded25b9d3b902], // 1d aware=true p=2 chunks=2
-    [0x0c610a27624f62f5, 0xd11ee3ef73f99b22, 0x36cded25b9d3b902], // 1d aware=true p=2 chunks=7
-    [0x6aa84b0f44eb1028, 0xde147f7ada4c5172, 0xaba451660e409eb0], // 1d aware=true p=3 blocking
-    [0x45d71de59a9e62ec, 0xde147f7ada4c5172, 0xab5fb7c2018118d3], // 1d aware=true p=3 chunks=1
-    [0x3ff069a62b448987, 0xde147f7ada4c5172, 0xa88f8f81853a3292], // 1d aware=true p=3 chunks=2
-    [0x60854e12c4e59eb7, 0xde147f7ada4c5172, 0x5dcd015aa5dda751], // 1d aware=true p=3 chunks=7
-    [0x34202bd326f4a09f, 0xbc8d5facca6c91d9, 0x08e4034eb6f4c658], // 1d aware=true p=4 blocking
-    [0xa06cec0fb1670d67, 0xbc8d5facca6c91d9, 0xfea9b530456192d8], // 1d aware=true p=4 chunks=1
-    [0x97f09fc577929a0a, 0xbc8d5facca6c91d9, 0x810c8cf563f37514], // 1d aware=true p=4 chunks=2
-    [0x4fd1318ae4402d85, 0xbc8d5facca6c91d9, 0xc9c7ead87cba3162], // 1d aware=true p=4 chunks=7
-    [0x04a3c14954c3eff4, 0xd11ee3ef73f99b22, 0x54f8d7fbf125b49f], // 1d aware=false p=2 blocking
-    [0xf62b94c1d05a0e1c, 0xd11ee3ef73f99b22, 0x8061c6b31986c90e], // 1d aware=false p=2 chunks=1
-    [0x895f47cbbc71bbb7, 0xd11ee3ef73f99b22, 0x59e1cd0e068e5f8f], // 1d aware=false p=2 chunks=2
-    [0x895f47cbbc71bbb7, 0xd11ee3ef73f99b22, 0x59e1cd0e068e5f8f], // 1d aware=false p=2 chunks=7
-    [0x51393eb93026d65f, 0xde147f7ada4c5172, 0xd718221331199c8a], // 1d aware=false p=3 blocking
-    [0xb920559068fd2997, 0xde147f7ada4c5172, 0x2f56d421e7a62d24], // 1d aware=false p=3 chunks=1
-    [0x2b84234c90343706, 0xde147f7ada4c5172, 0x970e1d7937fc3a20], // 1d aware=false p=3 chunks=2
-    [0xa228497b9d316de5, 0xde147f7ada4c5172, 0x18f7d46808d7e96e], // 1d aware=false p=3 chunks=7
-    [0xc2e75c6aeb546f45, 0xbc8d5facca6c91d9, 0xa718517b6da978a7], // 1d aware=false p=4 blocking
-    [0x2f0fb0aff92e2eb5, 0xbc8d5facca6c91d9, 0x2df1c05a951feed0], // 1d aware=false p=4 chunks=1
-    [0x5f0391b9dd53effa, 0xbc8d5facca6c91d9, 0xd0ea989d905ceda9], // 1d aware=false p=4 chunks=2
-    [0x97249f232c1f40c9, 0xbc8d5facca6c91d9, 0x058c9fa51282f7cc], // 1d aware=false p=4 chunks=7
+/// p ∈ {2, 3, 4}` order.
+const EXPECTED: [[u64; 3]; 6] = [
+    [0xd54ceb6e890669b7, 0xd11ee3ef73f99b22, 0xc19d829703a4dd42], // 1d aware=true p=2
+    [0x568558cd5d852ac8, 0xde147f7ada4c5172, 0xaba451660e409eb0], // 1d aware=true p=3
+    [0xbdfe896aad152adf, 0xbc8d5facca6c91d9, 0x08e4034eb6f4c658], // 1d aware=true p=4
+    [0x2763011b7d8ace34, 0xd11ee3ef73f99b22, 0x54f8d7fbf125b49f], // 1d aware=false p=2
+    [0x0eb03205d2f410df, 0xde147f7ada4c5172, 0xd718221331199c8a], // 1d aware=false p=3
+    [0xfd014742624e4045, 0xbc8d5facca6c91d9, 0xa718517b6da978a7], // 1d aware=false p=4
 ];
 
 #[test]
@@ -124,30 +109,17 @@ fn oned_accounting_results_and_traces_are_pinned() {
     for aware in [true, false] {
         for p in [2usize, 3, 4] {
             let bounds = even_bounds(ds.n(), p);
-            for ov in [
-                OverlapConfig::off(),
-                OverlapConfig::on(1),
-                OverlapConfig::on(2),
-                OverlapConfig::on(7),
-            ] {
-                let mut cfg = DistConfig::new(
-                    Algo::OneD { aware },
-                    gcn.clone(),
-                    EPOCHS,
-                    CostModel::perlmutter_like(),
-                )
-                .paper_order();
-                cfg.overlap = ov;
-                cfg.trace = true;
-                let out = train_distributed(&ds, &bounds, &cfg);
-                actual.push([stats_digest(&out), result_digest(&out), trace_digest(&out)]);
-                let sched = if ov.enabled {
-                    format!("chunks={}", ov.chunks)
-                } else {
-                    "blocking".to_string()
-                };
-                labels.push(format!("1d aware={aware} p={p} {sched}"));
-            }
+            let mut cfg = DistConfig::new(
+                Algo::OneD { aware },
+                gcn.clone(),
+                EPOCHS,
+                CostModel::perlmutter_like(),
+            )
+            .paper_order();
+            cfg.trace = true;
+            let out = train_distributed(&ds, &bounds, &cfg);
+            actual.push([stats_digest(&out), result_digest(&out), trace_digest(&out)]);
+            labels.push(format!("1d aware={aware} p={p}"));
         }
     }
     if actual[..] != EXPECTED[..] {

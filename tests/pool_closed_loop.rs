@@ -10,10 +10,9 @@
 //! ships (per-rank payload pools there read senders `(15,30)…(15,140)`,
 //! receivers `(27,18)…(135,20)` over the same ten epochs).
 
-use gnn_comm::{CostModel, OverlapConfig};
+use gnn_comm::CostModel;
 use gnn_core::dist::trainer::pool_trajectory;
-use gnn_core::dist::{even_bounds, spmm_1d_buf, spmm_grid_buf, spmm_grid_pipelined_buf};
-use gnn_core::dist::{spmm_1d_pipelined_buf, EpochBuffers, GridPlan};
+use gnn_core::dist::{even_bounds, spmm_1d_buf, spmm_grid_buf, EpochBuffers, GridPlan};
 use gnn_core::model::ArchKind;
 use gnn_core::{Algo, DistConfig, GcnConfig, LayerOrder};
 use spmat::dataset::amazon_scaled;
@@ -43,26 +42,22 @@ fn trainer_pools_are_flat_in_steady_state_on_every_shape() {
         let mut gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
         gcn.arch = arch;
         for (label, algo, block_rows) in shapes() {
-            for overlap in [OverlapConfig::off(), OverlapConfig::on(2)] {
-                let bounds = even_bounds(ds.n(), block_rows);
-                let mut cfg =
-                    DistConfig::new(algo, gcn.clone(), EPOCHS, CostModel::perlmutter_like());
-                cfg.overlap = overlap;
-                cfg.order = order;
-                let per_rank = pool_trajectory(&ds, &bounds, &cfg);
-                for (rank, after) in per_rank.iter().enumerate() {
-                    assert_eq!(after.len(), EPOCHS);
-                    assert!(
-                        after[2..].iter().all(|counters| *counters == after[2]),
-                        "{arch:?} {order:?} {label} {overlap:?} rank {rank}: [world, rank] \
-                         (pooled, fresh) per epoch {after:?}"
-                    );
-                    // Payloads did go through the world's pool: on this
-                    // graph only a 300-wide exchange is big enough to be
-                    // pooled, and only the paper's order has one.
-                    if order == LayerOrder::AggregateFirst {
-                        assert!(after[2][0].0 > 0, "{label}: the world pool is empty");
-                    }
+            let bounds = even_bounds(ds.n(), block_rows);
+            let mut cfg = DistConfig::new(algo, gcn.clone(), EPOCHS, CostModel::perlmutter_like());
+            cfg.order = order;
+            let per_rank = pool_trajectory(&ds, &bounds, &cfg);
+            for (rank, after) in per_rank.iter().enumerate() {
+                assert_eq!(after.len(), EPOCHS);
+                assert!(
+                    after[2..].iter().all(|counters| *counters == after[2]),
+                    "{arch:?} {order:?} {label} rank {rank}: [world, rank] \
+                     (pooled, fresh) per epoch {after:?}"
+                );
+                // Payloads did go through the world's pool: on this
+                // graph only a 300-wide exchange is big enough to be
+                // pooled, and only the paper's order has one.
+                if order == LayerOrder::AggregateFirst {
+                    assert!(after[2][0].0 > 0, "{label}: the world pool is empty");
                 }
             }
         }
@@ -106,43 +101,36 @@ fn executors_recycle_every_buffer_on_every_shape() {
     ];
     for plan in &plans {
         let oned = plan.pc * plan.c == 1 && plan.pr == plan.p();
-        for chunks in [None, Some(2)] {
-            let world = gnn_comm::ThreadWorld::new(plan.p(), CostModel::perlmutter_like());
-            let (fresh, _) = world.run(|ctx| {
-                let rp = &plan.ranks[ctx.rank()];
-                let pb = plan.panel_bounds(f);
-                let (clo, chi) = (pb[rp.j], pb[rp.j + 1]);
-                let local =
-                    Dense::from_fn(rp.rows(), chi - clo, |r, c| h.get(rp.row_lo + r, clo + c));
-                let mut bufs = EpochBuffers::new();
-                let mut call = || {
-                    let z = match (oned, chunks) {
-                        (true, None) => spmm_1d_buf(ctx, plan, &local, &mut bufs),
-                        (true, Some(k)) => spmm_1d_pipelined_buf(ctx, plan, &local, k, &mut bufs),
-                        (false, None) => spmm_grid_buf(ctx, plan, &local, &mut bufs),
-                        (false, Some(k)) => {
-                            spmm_grid_pipelined_buf(ctx, plan, &local, k, &mut bufs)
-                        }
-                    };
-                    bufs.put_dense(z);
-                    // Read with every rank idle: nothing in flight.
-                    ctx.barrier();
-                    let world = ctx.payload_pool();
-                    assert!(world.pooled() > 0, "payloads bypassed the pool");
-                    let now = (world.fresh_allocs(), bufs.fresh_allocs());
-                    ctx.barrier();
-                    now
+        let world = gnn_comm::ThreadWorld::new(plan.p(), CostModel::perlmutter_like());
+        let (fresh, _) = world.run(|ctx| {
+            let rp = &plan.ranks[ctx.rank()];
+            let pb = plan.panel_bounds(f);
+            let (clo, chi) = (pb[rp.j], pb[rp.j + 1]);
+            let local = Dense::from_fn(rp.rows(), chi - clo, |r, c| h.get(rp.row_lo + r, clo + c));
+            let mut bufs = EpochBuffers::new();
+            let mut call = || {
+                let z = match oned {
+                    true => spmm_1d_buf(ctx, plan, &local, &mut bufs),
+                    false => spmm_grid_buf(ctx, plan, &local, &mut bufs),
                 };
-                let reads: Vec<_> = (0..warm_up + steady).map(|_| call()).collect();
-                (reads[warm_up - 1], reads[warm_up + steady - 1])
-            });
-            for (rank, (warm, end)) in fresh.into_iter().enumerate() {
-                assert_eq!(
-                    warm, end,
-                    "{:?} chunks={chunks:?}: rank {rank} allocated (world, rank)",
-                    plan.span
-                );
-            }
+                bufs.put_dense(z);
+                // Read with every rank idle: nothing in flight.
+                ctx.barrier();
+                let world = ctx.payload_pool();
+                assert!(world.pooled() > 0, "payloads bypassed the pool");
+                let now = (world.fresh_allocs(), bufs.fresh_allocs());
+                ctx.barrier();
+                now
+            };
+            let reads: Vec<_> = (0..warm_up + steady).map(|_| call()).collect();
+            (reads[warm_up - 1], reads[warm_up + steady - 1])
+        });
+        for (rank, (warm, end)) in fresh.into_iter().enumerate() {
+            assert_eq!(
+                warm, end,
+                "{:?}: rank {rank} allocated (world, rank)",
+                plan.span
+            );
         }
     }
 }

@@ -9,10 +9,14 @@
 //! byte-identical JSONL, and the attribution report names the rank the
 //! raw statistics say is critical.
 
+use gnn_bench::{prepare_full, Scheme};
 use gnn_comm::{CostModel, FaultPlan, Phase, SpanKind};
-use gnn_core::{try_train_distributed, Algo, DistConfig, DistOutcome, RobustnessConfig};
+use gnn_core::{
+    train_distributed, try_train_distributed, Algo, DistConfig, DistOutcome, GcnConfig,
+    RobustnessConfig,
+};
 use gnn_trace::{jsonl_string, parse_jsonl, validate_jsonl, BottleneckReport, PHASES};
-use spmat::dataset::{protein_scaled, Dataset};
+use spmat::dataset::{amazon_scaled, protein_scaled, Dataset};
 
 const EPOCHS: usize = 2;
 
@@ -23,7 +27,7 @@ fn dataset() -> Dataset {
 fn traced_run(ds: &Dataset, bounds: &[usize], faults: Option<FaultPlan>) -> DistOutcome {
     let mut cfg = DistConfig::new(
         Algo::OneD { aware: true },
-        gnn_core::GcnConfig::paper_default(ds.f(), ds.num_classes),
+        GcnConfig::paper_default(ds.f(), ds.num_classes),
         EPOCHS,
         CostModel::perlmutter_like(),
     );
@@ -212,7 +216,7 @@ fn tracing_does_not_perturb_results_or_stats() {
     let traced = traced_run(&ds, &bounds, None);
     let mut cfg = DistConfig::new(
         Algo::OneD { aware: true },
-        gnn_core::GcnConfig::paper_default(ds.f(), ds.num_classes),
+        GcnConfig::paper_default(ds.f(), ds.num_classes),
         EPOCHS,
         CostModel::perlmutter_like(),
     );
@@ -238,4 +242,50 @@ fn tracing_does_not_perturb_results_or_stats() {
     for (a, b) in traced.records.iter().zip(&plain.records) {
         assert_eq!(a.loss.to_bits(), b.loss.to_bits());
     }
+}
+
+/// A traced run of `algo` in the paper's `(ÂH)W` order.
+fn paper_order_run(ds: &Dataset, bounds: &[usize], algo: Algo) -> DistOutcome {
+    let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
+    let mut cfg = DistConfig::new(algo, gcn, EPOCHS, CostModel::perlmutter_like()).paper_order();
+    cfg.trace = true;
+    train_distributed(ds, bounds, &cfg)
+}
+
+/// Golden-trace regression for the 2D sparsity-aware path: a seeded
+/// 2D-SA training run exports byte-identical JSONL across re-runs, the
+/// artifact carries `spmm_2d` spans and passes the schema validator,
+/// and its independent byte accounting reconciles with `WorldStats`
+/// to the byte.
+#[test]
+fn golden_two_d_sa_trace_is_stable_and_reconciles() {
+    let ds = amazon_scaled(8, 35);
+    let (pds, bounds) = prepare_full(&ds, 2, Scheme::Sa, 9);
+    let algo = Algo::TwoD { aware: true, pc: 2 }; // p = 4
+    let once = paper_order_run(&pds, &bounds, algo);
+    let again = paper_order_run(&pds, &bounds, algo);
+    let jsonl = jsonl_string(once.trace.as_ref().expect("trace requested"));
+    let jsonl2 = jsonl_string(again.trace.as_ref().expect("trace requested"));
+    assert_eq!(
+        jsonl, jsonl2,
+        "2D-SA trace is not byte-identical across re-runs"
+    );
+
+    assert!(jsonl.contains("spmm_2d"), "no spmm_2d spans in the trace");
+    let summary = validate_jsonl(&jsonl).expect("2D-SA trace fails validation");
+    assert_eq!(summary.p, 4);
+
+    // The validator's independent accounting must agree with the
+    // runtime stats registry exactly — and a clean run retransmits
+    // nothing, so logical volume is the whole story.
+    assert_eq!(
+        summary.logical_bytes_sent,
+        once.stats
+            .per_rank
+            .iter()
+            .map(|r| r.bytes_sent_total())
+            .sum::<u64>(),
+        "traced logical bytes disagree with WorldStats"
+    );
+    assert_eq!(summary.retransmit_wire_bytes, 0, "clean run retransmitted");
 }
