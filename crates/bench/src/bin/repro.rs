@@ -34,6 +34,7 @@ use gnn_bench::cli::{common_flags, store, switch, value, Cli, Common};
 use gnn_bench::experiments::{self, Suite};
 use gnn_bench::table::Table;
 use gnn_bench::traceio;
+use gnn_bench::{out, outln};
 use gnn_comm::CostModel;
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig};
 use partition::{partition_graph, Method, PartitionConfig};
@@ -214,10 +215,10 @@ fn operands() -> &'static str {
 }
 
 fn emit(name: &str, title: &str, table: &Table, out: &std::path::Path) {
-    println!("\n=== {title} ===");
-    print!("{}", table.render());
+    outln!("\n=== {title} ===");
+    out!("{}", table.render());
     match table.write_csv(out, name) {
-        Ok(()) => println!("[csv written to {}/{name}.csv]", out.display()),
+        Ok(()) => outln!("[csv written to {}/{name}.csv]", out.display()),
         Err(e) => eprintln!("warning: could not write csv: {e}"),
     }
 }
@@ -314,7 +315,7 @@ fn main() -> ExitCode {
             }
         };
         let trace = out.trace.as_ref().expect("tracing was enabled");
-        print!("\n{}", traceio::render_report(trace));
+        out!("\n{}", traceio::render_report(trace));
         let prefix = common
             .trace_prefix
             .clone()
@@ -322,7 +323,7 @@ fn main() -> ExitCode {
         match traceio::write_trace(&prefix, common.trace_format, trace) {
             Ok(paths) => {
                 for p in paths {
-                    println!("[trace written to {}]", p.display());
+                    outln!("[trace written to {}]", p.display());
                 }
             }
             Err(e) => eprintln!("warning: could not write trace: {e}"),
@@ -332,7 +333,7 @@ fn main() -> ExitCode {
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
         match traceio::write_metrics(&metrics_path, &out) {
-            Ok(()) => println!("[metrics written to {}]", metrics_path.display()),
+            Ok(()) => outln!("[metrics written to {}]", metrics_path.display()),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }
         eprintln!("[trace done in {:.1}s]", t.elapsed().as_secs_f64());

@@ -28,6 +28,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use gnn_bench::{out, outln};
 use gnn_trace::{
     chrome_trace_string, chrome_trace_string_wall, jsonl_string, merge_aligned, parse_jsonl,
     parse_offsets_json, text_timeline, validate_jsonl, write_to_file, BottleneckReport, WorldTrace,
@@ -144,7 +145,7 @@ fn load_offsets(args: &Args) -> Result<Option<Vec<f64>>, String> {
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let offsets = parse_offsets_json(&text)?;
-    println!(
+    outln!(
         "clock offsets: {} rank(s) from {}",
         offsets.len(),
         path.display()
@@ -158,7 +159,7 @@ fn load_trace(path: &Path, validate: bool) -> Result<WorldTrace, String> {
     if validate {
         let s =
             validate_jsonl(&text).map_err(|e| format!("invalid trace {}: {e}", path.display()))?;
-        println!(
+        outln!(
             "valid: {} — {} rank(s), {} event(s) ({} spans, {} ops), \
              max epoch {}, {} logical bytes sent, {} wall-stamped",
             path.display(),
@@ -178,16 +179,16 @@ fn load_trace(path: &Path, validate: bool) -> Result<WorldTrace, String> {
 /// header-only trace used to print a confusing `epochs 0..=-1` table.
 fn report(trace: &WorldTrace, timeline: bool) {
     if trace.is_empty() {
-        println!(
+        outln!(
             "empty trace: {} rank(s), 0 events — nothing to report",
             trace.p()
         );
         return;
     }
     if timeline {
-        print!("{}", text_timeline(trace));
+        out!("{}", text_timeline(trace));
     }
-    print!("{}", BottleneckReport::from_trace(trace).render());
+    out!("{}", BottleneckReport::from_trace(trace).render());
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -227,7 +228,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
     write_to_file(&chrome_path, &chrome)
         .map_err(|e| format!("write {}: {e}", chrome_path.display()))?;
-    println!(
+    outln!(
         "merged {} file(s) → {} + {}{}",
         files.len(),
         jsonl_path.display(),

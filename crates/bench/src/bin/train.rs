@@ -81,6 +81,7 @@ use std::time::Duration;
 
 use gnn_bench::cli::{choose, common_flags, store, store_some, switch, value, Cli, Common, Flag};
 use gnn_bench::traceio;
+use gnn_bench::{out, outln};
 use gnn_comm::{CostModel, Fault, FaultPlan, Phase};
 use gnn_core::{try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder, RobustnessConfig};
 use partition::{partition_graph, Method, PartitionConfig};
@@ -484,7 +485,7 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
     }
     check_scale(&a.dataset, a.scale)?;
     Ok(match a.dataset.as_str() {
-        "reddit" => reddit_scaled(a.scale.min(13), a.common.seed),
+        "reddit" => reddit_scaled(a.scale, a.common.seed),
         "amazon" => amazon_scaled(a.scale, a.common.seed),
         "protein" => protein_scaled(1usize << a.scale, 32, a.common.seed),
         "papers" => papers_scaled(a.scale, a.common.seed),
@@ -494,11 +495,17 @@ fn load_dataset(a: &Args) -> Result<Dataset, String> {
 
 /// Rejects a `--scale` the generator behind `--dataset` cannot build,
 /// before it builds anything: each generator has a floor, and the
-/// `2^scale` vertices must fit the `u32` vertex ids (reddit caps its
-/// scale at 13 instead).
+/// `2^scale` vertices must fit the `u32` vertex ids (reddit, the paper's
+/// smallest graph, stops at scale 13).
 fn check_scale(dataset: &str, scale: u32) -> Result<(), String> {
+    const REDDIT_MAX: u32 = 13;
     let (floor, ceiling) = match dataset {
-        "reddit" => (4, u32::MAX),
+        "reddit" if scale > REDDIT_MAX => {
+            return Err(format!(
+                "--dataset reddit builds at most --scale {REDDIT_MAX}, got {scale}"
+            ))
+        }
+        "reddit" => (4, REDDIT_MAX),
         "amazon" => (4, u32::BITS - 1),
         "protein" => (5, u32::BITS - 1),
         "papers" => (0, u32::BITS - 1),
@@ -546,13 +553,13 @@ fn run_proc_parent(args: &Args) -> Result<(gnn_core::DistOutcome, PathBuf), Stri
     gnn_core::dist::clear_disk_checkpoints(&dir.join("ckpt"));
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let forwarded: Vec<String> = std::env::args().skip(1).collect();
-    println!(
+    outln!(
         "proc backend: launching {} rank process(es) under {}",
         args.p,
         dir.display()
     );
     if let Some(hosts) = &args.hostfile {
-        println!("proc backend: TCP mesh from hostfile {}", hosts.display());
+        outln!("proc backend: TCP mesh from hostfile {}", hosts.display());
     }
     let interval = args.metrics_interval.map(Duration::from_secs_f64);
     let metrics_ms = interval.map(|iv| (iv.as_millis().max(1)).to_string());
@@ -635,7 +642,7 @@ fn main() -> ExitCode {
         }
     };
     if !quiet {
-        println!(
+        outln!(
             "dataset {}: {} vertices, {} edges, f={}, {} classes  [{:.1}s]",
             ds.name,
             ds.n(),
@@ -664,7 +671,7 @@ fn main() -> ExitCode {
     let ds = ds.permute(&part.to_permutation());
     let bounds = part.block_bounds();
     if !quiet {
-        println!(
+        outln!(
             "partitioned into {parts} parts with {} in {:.1}s",
             args.partitioner.label(),
             t1.elapsed().as_secs_f64()
@@ -699,7 +706,7 @@ fn main() -> ExitCode {
     };
     if !quiet {
         // `--order paper` prints the paper's program as it always has.
-        println!(
+        outln!(
             "training: {} | {:?} arch | {} epochs | {threads} kernel thread(s) | \
              {} kernels ({}){}",
             algo.label(),
@@ -716,7 +723,7 @@ fn main() -> ExitCode {
 
     let faulty = args.faults.is_some();
     if let Some((spec, _)) = args.faults.as_ref().filter(|_| !quiet) {
-        println!("fault plan: {spec}");
+        outln!("fault plan: {spec}");
     }
 
     let mut cost = CostModel::perlmutter_like().with_threads(threads);
@@ -727,7 +734,7 @@ fn main() -> ExitCode {
         };
         cost = cost.with_flop_rate(gamma);
         if !quiet {
-            println!(
+            outln!(
                 "cost model: measured compute rate {:.3} GFLOP/s ({} backend){}",
                 gamma / 1e9,
                 kernels.backend.label(),
@@ -739,7 +746,7 @@ fn main() -> ExitCode {
     cfg.trace = common.trace;
     cfg.order = args.order;
     if args.failover && args.algo_tag != AlgoTag::OneFiveD && !quiet {
-        println!(
+        outln!(
             "note: --failover needs 1.5D row replication; other algorithms fall back to \
              checkpoint restart"
         );
@@ -805,18 +812,18 @@ fn main() -> ExitCode {
     };
     let wall = t2.elapsed().as_secs_f64();
 
-    println!("\nepoch       loss   accuracy");
+    outln!("\nepoch       loss   accuracy");
     let step = (args.epochs / 10).max(1);
     for (e, r) in out.records.iter().enumerate() {
         if e % step == 0 || e + 1 == args.epochs {
-            println!("{e:>5}  {:>9.4}  {:>9.3}", r.loss, r.train_accuracy);
+            outln!("{e:>5}  {:>9.4}  {:>9.3}", r.loss, r.train_accuracy);
         }
     }
 
     let st = &out.stats;
     let per_epoch = st.modeled_epoch_time() / args.epochs as f64;
-    println!("\n-- modeled cost (Perlmutter-like machine) --");
-    println!("epoch time:      {:>10.3} ms", per_epoch * 1e3);
+    outln!("\n-- modeled cost (Perlmutter-like machine) --");
+    outln!("epoch time:      {:>10.3} ms", per_epoch * 1e3);
     for (label, phase) in [
         ("local compute", Phase::LocalCompute),
         ("alltoall", Phase::AllToAll),
@@ -826,7 +833,7 @@ fn main() -> ExitCode {
     ] {
         let t = st.phase_time(phase) / args.epochs as f64;
         if t > 0.0 {
-            println!("  {label:<17} {:>10.3} ms", t * 1e3);
+            outln!("  {label:<17} {:>10.3} ms", t * 1e3);
         }
     }
     let (kernel_flops, kernel_wall) = st
@@ -838,7 +845,7 @@ fn main() -> ExitCode {
         })
         .fold((0u64, 0.0f64), |(f, w), (cf, cw)| (f + cf, w + cw));
     if kernel_wall > 0.0 {
-        println!(
+        outln!(
             "kernel throughput: {:>7.3} GFLOP/s measured ({threads} thread(s), all ranks)",
             kernel_flops as f64 / kernel_wall / 1e9
         );
@@ -848,16 +855,16 @@ fn main() -> ExitCode {
         + st.total_chaos_injected()
         + st.total_dial_backoffs();
     if faulty || out.restarts > 0 || out.failovers > 0 || transport_faults > 0 {
-        println!("\n-- fault summary --");
-        println!("restarts:          {}", out.restarts);
+        outln!("\n-- fault summary --");
+        outln!("restarts:          {}", out.restarts);
         if !out.resume_points.is_empty() {
-            println!("resumed at epochs: {:?}", out.resume_points);
+            outln!("resumed at epochs: {:?}", out.resume_points);
         }
-        println!("failovers:         {}", out.failovers);
-        println!("injected faults:   {}", st.total_injected_faults());
-        println!("retries:           {}", st.total_retries());
+        outln!("failovers:         {}", out.failovers);
+        outln!("injected faults:   {}", st.total_injected_faults());
+        outln!("retries:           {}", st.total_retries());
         if transport_faults > 0 {
-            println!(
+            outln!(
                 "transport:         {} reconnects, {} replayed frames, \
                  {} partitions suspected, {} healed, {} dial backoffs, \
                  {} chaos injections",
@@ -872,10 +879,14 @@ fn main() -> ExitCode {
         for (rank, r) in st.per_rank.iter().enumerate() {
             let f = &r.faults;
             if f.injected_total() > 0 || f.retries > 0 {
-                println!(
+                outln!(
                     "  rank {rank}: {} delays, {} drops, {} corruptions, \
                      {} retries, {} slowed ops",
-                    f.delays, f.drops, f.corruptions, f.retries, f.slowed_ops
+                    f.delays,
+                    f.drops,
+                    f.corruptions,
+                    f.retries,
+                    f.slowed_ops
                 );
             }
         }
@@ -889,12 +900,12 @@ fn main() -> ExitCode {
         ))
     });
     if let Some(trace) = &out.trace {
-        println!("\n-- trace --");
-        print!("{}", traceio::render_report(trace));
+        outln!("\n-- trace --");
+        out!("{}", traceio::render_report(trace));
         match traceio::write_trace(&prefix, common.trace_format, trace) {
             Ok(paths) => {
                 for p in paths {
-                    println!("[trace written to {}]", p.display());
+                    outln!("[trace written to {}]", p.display());
                 }
             }
             Err(e) => eprintln!("warning: could not write trace: {e}"),
@@ -906,11 +917,11 @@ fn main() -> ExitCode {
             .clone()
             .unwrap_or_else(|| prefix.with_extension("metrics.json"));
         match traceio::write_metrics(&path, &out) {
-            Ok(()) => println!("[metrics written to {}]", path.display()),
+            Ok(()) => outln!("[metrics written to {}]", path.display()),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }
     }
-    println!("simulation wall time: {wall:.1}s");
+    outln!("simulation wall time: {wall:.1}s");
     ExitCode::SUCCESS
 }
 
@@ -996,18 +1007,26 @@ mod tests {
         for (dataset, scale) in [("amazon", 0), ("reddit", 3), ("protein", 4), ("amazon", 40)] {
             assert!(check_scale(dataset, scale).is_err(), "{dataset} {scale}");
         }
+        // Reddit stops at 13: a larger scale is an error, never a
+        // silently smaller graph.
+        for scale in [14, 16, 64] {
+            let err = check_scale("reddit", scale).unwrap_err();
+            assert!(err.contains("at most --scale 13"), "{err}");
+        }
         // Past the shift width too: rejected, not overflowed.
         for dataset in ["amazon", "protein", "papers"] {
             let err = check_scale(dataset, 64).unwrap_err();
             assert!(err.contains("u32"), "{err}");
         }
-        for (dataset, scale) in [("amazon", 4), ("protein", 5), ("papers", 0), ("reddit", 64)] {
+        for (dataset, scale) in [("amazon", 4), ("protein", 5), ("papers", 0), ("reddit", 13)] {
             assert_eq!(check_scale(dataset, scale), Ok(()), "{dataset} {scale}");
         }
         let a = args(&["--dataset", "protein", "--scale", "4"]).unwrap();
         let err = load_dataset(&a).unwrap_err();
         assert!(err.contains("--scale >= 5"), "{err}");
         let a = args(&["--dataset", "amazon", "--scale", "40"]).unwrap();
+        assert!(load_dataset(&a).is_err());
+        let a = args(&["--dataset", "reddit", "--scale", "16"]).unwrap();
         assert!(load_dataset(&a).is_err());
     }
 

@@ -17,6 +17,7 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod out;
 pub mod schemes;
 pub mod table;
 pub mod traceio;

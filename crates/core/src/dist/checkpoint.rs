@@ -68,8 +68,8 @@ impl CheckpointBackend for Mutex<CheckpointStore> {
     }
 }
 
-/// Ring of the last two snapshots, each held as the bytes
-/// [`encode_checkpoint`] writes to disk.
+/// Ring of the last two snapshots, each held as the checksummed bytes of
+/// the on-disk checkpoint format (the same encoding a disk slot holds).
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointStore {
     slots: [Option<Vec<u8>>; 2],

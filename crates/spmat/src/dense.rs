@@ -269,15 +269,17 @@ impl Dense {
             return;
         }
         let t = pool::effective_threads(threads, 2 * rows.len() * k_dim * n);
+        // One kernel call for every row when one worker runs, so the
+        // kernel's prefetch reaches across the whole input.
+        let chunk_rows = if t <= 1 { rows.len() } else { GEMM_CHUNK_ROWS };
         let ker = kernel::active();
-        let b = other.data.as_slice();
-        pool::for_each_chunk_mut(t, slab, GEMM_CHUNK_ROWS * n, |ci, out_chunk| {
-            let row0 = rows.start + ci * GEMM_CHUNK_ROWS;
+        let (a, b) = (self.data.as_slice(), other.data.as_slice());
+        pool::for_each_chunk_mut(t, slab, chunk_rows * n, |ci, out_chunk| {
             // ikj order per row (ascending k) — the accumulation order
-            // the kernel contract preserves.
-            for (i, out_row) in out_chunk.chunks_exact_mut(n).enumerate() {
-                ker.gemm_row(self.row(row0 + i), b, n, out_row);
-            }
+            // the kernel contract preserves, whatever rows share a tile.
+            let row0 = rows.start + ci * chunk_rows;
+            let a_rows = &a[row0 * k_dim..(row0 + out_chunk.len() / n) * k_dim];
+            ker.gemm_rows(a_rows, k_dim, b, n, out_chunk);
         });
     }
 

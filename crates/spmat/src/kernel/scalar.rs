@@ -34,15 +34,18 @@ pub fn spmm_row(cols: &[u32], vals: &[f64], h: &[f64], f: usize, out_row: &mut [
     }
 }
 
-/// One GEMM output row from zero: `out_row = Σ_k a_row[k] · b_row(k)`,
-/// ascending `k`, exact zeros skipped (the historical ikj order).
-pub fn gemm_row(a_row: &[f64], b: &[f64], n: usize, out_row: &mut [f64]) {
-    out_row.fill(0.0);
-    for (k, &a) in a_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
+/// GEMM rows from zero, `a` holding one row of `k` per row of `out`:
+/// `out[i] = Σ_k a[i][k] · b_row(k)`, ascending `k`, exact zeros skipped
+/// (the historical ikj order).
+pub fn gemm_rows(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            axpy(out_row, av, &b[kk * n..(kk + 1) * n]);
         }
-        axpy(out_row, a, &b[k * n..(k + 1) * n]);
     }
 }
 

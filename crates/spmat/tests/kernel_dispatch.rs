@@ -41,10 +41,15 @@ const WIDTHS: &[usize] = &[
 
 /// Every backend this host can execute (scalar always; SIMD when real).
 fn supported_backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Avx2, Backend::Neon]
-        .into_iter()
-        .filter(|b| b.supported())
-        .collect()
+    [
+        Backend::Scalar,
+        Backend::Avx2,
+        Backend::Avx512,
+        Backend::Neon,
+    ]
+    .into_iter()
+    .filter(|b| b.supported())
+    .collect()
 }
 
 fn random_csr(rows: usize, cols: usize, density: f64, rng: &mut StdRng) -> Csr {
@@ -63,7 +68,7 @@ fn random_csr(rows: usize, cols: usize, density: f64, rng: &mut StdRng) -> Csr {
 fn detect_only_picks_supported_backends() {
     assert!(Backend::detect().supported());
     assert!(kernel::active().backend.supported());
-    for b in [Backend::Avx2, Backend::Neon] {
+    for b in [Backend::Avx2, Backend::Avx512, Backend::Neon] {
         if !b.supported() {
             assert!(
                 kernel::try_force_backend(b).is_err(),
@@ -79,7 +84,7 @@ fn detect_only_picks_supported_backends() {
 /// host offers.
 #[test]
 fn detect_honours_the_env_pin() {
-    let best = [Backend::Avx2, Backend::Neon]
+    let best = [Backend::Avx512, Backend::Avx2, Backend::Neon]
         .into_iter()
         .find(|b| b.supported())
         .unwrap_or(Backend::Scalar);
@@ -126,28 +131,31 @@ fn strict_gemm_rows_bitwise_equal_scalar_on_all_backends_and_widths() {
     let oracle = Kernels::scalar_strict();
     for &n in WIDTHS {
         let k = 17;
-        // Exact zeros included: the oracle skips them, the blocked
-        // kernels add them, and the bits must agree.
-        let a_row: Vec<f64> = (0..k)
-            .map(|i| {
-                if i % 5 == 0 {
-                    0.0
-                } else {
-                    rng.gen_range(-1.0..1.0)
-                }
-            })
-            .collect();
-        let b = Dense::glorot(k, n, &mut rng);
-        let mut want = vec![9.0; n]; // overwritten, not accumulated
-        oracle.gemm_row(&a_row, b.data(), n, &mut want);
-        for backend in supported_backends() {
-            let ker = Kernels {
-                backend,
-                mode: KernelMode::Strict,
-            };
-            let mut got = vec![-9.0; n];
-            ker.gemm_row(&a_row, b.data(), n, &mut got);
-            assert_eq!(got, want, "backend={} n={n}", backend.label());
+        // 1 to 9 rows: every split into 4-row tiles and single tail rows.
+        for rows in 1..=9 {
+            // Exact zeros included: the oracle skips them, the blocked
+            // kernels add them, and the bits must agree.
+            let a: Vec<f64> = (0..rows * k)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    }
+                })
+                .collect();
+            let b = Dense::glorot(k, n, &mut rng);
+            let mut want = vec![9.0; rows * n]; // overwritten, not accumulated
+            oracle.gemm_rows(&a, k, b.data(), n, &mut want);
+            for backend in supported_backends() {
+                let ker = Kernels {
+                    backend,
+                    mode: KernelMode::Strict,
+                };
+                let mut got = vec![-9.0; rows * n];
+                ker.gemm_rows(&a, k, b.data(), n, &mut got);
+                assert_eq!(got, want, "backend={} rows={rows} n={n}", backend.label());
+            }
         }
     }
 }
@@ -243,9 +251,7 @@ fn strict_gemms_on_relu_sparse_inputs_bitwise_equal_scalar() {
             let b = Dense::glorot(k, n, &mut rng);
             let c = Dense::glorot(rows, n, &mut rng);
             let mut want_ab = vec![f64::NAN; rows * n];
-            for (a_row, out) in a.data().chunks_exact(k).zip(want_ab.chunks_exact_mut(n)) {
-                oracle.gemm_row(a_row, b.data(), n, out);
-            }
+            oracle.gemm_rows(a.data(), k, b.data(), n, &mut want_ab);
             let mut want_atc = vec![f64::NAN; k * n];
             oracle.gemm_t(a.data(), k, 0, c.data(), n, &mut want_atc);
             // Gradient propagation `S·Wᵀ`: a GEMM against the transposed
@@ -325,11 +331,10 @@ fn gemms_never_return_negative_zero() {
             // The kernels themselves, on every slab of a 3-way split.
             for part in 0..3 {
                 let what = format!("{} k={k} n={n} slab {part}", backend.label());
-                for r in part * rows / 3..(part + 1) * rows / 3 {
-                    let mut out = vec![-0.0; n];
-                    ker.gemm_row(a.row(r), b.data(), n, &mut out);
-                    assert_no_negative_zero(&out, &format!("gemm_row {what}"));
-                }
+                let (lo, hi) = (part * rows / 3, (part + 1) * rows / 3);
+                let mut out = vec![-0.0; (hi - lo) * n];
+                ker.gemm_rows(&a.data()[lo * k..hi * k], k, b.data(), n, &mut out);
+                assert_no_negative_zero(&out, &format!("gemm_rows {what}"));
                 let (lo, hi) = (part * k / 3, (part + 1) * k / 3);
                 if n > 0 && k > 0 {
                     let mut out = vec![-0.0; (hi - lo) * n];
