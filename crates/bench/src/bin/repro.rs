@@ -224,6 +224,10 @@ fn emit(name: &str, title: &str, table: &Table, out: &std::path::Path) {
 }
 
 fn main() -> ExitCode {
+    out::finish(run())
+}
+
+fn run() -> ExitCode {
     let args = match parse_args_from(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {

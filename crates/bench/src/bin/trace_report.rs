@@ -251,11 +251,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run(&args) {
+    out::finish(match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(m) => {
             eprintln!("{m}");
             ExitCode::FAILURE
         }
-    }
+    })
 }

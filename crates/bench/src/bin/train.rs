@@ -610,6 +610,10 @@ fn merge_proc_traces(dir: &std::path::Path, p: usize) -> Result<gnn_trace::World
 }
 
 fn main() -> ExitCode {
+    out::finish(run())
+}
+
+fn run() -> ExitCode {
     let mut args = match parse_from(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(m) => {

@@ -244,8 +244,10 @@ impl Dense {
     }
 
     /// Rows `rows` of `self · other` into the same rows of `out`, every
-    /// other row of `out` zeroed. Each output row is one kernel call, so
-    /// a row gets the bits of the whole product wherever the range falls.
+    /// other row of `out` zeroed. The rows go to
+    /// [`kernel::Kernels::gemm_rows`] in chunks; each output row is an
+    /// independent chain in ascending `k` whatever rows share its tile,
+    /// so a row gets the whole product's bits wherever the range falls.
     ///
     /// # Panics
     /// Panics on any dimension mismatch or a range past the last row.

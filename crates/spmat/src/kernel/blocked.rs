@@ -27,8 +27,8 @@
 //!
 //! The GEMM kernels stream their `a` operand (layer 0's 300-wide `H⁰`,
 //! megabytes per call) once, so they run as fast as its rows arrive.
-//! They take a [`Hint`] from the dispatcher — on x86_64 the SSE prefetch
-//! instruction, or [`NoHint`] — and ask for the rows they will read next
+//! They take a [`Hint`] from the dispatcher — the SSE prefetch
+//! instruction on the AVX-512 tier, [`NoHint`] on the others — and ask for the rows they will read next
 //! while they multiply the current ones. A hint reads no value, so it
 //! changes no bit.
 //!
@@ -55,8 +55,8 @@ impl<F: Fn(&[f64]) + Copy> Hint for F {
     }
 }
 
-/// No hints: for targets without a prefetch instruction, and for tiles
-/// whose one row stream the hardware already fetches ahead.
+/// No hints: for targets without a prefetch instruction, and for the
+/// AVX2 tier, whose loops stay as they were before hints existed.
 #[derive(Clone, Copy, Debug)]
 pub struct NoHint;
 

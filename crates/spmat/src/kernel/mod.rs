@@ -10,7 +10,7 @@
 //! | backend | compiled as | lanes | GEMM tile | `AᵀB` tile | hints |
 //! |---|---|---|---|---|---|
 //! | **`Avx512`** | `#[target_feature(enable = "avx512f,avx2,fma")]`, chosen when the CPU reports all three | 8 | 4 rows × ≤ 32 columns | 4 rows × ≤ 16 columns | GEMM and `AᵀB` |
-//! | **`Avx2`** | `#[target_feature(enable = "avx2,fma")]` | 4 | 1 row × ≤ 32 columns | 2 rows × ≤ 16 columns | `AᵀB` |
+//! | **`Avx2`** | `#[target_feature(enable = "avx2,fma")]` | 4 | 1 row × ≤ 32 columns | 2 rows × ≤ 16 columns | none |
 //! | **`Neon`** | as compiled for aarch64, whose baseline includes NEON | 2 | 1 row × ≤ 32 columns | 2 rows × ≤ 16 columns | none |
 //!
 //! A taller tile shares each load of the other operand among more output
@@ -18,7 +18,8 @@
 //! a 4-row tile and its operands, 16 `ymm` do not (on AVX2, 2- and 4-row
 //! GEMM tiles measured no faster). The `AᵀB` tiles run over blocks of 32
 //! input rows. The hints are cache prefetches for the rows of `a` a
-//! kernel reads next (x86_64 only; see [`blocked`]). **`Scalar`** — the
+//! kernel reads next (see [`blocked`]); only the AVX-512 tier, whose
+//! gains they were measured on, issues them. **`Scalar`** — the
 //! portable loops of [`scalar`] that every backend is tested against —
 //! is always available.
 //!
@@ -333,12 +334,13 @@ impl Kernels {
 /// The [`blocked`] kernels compiled with AVX2 and FMA enabled. Each
 /// wrapper inlines its generic kernel, so the compiler vectorizes it 4
 /// lanes wide. 16 `ymm` registers hold one GEMM row's tile and a 2-row
-/// `AᵀB` tile, not taller ones. Callers must have checked that the CPU
-/// has both features ([`Backend::supported`]).
+/// `AᵀB` tile, not taller ones. No cache hints: a per-term hint test
+/// slows the 1-row GEMM loop, and the AVX2 `AᵀB` keeps the loop it had
+/// before hints existed. Callers must have checked that the CPU has
+/// both features ([`Backend::supported`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::blocked::{self, NoHint};
-    use super::prefetch;
 
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn spmm_row(cols: &[u32], vals: &[f64], h: &[f64], f: usize, out: &mut [f64]) {
@@ -352,7 +354,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn gemm_t(a: &[f64], lda: usize, k0: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        blocked::gemm_t::<2>(a, lda, k0, b, n, out, |line: &[f64]| prefetch(line))
+        blocked::gemm_t::<2>(a, lda, k0, b, n, out, NoHint)
     }
 }
 
