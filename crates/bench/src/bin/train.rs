@@ -9,9 +9,9 @@
 //! an alias for `--p`), supervises the children, and restarts the whole
 //! generation from the newest disk checkpoint when a rank process dies
 //! — including genuinely SIGKILL'd ranks. Results are bit-identical to
-//! the thread backend. Thread-only features are rejected up front:
-//! `--failover` and a `crash=` fault rule (kill the rank process
-//! instead; that is the point of the backend).
+//! the thread backend. The thread-only `crash=` fault rule is rejected
+//! up front (kill the rank process instead; that is the point of the
+//! backend).
 //!
 //! `--hostfile FILE` (proc only) switches the rank mesh from
 //! Unix-domain sockets to **TCP listeners**: one `host[:port]` line per
@@ -33,7 +33,9 @@
 //! within the heartbeat deadline are absorbed by reconnect + replay;
 //! ones that outlive it take the checkpoint-restart ladder. Either way
 //! final weights match the thread backend bit for bit. The spec is
-//! parsed, and checked against the backend, before any work happens.
+//! parsed, and checked against the backend and the world, before any
+//! work happens: a rule naming a rank outside the world, or a crash at
+//! an epoch the run never reaches, is an error, not a silent no-op.
 //!
 //! `--trace` on the process backend records a **dual-clock** trace:
 //! each rank process writes `<proc-dir>/trace-rank<N>.jsonl` with both
@@ -50,9 +52,7 @@
 //! trajectory and the modeled communication/compute cost summary.
 //! `--faults` rehearses degraded conditions: injected crashes trigger
 //! checkpoint/restart, link faults exercise the retry path, and the
-//! watchdog bounds every hang. With `--failover` (1.5D only) a crashed
-//! rank's same-row replica takes over in place and the epoch finishes
-//! on the shrunken grid — no world restart, bit-identical weights.
+//! watchdog bounds every hang.
 //!
 //! `--order paper|narrow` picks which side of each layer's `Â·H·W` is
 //! exchanged: `paper` is `(ÂH)W` everywhere, what the paper and CAGNET
@@ -126,7 +126,6 @@ struct Args {
     scale: u32,
     /// `--faults`: the spec as given, and the plan parsed from it.
     faults: Option<(String, FaultPlan)>,
-    failover: bool,
     checkpoint_every: usize,
     max_restarts: usize,
     watchdog_ms: u64,
@@ -173,7 +172,6 @@ fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         epochs: 30,
         scale: 11,
         faults: None,
-        failover: false,
         checkpoint_every: 5,
         max_restarts: 2,
         watchdog_ms: 30_000,
@@ -250,7 +248,10 @@ fn cli() -> Cli<Args> {
         value("--opt", "sgd|adam", |a, v| {
             choose(&mut a.adam, v, &[("sgd", false), ("adam", true)])
         }),
-        value("--lr", "X", |a, v| store_some(&mut a.lr, v)),
+        value("--lr", "X", |a, v| {
+            a.lr = Some(positive(v, "a positive learning rate")?);
+            Ok(())
+        }),
         value("--order", "paper|narrow", |a, v| {
             let orders = [
                 ("paper", LayerOrder::AggregateFirst),
@@ -277,7 +278,6 @@ fn cli() -> Cli<Args> {
             a.faults = Some((v.to_string(), FaultPlan::parse(v)?));
             Ok(())
         }),
-        switch("--failover", |a| a.failover = true),
         value("--checkpoint-every", "N", |a, v| {
             store(&mut a.checkpoint_every, v)
         }),
@@ -389,14 +389,6 @@ fn validate_backend_flags(a: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    if a.failover {
-        return Err(
-            "--failover (in-place replica failover) only works on the thread backend; \
-             the process backend recovers dead ranks via checkpoint restart instead — \
-             drop --failover, or use --backend thread"
-                .into(),
-        );
-    }
     let crash = |f: &Fault| matches!(f, Fault::CrashAt { .. });
     if plan.is_some_and(|p| p.faults.iter().any(crash)) {
         return Err(
@@ -408,6 +400,32 @@ fn validate_backend_flags(a: &Args) -> Result<(), String> {
     }
     if a.proc_child.is_some() && a.proc_dir.is_none() {
         return Err("--proc-child needs --proc-dir (both are set by the launcher)".into());
+    }
+    Ok(())
+}
+
+/// Rejects a `--faults` rule that could never fire: one naming a rank
+/// outside the world of `a.p` ranks (known once `--hostfile` is
+/// applied), or a crash at an epoch the run never reaches.
+fn validate_fault_targets(a: &Args) -> Result<(), String> {
+    let Some((_, plan)) = &a.faults else {
+        return Ok(());
+    };
+    if let Some((kind, rank)) = plan.rank_outside(a.p) {
+        return Err(format!(
+            "--faults rule {kind}= names rank {rank}, outside the {}-rank world",
+            a.p
+        ));
+    }
+    let late = plan.faults.iter().find_map(|f| match *f {
+        Fault::CrashAt { rank, epoch, .. } if epoch >= a.epochs => Some((rank, epoch)),
+        _ => None,
+    });
+    if let Some((rank, epoch)) = late {
+        return Err(format!(
+            "--faults rule crash={rank}@{epoch} never fires: --epochs {e} runs epochs 0..{e}",
+            e = a.epochs
+        ));
     }
     Ok(())
 }
@@ -625,7 +643,7 @@ fn run() -> ExitCode {
         eprintln!("{m}");
         return ExitCode::FAILURE;
     }
-    if let Err(m) = apply_hostfile(&mut args) {
+    if let Err(m) = apply_hostfile(&mut args).and_then(|()| validate_fault_targets(&args)) {
         eprintln!("{m}");
         return ExitCode::FAILURE;
     }
@@ -749,18 +767,11 @@ fn run() -> ExitCode {
     let mut cfg = DistConfig::new(algo, gcn, args.epochs, cost);
     cfg.trace = common.trace;
     cfg.order = args.order;
-    if args.failover && args.algo_tag != AlgoTag::OneFiveD && !quiet {
-        outln!(
-            "note: --failover needs 1.5D row replication; other algorithms fall back to \
-             checkpoint restart"
-        );
-    }
     cfg.robust = RobustnessConfig {
         faults: args.faults.as_ref().map(|(_, plan)| plan.clone()),
         checkpoint_every: args.checkpoint_every,
         max_restarts: args.max_restarts,
         timeout: Duration::from_millis(args.watchdog_ms.max(1)),
-        failover: args.failover,
     };
     cfg.hostfile = args.hostfile.clone();
 
@@ -858,13 +869,12 @@ fn run() -> ExitCode {
         + st.total_partitions_suspected()
         + st.total_chaos_injected()
         + st.total_dial_backoffs();
-    if faulty || out.restarts > 0 || out.failovers > 0 || transport_faults > 0 {
+    if faulty || out.restarts > 0 || transport_faults > 0 {
         outln!("\n-- fault summary --");
         outln!("restarts:          {}", out.restarts);
         if !out.resume_points.is_empty() {
             outln!("resumed at epochs: {:?}", out.resume_points);
         }
-        outln!("failovers:         {}", out.failovers);
         outln!("injected faults:   {}", st.total_injected_faults());
         outln!("retries:           {}", st.total_retries());
         if transport_faults > 0 {
@@ -941,8 +951,11 @@ mod tests {
         parse_from(list.iter().map(|s| s.to_string()))
     }
 
+    /// Every check `train` runs before any work, but the hostfile's.
     fn validated(list: &[&str]) -> Result<(), String> {
-        validate_backend_flags(&args(list).expect("flags should parse"))
+        let a = args(list)?;
+        validate_backend_flags(&a)?;
+        validate_fault_targets(&a)
     }
 
     #[test]
@@ -968,7 +981,7 @@ mod tests {
             assert!(known, "README lists {word}, which train does not take");
             listed += 1;
         }
-        assert!(listed >= 30, "synopsis found only {listed} flags");
+        assert!(listed >= 29, "synopsis found only {listed} flags");
     }
 
     /// The proc backend records dual-clock traces now; the old
@@ -1073,10 +1086,52 @@ mod tests {
 
     #[test]
     fn proc_backend_still_rejects_thread_only_fault_flags() {
-        let err = validated(&["--backend", "proc", "--failover"]).unwrap_err();
-        assert!(err.contains("--failover"), "{err}");
         let err = validated(&["--backend", "proc", "--faults", "crash=1@3"]).unwrap_err();
         assert!(err.contains("crash="), "{err}");
+    }
+
+    #[test]
+    fn a_fault_rule_outside_the_world_is_rejected() {
+        let err = validated(&["--p", "2", "--faults", "crash=5@1"]).unwrap_err();
+        assert!(err.contains("crash= names rank 5"), "{err}");
+        assert!(err.contains("2-rank world"), "{err}");
+        let err = validated(&["--p", "2", "--faults", "drop=0>2:0.1"]).unwrap_err();
+        assert!(err.contains("drop= names rank 2"), "{err}");
+        let err = validated(&["--p", "4", "--faults", "slow=4:2"]).unwrap_err();
+        assert!(err.contains("slow= names rank 4"), "{err}");
+        // The last rank and a wildcard are inside.
+        validated(&["--p", "2", "--faults", "crash=1@1;drop=*-1:0.1"]).unwrap();
+        if cfg!(unix) {
+            let link = [
+                "--backend",
+                "proc",
+                "--ranks",
+                "2",
+                "--faults",
+                "cut=0-2:100",
+            ];
+            let err = validated(&link).unwrap_err();
+            assert!(err.contains("cut= names rank 2"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_crash_after_the_last_epoch_is_rejected() {
+        let err = validated(&["--p", "2", "--epochs", "2", "--faults", "crash=1@9"]).unwrap_err();
+        assert!(err.contains("crash=1@9 never fires"), "{err}");
+        let err = validated(&["--p", "2", "--epochs", "2", "--faults", "crash=1@2"]).unwrap_err();
+        assert!(err.contains("--epochs 2"), "{err}");
+        validated(&["--p", "2", "--epochs", "2", "--faults", "crash=1@1:7"]).unwrap();
+    }
+
+    #[test]
+    fn a_learning_rate_must_be_positive_and_finite() {
+        for bad in ["nan", "inf", "-inf", "0", "-0.1", "x"] {
+            let err = validated(&["--lr", bad]).unwrap_err();
+            assert!(err.contains("--lr"), "{bad}: {err}");
+            assert!(err.contains("positive learning rate"), "{bad}: {err}");
+        }
+        assert_eq!(args(&["--lr", "0.05"]).unwrap().lr, Some(0.05));
     }
 
     #[test]
@@ -1132,7 +1187,8 @@ mod tests {
     }
 
     /// Each retired fault flag has one `--faults` spelling, and the
-    /// flags themselves are gone.
+    /// flags themselves are gone, as is the switch of the retired
+    /// in-place 1.5D recovery (a crash has one path: checkpoint restart).
     #[test]
     fn faults_flag_spells_every_retired_fault_flag() {
         // --inject-crash R@E
@@ -1173,6 +1229,7 @@ mod tests {
             "--corrupt-prob",
             "--fault-seed",
             "--net-chaos",
+            "--failover",
         ] {
             let err = args(&[gone, "1"]).err().expect("retired flag");
             assert!(err.starts_with(&format!("unknown flag {gone}\n")), "{err}");
@@ -1208,6 +1265,19 @@ mod tests {
         let mut a = args(&["--backend", "proc", "--hostfile", hf]).unwrap();
         apply_hostfile(&mut a).unwrap();
         assert_eq!(a.p, 3);
+        // ... and so it bounds the ranks a fault rule may name.
+        let link = [
+            "--backend",
+            "proc",
+            "--hostfile",
+            hf,
+            "--faults",
+            "cut=0-3:100",
+        ];
+        let mut a = args(&link).unwrap();
+        apply_hostfile(&mut a).unwrap();
+        let err = validate_fault_targets(&a).unwrap_err();
+        assert!(err.contains("outside the 3-rank world"), "{err}");
 
         // Explicit but contradictory world size: rejected.
         let mut a = args(&["--backend", "proc", "--hostfile", hf, "--ranks", "4"]).unwrap();

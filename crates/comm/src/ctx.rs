@@ -30,9 +30,8 @@
 //! [`crate::WorldError::Deadlock`].
 //!
 //! Every frame carries a reliable-transport header: a per-channel
-//! sequence number, the failover generation, and
-//! [`Payload::checksum`] computed at send time — stamped and verified
-//! here and nowhere else, on every backend. The receiver verifies the
+//! sequence number and [`Payload::checksum`] computed at send time —
+//! stamped and verified here and nowhere else, on every backend. The receiver verifies the
 //! checksum (discarding damaged frames and waiting for the
 //! retransmission), discards duplicates by sequence number, and treats
 //! an out-of-order future frame as a transport violation. The sender
@@ -44,15 +43,6 @@
 //! `bytes_sent`/`bytes_recv` stay the logical communication volumes the
 //! paper's tables report. Injected delays are the one exception: a slow
 //! link is part of the op's real cost and stays on the op's phase.
-//!
-//! In failover mode ([`crate::ThreadWorld::try_run_failover`], the only
-//! run that hands a rank the world's failover state), a crashed peer does
-//! not kill the world: the survivor that observes the closed channel
-//! broadcasts an `ABORT` control frame and unwinds the epoch attempt
-//! with [`crate::EpochAbortPanic`]; all survivors rendezvous at the
-//! death-aware [`RankCtx::commit_epoch`] barrier and retry the epoch in
-//! the next generation with the shrunken grid. Stale frames from the
-//! aborted generation are discarded by their `gen` stamp.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,15 +50,13 @@ use std::time::Instant;
 use gnn_trace::{EventKind, RankTracer, SpanKind};
 
 use crate::cost::CostModel;
-use crate::error::{
-    unwind_with, ColumnLostPanic, CrashPanic, DeadlockPanic, EpochAbortPanic, PeerHungUp, WaitKind,
-};
+use crate::error::{unwind_with, CrashPanic, DeadlockPanic, PeerHungUp, WaitKind};
 use crate::fault::FaultInjector;
 use crate::msg::{Msg, Payload};
 use crate::pool::PayloadPool;
 use crate::stats::{Phase, RankStats};
 use crate::transport::{RecvOutcome, Transport};
-use crate::watchdog::{DeathRecord, Failover, Watchdog};
+use crate::watchdog::Watchdog;
 
 /// Message tags, one per operation kind; mismatches indicate an SPMD
 /// protocol bug and fail fast.
@@ -79,8 +67,6 @@ pub(crate) mod tag {
     pub const REDUCE_UP: u8 = 4;
     pub const REDUCE_DOWN: u8 = 5;
     pub const GATHER: u8 = 6;
-    /// Failover control frame: "this generation is aborted".
-    pub const ABORT: u8 = 7;
 }
 
 /// Human-readable tag name for diagnostics.
@@ -92,7 +78,6 @@ pub(crate) fn tag_name(t: u8) -> &'static str {
         tag::REDUCE_UP => "REDUCE_UP",
         tag::REDUCE_DOWN => "REDUCE_DOWN",
         tag::GATHER => "GATHER",
-        tag::ABORT => "ABORT",
         _ => "UNKNOWN",
     }
 }
@@ -126,17 +111,10 @@ pub struct RankCtx {
     /// Operation counter within the current epoch (fault-plan coordinate).
     op_in_epoch: u64,
     /// Per-destination next sequence number (monotone across the whole
-    /// run, never reset — stale-frame discipline depends on it).
+    /// run, never reset — duplicate suppression depends on it).
     next_seq: Vec<u64>,
     /// Per-source next expected sequence number.
     expect_seq: Vec<u64>,
-    /// Failover generation: bumped at each poisoned epoch commit.
-    gen: u32,
-    /// The world's failover state when it tolerates crashes in place
-    /// (degraded mode); `None` everywhere else.
-    failover: Option<Arc<Failover>>,
-    /// Guard so the ABORT broadcast goes out at most once per generation.
-    abort_sent_gen: Option<u32>,
     stats: RankStats,
     /// Structured event recorder; `None` (a single branch per op) when
     /// tracing is off, so the steady-state path stays allocation-free.
@@ -159,7 +137,6 @@ impl RankCtx {
         watchdog: Arc<Watchdog>,
         injector: Option<Arc<FaultInjector>>,
         tracer: Option<Box<RankTracer>>,
-        failover: Option<Arc<Failover>>,
         pool: Arc<PayloadPool>,
     ) -> Self {
         Self {
@@ -173,9 +150,6 @@ impl RankCtx {
             op_in_epoch: 0,
             next_seq: vec![0; p],
             expect_seq: vec![0; p],
-            gen: 0,
-            failover,
-            abort_sent_gen: None,
             stats: RankStats::default(),
             tracer,
             pool,
@@ -320,12 +294,6 @@ impl RankCtx {
     fn maybe_crash(&mut self) {
         if let Some(inj) = &self.injector {
             if inj.crash_due(self.rank, self.epoch, self.op_in_epoch) {
-                if let Some(failover) = &self.failover {
-                    // Register the death *before* unwinding so survivors
-                    // that observe the closed channel (or the shrunken
-                    // commit barrier) can attribute it.
-                    failover.mark_dead(self.rank, self.gen);
-                }
                 unwind_with(CrashPanic {
                     rank: self.rank,
                     epoch: self.epoch,
@@ -394,7 +362,6 @@ impl RankCtx {
                             Msg {
                                 tag,
                                 seq,
-                                gen: self.gen,
                                 checksum: sum,
                                 payload: damaged,
                             },
@@ -447,7 +414,6 @@ impl RankCtx {
         let msg = Msg {
             tag,
             seq,
-            gen: self.gen,
             checksum,
             payload,
         };
@@ -461,17 +427,12 @@ impl RankCtx {
     fn push(&mut self, dst: usize, msg: Msg) {
         let tag = msg.tag;
         if self.transport.send(dst, msg).is_err() {
-            if self.failover.is_some() {
-                // Dead peer: the frame evaporates; the death is handled
-                // at the next blocking receive or the commit barrier.
-                return;
-            }
             let doing = format!("— cannot deliver a {} message", tag_name(tag));
             self.peer_hung_up(dst, doing);
         }
     }
 
-    /// A peer's channel closed under a world that does not fail over.
+    /// A peer's channel closed: it is gone, and so is the world.
     fn peer_hung_up(&self, peer: usize, waiting_for: String) -> ! {
         let rank = self.rank;
         unwind_with(PeerHungUp {
@@ -481,81 +442,11 @@ impl RankCtx {
         })
     }
 
-    /// Broadcasts the ABORT control frame for generation `gen` to every
-    /// peer, at most once per generation. Dead peers' closed channels are
-    /// ignored.
-    fn broadcast_abort(&mut self, gen: u32) {
-        if self.abort_sent_gen == Some(gen) {
-            return;
-        }
-        self.abort_sent_gen = Some(gen);
-        let payload = Payload::Empty;
-        let checksum = payload.checksum();
-        for dst in 0..self.p {
-            if dst == self.rank {
-                continue;
-            }
-            let _ = self.transport.send(
-                dst,
-                Msg {
-                    tag: tag::ABORT,
-                    seq: 0,
-                    gen,
-                    checksum,
-                    payload: payload.clone(),
-                },
-            );
-        }
-    }
-
-    /// Abandons the current epoch attempt: propagate the abort, close any
-    /// trace spans the unwind would otherwise leave dangling, and panic
-    /// with [`EpochAbortPanic`] for the trainer's `catch_unwind`.
-    fn abort_epoch(&mut self, gen: u32) -> ! {
-        debug_assert!(
-            self.failover.is_some(),
-            "abort protocol requires failover mode"
-        );
-        self.broadcast_abort(gen);
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.close_open_spans();
-        }
-        unwind_with(EpochAbortPanic { generation: gen });
-    }
-
     /// One step of the reliable-transport receive state machine: decides
     /// the fate of a frame pulled off `src`'s channel. Returns the frame
     /// when it is the next in-order, checksum-clean delivery; `None` when
-    /// it was consumed by the protocol (stale generation, detected
-    /// corruption, duplicate, old ABORT).
+    /// it was consumed by the protocol (detected corruption, duplicate).
     fn transport_accept(&mut self, src: usize, frame: Msg) -> Option<Msg> {
-        if frame.tag == tag::ABORT {
-            match frame.gen.cmp(&self.gen) {
-                // Stale abort from an already-retired generation.
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => {
-                    self.watchdog.end(self.rank);
-                    self.abort_epoch(frame.gen);
-                }
-                std::cmp::Ordering::Greater => panic!(
-                    "rank {}: ABORT from future generation {} (commit barrier violated)",
-                    self.rank, frame.gen
-                ),
-            }
-            return None;
-        }
-        if frame.gen < self.gen {
-            // Stale data from an aborted epoch attempt: discard, but
-            // advance the channel cursor past it so the first
-            // current-generation frame lands on the expected seq.
-            self.expect_seq[src] = self.expect_seq[src].max(frame.seq + 1);
-            return None;
-        }
-        assert_eq!(
-            frame.gen, self.gen,
-            "rank {}: data frame from future generation (commit barrier violated)",
-            self.rank
-        );
         if frame.payload.checksum() != frame.checksum {
             // In-flight corruption caught end to end: pay for the
             // useless transfer, wait for the retransmit.
@@ -605,10 +496,9 @@ impl RankCtx {
     }
 
     /// Link-layer receive: watched by the deadlock watchdog. Runs the
-    /// reliable-transport state machine — stale-generation discard,
-    /// end-to-end checksum verification, duplicate suppression by
-    /// sequence number — and, in failover mode, converts a dead peer
-    /// (closed channel or ABORT frame) into an epoch abort.
+    /// reliable-transport state machine — end-to-end checksum
+    /// verification, duplicate suppression by sequence number — and
+    /// unwinds with [`PeerHungUp`] when the peer's channel closes.
     fn raw_recv(&mut self, src: usize, expect_tag: u8) -> Payload {
         let deadline = Instant::now() + self.watchdog.timeout();
         self.watchdog.begin(
@@ -633,11 +523,6 @@ impl RankCtx {
                 RecvOutcome::TimedOut => {}
                 RecvOutcome::Disconnected => {
                     self.watchdog.end(self.rank);
-                    if self.failover.is_some() {
-                        // The peer died mid-epoch; abandon this attempt
-                        // and propagate the abort to the other survivors.
-                        self.abort_epoch(self.gen);
-                    }
                     let doing = format!("while waiting for a {} message", tag_name(expect_tag));
                     self.peer_hung_up(src, doing);
                 }
@@ -650,90 +535,6 @@ impl RankCtx {
             self.rank, src, msg.tag, expect_tag
         );
         msg.payload
-    }
-
-    /// True when the world tolerates crashes via degraded-mode failover.
-    pub fn failover_enabled(&self) -> bool {
-        self.failover.is_some()
-    }
-
-    /// Current failover generation — the number of epoch attempts that
-    /// were poisoned by a death and retried. 0 in a fault-free run.
-    pub fn generation(&self) -> u32 {
-        self.gen
-    }
-
-    /// All ranks recorded dead so far (failover mode), in death order.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.deaths().iter().map(|d| d.rank).collect()
-    }
-
-    /// The failover death registry; empty outside failover mode.
-    fn deaths(&self) -> Vec<DeathRecord> {
-        self.failover.as_ref().map_or_else(Vec::new, |f| f.deaths())
-    }
-
-    /// Ranks whose deaths are *sealed*: recorded in a generation strictly
-    /// before the current one. A rank that died in generation `g` either
-    /// registered its death before the generation-`g` commit barrier
-    /// released (the barrier cannot release while it is alive and
-    /// unarrived), so every survivor entering `g+1` observes the same
-    /// set. Deaths in the current generation are deliberately excluded —
-    /// they are racy to observe and are handled by the abort/retry path
-    /// instead. Role assignment (who covers for whom) must only ever use
-    /// this sealed set, never [`RankCtx::dead_ranks`].
-    pub fn sealed_dead_ranks(&self) -> Vec<usize> {
-        let gen = self.gen;
-        let mut dead: Vec<usize> = self
-            .deaths()
-            .iter()
-            .filter(|d| d.gen < gen)
-            .map(|d| d.rank)
-            .collect();
-        dead.sort_unstable();
-        dead
-    }
-
-    /// Failover epoch commit: every survivor rendezvouses at a
-    /// death-aware barrier, then all make the *same* decision — `true`
-    /// (the epoch committed; apply its side effects) or `false` (a rank
-    /// died during the attempt; discard and retry under the next
-    /// generation). A no-op returning `true` outside failover mode.
-    ///
-    /// Determinism argument: the poisoned test (any death recorded in
-    /// the current generation) is evaluated exactly once, by the party
-    /// that trips the barrier release, and the published verdict is what
-    /// every survivor acts on. Per-rank evaluation after release would
-    /// race against a peer that commits cleanly and crashes at the very
-    /// next `set_epoch`: ranks reading the death registry on either side
-    /// of that crash would split into different generations and
-    /// deadlock. A death that lands after the verdict is published is
-    /// uniformly *not* part of this commit; every survivor trips over it
-    /// in the next epoch attempt and the following commit retires it.
-    pub fn commit_epoch(&mut self) -> bool {
-        let Some(failover) = &self.failover else {
-            return true;
-        };
-        let wd = &self.watchdog;
-        wd.begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
-        let Some(committed) = failover.commit(self.gen, wd.timeout()) else {
-            unwind_with(DeadlockPanic(wd.report(self.rank)));
-        };
-        wd.end(self.rank);
-        if !committed {
-            self.gen += 1;
-        }
-        committed
-    }
-
-    /// Tears the world down: block row `block_row`'s entire replica group
-    /// is dead, so no survivor holds the data needed to cover for it and
-    /// the recovery ladder falls through to checkpoint restart.
-    pub fn replica_column_lost(&mut self, block_row: usize) -> ! {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.close_open_spans();
-        }
-        unwind_with(ColumnLostPanic { block_row });
     }
 
     /// Non-blocking point-to-point send (phase `P2p`). Pays
@@ -936,18 +737,13 @@ impl RankCtx {
     }
 
     /// Barrier over all ranks (watched: times out into a deadlock report
-    /// instead of blocking forever when a rank never arrives). In
-    /// failover mode the barrier waits only for the surviving ranks.
+    /// instead of blocking forever when a rank never arrives).
     pub fn barrier(&mut self) {
         self.op_tick();
         self.trace_op(EventKind::Barrier, Phase::Other, None, 0, 0, 0, 0.0);
         let wd = &self.watchdog;
         wd.begin(self.rank, WaitKind::Barrier, None, None, self.epoch);
-        let ok = match &self.failover {
-            Some(failover) => failover.barrier_alive(wd.timeout()),
-            None => self.transport.barrier_wait(wd.timeout()),
-        };
-        if !ok {
+        if !self.transport.barrier_wait(wd.timeout()) {
             unwind_with(DeadlockPanic(wd.report(self.rank)));
         }
         wd.end(self.rank);

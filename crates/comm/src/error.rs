@@ -125,26 +125,15 @@ pub enum WorldError {
     },
     /// The watchdog converted a hang into a structured report.
     Deadlock(DeadlockReport),
-    /// Degraded-mode failover ran out of replicas: every rank holding
-    /// block row `block_row` died, so no survivor can cover for the dead
-    /// and the world must fall back to a checkpoint restart.
-    ReplicaColumnLost {
-        /// The block row whose entire replica group died.
-        block_row: usize,
-    },
 }
 
 impl WorldError {
     /// Whether a driver can reasonably retry the run (e.g. restore from a
     /// checkpoint and resume). Injected crashes model transient node
-    /// failures and are retryable — as is losing a whole replica group,
-    /// which simply exhausts the in-place recovery budget. Deadlocks and
-    /// real panics are deterministic program bugs.
+    /// failures and are retryable. Deadlocks and real panics are
+    /// deterministic program bugs.
     pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            WorldError::InjectedCrash { .. } | WorldError::ReplicaColumnLost { .. }
-        )
+        matches!(self, WorldError::InjectedCrash { .. })
     }
 }
 
@@ -162,27 +151,20 @@ impl fmt::Display for WorldError {
                 write!(f, ", op {op}")
             }
             WorldError::Deadlock(report) => write!(f, "{report}"),
-            WorldError::ReplicaColumnLost { block_row } => write!(
-                f,
-                "replica group for block row {block_row} fully lost; failover impossible"
-            ),
         }
     }
 }
 
 impl std::error::Error for WorldError {}
 
-/// Why a rank unwound, in the order a run reports causes: losing a
-/// whole replica group (the most informative diagnosis — it subsumes the
-/// crashes that caused it) beats an injected crash (the planned root
-/// cause), which beats an organic panic, which beats a deadlock report
+/// Why a rank unwound, in the order a run reports causes: an injected
+/// crash (the planned root cause) beats an organic panic, which beats a deadlock report
 /// (ranks parked at a barrier while a peer dies time out as a
 /// *consequence*, not a cause); a "peer hung up" unwind is the cascade
 /// of some other rank's death and is reported only when nothing better
 /// is available.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Cause {
-    ColumnLost,
     Crash,
     Organic,
     Deadlock,
@@ -194,13 +176,7 @@ impl WorldError {
     /// typed payloads or a genuine panic's message — into the error it
     /// reports and the [`Cause`] that ranks it against other ranks'.
     pub(crate) fn from_unwind(rank: usize, payload: &(dyn Any + Send)) -> (Cause, WorldError) {
-        if let Some(c) = payload.downcast_ref::<ColumnLostPanic>() {
-            let block_row = c.block_row;
-            (
-                Cause::ColumnLost,
-                WorldError::ReplicaColumnLost { block_row },
-            )
-        } else if let Some(c) = payload.downcast_ref::<CrashPanic>() {
+        if let Some(c) = payload.downcast_ref::<CrashPanic>() {
             let (rank, epoch, op) = (c.rank, c.epoch, c.op);
             (Cause::Crash, WorldError::InjectedCrash { rank, epoch, op })
         } else if let Some(d) = payload.downcast_ref::<DeadlockPanic>() {
@@ -209,14 +185,7 @@ impl WorldError {
             let message = h.to_string();
             (Cause::Cascade, WorldError::Panicked { rank, message })
         } else {
-            let message = if let Some(a) = payload.downcast_ref::<EpochAbortPanic>() {
-                // Only reachable when no trainer catch_unwind was in
-                // place — a harness bug, reported as an organic panic.
-                format!(
-                    "epoch abort (generation {}) escaped to the world boundary",
-                    a.generation
-                )
-            } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+            let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
                 (*s).to_string()
             } else if let Some(s) = payload.downcast_ref::<String>() {
                 s.clone()
@@ -266,23 +235,6 @@ pub(crate) struct CrashPanic {
     pub rank: usize,
     pub epoch: Option<usize>,
     pub op: u64,
-}
-
-/// Panic payload unwinding an epoch attempt that must be retried under
-/// degraded mode: a peer died mid-epoch, so every survivor abandons the
-/// attempt, re-synchronizes at the commit barrier, and re-runs the epoch
-/// with the shrunken grid. Public so trainers can `catch_unwind` it.
-#[derive(Debug)]
-pub struct EpochAbortPanic {
-    /// The generation that was aborted.
-    pub generation: u32,
-}
-
-/// Panic payload for an unsurvivable loss: a whole replica group is
-/// dead, failover cannot cover it, the world tears down for a
-/// checkpoint restart.
-pub(crate) struct ColumnLostPanic {
-    pub block_row: usize,
 }
 
 #[cfg(test)]
@@ -361,10 +313,5 @@ mod tests {
         }
         .is_recoverable());
         assert!(!WorldError::Deadlock(report()).is_recoverable());
-        // Losing a whole replica group exhausts failover but still
-        // permits a checkpoint restart.
-        assert!(WorldError::ReplicaColumnLost { block_row: 2 }.is_recoverable());
-        let msg = WorldError::ReplicaColumnLost { block_row: 2 }.to_string();
-        assert!(msg.contains("block row 2"), "{msg}");
     }
 }

@@ -138,6 +138,31 @@ pub enum Fault {
     },
 }
 
+impl Fault {
+    /// The rule's spec keyword.
+    fn kind(&self) -> &'static str {
+        match self {
+            Fault::DelaySend { .. } => "delay",
+            Fault::DropMsg { .. } => "drop",
+            Fault::CorruptMsg { .. } => "corrupt",
+            Fault::DuplicateMsg { .. } => "duplicate",
+            Fault::SlowCompute { .. } => "slow",
+            Fault::CrashAt { .. } => "crash",
+        }
+    }
+
+    /// The ranks the rule names (`None` for a `*` or an absent end).
+    fn ranks(&self) -> [Option<usize>; 2] {
+        match *self {
+            Fault::DelaySend { rank, to, .. }
+            | Fault::DropMsg { rank, to, .. }
+            | Fault::CorruptMsg { rank, to, .. }
+            | Fault::DuplicateMsg { rank, to, .. } => [rank, to],
+            Fault::SlowCompute { rank, .. } | Fault::CrashAt { rank, .. } => [Some(rank), None],
+        }
+    }
+}
+
 /// A declarative, seeded set of faults for one run: the message rules
 /// in [`FaultPlan::faults`] plus the link rules only
 /// [`FaultPlan::parse`] builds (see the module docs for both).
@@ -197,6 +222,18 @@ impl FaultPlan {
     /// runs them.
     pub fn link_rule_kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.links.iter().map(LinkRule::kind)
+    }
+
+    /// The first rule (message rules, then link rules) that names a rank
+    /// of `p` or above, as its keyword and that rank: in a world of `p`
+    /// ranks such a rule can never fire.
+    pub fn rank_outside(&self, p: usize) -> Option<(&'static str, usize)> {
+        let messages = self.faults.iter().map(|f| (f.kind(), f.ranks()));
+        let links = self.links.iter().map(|l| (l.kind(), l.ranks()));
+        messages.chain(links).find_map(|(kind, ranks)| {
+            let r = ranks.into_iter().flatten().find(|&r| r >= p)?;
+            Some((kind, r))
+        })
     }
 
     /// Adds a send-delay fault (builder style).
@@ -512,6 +549,17 @@ impl LinkRule {
             LinkRule::Refuse { .. } => "refuse",
         }
     }
+
+    /// The ranks the rule names (`None` for a `*` or an absent end).
+    fn ranks(&self) -> [Option<usize>; 2] {
+        match *self {
+            LinkRule::Delay { link, .. }
+            | LinkRule::Bandwidth { link, .. }
+            | LinkRule::Cut { link, .. }
+            | LinkRule::Partition { link, .. } => [link.src, link.dst],
+            LinkRule::Refuse { rank, .. } => [Some(rank), None],
+        }
+    }
 }
 
 /// The injector's verdict for one transmission attempt.
@@ -673,6 +721,27 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rank_outside_names_the_first_rule_past_the_world() {
+        let plan = |spec: &str| FaultPlan::parse(spec).unwrap();
+        let spec = "crash=1@0;slow=1:2;drop=0>*:0.1;delay=*-1:3;refuse=1@0..";
+        assert_eq!(plan(spec).rank_outside(2), None);
+        assert_eq!(plan("crash=5@1").rank_outside(2), Some(("crash", 5)));
+        assert_eq!(
+            plan("slow=0:2;drop=0>3:0.1").rank_outside(3),
+            Some(("drop", 3))
+        );
+        assert_eq!(
+            plan("corrupt=*-2:0.1").rank_outside(2),
+            Some(("corrupt", 2))
+        );
+        assert_eq!(
+            plan("bw=0>1:100;cut=4-0:9").rank_outside(4),
+            Some(("cut", 4))
+        );
+        assert_eq!(plan("refuse=2@0..").rank_outside(2), Some(("refuse", 2)));
+    }
 
     #[test]
     fn fates_are_deterministic_per_key() {

@@ -32,11 +32,6 @@
 //!   crash, or a [`DeadlockReport`] from the built-in watchdog instead
 //!   of hanging or aborting opaquely; one classifier turns every rank's
 //!   unwind into that error on both backends.
-//! * Degraded-mode failover — [`ThreadWorld::try_run_failover`] lets
-//!   survivors absorb an injected crash in place, relying on the 1.5D
-//!   algorithm's replicated block rows. The thread world owns it whole
-//!   (death registry, death-aware barrier, epoch commit); the link layer
-//!   beneath [`RankCtx`] only moves frames and runs the plain barrier.
 //! * Tracing — [`ThreadWorld::with_tracing`] arms a per-rank
 //!   [`gnn_trace::RankTracer`]; every op above then also emits a
 //!   structured event on the rank's modeled-time axis, and
@@ -61,7 +56,7 @@ pub use gnn_trace as trace;
 
 pub use cost::CostModel;
 pub use ctx::{OverlapConfig, RankCtx};
-pub use error::{BlockedRank, DeadlockReport, EpochAbortPanic, WaitKind, WorldError};
+pub use error::{BlockedRank, DeadlockReport, WaitKind, WorldError};
 pub use fault::{Fault, FaultInjector, FaultPlan, SendFate};
 pub use gnn_trace::{SpanKind, WorldTrace};
 pub use pool::PayloadPool;

@@ -194,20 +194,16 @@ fn kind(p: &Payload) -> &'static str {
 
 /// A tagged, framed message; the tag carries the phase/op kind so
 /// protocol mismatches fail fast instead of silently mis-pairing
-/// buffers, while `seq`/`gen`/`checksum` are the reliable-transport
-/// header: per-channel sequence number, epoch-attempt generation, and
-/// the sender-computed [`Payload::checksum`] the receiver verifies end
+/// buffers, while `seq`/`checksum` are the reliable-transport header:
+/// per-channel sequence number and the sender-computed [`Payload::checksum`] the receiver verifies end
 /// to end.
 #[derive(Clone, Debug)]
 pub struct Msg {
     /// Op discriminator (see [`crate::ctx`] constants).
     pub tag: u8,
     /// Per-(src → dst) channel sequence number, monotone across the
-    /// whole run (never reset on failover).
+    /// whole run.
     pub seq: u64,
-    /// Failover generation the frame was sent in; receivers discard
-    /// frames from completed (aborted) generations.
-    pub gen: u32,
     /// [`Payload::checksum`] computed at send time. A mismatch at the
     /// receiver means in-flight corruption → discard + wait for the
     /// retransmit.

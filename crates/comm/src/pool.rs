@@ -152,8 +152,7 @@ struct Lanes {
 /// Per-rank lanes of exact-capacity free lists behind one leaf mutex.
 /// `take_*` never fails: a request its lane cannot serve allocates
 /// (counted in [`PayloadPool::fresh_allocs`]), so a rank is never handed
-/// nothing — not after an aborted epoch attempt dropped its payloads, not
-/// after a peer died holding some.
+/// nothing — not after a peer died holding some.
 #[derive(Debug)]
 pub struct PayloadPool {
     free: Mutex<Lanes>,

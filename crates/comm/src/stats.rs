@@ -206,18 +206,12 @@ impl RankStats {
 pub struct WorldStats {
     /// One entry per rank.
     pub per_rank: Vec<RankStats>,
-    /// Degraded-mode epochs completed via replica failover (surviving
-    /// replicas covered for dead ranks without a world restart).
-    pub failovers: u64,
 }
 
 impl WorldStats {
     /// Builds from per-rank stats.
     pub fn new(per_rank: Vec<RankStats>) -> Self {
-        Self {
-            per_rank,
-            failovers: 0,
-        }
+        Self { per_rank }
     }
 
     /// Number of ranks.
@@ -391,7 +385,6 @@ impl WorldStats {
         reg.counter("faults.retries", self.total_retries());
         reg.counter("faults.injected", self.total_injected_faults());
         reg.counter("faults.retransmit_bytes", self.total_retransmit_bytes());
-        reg.counter("faults.failovers", self.failovers);
         reg.counter(
             "faults.duplicates_discarded",
             self.total_duplicates_discarded(),
@@ -451,7 +444,6 @@ impl WorldStats {
         for (a, b) in self.per_rank.iter_mut().zip(&other.per_rank) {
             a.merge(b);
         }
-        self.failovers += other.failovers;
     }
 }
 
@@ -552,17 +544,5 @@ mod tests {
         assert_eq!(r.wire_bytes_sent_total(), 140);
         let w = WorldStats::new(vec![r]);
         assert_eq!(w.total_wire_bytes_sent(), 140);
-    }
-
-    #[test]
-    fn failovers_merge_and_export() {
-        let mut a = WorldStats::new(vec![RankStats::default()]);
-        a.failovers = 1;
-        let mut b = WorldStats::new(vec![RankStats::default()]);
-        b.failovers = 2;
-        a.merge(&b);
-        assert_eq!(a.failovers, 3);
-        let reg = a.to_metrics();
-        assert_eq!(reg.counter_value("faults.failovers"), Some(3));
     }
 }

@@ -1,9 +1,9 @@
 //! Pluggable link layer beneath [`crate::RankCtx`].
 //!
-//! Everything *above* this trait — sequence numbers, generation stamps,
-//! end-to-end checksums, retransmit pricing, collectives, tracing — is
-//! backend-independent and lives in [`crate::ctx`], and so do the
-//! deadlock watchdog and degraded-mode failover ([`crate::watchdog`]). A
+//! Everything *above* this trait — sequence numbers, end-to-end
+//! checksums, retransmit pricing, collectives, tracing — is
+//! backend-independent and lives in [`crate::ctx`], and so does the
+//! deadlock watchdog ([`crate::watchdog`]). A
 //! [`Transport`] is a link: it moves already-framed [`Msg`]s between
 //! ranks, runs a rendezvous barrier, and reports a peer it knows to be
 //! gone:
@@ -58,8 +58,8 @@ pub(crate) enum RecvOutcome {
 /// thread or process).
 pub(crate) trait Transport: Send {
     /// Queues `msg` for `dst`. `Err(PeerGone)` means the peer is known
-    /// dead — the caller decides whether that is fatal (no failover) or
-    /// survivable. Delivery to a live peer must be reliable and FIFO.
+    /// dead, which the caller treats as fatal. Delivery to a live peer
+    /// must be reliable and FIFO.
     fn send(&mut self, dst: usize, msg: Msg) -> Result<(), PeerGone>;
 
     /// Blocks up to `timeout` for the next frame from `src`.

@@ -1895,7 +1895,6 @@ impl ProcWorld {
             Arc::new(Watchdog::new(self.p, self.timeout)),
             self.injector.clone(),
             tracer,
-            None,
             pool,
         );
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -2184,7 +2183,6 @@ mod tests {
             let msg = Msg {
                 tag: 3,
                 seq,
-                gen: 0,
                 checksum: payload.checksum(),
                 payload,
             };

@@ -5,7 +5,7 @@
 //! the length field itself. `link_seq` numbers DATA frames per
 //! connection direction (the replay/ack watermark unit); it is zero for
 //! control frames. The DATA body is the byte serialization of
-//! [`Msg`] — tag, transport seq, generation, payload checksum, payload —
+//! [`Msg`] — tag, transport seq, payload checksum, payload —
 //! exactly the header the thread backend passes by value, so the
 //! receive state machine in [`crate::RankCtx`] is backend-agnostic.
 //! The full grammar is documented in DESIGN.md §8.
@@ -225,8 +225,8 @@ const PV_F64: u8 = 1;
 const PV_U32: u8 = 2;
 const PV_ROWS: u8 = 3;
 
-/// Bytes of `tag`, `seq`, `gen`, `checksum` and the payload variant.
-const MSG_HEADER: usize = 1 + 8 + 4 + 8 + 1;
+/// Bytes of `tag`, `seq`, `checksum` and the payload variant.
+const MSG_HEADER: usize = 1 + 8 + 8 + 1;
 
 /// Appends `v` as little-endian words: one resize, then a fixed-width
 /// copy per element, which compiles to a block move.
@@ -290,7 +290,6 @@ fn encode_data_head(src: usize, msg: &Msg) -> Vec<u8> {
     let mut b = begin_frame(kind::DATA, src as u32, 0, MSG_HEADER + 16 + 4 * ids.len());
     b.push(msg.tag);
     b.extend_from_slice(&msg.seq.to_le_bytes());
-    b.extend_from_slice(&msg.gen.to_le_bytes());
     b.extend_from_slice(&msg.checksum.to_le_bytes());
     match &msg.payload {
         Payload::Empty => b.push(PV_EMPTY),
@@ -435,7 +434,7 @@ pub(crate) fn read_data(
         buf: &fixed,
         pos: 0,
     };
-    let (tag, seq, gen, checksum, _variant) = (c.u8()?, c.u64()?, c.u32()?, c.u64()?, c.u8()?);
+    let (tag, seq, checksum, _variant) = (c.u8()?, c.u64()?, c.u64()?, c.u8()?);
     // Byte lengths of the id and data arrays the counts claim.
     let mut bytes_of = |width: u64| c.u64()?.checked_mul(width).ok_or_else(mismatch);
     let (idx_len, data_len) = match variant {
@@ -460,7 +459,6 @@ pub(crate) fn read_data(
     Ok(Msg {
         tag,
         seq,
-        gen,
         checksum,
         payload,
     })
@@ -583,7 +581,6 @@ mod tests {
     fn reference_data_frame(src: u32, link_seq: u64, msg: &Msg) -> Vec<u8> {
         let mut body = vec![msg.tag];
         body.extend_from_slice(&msg.seq.to_le_bytes());
-        body.extend_from_slice(&msg.gen.to_le_bytes());
         body.extend_from_slice(&msg.checksum.to_le_bytes());
         let put_u32s = |body: &mut Vec<u8>, v: &[u32]| {
             for x in v {
@@ -657,7 +654,6 @@ mod tests {
         Msg {
             tag: rng.gen(),
             seq: rng.gen(),
-            gen: rng.gen(),
             checksum: payload.checksum(),
             payload,
         }
@@ -759,8 +755,8 @@ mod tests {
             let back = read_data(&mut r, header.body_len, &PayloadPool::new(1), 0).unwrap();
             assert!(r.is_empty(), "the frame consumes exactly its bytes");
             assert_eq!(
-                (back.tag, back.seq, back.gen, back.checksum),
-                (msg.tag, msg.seq, msg.gen, msg.checksum)
+                (back.tag, back.seq, back.checksum),
+                (msg.tag, msg.seq, msg.checksum)
             );
             assert_eq!(payload_bits(&back.payload), payload_bits(&msg.payload));
             assert_well_formed(&back, header.body_len);
@@ -792,7 +788,6 @@ mod tests {
         .map(|payload| Msg {
             tag: 3,
             seq: 17,
-            gen: 2,
             checksum: payload.checksum(),
             payload,
         })

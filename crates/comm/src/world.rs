@@ -14,10 +14,8 @@
 //! crash that fired, or a [`crate::error::DeadlockReport`] when the
 //! watchdog converted a hang into a diagnosis. Attach a
 //! [`FaultPlan`]/[`FaultInjector`] to rehearse degraded conditions
-//! deterministically. [`ThreadWorld::try_run_failover`] is the one run
-//! that survives injected crashes in place (degraded-mode failover): it
-//! alone builds the world's failover state, which the link layer never
-//! sees.
+//! deterministically. A crash ends the run; recovering from it is the
+//! caller's checkpoint restart.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -33,7 +31,7 @@ use crate::msg::Msg;
 use crate::pool::PayloadPool;
 use crate::stats::{RankStats, WorldStats};
 use crate::transport::thread::ThreadTransport;
-use crate::watchdog::{Failover, TimeoutBarrier, Watchdog};
+use crate::watchdog::{TimeoutBarrier, Watchdog};
 
 /// Factory for SPMD runs.
 #[derive(Clone, Debug)]
@@ -50,11 +48,6 @@ type RankOut<R> = (R, RankStats, Option<Box<RankTracer>>);
 
 /// Every rank's unwind, classified, in rank order.
 type Failures = Vec<(Cause, WorldError)>;
-
-/// What a failover run yields: one result slot per rank (`None` for
-/// ranks that died), aggregated stats, and the whole-world trace when
-/// tracing is on and no rank died.
-pub type FailoverRun<R> = (Vec<Option<R>>, WorldStats, Option<WorldTrace>);
 
 impl ThreadWorld {
     /// Default watchdog timeout: generous enough for any legitimate test
@@ -131,9 +124,7 @@ impl ThreadWorld {
     /// Enables structured tracing: each rank records a span/event
     /// timeline into a private [`RankTracer`], collected after the run
     /// into the [`WorldTrace`] returned by
-    /// [`ThreadWorld::try_run_traced`] (and by
-    /// [`ThreadWorld::try_run_failover`] when no rank died). Off by
-    /// default (zero overhead).
+    /// [`ThreadWorld::try_run_traced`]. Off by default (zero overhead).
     #[must_use]
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
@@ -187,7 +178,7 @@ impl ThreadWorld {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
-        let (results, failures) = self.launch(false, &f);
+        let (results, failures) = self.launch(&f);
         if let Some(err) = root_cause(failures) {
             return Err(err);
         }
@@ -207,75 +198,9 @@ impl ThreadWorld {
         Ok((outs, WorldStats::new(stats), trace))
     }
 
-    /// Degraded-mode entry point: runs `f` with failover and tolerates
-    /// injected crashes as long as at least one rank survives. An injected
-    /// crash no longer tears the world down: the dying rank registers
-    /// itself in the death registry, survivors abort the in-flight epoch
-    /// attempt (`ABORT` control frames + [`crate::EpochAbortPanic`]
-    /// unwinding), rendezvous at the death-aware commit barrier, and
-    /// retry under the next generation with the shrunken grid. This is
-    /// the only run that arms failover; every other entry point treats a
-    /// death as fatal.
-    ///
-    /// Returns one slot per rank — `Some(result)` for survivors, `None`
-    /// for ranks that died (their stats slots are default-filled so rank
-    /// indices stay aligned). `WorldStats::failovers` counts the deaths
-    /// the survivors absorbed in place. The trace is returned only for
-    /// death-free runs: a dead rank's tracer unwinds with its thread, so
-    /// a partial trace cannot pass whole-world validation.
-    ///
-    /// Still fails structurally when:
-    /// * an entire replica group died
-    ///   ([`WorldError::ReplicaColumnLost`], checkpoint-restart ladder),
-    /// * every rank died (the first crash is reported),
-    /// * any rank failed for a reason other than an injected crash.
-    pub fn try_run_failover<R, F>(&self, f: F) -> Result<FailoverRun<R>, WorldError>
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        let (results, failures) = self.launch(true, &f);
-        let (crashes, other): (Failures, Failures) = failures
-            .into_iter()
-            .partition(|(cause, _)| *cause == Cause::Crash);
-        // Injected crashes are what failover absorbs; anything else fails
-        // the run.
-        if let Some(err) = root_cause(other) {
-            return Err(err);
-        }
-        let deaths = crashes.len() as u64;
-        if results.iter().all(Option::is_none) {
-            return Err(root_cause(crashes).expect("no survivors implies at least one crash"));
-        }
-
-        let mut outs = Vec::with_capacity(self.p);
-        let mut stats = Vec::with_capacity(self.p);
-        let mut tracers = Vec::new();
-        for slot in results {
-            match slot {
-                Some((r, st, tr)) => {
-                    outs.push(Some(r));
-                    stats.push(st);
-                    if let Some(t) = tr {
-                        tracers.push(*t);
-                    }
-                }
-                None => {
-                    outs.push(None);
-                    stats.push(RankStats::default());
-                }
-            }
-        }
-        let mut stats = WorldStats::new(stats);
-        stats.failovers = deaths;
-        let trace = (self.tracing && deaths == 0 && tracers.len() == self.p)
-            .then(|| WorldTrace::collect(tracers));
-        Ok((outs, stats, trace))
-    }
-
     /// Builds the channel mesh and rank contexts, runs `f` on `p` scoped
-    /// threads, and joins them — shared machinery behind every run mode.
-    fn launch<R, F>(&self, failover: bool, f: &F) -> (Vec<Option<RankOut<R>>>, Failures)
+    /// threads, and joins them.
+    fn launch<R, F>(&self, f: &F) -> (Vec<Option<RankOut<R>>>, Failures)
     where
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
@@ -295,7 +220,6 @@ impl ThreadWorld {
         }
         let barrier = Arc::new(TimeoutBarrier::new(p));
         let watchdog = Arc::new(Watchdog::new(p, self.effective_timeout()));
-        let failover = failover.then(|| Arc::new(Failover::new(p, barrier.clone())));
         // One payload pool for the run, shared by its rank threads and
         // dropped with them: payload buffers move between ranks, so only
         // the world that moves them can balance their free list.
@@ -320,7 +244,6 @@ impl ThreadWorld {
                     watchdog.clone(),
                     self.injector.clone(),
                     self.tracing.then(|| Box::new(RankTracer::new(rank))),
-                    failover.clone(),
                     pool.clone(),
                 )
             })
@@ -367,7 +290,6 @@ fn root_cause(failures: Failures) -> Option<WorldError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::EpochAbortPanic;
     use crate::msg::Payload;
     use crate::stats::Phase;
 
@@ -766,7 +688,6 @@ mod tests {
             Arc::new(Watchdog::new(1, Duration::from_secs(1))),
             None,
             None,
-            None,
             Arc::new(PayloadPool::new(1)),
         );
         ctx.send(0, Payload::Empty);
@@ -923,7 +844,6 @@ mod tests {
             .send(Msg {
                 tag: crate::ctx::tag::P2P,
                 seq: 3,
-                gen: 0,
                 checksum: payload.checksum(),
                 payload,
             })
@@ -939,7 +859,6 @@ mod tests {
             CostModel::bandwidth_only(),
             Box::new(transport),
             Arc::new(Watchdog::new(2, Duration::from_secs(1))),
-            None,
             None,
             None,
             Arc::new(PayloadPool::new(2)),
@@ -1069,110 +988,5 @@ mod tests {
         assert_eq!(a_out, b_out);
         assert_eq!(a_stats, b_stats);
         assert!(a_stats.total_injected_faults() > 0, "plan injected nothing");
-    }
-
-    // ---- degraded-mode failover ----
-
-    #[test]
-    fn failover_run_tolerates_a_crash_with_survivors() {
-        let plan = FaultPlan::new(0).crash_at(1, 0, 0);
-        let (outs, stats, trace) = world(2)
-            .with_faults(plan)
-            .try_run_failover(|ctx| {
-                ctx.set_epoch(0);
-                ctx.rank() * 10
-            })
-            .expect("the survivor's result must come back");
-        assert_eq!(outs, vec![Some(0), None]);
-        assert_eq!(stats.failovers, 1);
-        assert!(trace.is_none());
-    }
-
-    #[test]
-    fn failover_with_no_survivors_reports_the_crash() {
-        let plan = FaultPlan::new(0).crash_at(0, 0, 0).crash_at(1, 0, 0);
-        let err = world(2)
-            .with_faults(plan)
-            .try_run_failover(|ctx| {
-                ctx.set_epoch(0);
-            })
-            .unwrap_err();
-        match err {
-            WorldError::InjectedCrash { .. } => {}
-            other => panic!("expected InjectedCrash, got {other}"),
-        }
-    }
-
-    #[test]
-    fn failover_epoch_abort_retries_and_commits_on_survivors() {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        // Rank 1 dies at its first op of epoch 0. Rank 0 (waiting on a
-        // message from it) aborts the attempt; rank 2 completes the
-        // attempt obliviously. Both rendezvous at the death-aware commit
-        // barrier, agree the generation is poisoned, and retry with the
-        // shrunken world — stale generation-0 frames are discarded.
-        let plan = FaultPlan::new(0).crash_at(1, 0, 1);
-        let (outs, stats, _) = world(3)
-            .with_faults(plan)
-            .try_run_failover(|ctx| {
-                ctx.set_epoch(0);
-                let mut committed = None;
-                let mut attempts = 0;
-                while committed.is_none() {
-                    attempts += 1;
-                    assert!(attempts <= 3, "failover retry did not converge");
-                    let dead = ctx.dead_ranks();
-                    let alive: Vec<usize> = (0..ctx.p()).filter(|r| !dead.contains(r)).collect();
-                    let root = alive[0];
-                    let me = ctx.rank();
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        if me == root {
-                            let mut acc = me as f64;
-                            for &src in &alive[1..] {
-                                acc += ctx.recv(src).into_f64()[0];
-                            }
-                            acc
-                        } else {
-                            ctx.send(root, Payload::F64(vec![me as f64]));
-                            me as f64
-                        }
-                    }));
-                    match attempt {
-                        Ok(v) => {
-                            if ctx.commit_epoch() {
-                                committed = Some(v);
-                            }
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<EpochAbortPanic>().is_none() {
-                                resume_unwind(payload);
-                            }
-                            assert!(!ctx.commit_epoch(), "aborted attempt must not commit");
-                        }
-                    }
-                }
-                (committed.unwrap(), ctx.generation())
-            })
-            .expect("survivors must complete");
-        // Retried sum excludes the dead rank: 0 + 2 at the root.
-        assert_eq!(outs[0], Some((2.0, 1)));
-        assert_eq!(outs[1], None);
-        assert_eq!(outs[2], Some((2.0, 1)));
-        assert_eq!(stats.failovers, 1);
-    }
-
-    #[test]
-    fn failover_propagates_replica_column_loss() {
-        let err = world(2)
-            .try_run_failover(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.replica_column_lost(3);
-                }
-            })
-            .unwrap_err();
-        match err {
-            WorldError::ReplicaColumnLost { block_row } => assert_eq!(block_row, 3),
-            other => panic!("expected ReplicaColumnLost, got {other}"),
-        }
     }
 }

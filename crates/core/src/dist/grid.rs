@@ -36,9 +36,8 @@
 //! numbering (same stage slices, same designated senders, same reduce
 //! group in the same fold order), and 2D is 3D with `c = 1` minus the
 //! one-rank all-reduce; both equivalences are unit-tested below. Every
-//! peer in a built plan is a resolved linear rank, so the executors, the
-//! analytic replay and the failover routine never ask which shape they
-//! serve.
+//! peer in a built plan is a resolved linear rank, so the executors and
+//! the analytic replay never ask which shape they serve.
 //!
 //! The plan is one; *delivery* stays per family. The staged executor of
 //! this module moves each stage point to point, which is what Algorithm 2

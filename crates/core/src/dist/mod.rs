@@ -8,7 +8,6 @@
 
 pub mod buffers;
 pub mod checkpoint;
-pub mod failover;
 pub mod grid;
 pub mod oned;
 #[cfg(unix)]
@@ -19,7 +18,6 @@ pub use buffers::EpochBuffers;
 pub use checkpoint::{
     clear_disk_checkpoints, Checkpoint, CheckpointBackend, CheckpointStore, DiskCheckpointStore,
 };
-pub use failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 pub use grid::{even_bounds, spmm_grid, spmm_grid_buf, GridPlan};
 pub use oned::{spmm_1d, spmm_1d_buf};
 #[cfg(unix)]

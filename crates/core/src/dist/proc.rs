@@ -87,10 +87,6 @@ pub fn run_rank_proc(
     dir: &Path,
     rank: usize,
 ) -> Result<(), ProcError> {
-    assert!(
-        !cfg.robust.failover,
-        "replica failover is not supported on the process backend"
-    );
     let plan = build_plan(ds, bounds, cfg);
     let mut world = ProcWorld::new(plan.p(), cfg.model, dir)
         .with_timeout(cfg.robust.timeout)
@@ -411,7 +407,6 @@ fn collect_outcome(
         weights,
         stats: WorldStats::new(per_rank),
         restarts,
-        failovers: 0,
         trace: None,
         resume_points,
     })

@@ -14,17 +14,10 @@
 //!
 //! 1. **Retransmit** — dropped/corrupted frames are re-sent by the
 //!    transport layer in [`gnn_comm`]; invisible here beyond stats.
-//! 2. **Replica failover** (1.5D with [`RobustnessConfig::failover`]) —
-//!    a rank crash mid-epoch aborts the epoch attempt on every
-//!    survivor; the dead rank's duties are reassigned to a same-row
-//!    replica and the epoch re-runs *in the same world*, producing
-//!    bit-identical results with no restart.
-//! 3. **Checkpoint restart** — an unrecoverable-in-place loss (a whole
-//!    replica group dead, or any crash without failover) tears the
-//!    world down and resumes from the newest verified
-//!    [`Checkpoint`] in the [`CheckpointStore`], up to
-//!    `max_restarts` times.
-//! 4. **Abort** — anything else (or an exhausted restart budget)
+//! 2. **Checkpoint restart** — a rank crash tears the world down and
+//!    resumes from the newest verified [`Checkpoint`] in the
+//!    [`CheckpointStore`], up to `max_restarts` times.
+//! 3. **Abort** — anything else (or an exhausted restart budget)
 //!    surfaces as a structured [`WorldError`].
 //!
 //! Because weights are replicated and every epoch is deterministic,
@@ -33,13 +26,12 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gnn_comm::{
-    CostModel, EpochAbortPanic, FaultInjector, FaultPlan, Phase, RankCtx, SpanKind, ThreadWorld,
-    WorldError, WorldStats, WorldTrace,
+    CostModel, FaultInjector, FaultPlan, Phase, RankCtx, SpanKind, ThreadWorld, WorldError,
+    WorldStats, WorldTrace,
 };
 use spmat::dataset::Dataset;
 use spmat::gen::sbm::block_bounds;
@@ -51,7 +43,6 @@ use crate::reference::EpochRecord;
 
 use super::buffers::EpochBuffers;
 use super::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
-use super::failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 use super::grid::{spmm_grid_buf, GridPlan};
 use super::oned::spmm_1d_buf;
 
@@ -175,12 +166,6 @@ pub struct RobustnessConfig {
     pub max_restarts: usize,
     /// Deadlock-watchdog timeout for blocking communication.
     pub timeout: Duration,
-    /// Degraded-mode failover (1.5D only): survive a rank crash
-    /// *in place* by reassigning the dead rank's duties to a same-row
-    /// replica, falling back to a checkpoint restart only when an
-    /// entire replica group is lost. Ignored for algorithms without
-    /// replication, which go straight to the restart ladder.
-    pub failover: bool,
 }
 
 impl Default for RobustnessConfig {
@@ -190,7 +175,6 @@ impl Default for RobustnessConfig {
             checkpoint_every: 0,
             max_restarts: 0,
             timeout: ThreadWorld::DEFAULT_TIMEOUT,
-            failover: false,
         }
     }
 }
@@ -258,10 +242,6 @@ pub struct DistOutcome {
     pub stats: WorldStats,
     /// How many times the world was torn down and resumed.
     pub restarts: usize,
-    /// How many rank deaths were absorbed *in place* by degraded-mode
-    /// failover in the attempt that completed (0 without
-    /// [`RobustnessConfig::failover`]).
-    pub failovers: u64,
     /// Structured trace of the completed attempt (when
     /// [`DistConfig::trace`] was set).
     pub trace: Option<WorldTrace>,
@@ -342,9 +322,6 @@ pub fn try_train_distributed_with_store(
         .as_ref()
         .filter(|plan| !plan.is_empty())
         .map(|plan| Arc::new(FaultInjector::new(plan.clone())));
-    // Replication is what makes in-place failover possible; without it
-    // the flag silently defers to the checkpoint-restart rung.
-    let use_failover = cfg.robust.failover && matches!(cfg.algo, Algo::OneFiveD { .. });
     let mut restarts = 0;
     let mut resume_points = Vec::new();
 
@@ -355,32 +332,12 @@ pub fn try_train_distributed_with_store(
         if let Some(inj) = &injector {
             world = world.with_injector(inj.clone());
         }
-        let body = |ctx: &mut RankCtx| run_rank(ctx, ds, cfg, &plan, store);
-        let run = if use_failover {
-            world.try_run_failover(body).map(|(results, stats, trace)| {
-                // Survivors hold identical replicated results; dead
-                // ranks' slots are `None`.
-                let (records, weights) = results
-                    .into_iter()
-                    .flatten()
-                    .next()
-                    .expect("a completed failover run has at least one survivor");
-                (records, weights, stats, trace)
-            })
-        } else {
-            world
-                .try_run_traced(body)
-                .map(|(mut results, stats, trace)| {
-                    let (records, weights) = results.swap_remove(0);
-                    (records, weights, stats, trace)
-                })
-        };
-        match run {
-            Ok((records, weights, stats, trace)) => {
+        match world.try_run_traced(|ctx| run_rank(ctx, ds, cfg, &plan, store)) {
+            Ok((mut results, stats, trace)) => {
+                let (records, weights) = results.swap_remove(0);
                 return Ok(DistOutcome {
                     records,
                     weights,
-                    failovers: stats.failovers,
                     stats,
                     restarts,
                     trace,
@@ -405,13 +362,9 @@ pub(crate) fn run_rank(
     plan: &GridPlan,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
-    let (mut rank, mut epoch) = RankTrainer::new(ctx, ds, cfg, plan, store);
-    while epoch < cfg.epochs {
-        if rank.epoch(ctx, epoch) {
-            epoch += 1;
-        }
-        // Uncommitted: a peer died mid-attempt — re-run the same epoch
-        // with its duties reassigned.
+    let (mut rank, start) = RankTrainer::new(ctx, ds, cfg, plan, store);
+    for epoch in start..cfg.epochs {
+        rank.epoch(ctx, epoch);
     }
     (rank.records, rank.weights)
 }
@@ -422,7 +375,7 @@ pub type PoolCounters = (usize, u64);
 /// Diagnostic behind the closed-loop tests: trains `cfg.epochs` fault-free
 /// epochs of `cfg` on a thread world and returns, per rank and per epoch,
 /// the counters of the world's payload pool and of the rank's own
-/// activation pool, read between two barriers after the epoch committed —
+/// activation pool, read between two barriers after the epoch finished —
 /// every rank idle, every payload back in the pool — so a steady state
 /// shows as rows that repeat exactly.
 #[doc(hidden)]
@@ -437,7 +390,7 @@ pub fn pool_trajectory(
     let (per_rank, _) = world.run(|ctx| {
         let (mut rank, start) = RankTrainer::new(ctx, ds, cfg, &plan, &store);
         let after = |epoch| {
-            assert!(rank.epoch(ctx, epoch), "fault-free epochs commit");
+            rank.epoch(ctx, epoch);
             ctx.barrier();
             let pool = ctx.payload_pool();
             let world = (pool.pooled(), pool.fresh_allocs());
@@ -643,7 +596,7 @@ pub(crate) struct RankTrainer<'a> {
     /// world's), so steady-state epochs stay off the allocator.
     bufs: EpochBuffers,
     /// Layer stacks, reused across epochs (drained into `bufs` after each
-    /// attempt, repopulated from it by the next). `hs[0]` is H⁰,
+    /// epoch, repopulated from it by the next). `hs[0]` is H⁰,
     /// this rank's one owned block of input features: it stays in place
     /// for the whole run, read-only, neither copied per epoch nor retired
     /// to the pool.
@@ -705,48 +658,22 @@ impl<'a> RankTrainer<'a> {
         (rank, start_epoch)
     }
 
-    /// Runs epoch `epoch` as an *attempt* and passes it through the commit
-    /// gate; returns whether it committed. Only a committed attempt
-    /// mutates state (optimizer step, record append, checkpoint), so under
-    /// failover an attempt aborted by a mid-epoch death — every survivor
-    /// unwinds with [`EpochAbortPanic`] — is side-effect free and simply
-    /// re-runs. Without failover nothing can abort in place: the attempt
-    /// runs unguarded and the gate is a no-op that always commits.
-    pub(crate) fn epoch(&mut self, ctx: &mut RankCtx, epoch: usize) -> bool {
+    /// Runs epoch `epoch`: one [`Self::attempt`], then the optimizer
+    /// step, the record and, when one is due, the checkpoint. A crash
+    /// anywhere in it unwinds to the world boundary, where the supervisor
+    /// restarts from the newest checkpoint.
+    pub(crate) fn epoch(&mut self, ctx: &mut RankCtx, epoch: usize) {
         ctx.set_epoch(epoch);
-        let attempt = if ctx.failover_enabled() {
-            catch_unwind(AssertUnwindSafe(|| self.attempt(ctx)))
-        } else {
-            Ok(self.attempt(ctx))
-        };
-        // Finished or aborted, the attempt's activations go back to the
-        // pool; H⁰ stays.
+        let (grads, record) = self.attempt(ctx);
+        // The epoch's activations go back to the pool; H⁰ stays.
         let Self {
             bufs, hs, zs, ahs, ..
         } = self;
         for d in hs.drain(1..).chain(zs.drain(..)).chain(ahs.drain(..)) {
             bufs.put_dense(d);
         }
-        let (grads, record) = match attempt {
-            Ok(done) => done,
-            Err(payload) => {
-                // Only the failover abort is survivable here; injected
-                // crashes, replica-column loss and genuine bugs keep
-                // unwinding to the world boundary.
-                if !payload.is::<EpochAbortPanic>() {
-                    resume_unwind(payload);
-                }
-                let committed = ctx.commit_epoch();
-                debug_assert!(!committed, "an aborted attempt cannot commit");
-                return false;
-            }
-        };
-        // Commit gate: true unless somebody died during this attempt.
-        let committed = ctx.commit_epoch();
-        if committed {
-            self.optimizer.step(&mut self.weights, &grads);
-            self.records.push(record);
-        }
+        self.optimizer.step(&mut self.weights, &grads);
+        self.records.push(record);
         for d in grads {
             self.bufs.put_dense(d);
         }
@@ -756,35 +683,24 @@ impl<'a> RankTrainer<'a> {
         // checksums the snapshot and keeps the previous one as a verified
         // fallback.
         let every = self.cfg.robust.checkpoint_every;
-        if committed && every > 0 && (epoch + 1).is_multiple_of(every) {
-            // The lowest survivor writes (rank 0 while nobody has died);
-            // the sealed view makes that choice identical on every rank.
-            let dead = ctx.sealed_dead_ranks();
-            let writer = (0..ctx.p()).find(|r| !dead.contains(r));
-            if writer == Some(ctx.rank()) {
-                self.store.save(Checkpoint {
-                    next_epoch: epoch + 1,
-                    weights: self.weights.clone(),
-                    optimizer: self.optimizer.clone(),
-                    records: self.records.clone(),
-                });
-            }
+        if every > 0 && (epoch + 1).is_multiple_of(every) && ctx.rank() == 0 {
+            self.store.save(Checkpoint {
+                next_epoch: epoch + 1,
+                weights: self.weights.clone(),
+                optimizer: self.optimizer.clone(),
+                records: self.records.clone(),
+            });
         }
-        committed
     }
 
-    /// One epoch attempt: forward, loss, backward through the final
+    /// One epoch's work: forward, loss, backward through the final
     /// gradient all-reduce. Returns the weight gradients (layer order)
     /// and the epoch's record, leaves its activations on the layer stacks
     /// for [`Self::epoch`] to retire, and touches no training state. A
     /// layer's forward SpMM runs on `H` or on `H·W`, as
     /// [`LayerOrder::narrow_first`] decides for it; a narrow-first layer
     /// 0 splits its products against `H⁰` across the replica group
-    /// ([`ReplicaSlab`]). Under a degraded [`FailoverView`] those products
-    /// run whole, and the SpMM and the global reductions run their
-    /// degraded forms, which fold in fault-free slot order from
-    /// replicated data, so committed epochs are bit-identical to a
-    /// fault-free run.
+    /// ([`ReplicaSlab`]).
     fn attempt(&mut self, ctx: &mut RankCtx) -> (Vec<Dense>, EpochRecord) {
         let (ds, cfg, plan) = (self.ds, self.cfg, self.plan);
         let (panel, all_group, weights) = (&self.panel, &self.all_group, &self.weights);
@@ -794,15 +710,9 @@ impl<'a> RankTrainer<'a> {
         let (arch, dims, l_total) = (cfg.gcn.arch, &cfg.gcn.dims, cfg.gcn.layers());
         let order = cfg.order;
 
-        // Role assignment from the *sealed* death set — identical on
-        // every rank of this generation without communication.
-        let view = FailoverView::compute(ctx, plan);
-        let degraded = view.is_degraded();
         let oned = matches!(cfg.algo, Algo::OneD { .. });
         let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-            if degraded {
-                spmm_15d_failover_buf(ctx, plan, &view, h, bufs)
-            } else if oned {
+            if oned {
                 spmm_1d_buf(ctx, plan, h, bufs)
             } else {
                 spmm_grid_buf(ctx, plan, h, bufs)
@@ -810,20 +720,12 @@ impl<'a> RankTrainer<'a> {
         };
         // Layer 0's products against H⁰ split across the replica group,
         // where there is one: only under the narrow order (the paper's
-        // order keeps Algorithm 2's op sequence verbatim) and only while
-        // every replica is alive (a degraded group computes them whole).
-        let slab0 = (order.narrow_first(dims, 0) && rp.reduce_group.len() > 1 && !degraded)
-            .then_some(ReplicaSlab {
+        // order keeps Algorithm 2's op sequence verbatim).
+        let slab0 =
+            (order.narrow_first(dims, 0) && rp.reduce_group.len() > 1).then_some(ReplicaSlab {
                 k: rp.l,
                 group: &rp.reduce_group,
             });
-        let global_reduce = |ctx: &mut RankCtx, buf: &mut [f64]| {
-            if degraded {
-                failover_allreduce_replicated(ctx, &view, buf);
-            } else {
-                ctx.allreduce_sum(buf, all_group);
-            }
-        };
         ctx.span_begin(SpanKind::Epoch, Phase::Other);
 
         // ---- forward ----
@@ -933,7 +835,7 @@ impl<'a> RankTrainer<'a> {
             &ds.train_mask[rp.row_lo..rp.row_hi],
         );
         let (record, g_count, mut g) =
-            loss_and_metrics(ctx, &hs[l_total], labels, mask, global_reduce, bufs);
+            loss_and_metrics(ctx, &hs[l_total], labels, mask, all_group, bufs);
 
         // ---- backward ----
         ctx.span_begin(SpanKind::Backward, Phase::Other);
@@ -1008,7 +910,7 @@ impl<'a> RankTrainer<'a> {
             if let Some(hp) = h_panel {
                 bufs.put_dense(hp);
             }
-            global_reduce(ctx, y.data_mut());
+            ctx.allreduce_sum(y.data_mut(), all_group);
             y.scale(1.0 / plan.c as f64);
             grads.push(y); // reverse layer order; fixed up below
             if l > 0 {
@@ -1032,8 +934,8 @@ impl<'a> RankTrainer<'a> {
 }
 
 /// The loss / metrics step of one epoch: local masked cross-entropy
-/// sums, the `[loss, count, correct]` reduction over all ranks through
-/// `reduce`, and the epoch's record. Returns the record, the global
+/// sums, the `[loss, count, correct]` all-reduce over `all_group`, and
+/// the epoch's record. Returns the record, the global
 /// (replication-inflated) masked count, and the local logit gradient sum
 /// — a pooled matrix, so the step leaves the pool as it found it once the
 /// caller retires the gradient. One pass over the masked rows computes
@@ -1043,7 +945,7 @@ fn loss_and_metrics(
     logits: &Dense,
     labels: &[u32],
     mask: &[bool],
-    reduce: impl FnOnce(&mut RankCtx, &mut [f64]),
+    all_group: &[usize],
     bufs: &mut EpochBuffers,
 ) -> (EpochRecord, f64, Dense) {
     ctx.span_begin(SpanKind::Loss, Phase::Other);
@@ -1058,7 +960,7 @@ fn loss_and_metrics(
         correct as f64 / count as f64
     };
     let mut sums = [loss_sum, count as f64, accuracy * count as f64];
-    reduce(ctx, &mut sums);
+    ctx.allreduce_sum(&mut sums, all_group);
     let [g_loss, g_count, g_correct] = sums;
     let record = EpochRecord {
         loss: g_loss / g_count.max(1.0),
@@ -1314,7 +1216,6 @@ mod tests {
             checkpoint_every: 2,
             max_restarts: 1,
             timeout: Duration::from_secs(10),
-            failover: false,
         };
         let faulty = try_train_distributed(&ds, &bounds, &faulty_cfg)
             .expect("restart should recover the run");
@@ -1372,7 +1273,6 @@ mod tests {
             checkpoint_every: 2,
             max_restarts: 1,
             timeout: Duration::from_secs(10),
-            failover: false,
         };
         let store = CorruptingStore(Mutex::new(CheckpointStore::new()));
         let out = try_train_distributed_with_store(&ds, &bounds, &faulty_cfg, &store)
@@ -1420,44 +1320,7 @@ mod tests {
     }
 
     #[test]
-    fn failover_absorbs_crash_without_restart_and_matches_bits() {
-        let ds = reddit_scaled(7, 11);
-        let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
-        let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
-        let epochs = 5;
-
-        let clean_cfg = DistConfig::new(
-            Algo::OneFiveD { aware: true, c: 2 },
-            cfg,
-            epochs,
-            CostModel::perlmutter_like(),
-        );
-        let clean = train_distributed(&ds, &bounds, &clean_cfg);
-
-        let mut faulty_cfg = clean_cfg.clone();
-        faulty_cfg.robust = RobustnessConfig {
-            faults: Some(FaultPlan::new(3).crash_at(1, 2, 3)),
-            checkpoint_every: 2,
-            max_restarts: 0, // failover must succeed without the restart rung
-            timeout: Duration::from_secs(10),
-            failover: true,
-        };
-        let faulty = try_train_distributed(&ds, &bounds, &faulty_cfg)
-            .expect("failover should absorb the crash in place");
-
-        assert_eq!(faulty.restarts, 0, "no world restart");
-        assert_eq!(faulty.failovers, 1, "exactly one death absorbed");
-        assert_eq!(faulty.records.len(), clean.records.len());
-        // Bit-for-bit: degraded collectives replay the fault-free fold.
-        for (a, b) in faulty.records.iter().zip(&clean.records) {
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-            assert_eq!(a.train_accuracy.to_bits(), b.train_accuracy.to_bits());
-        }
-        assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
-    }
-
-    #[test]
-    fn crash_at_the_slab_allreduce_fails_over_to_the_full_product() {
+    fn crash_at_the_slab_allreduce_restarts_from_the_checkpoint() {
         use gnn_comm::trace::EventKind;
         let ds = reddit_scaled(7, 11);
         let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
@@ -1489,37 +1352,37 @@ mod tests {
         let mut faulty_cfg = clean_cfg.clone();
         faulty_cfg.robust = RobustnessConfig {
             faults: Some(FaultPlan::parse(&format!("crash=1@{crash_epoch}:2")).unwrap()),
-            checkpoint_every: 0,
-            max_restarts: 0,
+            checkpoint_every: 1,
+            max_restarts: 1,
             timeout: Duration::from_secs(10),
-            failover: true,
         };
         let faulty = try_train_distributed(&ds, &bounds, &faulty_cfg)
-            .expect("failover should absorb a crash at the slab all-reduce");
-        assert_eq!((faulty.restarts, faulty.failovers), (0, 1));
+            .expect("a checkpoint restart should recover a crash at the slab all-reduce");
+        assert_eq!(faulty.restarts, 1);
+        assert_eq!(faulty.resume_points, vec![crash_epoch]);
+        assert_eq!(faulty.records.len(), clean.records.len());
         for (a, b) in faulty.records.iter().zip(&clean.records) {
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.train_accuracy.to_bits(), b.train_accuracy.to_bits());
         }
         assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
-        // Degraded epochs compute the products whole, and their
-        // collectives are the failover routines' sends and receives: no
-        // survivor enters an all-reduce after the healthy epochs but for
-        // its slab sum in the aborted attempt, if it got that far.
+        // The resumed world runs the same split epochs: every rank enters
+        // as many all-reduces per epoch as in the fault-free run.
         let all_reduces =
             |out: &DistOutcome, rank: usize| out.stats.per_rank[rank].phase(Phase::AllReduce).ops;
-        for rank in [0, 2, 3] {
-            let healthy = all_reduces(&clean, rank) / epochs as u64 * crash_epoch as u64;
-            let got = all_reduces(&faulty, rank);
-            assert!(
-                (healthy..=healthy + 1).contains(&got),
-                "rank {rank}: {got} all-reduces, {healthy} in the healthy epochs"
+        for rank in 0..4 {
+            let per_epoch = all_reduces(&clean, rank) / epochs as u64;
+            let resumed = (epochs - crash_epoch) as u64;
+            assert_eq!(
+                all_reduces(&faulty, rank),
+                per_epoch * resumed,
+                "rank {rank}"
             );
         }
     }
 
     #[test]
-    fn losing_a_whole_replica_group_falls_back_to_checkpoint_restart() {
+    fn losing_a_whole_replica_group_restarts_from_the_checkpoint() {
         let ds = reddit_scaled(7, 11);
         let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
         let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
@@ -1533,50 +1396,25 @@ mod tests {
         );
         let clean = train_distributed(&ds, &bounds, &clean_cfg);
 
-        // Ranks 0 and 1 are the two replicas of block row 0; killing
-        // both exhausts the in-place rung and escalates to a restart.
+        // Ranks 0 and 1 are the two replicas of block row 0; both die as
+        // epoch 2 begins, so no rank holds that block row any more.
         let mut faulty_cfg = clean_cfg.clone();
         faulty_cfg.robust = RobustnessConfig {
-            faults: Some(FaultPlan::new(5).crash_at(0, 2, 0).crash_at(1, 2, 5)),
+            faults: Some(FaultPlan::new(5).crash_at(0, 2, 0).crash_at(1, 2, 0)),
             checkpoint_every: 1,
             max_restarts: 1,
             timeout: Duration::from_secs(10),
-            failover: true,
         };
         let faulty = try_train_distributed(&ds, &bounds, &faulty_cfg)
             .expect("checkpoint restart should recover the run");
 
-        assert_eq!(faulty.restarts, 1, "escalated to the restart rung");
+        assert_eq!(faulty.restarts, 1, "one restart for both deaths");
+        assert_eq!(faulty.resume_points, vec![2]);
         assert_eq!(faulty.records.len(), clean.records.len());
         for (a, b) in faulty.records.iter().zip(&clean.records) {
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
         }
         assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
-    }
-
-    #[test]
-    fn failover_flag_on_1d_defers_to_restart_ladder() {
-        let ds = reddit_scaled(7, 11);
-        let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
-        let bounds = even_bounds(ds.n(), 4);
-        let mut dist_cfg = DistConfig::new(
-            Algo::OneD { aware: true },
-            cfg,
-            4,
-            CostModel::perlmutter_like(),
-        );
-        dist_cfg.robust = RobustnessConfig {
-            faults: Some(FaultPlan::new(2).crash_at(2, 1, 0)),
-            checkpoint_every: 1,
-            max_restarts: 1,
-            timeout: Duration::from_secs(10),
-            failover: true, // no replication → silently uses restarts
-        };
-        let out = try_train_distributed(&ds, &bounds, &dist_cfg)
-            .expect("restart rung should recover the 1D run");
-        assert_eq!(out.restarts, 1);
-        assert_eq!(out.failovers, 0);
-        assert_eq!(out.records.len(), 4);
     }
 
     #[test]

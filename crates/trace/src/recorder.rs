@@ -306,16 +306,6 @@ impl RankTracer {
         self.stack.len()
     }
 
-    /// Closes every open span (innermost first). Used when an epoch is
-    /// abandoned mid-flight — a failover abort unwinds through spans that
-    /// will never reach their `end_span`, and the truncated spans are
-    /// still worth keeping in the trace.
-    pub fn close_open_spans(&mut self) {
-        while !self.stack.is_empty() {
-            self.end_span();
-        }
-    }
-
     /// Consumes the tracer, returning its events (unsorted emission
     /// order; sort by `seq` for pre-order) and message-size histogram.
     ///

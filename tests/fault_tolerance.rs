@@ -19,7 +19,7 @@ use gnn_core::{
     train_distributed, try_train_distributed, Algo, DistConfig, GcnConfig, LayerOrder,
     RobustnessConfig,
 };
-use spmat::dataset::{amazon_scaled, reddit_scaled, Dataset};
+use spmat::dataset::{amazon_scaled, reddit_scaled};
 use spmat::spmm::spmm;
 use spmat::Dense;
 
@@ -166,7 +166,6 @@ fn crash_at_epoch_k_restores_and_matches_fault_free_bit_for_bit() {
             checkpoint_every: 2,
             max_restarts: 1,
             timeout: Duration::from_secs(15),
-            failover: false,
         };
         let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
             .expect("one restart budget covers one injected crash");
@@ -564,7 +563,6 @@ fn grid_crash_recovers(algo: Algo, label: &str) {
         checkpoint_every: 2,
         max_restarts: 1,
         timeout: Duration::from_secs(15),
-        failover: false,
     };
     let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
         .unwrap_or_else(|e| panic!("{label}: restart must recover the run: {e}"));
@@ -606,18 +604,13 @@ fn three_d_crash_recovers_bit_identical() {
     );
 }
 
-// ---- degraded-mode failover: the 1.5D acceptance scenario ----
+// ---- 1.5D recovery: the replicated layout restarts like any other ----
 
-fn failover_dataset() -> (Dataset, GcnConfig, Vec<usize>) {
+#[test]
+fn onefived_crash_mid_training_restarts_bit_for_bit() {
     let ds = amazon_scaled(8, 41);
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
     let bounds = even_bounds(ds.n(), 4); // pr = 4, c = 2 → p = 8
-    (ds, gcn, bounds)
-}
-
-#[test]
-fn failover_crash_mid_training_completes_without_restart() {
-    let (ds, gcn, bounds) = failover_dataset();
     let epochs = 6;
     for (arch, order) in programs() {
         let mut clean_cfg = DistConfig::new(
@@ -630,27 +623,23 @@ fn failover_crash_mid_training_completes_without_restart() {
         clean_cfg.order = order;
         let clean = train_distributed(&ds, &bounds, &clean_cfg);
 
-        // Rank 5 = grid position (2, 1); its row-2 replica (rank 4) takes
-        // over its duties and the run finishes on the shrunken grid.
+        // Rank 5 = grid position (2, 1) dies at op 7 of epoch 3; the
+        // world restarts from the epoch-2 checkpoint.
         let mut faulty_cfg = clean_cfg.clone();
         faulty_cfg.robust = RobustnessConfig {
             faults: Some(FaultPlan::new(13).crash_at(5, 3, 7)),
             checkpoint_every: 2,
-            max_restarts: 0, // any restart would fail the run
+            max_restarts: 1,
             timeout: Duration::from_secs(15),
-            failover: true,
         };
-        let survived = try_train_distributed(&ds, &bounds, &faulty_cfg)
-            .expect("degraded-mode failover must absorb a single rank crash");
+        let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
+            .expect("one restart covers a single rank crash");
 
         let label = format!("{arch:?} {order:?}");
-        assert_eq!(survived.restarts, 0, "{label}: no world restart");
-        assert_eq!(
-            survived.failovers, 1,
-            "{label}: one death absorbed in place"
-        );
-        assert_eq!(survived.records.len(), clean.records.len());
-        for (e, (a, b)) in survived.records.iter().zip(&clean.records).enumerate() {
+        assert_eq!(recovered.restarts, 1, "{label}: one world restart");
+        assert_eq!(recovered.resume_points, vec![2], "{label}");
+        assert_eq!(recovered.records.len(), clean.records.len());
+        for (e, (a, b)) in recovered.records.iter().zip(&clean.records).enumerate() {
             assert_eq!(
                 a.loss.to_bits(),
                 b.loss.to_bits(),
@@ -663,45 +652,11 @@ fn failover_crash_mid_training_completes_without_restart() {
             );
         }
         assert_eq!(
-            survived.weights.max_abs_diff(&clean.weights),
+            recovered.weights.max_abs_diff(&clean.weights),
             0.0,
             "{label}: final weights must be bit-identical to the fault-free run"
         );
     }
-}
-
-#[test]
-fn replica_group_wipeout_escalates_to_checkpoint_restart() {
-    let (ds, gcn, bounds) = failover_dataset();
-    let epochs = 5;
-    let clean_cfg = DistConfig::new(
-        Algo::OneFiveD { aware: true, c: 2 },
-        gcn,
-        epochs,
-        CostModel::perlmutter_like(),
-    );
-    let clean = train_distributed(&ds, &bounds, &clean_cfg);
-
-    // Ranks 2 and 3 are both replicas of block row 1: in-place failover
-    // is impossible once both are gone, so the ladder falls through to
-    // a checkpoint restart.
-    let mut faulty_cfg = clean_cfg.clone();
-    faulty_cfg.robust = RobustnessConfig {
-        faults: Some(FaultPlan::new(19).crash_at(2, 2, 0).crash_at(3, 2, 6)),
-        checkpoint_every: 1,
-        max_restarts: 1,
-        timeout: Duration::from_secs(15),
-        failover: true,
-    };
-    let recovered = try_train_distributed(&ds, &bounds, &faulty_cfg)
-        .expect("checkpoint restart covers a replica-group wipeout");
-
-    assert_eq!(recovered.restarts, 1, "escalated exactly once");
-    assert_eq!(recovered.records.len(), clean.records.len());
-    for (a, b) in recovered.records.iter().zip(&clean.records) {
-        assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-    }
-    assert_eq!(recovered.weights.max_abs_diff(&clean.weights), 0.0);
 }
 
 // ---- wire-byte reconciliation: stats vs trace validator ----

@@ -143,18 +143,12 @@ const EXPECTED_SAGE: [[u64; 3]; 3] = [
     [0xc5f9f743f6785049, 0x0176a789e5a570c1, 0x7b886139a1e9b840], // sage 2d 2x2
 ];
 
-/// `[stats, result, trace]` digests of a fault-free 1.5D run (`p = 4`,
-/// `c = 2`) with failover *enabled*: every epoch is an attempt closed by
-/// a commit barrier and nobody dies. Generated at 7ed9493, where five
-/// consecutive runs repeated all three — and where they equal the first
-/// row of [`EXPECTED`]: the commit gate charges and traces nothing.
-const EXPECTED_FAILOVER_CLEAN: [u64; 3] =
-    [0x863ec85b0c582742, 0xd8a61bbc3fb5670d, 0x860524e7a8284a8b];
-
-/// Result digest of the 1.5D failover run (`p = 4`, `c = 2`, rank 1
-/// crashed in epoch 2) — equal to the fault-free run's by construction,
-/// pinned so the degraded path cannot drift either.
-const EXPECTED_FAILOVER: u64 = 0xbfe3fb748acfba5b;
+/// `[stats, result, trace]` digests of a 1.5D run (`p = 4`, `c = 2`,
+/// five epochs, a checkpoint every two) whose rank 1 crashes at op 3 of
+/// epoch 2 and which restarts once from the epoch-2 checkpoint. The
+/// stats and trace are the resumed world's (epochs 2..5); the result
+/// digest equals the fault-free run's.
+const EXPECTED_RESTART: [u64; 3] = [0x7dfe6daa190d4fa0, 0xbfe3fb748acfba5b, 0xad1bf70c1046cd0d];
 
 #[test]
 fn grid_family_accounting_results_and_traces_are_pinned() {
@@ -222,46 +216,27 @@ fn sage_accounting_results_and_traces_are_pinned() {
 }
 
 #[test]
-fn fault_free_failover_run_is_pinned() {
-    let ds = dataset();
-    let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
-    let mut cfg = config(&ds, Algo::OneFiveD { aware: true, c: 2 });
-    cfg.trace = true;
-    cfg.robust.failover = true;
-    let out = try_train_distributed(&ds, &bounds, &cfg).expect("nobody dies");
-    assert_eq!((out.failovers, out.restarts), (0, 0));
-    let actual = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
-    assert_eq!(
-        actual, EXPECTED_FAILOVER_CLEAN,
-        "actual [{:#018x}, {:#018x}, {:#018x}]",
-        actual[0], actual[1], actual[2]
-    );
-}
-
-#[test]
-fn failover_run_results_are_pinned() {
+fn restart_run_results_are_pinned() {
     let ds = dataset();
     let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
     let mut cfg = config(&ds, Algo::OneFiveD { aware: true, c: 2 });
     cfg.epochs = 5;
+    cfg.trace = true;
     let clean = train_distributed(&ds, &bounds, &cfg);
     cfg.robust = RobustnessConfig {
         faults: Some(FaultPlan::new(3).crash_at(1, 2, 3)),
         checkpoint_every: 2,
-        max_restarts: 0,
+        max_restarts: 1,
         timeout: Duration::from_secs(10),
-        failover: true,
     };
-    let out = try_train_distributed(&ds, &bounds, &cfg).expect("failover absorbs the crash");
-    assert_eq!((out.failovers, out.restarts), (1, 0));
-    // Survivors' counters include however far each got into the aborted
-    // attempt before noticing the death, so only the results are pinned.
+    let out = try_train_distributed(&ds, &bounds, &cfg).expect("one restart recovers the crash");
+    assert_eq!((out.restarts, &out.resume_points[..]), (1, &[2][..]));
     assert_eq!(result_digest(&out), result_digest(&clean));
+    let actual = [stats_digest(&out), result_digest(&out), trace_digest(&out)];
     assert_eq!(
-        result_digest(&out),
-        EXPECTED_FAILOVER,
-        "failover result digest {:#018x}",
-        result_digest(&out)
+        actual, EXPECTED_RESTART,
+        "actual [{:#018x}, {:#018x}, {:#018x}]",
+        actual[0], actual[1], actual[2]
     );
 }
 

@@ -1,7 +1,7 @@
 //! Recovery is quiet and bugs are loud with no panic hook installed by
-//! the runtime: its own unwinds (injected crash, epoch abort, peer
-//! hang-up cascade) never reach the process's panic hook, a rank's
-//! genuine `assert!` failure still does.
+//! the runtime: its own unwinds (injected crash, peer hang-up cascade)
+//! never reach the process's panic hook, a rank's genuine `assert!`
+//! failure still does.
 //!
 //! This file is its own test binary with a single `#[test]`, so the
 //! counting hook sees no neighbour's panic.
@@ -23,29 +23,18 @@ fn runtime_unwinds_skip_the_panic_hook_and_real_panics_do_not() {
     }));
     let ds = amazon_scaled(8, 41);
     let gcn = GcnConfig::paper_default(ds.f(), ds.num_classes);
-    let robust = |failover: bool, max_restarts: usize| RobustnessConfig {
-        faults: Some(FaultPlan::new(13).crash_at(5, 3, 7)),
-        checkpoint_every: 2,
-        max_restarts,
-        timeout: Duration::from_secs(15),
-        failover,
-    };
 
-    // 1.5D failover: rank 5 dies mid-epoch, every survivor aborts the
-    // attempt and retries on the shrunken grid.
-    let bounds = even_bounds(ds.n(), 4); // pr = 4, c = 2 → p = 8
-    let algo = Algo::OneFiveD { aware: true, c: 2 };
-    let mut cfg = DistConfig::new(algo, gcn.clone(), 6, CostModel::perlmutter_like());
-    cfg.robust = robust(true, 0);
-    let failover = try_train_distributed(&ds, &bounds, &cfg);
-    let calls_failover = HOOK_CALLS.load(Ordering::SeqCst);
-
-    // No failover: the crash tears the world down (seven hang-up
-    // cascades behind it) and the run restarts from a checkpoint.
+    // The crash tears the world down (seven hang-up cascades behind it)
+    // and the run restarts from a checkpoint.
     let bounds = even_bounds(ds.n(), 8);
     let algo = Algo::OneD { aware: true };
     let mut cfg = DistConfig::new(algo, gcn, 6, CostModel::perlmutter_like());
-    cfg.robust = robust(false, 1);
+    cfg.robust = RobustnessConfig {
+        faults: Some(FaultPlan::new(13).crash_at(5, 3, 7)),
+        checkpoint_every: 2,
+        max_restarts: 1,
+        timeout: Duration::from_secs(15),
+    };
     let restart = try_train_distributed(&ds, &bounds, &cfg);
     let calls_restart = HOOK_CALLS.load(Ordering::SeqCst);
 
@@ -59,13 +48,11 @@ fn runtime_unwinds_skip_the_panic_hook_and_real_panics_do_not() {
 
     // Back to the default hook before anything here may fail.
     let _ = std::panic::take_hook();
-    let out = failover.expect("failover absorbs the crash");
-    assert_eq!((out.failovers, out.restarts), (1, 0));
     let out = restart.expect("one restart covers the crash");
-    assert_eq!((out.failovers, out.restarts), (0, 1));
+    assert_eq!(out.restarts, 1);
     match bug.unwrap_err() {
         WorldError::Panicked { rank: 1, message } => assert!(message.contains("deliberate")),
         other => panic!("expected rank 1's assert, got {other}"),
     }
-    assert_eq!((calls_failover, calls_restart, calls_bug), (0, 0, 1));
+    assert_eq!((calls_restart, calls_bug), (0, 1));
 }
