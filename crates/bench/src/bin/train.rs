@@ -35,7 +35,9 @@
 //! final weights match the thread backend bit for bit. The spec is
 //! parsed, and checked against the backend and the world, before any
 //! work happens: a rule naming a rank outside the world, or a crash at
-//! an epoch the run never reaches, is an error, not a silent no-op.
+//! an epoch the run never reaches, is an error, not a silent no-op. A
+//! crash whose op its epoch never reaches can only be seen after the
+//! run: `train` then names the rule and exits 1.
 //!
 //! `--trace` on the process backend records a **dual-clock** trace:
 //! each rank process writes `<proc-dir>/trace-rank<N>.jsonl` with both
@@ -875,7 +877,13 @@ fn run() -> ExitCode {
         if !out.resume_points.is_empty() {
             outln!("resumed at epochs: {:?}", out.resume_points);
         }
-        outln!("injected faults:   {}", st.total_injected_faults());
+        // Crashes count across every world of the run: the one whose
+        // crash forced a restart is not the one whose stats are here.
+        let crashes = out.faults.as_ref().map_or(0, |f| f.fired_crashes());
+        outln!(
+            "injected faults:   {}",
+            st.total_injected_faults() + crashes as u64
+        );
         outln!("retries:           {}", st.total_retries());
         if transport_faults > 0 {
             outln!(
@@ -936,7 +944,17 @@ fn run() -> ExitCode {
         }
     }
     outln!("simulation wall time: {wall:.1}s");
-    ExitCode::SUCCESS
+    // A crash rule that never fired is a fault the run claims to have
+    // survived but never met (its op lies past the end of its epoch).
+    let unfired = out.faults.map(|f| f.unfired_crashes()).unwrap_or_default();
+    for rule in &unfired {
+        eprintln!("--faults rule {rule} never fired: its rank never reached that op of that epoch");
+    }
+    if unfired.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]

@@ -120,7 +120,7 @@ pub struct RankCtx {
     /// tracing is off, so the steady-state path stays allocation-free.
     tracer: Option<Box<RankTracer>>,
     /// The world's payload pool (shared with every other rank thread, or
-    /// with this rank process's reader threads and replay queue).
+    /// with this rank process's monitor thread and replay queues).
     pool: Arc<PayloadPool>,
     /// All-reduce root scratch: the parts received going up, whose
     /// storage carries the sums back down.

@@ -624,6 +624,30 @@ impl FaultInjector {
             .any(|(f, fired)| matches!(f, Fault::CrashAt { .. }) && !fired.load(Ordering::Relaxed))
     }
 
+    /// How many crash rules have fired, in whichever of the worlds this
+    /// injector armed — a crash that forced a restart stays counted.
+    pub fn fired_crashes(&self) -> usize {
+        self.crash_fired
+            .iter()
+            .filter(|fired| fired.load(Ordering::Relaxed))
+            .count()
+    }
+
+    /// Every crash rule that has not fired, spelled as in a spec
+    /// (`crash=R@E:OP`). After a run, each is a rule whose op the named
+    /// epoch of the named rank never reached: a fault the run claims to
+    /// have survived but never met.
+    pub fn unfired_crashes(&self) -> Vec<String> {
+        let unfired = self.plan.faults.iter().zip(&self.crash_fired);
+        unfired
+            .filter(|(_, fired)| !fired.load(Ordering::Relaxed))
+            .filter_map(|(fault, _)| match *fault {
+                Fault::CrashAt { rank, epoch, op } => Some(format!("crash={rank}@{epoch}:{op}")),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Deterministic fate of transmission attempt `attempt` of the
     /// `seq`-th message from `src` to `dst`. Drop/corrupt are re-rolled
     /// per attempt (independent link events); delay applies to attempt 0
@@ -852,6 +876,7 @@ mod tests {
         assert!(inj.crash_due(1, Some(2), 5));
         assert!(!inj.crash_due(1, Some(2), 6), "must not re-fire");
         assert!(!inj.crashes_pending());
+        assert_eq!(inj.fired_crashes(), 1);
     }
 
     #[test]
@@ -999,6 +1024,19 @@ mod tests {
                 at = end;
             }
         }
+    }
+
+    #[test]
+    fn a_crash_rule_whose_op_the_epoch_never_reaches_is_reported_unfired() {
+        let plan = FaultPlan::parse("crash=1@1:999999;crash=0@2;slow=1:2").unwrap();
+        let inj = FaultInjector::new(plan);
+        assert_eq!(inj.unfired_crashes(), ["crash=1@1:999999", "crash=0@2:0"]);
+        // Rank 1 runs epoch 1 to its end, 40 ops short of the rule's op;
+        // rank 0 crashes at the start of epoch 2.
+        assert!((0..40).all(|op| !inj.crash_due(1, Some(1), op)));
+        assert!(inj.crash_due(0, Some(2), 0));
+        assert_eq!(inj.unfired_crashes(), ["crash=1@1:999999"]);
+        assert_eq!(inj.fired_crashes(), 1);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! and its pool would allocate every buffer its receivers then hoard.
 //! The pool therefore belongs to whatever moves the payloads: one per
 //! [`crate::ThreadWorld`] run shared by its rank threads, one per rank
-//! process shared by the rank's main thread, its socket reader threads
-//! and its replay queues. It is created empty with its world and dropped
-//! with it (a process-static pool would pin the largest run's buffers for
-//! the life of the process).
+//! process shared by the rank's main thread, its monitor thread (both
+//! read the rank's sockets) and its replay queues. It is created empty
+//! with its world and dropped with it (a process-static pool would pin
+//! the largest run's buffers for the life of the process).
 //!
 //! **A buffer goes home.** The pool keeps one *lane* of free lists per
 //! rank. A rank packs out of its own lane; whoever ends up holding the
 //! buffer — the receiver that folded it, the replay queue whose ACK
 //! arrived — returns it to the lane of the rank that packed it (every
 //! receive site knows its source). On a rank process, lane `q ≠ rank`
-//! holds what the reader thread for peer `q` fills and the executor
+//! holds what reading peer `q`'s socket fills and the executor
 //! retires. So a lane sees one rank's own takes in program order, and how
 //! many of its buffers are out at once is bounded by how far that rank can
 //! run ahead of its receivers: one exchange.

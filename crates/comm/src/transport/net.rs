@@ -8,7 +8,7 @@
 //! Also home to the small pieces the whole transport shares:
 //!
 //! * [`lock_or_recover`] — poison-tolerant mutex acquisition. A rank
-//!   process runs many sibling threads (readers, acceptor, monitor);
+//!   process runs sibling threads (acceptor, monitor, a redial);
 //!   if one panics mid-critical-section the rest must degrade into the
 //!   structured error path (peer death, watchdog timeout) instead of
 //!   cascading poisoned-mutex panics.
@@ -16,18 +16,19 @@
 //!   jitter (a pure function of the seed), used by every
 //!   connection-establishment retry loop: rendezvous dial, mesh dial,
 //!   and dialer-side reconnect.
-//! * The two blocking waits the launch and teardown paths use instead
-//!   of sleep-polling: [`poll_readable`] (`poll(2)` over sockets and
-//!   listeners) and [`wait_child_exit`] (a non-reaping `waitid(2)` for
-//!   the supervisor's per-child exit waiters).
+//! * The two blocking waits the transport and the supervisor use instead
+//!   of sleep-polling: [`poll_ready`] (`poll(2)` over sockets and
+//!   listeners, for input or for room to write) and [`wait_child_exit`]
+//!   (a non-reaping `waitid(2)` for the supervisor's per-child exit
+//!   waiters).
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 /// Acquires `m`, recovering the guard if a sibling thread panicked
@@ -40,6 +41,16 @@ pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// [`lock_or_recover`] without waiting: `None` while another thread
+/// holds `m`.
+pub(crate) fn try_lock_or_recover<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -248,13 +259,6 @@ impl Stream {
         }
     }
 
-    pub(crate) fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_write_timeout(dur),
-            Stream::Tcp(s) => s.set_write_timeout(dur),
-        }
-    }
-
     pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_nonblocking(nb),
@@ -289,6 +293,13 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.flush(),
@@ -314,6 +325,13 @@ impl Write for &Stream {
         match *self {
             Stream::Unix(s) => (&mut &*s).write(buf),
             Stream::Tcp(s) => (&mut &*s).write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match *self {
+            Stream::Unix(s) => (&mut &*s).write_vectored(bufs),
+            Stream::Tcp(s) => (&mut &*s).write_vectored(bufs),
         }
     }
 
@@ -407,12 +425,21 @@ impl AsRawFd for Listener {
     }
 }
 
-/// Blocks until at least one of `fds` is ready to read — bytes, a
-/// pending connection, EOF or an error, so a read or accept on it will
-/// not block — or until `timeout` passes. Returns one flag per
-/// descriptor: all `false` on a timeout, or when a signal cut the wait
-/// short (callers wait again against their own deadline).
-pub(crate) fn poll_readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<bool>> {
+/// What a descriptor is waited on for in [`poll_ready`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ready {
+    /// Bytes, a pending connection, EOF or an error: a read or accept
+    /// will not block.
+    Read,
+    /// Room in the send buffer, or an error: a write will not block.
+    Write,
+}
+
+/// Blocks until at least one descriptor of `set` is ready for what it is
+/// waited on for, or until `timeout` passes. Returns one flag per entry:
+/// all `false` on a timeout, or when a signal cut the wait short (callers
+/// wait again against their own deadline).
+pub(crate) fn poll_ready(set: &[(RawFd, Ready)], timeout: Duration) -> io::Result<Vec<bool>> {
     /// `struct pollfd`.
     #[repr(C)]
     struct PollFd {
@@ -428,12 +455,17 @@ pub(crate) fn poll_readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<
         fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
     }
     const POLLIN: i16 = 0x1;
+    const POLLOUT: i16 = 0x4;
 
-    let mut set: Vec<PollFd> = fds
+    let mut set: Vec<PollFd> = set
         .iter()
-        .map(|&fd| PollFd {
+        .map(|&(fd, ready)| PollFd {
             fd,
-            events: POLLIN,
+            events: if ready == Ready::Read {
+                POLLIN
+            } else {
+                POLLOUT
+            },
             revents: 0,
         })
         .collect();
@@ -449,8 +481,8 @@ pub(crate) fn poll_readable(fds: &[RawFd], timeout: Duration) -> io::Result<Vec<
             return Err(e);
         }
     }
-    // Any returned event (POLLIN, POLLHUP, POLLERR, POLLNVAL) means the
-    // next read or accept returns at once.
+    // Any returned event (the one asked for, POLLHUP, POLLERR, POLLNVAL)
+    // means the next read, accept or write returns at once.
     Ok(set.iter().map(|p| n > 0 && p.revents != 0).collect())
 }
 
@@ -697,6 +729,10 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         let (a, b) = (Stream::Unix(a), Stream::Unix(b));
         let fds = [a.as_raw_fd(), b.as_raw_fd()];
+        let poll_readable = |fds: &[RawFd], timeout| {
+            let set: Vec<_> = fds.iter().map(|&fd| (fd, Ready::Read)).collect();
+            poll_ready(&set, timeout)
+        };
         let t0 = std::time::Instant::now();
         let quiet = poll_readable(&fds, Duration::from_millis(30)).unwrap();
         assert_eq!(quiet, [false, false]);
@@ -716,6 +752,26 @@ mod tests {
             poll_readable(&fds[..1], Duration::from_secs(5)).unwrap(),
             [true]
         );
+    }
+
+    #[test]
+    fn poll_for_room_waits_while_the_send_buffer_is_full() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (mut a, mut b) = (Stream::Unix(a), Stream::Unix(b));
+        let room =
+            |s: &Stream| poll_ready(&[(s.as_raw_fd(), Ready::Write)], Duration::from_millis(30));
+        assert_eq!(room(&a).unwrap(), [true]);
+        a.set_nonblocking(true).unwrap();
+        let chunk = [7u8; 4096];
+        let mut sent = 0;
+        while let Ok(n) = a.write(&chunk) {
+            sent += n;
+        }
+        assert_eq!(room(&a).unwrap(), [false], "full after {sent} bytes");
+        // Draining the peer makes room again.
+        let mut sink = vec![0u8; sent];
+        b.read_exact(&mut sink).unwrap();
+        assert_eq!(room(&a).unwrap(), [true]);
     }
 
     #[test]

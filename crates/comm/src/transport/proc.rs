@@ -22,38 +22,37 @@
 //!   upper layer ([`crate::RankCtx`]) never observes a socket bounce:
 //!   its own seq/checksum state machine sees the same frame stream
 //!   either way. The link adds no integrity check of its own.
-//! * **Lock discipline** — per peer, link bookkeeping ([`Link`]: short
-//!   critical sections, never held across a socket call) is split from
-//!   the write half (`Peer::writer`: the only lock held across a
-//!   blocking write). Reader threads never write and never wait for the write
-//!   half; the ACKs they make due are written by the next holder (see
-//!   [`Shared::with_writer`]). Rank sockets carry a write timeout equal
-//!   to the world timeout, so a write the peer never drains ends as a
-//!   link error on the reconnect → replay path, not as a stall.
-//! * **Liveness** — a heartbeat thread beacons every peer and marks a
-//!   peer dead after a miss threshold; death drops the peer's delivery
-//!   channel so blocked receives fail fast with the same "hung up"
-//!   semantics the thread backend gets from a dropped channel. The
-//!   transport cannot distinguish "peer process died" from "link
-//!   partitioned past the deadline" — both exhaust the same budget and
-//!   both funnel into the trainer's checkpoint-restart ladder; a
-//!   partition that *heals* within the budget is absorbed by
-//!   reconnect + replay with bit-identical results.
-//! * **Reconnect** — the dialing side (higher rank) redials with capped
-//!   exponential backoff + deterministic jitter ([`Backoff`]) on
-//!   transient errors; the listening side simply accepts the
-//!   replacement connection and replays.
+//! * **A rank reads its own sockets** (DESIGN.md §8) — no reader
+//!   thread: whoever holds a peer's `reader` may pump it
+//!   ([`Shared::pump`]). The main thread pumps while a receive, a
+//!   barrier or a frame write that finds no room waits in `poll(2)`, so
+//!   two ranks flooding each other drain each other; the monitor pumps
+//!   what arrives while the rank computes. A write nobody drains fails
+//!   after the world timeout, onto the reconnect → replay path.
+//! * **Liveness** — the monitor thread beacons every peer and marks a
+//!   peer dead after a miss threshold; once its inbox is empty a receive
+//!   fails with the same "hung up" semantics the thread backend gets
+//!   from a dropped channel. The transport cannot distinguish "peer
+//!   process died" from "link partitioned past the deadline" — both
+//!   exhaust the same budget and both funnel into the trainer's
+//!   checkpoint-restart ladder; a partition that *heals* within the
+//!   budget is absorbed by reconnect + replay with bit-identical results.
+//! * **Reconnect** — the dialing side (higher rank) redials, on a thread
+//!   of its own, with capped exponential backoff + deterministic jitter
+//!   ([`Backoff`]) on transient errors; the listening side simply
+//!   accepts the replacement connection and replays.
 //! * **Shutdown** — a finishing rank sends BYE, drains briefly, then
 //!   closes (SIGTERM triggers the same drain then `exit(143)`).
 //!   A SIGKILL'd rank never says BYE: peers see an unclean EOF or
 //!   missed heartbeats and fail over to the trainer's
 //!   checkpoint-restart ladder.
 //! * **Waits, not polls** — launch and teardown block on the event
-//!   itself: `poll(2)` on the rendezvous and mesh listeners and the held
-//!   registrant streams, and one condition variable ([`Shared::notify`])
-//!   for a connection installed, a BYE, a death or shutdown. The only
-//!   sleeps left are an injected chaos delay, the backoff between
-//!   failed dials and the heartbeat thread's tick.
+//!   itself: `poll(2)` on the rendezvous and mesh listeners, the held
+//!   registrant streams and the rank's own connections, and one
+//!   condition variable ([`Shared::notify`]) for a connection installed,
+//!   a BYE, a death or shutdown. The only sleeps left are an injected
+//!   chaos delay, the backoff between failed dials and the heartbeat
+//!   thread's tick.
 //! * **Network chaos** — the link rules of a [`FaultPlan`] armed with
 //!   [`ProcWorld::with_faults`] (its message rules run in
 //!   [`crate::RankCtx`], as on the thread backend) drive a
@@ -81,16 +80,15 @@
 //!   Chaos fault activations are exported onto the trace wall axis as
 //!   `chaos_*` events at run end.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gnn_trace::{EventKind, Histogram, MetricsRegistry, RankTracer};
@@ -105,9 +103,12 @@ use crate::stats::RankStats;
 use crate::watchdog::Watchdog;
 
 use super::chaos::{Chaos, SendVerdict};
-use super::net::{lock_or_recover, poll_readable, splitmix64, Backoff, HostFile, Listener, Stream};
+use super::net::{
+    lock_or_recover, poll_ready, splitmix64, try_lock_or_recover, Backoff, HostFile, Listener,
+    Ready, Stream,
+};
 use super::replay::{DedupWatermark, ReplayQueue};
-use super::wire::{self, kind, Frame, WireFrame};
+use super::wire::{self, kind, Frame, FrameReader, Inbound, WireFrame};
 use super::{PeerGone, RecvOutcome, Transport};
 
 /// Slice for interruptible blocking waits: how late a receive notices
@@ -207,39 +208,43 @@ struct Link {
     ack_sent: u64,
 }
 
-/// Lock discipline (DESIGN.md §8): `writer` may be held while taking
-/// `link`, never the other way round; `link` and `sock` take nothing but
-/// the payload pool's mutex (an ACK prunes frames under `link`), which is
-/// the one true leaf.
+/// Lock order (DESIGN.md §8): `writer` → `reader` → `link` → the payload
+/// pool. Only the main thread waits for more than one `reader`.
 struct Peer {
     link: Mutex<Link>,
-    /// The write half of the current connection (a `try_clone` of the
-    /// reader's stream); `None` while disconnected. The only mutex held
-    /// across a blocking socket write. A reader thread of a live
-    /// connection never takes it and never writes: its ACKs are written
-    /// by whichever other thread holds the write half next (see
-    /// [`Shared::with_writer`]).
+    /// The write half of the current connection; `None` once a write on
+    /// it failed. Held across a whole frame's write.
     writer: Mutex<Option<Stream>>,
+    /// The read half, and the DATA messages read off it and not yet
+    /// received. Whoever holds it may pump it ([`Shared::pump`]).
+    reader: Mutex<Reader>,
+    /// The read half's descriptor, or -1: which readers a wait takes.
+    read_fd: AtomicI32,
     /// A third handle on the current connection, used only to shut it
     /// down: waking a writer blocked on a dead peer must not need the
     /// write half it is holding.
     sock: Mutex<Option<Stream>>,
-    /// Bumped (under `writer`) on every (re)connect; readers use it to
-    /// tell whether the connection that just died is still the current
-    /// one.
+    /// Bumped (under `writer`) on every (re)connect.
     epoch: AtomicU64,
-    /// Delivery channel into the owning transport; taking it to `None`
-    /// is how death/clean-close turns blocked receives into
-    /// `Disconnected` (mirroring a dropped mpsc sender in the thread
-    /// backend).
-    data_tx: Mutex<Option<Sender<Msg>>>,
-    /// Milliseconds since transport start when a frame last arrived.
+    /// The highest barrier round this peer has signalled: to rank 0, the
+    /// round a member entered; to a member, the round rank 0 released.
+    barrier: AtomicU64,
+    /// Milliseconds since transport start when bytes last arrived.
     last_seen_ms: AtomicU64,
     /// Declared dead by the liveness monitor or reconnect exhaustion.
     dead: AtomicBool,
     /// Peer announced graceful shutdown (BYE).
     bye: AtomicBool,
 }
+
+/// What a peer's `reader` guards.
+struct Reader {
+    conn: Option<(Stream, FrameReader)>,
+    inbox: VecDeque<Msg>,
+}
+
+/// The readers a wait holds, each with its peer's rank.
+type Readers<'a> = Vec<(usize, MutexGuard<'a, Reader>)>;
 
 impl Peer {
     fn new() -> Self {
@@ -250,9 +255,14 @@ impl Peer {
                 ack_sent: 0,
             }),
             writer: Mutex::new(None),
+            reader: Mutex::new(Reader {
+                conn: None,
+                inbox: VecDeque::new(),
+            }),
+            read_fd: AtomicI32::new(-1),
             sock: Mutex::new(None),
             epoch: AtomicU64::new(0),
-            data_tx: Mutex::new(None),
+            barrier: AtomicU64::new(0),
             last_seen_ms: AtomicU64::new(0),
             dead: AtomicBool::new(false),
             bye: AtomicBool::new(false),
@@ -260,7 +270,7 @@ impl Peer {
     }
 
     /// Shuts the current connection down without touching the write
-    /// half: a writer blocked on it fails at once, the reader sees EOF.
+    /// half: a writer blocked on it fails at once, its reader sees EOF.
     fn shutdown_sock(&self) {
         if let Some(sock) = lock_or_recover(&self.sock).take() {
             let _ = sock.shutdown(Shutdown::Both);
@@ -300,7 +310,7 @@ struct TransportMetrics {
     data_bytes_sent: AtomicU64,
     /// DATA frame body bytes received.
     data_bytes_recv: AtomicU64,
-    /// Blocking write+flush latency per reliable frame, microseconds.
+    /// Write latency per frame, waits for room included, microseconds.
     frame_send_us: Mutex<Histogram>,
     /// Gap between consecutive received frames (any peer), microseconds.
     frame_recv_gap_us: Mutex<Histogram>,
@@ -337,8 +347,15 @@ impl TransportMetrics {
         lock_or_recover(&self.frame_send_us).record(dur_us);
     }
 
-    fn record_recv(&self, wire_len: u64, now_us: u64) {
+    /// Counts a received frame of `body_len` body bytes (logical payload
+    /// bytes too, for DATA).
+    fn record_recv(&self, body_len: usize, data: bool, now_us: u64) {
+        let body_len = body_len as u64;
+        let wire_len = wire::FRAME_OVERHEAD + body_len;
         self.wire_bytes_recv.fetch_add(wire_len, Ordering::Relaxed);
+        if data {
+            self.data_bytes_recv.fetch_add(body_len, Ordering::Relaxed);
+        }
         let prev = self.last_recv_us.swap(now_us, Ordering::Relaxed);
         if prev != u64::MAX {
             lock_or_recover(&self.frame_recv_gap_us).record(now_us.saturating_sub(prev));
@@ -357,10 +374,6 @@ struct Shared {
     start: Instant,
     addrbook: Vec<String>,
     peers: Vec<Peer>,
-    /// Rank 0 only: barrier-entry announcements (src, round).
-    entries_tx: Mutex<Option<Sender<(u32, u64)>>>,
-    /// Non-zero ranks: barrier releases from rank 0.
-    release_tx: Mutex<Option<Sender<u64>>>,
     /// We started shutting down (gracefully or not): background threads
     /// exit and connection teardown stops triggering reconnects.
     shutting_down: AtomicBool,
@@ -377,7 +390,7 @@ struct Shared {
     chaos: Option<Chaos>,
     /// The rank process's payload pool. Lane `rank`: the executors pack
     /// out of it and the replay queues return sent buffers to it on ACK.
-    /// Lane `q`: the reader for peer `q` fills its buffers off the socket
+    /// Lane `q`: whoever pumps peer `q` fills its buffers off the socket
     /// and the executors retire them after folding.
     pool: Arc<PayloadPool>,
 }
@@ -425,65 +438,38 @@ impl Shared {
     fn metrics_registry(&self) -> MetricsRegistry {
         let m = &self.metrics;
         let mut reg = MetricsRegistry::new();
-        reg.counter("proc.reconnects", m.reconnects.load(Ordering::Relaxed));
-        reg.counter(
-            "proc.replayed_frames",
-            m.replayed_frames.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "proc.heartbeat_misses",
-            m.heartbeat_misses.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "proc.dial_backoffs",
-            m.dial_backoffs.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "proc.partitions_suspected",
-            m.partitions_suspected.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "proc.partitions_healed",
-            m.partitions_healed.load(Ordering::Relaxed),
-        );
-        if let Some(c) = &self.chaos {
-            reg.counter(
-                "chaos.delays_injected",
-                c.delays_injected.load(Ordering::Relaxed),
-            );
-            reg.counter(
-                "chaos.severs_injected",
-                c.severs_injected.load(Ordering::Relaxed),
-            );
-            reg.counter(
-                "chaos.dials_refused",
-                c.dials_refused.load(Ordering::Relaxed),
-            );
+        let counters = [
+            ("proc.reconnects", &m.reconnects),
+            ("proc.replayed_frames", &m.replayed_frames),
+            ("proc.heartbeat_misses", &m.heartbeat_misses),
+            ("proc.dial_backoffs", &m.dial_backoffs),
+            ("proc.partitions_suspected", &m.partitions_suspected),
+            ("proc.partitions_healed", &m.partitions_healed),
+        ];
+        let chaos = self.chaos.iter().flat_map(|c| {
+            [
+                ("chaos.delays_injected", &c.delays_injected),
+                ("chaos.severs_injected", &c.severs_injected),
+                ("chaos.dials_refused", &c.dials_refused),
+            ]
+        });
+        for (name, value) in counters.into_iter().chain(chaos) {
+            reg.counter(name, value.load(Ordering::Relaxed));
         }
-        reg.gauge(
-            "proc.wire_bytes_sent",
-            m.wire_bytes_sent.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            "proc.wire_bytes_recv",
-            m.wire_bytes_recv.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            "proc.data_bytes_sent",
-            m.data_bytes_sent.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            "proc.data_bytes_recv",
-            m.data_bytes_recv.load(Ordering::Relaxed) as f64,
-        );
-        reg.hist(
-            "proc.frame_send_us",
-            lock_or_recover(&m.frame_send_us).clone(),
-        );
-        reg.hist(
-            "proc.frame_recv_gap_us",
-            lock_or_recover(&m.frame_recv_gap_us).clone(),
-        );
+        for (name, value) in [
+            ("proc.wire_bytes_sent", &m.wire_bytes_sent),
+            ("proc.wire_bytes_recv", &m.wire_bytes_recv),
+            ("proc.data_bytes_sent", &m.data_bytes_sent),
+            ("proc.data_bytes_recv", &m.data_bytes_recv),
+        ] {
+            reg.gauge(name, value.load(Ordering::Relaxed) as f64);
+        }
+        for (name, hist) in [
+            ("proc.frame_send_us", &m.frame_send_us),
+            ("proc.frame_recv_gap_us", &m.frame_recv_gap_us),
+        ] {
+            reg.hist(name, lock_or_recover(hist).clone());
+        }
         reg
     }
 
@@ -498,13 +484,20 @@ impl Shared {
     /// (sleeping with the write half held — a slow wire serializes the
     /// link exactly like this), a sever verdict tears the connection
     /// down instead of writing (the frame stays queued for replay).
-    /// Returns `true` when the bytes actually went out.
+    ///
+    /// While the frame does not fit, the writer polls for room *and* for
+    /// input on every peer whose reader it can take, and pumps those. No
+    /// progress for the world timeout ends the connection. An `eager`
+    /// write that finds no room at all writes nothing (the monitor's
+    /// beacons and ACKs never wait on a peer). Returns `true` when the
+    /// bytes actually went out.
     fn gated_write(
-        &self,
+        self: &Arc<Self>,
         dst: usize,
         slot: &mut Option<Stream>,
         head: &[u8],
         words: &[f64],
+        eager: bool,
     ) -> bool {
         if slot.is_none() {
             return false;
@@ -528,11 +521,32 @@ impl Shared {
         }
         let stream = slot.as_mut().expect("stream checked above");
         let t0 = Instant::now();
-        let outcome = wire::write_parts(stream, head, words).and_then(|_| stream.flush());
+        // Bytes out, bytes out at the last stall, and when the stall fails.
+        let (mut done, mut stalled_at, mut give_up) = (0, 0, t0 + self.timeout);
+        let outcome = loop {
+            match wire::write_parts(stream, head, words, &mut done) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if done == 0 && eager {
+                        return false;
+                    }
+                    let now = Instant::now();
+                    if done > stalled_at {
+                        (stalled_at, give_up) = (done, now + self.timeout);
+                    }
+                    if now >= give_up {
+                        break Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "the peer drained nothing for the world timeout",
+                        ));
+                    }
+                    let mut readers = self.readers(false);
+                    self.poll_pump(&mut readers, Some(stream.as_raw_fd()), give_up);
+                }
+                outcome => break outcome,
+            }
+        };
         if let Err(e) = outcome {
-            // Includes a write that outlived the socket's write timeout
-            // (the world timeout): the link is torn down and the frame
-            // waits in the replay queue for the reconnect.
+            // The frame waits in the replay queue for the reconnect.
             self.log(&format!("write to rank {dst} failed: {e}"));
             let _ = stream.shutdown(Shutdown::Both);
             *slot = None;
@@ -544,9 +558,9 @@ impl Shared {
         }
     }
 
-    /// Writes the cumulative ACK to `q` if one is due. Caller holds
-    /// `q`'s write half.
-    fn write_due_ack(&self, q: usize, w: &mut Option<Stream>) {
+    /// Writes the cumulative ACK to `q` if one is due (see
+    /// [`Shared::gated_write`] for `eager`). Caller holds `q`'s write half.
+    fn write_due_ack(self: &Arc<Self>, q: usize, w: &mut Option<Stream>, eager: bool) {
         let peer = &self.peers[q];
         let due = {
             let link = lock_or_recover(&peer.link);
@@ -555,53 +569,35 @@ impl Shared {
         };
         if let Some(delivered) = due {
             let ack = wire::encode_frame(&Frame::with_u64(kind::ACK, self.rank, delivered));
-            if self.gated_write(q, w, &ack, &[]) {
+            if self.gated_write(q, w, &ack, &[], eager) {
                 let mut link = lock_or_recover(&peer.link);
                 link.ack_sent = link.ack_sent.max(delivered);
             }
         }
     }
 
-    /// Runs `f` holding `q`'s write half, blocking for it, then writes
-    /// the ACK the reader left due, if any, before letting go.
-    ///
-    /// This is the rule that keeps the link live: a reader thread only
-    /// records what it delivered ([`Link`]) and goes back to reading —
-    /// it never writes, not even a 25-byte ACK, because with both send
-    /// buffers full that write waits for the peer's reader, which may be
-    /// waiting the same way for ours. Writes (and so waits for a peer
-    /// to drain) belong to the rank's main thread, the monitor and the
-    /// (re)connect path, none of which a peer needs in order to make
-    /// progress.
-    fn with_writer<R>(&self, q: usize, f: impl FnOnce(&mut Option<Stream>) -> R) -> R {
-        let mut w = lock_or_recover(&self.peers[q].writer);
-        let out = f(&mut w);
-        self.write_due_ack(q, &mut w);
-        out
-    }
-
-    /// Like [`Shared::with_writer`] but gives up (`None`) when another
-    /// thread holds the write half — for the monitor, which must not
-    /// queue behind a frame in flight. Whoever does hold it writes the
-    /// due ACK on release.
-    fn try_with_writer<R>(&self, q: usize, f: impl FnOnce(&mut Option<Stream>) -> R) -> Option<R> {
-        let mut w = match self.peers[q].writer.try_lock() {
-            Ok(w) => w,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
+    /// Runs `f` holding `q`'s write half — waiting for it, or, unless
+    /// `wait`, skipping `f` while another thread holds it — then writes
+    /// the ACK that pumps made due meanwhile, if it fits (a pump never
+    /// writes: reading a peer never waits for a write half).
+    fn with_writer(self: &Arc<Self>, q: usize, wait: bool, f: impl FnOnce(&mut Option<Stream>)) {
+        let writer = &self.peers[q].writer;
+        let held = match wait {
+            true => Some(lock_or_recover(writer)),
+            false => try_lock_or_recover(writer),
         };
-        let out = f(&mut w);
-        self.write_due_ack(q, &mut w);
-        Some(out)
+        if let Some(mut w) = held {
+            f(&mut w);
+            self.write_due_ack(q, &mut w, true);
+        }
     }
 
     /// Queues a reliable frame for `dst` (replayed across reconnects)
-    /// and attempts an immediate write. `frame` arrives with a zero
-    /// `link_seq`; the real one is stamped here, in the same short
-    /// critical section that retains the frame for replay. A frame for a
-    /// peer already gone is dropped, which returns its payload to the
-    /// pool.
-    fn send_reliable(&self, dst: usize, mut frame: WireFrame) -> Result<(), PeerGone> {
+    /// and writes it. `frame` arrives with a zero `link_seq`; the real one
+    /// is stamped here, in the same short critical section that retains
+    /// the frame for replay. A frame for a peer already gone is dropped,
+    /// which returns its payload to the pool.
+    fn send_reliable(self: &Arc<Self>, dst: usize, mut frame: WireFrame) -> Result<(), PeerGone> {
         let peer = &self.peers[dst];
         if peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst) {
             return Err(PeerGone);
@@ -614,14 +610,184 @@ impl Shared {
             link.replay.push(link_seq, frame.clone());
             frame
         };
-        // The due ACK goes first: the peer's reader then returns the
-        // payloads it covers to the peer's pool before it delivers this
-        // frame, so whoever the frame wakes finds them there.
-        self.with_writer(dst, |w| {
-            self.write_due_ack(dst, w);
-            self.gated_write(dst, w, frame.head(), frame.words())
+        // The due ACK goes first: the peer then returns the payloads it
+        // covers to the peer's pool before it delivers this frame, so
+        // whoever the frame wakes finds them there.
+        self.with_writer(dst, true, |w| {
+            self.write_due_ack(dst, w, false);
+            self.gated_write(dst, w, frame.head(), frame.words(), false);
         });
         Ok(())
+    }
+
+    /// Locks the reader of every connected peer, in rank order: waiting
+    /// for each (`block`: the main thread) or skipping a busy one.
+    fn readers(&self, block: bool) -> Readers<'_> {
+        let live = (0..self.p).filter(|&q| self.peers[q].read_fd.load(Ordering::SeqCst) >= 0);
+        let lock = |q: usize| match block {
+            true => Some(lock_or_recover(&self.peers[q].reader)),
+            false => try_lock_or_recover(&self.peers[q].reader),
+        };
+        live.filter_map(|q| Some((q, lock(q)?))).collect()
+    }
+
+    /// Polls the connections under `readers` for input, and `out` for
+    /// room, until one is ready or `until`; pumps each with input. With
+    /// nothing to poll it waits for the next [`Shared::notify`] instead.
+    fn poll_pump(self: &Arc<Self>, readers: &mut Readers<'_>, out: Option<RawFd>, until: Instant) {
+        let timeout = until.saturating_duration_since(Instant::now());
+        let polled: Vec<(usize, RawFd)> = (readers.iter().enumerate())
+            .filter_map(|(i, (_, r))| Some((i, r.conn.as_ref()?.0.as_raw_fd())))
+            .collect();
+        let set: Vec<(RawFd, Ready)> = (out.map(|fd| (fd, Ready::Write)).into_iter())
+            .chain(polled.iter().map(|&(_, fd)| (fd, Ready::Read)))
+            .collect();
+        if set.is_empty() {
+            let held = lock_or_recover(&self.events_lock);
+            let _ = self.events.wait_timeout(held, timeout);
+            return;
+        }
+        let Ok(ready) = poll_ready(&set, timeout) else {
+            return;
+        };
+        let inputs = &ready[out.is_some() as usize..];
+        for (&(i, _), _) in polled.iter().zip(inputs).filter(|(_, &r)| r) {
+            let (q, reader) = &mut readers[i];
+            self.pump(*q, reader);
+        }
+    }
+
+    /// The main thread's wait for `done`, reading its own sockets: under
+    /// the reader of every connected peer it checks `done`, then polls
+    /// and pumps them (at most `SLICE` at a time, so a SIGTERM is seen).
+    /// Holding the readers from the check through the poll makes the
+    /// wait exact. Returns the last `done()`.
+    fn wait_reading(
+        self: &Arc<Self>,
+        until: Instant,
+        mut done: impl FnMut(&mut Readers<'_>) -> bool,
+    ) -> bool {
+        loop {
+            if sigterm_requested() && !self.shutting_down.load(Ordering::SeqCst) {
+                self.drain_and_exit();
+            }
+            let mut readers = self.readers(true);
+            if done(&mut readers) {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= until {
+                return false;
+            }
+            self.poll_pump(&mut readers, None, until.min(now + SLICE));
+        }
+    }
+
+    /// Reads every frame that has arrived from `q`, without blocking, and
+    /// routes it: DATA is dedup-admitted into the inbox (making an ACK
+    /// due), the rest goes to [`Shared::route_frame`]. EOF or a read
+    /// error ends the connection. Caller holds `q`'s reader.
+    fn pump(self: &Arc<Self>, q: usize, reader: &mut Reader) {
+        let Some((stream, frames)) = reader.conn.as_mut() else {
+            return;
+        };
+        let peer = &self.peers[q];
+        let before = frames.bytes_read;
+        let ended = loop {
+            let inbound = match frames.read(&mut &*stream, Some((&self.pool, q))) {
+                Ok(Some(inbound)) => inbound,
+                Ok(None) => break Some("EOF".to_string()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
+                // A body that does not parse leaves the stream out of
+                // step: the connection ends and the frame comes back on
+                // the replay.
+                Err(e) => break Some(format!("read error: {e}")),
+            };
+            let now = self.now_us();
+            match inbound {
+                Inbound::Data(h, msg) => {
+                    self.metrics.record_recv(h.body_len, true, now);
+                    if lock_or_recover(&peer.link).dedup.admit(h.link_seq) {
+                        reader.inbox.push_back(msg);
+                    } else {
+                        self.pool.recycle(q, msg.payload); // duplicate from a replay
+                    }
+                }
+                Inbound::Control(frame) => {
+                    self.metrics.record_recv(frame.body.len(), false, now);
+                    self.route_frame(q, frame);
+                }
+            }
+        };
+        if frames.bytes_read > before {
+            peer.last_seen_ms.store(self.now_ms(), Ordering::SeqCst);
+        }
+        if let Some(reason) = ended {
+            peer.read_fd.store(-1, Ordering::SeqCst);
+            if let Some((stream, _)) = reader.conn.take() {
+                // Over in both directions: a write still in flight on it
+                // must fail now.
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            self.conn_lost(q, &reason);
+        }
+    }
+
+    /// Routes one received control frame.
+    fn route_frame(&self, q: usize, frame: Frame) {
+        let peer = &self.peers[q];
+        match frame.kind {
+            kind::BARRIER_ENTER | kind::BARRIER_RELEASE => {
+                // Reliable like DATA: watermark-dedup, then count.
+                if !lock_or_recover(&peer.link).dedup.admit(frame.link_seq) {
+                    return; // duplicate from a replay
+                }
+                if let Ok(round) = frame.body_u64() {
+                    peer.barrier.fetch_max(round, Ordering::SeqCst);
+                }
+            }
+            kind::ACK => {
+                if let Ok(watermark) = frame.body_u64() {
+                    lock_or_recover(&peer.link).replay.ack(watermark);
+                }
+            }
+            kind::HEARTBEAT => {} // last_seen already updated
+            kind::BYE => {
+                self.log(&format!("rank {q} said BYE"));
+                peer.bye.store(true, Ordering::SeqCst);
+                self.notify();
+            }
+            other => self.log(&format!("rank {q}: unexpected frame kind {other}")),
+        }
+    }
+
+    /// A connection to `q` ended. Unless shutting down, the peer dead or
+    /// past its BYE, it is a crashed peer or a partitioned link: the
+    /// dialing side (higher rank) redials on a thread of its own — that
+    /// may take the whole liveness budget — the listening side's acceptor
+    /// installs the replacement, and the monitor handles true death.
+    fn conn_lost(self: &Arc<Self>, q: usize, reason: &str) {
+        let peer = &self.peers[q];
+        if self.shutting_down.load(Ordering::SeqCst) || peer.dead.load(Ordering::SeqCst) {
+            return;
+        }
+        if peer.bye.load(Ordering::SeqCst) {
+            self.log(&format!("link to rank {q} closed cleanly"));
+            return;
+        }
+        self.metrics
+            .partitions_suspected
+            .fetch_add(1, Ordering::Relaxed);
+        self.log(&format!("link to rank {q} lost ({reason})"));
+        if q < self.rank {
+            let shared = self.clone();
+            let redial = std::thread::Builder::new()
+                .name(format!("proc-redial-{q}"))
+                .spawn(move || reconnect_loop(&shared, q));
+            if let Err(e) = redial {
+                self.mark_peer_dead(q, &format!("cannot start a redial: {e}"));
+            }
+        }
     }
 
     fn mark_peer_dead(&self, q: usize, why: &str) {
@@ -630,21 +796,15 @@ impl Shared {
             return;
         }
         self.log(&format!("peer rank {q} declared dead: {why}"));
-        // Wake anything blocked on this peer: receives observe
-        // `Disconnected` once the sender is gone, the reader wakes on
-        // the shutdown.
-        *lock_or_recover(&peer.data_tx) = None;
+        // Wake anything blocked on this peer: its reader and writer see
+        // the shutdown, a receive waiting for a new connection the notify.
         peer.shutdown_sock();
         self.notify();
     }
 
-    fn any_peer_dead(&self) -> bool {
-        (0..self.p).any(|q| q != self.rank && self.peers[q].dead.load(Ordering::SeqCst))
-    }
-
-    /// Graceful shutdown: BYE every live peer, wait briefly for theirs,
-    /// then tear the mesh down.
-    fn begin_shutdown(&self) {
+    /// Graceful shutdown: BYE every live peer, read until theirs arrive
+    /// (briefly), then tear the mesh down.
+    fn begin_shutdown(self: &Arc<Self>) {
         if !self.start_shutdown() {
             return;
         }
@@ -653,19 +813,20 @@ impl Shared {
                 continue;
             }
             let bye = wire::encode_frame(&Frame::control(kind::BYE, self.rank));
-            self.with_writer(q, |w| self.gated_write(q, w, &bye, &[]));
+            self.with_writer(q, true, |w| {
+                self.gated_write(q, w, &bye, &[], false);
+            });
         }
         // Drain: give peers a moment to BYE back so both sides close at
-        // a frame boundary instead of racing EOF against final ACKs. The
-        // last BYE (or death) wakes this wait.
-        let all_done = || {
+        // a frame boundary instead of racing EOF against final ACKs.
+        let all_done = |_: &mut Readers<'_>| {
             (0..self.p).all(|q| {
                 q == self.rank
                     || self.peers[q].dead.load(Ordering::SeqCst)
                     || self.peers[q].bye.load(Ordering::SeqCst)
             })
         };
-        self.wait_until(Instant::now() + Duration::from_millis(750), all_done);
+        self.wait_reading(Instant::now() + Duration::from_millis(750), all_done);
         self.teardown();
         self.log("graceful shutdown complete");
     }
@@ -690,13 +851,11 @@ impl Shared {
             self.peers[q].shutdown_sock();
             *lock_or_recover(&self.peers[q].writer) = None;
         }
-        *lock_or_recover(&self.entries_tx) = None;
-        *lock_or_recover(&self.release_tx) = None;
     }
 
     /// SIGTERM: drain connections, then exit with the conventional
     /// 128+15 status.
-    fn drain_and_exit(&self) -> ! {
+    fn drain_and_exit(self: &Arc<Self>) -> ! {
         self.log("SIGTERM received: draining connections");
         self.begin_shutdown();
         std::process::exit(143);
@@ -705,8 +864,8 @@ impl Shared {
 
 // ---- Connection wiring ----------------------------------------------------
 
-/// Installs `stream` as the current connection to `q`: starts its
-/// reader, syncs the replay queue against the peer's delivered
+/// Installs `stream` as the current connection to `q`: makes it the
+/// peer's read half, syncs the replay queue against the peer's delivered
 /// watermark, and retransmits the unacknowledged suffix.
 fn install_conn(
     shared: &Arc<Shared>,
@@ -714,18 +873,18 @@ fn install_conn(
     stream: Stream,
     peer_watermark: u64,
 ) -> io::Result<()> {
+    // Both halves of a rank socket are non-blocking: a read stops where
+    // the bytes do, and a write that cannot go on reads peers meanwhile.
+    stream.set_nonblocking(true)?;
     let writer = stream.try_clone()?;
     let sock = stream.try_clone()?;
-    // A write that the peer never drains must end as a link error, not
-    // as a stall no watchdog can see.
-    writer.set_write_timeout(Some(shared.timeout))?;
     let peer = &shared.peers[q];
     // Retire the old connection before asking for the write half: a
-    // writer still blocked on it fails and lets go.
+    // writer still on it fails and lets go, a wait reading it wakes.
     if let Some(old) = lock_or_recover(&peer.sock).replace(sock) {
         let _ = old.shutdown(Shutdown::Both);
     }
-    shared.with_writer(q, |w| {
+    shared.with_writer(q, true, |w| {
         if peer.epoch.load(Ordering::SeqCst) > 0 {
             // This link existed before and is coming back: whatever
             // took it down (reset, partition, peer restart of the
@@ -737,13 +896,15 @@ fn install_conn(
         }
         let epoch = peer.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         *w = Some(writer);
-        // The reader starts before the replay: when both ends come back
-        // with a suffix larger than a socket buffer, each replay drains
-        // only because the other end is already reading.
-        let reader = shared.clone();
-        std::thread::Builder::new()
-            .name(format!("proc-read-{q}"))
-            .spawn(move || reader_loop(reader, q, stream, epoch))?;
+        // The peer is read before the replay is written — by this
+        // replay's own waits among others: when both ends come back with
+        // a suffix larger than a socket buffer, each replay drains only
+        // because the other end reads.
+        {
+            let mut reader = lock_or_recover(&peer.reader);
+            peer.read_fd.store(stream.as_raw_fd(), Ordering::SeqCst);
+            reader.conn = Some((stream, FrameReader::default()));
+        }
         // The suffix is read only now, with the write half held: a
         // frame queued after this point is written by its own sender,
         // behind us and therefore in order.
@@ -758,7 +919,7 @@ fn install_conn(
         // reconnect.
         let mut replayed = 0u64;
         for frame in &unacked {
-            if !shared.gated_write(q, w, frame.head(), frame.words()) {
+            if !shared.gated_write(q, w, frame.head(), frame.words(), false) {
                 break;
             }
             replayed += 1;
@@ -770,153 +931,10 @@ fn install_conn(
         shared.log(&format!(
             "link to rank {q} up (epoch {epoch}, peer watermark {peer_watermark}, replayed {replayed})"
         ));
-        Ok::<(), io::Error>(())
-    })?;
+    });
     peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
     shared.notify();
     Ok(())
-}
-
-/// Reads frames off one connection to peer `q` until it dies, then
-/// hands off to reconnect/death handling.
-fn reader_loop(shared: Arc<Shared>, q: usize, stream: Stream, epoch: u64) {
-    let _ = stream.set_read_timeout(None);
-    let mut r = BufReader::new(&stream);
-    let reason = loop {
-        let header = match wire::read_header(&mut r) {
-            Ok(Some(header)) => header,
-            Ok(None) => break "EOF".to_string(),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => break format!("read error: {e}"),
-        };
-        let peer = &shared.peers[q];
-        peer.last_seen_ms.store(shared.now_ms(), Ordering::SeqCst);
-        shared.metrics.record_recv(
-            wire::FRAME_OVERHEAD + header.body_len as u64,
-            shared.now_us(),
-        );
-        // A body that does not parse leaves the stream out of step: the
-        // connection ends here and the frame comes back on the replay.
-        let routed = if header.kind == kind::DATA {
-            shared
-                .metrics
-                .data_bytes_recv
-                .fetch_add(header.body_len as u64, Ordering::Relaxed);
-            // The payload's words land in pool buffers straight off the
-            // socket; the rank's executor folds them where they are.
-            wire::read_data(&mut r, header.body_len, &shared.pool, q).map(|msg| {
-                // Watermark-dedup, then deliver. Advancing the watermark
-                // is what makes an ACK due; the next holder of the write
-                // half writes it (`Shared::with_writer`).
-                if !lock_or_recover(&peer.link).dedup.admit(header.link_seq) {
-                    return shared.pool.recycle(q, msg.payload); // duplicate from a replay
-                }
-                let tx = lock_or_recover(&peer.data_tx).clone();
-                if let Some(tx) = tx {
-                    let _ = tx.send(msg);
-                }
-            })
-        } else {
-            wire::read_body(&mut r, header).map(|frame| route_frame(&shared, q, frame))
-        };
-        if let Err(e) = routed {
-            break format!("read error: {e}");
-        }
-    };
-    // This connection is over in both directions; a write still in
-    // flight on it must fail now rather than at the write timeout.
-    let _ = stream.shutdown(Shutdown::Both);
-    on_conn_end(&shared, q, epoch, &reason);
-}
-
-/// Routes one received control frame to the right consumer.
-fn route_frame(shared: &Arc<Shared>, q: usize, frame: Frame) {
-    let peer = &shared.peers[q];
-    match frame.kind {
-        kind::BARRIER_ENTER | kind::BARRIER_RELEASE => {
-            // Reliable like DATA: watermark-dedup, then deliver.
-            if !lock_or_recover(&peer.link).dedup.admit(frame.link_seq) {
-                return; // duplicate from a replay
-            }
-            let Ok(round) = frame.body_u64() else {
-                return;
-            };
-            if frame.kind == kind::BARRIER_ENTER {
-                let tx = lock_or_recover(&shared.entries_tx).clone();
-                if let Some(tx) = tx {
-                    let _ = tx.send((frame.src, round));
-                }
-            } else {
-                let tx = lock_or_recover(&shared.release_tx).clone();
-                if let Some(tx) = tx {
-                    let _ = tx.send(round);
-                }
-            }
-        }
-        kind::ACK => {
-            if let Ok(watermark) = frame.body_u64() {
-                lock_or_recover(&peer.link).replay.ack(watermark);
-            }
-        }
-        kind::HEARTBEAT => {} // last_seen already updated
-        kind::BYE => {
-            shared.log(&format!("rank {q} said BYE"));
-            peer.bye.store(true, Ordering::SeqCst);
-            shared.notify();
-        }
-        other => shared.log(&format!("rank {q}: unexpected frame kind {other}")),
-    }
-}
-
-/// A connection to `q` ended: clean-close after BYE, ignore if stale or
-/// shutting down, reconnect if we are the dialing side, else leave it
-/// to the liveness monitor.
-fn on_conn_end(shared: &Arc<Shared>, q: usize, epoch: u64, reason: &str) {
-    let peer = &shared.peers[q];
-    if peer.epoch.load(Ordering::SeqCst) != epoch {
-        return; // a newer connection has already replaced this one
-    }
-    // This reader's connection is over, so it may wait for the write
-    // half like anyone else. The epoch is checked again under it: an
-    // install that won the race must keep its stream.
-    let current = shared.with_writer(q, |w| {
-        let current = peer.epoch.load(Ordering::SeqCst) == epoch;
-        if current {
-            *w = None;
-        }
-        current
-    });
-    if !current {
-        return;
-    }
-    if shared.shutting_down.load(Ordering::SeqCst) || peer.dead.load(Ordering::SeqCst) {
-        return;
-    }
-    if peer.bye.load(Ordering::SeqCst) {
-        // Graceful close: future receives must see `Disconnected`, the
-        // thread-backend analogue of a finished rank dropping its
-        // channels. Queued messages already delivered remain readable.
-        shared.log(&format!("link to rank {q} closed cleanly"));
-        *lock_or_recover(&peer.data_tx) = None;
-        return;
-    }
-    // An unclean loss while healthy: from here it is either a crashed
-    // peer or a partitioned link — indistinguishable until reconnect
-    // resolves it one way or the other.
-    shared
-        .metrics
-        .partitions_suspected
-        .fetch_add(1, Ordering::Relaxed);
-    shared.log(&format!("link to rank {q} lost ({reason})"));
-    if q < shared.rank {
-        reconnect_loop(shared, q);
-    }
-    // q > rank: the peer dials us; the acceptor installs the
-    // replacement and the heartbeat monitor handles true death.
 }
 
 /// Runs `attempt` until it succeeds or `deadline` passes, then returns
@@ -986,23 +1004,36 @@ fn dial_peer(shared: &Arc<Shared>, q: usize, addr: &str) -> io::Result<()> {
             ));
         }
     }
-    let mut stream = Stream::connect(addr)?;
-    let delivered = lock_or_recover(&shared.peers[q].link).dedup.delivered();
-    wire::write_frame(
-        &mut stream,
-        &Frame::with_u64(kind::HELLO, shared.rank, delivered),
-    )?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let hello = wire::read_frame(&mut &stream)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before HELLO reply"))?;
-    stream.set_read_timeout(None)?;
-    if hello.kind != kind::HELLO || hello.src as usize != q {
+    let stream = Stream::connect(addr)?;
+    write_hello(shared, q, &stream)?;
+    let (src, watermark) = read_hello(&stream)?;
+    if src != q {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "bad HELLO reply",
+            "HELLO reply from another rank",
         ));
     }
-    install_conn(shared, q, stream, hello.body_u64()?)
+    install_conn(shared, q, stream, watermark)
+}
+
+/// Writes our HELLO to `q`: our rank, and how much of `q`'s traffic we
+/// have delivered.
+fn write_hello(shared: &Shared, q: usize, stream: &Stream) -> io::Result<()> {
+    let delivered = lock_or_recover(&shared.peers[q].link).dedup.delivered();
+    let hello = Frame::with_u64(kind::HELLO, shared.rank, delivered);
+    wire::write_frame(&mut &*stream, &hello)
+}
+
+/// Reads a peer's HELLO off a new connection: its rank and its delivered
+/// watermark.
+fn read_hello(stream: &Stream) -> io::Result<(usize, u64)> {
+    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let hello = wire::read_frame(&mut &*stream)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before HELLO"))?;
+    if hello.kind != kind::HELLO {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
+    }
+    Ok((hello.src as usize, hello.body_u64()?))
 }
 
 /// Mesh accept loop: each incoming connection leads with HELLO(src,
@@ -1013,7 +1044,7 @@ fn acceptor_loop(shared: Arc<Shared>, listener: Listener) {
     while !shared.shutting_down.load(Ordering::SeqCst) {
         // A dialer wakes this wait at once; `SLICE` only bounds how late
         // the thread notices shutdown.
-        let accepted = match poll_readable(&[fd], SLICE) {
+        let accepted = match poll_ready(&[(fd, Ready::Read)], SLICE) {
             Ok(ready) if ready[0] => listener.accept(),
             Ok(_) => continue,
             Err(e) => Err(e),
@@ -1037,15 +1068,8 @@ fn acceptor_loop(shared: Arc<Shared>, listener: Listener) {
     }
 }
 
-fn handle_accept(shared: &Arc<Shared>, mut stream: Stream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let hello = wire::read_frame(&mut &stream)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before HELLO"))?;
-    stream.set_read_timeout(None)?;
-    if hello.kind != kind::HELLO {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
-    }
-    let q = hello.src as usize;
+fn handle_accept(shared: &Arc<Shared>, stream: Stream) -> io::Result<()> {
+    let (q, watermark) = read_hello(&stream)?;
     if q >= shared.p || q == shared.rank {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -1072,18 +1096,17 @@ fn handle_accept(shared: &Arc<Shared>, mut stream: Stream) -> io::Result<()> {
             ));
         }
     }
-    let delivered = lock_or_recover(&shared.peers[q].link).dedup.delivered();
-    wire::write_frame(
-        &mut stream,
-        &Frame::with_u64(kind::HELLO, shared.rank, delivered),
-    )?;
-    install_conn(shared, q, stream, hello.body_u64()?)
+    write_hello(shared, q, &stream)?;
+    install_conn(shared, q, stream, watermark)
 }
 
-/// Heartbeat thread: beacon every peer each period; declare a peer dead
-/// once its silence exceeds the miss threshold.
+/// Heartbeat thread, the rank's one background reader: each tick it
+/// pumps every peer whose reader is free and writes the ACKs due; each
+/// period it beacons every peer and declares a peer dead once its
+/// silence exceeds the miss threshold.
 fn monitor_loop(shared: Arc<Shared>) {
     let period_ms = shared.heartbeat.as_millis().max(1) as u64;
+    let peers = || (0..shared.p).filter(|&q| q != shared.rank);
     loop {
         let wake = Instant::now() + shared.heartbeat;
         while Instant::now() < wake {
@@ -1091,25 +1114,26 @@ fn monitor_loop(shared: Arc<Shared>) {
                 return;
             }
             std::thread::sleep(TICK.min(shared.heartbeat));
-            // ACK backstop: what a reader delivered while the rank's
-            // main thread had nothing to send to that peer.
-            for q in (0..shared.p).filter(|&q| q != shared.rank) {
-                shared.try_with_writer(q, |_| ());
+            for q in peers() {
+                if let Some(mut reader) = try_lock_or_recover(&shared.peers[q].reader) {
+                    shared.pump(q, &mut reader);
+                }
+                shared.with_writer(q, false, |_| ());
             }
         }
         let now = shared.now_ms();
-        for q in 0..shared.p {
-            if q == shared.rank {
-                continue;
-            }
+        for q in peers() {
             let peer = &shared.peers[q];
             if peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst) {
                 continue;
             }
-            // Try-lock: a tick must not queue behind a frame in flight
-            // (which tells the peer we are alive just as well).
+            // Try-lock and eager: a beacon must not queue behind a frame
+            // in flight (which tells the peer we are alive just as well),
+            // nor wait for room in a socket the peer is not draining.
             let beat = wire::encode_frame(&Frame::control(kind::HEARTBEAT, shared.rank));
-            shared.try_with_writer(q, |w| shared.gated_write(q, w, &beat, &[]));
+            shared.with_writer(q, false, |w| {
+                shared.gated_write(q, w, &beat, &[], true);
+            });
             let age = now.saturating_sub(peer.last_seen_ms.load(Ordering::SeqCst));
             if age > period_ms {
                 // Each tick past one beacon period of silence is one
@@ -1257,10 +1281,11 @@ fn rendezvous_serve(
         }
         // One wait on every event that moves the rendezvous: a dialer on
         // the listener, or a held registrant's bytes or EOF.
-        let fds: Vec<RawFd> = std::iter::once(listener.as_raw_fd())
+        let fds: Vec<(RawFd, Ready)> = std::iter::once(listener.as_raw_fd())
             .chain(conns.iter().map(|(_, stream)| stream.as_raw_fd()))
+            .map(|fd| (fd, Ready::Read))
             .collect();
-        let ready = poll_readable(&fds, remaining)?;
+        let ready = poll_ready(&fds, remaining)?;
         for ((src, stream), _) in conns.iter().zip(&ready[1..]).filter(|(_, &r)| r) {
             match rendezvous_conn_died(stream) {
                 Ok(false) => {}
@@ -1409,14 +1434,7 @@ fn rendezvous_join(
 /// Process-backend link layer for one rank (one per process).
 pub(crate) struct ProcTransport {
     shared: Arc<Shared>,
-    data_rx: Vec<Option<Receiver<Msg>>>,
-    /// Rank 0: barrier entries from every peer (all reader threads feed
-    /// one channel; rounds are tallied in `pending_entries`).
-    entries_rx: Option<Receiver<(u32, u64)>>,
-    /// Non-zero ranks: releases from rank 0.
-    release_rx: Option<Receiver<u64>>,
     round: u64,
-    pending_entries: HashMap<u64, usize>,
 }
 
 impl ProcTransport {
@@ -1508,32 +1526,7 @@ impl ProcTransport {
             ));
         }
 
-        let mut data_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(p);
-        let mut peers = Vec::with_capacity(p);
-        for q in 0..p {
-            let peer = Peer::new();
-            if q == rank {
-                data_rx.push(None);
-            } else {
-                let (tx, rx) = mpsc::channel();
-                *lock_or_recover(&peer.data_tx) = Some(tx);
-                data_rx.push(Some(rx));
-            }
-            peers.push(peer);
-        }
-        let (entries_rx, entries_tx) = if rank == 0 && p > 1 {
-            let (tx, rx) = mpsc::channel();
-            (Some(rx), Some(tx))
-        } else {
-            (None, None)
-        };
-        let (release_rx, release_tx) = if rank != 0 {
-            let (tx, rx) = mpsc::channel();
-            (Some(rx), Some(tx))
-        } else {
-            (None, None)
-        };
-
+        let peers = (0..p).map(|_| Peer::new()).collect();
         let shared = Arc::new(Shared {
             rank,
             p,
@@ -1543,8 +1536,6 @@ impl ProcTransport {
             start,
             addrbook,
             peers,
-            entries_tx: Mutex::new(entries_tx),
-            release_tx: Mutex::new(release_tx),
             shutting_down: AtomicBool::new(false),
             events: Condvar::new(),
             events_lock: Mutex::new(()),
@@ -1598,86 +1589,7 @@ impl ProcTransport {
         }
         shared.log("mesh up");
 
-        Ok(ProcTransport {
-            shared,
-            data_rx,
-            entries_rx,
-            release_rx,
-            round: 0,
-            pending_entries: HashMap::new(),
-        })
-    }
-
-    fn barrier_rank0(&mut self, round: u64, timeout: Duration) -> bool {
-        let p = self.shared.p;
-        let deadline = Instant::now() + timeout;
-        let mut have = self.pending_entries.remove(&round).unwrap_or(0);
-        let rx = self.entries_rx.as_ref().expect("rank 0 entries channel");
-        while have < p - 1 {
-            if sigterm_requested() {
-                self.shared.drain_and_exit();
-            }
-            if self.shared.any_peer_dead() {
-                return false;
-            }
-            match rx.recv_timeout(SLICE) {
-                Ok((_src, r)) if r == round => have += 1,
-                Ok((_src, r)) => *self.pending_entries.entry(r).or_insert(0) += 1,
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return false;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
-            }
-        }
-        for q in 1..p {
-            let release = Frame::with_u64(kind::BARRIER_RELEASE, 0, round);
-            if self
-                .shared
-                .send_reliable(q, WireFrame::control(&release))
-                .is_err()
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn barrier_member(&mut self, round: u64, timeout: Duration) -> bool {
-        let enter = Frame::with_u64(kind::BARRIER_ENTER, self.shared.rank, round);
-        if self
-            .shared
-            .send_reliable(0, WireFrame::control(&enter))
-            .is_err()
-        {
-            return false;
-        }
-        let deadline = Instant::now() + timeout;
-        let rx = self.release_rx.as_ref().expect("member release channel");
-        loop {
-            if sigterm_requested() {
-                self.shared.drain_and_exit();
-            }
-            if self.shared.peers[0].dead.load(Ordering::SeqCst) {
-                return false;
-            }
-            match rx.recv_timeout(SLICE) {
-                Ok(r) if r == round => return true,
-                Ok(r) => {
-                    // A stale release can only trail a barrier this rank
-                    // already abandoned; ignore it.
-                    self.shared
-                        .log(&format!("ignoring stale barrier release {r} (at {round})"));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return false;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
-            }
-        }
+        Ok(ProcTransport { shared, round: 0 })
     }
 }
 
@@ -1693,38 +1605,63 @@ impl Transport for ProcTransport {
         Ok(())
     }
 
+    /// Pops `src`'s inbox; while it is empty the main thread reads its
+    /// own sockets ([`Shared::wait_reading`]) until a frame from `src`
+    /// lands. Past the inbox, a dead peer or one that said BYE is
+    /// `Disconnected`.
     fn recv_deadline(&mut self, src: usize, timeout: Duration) -> RecvOutcome {
+        let s = &self.shared;
+        if src == s.rank {
+            return RecvOutcome::Disconnected; // self-receive
+        }
         let deadline = Instant::now() + timeout;
-        let rx = match self.data_rx[src].as_ref() {
-            Some(rx) => rx,
-            None => return RecvOutcome::Disconnected, // self-receive
+        let peer = &s.peers[src];
+        let gone = || peer.dead.load(Ordering::SeqCst) || peer.bye.load(Ordering::SeqCst);
+        // `src` is among the readers while it has a connection; a frame
+        // pumped just before its connection ended is in its inbox anyway.
+        let landed = |readers: &mut Readers<'_>| {
+            gone()
+                || match readers.iter().find(|(q, _)| *q == src) {
+                    Some((_, reader)) => !reader.inbox.is_empty(),
+                    None => !lock_or_recover(&peer.reader).inbox.is_empty(),
+                }
         };
         loop {
-            if sigterm_requested() {
-                self.shared.drain_and_exit();
+            if let Some(msg) = lock_or_recover(&peer.reader).inbox.pop_front() {
+                return RecvOutcome::Frame(msg);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if gone() {
+                return RecvOutcome::Disconnected;
+            }
+            if Instant::now() >= deadline {
                 return RecvOutcome::TimedOut;
             }
-            match rx.recv_timeout(remaining.min(SLICE)) {
-                Ok(msg) => return RecvOutcome::Frame(msg),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return RecvOutcome::Disconnected,
-            }
+            s.wait_reading(deadline, landed);
         }
     }
 
+    /// Centralised through rank 0: a member sends BARRIER_ENTER and waits
+    /// for the round's BARRIER_RELEASE, which rank 0 sends once every
+    /// member has entered. Both wait reading their own sockets.
     fn barrier_wait(&mut self, timeout: Duration) -> bool {
-        if self.shared.p == 1 {
+        let s = &self.shared;
+        if s.p == 1 {
             return true;
         }
         self.round += 1;
-        let round = self.round;
-        if self.shared.rank == 0 {
-            self.barrier_rank0(round, timeout)
+        let (round, deadline) = (self.round, Instant::now() + timeout);
+        let reached = |q: usize| s.peers[q].barrier.load(Ordering::SeqCst) >= round;
+        let dead = |q: usize| s.peers[q].dead.load(Ordering::SeqCst);
+        if s.rank == 0 {
+            let entered = || (1..s.p).all(reached);
+            s.wait_reading(deadline, |_| entered() || (1..s.p).any(dead));
+            let release = Frame::with_u64(kind::BARRIER_RELEASE, 0, round);
+            entered() && (1..s.p).all(|q| s.send_reliable(q, WireFrame::control(&release)).is_ok())
         } else {
-            self.barrier_member(round, timeout)
+            let enter = Frame::with_u64(kind::BARRIER_ENTER, s.rank, round);
+            s.send_reliable(0, WireFrame::control(&enter)).is_ok()
+                && s.wait_reading(deadline, |_| reached(0) || dead(0))
+                && reached(0)
         }
     }
 }
@@ -1864,7 +1801,7 @@ impl ProcWorld {
     ) -> Result<(R, RankStats, Option<Box<RankTracer>>), ProcError> {
         assert!(rank < self.p, "rank {rank} out of range (p={})", self.p);
         // One payload pool for the rank process: its main thread, its
-        // reader threads and its replay queues all move the same buffers.
+        // monitor and its replay queues all move the same buffers.
         let pool = Arc::new(PayloadPool::new(self.p));
         let transport = ProcTransport::connect(rank, self, pool.clone())?;
         let shared = transport.shared.clone();
@@ -1979,6 +1916,7 @@ fn metrics_snapshot_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration)
 mod tests {
     use super::*;
     use crate::msg::Payload;
+    use std::io::BufReader;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gnnpu-{}-{tag}", std::process::id()));
@@ -2193,7 +2131,7 @@ mod tests {
 
     fn wire_bytes(frame: &WireFrame) -> Vec<u8> {
         let mut bytes = Vec::new();
-        wire::write_parts(&mut bytes, frame.head(), frame.words()).unwrap();
+        wire::write_parts(&mut bytes, frame.head(), frame.words(), &mut 0).unwrap();
         bytes
     }
 
@@ -2255,13 +2193,13 @@ mod tests {
     }
 
     impl Receiver {
-        /// Reads DATA frames off `rx` until it ends, as `reader_loop`
-        /// does.
+        /// Reads DATA frames off `rx` until it ends, as a pump does.
         fn read_all(&mut self, rx: Stream) -> io::Result<()> {
-            let mut r = BufReader::new(rx);
-            while let Some(header) = wire::read_header(&mut r)? {
-                assert_eq!(header.kind, kind::DATA);
-                let msg = wire::read_data(&mut r, header.body_len, &self.pool, 0)?;
+            let mut frames = FrameReader::default();
+            while let Some(inbound) = frames.read(&mut &rx, Some((&self.pool, 0)))? {
+                let Inbound::Data(header, msg) = inbound else {
+                    panic!("expected DATA");
+                };
                 if self.dedup.admit(header.link_seq) {
                     let mut back = WireFrame::data(0, msg, self.pool.clone());
                     back.set_link_seq(header.link_seq);
@@ -2317,7 +2255,7 @@ mod tests {
         let resent: Vec<Arc<WireFrame>> = sender.unacked().cloned().collect();
         let replay = receiver.connection(|tx| {
             for frame in &resent {
-                wire::write_parts(tx, frame.head(), frame.words()).unwrap();
+                wire::write_parts(tx, frame.head(), frame.words(), &mut 0).unwrap();
             }
         });
         replay.expect("clean EOF at a frame boundary");

@@ -13,19 +13,17 @@
 //! A DATA frame never exists as one buffer. Going out it is a
 //! [`WireFrame`]: a small encoded *head* (frame header, `Msg` header,
 //! element counts, row ids) plus the payload itself, whose `f64` words
-//! are written after the head through a fixed staging chunk — the replay
-//! queue retains exactly those two parts and the payload's storage
-//! returns to the world's [`PayloadPool`] when the frame is released.
-//! Coming in, [`read_header`] reads the 17 header bytes and
-//! [`read_data`] checks the element counts against the frame length
-//! *before* it takes anything from the pool, then reads the words
-//! straight into pooled vectors — a hostile count field can neither
-//! panic the decoder nor make it reserve more than the frame it arrived
-//! in. Every other kind carries a short body, capped at
-//! [`MAX_CONTROL_BODY`]. The codec carries the `Msg` checksum and never
-//! looks at it: integrity belongs to [`crate::RankCtx`] alone.
+//! follow as their own bytes in the same vectored write — the replay
+//! queue retains exactly those two parts, and the payload returns to the
+//! world's [`PayloadPool`] when the frame is released. Coming in, a
+//! [`FrameReader`] checks a DATA frame's element counts against the frame
+//! length *before* it takes anything from the pool — a hostile count can
+//! neither panic it nor make it reserve more than the frame holds — then
+//! reads the words straight into the pooled vectors. Every other kind
+//! carries a short body, capped at [`MAX_CONTROL_BODY`]. The codec never
+//! looks at the `Msg` checksum: integrity belongs to [`crate::RankCtx`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 use crate::msg::{Msg, Payload};
@@ -69,11 +67,6 @@ const MAX_FRAME: u32 = 1 << 30;
 /// the ADDRBOOK (a ~100-byte socket path per rank); a control frame with
 /// a forged length prefix is rejected before anything is allocated.
 pub(crate) const MAX_CONTROL_BODY: usize = 64 << 10;
-
-/// Bytes of the staging chunk `f64` words pass through between a payload
-/// vector and the socket, in either direction. Cache-resident, so the
-/// conversion costs no memory traffic beyond the payload itself.
-const STAGE: usize = 64 << 10;
 
 /// Encoded bytes a frame occupies beyond its body: the u32 length
 /// prefix plus the kind/src/link_seq header (metrics accounting).
@@ -167,53 +160,27 @@ pub(crate) struct FrameHeader {
     pub body_len: usize,
 }
 
-/// Reads one frame's length prefix and header off `r`. `Ok(None)` is a
-/// clean EOF at a frame boundary; errors inside a frame are real I/O
-/// failures. The body is the caller's to read: [`read_data`] for DATA,
-/// [`read_body`] for every other kind.
-pub(crate) fn read_header(r: &mut impl Read) -> io::Result<Option<FrameHeader>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_bytes);
+/// Decodes a frame's length prefix and header.
+fn parse_header(b: &[u8; 4 + HEADER]) -> io::Result<FrameHeader> {
+    let len = u32::from_le_bytes(b[..4].try_into().expect("4 length bytes"));
     if !(HEADER as u32..=MAX_FRAME).contains(&len) {
         return Err(bad_data("frame length out of range"));
     }
-    let mut header = [0u8; HEADER];
-    r.read_exact(&mut header)?;
-    Ok(Some(FrameHeader {
-        kind: header[0],
-        src: u32::from_le_bytes(header[1..5].try_into().expect("4 header bytes")),
-        link_seq: u64::from_le_bytes(header[5..13].try_into().expect("8 header bytes")),
+    Ok(FrameHeader {
+        kind: b[4],
+        src: u32::from_le_bytes(b[5..9].try_into().expect("4 header bytes")),
+        link_seq: u64::from_le_bytes(b[9..].try_into().expect("8 header bytes")),
         body_len: len as usize - HEADER,
-    }))
-}
-
-/// Reads the short body of a non-DATA frame into the vector the frame
-/// keeps; a body over [`MAX_CONTROL_BODY`] is an error before it is an
-/// allocation.
-pub(crate) fn read_body(r: &mut impl Read, h: FrameHeader) -> io::Result<Frame> {
-    if h.body_len > MAX_CONTROL_BODY {
-        return Err(bad_data("control frame body too large"));
-    }
-    let mut body = vec![0u8; h.body_len];
-    r.read_exact(&mut body)?;
-    Ok(Frame {
-        kind: h.kind,
-        src: h.src,
-        link_seq: h.link_seq,
-        body,
     })
 }
 
-/// Reads one whole short-bodied frame (handshakes, control traffic).
+/// Reads one whole frame off a blocking stream (handshakes), every kind
+/// — DATA too — as a control frame with a capped body.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    match read_header(r)? {
-        Some(h) => read_body(r, h).map(Some),
-        None => Ok(None),
+    match FrameReader::default().read(r, None)? {
+        Some(Inbound::Control(frame)) => Ok(Some(frame)),
+        // Without a pool every kind reads as a control frame: only EOF.
+        _ => Ok(None),
     }
 }
 
@@ -228,115 +195,93 @@ const PV_ROWS: u8 = 3;
 /// Bytes of `tag`, `seq`, `checksum` and the payload variant.
 const MSG_HEADER: usize = 1 + 8 + 8 + 1;
 
-/// Appends `v` as little-endian words: one resize, then a fixed-width
-/// copy per element, which compiles to a block move.
-fn put_words<T: Copy, const N: usize>(buf: &mut [u8], v: &[T], le: impl Fn(T) -> [u8; N]) {
-    for (dst, &x) in buf.chunks_exact_mut(N).zip(v) {
-        dst.copy_from_slice(&le(x));
-    }
+#[cfg(not(target_endian = "little"))]
+compile_error!(
+    "the wire format is little-endian, and the codec moves u32/f64 words as their in-memory bytes"
+);
+
+/// A payload element the codec moves as its in-memory bytes: no padding,
+/// and every bit pattern is a value. Implemented for `u32` and `f64` only.
+trait Word: Copy {}
+impl Word for u32 {}
+impl Word for f64 {}
+
+/// `v`'s bytes: on the little-endian targets we build for, its wire
+/// encoding.
+fn le_bytes<T: Word>(v: &[T]) -> &[u8] {
+    // SAFETY: a `Word` (`u32` or `f64`) has no padding, so all
+    // `size_of_val(v)` bytes behind `v.as_ptr()` are initialised; `u8`
+    // needs no alignment; the view borrows `v`, so it cannot outlive it.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), std::mem::size_of_val(v)) }
 }
 
-/// Runs `f` with a zeroed staging buffer of at least `need.min(STAGE)`
-/// bytes: a short frame gets a short one, so staging a 24-byte payload
-/// does not clear 64 KiB of stack first.
-fn with_stage<R>(need: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-    const SHORT: usize = 1 << 10;
-    if need <= SHORT {
-        f(&mut [0u8; SHORT])
-    } else {
-        f(&mut [0u8; STAGE])
-    }
+/// `v`'s bytes, writable: wire bytes read into them decode in place.
+fn le_bytes_mut<T: Word>(v: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `le_bytes`; besides, whatever bytes are written
+    // through the view form valid `u32`s and `f64`s (every bit pattern is
+    // one), and the view borrows `v` exclusively, so nothing aliases it.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), std::mem::size_of_val(v)) }
 }
 
-/// Reads `n` little-endian words off `r` onto the end of `out`, one
-/// staging chunk at a time.
-fn read_words<T, const N: usize>(
-    r: &mut impl Read,
-    n: usize,
-    mut out: Vec<T>,
-    le: impl Fn([u8; N]) -> T,
-) -> io::Result<Vec<T>> {
-    with_stage(N * n, |stage| {
-        let mut left = n;
-        while left > 0 {
-            let words = left.min(stage.len() / N);
-            let bytes = &mut stage[..N * words];
-            r.read_exact(bytes)?;
-            let chunks = bytes.chunks_exact(N);
-            out.extend(chunks.map(|c| le(c.try_into().expect("chunks_exact yields N bytes"))));
-            left -= words;
-        }
-        Ok(out)
-    })
-}
-
-/// The `f64` words of `payload` that follow its head on the wire.
-fn streamed_words(payload: &Payload) -> &[f64] {
+/// A payload as the wire carries it: its variant byte, the `u32` ids the
+/// head carries, and the `f64` words that follow the head.
+fn parts(payload: &Payload) -> (u8, &[u32], &[f64]) {
     match payload {
-        Payload::F64(data) | Payload::Rows { data, .. } => data,
-        Payload::Empty | Payload::U32(_) => &[],
+        Payload::Empty => (PV_EMPTY, &[], &[]),
+        Payload::F64(data) => (PV_F64, &[], data),
+        Payload::U32(idx) => (PV_U32, idx, &[]),
+        Payload::Rows { idx, data } => (PV_ROWS, idx, data),
     }
 }
 
 /// Encodes the head of `msg` as a DATA frame from rank `src`: length
 /// prefix (covering the words still to come), frame header (`link_seq`
 /// zero until [`WireFrame::set_link_seq`]), `Msg` header, element counts
-/// and the `u32` ids — everything but [`streamed_words`].
+/// and the `u32` ids — everything but the words.
 fn encode_data_head(src: usize, msg: &Msg) -> Vec<u8> {
-    let ids: &[u32] = match &msg.payload {
-        Payload::U32(idx) | Payload::Rows { idx, .. } => idx,
-        Payload::Empty | Payload::F64(_) => &[],
-    };
+    let (variant, ids, words) = parts(&msg.payload);
     let mut b = begin_frame(kind::DATA, src as u32, 0, MSG_HEADER + 16 + 4 * ids.len());
     b.push(msg.tag);
     b.extend_from_slice(&msg.seq.to_le_bytes());
     b.extend_from_slice(&msg.checksum.to_le_bytes());
-    match &msg.payload {
-        Payload::Empty => b.push(PV_EMPTY),
-        Payload::F64(v) => {
-            b.push(PV_F64);
-            b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        }
-        Payload::U32(v) => {
-            b.push(PV_U32);
-            b.extend_from_slice(&(v.len() as u64).to_le_bytes());
-        }
-        Payload::Rows { idx, data } => {
-            b.push(PV_ROWS);
-            b.extend_from_slice(&(idx.len() as u64).to_le_bytes());
-            b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        }
+    b.push(variant);
+    let counts: &[usize] = match variant {
+        PV_EMPTY => &[],
+        PV_F64 => &[words.len()],
+        PV_U32 => &[ids.len()],
+        _ => &[ids.len(), words.len()],
+    };
+    for &n in counts {
+        b.extend_from_slice(&(n as u64).to_le_bytes());
     }
-    let at = b.len();
-    b.resize(at + 4 * ids.len(), 0);
-    put_words(&mut b[at..], ids, u32::to_le_bytes);
-    end_frame(b, 8 * streamed_words(&msg.payload).len())
+    b.extend_from_slice(le_bytes(ids));
+    end_frame(b, 8 * words.len())
 }
 
-/// Writes `head` and then `words` as little-endian bytes, staged through
-/// one chunk so a short frame is still a single write and a long one
-/// never exists as a second full-size buffer.
-pub(crate) fn write_parts(w: &mut impl Write, head: &[u8], words: &[f64]) -> io::Result<()> {
-    if words.is_empty() {
-        return w.write_all(head);
+/// Writes `head` and then `words` as little-endian bytes, from byte
+/// `*done` of the frame on, in one vectored write where the socket has
+/// room. Every byte out advances `*done`, so after a non-blocking
+/// writer's `WouldBlock` the next call resumes where this one stopped.
+pub(crate) fn write_parts(
+    w: &mut impl Write,
+    head: &[u8],
+    words: &[f64],
+    done: &mut usize,
+) -> io::Result<()> {
+    let words = le_bytes(words);
+    while *done < head.len() + words.len() {
+        let wrote = match head.get(*done..).filter(|rest| !rest.is_empty()) {
+            Some(rest) => w.write_vectored(&[IoSlice::new(rest), IoSlice::new(words)]),
+            None => w.write(&words[*done - head.len()..]),
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    with_stage(head.len() + 8 * words.len(), |stage| {
-        let mut at = 0;
-        if head.len() <= stage.len() / 2 {
-            stage[..head.len()].copy_from_slice(head);
-            at = head.len();
-        } else {
-            w.write_all(head)?;
-        }
-        let mut rest = words;
-        while !rest.is_empty() {
-            let (now, later) = rest.split_at(rest.len().min((stage.len() - at) / 8));
-            put_words(&mut stage[at..], now, f64::to_le_bytes);
-            w.write_all(&stage[..at + 8 * now.len()])?;
-            (at, rest) = (0, later);
-        }
-        Ok(())
-    })
+    Ok(())
 }
 
 /// One reliable frame in the form it is written, retained for replay and
@@ -387,7 +332,7 @@ impl WireFrame {
 
     /// The words written after the head.
     pub(crate) fn words(&self) -> &[f64] {
-        streamed_words(&self.payload)
+        parts(&self.payload).2
     }
 
     /// Bytes the frame occupies on the wire.
@@ -404,37 +349,148 @@ impl Drop for WireFrame {
     }
 }
 
-/// Reads the `body_len`-byte body of a DATA frame off `r` into a [`Msg`]
-/// whose vectors come from lane `lane` of `pool` (the sending peer's).
-/// Each element count must account for the rest of the body exactly, so a
-/// lying count is rejected before anything is taken for it. An `InvalidData` error leaves the unread
-/// body in `r`: the stream is out of step and the link must be dropped.
-pub(crate) fn read_data(
-    r: &mut impl Read,
-    body_len: usize,
-    pool: &PayloadPool,
-    lane: usize,
-) -> io::Result<Msg> {
-    let truncated = || bad_data("truncated DATA body");
+/// What a [`FrameReader`] hands over: a DATA frame's header and
+/// message, or a whole control frame.
+pub(crate) enum Inbound {
+    Data(FrameHeader, Msg),
+    Control(Frame),
+}
+
+/// Where the body starts: after the length prefix and the header.
+const BODY_AT: usize = 4 + HEADER;
+
+/// Reads frames off a stream that may stop at any byte — a non-blocking
+/// socket run dry — and resumes there on the next call, so its owner
+/// never waits inside a frame.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    /// The current frame up to its ids and words: length prefix and
+    /// header, then a control body or a DATA frame's `Msg` header and
+    /// counts.
+    head: Vec<u8>,
+    /// A DATA frame's message once its counts check out: its vectors are
+    /// where the ids and words land.
+    msg: Option<Msg>,
+    /// Bytes read of the current frame.
+    at: usize,
+    /// Bytes read off the stream altogether: a peer whose bytes keep
+    /// arriving is alive, even in the middle of a long frame.
+    pub(crate) bytes_read: u64,
+}
+
+impl FrameReader {
+    /// Reads bytes `from..from + buf.len()` of the current frame into
+    /// `buf`, past those already there. EOF is an error at any byte.
+    fn fill(
+        at: &mut usize,
+        read: &mut u64,
+        r: &mut impl Read,
+        from: usize,
+        buf: &mut [u8],
+    ) -> io::Result<()> {
+        while *at < from + buf.len() {
+            match r.read(&mut buf[*at - from..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => (*at, *read) = (*at + n, *read + n as u64),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the current frame up to its first `n` bytes into `head`.
+    fn fill_head(&mut self, r: &mut impl Read, n: usize) -> io::Result<()> {
+        if self.head.len() < n {
+            self.head.resize(n, 0);
+        }
+        Self::fill(
+            &mut self.at,
+            &mut self.bytes_read,
+            r,
+            0,
+            &mut self.head[..n],
+        )
+    }
+
+    /// Reads off `r` until a frame is complete; `Ok(None)` is a clean EOF
+    /// between frames. After `WouldBlock` the next call resumes; any other
+    /// error leaves the stream out of step. DATA vectors come from lane
+    /// `lane` of `pool`; without a pool, DATA reads like any other kind.
+    pub(crate) fn read(
+        &mut self,
+        r: &mut impl Read,
+        pool: Option<(&PayloadPool, usize)>,
+    ) -> io::Result<Option<Inbound>> {
+        match self.fill_head(r, BODY_AT) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && self.at == 0 => return Ok(None),
+            filled => filled?,
+        }
+        let h = parse_header(self.head[..BODY_AT].try_into().expect("header bytes"))?;
+        let inbound = if let (kind::DATA, Some((pool, lane))) = (h.kind, pool) {
+            // The `Msg` header, then the one or two counts its variant
+            // calls for; the body must hold both.
+            let truncated = || bad_data("truncated DATA body");
+            let mut end = BODY_AT + MSG_HEADER;
+            if BODY_AT + h.body_len < end {
+                return Err(truncated());
+            }
+            self.fill_head(r, end)?;
+            end += match self.head[end - 1] {
+                PV_EMPTY => 0,
+                PV_F64 | PV_U32 => 8,
+                PV_ROWS => 16,
+                other => return Err(bad_data(&format!("unknown payload variant {other}"))),
+            };
+            if BODY_AT + h.body_len < end {
+                return Err(truncated());
+            }
+            self.fill_head(r, end)?;
+            if self.msg.is_none() {
+                let fields = &self.head[BODY_AT..end];
+                self.msg = Some(data_msg(fields, h.body_len, pool, lane)?);
+            }
+            let msg = self.msg.as_mut().expect("set above");
+            let (idx, data): (&mut [u32], &mut [f64]) = match &mut msg.payload {
+                Payload::Empty => (&mut [], &mut []),
+                Payload::F64(data) => (&mut [], data),
+                Payload::U32(idx) => (idx, &mut []),
+                Payload::Rows { idx, data } => (idx, data),
+            };
+            let (at, read) = (&mut self.at, &mut self.bytes_read);
+            Self::fill(at, read, r, end, le_bytes_mut(idx))?;
+            Self::fill(at, read, r, end + 4 * idx.len(), le_bytes_mut(data))?;
+            Inbound::Data(h, self.msg.take().expect("set above"))
+        } else {
+            if h.body_len > MAX_CONTROL_BODY {
+                return Err(bad_data("control frame body too large"));
+            }
+            self.fill_head(r, BODY_AT + h.body_len)?;
+            Inbound::Control(Frame {
+                kind: h.kind,
+                src: h.src,
+                link_seq: h.link_seq,
+                body: self.head[BODY_AT..].to_vec(),
+            })
+        };
+        self.head.clear();
+        self.at = 0;
+        Ok(Some(inbound))
+    }
+}
+
+/// The message a DATA body's fixed fields (`Msg` header and counts)
+/// announce, its vectors taken from lane `lane` of `pool` and sized to
+/// receive the ids and words. Each count must account for the rest of
+/// the `body_len`-byte body exactly, so a lying count is rejected before
+/// anything is taken for it.
+fn data_msg(fields: &[u8], body_len: usize, pool: &PayloadPool, lane: usize) -> io::Result<Msg> {
     let mismatch = || bad_data("element counts do not match the DATA body length");
-    // The `Msg` header, then the one or two counts its variant calls for.
-    let mut fixed = [0u8; MSG_HEADER + 16];
-    let after_header = body_len.checked_sub(MSG_HEADER).ok_or_else(truncated)?;
-    r.read_exact(&mut fixed[..MSG_HEADER])?;
-    let variant = fixed[MSG_HEADER - 1];
-    let counts = match variant {
-        PV_EMPTY => 0,
-        PV_F64 | PV_U32 => 8,
-        PV_ROWS => 16,
-        other => return Err(bad_data(&format!("unknown payload variant {other}"))),
-    };
-    let words_len = after_header.checked_sub(counts).ok_or_else(truncated)?;
-    r.read_exact(&mut fixed[MSG_HEADER..MSG_HEADER + counts])?;
     let mut c = Cursor {
-        buf: &fixed,
+        buf: fields,
         pos: 0,
     };
-    let (tag, seq, checksum, _variant) = (c.u8()?, c.u64()?, c.u64()?, c.u8()?);
+    let (tag, seq, checksum, variant) = (c.u8()?, c.u64()?, c.u64()?, c.u8()?);
     // Byte lengths of the id and data arrays the counts claim.
     let mut bytes_of = |width: u64| c.u64()?.checked_mul(width).ok_or_else(mismatch);
     let (idx_len, data_len) = match variant {
@@ -443,13 +499,15 @@ pub(crate) fn read_data(
         PV_U32 => (bytes_of(4)?, 0),
         _ => (bytes_of(4)?, bytes_of(8)?),
     };
-    if idx_len.checked_add(data_len) != Some(words_len as u64) {
+    if idx_len.checked_add(data_len) != Some((body_len - fields.len()) as u64) {
         return Err(mismatch());
     }
     // Both fit in the body, so in a usize; only now is the pool asked.
     let (ni, nd) = (idx_len as usize / 4, data_len as usize / 8);
-    let idx = read_words(r, ni, pool.take_u32(lane, ni), u32::from_le_bytes)?;
-    let data = read_words(r, nd, pool.take_f64(lane, nd), f64::from_le_bytes)?;
+    let mut idx = pool.take_u32(lane, ni);
+    idx.resize(ni, 0);
+    let mut data = pool.take_f64(lane, nd);
+    data.resize(nd, 0.0);
     let payload = match variant {
         PV_EMPTY => Payload::Empty,
         PV_U32 => Payload::U32(idx),
@@ -659,6 +717,33 @@ mod tests {
         }
     }
 
+    /// Reads one frame's length prefix and header off `r`.
+    fn read_header(r: &mut impl Read) -> io::Result<Option<FrameHeader>> {
+        let mut bytes = [0u8; BODY_AT];
+        r.read_exact(&mut bytes)?;
+        parse_header(&bytes).map(Some)
+    }
+
+    /// Reads the `body_len`-byte body of a DATA frame off `r`, as a
+    /// [`FrameReader`] does once it has the frame's header.
+    fn read_data(
+        r: &mut impl Read,
+        body_len: usize,
+        pool: &PayloadPool,
+        lane: usize,
+    ) -> io::Result<Msg> {
+        // The header it would have read: a DATA frame of `body_len` bytes.
+        let mut frames = FrameReader {
+            head: end_frame(begin_frame(kind::DATA, 0, 0, 0), body_len),
+            at: BODY_AT,
+            ..FrameReader::default()
+        };
+        match frames.read(r, Some((pool, lane)))? {
+            Some(Inbound::Data(_, msg)) => Ok(msg),
+            _ => unreachable!("the header says DATA"),
+        }
+    }
+
     /// Bitwise payload equality (`PartialEq` would call NaN ≠ NaN).
     fn payload_bits(p: &Payload) -> (u8, Vec<u32>, Vec<u64>) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
@@ -675,7 +760,7 @@ mod tests {
         let mut frame = WireFrame::data(src, msg.clone(), Arc::new(PayloadPool::new(src + 1)));
         frame.set_link_seq(link_seq);
         let mut bytes = Vec::new();
-        write_parts(&mut bytes, frame.head(), frame.words()).unwrap();
+        write_parts(&mut bytes, frame.head(), frame.words(), &mut 0).unwrap();
         assert_eq!(bytes.len() as u64, frame.wire_len());
         bytes
     }
@@ -696,21 +781,24 @@ mod tests {
         );
     }
 
-    /// Feeds arbitrary bytes through the header reader and the streaming
-    /// DATA reader (or the capped control-body reader, when the kind byte
-    /// says so), taking from `pool`. Must return, never panic; anything
-    /// it accepts must be well formed.
+    /// Feeds arbitrary bytes through a [`FrameReader`]: the DATA path,
+    /// taking from `pool`, or the capped control-body path, as the kind
+    /// byte says. Must return, never panic; anything it accepts must be
+    /// well formed.
     fn decode_hostile_from(bytes: &[u8], pool: &PayloadPool) -> Option<Msg> {
-        let mut r = bytes;
-        let header = read_header(&mut r).ok()??;
-        if header.kind != kind::DATA {
-            let frame = read_body(&mut r, header).ok()?;
-            assert!(frame.body.len() <= MAX_CONTROL_BODY);
-            return None;
+        match FrameReader::default()
+            .read(&mut &bytes[..], Some((pool, 0)))
+            .ok()??
+        {
+            Inbound::Control(frame) => {
+                assert!(frame.body.len() <= MAX_CONTROL_BODY);
+                None
+            }
+            Inbound::Data(header, msg) => {
+                assert_well_formed(&msg, header.body_len);
+                Some(msg)
+            }
         }
-        let msg = read_data(&mut r, header.body_len, pool, 0).ok()?;
-        assert_well_formed(&msg, header.body_len);
-        Some(msg)
     }
 
     fn decode_hostile(bytes: &[u8]) -> Option<Msg> {
@@ -721,13 +809,13 @@ mod tests {
     fn data_frames_match_the_grammar_and_roundtrip_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(0x5eed_0012);
         let mut msgs: Vec<Msg> = (0..500).map(|_| random_msg(&mut rng)).collect();
-        // Payloads of several staging chunks, a whole number of them and
-        // not, and a head too long to share the first chunk.
-        let words = STAGE / 8;
+        // Payloads of many 64 KiB pieces, a whole number of them and
+        // not, and a head longer than one.
+        let words = 8 << 10;
         for (ni, nd) in [
             (0, 3 * words + 5),
             (7, 2 * words),
-            (STAGE / 4 + 3, words + 1),
+            (2 * words + 3, words + 1),
         ] {
             let mut msg = random_msg(&mut rng);
             msg.payload = Payload::Rows {
@@ -763,6 +851,86 @@ mod tests {
             // Bit-exactness end to end: the checksum still verifies.
             assert_eq!(back.payload.checksum(), back.checksum);
         }
+    }
+
+    /// Hands out a few bytes per call and says `WouldBlock` on every
+    /// other one: a non-blocking socket at its most awkward.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        rng: StdRng,
+        dry: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.dry = !self.dry;
+            if self.dry {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf
+                .len()
+                .min(self.bytes.len())
+                .min(self.rng.gen_range(1..64));
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The next frame off `r`, calling again on every `WouldBlock`.
+    fn next_frame(
+        frames: &mut FrameReader,
+        r: &mut Trickle,
+        pool: &PayloadPool,
+    ) -> Option<Inbound> {
+        loop {
+            match frames.read(r, Some((pool, 1))) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                other => return other.unwrap(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_read_in_pieces_yields_the_frames_it_was_written_as() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0015);
+        let msgs: Vec<Msg> = (0..300).map(|_| random_msg(&mut rng)).collect();
+        let control = [
+            Frame::with_u64(kind::ACK, 1, 42),
+            Frame::control(kind::HEARTBEAT, 1),
+        ];
+        let mut stream = Vec::new();
+        for (i, msg) in msgs.iter().enumerate() {
+            stream.extend(wire_bytes(1, i as u64, msg));
+            stream.extend(encode_frame(&control[i % 2]));
+        }
+        let pool = PayloadPool::new(2);
+        let mut frames = FrameReader::default();
+        let mut r = Trickle {
+            bytes: &stream,
+            rng,
+            dry: false,
+        };
+        for (i, msg) in msgs.iter().enumerate() {
+            let Some(Inbound::Data(h, back)) = next_frame(&mut frames, &mut r, &pool) else {
+                panic!("frame {i}: expected DATA");
+            };
+            assert_eq!((h.src, h.link_seq), (1, i as u64));
+            assert_eq!(
+                (back.tag, back.seq, back.checksum),
+                (msg.tag, msg.seq, msg.checksum)
+            );
+            assert_eq!(payload_bits(&back.payload), payload_bits(&msg.payload));
+            let Some(Inbound::Control(frame)) = next_frame(&mut frames, &mut r, &pool) else {
+                panic!("frame {i}: expected a control frame");
+            };
+            assert_eq!(frame, control[i % 2]);
+        }
+        assert!(
+            next_frame(&mut frames, &mut r, &pool).is_none(),
+            "clean EOF"
+        );
+        assert_eq!(frames.bytes_read, stream.len() as u64);
     }
 
     /// Bytes the count fields of `p` occupy in a DATA body.

@@ -206,9 +206,11 @@ fn wait_within(
 /// peer's reader thread keeps draining — so a reader that waits on
 /// anything the local writer holds (it used to take the connection
 /// mutex to dedup and ACK every frame) closes a four-thread cycle with
-/// both mains in `sendmsg` and both readers on the futex. The barrier
-/// releases the two floods together; the parent-side deadline is what
-/// fails the test, because nothing inside the ranks can notice.
+/// both mains in `sendmsg` and both readers on the futex. Reader threads
+/// are gone since: each main thread now drains the other from inside its
+/// own blocked write (DESIGN.md §8). The barrier releases the two floods
+/// together; the parent-side deadline is what fails the test, because
+/// nothing inside the ranks can notice.
 #[test]
 fn flooding_both_directions_before_receiving_cannot_wedge_the_link() {
     const NAME: &str = "flooding_both_directions_before_receiving_cannot_wedge_the_link";
@@ -429,4 +431,48 @@ fn graceful_shutdown_leaves_no_sockets_behind() {
         "rendezvous socket not cleaned up"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rank process reads its own sockets: no thread per peer. Each rank
+/// reports the `Threads:` line of `/proc/self/status` once its mesh is up
+/// and has carried a ring exchange; a world of 2 and a world of 4 must
+/// report the same count on every rank.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_process_runs_as_many_threads_at_p4_as_at_p2() {
+    const NAME: &str = "a_rank_process_runs_as_many_threads_at_p4_as_at_p2";
+    if let Some(rank) = child_rank(NAME) {
+        let p: usize = std::env::var("GNN_PROC_TEST_P").unwrap().parse().unwrap();
+        let dir = std::env::var("GNN_PROC_DIR").unwrap();
+        world(p)
+            .run_rank(rank, |ctx| {
+                ring_body(ctx, 1);
+                let status = std::fs::read_to_string("/proc/self/status").unwrap();
+                let threads = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+                let path = std::path::Path::new(&dir).join(format!("threads{rank}"));
+                std::fs::write(path, threads.expect("a Threads: line").trim()).unwrap();
+                ctx.barrier();
+            })
+            .expect("rank body");
+        return;
+    }
+    let mut counts = Vec::new();
+    for p in [2usize, 4] {
+        let dir = scratch_dir(&format!("threads{p}"));
+        let p_var = p.to_string();
+        let env = [("GNN_PROC_TEST_P", p_var.as_str())];
+        let children: Vec<_> = (0..p).map(|r| spawn_rank(NAME, r, &dir, &env)).collect();
+        for (rank, mut child) in children.into_iter().enumerate() {
+            let status = child.wait().expect("wait child");
+            assert!(status.success(), "p={p}: rank {rank} exited with {status}");
+            let threads = std::fs::read_to_string(dir.join(format!("threads{rank}"))).unwrap();
+            counts.push((p, rank, threads.parse::<usize>().expect("a thread count")));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let first = counts[0].2;
+    assert!(
+        counts.iter().all(|&(_, _, n)| n == first),
+        "threads per rank process (p, rank, threads): {counts:?}"
+    );
 }

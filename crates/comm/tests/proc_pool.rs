@@ -1,7 +1,7 @@
 //! The payload loop through the socket: on the process backend a rank's
-//! pool is shared by its executor, its reader threads and its replay
-//! queues, and a steady exchange allocates no payload buffer on either
-//! side of the link.
+//! pool is shared by its executor, whoever reads its sockets and its
+//! replay queues, and a steady exchange allocates no payload buffer on
+//! either side of the link.
 //!
 //! The two ranks run as threads of this process, each through its own
 //! [`ProcWorld::run_rank`] — the transport neither knows nor cares that

@@ -409,6 +409,7 @@ fn collect_outcome(
         restarts,
         trace: None,
         resume_points,
+        faults: None,
     })
 }
 

@@ -248,6 +248,10 @@ pub struct DistOutcome {
     /// The epoch each restart resumed from (one entry per restart:
     /// the checkpoint's cursor, or 0 for a from-scratch restart).
     pub resume_points: Vec<usize>,
+    /// The fault injector every world of a faulty thread-backend run
+    /// shared: which crash rules fired — in any world, not only the one
+    /// that completed — and which never did.
+    pub faults: Option<Arc<FaultInjector>>,
 }
 
 /// Builds the communication plan of `algo` over `bounds` (shared by the
@@ -342,6 +346,7 @@ pub fn try_train_distributed_with_store(
                     restarts,
                     trace,
                     resume_points,
+                    faults: injector,
                 });
             }
             Err(e) if e.is_recoverable() && restarts < cfg.robust.max_restarts => {

@@ -16,7 +16,8 @@
 //!
 //! Every table but the last is the paper's `(ÂH)W` order, selected once in
 //! [`config`]; [`EXPECTED_NARROW`] pins the narrow-side order that
-//! `DistConfig::new` defaults to, on one cell per family and schedule.
+//! `DistConfig::new` defaults to, on seven cells: 1D aware at p = 2 and
+//! 3, 1D oblivious, 1.5D, 2D, 3D and SAGE.
 //!
 //! Regenerating (only when a behaviour change is intended): run the test;
 //! on mismatch it prints the full table of actual digests in source form.
