@@ -218,9 +218,9 @@ impl PayloadPool {
     /// Returns a payload's storage to `lane` — the rank it came from —
     /// for that rank's next request of its capacity. If that lane has no
     /// buffer of the size out, the first lane that does takes it (on a
-    /// rank process the all-reduce root sends a part its reader took from
-    /// the peer's lane back down in a frame of its own); storage no lane
-    /// is missing is dropped.
+    /// rank process the all-reduce root sends a part read off a peer's
+    /// socket into that peer's lane back down in a frame of its own);
+    /// storage no lane is missing is dropped.
     pub fn recycle(&self, lane: usize, payload: Payload) {
         let (idx, data) = match payload {
             Payload::Empty => return,
