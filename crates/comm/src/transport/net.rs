@@ -228,7 +228,9 @@ impl Stream {
     /// contain `/`, TCP addresses never do.
     pub(crate) fn connect(addr: &str) -> io::Result<Stream> {
         if addr.contains('/') {
-            Ok(Stream::Unix(UnixStream::connect(addr)?))
+            let s = UnixStream::connect(addr)?;
+            fix_send_buffer(&s)?;
+            Ok(Stream::Unix(s))
         } else {
             let s = TcpStream::connect(addr)?;
             // Frames are latency-sensitive (heartbeats, ACKs): never
@@ -406,7 +408,11 @@ impl Listener {
 
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Unix(l) => Ok(Stream::Unix(l.accept()?.0)),
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                fix_send_buffer(&s)?;
+                Ok(Stream::Unix(s))
+            }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nodelay(true)?;
@@ -545,6 +551,40 @@ pub fn wait_child_exit(pid: u32) -> io::Result<()> {
     }
 }
 
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+}
+#[cfg(target_os = "linux")]
+const SOL_SOCKET: i32 = 1;
+#[cfg(target_os = "linux")]
+const SO_SNDBUF: i32 = 7;
+
+/// The send buffer every Unix-domain rank socket asks for, in bytes.
+/// A rank's one thread alternates writing and reading, so each `poll`
+/// round hands its peer one buffer's worth: the 208 KiB default leaves
+/// both ranks idling on each other under a flood. TCP sockets keep
+/// autotuning, which a fixed `SO_SNDBUF` would switch off.
+const UNIX_SNDBUF: i32 = 4 << 20;
+
+/// Sets [`UNIX_SNDBUF`] on a Unix-domain socket. The kernel caps the
+/// request at `net.core.wmem_max` (and doubles it for its own
+/// bookkeeping). Linux only; elsewhere the default stays.
+fn fix_send_buffer(s: &UnixStream) -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: `s` owns a live descriptor for the whole call, and
+        // `setsockopt` reads 4 bytes from `&UNIX_SNDBUF`, an `i32`, and
+        // keeps no pointer after it returns.
+        if unsafe { setsockopt(s.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, &UNIX_SNDBUF, 4) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = s;
+    Ok(())
+}
+
 /// `SO_REUSEADDR` bind, raw-syscall edition: stable std exposes no
 /// socket builder, so the option must be set between `socket()` and
 /// `bind()` by hand. Linux + IPv4 only — `None` means "no special path
@@ -555,7 +595,6 @@ fn reuseaddr_bind(addr: &std::net::SocketAddr) -> Option<io::Result<TcpListener>
 
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
         fn close(fd: i32) -> i32;
@@ -571,7 +610,6 @@ fn reuseaddr_bind(addr: &std::net::SocketAddr) -> Option<io::Result<TcpListener>
     const AF_INET: i32 = 2;
     const SOCK_STREAM: i32 = 1;
     const SOCK_CLOEXEC: i32 = 0o200_0000;
-    const SOL_SOCKET: i32 = 1;
     const SO_REUSEADDR: i32 = 2;
 
     let std::net::SocketAddr::V4(v4) = addr else {
@@ -804,6 +842,41 @@ mod tests {
             (0..12).map(|_| b.next()).collect()
         };
         assert_ne!(delays, other, "different seed, different jitter");
+    }
+
+    /// Both ends of a Unix rank connection carry the fixed send buffer:
+    /// what the kernel reports back is the request, capped at
+    /// `net.core.wmem_max`, doubled.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn unix_rank_sockets_get_the_fixed_send_buffer() {
+        extern "C" {
+            fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
+        }
+        let sndbuf = |s: &Stream| {
+            let (mut value, mut len) = (0i32, 4u32);
+            // SAFETY: `s` owns a live descriptor; `getsockopt` writes at
+            // most `len` = 4 bytes into `value`, an `i32`, and `len`.
+            let rc =
+                unsafe { getsockopt(s.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, &mut value, &mut len) };
+            assert_eq!(rc, 0, "{}", io::Error::last_os_error());
+            value
+        };
+        let Ok(cap) = std::fs::read_to_string("/proc/sys/net/core/wmem_max") else {
+            println!("skipped: net.core.wmem_max is not readable");
+            return;
+        };
+        let cap: i32 = cap.trim().parse().unwrap();
+        let dir = std::env::temp_dir().join(format!("gnn-sndbuf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.sock");
+        let path = path.to_str().unwrap();
+        let l = Listener::bind_unix(path).unwrap();
+        let client = Stream::connect(path).unwrap();
+        let server = l.accept().unwrap();
+        let want = 2 * UNIX_SNDBUF.min(cap);
+        assert_eq!((sndbuf(&client), sndbuf(&server)), (want, want));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
