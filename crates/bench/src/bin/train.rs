@@ -232,7 +232,7 @@ fn cli() -> Cli<Args> {
             store(&mut a.p, v)
         }),
         value("--backend", "thread|proc", |a, v| {
-            let backends = [("thread", false), ("proc", true), ("process", true)];
+            let backends = [("thread", false), ("proc", true)];
             choose(&mut a.backend_proc, v, &backends)
         }),
         value("--ranks", "N", |a, v| {
@@ -1100,6 +1100,17 @@ mod tests {
         let err = grid_parts(AlgoTag::ThreeD, 8, 1, 4).unwrap_err();
         assert!(err.contains("c=4 > pr=2"), "{err}");
         assert!(grid_parts(AlgoTag::TwoD, 0, 1, 1).is_err());
+    }
+
+    /// `proc` is the one spelling of the process backend.
+    #[test]
+    fn backend_takes_thread_or_proc_only() {
+        assert!(!args(&["--backend", "thread"]).unwrap().backend_proc);
+        assert!(args(&["--backend", "proc"]).unwrap().backend_proc);
+        let Err(err) = args(&["--backend", "process"]) else {
+            panic!("--backend process was accepted");
+        };
+        assert!(err.contains("wants thread|proc, got process"), "{err}");
     }
 
     #[test]

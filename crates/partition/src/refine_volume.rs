@@ -83,11 +83,12 @@ impl Default for VolumeRefineConfig {
 }
 
 /// Per-part volume deltas of one move, dense over the `k` parts, with
-/// their sum and the parts to reset (repeats allowed).
+/// their sum. Clearing and applying walk all `k` entries, which costs no
+/// more than the O(k) scan for the new maximum that follows every
+/// pricing.
 struct Deltas {
     d: Vec<i64>,
     sum: i64,
-    touched: Vec<u32>,
 }
 
 impl Deltas {
@@ -95,7 +96,6 @@ impl Deltas {
         Self {
             d: vec![0; k],
             sum: 0,
-            touched: Vec::new(),
         }
     }
 
@@ -103,27 +103,21 @@ impl Deltas {
     fn add(&mut self, part: usize, d: i64) {
         self.d[part] += d;
         self.sum += d;
-        self.touched.push(part as u32);
     }
 
     fn clear(&mut self) {
-        for &q in &self.touched {
-            self.d[q as usize] = 0;
-        }
+        self.d.fill(0);
         self.sum = 0;
-        self.touched.clear();
     }
 
     /// Adds the deltas into `vol` and clears them.
     fn apply_to(&mut self, vol: &mut [u64]) {
-        for &q in &self.touched {
-            let q = q as usize;
-            let x = vol[q] as i64 + std::mem::take(&mut self.d[q]);
+        for (v, d) in vol.iter_mut().zip(&mut self.d) {
+            let x = *v as i64 + std::mem::take(d);
             debug_assert!(x >= 0, "negative volume");
-            vol[q] = x as u64;
+            *v = x as u64;
         }
         self.sum = 0;
-        self.touched.clear();
     }
 }
 
@@ -151,6 +145,26 @@ impl Conn {
     #[inline]
     fn row(&self, u: usize) -> &[u32] {
         &self.counts[u * self.k..(u + 1) * self.k]
+    }
+
+    /// Per-part `(send, recv)` volumes of `p`, read off the table in
+    /// O(n·k): `u`'s row goes to every part `q ≠ p(u)` with
+    /// `conn[u][q] ≥ 1`. Equal to [`volumes`] without its second O(m)
+    /// pass over the edges.
+    fn volumes(&self, p: &Partition) -> (Vec<u64>, Vec<u64>) {
+        let mut send = vec![0u64; self.k];
+        let mut recv = vec![0u64; self.k];
+        for (u, row) in self.counts.chunks_exact(self.k).enumerate() {
+            let pu = p.part(u);
+            let mut sent = 0;
+            for (q, (r, &c)) in recv.iter_mut().zip(row).enumerate() {
+                let x = u64::from((c > 0) & (q != pu));
+                *r += x;
+                sent += x;
+            }
+            send[pu] += sent;
+        }
+        (send, recv)
     }
 
     /// `v` moved from `a` to `b`: every neighbor has one `a`-neighbor
@@ -184,32 +198,29 @@ fn move_deltas(
     // `remote` parts; after, the same set plus `a` (if v has an
     // `a`-neighbor) minus `b` (if it has a `b`-neighbor).
     let own = conn.row(v);
-    let (in_a, in_b) = (own[a] > 0, own[b] > 0);
+    let (in_a, in_b) = (i64::from(own[a] > 0), i64::from(own[b] > 0));
     send_d.add(a, -(remote as i64));
-    send_d.add(b, remote as i64 + i64::from(in_a) - i64::from(in_b));
-    if in_a {
-        recv_d.add(a, 1);
-    }
-    if in_b {
-        recv_d.add(b, -1);
-    }
+    send_d.add(b, remote as i64 + in_a - in_b);
 
-    // Neighbors' rows.
+    // Neighbors' rows, without a branch per neighbor: `u` stops sending
+    // its row to `a` if `v` was its only `a`-neighbor, and starts
+    // sending to `b` if `v` is not yet among its `b`-neighbors. The
+    // receive side and the sum change only at `a` and `b`, so they are
+    // counted here and applied once.
+    let (mut lost_a, mut gained_b) = (0i64, 0i64);
     for (u, _) in g.neighbors(v) {
         let u = u as usize;
         let c = p.part(u);
         let row = conn.row(u);
-        // u stops sending its row to a if v was its only a-neighbor.
-        if a != c && row[a] < 2 {
-            send_d.add(c, -1);
-            recv_d.add(a, -1);
-        }
-        // v is not yet among u's b-neighbors.
-        if b != c && row[b] == 0 {
-            send_d.add(c, 1);
-            recv_d.add(b, 1);
-        }
+        let stop = i64::from((a != c) & (row[a] < 2));
+        let start = i64::from((b != c) & (row[b] == 0));
+        send_d.d[c] += start - stop;
+        lost_a += stop;
+        gained_b += start;
     }
+    send_d.sum += gained_b - lost_a;
+    recv_d.add(a, in_a - lost_a);
+    recv_d.add(b, gained_b - in_b);
 }
 
 /// Per-part metric value under the objective.
@@ -230,9 +241,9 @@ pub fn refine_volume(g: &WGraph, p: &mut Partition, cfg: VolumeRefineConfig) -> 
     }
     let cap = (g.total_vwgt() as f64 / k as f64 * cfg.max_ratio).ceil() as u64;
     let mut weights = p.weights(g);
-    let (mut send, mut recv) = volumes(g, p);
-    let mut total: i64 = send.iter().map(|&s| s as i64).sum();
     let mut conn = Conn::new(g, p);
+    let (mut send, mut recv) = conn.volumes(p);
+    let mut total: i64 = send.iter().map(|&s| s as i64).sum();
     // (send, recv) deltas of the candidate being priced and of the best
     // one so far.
     let mut cand_d = (Deltas::new(k), Deltas::new(k));
@@ -347,6 +358,27 @@ mod tests {
     fn random_partition(n: usize, k: usize, seed: u64) -> Partition {
         let mut rng = StdRng::seed_from_u64(seed);
         Partition::new((0..n).map(|_| rng.gen_range(0..k as u32)).collect(), k)
+    }
+
+    #[test]
+    fn conn_volumes_match_a_recount() {
+        let graphs = [
+            erdos_renyi(300, 1500, 4),
+            rmat(RmatConfig::graph500(9, 8, 5)),
+            grid2d(12),
+        ];
+        for adj in &graphs {
+            let g = WGraph::from_csr(adj);
+            for k in [2usize, 3, 5, 16] {
+                for seed in 0..3 {
+                    let p = random_partition(g.n(), k, seed ^ k as u64);
+                    let (send, recv) = Conn::new(&g, &p).volumes(&p);
+                    let (send_ref, recv_ref) = volumes(&g, &p);
+                    assert_eq!(send, send_ref, "send, n={} k={k} seed={seed}", g.n());
+                    assert_eq!(recv, recv_ref, "recv, n={} k={k} seed={seed}", g.n());
+                }
+            }
+        }
     }
 
     #[test]
