@@ -18,7 +18,9 @@ pub struct Coarsening {
     pub coarse_of: Vec<u32>,
 }
 
-/// Contracts `g` along a matching (`mate[v]` = partner or self).
+/// Contracts `g` along a matching (`mate[v]` = partner or self). Every
+/// edge weight must be ≥ 1, as [`WGraph::validate`] checks: the merge
+/// reads a zero sum as "not seen yet".
 pub fn contract(g: &WGraph, mate: &[u32]) -> Coarsening {
     let n = g.n();
     assert_eq!(mate.len(), n);
@@ -63,6 +65,7 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> Coarsening {
         let start = len;
         for v in members(c) {
             for (u, w) in g.neighbors(v as usize) {
+                debug_assert!(w >= 1, "zero edge weight");
                 let cu = coarse_of[u as usize] as usize;
                 adjncy[len] = cu as u32;
                 len += usize::from(acc[cu] == 0);
@@ -265,6 +268,21 @@ mod tests {
         assert_eq!(c.coarse_of, [0, 1, 1, 2, 2, 3, 3, 4]);
         let expected = weighted(&[1, 5, 9, 13, 8], &[(2, 3, 6), (3, 4, 5)]);
         assert_eq!(c.graph, expected);
+    }
+
+    /// A zero weight would read as "not seen yet" and list a coarse
+    /// neighbor twice; debug builds stop at it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "zero edge weight")]
+    fn contract_rejects_a_zero_edge_weight() {
+        let g = WGraph {
+            vwgt: vec![1, 1],
+            xadj: vec![0, 1, 2],
+            adjncy: vec![1, 0],
+            adjwgt: vec![0, 0],
+        };
+        contract(&g, &[0, 1]);
     }
 
     #[test]

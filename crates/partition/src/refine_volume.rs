@@ -147,26 +147,6 @@ impl Conn {
         &self.counts[u * self.k..(u + 1) * self.k]
     }
 
-    /// Per-part `(send, recv)` volumes of `p`, read off the table in
-    /// O(n·k): `u`'s row goes to every part `q ≠ p(u)` with
-    /// `conn[u][q] ≥ 1`. Equal to [`volumes`] without its second O(m)
-    /// pass over the edges.
-    fn volumes(&self, p: &Partition) -> (Vec<u64>, Vec<u64>) {
-        let mut send = vec![0u64; self.k];
-        let mut recv = vec![0u64; self.k];
-        for (u, row) in self.counts.chunks_exact(self.k).enumerate() {
-            let pu = p.part(u);
-            let mut sent = 0;
-            for (q, (r, &c)) in recv.iter_mut().zip(row).enumerate() {
-                let x = u64::from((c > 0) & (q != pu));
-                *r += x;
-                sent += x;
-            }
-            send[pu] += sent;
-        }
-        (send, recv)
-    }
-
     /// `v` moved from `a` to `b`: every neighbor has one `a`-neighbor
     /// less and one `b`-neighbor more.
     fn apply_move(&mut self, g: &WGraph, v: usize, a: usize, b: usize) {
@@ -241,9 +221,9 @@ pub fn refine_volume(g: &WGraph, p: &mut Partition, cfg: VolumeRefineConfig) -> 
     }
     let cap = (g.total_vwgt() as f64 / k as f64 * cfg.max_ratio).ceil() as u64;
     let mut weights = p.weights(g);
-    let mut conn = Conn::new(g, p);
-    let (mut send, mut recv) = conn.volumes(p);
+    let (mut send, mut recv) = volumes(g, p);
     let mut total: i64 = send.iter().map(|&s| s as i64).sum();
+    let mut conn = Conn::new(g, p);
     // (send, recv) deltas of the candidate being priced and of the best
     // one so far.
     let mut cand_d = (Deltas::new(k), Deltas::new(k));
@@ -358,27 +338,6 @@ mod tests {
     fn random_partition(n: usize, k: usize, seed: u64) -> Partition {
         let mut rng = StdRng::seed_from_u64(seed);
         Partition::new((0..n).map(|_| rng.gen_range(0..k as u32)).collect(), k)
-    }
-
-    #[test]
-    fn conn_volumes_match_a_recount() {
-        let graphs = [
-            erdos_renyi(300, 1500, 4),
-            rmat(RmatConfig::graph500(9, 8, 5)),
-            grid2d(12),
-        ];
-        for adj in &graphs {
-            let g = WGraph::from_csr(adj);
-            for k in [2usize, 3, 5, 16] {
-                for seed in 0..3 {
-                    let p = random_partition(g.n(), k, seed ^ k as u64);
-                    let (send, recv) = Conn::new(&g, &p).volumes(&p);
-                    let (send_ref, recv_ref) = volumes(&g, &p);
-                    assert_eq!(send, send_ref, "send, n={} k={k} seed={seed}", g.n());
-                    assert_eq!(recv, recv_ref, "recv, n={} k={k} seed={seed}", g.n());
-                }
-            }
-        }
     }
 
     #[test]
